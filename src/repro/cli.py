@@ -301,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--cache-stats", action="store_true",
-            help="report per-stage cache hit/miss on stderr",
+            help="report per-stage cache hit/miss on stderr (a repeated "
+                 "psec/recommend is one stored response: response=hit)",
         )
 
     def tracing(p: argparse.ArgumentParser) -> None:

@@ -184,10 +184,13 @@ def serialize_profile(runtime, result: RunResult) -> str:
     round-trip is closed).
     """
     vars_table = _VarTable()
-    psecs = [
-        _enc_psec(psec, vars_table)
+    # One PSEC at a time: a PSEC's entry docs take several times the
+    # memory of their text, and encoding all of them at once set the
+    # peak memory of a cold request.
+    psecs = "[" + ",".join(
+        _dumps(_enc_psec(psec, vars_table))
         for _, psec in sorted(runtime.psecs.items())
-    ]
+    ) + "]"
     asmt = [
         {
             "obj_id": entry.obj_id, "size": entry.size, "kind": entry.kind,
@@ -218,17 +221,25 @@ def serialize_profile(runtime, result: RunResult) -> str:
         "access_counts": dict(result.access_counts),
         "leaked_bytes": result.leaked_bytes,
     }
-    doc = {
-        "format": FORMAT_NAME,
-        "version": PROFILE_SCHEMA_VERSION,
-        "structs": vars_table.structs_doc(),
-        "vars": vars_table.doc(),
+    # The same bytes as dumping the whole document with sorted keys.
+    fields = {
+        "format": _dumps(FORMAT_NAME),
+        "version": _dumps(PROFILE_SCHEMA_VERSION),
+        "structs": _dumps(vars_table.structs_doc()),
+        "vars": _dumps(vars_table.doc()),
         "psecs": psecs,
-        "asmt": asmt,
-        "degradation": degradation,
-        "result": result_doc,
+        "asmt": _dumps(asmt),
+        "degradation": _dumps(degradation),
+        "result": _dumps(result_doc),
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return "{" + ",".join(
+        f"{_dumps(name)}:{text}" for name, text in sorted(fields.items())
+    ) + "}"
+
+
+def _dumps(value) -> str:
+    """Canonical compact JSON: sorted keys, no spaces."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def profile_digest(text: str) -> str:
@@ -236,25 +247,38 @@ def profile_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def psec_sets_doc(psecs: Dict[int, Psec]) -> Dict:
+def psec_sets_doc(
+    psecs: Dict[int, Psec],
+    sets: Optional[Dict[int, Dict[str, List]]] = None,
+) -> Dict:
     """Canonical JSON view of just the four Sets per ROI (the
     :func:`psec_sets_digest` material; also what ``psec --json`` prints
-    so CI can byte-diff hybrid vs dynamic runs)."""
+    so CI can byte-diff hybrid vs dynamic runs).
+
+    ``sets`` maps ROI id to ``psec.sets()`` when the caller already
+    derived them, so each ROI's Sets are built once per request.
+    """
+    if sets is None:
+        sets = {roi_id: psec.sets() for roi_id, psec in psecs.items()}
     return {
         str(roi_id): {
             name: [list(map(str, key)) for key in keys]
-            for name, keys in psec.sets().items()
+            for name, keys in sets[roi_id].items()
         }
-        for roi_id, psec in sorted(psecs.items())
+        for roi_id in sorted(psecs)
     }
 
 
-def psec_sets_digest(psecs: Dict[int, Psec]) -> str:
+def psec_sets_digest(psecs: Dict[int, Psec],
+                     doc: Optional[Dict] = None) -> str:
     """Digest of just the four Sets per ROI — the byte-identity gate used
-    by bench warm/cold comparisons and the differential cache tests."""
-    payload = json.dumps(psec_sets_doc(psecs), sort_keys=True,
-                         separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    by bench warm/cold comparisons and the differential cache tests.
+
+    ``doc`` is ``psec_sets_doc(psecs)`` when the caller already built it.
+    """
+    if doc is None:
+        doc = psec_sets_doc(psecs)
+    return hashlib.sha256(_dumps(doc).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

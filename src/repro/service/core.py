@@ -34,7 +34,7 @@ from repro._version import SERVICE_SCHEMA_VERSION
 from repro.abstractions import describe_pse
 from repro.compiler import CompiledProgram
 from repro.errors import ReproError
-from repro.recommend import parse_selection
+from repro.recommend import parse_selection, recommender_registry_fingerprint
 from repro.runtime.psec_json import psec_sets_digest, psec_sets_doc
 from repro.service.requests import (
     DisRequest,
@@ -45,7 +45,8 @@ from repro.service.requests import (
     RunOptions,
     parse_request_doc,
 )
-from repro.session import Session
+from repro.session import Session, keys
+from repro.session.store import ArtifactStore
 
 
 def response_digest(doc: Dict[str, object]) -> str:
@@ -58,6 +59,50 @@ def response_digest(doc: Dict[str, object]) -> str:
     material = {"kind": doc.get("kind"), "body": doc.get("body")}
     blob = json.dumps(material, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+#: Format marker of a stored ``response`` artifact payload.
+RESPONSE_FORMAT = "repro-response"
+
+#: Body keys of the kinds whose finished response is stored as an
+#: artifact; a stored body with any other key set is a miss.
+_BODY_KEYS = {
+    "psec": {"sets_digest", "rois", "degraded", "degradation"},
+    "recommend": {"output", "recommend_schema", "recommenders", "rois",
+                  "degraded", "degradation"},
+}
+
+
+def _envelope(kind: str, body: Dict[str, object],
+              meta: Dict[str, object]) -> Dict[str, object]:
+    return {
+        "kind": kind,
+        "ok": True,
+        "service_schema": SERVICE_SCHEMA_VERSION,
+        "body": body,
+        "meta": meta,
+    }
+
+
+def _stored_body(payload: Optional[str],
+                 kind: str) -> Optional[Dict[str, object]]:
+    """The body of a stored ``response`` payload, or None when the
+    payload is absent or not a well-formed response for ``kind``."""
+    if payload is None:
+        return None
+    try:
+        doc = json.loads(payload)
+    except ValueError:
+        return None
+    if not (isinstance(doc, dict)
+            and doc.get("format") == RESPONSE_FORMAT
+            and doc.get("version") == SERVICE_SCHEMA_VERSION
+            and doc.get("kind") == kind):
+        return None
+    body = doc.get("body")
+    if not isinstance(body, dict) or body.keys() != _BODY_KEYS[kind]:
+        return None
+    return body
 
 
 def error_response(kind: Optional[str], error_type: str,
@@ -128,9 +173,25 @@ class ServiceCore:
     def execute(self, request) -> Dict[str, object]:
         """Execute a typed request; returns the response document.
 
+        A ``psec``/``recommend`` request with the cache enabled is first
+        looked up as a stored ``response`` artifact: a hit returns the
+        stored body with ``meta.stages == {"response": "hit"}`` and runs
+        no other stage.  A miss computes the body through the stage
+        artifacts and stores it.
+
         Raises :class:`ReproError` on request/toolchain errors — wrap
         with :meth:`execute_doc` for the never-raises wire behaviour.
         """
+        store = key = None
+        if request.kind in _BODY_KEYS and request.options.session_enabled:
+            store = ArtifactStore.open(self.cache_dir,
+                                       namespace=self.namespace)
+            key = keys.response_key(request.to_doc(),
+                                    recommender_registry_fingerprint())
+            body = _stored_body(store.get(key), request.kind)
+            if body is not None:
+                return _envelope(request.kind, body,
+                                 {"stages": {"response": "hit"}})
         handler = {
             "recommend": self._recommend,
             "psec": self._psec,
@@ -139,16 +200,21 @@ class ServiceCore:
             "dis": self._dis,
         }[request.kind]
         body, meta = handler(request)
-        doc = {
-            "kind": request.kind,
-            "ok": True,
-            "service_schema": SERVICE_SCHEMA_VERSION,
-            "body": body,
-            "meta": meta,
-        }
+        if store is not None:
+            # Not key-sorted: the order of the psec Sets is output.
+            payload = json.dumps(
+                {"format": RESPONSE_FORMAT, "version": SERVICE_SCHEMA_VERSION,
+                 "kind": request.kind, "body": body},
+                separators=(",", ":"),
+            )
+            store.put(key, payload, "response")
+            # Normalize through the artifact: a miss hands back exactly
+            # the body a later hit will (meta here is plain JSON already).
+            meta["stages"] = {**meta["stages"], "response": "miss"}
+            return _envelope(request.kind, json.loads(payload)["body"], meta)
         # Normalize through the wire format: the in-process caller and a
         # socket client must be handed indistinguishable objects.
-        return json.loads(json.dumps(doc))
+        return json.loads(json.dumps(_envelope(request.kind, body, meta)))
 
     def execute_doc(self, doc: Dict[str, object]) -> Dict[str, object]:
         """Wire entry point: request document in, response document out.
@@ -230,7 +296,9 @@ class ServiceCore:
     def _psec(self, request: PsecRequest):
         profiled, meta, _ = self._profile(request)
         program, runtime = profiled.program, profiled.runtime
-        sets_doc = psec_sets_doc(runtime.psecs)
+        # One Sets build per ROI feeds the listing, the keys and the digest.
+        sets = {roi_id: psec.sets() for roi_id, psec in runtime.psecs.items()}
+        sets_doc = psec_sets_doc(runtime.psecs, sets)
         rois: List[Dict[str, object]] = []
         for roi_id, psec in sorted(runtime.psecs.items()):
             roi = program.module.rois[roi_id]
@@ -253,16 +321,16 @@ class ServiceCore:
                 "sets": {
                     set_name: sorted(
                         str(describe_pse(k, psec, runtime.asmt))
-                        for k in keys
+                        for k in set_keys
                     )
-                    for set_name, keys in psec.sets().items()
+                    for set_name, set_keys in sets[roi_id].items()
                 },
                 # Machine view: the raw key tuples (psec --json material).
                 "sets_keys": sets_doc[str(roi_id)],
                 "reachability": reachability,
             })
         body = {
-            "sets_digest": psec_sets_digest(runtime.psecs),
+            "sets_digest": psec_sets_digest(runtime.psecs, sets_doc),
             "rois": rois,
             **self._degradation_fields(runtime),
         }

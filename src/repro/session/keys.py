@@ -6,20 +6,29 @@ inputs the stage's output depends on.  Stage keys compose — the pipeline
 key embeds the frontend artifact digest, the profile key embeds the
 post-pipeline IR digest — which yields the invalidation matrix for free:
 
-===================  ========  ========  =======  =========
-changed input        frontend  pipeline  profile  recommend
-===================  ========  ========  =======  =========
-source text          miss      miss      miss     miss
-pass pipeline/opts   hit       miss      miss     miss
-registry version     hit       miss      miss     miss
-fault plan/budgets   hit       hit       miss     miss
-event encoding       hit       hit       miss     miss
-entry/args/costs     hit       hit       miss     miss
-recommender select   hit       hit       hit      miss
-recommender registry hit       hit       hit      miss
-Python major.minor   miss      miss      miss     miss
-schema versions      miss      miss      miss     miss
-===================  ========  ========  =======  =========
+===================  ========  ========  =======  =========  ========
+changed input        frontend  pipeline  profile  recommend  response
+===================  ========  ========  =======  =========  ========
+source text          miss      miss      miss     miss       miss
+pass pipeline/opts   hit       miss      miss     miss       miss
+registry version     hit       miss      miss     miss       miss
+fault plan/budgets   hit       hit       miss     miss       miss
+event encoding       hit       hit       miss     miss       miss
+entry/args/costs     hit       hit       miss     miss       miss
+recommender select   hit       hit       hit      miss       miss
+recommender registry hit       hit       hit      miss       miss
+request kind         hit       hit       hit      -          miss
+service schema       hit       hit       hit      hit        miss
+Python major.minor   miss      miss      miss     miss       miss
+schema versions      miss      miss      miss     miss       miss
+===================  ========  ========  =======  =========  ========
+
+The ``response`` artifact is the finished ``psec``/``recommend`` body,
+keyed on the request document itself rather than on stage digests, so a
+repeat request is answered without touching any other stage.  Its key
+is a function of the request's *spelling* (``carmot`` and its literal
+seven-pass pipeline are two keys), which costs at most one extra miss;
+the stages underneath still share their artifacts.
 
 The environment fingerprint (the stale-cache footgun fix) carries the
 Python ``major.minor`` and every artifact schema version, so 3.10 and
@@ -41,6 +50,7 @@ from repro._version import (
     PRESCREEN_SCHEMA_VERSION,
     PROFILE_SCHEMA_VERSION,
     RECOMMEND_SCHEMA_VERSION,
+    SERVICE_SCHEMA_VERSION,
     STORE_VERSION,
 )
 from repro.passes.registry import registry_fingerprint
@@ -164,6 +174,28 @@ def recommend_key(
         "recommenders": list(recommender_names),
         "abstraction": abstraction,
         "registry": recommender_registry,
+    })
+
+
+def response_key(
+    request_doc: Dict[str, object],
+    recommender_registry: str,
+) -> str:
+    """Key of a finished ``psec``/``recommend`` response body.
+
+    ``request_doc`` is the request's canonical wire document (kind,
+    source, name, and the non-default run options), so any option that
+    can change the body changes the key.  The pass and recommender
+    registry fingerprints cover the code the body is derived with; the
+    environment fingerprint already carries every artifact schema
+    version, and :data:`~repro._version.SERVICE_SCHEMA_VERSION` pins the
+    body's own shape.
+    """
+    return _digest("response", {
+        "request": request_doc,
+        "service_schema": SERVICE_SCHEMA_VERSION,
+        "passes": registry_fingerprint(),
+        "recommenders": recommender_registry,
     })
 
 

@@ -23,12 +23,13 @@ always walk the *whole* root — default plus every client namespace —
 and report per-namespace breakdowns.
 
 Robustness contract (exercised by the cache tests and the CI cache-smoke
-job): a corrupt entry — truncated file, invalid JSON, bad envelope,
-payload hash mismatch, foreign store version — is **evicted and treated
-as a miss**, never raised to the caller.  Writes are atomic (an
-``O_EXCL``-unique tempfile per writer + ``os.replace``), so concurrent
-writers never interleave bytes and a crashed writer leaves at worst a
-stray tmp file, not a half-written entry.  Every walker tolerates
+job): a corrupt entry — truncated file, invalid JSON, bytes that are
+not UTF-8, bad envelope, payload hash mismatch, foreign store version —
+is **evicted and treated as a miss**, never raised to the caller.
+Writes are atomic (an ``O_EXCL``-unique tempfile per writer +
+``os.replace``), so concurrent writers never interleave bytes and a
+crashed writer leaves at worst a stray tmp file, not a half-written
+entry.  Every walker tolerates
 entries vanishing mid-iteration (a concurrent ``clear`` or eviction):
 multi-client access — many threads or processes hammering one root —
 degrades to misses and recomputation, never to exceptions.
@@ -188,8 +189,8 @@ class ArtifactStore:
         entries are evicted and count as misses."""
         path = self._entry_path(key)
         try:
-            raw = path.read_text()
-        except (FileNotFoundError, OSError):
+            raw = path.read_bytes()
+        except OSError:
             self._count("_misses")
             return None
         payload = self._validate(raw, expect_key=key)
@@ -272,7 +273,7 @@ class ArtifactStore:
             counts = {"checked": 0, "ok": 0, "evicted": 0}
             for path in list(self._entry_files(namespace)):
                 try:
-                    raw = path.read_text()
+                    raw = path.read_bytes()
                 except FileNotFoundError:
                     continue  # concurrently evicted/cleared: not ours
                 except OSError:
@@ -324,8 +325,11 @@ class ArtifactStore:
         with self._lock:
             setattr(self, counter, getattr(self, counter) + 1)
 
-    def _validate(self, raw: str, expect_key: str) -> Optional[str]:
+    def _validate(self, raw: bytes, expect_key: str) -> Optional[str]:
         try:
+            # Bytes, not text: bytes that are not UTF-8 (a bit flip to
+            # 0xff) raise UnicodeDecodeError, a ValueError, so they are
+            # corrupt like any other bad envelope.
             doc = json.loads(raw)
         except ValueError:
             return None

@@ -120,9 +120,11 @@ class TestCliCaching:
         main(["psec", source_file] + cache)
         capsys.readouterr()
         assert main(["psec", source_file, "--cache-stats"] + cache) == 0
-        err = capsys.readouterr().err
-        assert "cache: frontend=hit pipeline=hit codegen=hit profile=hit" \
-            in err
+        assert "cache: response=hit\n" in capsys.readouterr().err
+        # A different kind misses the response but reuses every stage.
+        assert main(["recommend", source_file, "--cache-stats"] + cache) == 0
+        assert ("cache: frontend=hit pipeline=hit codegen=hit profile=hit "
+                "recommend=miss response=miss") in capsys.readouterr().err
 
     def test_corrupt_entry_recomputes_identically(
             self, source_file, tmp_path, capsys):

@@ -116,6 +116,13 @@ def test_service_responses_digest_identical_warm_and_cold(tmp_path, name):
     live = core.execute(RecommendRequest(
         source=source, name=name, options=RunOptions(no_cache=True)))
     assert cold["meta"]["stages"]["recommend"] == "miss"
-    assert warm["meta"]["stages"]["recommend"] == "hit"
+    assert warm["meta"]["stages"] == {"response": "hit"}
+    # Without the response artifact the recommend artifact still hits.
+    for path in (tmp_path / "store").rglob("*.json"):
+        if json.loads(path.read_text())["kind"] == "response":
+            path.unlink()
+    staged = core.execute(request)
+    assert staged["meta"]["stages"]["recommend"] == "hit"
+    assert staged["meta"]["stages"]["response"] == "miss"
     digests = {response_digest(doc) for doc in (cold, warm, live)}
     assert len(digests) == 1

@@ -11,6 +11,7 @@ The artifact cache is only sound if serialization is a *normal form*:
   recommendations served from cache.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -133,6 +134,10 @@ def test_profile_roundtrip_is_byte_identical(example):
     text = serialize_profile(runtime, result)
     profile = deserialize_profile(text, runtime.module)
     assert serialize_profile(profile, profile.result) == text
+    # Encoded piecewise, the text is still the canonical dump of the
+    # whole document: sorted keys, compact separators.
+    assert text == json.dumps(json.loads(text), sort_keys=True,
+                              separators=(",", ":"))
 
 
 @pytest.mark.parametrize("example", EXAMPLES)

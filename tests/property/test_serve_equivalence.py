@@ -10,6 +10,7 @@ the vm tier may not perturb a single characterized byte.
 
 import asyncio
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,8 @@ from repro.service.daemon import ServeDaemon
 from tests.helpers.progen import random_roi_program
 
 SEEDS = range(6)
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+GOLDENS = ["roi_loop", "stencil_calls", "anneal_stats"]
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +73,8 @@ def test_daemon_psec_matches_tree_walk_oracle(seed, daemon, oracle):
     assert served["ok"], served.get("error")
     assert served["body"]["sets_digest"] == expected["body"]["sets_digest"]
     assert response_digest(served) == response_digest(expected)
-    # A warm resubmission replays the cached artifacts bit-for-bit.
-    assert warm["meta"]["stages"]["profile"] == "hit"
+    # A warm resubmission replays the stored response bit-for-bit.
+    assert warm["meta"]["stages"] == {"response": "hit"}
     assert response_digest(warm) == response_digest(expected)
 
 
@@ -129,3 +132,29 @@ def test_concurrent_seeds_keep_digests_independent(daemon, oracle):
     for t in threads:
         t.join()
     assert failures == []
+
+
+@pytest.mark.parametrize("kind", ["psec", "recommend"])
+@pytest.mark.parametrize("example", GOLDENS)
+def test_golden_responses_share_one_digest(example, kind, daemon, tmp_path):
+    """Cold, warm (a stored response), live and daemon-served responses
+    of every golden example are one digest; the warm ones run no stage
+    but the response lookup."""
+    source = (EXAMPLES / f"{example}.mc").read_text()
+    request_type = PsecRequest if kind == "psec" else RecommendRequest
+    request = request_type(source=source, name=example)
+    core = ServiceCore(cache_dir=str(tmp_path / "cache"))
+    cold = core.execute(request)
+    warm = core.execute(request)
+    live = core.execute(request_type(source=source, name=example,
+                                     options=RunOptions(no_cache=True)))
+    with ServiceClient(daemon, namespace=f"g-{kind}-{example}") as client:
+        served_cold = client.request(request)
+        served_warm = client.request(request)
+    assert cold["meta"]["stages"]["response"] == "miss"
+    assert "response" not in live["meta"]["stages"]
+    for doc in (warm, served_warm):
+        assert doc["meta"]["stages"] == {"response": "hit"}
+    digests = {response_digest(doc)
+               for doc in (cold, warm, live, served_cold, served_warm)}
+    assert len(digests) == 1

@@ -6,14 +6,17 @@ wire framing (:mod:`repro.service.wire`), and the render layer
 (:mod:`repro.service.format`).
 """
 
+import hashlib
 import io
 import json
 import socket
+from pathlib import Path
 
 import pytest
 
 from repro._version import SERVICE_SCHEMA_VERSION
 from repro.errors import ReproError
+from repro.recommend import recommender_registry_fingerprint
 from repro.service import (
     DisRequest,
     IrRequest,
@@ -34,6 +37,7 @@ from repro.service.wire import (
     read_frame_sync,
     write_frame_sync,
 )
+from repro.session.keys import response_key
 
 ROI_SOURCE = """
 int main() {
@@ -51,6 +55,11 @@ int main() {
     return 0;
 }
 """
+
+#: A ROI per loop iteration, so recommend has something to recommend.
+LOOP_SOURCE = (
+    Path(__file__).resolve().parents[2] / "examples" / "roi_loop.mc"
+).read_text()
 
 
 class TestRunOptions:
@@ -143,7 +152,7 @@ class TestServiceCore:
                                      "transfer"]
         assert doc["meta"]["stages"] == {
             "frontend": "miss", "pipeline": "miss",
-            "codegen": "miss", "profile": "miss",
+            "codegen": "miss", "profile": "miss", "response": "miss",
         }
 
     def test_digest_ignores_meta_and_stays_stable(self, tmp_path):
@@ -181,9 +190,120 @@ class TestServiceCore:
         same = ServiceCore(cache_dir=cache, namespace="a").execute(request)
         assert first["meta"]["stages"]["profile"] == "miss"
         assert other["meta"]["stages"]["profile"] == "miss"
-        assert same["meta"]["stages"]["profile"] == "hit"
+        assert other["meta"]["stages"]["response"] == "miss"
+        assert same["meta"]["stages"] == {"response": "hit"}
         assert response_digest(first) == response_digest(other) \
             == response_digest(same)
+
+
+def _response_entries(cache):
+    """Paths of the stored ``response`` artifacts under ``cache``."""
+    return [path for path in cache.rglob("*.json")
+            if json.loads(path.read_text())["kind"] == "response"]
+
+
+class TestResponseArtifact:
+    """The finished psec/recommend body, stored and served on repeats."""
+
+    @pytest.mark.parametrize("request_type", [PsecRequest, RecommendRequest])
+    def test_repeat_is_served_from_one_entry(self, tmp_path, request_type):
+        cache = tmp_path / "cache"
+        core = ServiceCore(cache_dir=str(cache))
+        request = request_type(source=LOOP_SOURCE, name="unit")
+        cold = core.execute(request)
+        warm = core.execute(request)
+        assert list(cold["meta"]["stages"])[-1] == "response"
+        assert cold["meta"]["stages"]["response"] == "miss"
+        assert warm["meta"] == {"stages": {"response": "hit"}}
+        assert warm["body"] == cold["body"]
+        assert len(_response_entries(cache)) == 1
+
+    def test_hit_runs_no_other_stage(self, tmp_path, monkeypatch):
+        core = ServiceCore(cache_dir=str(tmp_path / "cache"))
+        request = PsecRequest(source=ROI_SOURCE, name="unit")
+        cold = core.execute(request)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a stage ran on a response hit")
+
+        monkeypatch.setattr(ServiceCore, "_profile", boom)
+        assert response_digest(core.execute(request)) \
+            == response_digest(cold)
+
+    @pytest.mark.parametrize("damage", ["truncate", "wrong_shape"])
+    def test_damaged_entry_is_recomputed(self, tmp_path, damage):
+        cache = tmp_path / "cache"
+        core = ServiceCore(cache_dir=str(cache))
+        request = PsecRequest(source=ROI_SOURCE, name="unit")
+        cold = core.execute(request)
+        (path,) = _response_entries(cache)
+        if damage == "truncate":
+            path.write_text(path.read_text()[:60])
+        else:
+            # A well-formed envelope with a valid SHA over a payload that
+            # is not a psec response.
+            envelope = json.loads(path.read_text())
+            payload = json.dumps({"format": "repro-response",
+                                  "version": SERVICE_SCHEMA_VERSION,
+                                  "kind": "psec", "body": {"rois": []}})
+            envelope["payload"] = payload
+            envelope["payload_sha256"] = hashlib.sha256(
+                payload.encode("utf-8")).hexdigest()
+            path.write_text(json.dumps(envelope))
+        again = core.execute(request)
+        assert again["meta"]["stages"]["response"] == "miss"
+        assert again["meta"]["stages"]["profile"] == "hit"
+        assert response_digest(again) == response_digest(cold)
+        # The recomputed body overwrote the damaged entry.
+        assert core.execute(request)["meta"]["stages"] == {"response": "hit"}
+
+    @pytest.mark.parametrize("flag", ["no_cache", "trace",
+                                      "print_pass_stats"])
+    def test_live_options_bypass_the_artifact(self, tmp_path, flag, capsys):
+        cache = tmp_path / "cache"
+        core = ServiceCore(cache_dir=str(cache))
+        request = PsecRequest(source=ROI_SOURCE, name="unit",
+                              options=RunOptions(**{flag: True}))
+        for _ in range(2):
+            doc = core.execute(request)
+            assert "response" not in doc["meta"].get("stages", {})
+        assert not cache.exists() or not _response_entries(cache)
+
+    def test_request_inputs_change_the_key(self):
+        def key(request):
+            return response_key(request.to_doc(),
+                                recommender_registry_fingerprint())
+
+        base = RecommendRequest(source=LOOP_SOURCE, name="unit")
+        assert key(RecommendRequest(source=LOOP_SOURCE, name="unit")) \
+            == key(base)
+        changed = [
+            PsecRequest(source=LOOP_SOURCE, name="unit"),
+            RecommendRequest(source=LOOP_SOURCE + "\n", name="unit"),
+            RecommendRequest(source=LOOP_SOURCE, name="other"),
+        ] + [
+            RecommendRequest(source=LOOP_SOURCE, name="unit",
+                             options=RunOptions(**option))
+            for option in (
+                {"recommenders": "paper"},
+                {"abstraction": "task"},
+                {"budget": "retries=1"},
+                {"fault_plan": "seed=7;crash@1"},
+            )
+        ]
+        assert len({key(request) for request in changed} | {key(base)}) \
+            == len(changed) + 1
+        assert key(base) != response_key(base.to_doc(), "other-registry")
+
+    def test_changed_option_misses_the_response_only(self, tmp_path):
+        core = ServiceCore(cache_dir=str(tmp_path / "cache"))
+        core.execute(RecommendRequest(source=LOOP_SOURCE, name="unit"))
+        doc = core.execute(RecommendRequest(
+            source=LOOP_SOURCE, name="unit",
+            options=RunOptions(recommenders="paper")))
+        assert doc["meta"]["stages"]["profile"] == "hit"
+        assert doc["meta"]["stages"]["recommend"] == "miss"
+        assert doc["meta"]["stages"]["response"] == "miss"
 
 
 class TestRenderers:

@@ -90,6 +90,33 @@ class TestArtifactStore:
         path.write_text(json.dumps(doc))
         assert store.get(KEY_A) is None
 
+    @staticmethod
+    def _flip_to_0xff(path):
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] = 0xFF
+        path.write_bytes(bytes(raw))
+
+    def test_non_utf8_entry_is_evicted_on_get(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.put(KEY_A, "payload", "ir")
+        path = store._entry_path(KEY_A)
+        self._flip_to_0xff(path)
+        assert store.get(KEY_A) is None
+        assert not path.exists()
+        stats = store.stats()
+        assert (stats.misses, stats.evicted_corrupt) == (1, 1)
+
+    def test_non_utf8_entry_is_evicted_by_verify(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.put(KEY_A, "good", "ir")
+        store.put(KEY_B, "bad", "profile")
+        self._flip_to_0xff(store._entry_path(KEY_B))
+        report = store.verify()
+        assert (report["checked"], report["ok"], report["evicted"]) \
+            == (2, 1, 1)
+        assert not store._entry_path(KEY_B).exists()
+        assert store.get(KEY_A) == "good"
+
     def test_verify_reports_and_evicts(self, tmp_path):
         store = ArtifactStore(tmp_path)
         store.put(KEY_A, "good", "ir")
