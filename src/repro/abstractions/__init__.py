@@ -47,17 +47,8 @@ def recommend(runtime: CarmotRuntime, roi_id: int,
     return generate(runtime, roi_id, abstraction)
 
 
-def __getattr__(name: str):
-    # Table 1 regenerates from the recommender registry's declarations;
-    # keep the historical import path working without an import cycle.
-    if name == "ABSTRACTION_REQUIREMENTS":
-        from repro.recommend.registry import table1_requirements
-        return table1_requirements()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "ABSTRACTION_REQUIREMENTS", "PsecRequirements", "Recommendation",
+    "PsecRequirements", "Recommendation",
     "describe_pse", "CloneAdvice", "OrderedAdvice",
     "ParallelForRecommendation", "generate_parallel_for",
     "TaskRecommendation", "generate_task", "detect_reduction",

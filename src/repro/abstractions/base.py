@@ -1,10 +1,9 @@
 """Shared infrastructure for abstraction recommendation generators.
 
 Table 1 of the paper — which PSEC components each abstraction needs — is
-declared per-recommender in :mod:`repro.recommend.recommenders`;
-``ABSTRACTION_REQUIREMENTS`` (regenerated from the registry, importable
-from here for compatibility) drives both the instrumentation policies
-and the Table 1 regeneration test.
+declared per-recommender in :mod:`repro.recommend.recommenders` and
+regenerated from the registry by
+:func:`repro.recommend.registry.table1_requirements`.
 """
 
 from __future__ import annotations
@@ -24,16 +23,6 @@ class PsecRequirements:
     sets: bool
     use_callstacks: bool
     reachability_graph: bool
-
-
-def __getattr__(name: str):
-    # Table 1 regenerates from the registry's per-recommender
-    # declarations; resolving it lazily keeps the generator modules (which
-    # the registry imports) free of an import cycle.
-    if name == "ABSTRACTION_REQUIREMENTS":
-        from repro.recommend.registry import table1_requirements
-        return table1_requirements()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass

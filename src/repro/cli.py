@@ -188,7 +188,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.harness.bench import render_bench, run_bench
 
     report = run_bench(quick=args.quick, seed=args.seed,
-                       min_speedup=args.min_speedup, shards=args.shards,
                        vm_min_speedup=args.vm_min_speedup,
                        proc_min_speedup=args.proc_min_speedup,
                        serve_min_speedup=args.serve_min_speedup)
@@ -245,23 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
                  "sequence numbers)",
         )
         p.add_argument(
-            "--event-encoding", default=None,
-            choices=["object", "packed"],
-            help="runtime event encoding (default: packed for CARMOT "
-                 "builds, object — the differential oracle — otherwise)",
-        )
-        p.add_argument(
-            "--pipeline-shards", type=int, default=None, metavar="N",
-            help="fold packed batches on N shards keyed by object id "
-                 "(0/1 = the deterministic single-threaded drain)",
-        )
-        p.add_argument(
-            "--drain", default=None,
-            choices=["inproc", "threads", "procs"],
-            help="packed-batch drain: in-process flat fold, shard threads, "
-                 "or supervised worker processes over shared-memory rings "
-                 "with crash recovery (implies --event-encoding packed; "
-                 "combine with --fault-plan 'exit@N' and --budget "
+            "--drain", default=None, choices=["inproc", "procs"],
+            help="packed-batch drain: the in-process flat fold (default) "
+                 "or supervised worker processes (one per CPU, two to "
+                 "four) over shared-memory rings with crash recovery "
+                 "(combine with --fault-plan 'exit@N' and --budget "
                  "'retries=...' to exercise worker-kill replay)",
         )
         p.add_argument(
@@ -430,9 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="runtime hot-path benchmark (packed vs object encodings)",
-        epilog="Gates: --min-speedup covers the packed-vs-object stream "
-               "legs; --vm-min-speedup (default 3.5) covers the "
+        help="runtime hot-path benchmark (event streams, drains, VM, "
+             "cache, serve)",
+        epilog="Gates: every stream's PSEC digest must match across the "
+               "in-process and procs drains; --vm-min-speedup (default "
+               "3.5) covers the "
                "vm_dispatch leg — the tier-2 bytecode engine vs the IR "
                "tree-walk oracle, with byte-identical PSEC digests "
                "required and fused_sites/quickened_ops/dequicken_count "
@@ -447,12 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--quick", action="store_true",
                        help="smaller streams and one workload (CI smoke)")
     bench.add_argument("--seed", type=int, default=1234)
-    bench.add_argument("--shards", type=int, default=2,
-                       help="shard count for the packed_sharded leg")
-    bench.add_argument("--min-speedup", type=float, default=3.0,
-                       metavar="X",
-                       help="fail unless the best packed-vs-object stream "
-                            "speedup reaches X (and all digests match)")
     bench.add_argument("--vm-min-speedup", type=float, default=3.5,
                        metavar="X",
                        help="fail unless the tier-2 bytecode VM beats the "

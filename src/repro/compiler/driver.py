@@ -85,12 +85,6 @@ class CompiledProgram:
         is_carmot = self.mode is BuildMode.CARMOT
         clustering = (is_carmot and self.options is not None
                       and self.options.callstack_clustering)
-        # The packed struct-of-arrays encoding is the CARMOT default (part
-        # of the co-designed runtime); the naive profiler keeps the object
-        # encoding, which also serves as the differential-testing oracle.
-        config_kwargs.setdefault(
-            "event_encoding", "packed" if is_carmot else "object"
-        )
         config = RuntimeConfig(
             policy=self.policy,
             callstack_clustering=clustering,

@@ -2,15 +2,14 @@
 
 Two workload families feed ``BENCH_runtime.json``:
 
-- **event stream** — a synthetic, seeded access stream drives the runtime
-  event sinks directly (``submit(AccessEvent(...))`` vs
-  ``packed_access(...)``), isolating exactly what the packed encoding
-  changed: event capture, batching, and the FSA fold.  This is where the
-  packed-vs-object speedup is measured (events/sec, ns/event), and both
-  encodings must produce byte-identical PSEC sets (the ``digest`` field).
+- **event stream** — a synthetic, seeded access stream drives the
+  runtime's ``packed_access`` sink directly, isolating event capture,
+  batching, and the FSA fold (events/sec, ns/event).  Each stream is
+  folded in-process and by the process drain; both must produce
+  byte-identical PSEC sets (the ``digest`` field).
 - **workloads** — representative programs end-to-end under
-  baseline / naive / carmot, the instrumented modes under both encodings:
-  cost-model overhead ratios (deterministic) plus wall-clock throughput.
+  baseline / naive / carmot: cost-model overhead ratios (deterministic)
+  plus wall-clock throughput.
 
 The deterministic section (digests, costs, event counts) is reproducible
 run-to-run for a fixed seed; only wall-clock figures vary.
@@ -41,7 +40,6 @@ from repro.lang.tokens import SourcePos
 from repro.resilience import FaultPlan, ResiliencePolicy
 from repro.runtime.config import RuntimeConfig, policy_for
 from repro.runtime.engine import CarmotRuntime
-from repro.runtime.events import AccessEvent
 from repro.vm.bytecode import (
     dequicken_module,
     fused_site_counts,
@@ -86,7 +84,7 @@ def _make_stream(
 ) -> Tuple[List[Tuple[int, int, int, int, int, int, int]],
            Dict[int, Optional[VarInfo]], List[SourceLoc],
            List[Tuple[str, ...]]]:
-    """One seeded, loop-shaped op stream replayed under both encodings.
+    """One seeded, loop-shaped op stream replayed under every drain.
 
     Profiled programs spend their ROIs in loops, so the stream is built
     from *phases*: each phase fixes a loop-body roster of access sites —
@@ -144,8 +142,8 @@ def _make_stream(
     return ops[:n_events], vars_by_obj, locs, callstacks
 
 
-def _stream_runtime(encoding: str, batch_size: int, shards: int = 0,
-                    drain: str = "auto", fault_plan: Optional[str] = None,
+def _stream_runtime(batch_size: int, drain: str = "inproc",
+                    fault_plan: Optional[str] = None,
                     resilience: Optional[ResiliencePolicy] = None,
                     ) -> CarmotRuntime:
     return CarmotRuntime(_bench_module(), RuntimeConfig(
@@ -153,9 +151,7 @@ def _stream_runtime(encoding: str, batch_size: int, shards: int = 0,
         shadow_callstacks=True,
         inline_processing=False,
         batch_size=batch_size,
-        event_encoding=encoding,
-        pipeline_shards=shards if encoding == "packed" else 0,
-        drain=drain if encoding == "packed" else "auto",
+        drain=drain,
         fault_plan=FaultPlan.parse(fault_plan) if fault_plan else None,
         resilience=resilience or ResiliencePolicy(),
     ))
@@ -174,43 +170,18 @@ def _drain_meta(runtime: CarmotRuntime) -> Dict[str, object]:
     }
 
 
-def _resolve_ops(ops, vars_by_obj, locs, callstacks,
-                 runtime: Optional[CarmotRuntime]):
+def _resolve_ops(ops, vars_by_obj, locs, callstacks, runtime: CarmotRuntime):
     """Pre-resolve the stream the way compiled probes would (operands in
-    instruction fields, site ids interned at compile time): the timed
-    replay loop then only unpacks and emits.  ``runtime`` is the packed
-    runtime to register sites on, or None for the object encoding."""
+    instruction fields, site ids interned at compile time on ``runtime``):
+    the timed replay loop then only unpacks and emits."""
     resolved = []
     for is_write, obj, offset, count, stride, loc_index, cs_index in ops:
         var = vars_by_obj[obj]
         loc = locs[loc_index]
-        site_id = (runtime._site_for(var, loc)
-                   if runtime is not None else None)
+        site_id = runtime._site_for(var, loc)
         resolved.append((is_write, 1000 + obj, offset, count, stride, var,
                          loc, site_id, callstacks[cs_index]))
     return resolved
-
-
-def _replay_object(runtime: CarmotRuntime, resolved,
-                   invocation_len: int) -> None:
-    roi_id = next(iter(runtime.psecs))
-    submit = runtime.submit
-    snapshot = runtime.active_snapshot
-    runtime.roi_begin(roi_id)
-    index = 0
-    for is_write, obj_id, offset, count, stride, var, loc, _, cs in \
-            resolved:
-        if index and index % invocation_len == 0:
-            runtime.roi_end(roi_id)
-            runtime.roi_begin(roi_id)
-        submit(AccessEvent(
-            is_write=bool(is_write), obj_id=obj_id, offset=offset,
-            size=8, count=count, stride=stride, var=var, loc=loc,
-            callstack=cs, active=snapshot(), time=index,
-        ))
-        index += 1
-    runtime.roi_end(roi_id)
-    runtime.finish()
 
 
 def _replay_packed(runtime: CarmotRuntime, resolved,
@@ -244,25 +215,17 @@ def _digest(runtime: CarmotRuntime) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _measure_stream(encoding: str, ops, vars_by_obj, locs, callstacks,
+def _measure_stream(ops, vars_by_obj, locs, callstacks,
                     batch_size: int, invocation_len: int, repeats: int,
-                    shards: int = 0, drain: str = "auto",
-                    fault_plan: Optional[str] = None,
-                    resilience: Optional[ResiliencePolicy] = None,
-                    ) -> Dict[str, object]:
-    replay = _replay_packed if encoding == "packed" else _replay_object
+                    drain: str = "inproc") -> Dict[str, object]:
     best = None
     digest = None
     drain_meta = None
     for _ in range(repeats):
-        runtime = _stream_runtime(encoding, batch_size, shards, drain,
-                                  fault_plan, resilience)
-        resolved = _resolve_ops(
-            ops, vars_by_obj, locs, callstacks,
-            runtime if encoding == "packed" else None,
-        )
+        runtime = _stream_runtime(batch_size, drain)
+        resolved = _resolve_ops(ops, vars_by_obj, locs, callstacks, runtime)
         start = time.perf_counter()
-        replay(runtime, resolved, invocation_len)
+        _replay_packed(runtime, resolved, invocation_len)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
         digest = _digest(runtime)
@@ -292,13 +255,13 @@ def _measure_proc_recovery(seed: int, batch_size: int,
         seed, 8_000, "mixed_loop"
     )
     oracle = _measure_stream(
-        "packed", ops, vars_by_obj, locs, callstacks,
-        batch_size, invocation_len, repeats=1, drain="inproc",
+        ops, vars_by_obj, locs, callstacks, batch_size, invocation_len,
+        repeats=1,
     )
     plan = f"seed={seed};exit@1;exit@3"
     start = time.perf_counter()
     runtime = _stream_runtime(
-        "packed", batch_size, shards=2, drain="procs", fault_plan=plan,
+        batch_size, drain="procs", fault_plan=plan,
         resilience=ResiliencePolicy(max_retries=3),
     )
     resolved = _resolve_ops(ops, vars_by_obj, locs, callstacks, runtime)
@@ -337,30 +300,27 @@ def _measure_workload(workload) -> List[Dict[str, object]]:
     base, _ = compile_baseline(source, workload.name).run()
     base_wall = time.perf_counter() - start
     rows.append({
-        "workload": workload.name, "mode": "baseline", "encoding": None,
+        "workload": workload.name, "mode": "baseline",
         "cost": base.cost, "overhead_x": 1.0,
         "wall_s": round(base_wall, 4), "events": 0,
     })
 
-    for mode, compile_fn in (("naive", compile_naive),
-                             ("carmot", compile_carmot)):
-        for encoding in ("object", "packed"):
-            program = (compile_fn(source, "parallel_for", workload.name)
-                       if mode == "naive"
-                       else compile_fn(source, "parallel_for",
-                                       name=workload.name))
-            start = time.perf_counter()
-            result, runtime = program.run(event_encoding=encoding)
-            wall = time.perf_counter() - start
-            events = runtime.pipeline.events_seen
-            rows.append({
-                "workload": workload.name, "mode": mode,
-                "encoding": encoding, "cost": result.cost,
-                "overhead_x": round(result.cost / base.cost, 2),
-                "wall_s": round(wall, 4), "events": events,
-                "events_per_sec": round(events / wall, 1) if wall else None,
-                "drain": _drain_meta(runtime),
-            })
+    for mode, program in (
+        ("naive", compile_naive(source, "parallel_for", workload.name)),
+        ("carmot", compile_carmot(source, "parallel_for",
+                                  name=workload.name)),
+    ):
+        start = time.perf_counter()
+        result, runtime = program.run()
+        wall = time.perf_counter() - start
+        events = runtime.pipeline.events_seen
+        rows.append({
+            "workload": workload.name, "mode": mode, "cost": result.cost,
+            "overhead_x": round(result.cost / base.cost, 2),
+            "wall_s": round(wall, 4), "events": events,
+            "events_per_sec": round(events / wall, 1) if wall else None,
+            "drain": _drain_meta(runtime),
+        })
     return rows
 
 
@@ -847,8 +807,6 @@ def _measure_serve(n_clients: int = _SERVE_CLIENTS) -> Dict[str, object]:
 def run_bench(
     quick: bool = False,
     seed: int = 1234,
-    min_speedup: float = 3.0,
-    shards: int = 2,
     vm_min_speedup: float = 3.5,
     proc_min_speedup: float = 0.0,
     serve_min_speedup: float = 3.0,
@@ -857,8 +815,8 @@ def run_bench(
     n_events = 20_000 if quick else 200_000
     batch_size = 1024
     invocation_len = 500
-    # min-of-N timing: more repeats in full mode stabilizes the speedup
-    # ratio against scheduler noise on shared machines.
+    # min-of-N timing: more repeats in full mode stabilizes the ratios
+    # against scheduler noise on shared machines.
     repeats = 2 if quick else 5
 
     streams: Dict[str, Dict[str, object]] = {}
@@ -866,43 +824,31 @@ def run_bench(
         ops, vars_by_obj, locs, callstacks = _make_stream(
             seed, n_events, shape
         )
-        encodings: Dict[str, Dict[str, object]] = {}
-        for encoding in ("object", "packed"):
-            encodings[encoding] = _measure_stream(
-                encoding, ops, vars_by_obj, locs, callstacks,
+        drains: Dict[str, Dict[str, object]] = {
+            "inproc": _measure_stream(
+                ops, vars_by_obj, locs, callstacks,
                 batch_size, invocation_len, repeats,
-            )
-        encodings["packed_sharded"] = _measure_stream(
-            "packed", ops, vars_by_obj, locs, callstacks,
-            batch_size, invocation_len, repeats, shards=shards,
-        )
-        # The process drain forks a worker pool per runtime, so min-of-2
-        # is enough; the digest gate (not the timing) is the hard check.
-        encodings["packed_procs"] = _measure_stream(
-            "packed", ops, vars_by_obj, locs, callstacks,
-            batch_size, invocation_len, min(repeats, 2), shards=shards,
-            drain="procs",
-        )
-        digests = {e["digest"] for e in encodings.values()}
+            ),
+            # The process drain forks a worker pool per runtime, so
+            # min-of-2 is enough; the digest gate (not the timing) is the
+            # hard check.
+            "procs": _measure_stream(
+                ops, vars_by_obj, locs, callstacks,
+                batch_size, invocation_len, min(repeats, 2), drain="procs",
+            ),
+        }
+        digests = {e["digest"] for e in drains.values()}
         streams[shape] = {
             "n_events": n_events,
             "batch_size": batch_size,
             "invocations": n_events // invocation_len,
-            "encodings": encodings,
-            "speedup_packed_vs_object": round(
-                encodings["packed"]["events_per_sec"]
-                / encodings["object"]["events_per_sec"], 2
-            ),
+            "drains": drains,
             "speedup_procs_vs_inproc": round(
-                encodings["packed_procs"]["events_per_sec"]
-                / encodings["packed"]["events_per_sec"], 2
+                drains["procs"]["events_per_sec"]
+                / drains["inproc"]["events_per_sec"], 2
             ),
             "digests_match": len(digests) == 1,
         }
-    best_shape = max(
-        streams, key=lambda s: streams[s]["speedup_packed_vs_object"]
-    )
-    best_speedup = streams[best_shape]["speedup_packed_vs_object"]
     digests_match = all(s["digests_match"] for s in streams.values())
 
     names = _QUICK_WORKLOADS if quick else _BENCH_WORKLOADS
@@ -944,8 +890,7 @@ def run_bench(
     recovery_row = _measure_proc_recovery(seed, batch_size=256,
                                           invocation_len=invocation_len)
     procs_digest_equal = all(
-        s["encodings"]["packed_procs"]["digest"]
-        == s["encodings"]["packed"]["digest"]
+        s["drains"]["procs"]["digest"] == s["drains"]["inproc"]["digest"]
         for s in streams.values()
     )
     procs_speedup = max(
@@ -978,13 +923,6 @@ def run_bench(
     )
 
     checks = {
-        "min_speedup": min_speedup,
-        "speedup": best_speedup,
-        "speedup_stream": best_shape,
-        "speedup_by_stream": {
-            shape: s["speedup_packed_vs_object"]
-            for shape, s in streams.items()
-        },
         "digests_match": digests_match,
         "cache_min_speedup": _CACHE_MIN_SPEEDUP,
         "cache_speedup": cache_speedup,
@@ -1021,7 +959,7 @@ def run_bench(
         "recommend_doc_identical": recommend_row["doc_identical"],
         "recommend_ok": recommend_ok,
         "passed": bool(
-            digests_match and best_speedup >= min_speedup and cache_ok
+            digests_match and cache_ok
             and vm_ok and procs_ok and prescreen_ok and serve_ok
             and recommend_ok
         ),
@@ -1031,7 +969,6 @@ def run_bench(
             "seed": seed,
             "quick": quick,
             "python": platform.python_version(),
-            "shards": shards,
             "cpus": os.cpu_count() or 1,
             "version": __version__,
         },
@@ -1055,28 +992,27 @@ def render_bench(report: Dict[str, object]) -> str:
         (shape, name, f"{entry['events_per_sec']:,.0f}",
          entry["ns_per_event"], entry["digest"][:12])
         for shape, stream in report["event_streams"].items()
-        for name, entry in stream["encodings"].items()
+        for name, entry in stream["drains"].items()
     ]
     any_stream = next(iter(report["event_streams"].values()))
     lines = [render_table(
         f"Event-stream hot path ({any_stream['n_events']:,} events each)",
-        ["stream", "encoding", "events/sec", "ns/event", "digest"], rows,
+        ["stream", "drain", "events/sec", "ns/event", "digest"], rows,
     )]
     for shape, stream in report["event_streams"].items():
         lines.append(
-            f"{shape}: packed vs object speedup "
-            f"{stream['speedup_packed_vs_object']:.2f}x "
+            f"{shape}: procs vs inproc "
+            f"{stream['speedup_procs_vs_inproc']:.2f}x "
             f"(digests {'match' if stream['digests_match'] else 'DIVERGE'})"
         )
     wrows = [
-        (r["workload"], r["mode"], r["encoding"] or "-",
-         r["overhead_x"], r["wall_s"], r["events"])
+        (r["workload"], r["mode"], r["overhead_x"], r["wall_s"], r["events"])
         for r in report["workloads"]
     ]
     lines.append("")
     lines.append(render_table(
         "Workloads end-to-end (overhead_x = cost vs baseline)",
-        ["workload", "mode", "encoding", "overhead_x", "wall_s", "events"],
+        ["workload", "mode", "overhead_x", "wall_s", "events"],
         wrows,
     ))
     crows = [
@@ -1170,9 +1106,7 @@ def render_bench(report: Dict[str, object]) -> str:
     verdict = "PASS" if checks["passed"] else "FAIL"
     lines.append("")
     lines.append(
-        f"checks: {verdict} (best speedup {checks['speedup']:.2f}x on "
-        f"{checks['speedup_stream']} >= {checks['min_speedup']:.2f}x "
-        f"required, digests_match={checks['digests_match']}, "
+        f"checks: {verdict} (digests_match={checks['digests_match']}, "
         f"cache {checks['cache_speedup']:.2f}x >= "
         f"{checks['cache_min_speedup']:.2f}x warm/cold, "
         f"cache_payload_identical={checks['cache_payload_identical']}, "

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.abstractions import (
-    ABSTRACTION_REQUIREMENTS,
     ParallelForRecommendation,
     generate_parallel_for,
     recommend,
@@ -34,6 +33,7 @@ from repro.parallel import (
     simulate_parallel_for,
     simulate_sections,
 )
+from repro.recommend import table1_requirements
 from repro.runtime.psec import MemoryBudgetExceeded, Psec
 from repro.vm.interpreter import run_module
 from repro.workloads import ALL_WORKLOADS, Workload, figure6_workloads
@@ -383,7 +383,7 @@ def table1() -> str:
         (name, "v" if req.sets else "x",
          "v" if req.use_callstacks else "x",
          "v" if req.reachability_graph else "x")
-        for name, req in ABSTRACTION_REQUIREMENTS.items()
+        for name, req in table1_requirements().items()
     ]
     return render_table(
         "Table 1: PSEC components needed per abstraction",

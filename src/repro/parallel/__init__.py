@@ -7,7 +7,6 @@ from repro.parallel.executor import (
     simulate_parallel_for,
     simulate_sections,
 )
-from repro.parallel.shards import ShardPool
 from repro.parallel.profile import (
     ExecutionProfile,
     LoopProfile,
@@ -19,6 +18,6 @@ from repro.parallel.profile import (
 __all__ = [
     "DEFAULT_MACHINE", "ParallelMachine", "program_speedup",
     "simulate_parallel_for", "simulate_sections", "ExecutionProfile",
-    "LoopProfile", "ProfilingHooks", "SectionsProfile", "ShardPool",
+    "LoopProfile", "ProfilingHooks", "SectionsProfile",
     "profile_execution",
 ]

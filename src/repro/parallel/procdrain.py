@@ -1,8 +1,7 @@
 """Crash-tolerant multi-process drain for packed batches (ROADMAP item 2).
 
-The paper's §5 runtime is a master/worker design; the thread-based
-:class:`repro.parallel.shards.ShardPool` simulates it under the GIL.  This
-module is the real thing: N long-lived worker **processes**, each owning
+The paper's §5 runtime is a master/worker design.  This module shards
+the fold over N long-lived worker **processes**, each owning
 the FSA folds of shard ``obj_id % N``, fed zero-copy through a
 ``multiprocessing.shared_memory`` SPSC ring buffer (packed rows are flat
 ``array('q')`` payloads — bytes in, bytes out, no pickling on the hot
@@ -37,10 +36,7 @@ Fold equivalence: :func:`_fold` mirrors
 ``CarmotRuntime._fold_rows`` field for field (epoch commits, fresh/
 non-fresh event codes, run-merged repeat replay, conservative forcing for
 degraded batches), so ``--drain procs`` profiles are byte-identical to
-the in-process fold under every fault plan.  The per-site row-identity
-cache of ``_fold_rows`` is intentionally omitted: it is a pure
-memoisation (proved equivalent by the shared differential tests), and
-worker batches are too small for it to pay for itself.
+the in-process fold under every fault plan.
 """
 
 from __future__ import annotations

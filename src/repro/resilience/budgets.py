@@ -7,16 +7,17 @@ from taking down a profiling session:
   limit, and recursion depth, each raising
   :class:`repro.errors.BudgetExceeded` (a :class:`TrapError`) instead of
   exhausting host memory or hitting Python's ``RecursionError``;
-- :class:`ResiliencePolicy` guards the **runtime**: a bounded batch queue
-  with a producer blocking/shedding policy, bounded batch retries with
-  deterministic virtual-time backoff, per-ROI event budgets, and the
-  ``degrade`` switch that turns unrecoverable failures into degraded-mode
-  PSEC instead of raised errors.
+- :class:`ResiliencePolicy` guards the **runtime**: bounded batch
+  retries with deterministic virtual-time backoff, per-ROI event budgets,
+  procs-drain worker supervision, and the ``degrade`` switch that turns
+  unrecoverable failures into degraded-mode PSEC instead of raised
+  errors.  Its queue bound and block/shed policy are the ``repro serve``
+  daemon's admission control (set by ``--queue``/``--queue-policy``).
 
 Both parse from the compact ``--budget`` CLI syntax::
 
     steps=5000000,heap=1048576,depth=256,events-per-roi=20000,
-    queue=64,policy=block,retries=2,backoff=100,degrade=1
+    retries=2,backoff=100,degrade=1,heartbeat=25,worker-deadline=10000
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ class ResiliencePolicy:
     """Runtime-layer bounds and failure handling; defaults are all-off,
     which preserves the pre-resilience behaviour bit for bit."""
 
-    #: Bound on queued batches awaiting workers (0 = unbounded).
+    #: Daemon admission control: bound on queued requests (0 = unbounded).
     max_queue_batches: int = 0
-    #: What the producer does when the queue is full: ``block`` until a
-    #: worker frees a slot, or ``shed`` the batch into degraded mode.
+    #: What the daemon does with a request past the bound: ``block`` until
+    #: a worker frees a slot, or ``shed`` it with an ``overloaded`` reply.
     queue_policy: str = "block"
     #: Bounded retry of a failed batch before giving up on it.
     max_retries: int = 0
@@ -110,7 +111,7 @@ class BudgetSpec:
 
 _VM_KEYS = {"steps": "max_steps", "heap": "max_heap_bytes",
             "depth": "max_recursion_depth"}
-_RUNTIME_KEYS = {"queue": "max_queue_batches", "retries": "max_retries",
+_RUNTIME_KEYS = {"retries": "max_retries",
                  "backoff": "retry_backoff",
                  "events-per-roi": "max_events_per_roi",
                  "heartbeat": "heartbeat_ms",
@@ -148,13 +149,11 @@ def parse_budget_spec(text: str) -> BudgetSpec:
             vm_kwargs[_VM_KEYS[key]] = _int_value(key, value)
         elif key in _RUNTIME_KEYS:
             runtime_kwargs[_RUNTIME_KEYS[key]] = _int_value(key, value)
-        elif key == "policy":
-            runtime_kwargs["queue_policy"] = value
         elif key == "degrade":
             runtime_kwargs["degrade"] = value not in ("0", "false", "no")
         else:
             known: Tuple[str, ...] = tuple(
-                sorted([*_VM_KEYS, *_RUNTIME_KEYS, "policy", "degrade"])
+                sorted([*_VM_KEYS, *_RUNTIME_KEYS, "degrade"])
             )
             raise RuntimeToolError(
                 f"unknown budget key {key!r} (choose from {known})"

@@ -14,8 +14,8 @@ so.
 
 Reports serialize deterministically: records are sorted by a stable key
 and :meth:`DegradationReport.to_json` emits canonical JSON, so two runs
-with the same seed and fault plan produce byte-identical reports even in
-threaded pipeline mode.
+with the same seed and fault plan produce byte-identical reports, whichever
+drain folded the batches.
 """
 
 from __future__ import annotations

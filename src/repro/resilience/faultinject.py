@@ -5,9 +5,8 @@ the :class:`repro.runtime.pipeline.BatchingPipeline`) and *what* fires
 (worker crashes, batch drops, slow batches, memory-pressure events).  The
 plan is resolved entirely from its seed and specs — never from wall-clock
 time, thread scheduling, or Python object identity — so two runs of the
-same workload with the same plan inject byte-identical fault streams even
-in threaded pipeline mode (batch sequence numbers are assigned by the
-single producer thread).
+same workload with the same plan inject byte-identical fault streams
+(batch sequence numbers are assigned by the single producer thread).
 
 Plans are built programmatically or parsed from the compact CLI syntax::
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.errors import RuntimeToolError
 from repro.resilience.budgets import ResiliencePolicy
 from repro.resilience.faultinject import FaultPlan
 
@@ -88,10 +89,9 @@ class RuntimeConfig:
 
     ``callstack_clustering`` is optimization 7 of §4.4 (one callstack
     capture per function invocation instead of per allocation).
-    ``batch_size``/``worker_count``/``threaded`` configure the batching
-    pipeline of §4.6; the deterministic (non-threaded) mode processes
-    batches synchronously in order, which yields bit-identical PSECs and is
-    the default for tests and experiments.
+    ``batch_size`` sets how many events one packed block carries into the
+    batching pipeline of §4.6, which folds blocks in sequence order (so
+    PSECs are bit-identical run to run); ``drain`` picks who folds them.
     """
 
     policy: InstrumentationPolicy = FULL_POLICY
@@ -103,50 +103,27 @@ class RuntimeConfig:
     #: on the main thread.
     inline_processing: bool = False
     batch_size: int = 1024
-    threaded: bool = False
-    worker_count: int = 2
     #: Memory guard: the naive configuration can accumulate unboundedly many
     #: use-callstack records; the paper marks such runs with "*" in Figure 7.
     max_use_records: int = 4_000_000
-    #: Runtime-layer resilience: backpressure, retries, per-ROI event
-    #: budgets, and the degraded-mode switch.  The all-off default keeps
-    #: every PSEC bit-identical to the pre-resilience runtime.
+    #: Runtime-layer resilience: retries, per-ROI event budgets, and the
+    #: degraded-mode switch.  The all-off default keeps every PSEC
+    #: bit-identical to the pre-resilience runtime.
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
     #: Deterministic fault-injection schedule (None = no faults).
     fault_plan: Optional[FaultPlan] = None
-    #: Event encoding on the hot path: ``"object"`` (one dataclass per
-    #: event — the differential-testing oracle) or ``"packed"``
-    #: (struct-of-arrays blocks of interned integer columns, consumed by a
-    #: flat-table FSA kernel).  Both produce byte-identical PSECs.
-    event_encoding: str = "object"
-    #: With the packed encoding, fold each batch's access/classify rows on
-    #: this many shard worker threads, partitioned by ``obj_id % shards``
-    #: (FSA states are per-PSE, so shards are independent).  0/1 keeps the
-    #: fold on the drain thread (deterministic default).
-    pipeline_shards: int = 0
-    #: Which drain folds packed batches: ``"auto"`` (threads iff
-    #: ``pipeline_shards > 1``, else in-process — the historical
-    #: behaviour), ``"inproc"``, ``"threads"``, or ``"procs"`` (supervised
-    #: worker processes over shared-memory rings with crash recovery; see
-    #: DESIGN.md §13).  All four produce byte-identical PSECs.
-    drain: str = "auto"
+    #: Which drain folds the packed batches: ``"inproc"`` (the flat-table
+    #: FSA kernel on the producing thread) or ``"procs"`` (supervised
+    #: worker processes over shared-memory rings with crash recovery, one
+    #: per CPU between two and four; see DESIGN.md §13).  Both produce
+    #: byte-identical PSECs.
+    drain: str = "inproc"
 
     def __post_init__(self) -> None:
-        if self.event_encoding not in ("object", "packed"):
-            raise ValueError(
-                f"unknown event encoding {self.event_encoding!r} "
-                "(expected 'object' or 'packed')"
-            )
-        if self.pipeline_shards < 0:
-            raise ValueError("pipeline_shards must be >= 0")
-        if self.drain not in ("auto", "inproc", "threads", "procs"):
+        if self.batch_size < 1:
+            raise RuntimeToolError("batch_size must be >= 1")
+        if self.drain not in ("inproc", "procs"):
             raise ValueError(
                 f"unknown drain mode {self.drain!r} "
-                "(expected 'auto', 'inproc', 'threads', or 'procs')"
-            )
-        if self.drain in ("threads", "procs") \
-                and self.event_encoding != "packed":
-            raise ValueError(
-                f"drain mode {self.drain!r} folds packed batches and "
-                "requires event_encoding='packed'"
+                "(expected 'inproc' or 'procs')"
             )

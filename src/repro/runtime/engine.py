@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import DegradedResult, RuntimeToolError
-from repro.ir.instructions import AccessKind, SourceLoc, VarInfo
+from repro.ir.instructions import AccessKind, SourceLoc
 from repro.ir.module import Module
 from repro.resilience.degradation import (
     ACTION_CLASSIFY_ONLY,
@@ -42,18 +42,10 @@ from repro.parallel.procdrain import (
     E_WSEEN,
     ProcDrain,
 )
-from repro.parallel.shards import ShardPool
 from repro.resilience.faultinject import FaultInjector
 from repro.runtime import fsa
 from repro.runtime.asmt import Asmt, AsmtEntry
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.events import (
-    AccessEvent,
-    AllocEvent,
-    ClassifyEvent,
-    EscapeEvent,
-    FreeEvent,
-)
 from repro.runtime.packed import (
     F_ACTIVE,
     F_AUX,
@@ -107,9 +99,7 @@ class RuntimeStats:
     pin_attaches: int = 0
     callstack_captures: int = 0
     events_ignored_outside_roi: int = 0
-    #: Intern-table sizes, filled in by :meth:`CarmotRuntime.finish`.  The
-    #: packed encoding's dense-id tables; ``pse_keys_interned`` and
-    #: ``source_locs_interned`` are maintained in both encodings.
+    #: Intern-table sizes, filled in by :meth:`CarmotRuntime.finish`.
     pse_keys_interned: int = 0
     callsites_interned: int = 0
     callstacks_interned: int = 0
@@ -148,13 +138,7 @@ class CarmotRuntime:
         }
         self._budget_tripped: Set[int] = set()
         self.pipeline = BatchingPipeline(
-            batch_size=self.config.batch_size,
-            process=self._process_batch,
             postprocess=self._postprocess_batch,
-            threaded=self.config.threaded,
-            worker_count=self.config.worker_count,
-            max_queue_batches=resilience.max_queue_batches,
-            queue_policy=resilience.queue_policy,
             max_retries=resilience.max_retries,
             retry_backoff=resilience.retry_backoff,
             degrade=resilience.degrade,
@@ -162,8 +146,8 @@ class CarmotRuntime:
             on_retry=self._note_retry,
             injector=self.injector,
         )
-        #: PSE-key interning (both encodings): one shared tuple instance
-        #: per key, even when the key appears in several ROIs' PSECs.
+        #: PSE-key interning: one shared tuple instance per key, even
+        #: when the key appears in several ROIs' PSECs.
         self._pse_keys: Dict[PseKey, PseKey] = {}
         self._var_keys: Dict[int, PseKey] = {}
         #: Prescreen sidecar: compile-time Set verdicts, resolved into
@@ -172,46 +156,33 @@ class CarmotRuntime:
         #: var, {epoch: invocation count}].
         self.static_facts = getattr(module, "static_facts", None)
         self._static_notes: Dict[Tuple[int, int], List] = {}
-        #: Packed-encoding state (None/unused for the object encoding).
-        self._packed = self.config.event_encoding == "packed"
-        self._shard_pool: Optional[ShardPool] = None
         self._proc_drain: Optional[ProcDrain] = None
         #: Robustness trajectory of this run's drain, surfaced in bench
         #: leg metadata: respawned workers, replayed batches, in-process
-        #: fallbacks ("inproc"/"threads"/"procs" resolved from ``drain``).
+        #: fallbacks.
         self.drain_stats: Dict[str, object] = {
             "mode": "inproc", "workers": 0, "replays": 0,
             "worker_respawns": 0, "fallbacks": 0,
         }
-        if self._packed:
-            self._block = PackedBlock()
-            self._block_limit = self.config.batch_size
-            self._block_events = 0
-            #: Run-merge anchors: nine-field row head → base offset of the
-            #: anchor row in the current block (reset at every flush).
-            self._anchors: Dict[Tuple, int] = {}
-            self._cs = InternTable()
-            self._actives = InternTable()
-            self._letters = InternTable()
-            #: site id → (var, loc, str(loc)); ids 0..n-1 match the
-            #: compile-time ``module.site_table`` so probes can carry them.
-            self._site_values: List[Tuple] = []
-            self._site_ids: Dict[Tuple[int, int], int] = {}
-            for var, loc in getattr(module, "site_table", ()) or ():
-                self._register_site(var, loc)
-            self._active_tuple: Tuple = ()
-            self._active_id = self._actives.intern(())
-            drain = self.config.drain
-            if drain == "auto":
-                drain = ("threads" if self.config.pipeline_shards > 1
-                         else "inproc")
-            if drain == "threads":
-                shards = max(2, self.config.pipeline_shards)
-                self._shard_pool = ShardPool(shards)
-                self.drain_stats["mode"] = "threads"
-                self.drain_stats["workers"] = shards
-            elif drain == "procs":
-                self._start_proc_drain()
+        self._block = PackedBlock()
+        self._block_limit = self.config.batch_size
+        self._block_events = 0
+        #: Run-merge anchors: nine-field row head → base offset of the
+        #: anchor row in the current block (reset at every flush).
+        self._anchors: Dict[Tuple, int] = {}
+        self._cs = InternTable()
+        self._actives = InternTable()
+        self._letters = InternTable()
+        #: site id → (var, loc, str(loc)); ids 0..n-1 match the
+        #: compile-time ``module.site_table`` so probes can carry them.
+        self._site_values: List[Tuple] = []
+        self._site_ids: Dict[Tuple[int, int], int] = {}
+        for var, loc in getattr(module, "site_table", ()) or ():
+            self._register_site(var, loc)
+        self._active_tuple: Tuple = ()
+        self._active_id = self._actives.intern(())
+        if self.config.drain == "procs":
+            self._start_proc_drain()
 
     # -- multi-process drain supervision -------------------------------------
 
@@ -221,11 +192,10 @@ class CarmotRuntime:
         An unspawnable pool is not fatal: the run falls back to the
         in-process flat fold and records a canonical DegradationRecord
         (exact result, visible intervention) — the same contract as a
-        pool lost mid-run.
+        pool lost mid-run.  The pool has one worker per CPU, between two
+        and four.
         """
-        shards = self.config.pipeline_shards
-        if shards <= 1:
-            shards = max(2, min(4, os.cpu_count() or 2))
+        shards = max(2, min(4, os.cpu_count() or 2))
         exit_specs = (self.injector.exit_specs()
                       if self.injector is not None else {})
         try:
@@ -268,8 +238,7 @@ class CarmotRuntime:
         """Apply one ack's per-ROI (accesses, new use records) delta.
 
         The use-record budget is checked at ack granularity — the procs
-        drain can overrun by the batches in flight, the same batch-level
-        deviation the threaded shard fold documents.
+        drain can overrun it by the batches in flight.
         """
         max_use = self.config.max_use_records
         for roi_id, (accesses, new_uses) in counters.items():
@@ -382,9 +351,8 @@ class CarmotRuntime:
             (roi_id, self._invocations[roi_id], self._epochs[roi_id])
         )
         self.psecs[roi_id].invocations += 1
-        if self._packed:
-            self._active_tuple = tuple(self._active)
-            self._active_id = self._actives.intern(self._active_tuple)
+        self._active_tuple = tuple(self._active)
+        self._active_id = self._actives.intern(self._active_tuple)
 
     def roi_reset(self, roi_id: int) -> None:
         """A new epoch: the ROI's loop is being entered afresh (§4.2)."""
@@ -394,17 +362,13 @@ class CarmotRuntime:
         for index in range(len(self._active) - 1, -1, -1):
             if self._active[index][0] == roi_id:
                 del self._active[index]
-                if self._packed:
-                    self._active_tuple = tuple(self._active)
-                    self._active_id = self._actives.intern(self._active_tuple)
+                self._active_tuple = tuple(self._active)
+                self._active_id = self._actives.intern(self._active_tuple)
                 return
 
     @property
     def any_roi_active(self) -> bool:
         return bool(self._active)
-
-    def active_snapshot(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(self._active)
 
     def static_note(self, fact_index: int, obj_id: int, base_offset: int,
                     var, roi_id: int, time: int) -> None:
@@ -469,8 +433,7 @@ class CarmotRuntime:
 
     def finish(self) -> None:
         try:
-            if self._packed:
-                self._flush_block()
+            self._flush_block()
             self.pipeline.close()
             if self._proc_drain is not None:
                 states = self._proc_drain.close()
@@ -483,15 +446,11 @@ class CarmotRuntime:
                 # shared memory rather than leak worker processes.
                 self._proc_drain.abort()
                 self._proc_drain = None
-            if self._shard_pool is not None:
-                self._shard_pool.close()
-                self._shard_pool = None
             self.stats.pse_keys_interned = len(self._pse_keys)
             self.stats.source_locs_interned = SourceLoc.interned_count()
-            if self._packed:
-                self.stats.callsites_interned = len(self._site_values)
-                self.stats.callstacks_interned = len(self._cs)
-                self.stats.active_sets_interned = len(self._actives)
+            self.stats.callsites_interned = len(self._site_values)
+            self.stats.callstacks_interned = len(self._cs)
+            self.stats.active_sets_interned = len(self._actives)
         for seq, delay in self.pipeline.slow_batches:
             self.degradation.add(DegradationRecord(
                 batch_seq=seq, kind="slow", rois=(), events=0,
@@ -526,47 +485,13 @@ class CarmotRuntime:
                 report=self.degradation,
             )
 
-    # -- event submission ----------------------------------------------------
-
-    def submit(self, event) -> None:
-        """Route one event into the pipeline, honouring per-ROI budgets."""
-        if self._event_budget:
-            event = self._filter_event(event)
-            if event is None:
-                return
-        self.pipeline.push(event)
-
-    def _filter_event(self, event):
-        """Per-ROI event budget: past the limit an ROI stops full FSA/
-        use-callstack tracking and records conservative letters instead.
-
-        Returns the (possibly narrowed) event to push, or None if every
-        active ROI is over budget and the event was fully converted.
-        """
-        active = getattr(event, "active", ())
-        if not active:
-            return event
-        over, under = self._budget_note(active)
-        if not over or type(event) is not AccessEvent:
-            # Non-access events (alloc/escape/free/classify) are rare and
-            # keep the ASMT and reachability graph complete: forward them
-            # unchanged even past the budget.
-            return event
-        letters = _CONSERVATIVE_WRITE if event.is_write else _CONSERVATIVE_READ
-        self.pipeline.push(ClassifyEvent(
-            states=letters, obj_id=event.obj_id, offset=event.offset,
-            size=event.size, count=event.count, stride=event.stride,
-            var=event.var, loc=event.loc, active=tuple(over),
-            time=event.time,
-        ))
-        if not under:
-            return None
-        return replace(event, active=tuple(under))
+    # -- event capture -------------------------------------------------------
 
     def _budget_note(self, active):
-        """Per-ROI budget bookkeeping shared by both encodings: count the
-        event against every active ROI and split the snapshot into
-        (over-budget, under-budget) entries."""
+        """Per-ROI event budget: count the event against every active ROI
+        and split the snapshot into (over-budget, under-budget) entries.
+        Past the limit an ROI stops full FSA/use-callstack tracking and
+        records conservative letters instead."""
         limit = self._resilience.max_events_per_roi
         over: List[Tuple[int, int, int]] = []
         under: List[Tuple[int, int, int]] = []
@@ -588,8 +513,6 @@ class CarmotRuntime:
             else:
                 under.append(entry)
         return over, under
-
-    # -- packed-encoding sink ------------------------------------------------
 
     def _register_site(self, var, loc) -> int:
         site_id = len(self._site_values)
@@ -618,13 +541,14 @@ class CarmotRuntime:
                       var, loc, site_id, callstack, time) -> None:
         """Append one access row — or run-merge it into an identical one.
 
-        The packed twin of submitting an :class:`AccessEvent` (budget
-        narrowing included).  An access whose nine head fields match an
-        anchor row already in the block (a loop body re-executing the same
-        access in the same ROI invocation) bumps the anchor's repeat count
-        and last-time instead of appending; the fold replays repeats
-        exactly (see :mod:`repro.runtime.packed`).  Event budgets disable
-        merging so per-event narrowing keeps its row-per-event shape.
+        An access whose nine head fields match an anchor row already in
+        the block (a loop body re-executing the same access in the same
+        ROI invocation) bumps the anchor's repeat count and last-time
+        instead of appending; the fold replays repeats exactly (see
+        :mod:`repro.runtime.packed`).  Event budgets disable merging so
+        per-event narrowing keeps its row-per-event shape: past the
+        budget, an access becomes a conservative classify row for the
+        over-budget ROIs plus an access row for the rest.
         """
         if site_id is None:
             site_id = self._site_for(var, loc)
@@ -753,17 +677,11 @@ class CarmotRuntime:
         """A batch failed and is being retried (recoverable): nothing is
         lost, but the run needed intervention — record it."""
         rois: Set[int] = set()
-        events = batch.events
-        if type(events) is PackedBlock:
-            active_values = self._actives.values
-            data = events.data
-            for base in range(F_ACTIVE, len(data), ROW_STRIDE):
-                for entry in active_values[data[base]]:
-                    rois.add(entry[0])
-        else:
-            for event in events:
-                for entry in getattr(event, "active", ()):
-                    rois.add(entry[0])
+        active_values = self._actives.values
+        data = batch.events.data
+        for base in range(F_ACTIVE, len(data), ROW_STRIDE):
+            for entry in active_values[data[base]]:
+                rois.add(entry[0])
         self.degradation.add(DegradationRecord(
             batch_seq=batch.seq, kind="worker_crash",
             rois=tuple(sorted(rois)), events=len(batch.events),
@@ -779,44 +697,13 @@ class CarmotRuntime:
         Reads force Input, writes force Output+Transfer; allocations,
         escapes, and frees still apply exactly (they are order-insensitive
         here), so the ASMT and reachability graph never lose nodes.  Runs
-        in batch sequence order via the pipeline's reorder buffer.
+        in batch sequence order.
         """
         kind, detail = failure
-        if type(batch.events) is PackedBlock:
-            if self._proc_drain is not None:
-                rois = self._degrade_block_procs(batch.events, batch.seq)
-            else:
-                rois = self._degrade_block(batch.events)
-            self.degradation.add(DegradationRecord(
-                batch_seq=batch.seq, kind=kind, rois=tuple(sorted(rois)),
-                events=len(batch.events), action=ACTION_CONSERVATIVE,
-                sets_complete=False, use_callstacks_complete=False,
-                detail=detail,
-            ))
-            return
-        rois: Set[int] = set()
-        for event in batch.events:
-            etype = type(event)
-            if etype is AccessEvent:
-                letters = (_CONSERVATIVE_WRITE if event.is_write
-                           else _CONSERVATIVE_READ)
-                for key, var in self._keys_for(event):
-                    for roi_id, _, _ in event.active:
-                        self.psecs[roi_id].force_classification(
-                            key, var, letters, event.time
-                        )
-                        rois.add(roi_id)
-            elif etype is ClassifyEvent:
-                self._apply_classify(event)
-                rois.update(entry[0] for entry in event.active)
-            elif etype is AllocEvent:
-                self._apply_alloc(event)
-                rois.update(entry[0] for entry in event.active)
-            elif etype is EscapeEvent:
-                self._apply_escape(event)
-                rois.update(entry[0] for entry in event.active)
-            elif etype is FreeEvent:
-                self._apply_free(event)
+        if self._proc_drain is not None:
+            rois = self._degrade_block_procs(batch.events, batch.seq)
+        else:
+            rois = self._degrade_block(batch.events)
         self.degradation.add(DegradationRecord(
             batch_seq=batch.seq, kind=kind, rois=tuple(sorted(rois)),
             events=len(batch.events), action=ACTION_CONSERVATIVE,
@@ -824,59 +711,25 @@ class CarmotRuntime:
             detail=detail,
         ))
 
-    # -- batch stages --------------------------------------------------------
-
-    def _process_batch(self, batch: Batch) -> Batch:
-        """Worker stage: order-insensitive per-event work.
-
-        Everything order-sensitive (the FSA) lives in postprocess; this
-        stage exists to model the parallelizable portion of Figure 5 and to
-        keep the threaded mode honest (it must not touch shared state).
-        """
-        return batch
+    # -- the fold (the flat-table FSA kernel) ---------------------------------
 
     def _postprocess_batch(self, batch: Batch) -> None:
-        events = batch.events
-        if type(events) is PackedBlock:
-            if self._proc_drain is not None:
-                shards, other = partition_rows(events.data,
-                                               self._proc_drain.n)
-                self._proc_drain.dispatch(batch.seq, shards)
-                self._fold_rows(events, other, None)
-            elif self._shard_pool is not None:
-                self._fold_sharded(events)
-            else:
-                self._fold_rows(
-                    events, range(0, len(events.data), ROW_STRIDE), None
-                )
-            return
-        for event in events:
-            kind = type(event)
-            if kind is AccessEvent:
-                self._apply_access(event)
-            elif kind is ClassifyEvent:
-                self._apply_classify(event)
-            elif kind is AllocEvent:
-                self._apply_alloc(event)
-            elif kind is EscapeEvent:
-                self._apply_escape(event)
-            elif kind is FreeEvent:
-                self._apply_free(event)
+        block = batch.events
+        if self._proc_drain is not None:
+            shards, other = partition_rows(block.data, self._proc_drain.n)
+            self._proc_drain.dispatch(batch.seq, shards)
+            self._fold_rows(block, other)
+        else:
+            self._fold_rows(block, range(0, len(block.data), ROW_STRIDE))
 
-    # -- packed fold (the flat-table FSA kernel) ------------------------------
-
-    def _fold_rows(self, block: PackedBlock, bases, counters) -> None:
+    def _fold_rows(self, block: PackedBlock, bases) -> None:
         """Fold packed rows into the PSECs in one tight loop.
 
         ``bases`` are row start offsets into ``block.data`` (ascending =
-        event order).  With ``counters=None`` (deterministic drain) the
-        per-ROI ``total_accesses``/``use_records`` counters and the
-        use-record budget are applied per event, byte-identical to the
-        object encoding.  A shard fold passes its private ``counters``
-        dict ({roi_id: [accesses, new_use_records]}) instead, merged on
-        the drain thread after the join — shards then never write shared
-        counters (entries are already shard-private: a PSE key contains
-        its obj_id, and rows are sharded by obj_id).
+        event order).  The per-ROI ``total_accesses``/``use_records``
+        counters and the use-record budget are applied per event, exactly
+        as replaying every event (merged repeats included) through
+        :meth:`Psec.record_access` would.
         """
         data = block.data
         site_values = self._site_values
@@ -886,64 +739,19 @@ class CarmotRuntime:
         psecs = self.psecs
         flat = fsa.FLAT_TRANSITIONS
         track_uses = self.config.policy.track_use_callstacks
-        max_use = self.config.max_use_records if counters is None else 0
+        max_use = self.config.max_use_records
         var_keys = self._var_keys
         intern_key = self._pse_keys.setdefault
         use = None
-        #: Per-site row-identity cache: an access row identical to the last
-        #: row seen for its site (all nine head fields — same kind, PSE,
-        #: callstack, and active snapshot) repeats a loop-body access the
-        #: full path already resolved: its (entry, sink) cells are known,
-        #: its use record is already present, its invocation and epoch are
-        #: already committed (same active id), so only the FSA step and the
-        #: counters remain.  The head comparison is one C-level array
-        #: compare of the sliced row.
-        site_cache: Dict[int, Tuple] = {}
-        cache_get = site_cache.get
         for base in bases:
             kind = data[base]
             if kind <= KIND_WRITE:
-                head = data[base:base + F_TIME]
-                site = data[base + F_SITE]
-                cached = cache_get(site)
-                if cached is not None and cached[0] == head:
-                    # One non-fresh step covers any repeat count: the flat
-                    # table is idempotent on non-fresh events (fixpoint
-                    # property, asserted in tests), so merged repeats only
-                    # add to the counters and the max last-time.
-                    t_last = data[base + F_LAST]
-                    n = data[base + F_AUX] + 1
-                    event_code = kind + 2
-                    if counters is None:
-                        for entry, psec in cached[1]:
-                            state_code = flat[entry.state_code * 4
-                                              + event_code]
-                            if state_code < 0:
-                                fsa.step_code(entry.state_code, event_code)
-                            entry.state_code = state_code
-                            entry.access_count += n
-                            if t_last > entry.last_time:
-                                entry.last_time = t_last
-                            psec.total_accesses += n
-                    else:
-                        for entry, counter in cached[1]:
-                            state_code = flat[entry.state_code * 4
-                                              + event_code]
-                            if state_code < 0:
-                                fsa.step_code(entry.state_code, event_code)
-                            entry.state_code = state_code
-                            entry.access_count += n
-                            if t_last > entry.last_time:
-                                entry.last_time = t_last
-                            counter[0] += n
-                    continue
                 obj = data[base + F_OBJ]
-                var, _, loc_str = site_values[site]
+                var, _, loc_str = site_values[data[base + F_SITE]]
                 count = data[base + F_COUNT]
                 time = data[base + F_TIME]
                 t_last = data[base + F_LAST]
-                reps = data[base + F_AUX]
-                n = reps + 1
+                n = data[base + F_AUX] + 1
                 active = active_values[data[base + F_ACTIVE]]
                 if var is not None and count == 1:
                     key = var_keys.get(obj)
@@ -963,7 +771,6 @@ class CarmotRuntime:
                     )
                 if track_uses:
                     use = (loc_str, cs_values[data[base + F_CS]])
-                cells = []
                 for key in keys:
                     for roi_id, invocation, epoch in active:
                         psec = psecs[roi_id]
@@ -985,17 +792,14 @@ class CarmotRuntime:
                             kind if invocation != entry.last_invocation
                             else kind + 2
                         )
+                        # Merged repeats are non-fresh accesses of the
+                        # same kind (same active id ⇒ same invocation),
+                        # and every step lands on a fixpoint of those
+                        # (asserted in tests): the repeats only add to
+                        # the counters and the max last-time.
                         state_code = flat[entry.state_code * 4 + event_code]
                         if state_code < 0:
                             fsa.step_code(entry.state_code, event_code)
-                        if reps:
-                            # Merged repeats are non-fresh by construction
-                            # (same active id ⇒ same invocation); one step
-                            # reaches the table's non-fresh fixpoint.
-                            prev = state_code
-                            state_code = flat[prev * 4 + kind + 2]
-                            if state_code < 0:
-                                fsa.step_code(prev, kind + 2)
                         entry.state_code = state_code
                         if kind:
                             entry.write_seen = True
@@ -1005,28 +809,15 @@ class CarmotRuntime:
                             entry.first_time = time
                         if entry.last_time is None or t_last > entry.last_time:
                             entry.last_time = t_last
-                        if counters is None:
-                            psec.total_accesses += n
-                            cells.append((entry, psec))
-                            if track_uses and use not in entry.uses:
-                                entry.uses.add(use)
-                                psec.use_records += 1
-                                if max_use and psec.use_records > max_use:
-                                    raise MemoryBudgetExceeded(
-                                        f"ROI {psec.roi_id}: more than "
-                                        f"{max_use} use-callstack records"
-                                    )
-                        else:
-                            counter = counters.get(roi_id)
-                            if counter is None:
-                                counter = [0, 0]
-                                counters[roi_id] = counter
-                            counter[0] += n
-                            cells.append((entry, counter))
-                            if track_uses and use not in entry.uses:
-                                entry.uses.add(use)
-                                counter[1] += 1
-                site_cache[site] = (head, cells)
+                        psec.total_accesses += n
+                        if track_uses and use not in entry.uses:
+                            entry.uses.add(use)
+                            psec.use_records += 1
+                            if max_use and psec.use_records > max_use:
+                                raise MemoryBudgetExceeded(
+                                    f"ROI {psec.roi_id}: more than "
+                                    f"{max_use} use-callstack records"
+                                )
             elif kind == KIND_CLASSIFY:
                 obj = data[base + F_OBJ]
                 var, _, _ = site_values[data[base + F_SITE]]
@@ -1074,46 +865,9 @@ class CarmotRuntime:
             else:  # KIND_FREE
                 self.asmt.mark_freed(data[base + F_OBJ], data[base + F_TIME])
 
-    def _fold_sharded(self, block: PackedBlock) -> None:
-        """Partition access/classify rows by ``obj_id % n_shards`` and fold
-        the shards concurrently; everything touching shared structures
-        (ASMT, reachability, per-ROI counters, the use-record budget)
-        stays on — or is merged back on — the drain thread."""
-        n = self._shard_pool.n
-        data = block.data
-        shard_bases: List[List[int]] = [[] for _ in range(n)]
-        other: List[int] = []
-        for base in range(0, len(data), ROW_STRIDE):
-            if data[base] <= KIND_CLASSIFY:
-                shard_bases[data[base + F_OBJ] % n].append(base)
-            else:
-                other.append(base)
-        counters: List[Dict[int, List[int]]] = [{} for _ in range(n)]
-        self._shard_pool.run([
-            (lambda bases=bases, counter=counter:
-             self._fold_rows(block, bases, counter))
-            for bases, counter in zip(shard_bases, counters)
-        ])
-        for counter in counters:
-            for roi_id, (accesses, new_uses) in counter.items():
-                psec = self.psecs[roi_id]
-                psec.total_accesses += accesses
-                psec.use_records += new_uses
-        max_use = self.config.max_use_records
-        if max_use:
-            # Batch-granularity budget check (the sharded fold can overrun
-            # by at most one batch relative to the per-event check).
-            for psec in self.psecs.values():
-                if psec.use_records > max_use:
-                    raise MemoryBudgetExceeded(
-                        f"ROI {psec.roi_id}: more than {max_use} "
-                        "use-callstack records"
-                    )
-        self._fold_rows(block, other, None)
-
     def _degrade_block(self, block: PackedBlock) -> Set[int]:
-        """Packed twin of the object-encoding degraded fallback: force
-        conservative letters for access rows, apply everything else."""
+        """Degraded fallback: force conservative letters for access rows,
+        apply everything else exactly."""
         data = block.data
         site_values = self._site_values
         active_values = self._actives.values
@@ -1155,8 +909,8 @@ class CarmotRuntime:
             else:
                 # Classify/alloc/escape rows apply exactly (order-
                 # insensitive here), so the ASMT and reachability graph
-                # never lose nodes — same rule as the object encoding.
-                self._fold_rows(block, (base,), None)
+                # never lose nodes.
+                self._fold_rows(block, (base,))
                 for entry in active_values[data[base + F_ACTIVE]]:
                     rois.add(entry[0])
         return rois
@@ -1181,72 +935,8 @@ class CarmotRuntime:
                                      data[base + F_TIME])
             else:
                 # Alloc/escape rows apply exactly, same as _degrade_block.
-                self._fold_rows(block, (base,), None)
+                self._fold_rows(block, (base,))
         return rois
-
-    # -- event application ------------------------------------------------------
-
-    def _keys_for(self, event) -> List[Tuple[PseKey, Optional[VarInfo]]]:
-        intern_key = self._pse_keys.setdefault
-        if event.var is not None and event.count == 1:
-            key = self._var_keys.get(event.obj_id)
-            if key is None:
-                key = intern_key(
-                    ("var", event.obj_id), ("var", event.obj_id)
-                )
-                self._var_keys[event.obj_id] = key
-            return [(key, event.var)]
-        keys = []
-        for index in range(event.count):
-            offset = event.offset + index * (event.stride or event.size)
-            key = ("mem", event.obj_id, offset, event.size)
-            keys.append((intern_key(key, key), event.var))
-        return keys
-
-    def _apply_access(self, event: AccessEvent) -> None:
-        track_uses = self.config.policy.track_use_callstacks
-        for key, var in self._keys_for(event):
-            for roi_id, invocation, epoch in event.active:
-                self.psecs[roi_id].record_access(
-                    key, var, event.is_write, invocation, event.time,
-                    event.loc, event.callstack, track_uses,
-                    self.config.max_use_records, epoch,
-                )
-
-    def _apply_classify(self, event: ClassifyEvent) -> None:
-        for key, var in self._keys_for(event):
-            for roi_id, _, _ in event.active:
-                self.psecs[roi_id].force_classification(
-                    key, var, event.states, event.time
-                )
-
-    def _apply_alloc(self, event: AllocEvent) -> None:
-        self.asmt.register(
-            AsmtEntry(
-                obj_id=event.obj_id,
-                size=event.size,
-                kind=event.kind,
-                var=event.var,
-                alloc_loc=event.loc,
-                alloc_callstack=event.callstack,
-                alloc_time=event.time,
-            )
-        )
-        if self.config.policy.track_reachability:
-            for roi_id, _, _ in event.active:
-                psec = self.psecs[roi_id]
-                psec.allocated_in_roi.add(event.obj_id)
-                psec.reachability.add_node(event.obj_id, True, event.time)
-
-    def _apply_escape(self, event: EscapeEvent) -> None:
-        for roi_id, _, _ in event.active:
-            self.psecs[roi_id].reachability.add_edge(
-                event.src_obj, event.dst_obj, event.src_offset, event.time,
-                str(event.loc) if event.loc else None,
-            )
-
-    def _apply_free(self, event: FreeEvent) -> None:
-        self.asmt.mark_freed(event.obj_id, event.time)
 
 
 class CarmotHooks(ExecutionHooks):
@@ -1333,28 +1023,11 @@ class CarmotHooks(ExecutionHooks):
                              else self.cm.use_callstack_walk)
                 if runtime.config.inline_processing:
                     cost += self.cm.inline_process * max(1, count)
-                if runtime._packed:
-                    runtime.packed_access(
-                        kind is AccessKind.WRITE, obj.obj_id,
-                        addr - obj.base, size, count, stride, var, loc,
-                        site_id, callstack, self.vm.instructions,
-                    )
-                else:
-                    runtime.submit(
-                        AccessEvent(
-                            is_write=kind is AccessKind.WRITE,
-                            obj_id=obj.obj_id,
-                            offset=addr - obj.base,
-                            size=size,
-                            count=count,
-                            stride=stride,
-                            var=var,
-                            loc=loc,
-                            callstack=callstack,
-                            active=runtime.active_snapshot(),
-                            time=self.vm.instructions,
-                        )
-                    )
+                runtime.packed_access(
+                    kind is AccessKind.WRITE, obj.obj_id, addr - obj.base,
+                    size, count, stride, var, loc, site_id, callstack,
+                    self.vm.instructions,
+                )
         return cost
 
     def on_probe_classify(self, states, addr, size, var, count, stride,
@@ -1363,34 +1036,17 @@ class CarmotHooks(ExecutionHooks):
         if roi_id is not None:
             active = ((roi_id, 0, 0),)
         elif runtime.any_roi_active:
-            active = None if runtime._packed else runtime.active_snapshot()
+            active = None
         else:
             return self.cm.classify_probe
         if runtime.config.policy.track_sets:
             obj = self._object_for(addr)
             if obj is not None:
                 runtime.stats.classify_events += 1
-                if runtime._packed:
-                    runtime.packed_classify(
-                        states, obj.obj_id, addr - obj.base, size, count,
-                        stride, var, loc, site_id, active,
-                        self.vm.instructions,
-                    )
-                else:
-                    runtime.submit(
-                        ClassifyEvent(
-                            states=states,
-                            obj_id=obj.obj_id,
-                            offset=addr - obj.base,
-                            size=size,
-                            count=count,
-                            stride=stride,
-                            var=var,
-                            loc=loc,
-                            active=active,
-                            time=self.vm.instructions,
-                        )
-                    )
+                runtime.packed_classify(
+                    states, obj.obj_id, addr - obj.base, size, count,
+                    stride, var, loc, site_id, active, self.vm.instructions,
+                )
                 if runtime.config.inline_processing:
                     return (self.cm.classify_probe
                             + self.cm.inline_process * max(1, count))
@@ -1420,22 +1076,10 @@ class CarmotHooks(ExecutionHooks):
             src = self._object_for(dest_addr)
             if dst is not None and src is not None and src is not dst:
                 runtime.stats.escape_events += 1
-                if runtime._packed:
-                    runtime.packed_escape(
-                        src.obj_id, dest_addr - src.base, dst.obj_id, loc,
-                        self.vm.instructions,
-                    )
-                else:
-                    runtime.submit(
-                        EscapeEvent(
-                            src_obj=src.obj_id,
-                            src_offset=dest_addr - src.base,
-                            dst_obj=dst.obj_id,
-                            loc=loc,
-                            active=runtime.active_snapshot(),
-                            time=self.vm.instructions,
-                        )
-                    )
+                runtime.packed_escape(
+                    src.obj_id, dest_addr - src.base, dst.obj_id, loc,
+                    self.vm.instructions,
+                )
                 if runtime.config.inline_processing:
                     return self.cm.escape_event + self.cm.inline_process
         return self.cm.escape_event
@@ -1456,33 +1100,13 @@ class CarmotHooks(ExecutionHooks):
             cost += self._callstack_cost(len(obj.alloc_callstack))
             runtime.stats.callstack_captures += 1
         runtime.stats.alloc_events += 1
-        if runtime._packed:
-            runtime.packed_alloc(obj, self.vm.instructions)
-        else:
-            runtime.submit(
-                AllocEvent(
-                    obj_id=obj.obj_id,
-                    size=obj.size,
-                    kind=obj.kind,
-                    var=obj.var,
-                    loc=obj.alloc_loc,
-                    callstack=obj.alloc_callstack,
-                    active=runtime.active_snapshot(),
-                    time=self.vm.instructions,
-                )
-            )
+        runtime.packed_alloc(obj, self.vm.instructions)
         if runtime.config.inline_processing:
             cost += self.cm.inline_process
         return cost
 
     def on_free(self, obj: MemoryObject) -> int:
-        if self.runtime._packed:
-            self.runtime.packed_free(obj.obj_id, self.vm.instructions)
-        else:
-            self.runtime.submit(
-                FreeEvent(obj.obj_id, self.runtime.active_snapshot(),
-                          self.vm.instructions)
-            )
+        self.runtime.packed_free(obj.obj_id, self.vm.instructions)
         return self.cm.alloc_event
 
     def on_call_enter(self, function_name: str, instrumented: bool) -> int:
@@ -1519,29 +1143,11 @@ class CarmotHooks(ExecutionHooks):
         if runtime.config.policy.track_sets:
             obj = self._object_for(addr)
             if obj is not None:
-                if runtime._packed:
-                    runtime.packed_access(
-                        kind is AccessKind.WRITE, obj.obj_id,
-                        addr - obj.base, min(size, 8), granules, 8,
-                        None, None, None, tuple(self.vm.call_stack),
-                        self.vm.instructions,
-                    )
-                else:
-                    runtime.submit(
-                        AccessEvent(
-                            is_write=kind is AccessKind.WRITE,
-                            obj_id=obj.obj_id,
-                            offset=addr - obj.base,
-                            size=min(size, 8),
-                            count=granules,
-                            stride=8,
-                            var=None,
-                            loc=None,
-                            callstack=tuple(self.vm.call_stack),
-                            active=runtime.active_snapshot(),
-                            time=self.vm.instructions,
-                        )
-                    )
+                runtime.packed_access(
+                    kind is AccessKind.WRITE, obj.obj_id, addr - obj.base,
+                    min(size, 8), granules, 8, None, None, None,
+                    tuple(self.vm.call_stack), self.vm.instructions,
+                )
         cost = self.cm.pin_per_access * granules
         if runtime.config.inline_processing:
             cost += self.cm.inline_process * granules

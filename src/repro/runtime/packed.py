@@ -1,17 +1,15 @@
-"""Packed struct-of-arrays event blocks (the hot-path encoding).
+"""Packed struct-of-arrays event blocks (the runtime's event encoding).
 
-Instead of one event dataclass per access, the packed encoding appends each
-event as one fixed-width *row* of plain ints into a preallocated
+Each event is appended as one fixed-width *row* of plain ints into an
 ``array('q')``.  Everything non-integer — variables, source locations,
 callstacks, active-ROI snapshots, classify letter strings — is interned
 once into dense-id tables owned by the runtime, so the per-access work on
 the program's critical path is a single C-level ``array.extend`` of a row
 tuple.  A full block ships through the
 :class:`repro.runtime.pipeline.BatchingPipeline` as the payload of an
-ordinary :class:`Batch` (one row = one event for batch-seq accounting, so
-fault plans keyed on batch sequence hit the same event ranges in both
-encodings), and the drain side folds it in a single tight loop over the
-flat FSA transition table (:data:`repro.runtime.fsa.FLAT_TRANSITIONS`).
+ordinary :class:`Batch`, and the drain side folds it in a single tight
+loop over the flat FSA transition table
+(:data:`repro.runtime.fsa.FLAT_TRANSITIONS`).
 
 Row layout (``ROW_STRIDE`` ints per row; unused fields are 0):
 
@@ -35,12 +33,13 @@ kind code             fields used
 block — the nine head fields ``kind..active`` all equal, i.e. a loop body
 re-executing the same access in the same ROI invocation — does not append
 a new row: capture bumps the anchor's ``aux`` repeat count and ``last``
-timestamp instead.  The fold replays a merged row exactly: repeats use the
-row's non-fresh FSA event code (one extra step reaches the transition
-fixpoint), counters add the repeat count, and ``last_time`` folds as a
-maximum.  ``PackedBlock.events`` counts *events* (rows + merged repeats),
-which is what batch-seq accounting uses, so fault plans keyed on batch
-sequence hit the same event ranges in both encodings.
+timestamp instead.  The fold replays a merged row exactly: repeats are
+non-fresh events of the row's kind, which leave the state the row's first
+event reached unchanged (a fixpoint property of the transition table), so
+counters add the repeat count and ``last_time`` folds as a maximum.  ``PackedBlock.events`` counts *events* (rows + merged repeats),
+and a block is flushed every ``batch_size`` events, so batch boundaries —
+and the fault plans keyed on batch sequence numbers — do not depend on
+how much merging happened.
 """
 
 from __future__ import annotations
@@ -73,8 +72,8 @@ class PackedBlock:
         #: Non-integer payloads (alloc rows): (kind, var, loc, callstack).
         self.side: List[Tuple] = []
         #: Event count including run-merged repeats (set at flush time);
-        #: ``len(block)`` reports this so batch-seq accounting matches the
-        #: object encoding event for event.
+        #: ``len(block)`` reports this, so batch accounting counts events,
+        #: not rows.
         self.events = 0
 
     def __len__(self) -> int:
@@ -98,9 +97,8 @@ def partition_rows(data: array, n_shards: int) -> Tuple[List[array], List[int]]:
     and are returned as a list of row base offsets into ``data`` for the
     master to fold in order.
 
-    Used by both drains: the thread pool folds the shard arrays in-process,
-    the process drain ships them over shared memory (``array('q')`` payloads
-    are ``tobytes``-able without pickling rows).
+    The process drain ships the shard arrays over shared memory
+    (``array('q')`` payloads are ``tobytes``-able without pickling rows).
     """
     shards = [array("q") for _ in range(n_shards)]
     other: List[int] = []

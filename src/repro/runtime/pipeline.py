@@ -1,51 +1,37 @@
 """The batching pipeline of §4.6, hardened for fail-soft operation.
 
-Instrumentation pushes events into the current batch; full batches enter an
-ordered queue.  *Processing* (worker stage: per-event resolution work) may
-run on parallel worker threads; *postprocessing* (applying FSA transitions
-and attaching metadata to PSECs) is order-sensitive and therefore always
-applied in batch sequence order, exactly like the paper's second ordered
-queue feeding the final processing stage.
+Instrumentation appends events to a packed block
+(:mod:`repro.runtime.packed`); each full block enters the pipeline as one
+batch, stamped with the next sequence number, and is folded synchronously
+in sequence order — the paper's ordered queue feeding the final
+processing stage.  The paper's parallel worker stage is modelled by the
+cost model (FSA processing is off the program's critical path), and the
+process drain (``--drain procs``) shards the fold itself; the pipeline
+never runs host threads, so PSECs are bit-identical run to run.
 
-Two modes:
+Resilience (all off by default):
 
-- deterministic (default): batches are processed synchronously when they
-  fill — bit-identical PSECs, used by tests and experiments;
-- threaded: worker threads drain the filled-batch queue concurrently and a
-  reorder buffer restores sequence order before postprocessing, mirroring
-  the Master/Shadow + Worker structure of Figure 5.
-
-Resilience (all off by default; defaults reproduce the pre-hardening
-behaviour bit for bit):
-
-- **prompt error propagation** — a worker failure re-raises on the *next*
-  ``push()``/``flush()``, not only at ``close()``; the stored error is
-  retained, so repeated ``close()`` calls keep reporting it;
-- **backpressure** — ``max_queue_batches`` bounds the filled-batch queue;
-  the producer either blocks (``queue_policy="block"``) or sheds the batch
-  into degraded mode (``"shed"``);
+- **error retention** — a fold failure re-raises from the failing
+  ``push_block()`` and again on every later ``push_block()``/``close()``,
+  so a half-folded run can never be closed as if it were complete;
 - **bounded retry** — a failed batch is retried up to ``max_retries``
   times with exponential backoff charged to a deterministic *virtual*
   clock (``virtual_backoff``), never to the profiled program's critical
   path;
 - **degraded mode** — with ``degrade=True`` an unrecoverable batch is
-  handed to ``on_degraded(batch, (kind, detail))`` in sequence order
-  instead of raising, so the runtime can fall back to conservative
-  classification;
+  handed to ``on_degraded(batch, (kind, detail))`` instead of raising, so
+  the runtime can fall back to conservative classification;
 - **fault injection** — an optional :class:`repro.resilience.FaultInjector`
   fires deterministic, seed-driven crashes/drops/slowdowns keyed by batch
-  sequence number (identical fault streams in both pipeline modes).
+  sequence number.
 """
 
 from __future__ import annotations
 
-import heapq
-import queue
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from repro.errors import RuntimeToolError
+from repro.errors import FaultInjected, RuntimeToolError
 from repro.resilience.faultinject import FaultInjector
 
 #: A batch failure classification: (kind, human-readable detail).
@@ -55,27 +41,18 @@ Failure = Tuple[str, str]
 @dataclass
 class Batch:
     seq: int
-    events: List[object] = field(default_factory=list)
+    #: The batch payload: a :class:`~repro.runtime.packed.PackedBlock`
+    #: (anything with ``len()`` counting its events).
+    events: object
 
 
 class BatchingPipeline:
-    """Order-preserving two-stage batch pipeline.
-
-    ``process`` runs per batch (parallelizable stage); ``postprocess`` runs
-    per batch in sequence order (FSA application).  Exceptions raised in
-    the threaded workers are re-raised on the next producer call
-    (``push``/``flush``/``close``).
-    """
+    """Sequence-ordered batch pipeline: ``postprocess`` folds each batch
+    (FSA application) as it arrives, under the resilience policy."""
 
     def __init__(
         self,
-        batch_size: int,
-        process: Callable[[Batch], Batch],
         postprocess: Callable[[Batch], None],
-        threaded: bool = False,
-        worker_count: int = 2,
-        max_queue_batches: int = 0,
-        queue_policy: str = "block",
         max_retries: int = 0,
         retry_backoff: int = 100,
         degrade: bool = False,
@@ -84,21 +61,7 @@ class BatchingPipeline:
             Callable[[Batch, int, BaseException], None]] = None,
         injector: Optional[FaultInjector] = None,
     ) -> None:
-        if batch_size < 1:
-            raise RuntimeToolError("batch_size must be >= 1")
-        if queue_policy not in ("block", "shed"):
-            raise RuntimeToolError(
-                f"unknown queue policy {queue_policy!r}"
-            )
-        if queue_policy == "shed" and not degrade:
-            raise RuntimeToolError(
-                "queue policy 'shed' requires degrade=True"
-            )
-        self._batch_size = batch_size
-        self._process = process
         self._postprocess = postprocess
-        self._threaded = threaded
-        self._queue_policy = queue_policy
         self._max_retries = max_retries
         self._retry_backoff = retry_backoff
         self._degrade = degrade
@@ -106,11 +69,9 @@ class BatchingPipeline:
         self._on_retry = on_retry
         self._injector = injector
         self._seq = 0
-        self._current = Batch(seq=0)
         self._closed = False
         self.batches_processed = 0
         self.batches_degraded = 0
-        self.batches_shed = 0
         self.events_seen = 0
         self.retries = 0
         #: Deterministic shadow-clock charges: retry backoff and injected
@@ -120,237 +81,81 @@ class BatchingPipeline:
         #: (seq, delay) pairs of injected slow batches, for reporting.
         self.slow_batches: List[Tuple[int, int]] = []
         self._error: Optional[BaseException] = None
-        if threaded:
-            self._queue: "queue.Queue[Optional[Batch]]" = queue.Queue(
-                maxsize=max_queue_batches
-            )
-            self._done_lock = threading.Lock()
-            self._reorder: List = []
-            self._next_post = 0
-            self._workers = [
-                threading.Thread(target=self._worker_loop, daemon=True)
-                for _ in range(max(1, worker_count))
-            ]
-            for worker in self._workers:
-                worker.start()
-
-    # -- producer side -------------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def push(self, event: object) -> None:
-        if self._closed:
-            raise RuntimeToolError("push() on a closed pipeline")
-        if self._error is not None:
-            self._raise_pending()
-        self.events_seen += 1
-        self._current.events.append(event)
-        if len(self._current.events) >= self._batch_size:
-            self.flush()
 
     def push_block(self, block) -> None:
-        """Ship one packed column block as a whole batch.
+        """Fold one block as the next batch (empty blocks are skipped).
 
-        Each row counts as one event, and the block takes the batch
-        sequence number the same rows would have received through
-        per-event :meth:`push` — fault plans keyed on batch seq therefore
-        hit identical event ranges in both encodings.  ``block`` becomes
-        the batch's ``events`` payload (it supports ``len()``).
+        Each event counts once in ``events_seen``, and the block takes
+        the next batch sequence number, which fault plans key on.
         """
         if self._closed:
             raise RuntimeToolError("push_block() on a closed pipeline")
-        if self._error is not None:
-            self._raise_pending()
+        self._raise_pending()
         if not len(block):
             return
         self.events_seen += len(block)
-        batch = Batch(seq=self._current.seq, events=block)
+        batch = Batch(seq=self._seq, events=block)
         self._seq += 1
-        self._current = Batch(seq=self._seq)
-        self._dispatch(batch)
-
-    def flush(self) -> None:
-        if self._closed:
-            raise RuntimeToolError("flush() on a closed pipeline")
-        self._raise_pending()
-        self._flush_current()
-
-    def _flush_current(self) -> None:
-        if not self._current.events:
-            return
-        batch = self._current
-        self._seq += 1
-        self._current = Batch(seq=self._seq)
-        self._dispatch(batch)
-
-    def _dispatch(self, batch: Batch) -> None:
-        if self._threaded:
-            self._enqueue(batch)
-        else:
-            processed, failure = self._process_guarded(batch)
+        try:
+            failure = self._guard(batch)
             if failure is None:
-                self._postprocess(processed)
+                self._postprocess(batch)
                 self.batches_processed += 1
             else:
-                self._degrade_batch(batch, failure)
+                self.batches_degraded += 1
+                if self._on_degraded is not None:
+                    self._on_degraded(batch, failure)
+        except BaseException as exc:
+            self._error = exc
+            raise
 
     def close(self) -> None:
-        """Flush the partial batch and drain all workers.
-
-        Idempotent: a second ``close()`` neither re-drains nor swallows a
-        pending worker error — the error re-raises on every call until the
-        pipeline is discarded.
-        """
-        if self._closed:
-            self._raise_pending()
-            return
+        """Idempotent: a second ``close()`` does no work, but a retained
+        fold error re-raises on every call."""
         self._closed = True
-        try:
-            self._flush_current()
-        finally:
-            if self._threaded:
-                for _ in self._workers:
-                    self._queue.put(None)
-                for worker in self._workers:
-                    worker.join()
-                self._drain_reorder(final=True)
         self._raise_pending()
 
-    # -- failure handling -----------------------------------------------------
+    def _guard(self, batch: Batch) -> Optional[Failure]:
+        """Run one batch past the fault injector and retry policy.
 
-    def _process_guarded(
-        self, batch: Batch
-    ) -> Tuple[Batch, Optional[Failure]]:
-        """Process one batch under the fault injector and retry policy.
-
-        Returns ``(processed, None)`` on success or ``(original, failure)``
-        when the batch must enter degraded mode.  Raises when the batch is
-        unrecoverable and degraded mode is off.
+        Returns None when the batch may be folded, or the failure when it
+        must enter degraded mode.  Raises when the batch is unrecoverable
+        and degraded mode is off.
         """
         injector = self._injector
-        if injector is not None:
-            kind = injector.drop_kind(batch.seq)
-            if kind is not None:
-                failure = (kind.value,
-                           f"injected {kind.value} at batch {batch.seq}")
-                if not self._degrade:
-                    raise RuntimeToolError(
-                        f"batch {batch.seq} lost to injected {kind.value} "
-                        "(enable degrade to fall back)"
-                    )
-                return batch, failure
-            delay = injector.delay_for(batch.seq)
-            if delay:
-                self.virtual_delay += delay
-                self.slow_batches.append((batch.seq, delay))
+        if injector is None:
+            return None
+        kind = injector.drop_kind(batch.seq)
+        if kind is not None:
+            if not self._degrade:
+                raise RuntimeToolError(
+                    f"batch {batch.seq} lost to injected {kind.value} "
+                    "(enable degrade to fall back)"
+                )
+            return kind.value, f"injected {kind.value} at batch {batch.seq}"
+        delay = injector.delay_for(batch.seq)
+        if delay:
+            self.virtual_delay += delay
+            self.slow_batches.append((batch.seq, delay))
         attempt = 0
         while True:
             try:
-                if injector is not None:
-                    injector.fire(batch.seq, attempt)
-                return self._process(batch), None
-            except BaseException as exc:
+                injector.fire(batch.seq, attempt)
+                return None
+            except FaultInjected as exc:
                 if attempt >= self._max_retries:
                     if self._degrade:
-                        return batch, (
-                            "worker_crash",
-                            f"{type(exc).__name__}: {exc}",
-                        )
+                        return "worker_crash", f"{type(exc).__name__}: {exc}"
                     raise
                 attempt += 1
                 self.retries += 1
                 # Exponential backoff in deterministic virtual time: the
-                # total depends only on which batches retried how often,
-                # not on scheduling.
+                # total depends only on which batches retried how often.
                 self.virtual_backoff += self._retry_backoff * (
                     1 << (attempt - 1)
                 )
                 if self._on_retry is not None:
                     self._on_retry(batch, attempt, exc)
-
-    def _degrade_batch(self, batch: Batch, failure: Failure) -> None:
-        self.batches_degraded += 1
-        if self._on_degraded is not None:
-            self._on_degraded(batch, failure)
-
-    # -- threaded internals -----------------------------------------------------
-
-    def _enqueue(self, batch: Batch) -> None:
-        if self._queue_policy == "shed" and self._queue.maxsize > 0:
-            try:
-                self._queue.put_nowait(batch)
-            except queue.Full:
-                self.batches_shed += 1
-                self._fail_ordered(batch, (
-                    "shed", f"batch {batch.seq} shed: queue full"
-                ))
-            return
-        # "block" policy: a bounded queue makes this call apply
-        # backpressure to the producer until a worker frees a slot.
-        self._queue.put(batch)
-
-    def _fail_ordered(self, batch: Batch, failure: Failure) -> None:
-        """Route a failed batch through the reorder buffer so degraded
-        fallback still runs in sequence order with postprocessing."""
-        with self._done_lock:
-            heapq.heappush(
-                self._reorder, (batch.seq, id(batch), batch, failure)
-            )
-            self._drain_reorder_locked()
-
-    def _worker_loop(self) -> None:
-        while True:
-            batch = self._queue.get()
-            if batch is None:
-                return
-            if self._error is not None:
-                # Poisoned pipeline: keep draining so a producer blocked
-                # on a bounded queue wakes up and sees the error.
-                continue
-            try:
-                processed, failure = self._process_guarded(batch)
-            except BaseException as exc:  # surfaced on next producer call
-                with self._done_lock:
-                    if self._error is None:
-                        self._error = exc
-                continue
-            with self._done_lock:
-                heapq.heappush(
-                    self._reorder,
-                    (batch.seq, id(batch), processed, failure),
-                )
-                self._drain_reorder_locked()
-
-    def _drain_reorder(self, final: bool = False) -> None:
-        with self._done_lock:
-            self._drain_reorder_locked()
-            if final and self._reorder and self._error is None:
-                # Sequence gap with no pending batches: a worker died.
-                self._error = RuntimeToolError(
-                    "pipeline closed with unprocessed batches"
-                )
-
-    def _drain_reorder_locked(self) -> None:
-        while self._reorder and self._reorder[0][0] == self._next_post:
-            _, _, batch, failure = heapq.heappop(self._reorder)
-            self._next_post += 1
-            if failure is None:
-                try:
-                    self._postprocess(batch)
-                except BaseException as exc:
-                    if self._error is None:
-                        self._error = exc
-                    return
-                self.batches_processed += 1
-            else:
-                try:
-                    self._degrade_batch(batch, failure)
-                except BaseException as exc:
-                    if self._error is None:
-                        self._error = exc
-                    return
 
     def _raise_pending(self) -> None:
         if self._error is not None:

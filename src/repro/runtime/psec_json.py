@@ -155,10 +155,9 @@ def _enc_psec(psec: Psec, vars_table: _VarTable) -> Dict:
         "abstraction": psec.abstraction,
         "invocations": psec.invocations,
         # Sorted by (first_time, key), not insertion order: the
-        # single-threaded drain inserts entries in exactly this order
-        # anyway, but the sharded fold builds ``entries`` from several
-        # worker threads, whose dict-insertion interleaving is not
-        # deterministic.  Sorting makes the artifact canonical for both.
+        # in-process drain inserts entries in exactly this order anyway,
+        # but the procs drain merges ``entries`` shard by shard.  Sorting
+        # makes the artifact canonical for both.
         "entries": [
             _enc_entry(entry, vars_table)
             for entry in sorted(

@@ -11,11 +11,10 @@ namespace is a warm artifact load.
 
 Admission control rides the existing resilience machinery: the daemon
 holds a :class:`~repro.resilience.ResiliencePolicy` whose
-``max_queue_batches``/``queue_policy`` bound the request queue exactly
-like the runtime bounds its batch queue — ``block`` parks excess
-requests until a worker frees up, ``shed`` answers them immediately
-with the canonical ``overloaded`` envelope (HTTP-503 semantics; clients
-retry or fall back to a local run).
+``max_queue_batches``/``queue_policy`` bound the request queue —
+``block`` parks excess requests until a worker frees up, ``shed``
+answers them immediately with the canonical ``overloaded`` envelope
+(HTTP-503 semantics; clients retry or fall back to a local run).
 
 Control frames (``ping``/``stats``/``shutdown``) bypass admission so a
 saturated daemon stays observable and drainable: ``shutdown`` stops

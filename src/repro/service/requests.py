@@ -29,9 +29,8 @@ from repro.resilience import FaultPlan, parse_budget_spec
 #: ``shutdown`` are daemon control frames, not service requests).
 REQUEST_KINDS = ("recommend", "psec", "overhead", "ir", "dis")
 
-_DRAINS = ("inproc", "threads", "procs")
+_DRAINS = ("inproc", "procs")
 _VMS = ("bytecode", "ir")
-_ENCODINGS = ("object", "packed")
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,6 @@ class RunOptions:
     budget: Optional[str] = None
     fault_plan: Optional[str] = None
     batch_size: Optional[int] = None
-    event_encoding: Optional[str] = None
-    pipeline_shards: Optional[int] = None
     drain: Optional[str] = None
     vm: str = "bytecode"
     prescreen: str = "off"
@@ -72,12 +69,6 @@ class RunOptions:
         if self.drain is not None and self.drain not in _DRAINS:
             raise ReproError(
                 f"drain must be one of {_DRAINS}, got {self.drain!r}"
-            )
-        if self.event_encoding is not None \
-                and self.event_encoding not in _ENCODINGS:
-            raise ReproError(
-                f"event encoding must be one of {_ENCODINGS}, "
-                f"got {self.event_encoding!r}"
             )
 
     # -- construction --------------------------------------------------------
@@ -123,23 +114,8 @@ class RunOptions:
             kwargs["fault_plan"] = FaultPlan.parse(self.fault_plan)
         if self.batch_size is not None:
             kwargs["batch_size"] = self.batch_size
-        if self.event_encoding:
-            kwargs["event_encoding"] = self.event_encoding
-        if self.pipeline_shards is not None:
-            kwargs["pipeline_shards"] = self.pipeline_shards
         if self.drain:
             kwargs["drain"] = self.drain
-            if self.drain in ("threads", "procs"):
-                encoding = kwargs.get("event_encoding")
-                if encoding is None:
-                    # threads/procs fold packed batches; imply the encoding
-                    # the same way --pipeline-shards examples document it.
-                    kwargs["event_encoding"] = "packed"
-                elif encoding != "packed":
-                    raise ReproError(
-                        f"--drain {self.drain} folds packed batches and "
-                        f"cannot combine with --event-encoding {encoding}"
-                    )
         return kwargs
 
     def carmot_options(self) -> Optional[CarmotOptions]:

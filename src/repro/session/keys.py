@@ -13,7 +13,7 @@ source text          miss      miss      miss     miss       miss
 pass pipeline/opts   hit       miss      miss     miss       miss
 registry version     hit       miss      miss     miss       miss
 fault plan/budgets   hit       hit       miss     miss       miss
-event encoding       hit       hit       miss     miss       miss
+drain/batch size     hit       hit       miss     miss       miss
 entry/args/costs     hit       hit       miss     miss       miss
 recommender select   hit       hit       hit      miss       miss
 recommender registry hit       hit       hit      miss       miss
@@ -138,7 +138,7 @@ def profile_key(
     key — so two pipelines producing identical instrumented IR share one
     profile.  ``run_config`` carries everything that steers execution:
     entry/args, cost model, VM budgets, resilience policy, fault plan,
-    event encoding, batching, shards.
+    drain, batching.
     """
     return _digest("profile", {
         "ir": ir_digest,
@@ -213,8 +213,7 @@ def run_config_doc(
     """Canonical, JSON-able view of one ``CompiledProgram.run()`` call.
 
     ``config_kwargs`` are the ``RuntimeConfig`` overrides the CLI passes
-    (``event_encoding``, ``batch_size``, ``pipeline_shards``,
-    ``resilience``, ``fault_plan``); dataclass values are flattened via
+    (``batch_size``, ``drain``, ``resilience``, ``fault_plan``); dataclass values are flattened via
     ``asdict`` so two equal plans produce equal documents.  ``vm`` names
     the execution engine — both engines are held to identical profiles,
     but keying on it keeps any divergence visible as a cache miss rather

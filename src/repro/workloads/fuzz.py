@@ -1,10 +1,8 @@
 """Seeded random MiniC program generation for differential suites.
 
-Public home of the generator the property suites grew under
-``tests/helpers/progen.py`` (which now re-exports from here): every
-differential suite — VM equivalence, prescreen hybrid-vs-dynamic, serve
-round-trips, recommendation warm/cold — draws from one generator family
-instead of copy-pasting program shapes.  The programs are deterministic
+Every differential suite — VM equivalence, prescreen hybrid-vs-dynamic,
+serve round-trips, recommendation warm/cold — draws from one generator
+family instead of copy-pasting program shapes.  The programs are deterministic
 per seed: same seed, same source bytes, so cache keys and golden digests
 stay stable across suites and sessions.
 

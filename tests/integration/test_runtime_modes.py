@@ -1,10 +1,8 @@
-"""Runtime pipeline modes and multi-run merging.
+"""Runtime batching and multi-run merging.
 
-The threaded batching pipeline (§4.6) must produce exactly the PSEC the
-deterministic mode produces; multi-run merging must follow the §4.2 rules
-on real profiles."""
-
-import pytest
+The batching pipeline (§4.6) must produce the same PSEC whatever the
+batch size; multi-run merging must follow the §4.2 rules on real
+profiles."""
 
 from repro.compiler import compile_carmot, compile_naive
 from repro.runtime import merge_psecs
@@ -20,20 +18,7 @@ def _run_with(program, **config_kwargs):
     return runtime
 
 
-class TestThreadedPipeline:
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_threaded_matches_deterministic(self, workers):
-        program = compile_carmot(SOURCE, name="cg")
-        deterministic = _run_with(program, threaded=False, batch_size=64)
-        threaded = _run_with(program, threaded=True, batch_size=64,
-                             worker_count=workers)
-        for roi_id, expected in deterministic.psecs.items():
-            actual = threaded.psecs[roi_id]
-            assert actual.invocations == expected.invocations
-            assert set(actual.entries) == set(expected.entries)
-            for key, entry in expected.entries.items():
-                assert actual.entries[key].letters == entry.letters, key
-
+class TestBatchSizes:
     def test_small_batches_match_large(self):
         program = compile_carmot(SOURCE, name="cg")
         small = _run_with(program, batch_size=2)

@@ -15,6 +15,7 @@ from repro.service import (
     RecommendRequest,
     ServiceClient,
     ServiceCore,
+    error_response,
     response_digest,
 )
 from repro.service.client import ServiceUnavailable, wait_for_daemon
@@ -113,6 +114,26 @@ class TestServeBasics:
                 doc = client.call({"kind": "transmogrify"})
         assert doc["ok"] is False
         assert "unknown request kind" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("options", [
+        {"event_encoding": "object"},
+        {"pipeline_shards": 2},
+        {"drain": "threads"},
+    ])
+    def test_removed_options_yield_error_envelope(self, tmp_path, options):
+        """Removed runtime knobs off the wire get the canonical error
+        envelope, and the daemon keeps serving."""
+        doc = {"kind": "psec", "source": ROI_SOURCE, "name": "daemon",
+               "options": options}
+        with _Daemon(tmp_path) as server:
+            with server.client() as client:
+                response = client.call(doc)
+                assert client.ping()["ok"]
+        # The daemon adds its serve timings to meta; the rest is the
+        # canonical envelope.
+        expected = error_response("psec", "error",
+                                  response["error"]["message"])
+        assert dict(response, meta={}) == expected
 
     def test_invalid_namespace_rejected(self, tmp_path):
         request = PsecRequest(source=ROI_SOURCE, name="daemon")

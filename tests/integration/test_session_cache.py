@@ -1,6 +1,6 @@
 """Differential cache tests: a cached profile must be indistinguishable
-from a recomputed one — across every event encoding, under fault
-injection and budgets, and through the CLI.
+from a recomputed one — across every runtime fold, under fault injection
+and budgets, and through the CLI.
 
 Each case runs the same program three ways: cold (populating the store),
 warm (every stage hits), and live (``enabled=False`` / ``--no-cache``).
@@ -16,6 +16,7 @@ import pytest
 from repro.cli import main
 from repro.resilience import FaultPlan, parse_budget_spec
 from repro.session import Session
+from tests.helpers.decoder import fold
 
 SOURCE = """
 int work(int n) {
@@ -31,11 +32,14 @@ int work(int n) {
 int main() { print_int(work(40)); return 0; }
 """
 
-#: The three runtime event encodings the differential suite must cover.
-ENCODINGS = {
-    "object": {"event_encoding": "object"},
-    "packed": {"event_encoding": "packed"},
-    "packed_sharded": {"event_encoding": "packed", "pipeline_shards": 2},
+#: The runtime folds the differential suite must cover: the decoder
+#: oracle (``object``), the in-process kernel (``packed``), and the procs
+#: drain, which shards the kernel's work by object id over worker
+#: processes (``packed_sharded``).  Each maps to (fold, run kwargs).
+FOLD_CASES = {
+    "object": ("object", {}),
+    "packed": ("packed", {}),
+    "packed_sharded": ("packed", {"drain": "procs"}),
 }
 
 BUDGET = "steps=5000000,heap=1048576,depth=256,retries=2,degrade=1"
@@ -52,36 +56,44 @@ def _resilient_kwargs():
     }
 
 
-@pytest.mark.parametrize("encoding", sorted(ENCODINGS))
-def test_cached_profile_matches_recomputed(tmp_path, encoding):
-    kwargs = ENCODINGS[encoding]
-    cached = Session(cache_dir=str(tmp_path / "store"))
-    cold = cached.profile(SOURCE, "carmot", **kwargs)
-    warm = cached.profile(SOURCE, "carmot", **kwargs)
-    live = Session(enabled=False).profile(SOURCE, "carmot", **kwargs)
+def _cold_warm_live(tmp_path, case, **extra):
+    """Profile cold, warm and live under one fold case; also return the
+    in-process kernel's live payload as the reference."""
+    fold_name, kwargs = FOLD_CASES[case]
+    kwargs = dict(kwargs, **extra)
+    reference = Session(enabled=False).profile(SOURCE, "carmot", **extra)
+    with fold(fold_name):
+        cached = Session(cache_dir=str(tmp_path / "store"))
+        cold = cached.profile(SOURCE, "carmot", **kwargs)
+        warm = cached.profile(SOURCE, "carmot", **kwargs)
+        live = Session(enabled=False).profile(SOURCE, "carmot", **kwargs)
+    return cold, warm, live, reference
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_cached_profile_matches_recomputed(tmp_path, case):
+    cold, warm, live, reference = _cold_warm_live(tmp_path, case)
     assert warm.cached and not cold.cached
-    assert cold.payload == warm.payload == live.payload
+    assert cold.payload == warm.payload == live.payload == reference.payload
 
 
-@pytest.mark.parametrize("encoding", sorted(ENCODINGS))
-def test_cached_profile_matches_under_faults_and_budgets(tmp_path, encoding):
-    kwargs = dict(ENCODINGS[encoding], **_resilient_kwargs())
-    cached = Session(cache_dir=str(tmp_path / "store"))
-    cold = cached.profile(SOURCE, "carmot", **kwargs)
-    warm = cached.profile(SOURCE, "carmot", **kwargs)
-    live = Session(enabled=False).profile(SOURCE, "carmot", **kwargs)
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_cached_profile_matches_under_faults_and_budgets(tmp_path, case):
+    cold, warm, live, reference = _cold_warm_live(
+        tmp_path, case, **_resilient_kwargs()
+    )
     assert warm.cached
-    assert cold.payload == warm.payload == live.payload
+    assert cold.payload == warm.payload == live.payload == reference.payload
     # The degradation report survives the round trip: a degraded cold run
     # must read back as degraded, not silently healthy.
     assert warm.runtime.degraded == live.runtime.degraded
 
 
-def test_encodings_share_compile_but_not_profile(tmp_path):
+def test_run_config_shares_compile_but_not_profile(tmp_path):
     session = Session(cache_dir=str(tmp_path / "store"))
-    session.profile(SOURCE, "carmot", **ENCODINGS["object"])
-    packed = session.profile(SOURCE, "carmot", **ENCODINGS["packed"])
-    assert packed.stages == {"frontend": "hit", "pipeline": "hit",
+    session.profile(SOURCE, "carmot")
+    rebatched = session.profile(SOURCE, "carmot", batch_size=8)
+    assert rebatched.stages == {"frontend": "hit", "pipeline": "hit",
                              "codegen": "hit", "profile": "miss"}
 
 

@@ -1,8 +1,8 @@
 """Property: DegradationReport serialization is canonical — independent
 of the arrival order (and thread interleaving) of its records.
 
-The threaded pipeline and the multi-process drain supervisor both append
-records from whatever order failures happen to surface in; the report's
+The pipeline and the multi-process drain supervisor both append records
+in whatever order failures happen to surface; the report's
 contract is that ``to_dict()``/``to_json()`` erase that nondeterminism.
 """
 

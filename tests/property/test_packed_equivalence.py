@@ -1,11 +1,13 @@
-"""Differential testing: the packed encoding against the object oracle.
+"""Differential testing: the flat-table fold kernel against the decoder
+oracle.
 
-The object event encoding is kept as the differential-testing oracle for
-the packed hot path: for the three golden example programs, for seeded
-random loop-shaped event streams (including heavily run-merged ones), and
-under fault plans and event budgets, the packed encoding — deterministic
-drain and sharded fold alike — must produce byte-identical PSEC output
-and identical degradation reports.
+The tests-side decoder (:mod:`tests.helpers.decoder`) replays every packed
+row — run-merged repeats expanded — through the per-PSE object API.  For
+the three golden example programs, for seeded random loop-shaped event
+streams (including heavily run-merged ones), and under fault plans and
+event budgets, the kernel must produce byte-identical PSEC output and
+identical degradation reports.  The ``object`` side of each comparison is
+the decoder oracle, the ``packed`` side the production kernel.
 """
 
 import json
@@ -19,12 +21,12 @@ from repro.harness.bench import (
     _STREAM_SHAPES,
     _digest,
     _make_stream,
-    _replay_object,
     _replay_packed,
     _resolve_ops,
     _stream_runtime,
 )
 from repro.resilience import FaultPlan, ResiliencePolicy
+from tests.helpers.decoder import FOLDS, fold
 
 REPO = Path(__file__).resolve().parents[2]
 EXAMPLES = ["roi_loop", "stencil_calls", "anneal_stats"]
@@ -74,15 +76,13 @@ def _entry_state(runtime):
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_golden_examples_identical_across_encodings(name):
     source = _example_source(name)
-    outputs = {}
-    for encoding, shards in (("object", 0), ("packed", 0), ("packed", 2)):
+    outputs = []
+    for fold_name in FOLDS:
         program = compile_carmot(source, name=f"examples/{name}.mc")
-        result, runtime = program.run(event_encoding=encoding,
-                                      pipeline_shards=shards)
-        outputs[(encoding, shards)] = (result.output,
-                                       _psec_json(program, runtime))
-    assert outputs[("object", 0)] == outputs[("packed", 0)]
-    assert outputs[("object", 0)] == outputs[("packed", 2)]
+        with fold(fold_name):
+            result, runtime = program.run()
+        outputs.append((result.output, _psec_json(program, runtime)))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("shape", sorted(_STREAM_SHAPES))
@@ -92,37 +92,68 @@ def test_random_streams_identical_across_encodings(shape, seed):
     run merging; array_walk exercises the unmerged full path)."""
     ops, vars_by_obj, locs, callstacks = _make_stream(seed, 4000, shape)
     states = []
-    for encoding, shards in (("object", 0), ("packed", 0), ("packed", 3)):
-        runtime = _stream_runtime(encoding, batch_size=128, shards=shards)
-        resolved = _resolve_ops(
-            ops, vars_by_obj, locs, callstacks,
-            runtime if encoding == "packed" else None,
-        )
-        replay = _replay_packed if encoding == "packed" else _replay_object
-        replay(runtime, resolved, 250)
+    for fold_name in FOLDS:
+        with fold(fold_name):
+            runtime = _stream_runtime(batch_size=128)
+            resolved = _resolve_ops(ops, vars_by_obj, locs, callstacks,
+                                    runtime)
+            _replay_packed(runtime, resolved, 250)
         states.append((_digest(runtime), _entry_state(runtime)))
     assert states[0] == states[1]
-    assert states[0] == states[2]
 
 
-def _run_example(name, encoding, **kwargs):
+@pytest.mark.parametrize("seed", [0, 7, 1234])
+def test_epoch_streams_identical_across_encodings(seed):
+    """A re-entered ROI loop (``roi_reset`` starts a new epoch) commits
+    each epoch's letters before the FSA restarts.  Read-only epochs
+    alternate with read/write ones so that a lost commit changes the
+    Sets."""
+    ops, vars_by_obj, locs, callstacks = _make_stream(seed, 3000,
+                                                      "mixed_loop")
+    states = []
+    for fold_name in FOLDS:
+        with fold(fold_name):
+            runtime = _stream_runtime(batch_size=128)
+            roi_id = next(iter(runtime.psecs))
+            resolved = _resolve_ops(ops, vars_by_obj, locs, callstacks,
+                                    runtime)
+            for index, (is_write, obj_id, offset, count, stride, var, loc,
+                        site_id, cs) in enumerate(resolved):
+                if index % 100 == 0:
+                    if index:
+                        runtime.roi_end(roi_id)
+                    if index % 500 == 0:
+                        runtime.roi_reset(roi_id)
+                    runtime.roi_begin(roi_id)
+                read_only_epoch = (index // 500) % 2 == 0
+                runtime.packed_access(
+                    0 if read_only_epoch else is_write, obj_id, offset, 8,
+                    count, stride, var, loc, site_id, cs, index,
+                )
+            runtime.roi_end(roi_id)
+            runtime.finish()
+        states.append((_digest(runtime), _entry_state(runtime)))
+    assert states[0] == states[1]
+
+
+def _run_example(name, fold_name, **kwargs):
     program = compile_carmot(_example_source(name),
                              name=f"examples/{name}.mc")
-    _, runtime = program.run(event_encoding=encoding, **kwargs)
+    with fold(fold_name):
+        _, runtime = program.run(**kwargs)
     return program, runtime
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_fault_plan_degradation_identical_across_encodings(name):
-    """Faults target batch sequence numbers, so this also pins the
-    batch-boundary parity of the two encodings: run merging counts events,
-    not rows, when filling a batch."""
-    def run(encoding):
+    """Faults target batch sequence numbers; the oracle's degraded
+    fallback replays a dropped batch event by event with conservative
+    letters, the kernel's forces them row by row."""
+    def run(fold_name):
         program, runtime = _run_example(
-            name, encoding, batch_size=16,
+            name, fold_name, batch_size=16,
             fault_plan=FaultPlan.parse("seed=7;crash@1;drop@2;slow@3:100"),
-            resilience=ResiliencePolicy(max_retries=1, degrade=True,
-                                        max_queue_batches=4),
+            resilience=ResiliencePolicy(max_retries=1, degrade=True),
         )
         return runtime.degradation.to_json(), _psec_json(program, runtime)
 
@@ -134,9 +165,9 @@ def test_fault_plan_degradation_identical_across_encodings(name):
 
 @pytest.mark.parametrize("name", ["roi_loop", "anneal_stats"])
 def test_event_budget_identical_across_encodings(name):
-    def run(encoding):
+    def run(fold_name):
         program, runtime = _run_example(
-            name, encoding, batch_size=16,
+            name, fold_name, batch_size=16,
             resilience=ResiliencePolicy(max_events_per_roi=20, degrade=True),
         )
         return runtime.degradation.to_json(), _psec_json(program, runtime)

@@ -5,8 +5,9 @@ The prescreen contract (DESIGN.md §14) promises that a build with
 fully-dynamic build — the static verdicts are only admissible because
 they are indistinguishable from profiling.  This suite holds the hybrid
 build to that promise across the golden examples, seeded random ROI
-programs, both execution engines, every packed-batch drain, and fault
-plans whose retries force exact replay.
+programs, both execution engines, both packed-batch drains, the
+tests-side decoder oracle, and fault plans whose retries force exact
+replay.
 """
 
 import tempfile
@@ -18,7 +19,8 @@ from repro.compiler import CarmotOptions, compile_carmot
 from repro.resilience import FaultPlan, ResiliencePolicy
 from repro.runtime.psec_json import psec_sets_digest
 from repro.session import Session
-from tests.helpers.progen import random_roi_program
+from repro.workloads.fuzz import random_roi_program
+from tests.helpers.decoder import decoder_fold
 
 REPO = Path(__file__).resolve().parents[2]
 EXAMPLES = ["roi_loop", "stencil_calls", "anneal_stats"]
@@ -102,11 +104,11 @@ def test_random_roi_programs_across_engines(seed):
 # -- drains -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("drain", ["inproc", "threads", "procs"])
+@pytest.mark.parametrize("drain", ["inproc", "procs"])
 @pytest.mark.parametrize("mode", MODES)
 def test_drains_sets_identical(drain, mode):
     source = _example_source("roi_loop")
-    kwargs = dict(event_encoding="packed", pipeline_shards=2, drain=drain)
+    kwargs = dict(drain=drain)
     _, off_res, off_rt = _profile(source, "roi_loop", **kwargs)
     _, hyb_res, hyb_rt = _profile(source, "roi_loop", mode, **kwargs)
     assert _state(off_res, off_rt) == _state(hyb_res, hyb_rt)
@@ -121,7 +123,7 @@ def test_faulted_runs_sets_identical(mode):
     hit both builds the same way: Sets and the degradation report must
     stay byte-identical between hybrid and fully-dynamic."""
     kwargs = dict(
-        event_encoding="packed", batch_size=16,
+        batch_size=16,
         fault_plan=FaultPlan.parse("seed=9;crash@1;slow@2:100"),
         resilience=ResiliencePolicy(max_retries=2, degrade=True),
     )
@@ -138,6 +140,23 @@ def test_faulted_runs_sets_identical(mode):
     assert off_report["records"]
     for report in (off_report, json.loads(hyb_rt.degradation.to_json())):
         assert all(r["sets_complete"] for r in report["records"])
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+@pytest.mark.parametrize("mode", MODES)
+def test_hybrid_matches_decoder_oracle(name, mode):
+    """The fully-dynamic build folded by the decoder oracle and the
+    hybrid build folded by the kernel agree, retried faults included."""
+    kwargs = dict(
+        batch_size=16,
+        fault_plan=FaultPlan.parse("seed=9;crash@1;slow@2:100"),
+        resilience=ResiliencePolicy(max_retries=2, degrade=True),
+    )
+    source = _example_source(name)
+    with decoder_fold():
+        _, off_res, off_rt = _profile(source, name, **kwargs)
+    _, hyb_res, hyb_rt = _profile(source, name, mode, **kwargs)
+    assert _state(off_res, off_rt) == _state(hyb_res, hyb_rt)
 
 
 # -- session cache ------------------------------------------------------------

@@ -3,8 +3,8 @@
 The crash-recovery contract (DESIGN.md §13) promises that ``--drain
 procs`` is observably identical to the in-process fold for every stream
 shape and fault plan: worker kills that recover leave no trace in the
-PSEC output or the degradation report, and shed/dropped/crashed batches
-degrade byte-identically to the single-threaded engine.
+PSEC output or the degradation report, and dropped/crashed batches
+degrade byte-identically to the in-process fold.
 """
 
 import json
@@ -74,8 +74,7 @@ def test_golden_examples_identical_under_proc_drain(name):
     outputs = {}
     for drain in ("inproc", "procs"):
         program = compile_carmot(source, name=f"examples/{name}.mc")
-        result, runtime = program.run(event_encoding="packed",
-                                      pipeline_shards=2, drain=drain)
+        result, runtime = program.run(drain=drain)
         outputs[drain] = (result.output, _psec_json(program, runtime))
     assert outputs["inproc"] == outputs["procs"]
 
@@ -86,8 +85,7 @@ def test_random_streams_identical_under_proc_drain(shape, seed):
     ops, vars_by_obj, locs, callstacks = _make_stream(seed, 3000, shape)
     states = []
     for drain in ("inproc", "procs"):
-        runtime = _stream_runtime("packed", batch_size=128, shards=2,
-                                  drain=drain)
+        runtime = _stream_runtime(batch_size=128, drain=drain)
         resolved = _resolve_ops(ops, vars_by_obj, locs, callstacks, runtime)
         _replay_packed(runtime, resolved, 250)
         states.append((_digest(runtime), _entry_state(runtime)))
@@ -102,7 +100,7 @@ def test_worker_kills_recover_to_identical_streams(shape, plan):
     reports = []
     for drain, fault_plan in (("inproc", None), ("procs", plan)):
         runtime = _stream_runtime(
-            "packed", batch_size=128, shards=2, drain=drain,
+            batch_size=128, drain=drain,
             fault_plan=fault_plan,
             resilience=ResiliencePolicy(max_retries=3),
         )
@@ -125,11 +123,9 @@ def test_fault_plan_degradation_identical_under_proc_drain(name):
         program = compile_carmot(_example_source(name),
                                  name=f"examples/{name}.mc")
         _, runtime = program.run(
-            event_encoding="packed", batch_size=16, pipeline_shards=2,
-            drain=drain,
+            batch_size=16, drain=drain,
             fault_plan=FaultPlan.parse("seed=7;crash@1;drop@2;slow@3:100"),
-            resilience=ResiliencePolicy(max_retries=1, degrade=True,
-                                        max_queue_batches=4),
+            resilience=ResiliencePolicy(max_retries=1, degrade=True),
         )
         return runtime.degradation.to_json(), _psec_json(program, runtime)
 
@@ -144,7 +140,7 @@ def test_retry_exhaustion_still_byte_identical():
     states = []
     for drain, fault_plan in (("inproc", None), ("procs", "seed=7;exit@2!")):
         runtime = _stream_runtime(
-            "packed", batch_size=128, shards=2, drain=drain,
+            batch_size=128, drain=drain,
             fault_plan=fault_plan,
             resilience=ResiliencePolicy(max_retries=1),
         )

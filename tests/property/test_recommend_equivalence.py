@@ -1,8 +1,8 @@
 """Differential testing of the recommendation document.
 
 A warm (cache-served) RecommendationDoc must be byte-identical to the
-cold one that populated the store — across both runtime event encodings,
-both execution engines, and through the service core — and a live
+cold one that populated the store — across both runtime folds (the
+decoder oracle and the kernel), both execution engines, and through the service core — and a live
 (cache-disabled) doc must match both.  Selection and registry state fold
 into the cache key, so distinct selections never alias.
 """
@@ -15,7 +15,8 @@ import pytest
 from repro.service import RecommendRequest, RunOptions, ServiceCore
 from repro.service.core import response_digest
 from repro.session import Session
-from tests.helpers.progen import (
+from tests.helpers.decoder import FOLDS, fold
+from repro.workloads.fuzz import (
     random_pointer_chase_program,
     random_roi_program,
 )
@@ -39,32 +40,33 @@ def _doc(session, source, name, recommenders=None, **kwargs):
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
-@pytest.mark.parametrize("encoding", ["object", "packed"])
+@pytest.mark.parametrize("fold_name", FOLDS)
 @pytest.mark.parametrize("vm", ["ir", "bytecode"])
-def test_warm_doc_byte_identical_to_cold(tmp_path, name, encoding, vm):
+def test_warm_doc_byte_identical_to_cold(tmp_path, name, fold_name, vm):
     source = _example_source(name)
     session = Session(cache_dir=str(tmp_path / "store"))
-    kwargs = {"vm": vm, "event_encoding": encoding}
-    cold, cold_stage = _doc(session, source, name, **kwargs)
-    warm, warm_stage = _doc(session, source, name, **kwargs)
-    live, live_stage = _doc(Session(enabled=False), source, name, **kwargs)
+    with fold(fold_name):
+        cold, cold_stage = _doc(session, source, name, vm=vm)
+        warm, warm_stage = _doc(session, source, name, vm=vm)
+        live, live_stage = _doc(Session(enabled=False), source, name,
+                                vm=vm)
     assert (cold_stage, warm_stage, live_stage) == ("miss", "hit", "miss")
     assert _canon(cold) == _canon(warm) == _canon(live)
 
 
 @pytest.mark.parametrize("name", ["roi_loop"])
 def test_docs_agree_across_engines_and_encodings(tmp_path, name):
-    """Four cold paths — {ir, bytecode} x {object, packed} — produce the
-    same document bytes: the doc depends on the Sets, not on how the
-    runtime observed them."""
+    """Four cold paths — {ir, bytecode} x {decoder oracle, kernel} —
+    produce the same document bytes: the doc depends on the Sets, not on
+    how the runtime observed or folded them."""
     source = _example_source(name)
     docs = set()
     for vm in ("ir", "bytecode"):
-        for encoding in ("object", "packed"):
+        for fold_name in FOLDS:
             session = Session(
-                cache_dir=str(tmp_path / f"{vm}-{encoding}"))
-            doc, _ = _doc(session, source, name, vm=vm,
-                          event_encoding=encoding)
+                cache_dir=str(tmp_path / f"{vm}-{fold_name}"))
+            with fold(fold_name):
+                doc, _ = _doc(session, source, name, vm=vm)
             docs.add(_canon(doc))
     assert len(docs) == 1
 

@@ -1,6 +1,6 @@
 """Differential testing: the serve daemon against the tree-walk oracle.
 
-Seeded random ROI programs (shared generator in ``tests.helpers.progen``)
+Seeded random ROI programs (shared generator in ``repro.workloads.fuzz``)
 are submitted to a live ``repro serve`` daemon running the bytecode
 engine; an in-process :class:`ServiceCore` running the IR tree-walk is
 the oracle.  The PSEC ``sets_digest`` and the full response digest must
@@ -24,7 +24,7 @@ from repro.service import (
 )
 from repro.service.client import wait_for_daemon
 from repro.service.daemon import ServeDaemon
-from tests.helpers.progen import random_roi_program
+from repro.workloads.fuzz import random_roi_program
 
 SEEDS = range(6)
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"

@@ -1,7 +1,7 @@
 """Differential testing: the bytecode engine against the tree-walk oracle.
 
 The IR tree-walk is kept as the differential oracle for the register
-bytecode: on the golden examples (both event encodings), on seeded
+bytecode: on the golden examples (both runtime folds), on seeded
 random MiniC programs, and under fault plans and execution budgets, both
 engines must produce byte-identical profiles, equal run results, and the
 same failure at the same virtual step.
@@ -21,11 +21,12 @@ from repro.errors import BudgetExceeded
 from repro.resilience import FaultPlan, ResiliencePolicy
 from repro.resilience.budgets import ExecutionBudgets
 from repro.runtime.psec_json import serialize_profile
-from tests.helpers.progen import (
+from tests.helpers.decoder import FOLDS, fold
+from repro.workloads.fuzz import (
     random_pointer_chase_program as _random_pointer_chase_program,
 )
-from tests.helpers.progen import random_program as _random_program
-from tests.helpers.progen import random_roi_program as _random_roi_program
+from repro.workloads.fuzz import random_program as _random_program
+from repro.workloads.fuzz import random_roi_program as _random_roi_program
 
 REPO = Path(__file__).resolve().parents[2]
 EXAMPLES = ["roi_loop", "stencil_calls", "anneal_stats"]
@@ -44,12 +45,13 @@ def _run_state(result):
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
-@pytest.mark.parametrize("encoding", ["object", "packed"])
-def test_golden_examples_identical_across_engines(name, encoding):
+@pytest.mark.parametrize("fold_name", FOLDS)
+def test_golden_examples_identical_across_engines(name, fold_name):
     payloads = {}
     for vm in ("ir", "bytecode"):
         program = compile_carmot(_example_source(name), name=name)
-        result, runtime = program.run(vm=vm, event_encoding=encoding)
+        with fold(fold_name):
+            result, runtime = program.run(vm=vm)
         payloads[vm] = (serialize_profile(runtime, result),
                         _run_state(result))
     assert payloads["ir"] == payloads["bytecode"]
@@ -66,7 +68,7 @@ def test_naive_mode_identical_across_engines(name):
     assert payloads["ir"] == payloads["bytecode"]
 
 
-# -- seeded random programs (generator shared via tests.helpers.progen) -------
+# -- seeded random programs (generator shared via repro.workloads.fuzz) -------
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -94,8 +96,8 @@ def test_random_programs_unoptimized_pipeline(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("encoding", ["object", "packed"])
-def test_pointer_chase_identical_across_engines(seed, encoding):
+@pytest.mark.parametrize("fold_name", FOLDS)
+def test_pointer_chase_identical_across_engines(seed, fold_name):
     """The pointer-chase family: every iteration's heap access depends
     on the previous iteration's load, so the chased container carries
     Transfer state — the data-dependent addressing path both engines
@@ -104,7 +106,8 @@ def test_pointer_chase_identical_across_engines(seed, encoding):
     payloads = {}
     for vm in ("ir", "bytecode"):
         program = compile_carmot(source, name=f"chase{seed}")
-        result, runtime = program.run(vm=vm, event_encoding=encoding)
+        with fold(fold_name):
+            result, runtime = program.run(vm=vm)
         payloads[vm] = (serialize_profile(runtime, result),
                         _run_state(result))
     assert payloads["ir"] == payloads["bytecode"]
@@ -160,8 +163,7 @@ def test_tier2_reentry_procs_drain_exit_fault(seed):
 
     def run(vm):
         result, runtime = program.run(
-            vm=vm, event_encoding="packed", batch_size=16,
-            pipeline_shards=2, drain="procs",
+            vm=vm, batch_size=16, drain="procs",
             fault_plan=FaultPlan.parse("seed=3;exit@1"),
             resilience=ResiliencePolicy(max_retries=2),
         )
@@ -174,18 +176,26 @@ def test_tier2_reentry_procs_drain_exit_fault(seed):
 
 
 # -- resilience: faults and budgets -------------------------------------------
+#
+# Oracle against production: the tree-walk run folds through the decoder
+# oracle, the bytecode run through the flat-table kernel.
+
+
+def _oracle_fold(vm):
+    return fold("object" if vm == "ir" else "packed")
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_fault_plan_degradation_identical_across_engines(name):
     def run(vm):
         program = compile_carmot(_example_source(name), name=name)
-        result, runtime = program.run(
-            vm=vm, batch_size=16,
-            fault_plan=FaultPlan.parse("seed=7;crash@1;drop@2;slow@3:100"),
-            resilience=ResiliencePolicy(max_retries=1, degrade=True,
-                                        max_queue_batches=4),
-        )
+        with _oracle_fold(vm):
+            result, runtime = program.run(
+                vm=vm, batch_size=16,
+                fault_plan=FaultPlan.parse(
+                    "seed=7;crash@1;drop@2;slow@3:100"),
+                resilience=ResiliencePolicy(max_retries=1, degrade=True),
+            )
         return (runtime.degradation.to_json(),
                 serialize_profile(runtime, result), _run_state(result))
 
@@ -196,10 +206,12 @@ def test_fault_plan_degradation_identical_across_engines(name):
 def test_event_budget_identical_across_engines(name):
     def run(vm):
         program = compile_carmot(_example_source(name), name=name)
-        result, runtime = program.run(
-            vm=vm, batch_size=16,
-            resilience=ResiliencePolicy(max_events_per_roi=20, degrade=True),
-        )
+        with _oracle_fold(vm):
+            result, runtime = program.run(
+                vm=vm, batch_size=16,
+                resilience=ResiliencePolicy(max_events_per_roi=20,
+                                            degrade=True),
+            )
         return (runtime.degradation.to_json(),
                 serialize_profile(runtime, result), _run_state(result))
 

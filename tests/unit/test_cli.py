@@ -116,3 +116,17 @@ class TestErrors:
 
     def test_help_without_command(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--event-encoding", "object"], "unrecognized arguments"),
+        (["--pipeline-shards", "2"], "unrecognized arguments"),
+        (["--drain", "threads"], "invalid choice: 'threads'"),
+    ])
+    def test_removed_runtime_flags_are_usage_errors(self, source_file,
+                                                    capsys, flags, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["psec", source_file] + flags)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err

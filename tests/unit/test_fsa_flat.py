@@ -2,12 +2,12 @@
 
 The packed fold walks ``FLAT_TRANSITIONS`` directly instead of the enum
 table, and capture-side run merging collapses repeated identical accesses
-into one row replayed with a single non-fresh step.  These tests pin the
+into one row whose repeats add no FSA step.  These tests pin the
 two representations together and prove (exhaustively — the table is tiny)
 the algebraic properties that make run merging exact:
 
-1. one non-fresh step reaches a fixpoint of the table, so *k* merged
-   repeats need exactly one extra step, for any *k*;
+1. every step reaches a fixpoint of the non-fresh event of its kind, so
+   *k* merged repeats of a row add no step, for any *k*;
 2. non-fresh runs are confluent: the final state depends only on the
    multiset of events, not their order, so same-key anchors may replay
    their repeats early.
@@ -69,6 +69,19 @@ class TestRunMergingProperties:
                 if nxt < 0:
                     continue
                 assert fsa.FLAT_TRANSITIONS[nxt * fsa.N_EVENTS + e] == nxt
+
+    def test_every_step_lands_on_a_nonfresh_fixpoint(self):
+        """flat[flat[s, e], e'] == flat[s, e], where e' is the non-fresh
+        event of e's kind: a merged row's repeats never move the state
+        its first event reached, so the fold applies one step per row."""
+        for s in range(len(fsa.STATES)):
+            for e in range(fsa.N_EVENTS):
+                nxt = fsa.FLAT_TRANSITIONS[s * fsa.N_EVENTS + e]
+                if nxt < 0:
+                    continue
+                repeat = (e % 2) + 2  # RN for reads, WN for writes
+                assert fsa.FLAT_TRANSITIONS[
+                    nxt * fsa.N_EVENTS + repeat] == nxt
 
     def test_nonfresh_runs_are_confluent(self):
         """Any interleaving of a non-fresh read/write multiset ends in the

@@ -1,204 +1,85 @@
 """Unit tests for the batching pipeline (§4.6)."""
 
-import threading
-import time
-
 import pytest
 
 from repro.errors import RuntimeToolError
-from repro.runtime.pipeline import Batch, BatchingPipeline
+from repro.runtime.config import RuntimeConfig
+from repro.runtime.pipeline import BatchingPipeline
 
 
-def make_pipeline(batch_size=4, threaded=False, workers=2, fail_on=None):
-    processed = []
+def make_pipeline(fail_on=None):
     postprocessed = []
 
-    def process(batch):
+    def postprocess(batch):
         if fail_on is not None and fail_on in batch.events:
             raise ValueError(f"boom on {fail_on}")
-        processed.append(list(batch.events))
-        return batch
-
-    def postprocess(batch):
         postprocessed.extend(batch.events)
 
-    pipeline = BatchingPipeline(batch_size, process, postprocess,
-                                threaded=threaded, worker_count=workers)
-    return pipeline, processed, postprocessed
+    return BatchingPipeline(postprocess), postprocessed
+
+
+def push_all(pipeline, items, size):
+    """Ship ``items`` as consecutive blocks of ``size`` events."""
+    for start in range(0, len(items), size):
+        pipeline.push_block(list(items[start:start + size]))
 
 
 class TestDeterministicMode:
     def test_batches_fill_and_flush(self):
-        pipeline, processed, post = make_pipeline(batch_size=3)
-        for i in range(7):
-            pipeline.push(i)
+        pipeline, post = make_pipeline()
+        push_all(pipeline, range(7), 3)
         pipeline.close()
         assert post == list(range(7))
         assert pipeline.batches_processed == 3  # 3 + 3 + 1
 
     def test_empty_close_is_noop(self):
-        pipeline, _, post = make_pipeline()
+        pipeline, post = make_pipeline()
         pipeline.close()
         assert post == []
         assert pipeline.batches_processed == 0
 
-    def test_flush_partial_batch(self):
-        pipeline, _, post = make_pipeline(batch_size=100)
-        pipeline.push("a")
-        pipeline.flush()
+    def test_empty_block_is_skipped(self):
+        pipeline, post = make_pipeline()
+        pipeline.push_block([])
+        pipeline.push_block(["a"])
+        pipeline.close()
         assert post == ["a"]
+        assert pipeline.batches_processed == 1
 
     def test_events_seen_counter(self):
-        pipeline, _, _ = make_pipeline(batch_size=2)
-        for i in range(5):
-            pipeline.push(i)
+        pipeline, _ = make_pipeline()
+        push_all(pipeline, range(5), 2)
         assert pipeline.events_seen == 5
 
     def test_invalid_batch_size(self):
         with pytest.raises(RuntimeToolError):
-            BatchingPipeline(0, lambda b: b, lambda b: None)
-
-
-class TestThreadedMode:
-    def test_order_preserved_across_workers(self):
-        pipeline, _, post = make_pipeline(batch_size=5, threaded=True,
-                                          workers=4)
-        for i in range(103):
-            pipeline.push(i)
-        pipeline.close()
-        assert post == list(range(103))
-
-    def test_single_worker(self):
-        pipeline, _, post = make_pipeline(batch_size=2, threaded=True,
-                                          workers=1)
-        for i in range(9):
-            pipeline.push(i)
-        pipeline.close()
-        assert post == list(range(9))
-
-    def test_worker_error_surfaces_on_close(self):
-        pipeline, _, _ = make_pipeline(batch_size=1, threaded=True,
-                                       workers=2, fail_on=3)
-        for i in range(6):
-            pipeline.push(i)
-        with pytest.raises(Exception):
-            pipeline.close()
-
-    def test_large_volume(self):
-        pipeline, _, post = make_pipeline(batch_size=64, threaded=True,
-                                          workers=3)
-        for i in range(10_000):
-            pipeline.push(i)
-        pipeline.close()
-        assert post == list(range(10_000))
-
-    def test_bounded_queue_block_policy_completes(self):
-        """A 1-slot queue applies backpressure but loses nothing."""
-        processed = []
-        bounded = BatchingPipeline(
-            8, lambda b: b, lambda b: processed.extend(b.events),
-            threaded=True, worker_count=2, max_queue_batches=1,
-        )
-        for i in range(500):
-            bounded.push(i)
-        bounded.close()
-        assert processed == list(range(500))
+            RuntimeConfig(batch_size=0)
 
 
 class TestCloseSemantics:
     def test_push_after_close_raises(self):
-        pipeline, _, _ = make_pipeline()
+        pipeline, _ = make_pipeline()
         pipeline.close()
         with pytest.raises(RuntimeToolError):
-            pipeline.push("late")
-
-    def test_flush_after_close_raises(self):
-        pipeline, _, _ = make_pipeline(threaded=True)
-        pipeline.close()
-        with pytest.raises(RuntimeToolError):
-            pipeline.flush()
+            pipeline.push_block(["late"])
 
     def test_close_is_idempotent(self):
-        pipeline, _, post = make_pipeline(batch_size=2)
-        for i in range(5):
-            pipeline.push(i)
+        pipeline, post = make_pipeline()
+        push_all(pipeline, range(5), 2)
         pipeline.close()
         pipeline.close()  # no error, no double-processing
         assert post == list(range(5))
         assert pipeline.batches_processed == 3
 
     def test_second_close_does_not_swallow_pending_error(self):
-        pipeline, _, _ = make_pipeline(batch_size=1, threaded=True,
-                                       workers=2, fail_on=0)
-        pipeline.push(0)
+        pipeline, _ = make_pipeline(fail_on=0)
+        with pytest.raises(ValueError):
+            pipeline.push_block([0])
+        # The error is retained: later pushes and every close re-raise
+        # instead of treating the half-folded run as complete.
+        with pytest.raises(ValueError):
+            pipeline.push_block([1])
         with pytest.raises(ValueError):
             pipeline.close()
-        # The error is retained: closing again re-raises instead of
-        # silently succeeding.
         with pytest.raises(ValueError):
-            pipeline.close()
-
-
-class TestThreadedErrorPaths:
-    def _wait_for_error(self, pipeline, filler, timeout=5.0):
-        """Push until the stored worker error surfaces (or time out)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            pipeline.push(filler)
-            time.sleep(0.001)
-        raise AssertionError("worker error never surfaced on push()")
-
-    def test_worker_crash_surfaces_on_next_push(self):
-        pipeline, _, _ = make_pipeline(batch_size=1, threaded=True,
-                                       workers=2, fail_on="bad")
-        pipeline.push("bad")
-        with pytest.raises(ValueError, match="boom"):
-            self._wait_for_error(pipeline, "ok")
-
-    def test_worker_crash_surfaces_on_flush(self):
-        pipeline, _, _ = make_pipeline(batch_size=1, threaded=True,
-                                       workers=1, fail_on="bad")
-        pipeline.push("bad")
-        deadline = time.monotonic() + 5.0
-        with pytest.raises(ValueError, match="boom"):
-            while time.monotonic() < deadline:
-                pipeline.flush()
-                time.sleep(0.001)
-            raise AssertionError("error never surfaced on flush()")
-
-    def test_crash_in_postprocess_surfaces(self):
-        def postprocess(batch):
-            if "bad" in batch.events:
-                raise RuntimeError("postprocess boom")
-
-        pipeline = BatchingPipeline(1, lambda b: b, postprocess,
-                                    threaded=True, worker_count=2)
-        pipeline.push("ok")
-        pipeline.push("bad")
-        with pytest.raises(RuntimeError, match="postprocess boom"):
-            pipeline.close()
-
-    def test_sequence_gap_detected_at_close(self):
-        """A batch that vanishes (worker died without reporting) leaves a
-        sequence gap that close() must detect."""
-        started = threading.Event()
-        gate = threading.Event()
-
-        def process(batch):
-            started.set()
-            gate.wait(timeout=5.0)
-            return batch
-
-        pipeline = BatchingPipeline(1, process, lambda b: None,
-                                    threaded=True, worker_count=1)
-        pipeline.push(0)           # worker takes batch 0 and blocks
-        assert started.wait(timeout=5.0)
-        pipeline.push(1)
-        pipeline.push(2)
-        # Simulate a worker dying with a batch in hand: batch 1 is pulled
-        # from the queue and never processed.
-        stolen = pipeline._queue.get_nowait()
-        assert stolen.seq == 1
-        gate.set()
-        with pytest.raises(RuntimeToolError, match="unprocessed batches"):
             pipeline.close()

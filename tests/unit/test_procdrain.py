@@ -116,8 +116,6 @@ def run_stream(drain, n_events=300, batch_size=16, **config_kwargs):
         shadow_callstacks=True,
         inline_processing=False,
         batch_size=batch_size,
-        event_encoding="packed",
-        pipeline_shards=2,
         drain=drain,
         **config_kwargs,
     ))
@@ -227,8 +225,6 @@ class TestProcDrainEngine:
             shadow_callstacks=True,
             inline_processing=False,
             batch_size=16,
-            event_encoding="packed",
-            pipeline_shards=2,
             drain="procs",
             resilience=ResiliencePolicy(max_retries=2, heartbeat_ms=2,
                                         worker_deadline_ms=300),
@@ -257,27 +253,27 @@ class TestProcDrainEngine:
 
 
 class TestDrainConfig:
-    def test_procs_requires_packed_encoding(self):
-        with pytest.raises(ValueError, match="packed"):
-            RuntimeConfig(drain="procs")
-
     def test_unknown_drain_rejected(self):
-        with pytest.raises(ValueError, match="unknown drain"):
-            RuntimeConfig(drain="fibers", event_encoding="packed")
+        for drain in ("fibers", "threads", "auto"):
+            with pytest.raises(ValueError, match="unknown drain"):
+                RuntimeConfig(drain=drain)
 
     def test_cli_implies_packed_and_rejects_object(self):
+        """Packed is the only encoding: ``--drain procs`` needs no
+        companion flag, and the removed ``--event-encoding`` is an
+        argparse error, not a traceback."""
         import argparse
 
-        from repro.errors import ReproError
+        from repro.cli import build_parser
         from repro.service import RunOptions
 
         implied = RunOptions.from_args(
             argparse.Namespace(drain="procs")
         ).run_kwargs()
-        assert implied["event_encoding"] == "packed"
-        explicit = RunOptions.from_args(
-            argparse.Namespace(drain="procs", event_encoding="packed")
-        ).run_kwargs()
-        assert explicit["drain"] == "procs"
-        with pytest.raises(ReproError, match="cannot combine"):
-            RunOptions(drain="procs", event_encoding="object").run_kwargs()
+        assert implied == {"drain": "procs"}
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["psec", "x.mc", "--drain", "procs",
+                 "--event-encoding", "object"]
+            )
+        assert exit_info.value.code == 2

@@ -1,7 +1,5 @@
 """Unit tests for the resilience subsystem: fault injection, budgets,
-backpressure, and degraded-mode PSEC."""
-
-import threading
+retries, and degraded-mode PSEC."""
 
 import pytest
 
@@ -48,10 +46,9 @@ int main() {
 """
 
 
-def run_roi_loop(batch_size=16, threaded=False, **kwargs):
+def run_roi_loop(batch_size=16, **kwargs):
     program = compile_carmot(ROI_LOOP, name="roi_loop")
-    result, runtime = program.run(batch_size=batch_size, threaded=threaded,
-                                  **kwargs)
+    result, runtime = program.run(batch_size=batch_size, **kwargs)
     return result, runtime
 
 
@@ -123,11 +120,9 @@ class TestBudgetSpecParsing:
     def test_parse_full_syntax(self):
         spec = parse_budget_spec(
             "steps=5000000,heap=1048576,depth=256,events-per-roi=20000,"
-            "queue=64,policy=shed,retries=2,backoff=50,degrade=1"
+            "retries=2,backoff=50,degrade=1"
         )
         assert spec.vm == ExecutionBudgets(5_000_000, 1_048_576, 256)
-        assert spec.runtime.max_queue_batches == 64
-        assert spec.runtime.queue_policy == "shed"
         assert spec.runtime.max_retries == 2
         assert spec.runtime.retry_backoff == 50
         assert spec.runtime.degrade
@@ -144,6 +139,14 @@ class TestBudgetSpecParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(RuntimeToolError, match="unknown budget key"):
             parse_budget_spec("fuel=9")
+
+    @pytest.mark.parametrize("entry", ["queue=64", "policy=block",
+                                       "policy=shed"])
+    def test_queue_keys_rejected(self, entry):
+        """The profiling pipeline has no queue: ``queue``/``policy`` are
+        unknown budget keys, not silently ignored ones."""
+        with pytest.raises(RuntimeToolError, match="unknown budget key"):
+            parse_budget_spec(f"retries=1,{entry},degrade=1")
 
     def test_negative_value_rejected(self):
         with pytest.raises(RuntimeToolError):
@@ -208,7 +211,7 @@ def resilient_pipeline(plan=None, **kwargs):
     post = []
     degraded = []
     pipeline = BatchingPipeline(
-        4, lambda b: b, lambda b: post.extend(b.events),
+        lambda b: post.extend(b.events),
         injector=FaultInjector(plan) if plan else None,
         on_degraded=lambda b, failure: degraded.append((b.seq, failure[0])),
         **kwargs,
@@ -216,13 +219,18 @@ def resilient_pipeline(plan=None, **kwargs):
     return pipeline, post, degraded
 
 
+def push_events(pipeline, n, batch_size=4):
+    """Ship events 0..n-1 as consecutive ``batch_size``-event blocks."""
+    for start in range(0, n, batch_size):
+        pipeline.push_block(list(range(start, min(n, start + batch_size))))
+
+
 class TestPipelineResilience:
     def test_retry_recovers_injected_crash(self):
         plan = FaultPlan(specs=(FaultSpec(FaultKind.WORKER_CRASH, 1),))
         pipeline, post, degraded = resilient_pipeline(plan, max_retries=1,
                                                       retry_backoff=10)
-        for i in range(12):
-            pipeline.push(i)
+        push_events(pipeline, 12)
         pipeline.close()
         assert post == list(range(12))  # nothing lost
         assert pipeline.retries == 1
@@ -235,8 +243,7 @@ class TestPipelineResilience:
         ))
         pipeline, post, degraded = resilient_pipeline(plan, max_retries=2,
                                                       degrade=True)
-        for i in range(12):
-            pipeline.push(i)
+        push_events(pipeline, 12)
         pipeline.close()
         assert degraded == [(1, "worker_crash")]
         assert post == [0, 1, 2, 3, 8, 9, 10, 11]  # batch 1 fell back
@@ -247,54 +254,23 @@ class TestPipelineResilience:
         plan = FaultPlan(specs=(FaultSpec(FaultKind.WORKER_CRASH, 0),))
         pipeline, _, _ = resilient_pipeline(plan)
         with pytest.raises(FaultInjected):
-            for i in range(4):
-                pipeline.push(i)
+            push_events(pipeline, 4)
 
     def test_drop_without_degrade_raises(self):
         plan = FaultPlan(specs=(FaultSpec(FaultKind.BATCH_DROP, 0),))
         pipeline, _, _ = resilient_pipeline(plan)
         with pytest.raises(RuntimeToolError, match="injected drop"):
-            for i in range(4):
-                pipeline.push(i)
+            push_events(pipeline, 4)
 
     def test_slow_batch_charges_virtual_time(self):
         plan = FaultPlan(specs=(FaultSpec(FaultKind.SLOW_BATCH, 1,
                                           delay=250),))
         pipeline, post, _ = resilient_pipeline(plan)
-        for i in range(12):
-            pipeline.push(i)
+        push_events(pipeline, 12)
         pipeline.close()
         assert post == list(range(12))
         assert pipeline.virtual_delay == 250
         assert pipeline.slow_batches == [(1, 250)]
-
-    def test_shed_policy_sheds_when_queue_full(self):
-        started = threading.Event()
-        gate = threading.Event()
-        post = []
-        degraded = []
-
-        def process(batch):
-            started.set()
-            gate.wait(timeout=5.0)
-            return batch
-
-        pipeline = BatchingPipeline(
-            1, process, lambda b: post.extend(b.events),
-            threaded=True, worker_count=1, max_queue_batches=1,
-            queue_policy="shed", degrade=True,
-            on_degraded=lambda b, failure: degraded.append(
-                (b.seq, failure[0])),
-        )
-        pipeline.push("a")          # worker takes batch 0 and blocks
-        assert started.wait(timeout=5.0)
-        pipeline.push("b")          # fills the 1-slot queue
-        pipeline.push("c")          # queue full: shed into degraded mode
-        gate.set()
-        pipeline.close()
-        assert pipeline.batches_shed == 1
-        assert degraded == [(2, "shed")]
-        assert post == ["a", "b"]
 
 
 # -- engine-level degraded-mode PSEC -----------------------------------------
@@ -361,22 +337,18 @@ class TestDegradedPsec:
             set(map(tuple, clean_sets["cloneable"]))
 
     def test_fault_determinism_same_seed_identical_reports(self):
-        def run_once(threaded):
+        def run_once():
             plan = FaultPlan.parse("seed=7;crash@1;drop@2;slow@3:100")
             _, runtime = run_roi_loop(
-                threaded=threaded, fault_plan=plan,
-                resilience=ResiliencePolicy(max_retries=1, degrade=True,
-                                            max_queue_batches=4),
+                fault_plan=plan,
+                resilience=ResiliencePolicy(max_retries=1, degrade=True),
             )
             return runtime.degradation.to_json(), sets_of(runtime)
 
-        report_a, sets_a = run_once(False)
-        report_b, sets_b = run_once(False)
+        report_a, sets_a = run_once()
+        report_b, sets_b = run_once()
         assert report_a == report_b  # byte-identical
         assert sets_a == sets_b
-        report_threaded, sets_threaded = run_once(True)
-        assert report_threaded == report_a
-        assert sets_threaded == sets_a
 
     def test_require_complete(self):
         plan = FaultPlan(specs=(FaultSpec(FaultKind.WORKER_CRASH, 1),))

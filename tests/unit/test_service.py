@@ -62,6 +62,15 @@ LOOP_SOURCE = (
 ).read_text()
 
 
+#: Run options off the wire that name removed runtime knobs: the object
+#: event encoding, thread shards, and the threads drain.
+REMOVED_OPTIONS = [
+    ({"event_encoding": "object"}, "unknown run option(s): event_encoding"),
+    ({"pipeline_shards": 2}, "unknown run option(s): pipeline_shards"),
+    ({"drain": "threads"}, "drain must be one of ('inproc', 'procs')"),
+]
+
+
 class TestRunOptions:
     def test_defaults_round_trip_empty(self):
         options = RunOptions()
@@ -84,17 +93,19 @@ class TestRunOptions:
         {"vm": "jit"},
         {"prescreen": "yes"},
         {"drain": "boats"},
-        {"event_encoding": "protobuf"},
+        {"drain": "threads"},
     ])
     def test_bad_enum_values_rejected(self, kwargs):
         with pytest.raises(ReproError):
             RunOptions(**kwargs)
 
     def test_drain_implies_packed_encoding(self):
-        kwargs = RunOptions(drain="threads").run_kwargs()
-        assert kwargs["event_encoding"] == "packed"
-        with pytest.raises(ReproError, match="cannot combine"):
-            RunOptions(drain="procs", event_encoding="object").run_kwargs()
+        """Both drains fold packed blocks, the only event encoding: a
+        drain needs no companion option, and there is no encoding option
+        left to set."""
+        assert RunOptions(drain="procs").run_kwargs() == {"drain": "procs"}
+        with pytest.raises(ReproError, match="unknown run option"):
+            RunOptions.from_doc({"drain": "procs", "event_encoding": "object"})
 
     def test_uninstrumented_pipeline_rejected(self):
         with pytest.raises(ReproError, match="no instrumenter"):
@@ -181,6 +192,15 @@ class TestServiceCore:
         doc = core.execute_doc({"kind": "nope", "source": "s"})
         assert doc["ok"] is False
         assert "unknown request kind" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("options, message", REMOVED_OPTIONS)
+    def test_removed_options_get_error_envelope(self, tmp_path, options,
+                                                message):
+        core = ServiceCore(cache_dir=str(tmp_path / "cache"))
+        doc = core.execute_doc({"kind": "psec", "source": ROI_SOURCE,
+                                "name": "unit", "options": options})
+        assert doc == error_response("psec", "error", doc["error"]["message"])
+        assert message in doc["error"]["message"]
 
     def test_namespaced_cores_do_not_share_cache(self, tmp_path):
         cache = str(tmp_path / "cache")

@@ -189,7 +189,7 @@ class TestKeys:
             doc(args=(3,)),
             doc(max_instructions=999),
             doc(budgets=ExecutionBudgets(5000, 1024, 16)),
-            doc(config_kwargs={"event_encoding": "object"}),
+            doc(config_kwargs={"drain": "procs"}),
             doc(config_kwargs={"batch_size": 7}),
             doc(config_kwargs={"fault_plan": "seed=42;crash@3"}),
         ):

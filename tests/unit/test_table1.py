@@ -3,7 +3,6 @@ the recommender registry and checked cell by cell against the paper."""
 
 import pytest
 
-from repro.abstractions import ABSTRACTION_REQUIREMENTS
 from repro.harness import table1
 from repro.recommend import table1_requirements
 from repro.runtime.config import NAIVE_POLICIES, POLICIES
@@ -29,11 +28,6 @@ class TestTable1Cells:
         """Role-driven recommenders carry no ``paper_name`` and must not
         leak into the regenerated table."""
         assert set(table1_requirements()) == set(PAPER_TABLE1)
-
-    def test_registry_backs_the_legacy_constant(self):
-        """``ABSTRACTION_REQUIREMENTS`` is now a registry view — same
-        rows, same cells, resolved through the recommender declarations."""
-        assert ABSTRACTION_REQUIREMENTS == table1_requirements()
 
 
 class TestPoliciesFollowTable1:
