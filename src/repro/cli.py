@@ -189,7 +189,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     report = run_bench(quick=args.quick, seed=args.seed,
                        vm_min_speedup=args.vm_min_speedup,
-                       proc_min_speedup=args.proc_min_speedup,
                        serve_min_speedup=args.serve_min_speedup)
     print(render_bench(report))
     if args.out != "-":
@@ -242,14 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="pipeline batch size (smaller values create more batches "
                  "— useful with --fault-plan, whose faults target batch "
                  "sequence numbers)",
-        )
-        p.add_argument(
-            "--drain", default=None, choices=["inproc", "procs"],
-            help="packed-batch drain: the in-process flat fold (default) "
-                 "or supervised worker processes (one per CPU, two to "
-                 "four) over shared-memory rings with crash recovery "
-                 "(combine with --fault-plan 'exit@N' and --budget "
-                 "'retries=...' to exercise worker-kill replay)",
         )
         p.add_argument(
             "--vm", default="bytecode", choices=["bytecode", "ir"],
@@ -417,21 +408,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="runtime hot-path benchmark (event streams, drains, VM, "
-             "cache, serve)",
-        epilog="Gates: every stream's PSEC digest must match across the "
-               "in-process and procs drains; --vm-min-speedup (default "
-               "3.5) covers the "
+        help="runtime hot-path benchmark (event streams, VM, cache, "
+             "serve)",
+        epilog="Gates: --vm-min-speedup (default 3.5) covers the "
                "vm_dispatch leg — the tier-2 bytecode engine vs the IR "
                "tree-walk oracle, with byte-identical PSEC digests "
                "required and fused_sites/quickened_ops/dequicken_count "
-               "reported on the vm_tier2 line; --proc-min-speedup covers "
-               "the packed_procs drain leg (report-only by default); "
-               "--serve-min-speedup gates warm vs cold sustained req/s "
-               "through the serve daemon, with response digests required "
-               "identical to the in-process service core. "
-               "Every stream leg of the JSON report embeds its drain "
-               "meta (workers, batches, respawns, replays).",
+               "reported on the vm_tier2 line; --serve-min-speedup gates "
+               "warm vs cold sustained req/s through the serve daemon, "
+               "with response digests required identical to the "
+               "in-process service core.  Each event-stream leg reports "
+               "the in-process fold's ns/event and its PSEC digest.",
     )
     bench.add_argument("--quick", action="store_true",
                        help="smaller streams and one workload (CI smoke)")
@@ -443,13 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(with byte-identical PSEC digests); default "
                             "3.5 — pass a lower floor on noisy shared "
                             "runners")
-    bench.add_argument("--proc-min-speedup", type=float, default=0.0,
-                       metavar="X",
-                       help="fail unless the packed_procs leg beats the "
-                            "in-process fold by X (0 = report-only; the "
-                            "gate is skipped automatically on single-core "
-                            "hosts — digest equality and crash recovery "
-                            "are always enforced)")
     bench.add_argument("--serve-min-speedup", type=float, default=3.0,
                        metavar="X",
                        help="fail unless warm daemon requests sustain X "

@@ -4,9 +4,8 @@ Two workload families feed ``BENCH_runtime.json``:
 
 - **event stream** — a synthetic, seeded access stream drives the
   runtime's ``packed_access`` sink directly, isolating event capture,
-  batching, and the FSA fold (events/sec, ns/event).  Each stream is
-  folded in-process and by the process drain; both must produce
-  byte-identical PSEC sets (the ``digest`` field).
+  batching, and the FSA fold (events/sec, ns/event).  The ``digest``
+  field pins each stream's PSEC sets.
 - **workloads** — representative programs end-to-end under
   baseline / naive / carmot: cost-model overhead ratios (deterministic)
   plus wall-clock throughput.
@@ -37,7 +36,6 @@ from repro.ir.instructions import SourceLoc, VarInfo
 from repro.ir.module import Module
 from repro.lang import types as ct
 from repro.lang.tokens import SourcePos
-from repro.resilience import FaultPlan, ResiliencePolicy
 from repro.runtime.config import RuntimeConfig, policy_for
 from repro.runtime.engine import CarmotRuntime
 from repro.vm.bytecode import (
@@ -84,7 +82,7 @@ def _make_stream(
 ) -> Tuple[List[Tuple[int, int, int, int, int, int, int]],
            Dict[int, Optional[VarInfo]], List[SourceLoc],
            List[Tuple[str, ...]]]:
-    """One seeded, loop-shaped op stream replayed under every drain.
+    """One seeded, loop-shaped op stream for the runtime's packed sink.
 
     Profiled programs spend their ROIs in loops, so the stream is built
     from *phases*: each phase fixes a loop-body roster of access sites —
@@ -142,32 +140,13 @@ def _make_stream(
     return ops[:n_events], vars_by_obj, locs, callstacks
 
 
-def _stream_runtime(batch_size: int, drain: str = "inproc",
-                    fault_plan: Optional[str] = None,
-                    resilience: Optional[ResiliencePolicy] = None,
-                    ) -> CarmotRuntime:
+def _stream_runtime(batch_size: int) -> CarmotRuntime:
     return CarmotRuntime(_bench_module(), RuntimeConfig(
         policy=policy_for("parallel_for"),
         shadow_callstacks=True,
         inline_processing=False,
         batch_size=batch_size,
-        drain=drain,
-        fault_plan=FaultPlan.parse(fault_plan) if fault_plan else None,
-        resilience=resilience or ResiliencePolicy(),
     ))
-
-
-def _drain_meta(runtime: CarmotRuntime) -> Dict[str, object]:
-    """Per-leg drain counters (satellite of the process-drain work): which
-    drain folded the batches, whether the run needed fail-soft
-    intervention, and how much crash-recovery traffic it absorbed."""
-    stats = runtime.drain_stats
-    return {
-        "mode": stats["mode"],
-        "degraded": runtime.degradation.degraded,
-        "replays": stats["replays"],
-        "worker_respawns": stats["worker_respawns"],
-    }
 
 
 def _resolve_ops(ops, vars_by_obj, locs, callstacks, runtime: CarmotRuntime):
@@ -216,74 +195,24 @@ def _digest(runtime: CarmotRuntime) -> str:
 
 
 def _measure_stream(ops, vars_by_obj, locs, callstacks,
-                    batch_size: int, invocation_len: int, repeats: int,
-                    drain: str = "inproc") -> Dict[str, object]:
+                    batch_size: int, invocation_len: int,
+                    repeats: int) -> Dict[str, object]:
     best = None
     digest = None
-    drain_meta = None
     for _ in range(repeats):
-        runtime = _stream_runtime(batch_size, drain)
+        runtime = _stream_runtime(batch_size)
         resolved = _resolve_ops(ops, vars_by_obj, locs, callstacks, runtime)
         start = time.perf_counter()
         _replay_packed(runtime, resolved, invocation_len)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
         digest = _digest(runtime)
-        drain_meta = _drain_meta(runtime)
     n = len(ops)
     return {
         "elapsed_s": round(best, 6),
         "events_per_sec": round(n / best, 1),
         "ns_per_event": round(best * 1e9 / n, 1),
         "digest": digest,
-        "drain": drain_meta,
-    }
-
-
-def _measure_proc_recovery(seed: int, batch_size: int,
-                           invocation_len: int) -> Dict[str, object]:
-    """Crash-recovery leg: the process drain under a worker-kill plan.
-
-    A small seeded stream runs once in-process (the oracle digest) and
-    once under ``--drain procs`` with a fault plan that SIGKILLs a shard
-    worker at two planned batches.  Recovery must be *exact*: the PSEC
-    digest matches the oracle byte for byte, the degradation report stays
-    empty (recovered respawns are not degradation), and the supervisor
-    actually exercised the respawn/replay path.
-    """
-    ops, vars_by_obj, locs, callstacks = _make_stream(
-        seed, 8_000, "mixed_loop"
-    )
-    oracle = _measure_stream(
-        ops, vars_by_obj, locs, callstacks, batch_size, invocation_len,
-        repeats=1,
-    )
-    plan = f"seed={seed};exit@1;exit@3"
-    start = time.perf_counter()
-    runtime = _stream_runtime(
-        batch_size, drain="procs", fault_plan=plan,
-        resilience=ResiliencePolicy(max_retries=3),
-    )
-    resolved = _resolve_ops(ops, vars_by_obj, locs, callstacks, runtime)
-    _replay_packed(runtime, resolved, invocation_len)
-    wall = time.perf_counter() - start
-    digest = _digest(runtime)
-    meta = _drain_meta(runtime)
-    return {
-        "n_events": len(ops),
-        "batch_size": batch_size,
-        "fault_plan": plan,
-        "wall_s": round(wall, 4),
-        "digest": digest,
-        "oracle_digest": oracle["digest"],
-        "digest_identical": digest == oracle["digest"],
-        "report_empty": not runtime.degradation.degraded,
-        "drain": meta,
-        "recovered": bool(
-            digest == oracle["digest"]
-            and not runtime.degradation.degraded
-            and meta["worker_respawns"] >= 1
-        ),
     }
 
 
@@ -319,7 +248,6 @@ def _measure_workload(workload) -> List[Dict[str, object]]:
             "overhead_x": round(result.cost / base.cost, 2),
             "wall_s": round(wall, 4), "events": events,
             "events_per_sec": round(events / wall, 1) if wall else None,
-            "drain": _drain_meta(runtime),
         })
     return rows
 
@@ -532,12 +460,10 @@ def _measure_vm_dispatch(quick: bool, repeats: int) -> Dict[str, object]:
     dequicken_count = dequicken_module(bc)
 
     digests = {}
-    drain_meta = None
     for vm in ("ir", "bytecode"):
         carmot = compile_carmot(_VM_ROI_SOURCE, name="vm_roi")
         _, runtime = carmot.run(vm=vm)
         digests[vm] = _digest(runtime)
-        drain_meta = _drain_meta(runtime)
     psec_identical = digests["ir"] == digests["bytecode"]
 
     from repro.session import Session
@@ -568,7 +494,6 @@ def _measure_vm_dispatch(quick: bool, repeats: int) -> Dict[str, object]:
         "codegen_warm_hit": codegen_warm_hit,
         "stages_cold": cold.stages,
         "stages_warm": warm.stages,
-        "drain": drain_meta,
     }
 
 
@@ -808,7 +733,6 @@ def run_bench(
     quick: bool = False,
     seed: int = 1234,
     vm_min_speedup: float = 3.5,
-    proc_min_speedup: float = 0.0,
     serve_min_speedup: float = 3.0,
 ) -> Dict[str, object]:
     """Run both families and return the ``BENCH_runtime.json`` payload."""
@@ -824,32 +748,13 @@ def run_bench(
         ops, vars_by_obj, locs, callstacks = _make_stream(
             seed, n_events, shape
         )
-        drains: Dict[str, Dict[str, object]] = {
-            "inproc": _measure_stream(
-                ops, vars_by_obj, locs, callstacks,
-                batch_size, invocation_len, repeats,
-            ),
-            # The process drain forks a worker pool per runtime, so
-            # min-of-2 is enough; the digest gate (not the timing) is the
-            # hard check.
-            "procs": _measure_stream(
-                ops, vars_by_obj, locs, callstacks,
-                batch_size, invocation_len, min(repeats, 2), drain="procs",
-            ),
-        }
-        digests = {e["digest"] for e in drains.values()}
         streams[shape] = {
             "n_events": n_events,
             "batch_size": batch_size,
             "invocations": n_events // invocation_len,
-            "drains": drains,
-            "speedup_procs_vs_inproc": round(
-                drains["procs"]["events_per_sec"]
-                / drains["inproc"]["events_per_sec"], 2
-            ),
-            "digests_match": len(digests) == 1,
+            **_measure_stream(ops, vars_by_obj, locs, callstacks,
+                              batch_size, invocation_len, repeats),
         }
-    digests_match = all(s["digests_match"] for s in streams.values())
 
     names = _QUICK_WORKLOADS if quick else _BENCH_WORKLOADS
     by_name = {w.name: w for w in ALL_WORKLOADS}
@@ -887,26 +792,6 @@ def run_bench(
         for row in prescreen_rows
     )
 
-    recovery_row = _measure_proc_recovery(seed, batch_size=256,
-                                          invocation_len=invocation_len)
-    procs_digest_equal = all(
-        s["drains"]["procs"]["digest"] == s["drains"]["inproc"]["digest"]
-        for s in streams.values()
-    )
-    procs_speedup = max(
-        s["speedup_procs_vs_inproc"] for s in streams.values()
-    )
-    # Timing is only meaningful with real parallelism: the speedup gate
-    # applies when asked for (proc_min_speedup > 0) AND the host has a
-    # second core; single-core hosts report the ratio but never fail on
-    # it (the digest and recovery gates always apply).
-    procs_speedup_gated = proc_min_speedup > 0 and (os.cpu_count() or 1) >= 2
-    procs_ok = bool(
-        procs_digest_equal
-        and recovery_row["recovered"]
-        and (not procs_speedup_gated or procs_speedup >= proc_min_speedup)
-    )
-
     serve_row = _measure_serve()
     serve_ok = bool(
         serve_row["digest_identical"]
@@ -923,7 +808,6 @@ def run_bench(
     )
 
     checks = {
-        "digests_match": digests_match,
         "cache_min_speedup": _CACHE_MIN_SPEEDUP,
         "cache_speedup": cache_speedup,
         "cache_payload_identical": all(
@@ -935,12 +819,6 @@ def run_bench(
         "vm_psec_digest_identical": vm_row["psec_digest_identical"],
         "vm_codegen_warm_hit": vm_row["codegen_warm_hit"],
         "vm_ok": vm_ok,
-        "proc_min_speedup": proc_min_speedup,
-        "procs_speedup": procs_speedup,
-        "procs_speedup_gated": procs_speedup_gated,
-        "procs_digest_equal": procs_digest_equal,
-        "procs_recovery_ok": recovery_row["recovered"],
-        "procs_ok": procs_ok,
         "prescreen_eliminated_pct": {
             row["subject"]: row["events_eliminated_pct"]
             for row in prescreen_rows
@@ -959,8 +837,7 @@ def run_bench(
         "recommend_doc_identical": recommend_row["doc_identical"],
         "recommend_ok": recommend_ok,
         "passed": bool(
-            digests_match and cache_ok
-            and vm_ok and procs_ok and prescreen_ok and serve_ok
+            cache_ok and vm_ok and prescreen_ok and serve_ok
             and recommend_ok
         ),
     }
@@ -977,7 +854,6 @@ def run_bench(
         "cache": cache_rows,
         "vm_dispatch": vm_row,
         "prescreen": prescreen_rows,
-        "proc_recovery": recovery_row,
         "serve": serve_row,
         "recommend": recommend_row,
         "checks": checks,
@@ -989,22 +865,16 @@ def render_bench(report: Dict[str, object]) -> str:
     from repro.harness.reporting import render_table
 
     rows = [
-        (shape, name, f"{entry['events_per_sec']:,.0f}",
-         entry["ns_per_event"], entry["digest"][:12])
+        (shape, f"{stream['events_per_sec']:,.0f}", stream["ns_per_event"],
+         stream["digest"][:12])
         for shape, stream in report["event_streams"].items()
-        for name, entry in stream["drains"].items()
     ]
     any_stream = next(iter(report["event_streams"].values()))
     lines = [render_table(
-        f"Event-stream hot path ({any_stream['n_events']:,} events each)",
-        ["stream", "drain", "events/sec", "ns/event", "digest"], rows,
+        f"Event-stream hot path ({any_stream['n_events']:,} events each, "
+        "in-process fold)",
+        ["stream", "events/sec", "ns/event", "digest"], rows,
     )]
-    for shape, stream in report["event_streams"].items():
-        lines.append(
-            f"{shape}: procs vs inproc "
-            f"{stream['speedup_procs_vs_inproc']:.2f}x "
-            f"(digests {'match' if stream['digests_match'] else 'DIVERGE'})"
-        )
     wrows = [
         (r["workload"], r["mode"], r["overhead_x"], r["wall_s"], r["events"])
         for r in report["workloads"]
@@ -1070,17 +940,6 @@ def render_bench(report: Dict[str, object]) -> str:
             f"{r['events_eliminated_pct']:.1f}% of access events "
             f"(digests {'match' if r['digest_identical'] else 'DIVERGE'})"
         )
-    rec = report["proc_recovery"]
-    lines.append("")
-    lines.append(
-        f"proc_recovery: {rec['fault_plan']!r} over {rec['n_events']:,} "
-        f"events -> digest "
-        f"{'identical' if rec['digest_identical'] else 'DIVERGED'}, "
-        f"report {'empty' if rec['report_empty'] else 'NON-EMPTY'}, "
-        f"{rec['drain']['worker_respawns']} respawn(s), "
-        f"{rec['drain']['replays']} replay(s) "
-        f"({'recovered' if rec['recovered'] else 'FAILED'})"
-    )
     srv = report["serve"]
     lines.append("")
     lines.append(
@@ -1106,17 +965,12 @@ def render_bench(report: Dict[str, object]) -> str:
     verdict = "PASS" if checks["passed"] else "FAIL"
     lines.append("")
     lines.append(
-        f"checks: {verdict} (digests_match={checks['digests_match']}, "
-        f"cache {checks['cache_speedup']:.2f}x >= "
+        f"checks: {verdict} (cache {checks['cache_speedup']:.2f}x >= "
         f"{checks['cache_min_speedup']:.2f}x warm/cold, "
         f"cache_payload_identical={checks['cache_payload_identical']}, "
         f"vm {checks['vm_speedup']:.2f}x >= "
         f"{checks['vm_min_speedup']:.2f}x bytecode/tree-walk, "
-        f"procs digest_equal={checks['procs_digest_equal']} "
-        f"recovery={checks['procs_recovery_ok']} "
-        f"speedup {checks['procs_speedup']:.2f}x"
-        f"{' (gated)' if checks['procs_speedup_gated'] else ' (report-only)'}"
-        f", prescreen_ok={checks['prescreen_ok']}, "
+        f"prescreen_ok={checks['prescreen_ok']}, "
         f"serve {checks['serve_speedup']:.2f}x >= "
         f"{checks['serve_min_speedup']:.2f}x warm/cold req/s "
         f"with digest_identical={checks['serve_digest_identical']}, "

@@ -9,15 +9,15 @@ from taking down a profiling session:
   exhausting host memory or hitting Python's ``RecursionError``;
 - :class:`ResiliencePolicy` guards the **runtime**: bounded batch
   retries with deterministic virtual-time backoff, per-ROI event budgets,
-  procs-drain worker supervision, and the ``degrade`` switch that turns
-  unrecoverable failures into degraded-mode PSEC instead of raised
-  errors.  Its queue bound and block/shed policy are the ``repro serve``
-  daemon's admission control (set by ``--queue``/``--queue-policy``).
+  and the ``degrade`` switch that turns unrecoverable failures into
+  degraded-mode PSEC instead of raised errors.  Its queue bound and
+  block/shed policy are the ``repro serve`` daemon's admission control
+  (set by ``--queue``/``--queue-policy``).
 
 Both parse from the compact ``--budget`` CLI syntax::
 
     steps=5000000,heap=1048576,depth=256,events-per-roi=20000,
-    retries=2,backoff=100,degrade=1,heartbeat=25,worker-deadline=10000
+    retries=2,backoff=100,degrade=1
 """
 
 from __future__ import annotations
@@ -72,22 +72,12 @@ class ResiliencePolicy:
     #: Per-ROI event budget (0 = unlimited); past it the ROI switches to
     #: conservative classification (sampling-free partial tracking).
     max_events_per_roi: int = 0
-    #: Multi-process drain (``--drain procs``) supervision: how often (ms)
-    #: shard workers stamp their shared-memory heartbeat and the master
-    #: polls it while blocked on a worker.
-    heartbeat_ms: int = 25
-    #: Wall-clock ms a worker may go without heartbeat progress before the
-    #: supervisor declares it hung and kills it (the respawn/replay path
-    #: then takes over).  0 disables the deadline.
-    worker_deadline_ms: int = 10_000
 
     def __post_init__(self) -> None:
         _require_nonnegative("queue", self.max_queue_batches)
         _require_nonnegative("retries", self.max_retries)
         _require_nonnegative("backoff", self.retry_backoff)
         _require_nonnegative("events-per-roi", self.max_events_per_roi)
-        _require_nonnegative("heartbeat", self.heartbeat_ms)
-        _require_nonnegative("worker-deadline", self.worker_deadline_ms)
         if self.queue_policy not in QUEUE_POLICIES:
             raise RuntimeToolError(
                 f"queue policy must be one of {QUEUE_POLICIES}, "
@@ -113,11 +103,7 @@ _VM_KEYS = {"steps": "max_steps", "heap": "max_heap_bytes",
             "depth": "max_recursion_depth"}
 _RUNTIME_KEYS = {"retries": "max_retries",
                  "backoff": "retry_backoff",
-                 "events-per-roi": "max_events_per_roi",
-                 "heartbeat": "heartbeat_ms",
-                 # Both spellings accepted; docs use the dashed form.
-                 "worker-deadline": "worker_deadline_ms",
-                 "worker_deadline": "worker_deadline_ms"}
+                 "events-per-roi": "max_events_per_roi"}
 
 
 def _int_value(key: str, value: str) -> int:

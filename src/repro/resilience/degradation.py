@@ -1,6 +1,6 @@
 """Machine-readable degradation accounting for fail-soft profiling runs.
 
-When a budget trips or a worker dies, the runtime does not silently lose
+When a budget trips or a batch fails, the runtime does not silently lose
 events: every fallback is recorded as a :class:`DegradationRecord`, and a
 run's :class:`DegradationReport` states exactly which ROIs are affected
 and what the degraded PSEC still guarantees.
@@ -14,8 +14,7 @@ so.
 
 Reports serialize deterministically: records are sorted by a stable key
 and :meth:`DegradationReport.to_json` emits canonical JSON, so two runs
-with the same seed and fault plan produce byte-identical reports, whichever
-drain folded the batches.
+with the same seed and fault plan produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -30,17 +29,12 @@ ACTION_RETRIED = "retried"
 ACTION_CONSERVATIVE = "conservative-fallback"
 ACTION_CLASSIFY_ONLY = "classify-only"
 ACTION_DELAYED = "delayed"
-#: The multi-process drain lost a shard worker past its retry budget (or
-#: could not spawn the pool) and the master absorbed the shard into the
-#: in-process flat fold.  The fold is exact — Sets stay complete — but
-#: the run needed intervention and says so.
-ACTION_FALLBACK = "inproc-fallback"
 
 #: Conservative set letters applied when an access event is lost or its
 #: ROI is over budget: a read forces Input; a write forces Output plus
 #: Transfer (never Cloneable — the §4.2 merge direction).  Shared by the
-#: in-process engine and the multi-process drain workers, which must
-#: degrade byte-identically.
+#: engine and the tests' decoder oracle, which must degrade
+#: byte-identically.
 CONSERVATIVE_READ = "I"
 CONSERVATIVE_WRITE = "OT"
 

@@ -15,18 +15,15 @@ Plans are built programmatically or parsed from the compact CLI syntax::
 ``crash@3`` injects a worker crash when batch #3 is first processed;
 ``slow@7:250`` charges 250 virtual time units of extra latency to batch
 #7; ``rate=0.01`` additionally crashes ~1% of batches, chosen by a
-seed+sequence hash.  ``exit@4`` is the process-level fault consumed by
-the multi-process drain (``--drain procs``): the shard worker that owns
-batch #4 kills itself with SIGKILL and the supervisor must respawn it
-and replay the unacknowledged batches (``exit@4!`` persists across
-replays, exhausting the retry budget).  Unknown kind names are rejected
-with a :class:`repro.errors.RuntimeToolError` listing the valid kinds.
+seed+sequence hash.  Unknown kind names and malformed numbers are
+rejected with a :class:`repro.errors.RuntimeToolError` naming the bad
+part (unknown kinds list the valid ones).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FaultInjected, RuntimeToolError
@@ -39,11 +36,6 @@ class FaultKind(enum.Enum):
     BATCH_DROP = "drop"           # batch is lost before processing
     SLOW_BATCH = "slow"           # batch incurs extra virtual latency
     MEMORY_PRESSURE = "mempressure"  # batch is shed as if memory ran out
-    #: Process-level fault for the ``--drain procs`` supervisor: the shard
-    #: worker assigned ``seq % n_workers`` SIGKILLs itself when it dequeues
-    #: batch ``seq`` (``persist`` makes it die again on every replay).
-    #: Thread/in-process drains have no process to kill and ignore it.
-    WORKER_EXIT = "exit"
 
 
 _KIND_BY_NAME = {kind.value: kind for kind in FaultKind}
@@ -71,6 +63,18 @@ class FaultSpec:
             raise RuntimeToolError(
                 f"fault delay must be >= 0, got {self.delay}"
             )
+
+
+def _number(convert, text: str, part: str):
+    """``convert(text)`` (``int`` or ``float``), or a
+    :class:`RuntimeToolError` naming the spec ``part`` it came from."""
+    try:
+        return convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise RuntimeToolError(
+            f"bad fault spec {part!r}: expected {kind}, got {text!r}"
+        ) from None
 
 
 def _mix(seed: int, seq: int) -> float:
@@ -113,10 +117,10 @@ class FaultPlan:
             if not part:
                 continue
             if part.startswith("seed="):
-                seed = int(part[len("seed="):])
+                seed = _number(int, part[len("seed="):], part)
                 continue
             if part.startswith("rate="):
-                rate = float(part[len("rate="):])
+                rate = _number(float, part[len("rate="):], part)
                 continue
             if "@" not in part:
                 raise RuntimeToolError(
@@ -129,15 +133,14 @@ class FaultPlan:
             delay = 0
             if ":" in where:
                 where, _, delay_text = where.partition(":")
-                delay = int(delay_text)
+                delay = _number(int, delay_text, part)
             if name not in _KIND_BY_NAME:
                 raise RuntimeToolError(
                     f"unknown fault kind {name!r} "
                     f"(choose from {sorted(_KIND_BY_NAME)})"
                 )
-            specs.append(
-                FaultSpec(_KIND_BY_NAME[name], int(where), delay, persist)
-            )
+            specs.append(FaultSpec(_KIND_BY_NAME[name],
+                                   _number(int, where, part), delay, persist))
         return cls(seed=seed, specs=tuple(specs), crash_rate=rate)
 
     def render(self) -> str:
@@ -193,17 +196,6 @@ class FaultInjector:
                 self.faults_fired += 1
                 total += spec.delay
         return total
-
-    def exit_specs(self) -> Dict[int, bool]:
-        """``{batch_seq: persist}`` for the process-level WORKER_EXIT
-        faults — consumed by the multi-process drain supervisor, which
-        forwards the map to its workers (the kill happens worker-side so
-        the master's bookkeeping is genuinely exercised)."""
-        return {
-            spec.seq: spec.persist
-            for spec in self.plan.specs
-            if spec.kind is FaultKind.WORKER_EXIT
-        }
 
     def fire(self, seq: int, attempt: int) -> None:
         """Raise :class:`FaultInjected` if a crash targets this attempt."""

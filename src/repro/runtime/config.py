@@ -91,7 +91,7 @@ class RuntimeConfig:
     capture per function invocation instead of per allocation).
     ``batch_size`` sets how many events one packed block carries into the
     batching pipeline of §4.6, which folds blocks in sequence order (so
-    PSECs are bit-identical run to run); ``drain`` picks who folds them.
+    PSECs are bit-identical run to run) on the producing thread.
     """
 
     policy: InstrumentationPolicy = FULL_POLICY
@@ -112,18 +112,7 @@ class RuntimeConfig:
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
     #: Deterministic fault-injection schedule (None = no faults).
     fault_plan: Optional[FaultPlan] = None
-    #: Which drain folds the packed batches: ``"inproc"`` (the flat-table
-    #: FSA kernel on the producing thread) or ``"procs"`` (supervised
-    #: worker processes over shared-memory rings with crash recovery, one
-    #: per CPU between two and four; see DESIGN.md §13).  Both produce
-    #: byte-identical PSECs.
-    drain: str = "inproc"
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise RuntimeToolError("batch_size must be >= 1")
-        if self.drain not in ("inproc", "procs"):
-            raise ValueError(
-                f"unknown drain mode {self.drain!r} "
-                "(expected 'inproc' or 'procs')"
-            )

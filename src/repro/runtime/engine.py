@@ -11,7 +11,6 @@ the program's critical path, modelling the shadow-profiling design of §4.6.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -22,25 +21,11 @@ from repro.resilience.degradation import (
     ACTION_CLASSIFY_ONLY,
     ACTION_CONSERVATIVE,
     ACTION_DELAYED,
-    ACTION_FALLBACK,
     ACTION_RETRIED,
     CONSERVATIVE_READ,
     CONSERVATIVE_WRITE,
     DegradationRecord,
     DegradationReport,
-)
-from repro.parallel.procdrain import (
-    E_COUNT,
-    E_FIRST,
-    E_FORCED,
-    E_LAST,
-    E_LEPOCH,
-    E_LINV,
-    E_STATE,
-    E_USES,
-    E_VARSITE,
-    E_WSEEN,
-    ProcDrain,
 )
 from repro.resilience.faultinject import FaultInjector
 from repro.runtime import fsa
@@ -66,21 +51,12 @@ from repro.runtime.packed import (
     ROW_STRIDE,
     InternTable,
     PackedBlock,
-    partition_rows,
 )
 from repro.runtime.pipeline import Batch, BatchingPipeline, Failure
 from repro.runtime.psec import MemoryBudgetExceeded, Psec, PseKey, PsecEntry
 from repro.vm.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.vm.hooks import ExecutionHooks
 from repro.vm.memory import MemoryObject
-
-#: Conservative set letters applied when an access event is lost or its
-#: ROI is over budget (the PSE lands in a conservative superset of its
-#: true Sets, never nowhere).  Canonical values live in
-#: :mod:`repro.resilience.degradation`, shared with the process-drain
-#: workers, which must degrade byte-identically.
-_CONSERVATIVE_READ = CONSERVATIVE_READ
-_CONSERVATIVE_WRITE = CONSERVATIVE_WRITE
 
 
 @dataclass
@@ -156,14 +132,6 @@ class CarmotRuntime:
         #: var, {epoch: invocation count}].
         self.static_facts = getattr(module, "static_facts", None)
         self._static_notes: Dict[Tuple[int, int], List] = {}
-        self._proc_drain: Optional[ProcDrain] = None
-        #: Robustness trajectory of this run's drain, surfaced in bench
-        #: leg metadata: respawned workers, replayed batches, in-process
-        #: fallbacks.
-        self.drain_stats: Dict[str, object] = {
-            "mode": "inproc", "workers": 0, "replays": 0,
-            "worker_respawns": 0, "fallbacks": 0,
-        }
         self._block = PackedBlock()
         self._block_limit = self.config.batch_size
         self._block_events = 0
@@ -181,168 +149,6 @@ class CarmotRuntime:
             self._register_site(var, loc)
         self._active_tuple: Tuple = ()
         self._active_id = self._actives.intern(())
-        if self.config.drain == "procs":
-            self._start_proc_drain()
-
-    # -- multi-process drain supervision -------------------------------------
-
-    def _start_proc_drain(self) -> None:
-        """Spawn the supervised worker-process pool (``--drain procs``).
-
-        An unspawnable pool is not fatal: the run falls back to the
-        in-process flat fold and records a canonical DegradationRecord
-        (exact result, visible intervention) — the same contract as a
-        pool lost mid-run.  The pool has one worker per CPU, between two
-        and four.
-        """
-        shards = max(2, min(4, os.cpu_count() or 2))
-        exit_specs = (self.injector.exit_specs()
-                      if self.injector is not None else {})
-        try:
-            self._proc_drain = ProcDrain(
-                n_workers=shards,
-                site_values=self._site_values,
-                cs_values=self._cs.values,
-                active_values=self._actives.values,
-                letters_values=self._letters.values,
-                track_uses=self.config.policy.track_use_callstacks,
-                exit_specs=exit_specs,
-                max_respawns=self._resilience.max_retries,
-                heartbeat_ms=self._resilience.heartbeat_ms,
-                deadline_ms=self._resilience.worker_deadline_ms,
-                ring_capacity=max(
-                    1 << 20, 4 * self.config.batch_size * ROW_STRIDE * 8
-                ),
-                on_counters=self._apply_shard_counters,
-                on_respawn=self._note_worker_respawn,
-                on_fallback=self._note_worker_lost,
-            )
-        except Exception as exc:
-            self.drain_stats["mode"] = "inproc"
-            self.drain_stats["fallbacks"] = (
-                int(self.drain_stats["fallbacks"]) + 1
-            )
-            self.degradation.add(DegradationRecord(
-                batch_seq=-1, kind="worker_pool", rois=(), events=0,
-                action=ACTION_FALLBACK, sets_complete=True,
-                use_callstacks_complete=True,
-                detail=(f"worker pool unspawnable "
-                        f"({type(exc).__name__}: {exc}); "
-                        "using the in-process flat fold"),
-            ))
-            return
-        self.drain_stats["mode"] = "procs"
-        self.drain_stats["workers"] = shards
-
-    def _apply_shard_counters(self, counters: Dict[int, List[int]]) -> None:
-        """Apply one ack's per-ROI (accesses, new use records) delta.
-
-        The use-record budget is checked at ack granularity — the procs
-        drain can overrun it by the batches in flight.
-        """
-        max_use = self.config.max_use_records
-        for roi_id, (accesses, new_uses) in counters.items():
-            psec = self.psecs[roi_id]
-            psec.total_accesses += accesses
-            psec.use_records += new_uses
-            if max_use and psec.use_records > max_use:
-                raise MemoryBudgetExceeded(
-                    f"ROI {psec.roi_id}: more than {max_use} "
-                    "use-callstack records"
-                )
-
-    def _note_worker_respawn(self, index: int, attempt: int,
-                             replayed: int) -> None:
-        """A worker died and was respawned: the replay recovers exactly,
-        so no DegradationRecord — but the retry is charged to the same
-        deterministic virtual-backoff clock as pipeline retries, and the
-        counters expose it."""
-        self.drain_stats["worker_respawns"] = (
-            int(self.drain_stats["worker_respawns"]) + 1
-        )
-        self.drain_stats["replays"] = (
-            int(self.drain_stats["replays"]) + replayed
-        )
-        self.pipeline.virtual_backoff += (
-            self._resilience.retry_backoff * (1 << (attempt - 1))
-        )
-
-    def _note_worker_lost(self, index: int, first_seq: int,
-                          detail: str) -> None:
-        """A shard exceeded its respawn budget (or could not respawn) and
-        was absorbed into the in-process fold.  The fold stays exact —
-        ``sets_complete=True`` — but the intervention is on record."""
-        self.drain_stats["fallbacks"] = (
-            int(self.drain_stats["fallbacks"]) + 1
-        )
-        self.degradation.add(DegradationRecord(
-            batch_seq=first_seq, kind="worker_lost", rois=(), events=0,
-            action=ACTION_FALLBACK, sets_complete=True,
-            use_callstacks_complete=True, detail=detail,
-        ))
-
-    def _merge_proc_states(self, states: Dict[int, Dict]) -> None:
-        """Fold the workers' canonical end states into the PSECs.
-
-        Shard disjointness (every PSE key contains its obj_id, rows shard
-        by obj_id) makes this a pure insert; the defensive merge branch
-        combines conservatively if that invariant is ever violated.
-        Per-ROI counters were already applied per ack — only the entries
-        themselves move here.
-        """
-        intern_key = self._pse_keys.setdefault
-        var_keys = self._var_keys
-        site_values = self._site_values
-        for index in sorted(states):
-            for (roi_id, key), worker_entry in states[index].items():
-                psec = self.psecs[roi_id]
-                if key[0] == "var":
-                    interned = var_keys.get(key[1])
-                    if interned is None:
-                        interned = intern_key(key, key)
-                        var_keys[key[1]] = interned
-                else:
-                    interned = intern_key(key, key)
-                varsite = worker_entry[E_VARSITE]
-                var = site_values[varsite][0] if varsite >= 0 else None
-                entry = psec.entries.get(interned)
-                if entry is None:
-                    entry = PsecEntry(interned, var)
-                    entry.state_code = worker_entry[E_STATE]
-                    entry.forced = worker_entry[E_FORCED]
-                    entry.last_invocation = worker_entry[E_LINV]
-                    entry.last_epoch = worker_entry[E_LEPOCH]
-                    entry.first_time = worker_entry[E_FIRST]
-                    entry.last_time = worker_entry[E_LAST]
-                    entry.write_seen = bool(worker_entry[E_WSEEN])
-                    entry.access_count = worker_entry[E_COUNT]
-                    entry.uses = worker_entry[E_USES]
-                    psec.entries[interned] = entry
-                    continue
-                if var is not None and entry.var is None:
-                    entry.var = var
-                letters = set(entry.forced) | set(fsa.force_states(
-                    fsa.STATES[worker_entry[E_STATE]],
-                    worker_entry[E_FORCED],
-                ).sets)
-                if "T" in letters:
-                    letters.discard("C")
-                entry.forced = "".join(sorted(letters))
-                entry.access_count += worker_entry[E_COUNT]
-                entry.write_seen = (entry.write_seen
-                                    or bool(worker_entry[E_WSEEN]))
-                if worker_entry[E_FIRST] is not None:
-                    entry.first_time = (
-                        worker_entry[E_FIRST] if entry.first_time is None
-                        else min(entry.first_time, worker_entry[E_FIRST])
-                    )
-                if worker_entry[E_LAST] is not None:
-                    entry.last_time = (
-                        worker_entry[E_LAST] if entry.last_time is None
-                        else max(entry.last_time, worker_entry[E_LAST])
-                    )
-                entry.uses |= worker_entry[E_USES]
-
     # -- ROI lifecycle ------------------------------------------------------
 
     def roi_begin(self, roi_id: int) -> None:
@@ -435,17 +241,8 @@ class CarmotRuntime:
         try:
             self._flush_block()
             self.pipeline.close()
-            if self._proc_drain is not None:
-                states = self._proc_drain.close()
-                self._proc_drain = None
-                self._merge_proc_states(states)
             self._resolve_static_facts()
         finally:
-            if self._proc_drain is not None:
-                # Close failed part-way: kill the pool and release its
-                # shared memory rather than leak worker processes.
-                self._proc_drain.abort()
-                self._proc_drain = None
             self.stats.pse_keys_interned = len(self._pse_keys)
             self.stats.source_locs_interned = SourceLoc.interned_count()
             self.stats.callsites_interned = len(self._site_values)
@@ -562,8 +359,8 @@ class CarmotRuntime:
         if self._event_budget:
             over, under = self._budget_note(self._active_tuple)
             if over:
-                letters = (_CONSERVATIVE_WRITE if is_write
-                           else _CONSERVATIVE_READ)
+                letters = (CONSERVATIVE_WRITE if is_write
+                           else CONSERVATIVE_READ)
                 block.data.extend((
                     KIND_CLASSIFY, obj_id, offset, size, count, stride,
                     site_id, 0, self._actives.intern(tuple(over)), time,
@@ -700,10 +497,7 @@ class CarmotRuntime:
         in batch sequence order.
         """
         kind, detail = failure
-        if self._proc_drain is not None:
-            rois = self._degrade_block_procs(batch.events, batch.seq)
-        else:
-            rois = self._degrade_block(batch.events)
+        rois = self._degrade_block(batch.events)
         self.degradation.add(DegradationRecord(
             batch_seq=batch.seq, kind=kind, rois=tuple(sorted(rois)),
             events=len(batch.events), action=ACTION_CONSERVATIVE,
@@ -715,12 +509,7 @@ class CarmotRuntime:
 
     def _postprocess_batch(self, batch: Batch) -> None:
         block = batch.events
-        if self._proc_drain is not None:
-            shards, other = partition_rows(block.data, self._proc_drain.n)
-            self._proc_drain.dispatch(batch.seq, shards)
-            self._fold_rows(block, other)
-        else:
-            self._fold_rows(block, range(0, len(block.data), ROW_STRIDE))
+        self._fold_rows(block, range(0, len(block.data), ROW_STRIDE))
 
     def _fold_rows(self, block: PackedBlock, bases) -> None:
         """Fold packed rows into the PSECs in one tight loop.
@@ -878,7 +667,7 @@ class CarmotRuntime:
             if kind <= KIND_WRITE:
                 obj = data[base + F_OBJ]
                 var, _, _ = site_values[data[base + F_SITE]]
-                letters = _CONSERVATIVE_WRITE if kind else _CONSERVATIVE_READ
+                letters = CONSERVATIVE_WRITE if kind else CONSERVATIVE_READ
                 time = data[base + F_TIME]
                 reps = data[base + F_AUX]
                 if var is not None and data[base + F_COUNT] == 1:
@@ -913,29 +702,6 @@ class CarmotRuntime:
                 self._fold_rows(block, (base,))
                 for entry in active_values[data[base + F_ACTIVE]]:
                     rois.add(entry[0])
-        return rois
-
-    def _degrade_block_procs(self, block: PackedBlock, seq: int) -> Set[int]:
-        """Degraded twin of the procs dispatch: ship the block's access/
-        classify shards with the degraded flag (workers force the same
-        conservative letters in sequence, keeping worker state canonical),
-        apply the master-side rows like :meth:`_degrade_block` does."""
-        data = block.data
-        active_values = self._actives.values
-        rois: Set[int] = set()
-        for base in range(0, len(data), ROW_STRIDE):
-            if data[base] != KIND_FREE:
-                for entry in active_values[data[base + F_ACTIVE]]:
-                    rois.add(entry[0])
-        shards, other = partition_rows(data, self._proc_drain.n)
-        self._proc_drain.dispatch(seq, shards, degraded=True)
-        for base in other:
-            if data[base] == KIND_FREE:
-                self.asmt.mark_freed(data[base + F_OBJ],
-                                     data[base + F_TIME])
-            else:
-                # Alloc/escape rows apply exactly, same as _degrade_block.
-                self._fold_rows(block, (base,))
         return rois
 
 

@@ -7,7 +7,7 @@ once into dense-id tables owned by the runtime, so the per-access work on
 the program's critical path is a single C-level ``array.extend`` of a row
 tuple.  A full block ships through the
 :class:`repro.runtime.pipeline.BatchingPipeline` as the payload of an
-ordinary :class:`Batch`, and the drain side folds it in a single tight
+ordinary :class:`Batch`, and the runtime folds it in a single tight
 loop over the flat FSA transition table
 (:data:`repro.runtime.fsa.FLAT_TRANSITIONS`).
 
@@ -85,31 +85,6 @@ class PackedBlock:
     def row(self, index: int) -> Tuple[int, ...]:
         base = index * ROW_STRIDE
         return tuple(self.data[base:base + ROW_STRIDE])
-
-
-def partition_rows(data: array, n_shards: int) -> Tuple[List[array], List[int]]:
-    """Split a block's rows into per-shard payloads plus master-only rows.
-
-    Access and classify rows (``kind <= KIND_CLASSIFY``) partition by
-    ``obj_id % n_shards`` — every PSE key contains the object id, so the
-    per-shard row sets touch disjoint PSE entries and fold without locks.
-    Alloc/escape/free rows mutate the master-side ASMT/reachability tables
-    and are returned as a list of row base offsets into ``data`` for the
-    master to fold in order.
-
-    The process drain ships the shard arrays over shared memory
-    (``array('q')`` payloads are ``tobytes``-able without pickling rows).
-    """
-    shards = [array("q") for _ in range(n_shards)]
-    other: List[int] = []
-    for base in range(0, len(data), ROW_STRIDE):
-        if data[base] <= KIND_CLASSIFY:
-            shards[data[base + F_OBJ] % n_shards].extend(
-                data[base:base + ROW_STRIDE]
-            )
-        else:
-            other.append(base)
-    return shards, other
 
 
 class InternTable:

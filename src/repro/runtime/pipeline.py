@@ -5,9 +5,9 @@ Instrumentation appends events to a packed block
 batch, stamped with the next sequence number, and is folded synchronously
 in sequence order — the paper's ordered queue feeding the final
 processing stage.  The paper's parallel worker stage is modelled by the
-cost model (FSA processing is off the program's critical path), and the
-process drain (``--drain procs``) shards the fold itself; the pipeline
-never runs host threads, so PSECs are bit-identical run to run.
+cost model (FSA processing is off the program's critical path); the
+pipeline never runs host threads or processes, so PSECs are
+bit-identical run to run.
 
 Resilience (all off by default):
 

@@ -154,10 +154,10 @@ def _enc_psec(psec: Psec, vars_table: _VarTable) -> Dict:
         "roi_name": psec.roi_name,
         "abstraction": psec.abstraction,
         "invocations": psec.invocations,
-        # Sorted by (first_time, key), not insertion order: the
-        # in-process drain inserts entries in exactly this order anyway,
-        # but the procs drain merges ``entries`` shard by shard.  Sorting
-        # makes the artifact canonical for both.
+        # Sorted by (first_time, key), not insertion order, so the
+        # artifact is a function of the entries alone: a fold that builds
+        # the same entries in another order (the tests' decoder oracle,
+        # for one) serializes to the same bytes.
         "entries": [
             _enc_entry(entry, vars_table)
             for entry in sorted(

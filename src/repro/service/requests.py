@@ -6,7 +6,7 @@ daemon, in-process embedding — speaks the same four request kinds plus
 which absorbs the option-resolution logic the CLI used to duplicate
 across ``_run_kwargs``/``_carmot_options``/``_profiling_pipeline``/
 ``_session_for``: translating the flat flag surface (budget spec, fault
-plan, drain, engine, prescreen mode, pass pipeline) into the
+plan, engine, prescreen mode, pass pipeline) into the
 ``Session``/``CompiledProgram.run`` keyword arguments.
 
 Requests round-trip through canonical JSON documents (``to_doc`` /
@@ -24,13 +24,16 @@ from repro.compiler import PRESCREEN_MODES, CarmotOptions
 from repro.errors import ReproError
 from repro.passes.registry import parse_pipeline
 from repro.resilience import FaultPlan, parse_budget_spec
+from repro.runtime.config import POLICIES
 
 #: Request kinds the service core executes (``stats``/``ping``/
 #: ``shutdown`` are daemon control frames, not service requests).
 REQUEST_KINDS = ("recommend", "psec", "overhead", "ir", "dis")
 
-_DRAINS = ("inproc", "procs")
 _VMS = ("bytecode", "ir")
+#: What a ``RunOptions`` field's declared base type accepts off the wire.
+_OPTION_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
+                 "bool": (bool, "a boolean")}
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,6 @@ class RunOptions:
     budget: Optional[str] = None
     fault_plan: Optional[str] = None
     batch_size: Optional[int] = None
-    drain: Optional[str] = None
     vm: str = "bytecode"
     prescreen: str = "off"
     passes: Optional[str] = None
@@ -59,16 +61,20 @@ class RunOptions:
     print_pass_stats: bool = False
 
     def __post_init__(self) -> None:
+        for spec in fields(self):
+            _check_option_type(spec.name, getattr(self, spec.name),
+                               spec.type)
         if self.vm not in _VMS:
             raise ReproError(f"vm must be one of {_VMS}, got {self.vm!r}")
+        if self.abstraction is not None and self.abstraction not in POLICIES:
+            raise ReproError(
+                f"abstraction must be one of {tuple(POLICIES)}, "
+                f"got {self.abstraction!r}"
+            )
         if self.prescreen not in PRESCREEN_MODES:
             raise ReproError(
                 f"prescreen must be one of {tuple(PRESCREEN_MODES)}, "
                 f"got {self.prescreen!r}"
-            )
-        if self.drain is not None and self.drain not in _DRAINS:
-            raise ReproError(
-                f"drain must be one of {_DRAINS}, got {self.drain!r}"
             )
 
     # -- construction --------------------------------------------------------
@@ -103,7 +109,7 @@ class RunOptions:
     # -- resolution (the logic formerly inlined in cli.py) -------------------
 
     def run_kwargs(self) -> Dict[str, object]:
-        """Translate budget/fault-plan/drain options into
+        """Translate budget/fault-plan/batch-size options into
         ``CompiledProgram.run()`` keyword arguments."""
         kwargs: Dict[str, object] = {}
         if self.budget:
@@ -114,8 +120,6 @@ class RunOptions:
             kwargs["fault_plan"] = FaultPlan.parse(self.fault_plan)
         if self.batch_size is not None:
             kwargs["batch_size"] = self.batch_size
-        if self.drain:
-            kwargs["drain"] = self.drain
         return kwargs
 
     def carmot_options(self) -> Optional[CarmotOptions]:
@@ -148,6 +152,26 @@ class RunOptions:
         runs (a profile cache hit would skip it).
         """
         return not (self.no_cache or self.print_pass_stats or self.trace)
+
+
+def _check_option_type(name: str, value: object, declared: str) -> None:
+    """Reject a value that does not match its field's declared type
+    (``str``, ``int`` or ``bool``, possibly ``Optional``).  ``bool`` is
+    an ``int`` subclass, so an ``int`` field rejects it explicitly."""
+    optional = declared.startswith("Optional[")
+    if optional:
+        if value is None:
+            return
+        declared = declared[len("Optional["):-1]
+    expected, description = _OPTION_TYPES[declared]
+    if isinstance(value, expected) and not (
+        expected is int and isinstance(value, bool)
+    ):
+        return
+    raise ReproError(
+        f"run option {name!r} must be {description}"
+        f"{' or null' if optional else ''}, got {value!r}"
+    )
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ source text          miss      miss      miss     miss       miss
 pass pipeline/opts   hit       miss      miss     miss       miss
 registry version     hit       miss      miss     miss       miss
 fault plan/budgets   hit       hit       miss     miss       miss
-drain/batch size     hit       hit       miss     miss       miss
+batch size           hit       hit       miss     miss       miss
 entry/args/costs     hit       hit       miss     miss       miss
 recommender select   hit       hit       hit      miss       miss
 recommender registry hit       hit       hit      miss       miss
@@ -138,7 +138,7 @@ def profile_key(
     key — so two pipelines producing identical instrumented IR share one
     profile.  ``run_config`` carries everything that steers execution:
     entry/args, cost model, VM budgets, resilience policy, fault plan,
-    drain, batching.
+    batching.
     """
     return _digest("profile", {
         "ir": ir_digest,
@@ -199,6 +199,12 @@ def response_key(
     })
 
 
+#: Fields ``ResiliencePolicy`` had, at these defaults, for the process
+#: drain it no longer has.  They stay in the profile-key document so
+#: profiles cached before their removal keep hitting.
+_RETIRED_RESILIENCE_FIELDS = {"heartbeat_ms": 25, "worker_deadline_ms": 10_000}
+
+
 def run_config_doc(
     entry: str,
     args: Sequence[object],
@@ -213,15 +219,18 @@ def run_config_doc(
     """Canonical, JSON-able view of one ``CompiledProgram.run()`` call.
 
     ``config_kwargs`` are the ``RuntimeConfig`` overrides the CLI passes
-    (``batch_size``, ``drain``, ``resilience``, ``fault_plan``); dataclass values are flattened via
-    ``asdict`` so two equal plans produce equal documents.  ``vm`` names
-    the execution engine — both engines are held to identical profiles,
-    but keying on it keeps any divergence visible as a cache miss rather
-    than silently serving one engine's artifact for the other.
+    (``batch_size``, ``resilience``, ``fault_plan``); dataclass values
+    are flattened via ``asdict`` so two equal plans produce equal
+    documents.  ``vm`` names the execution engine — both engines are
+    held to identical profiles, but keying on it keeps any divergence
+    visible as a cache miss rather than silently serving one engine's
+    artifact for the other.
     """
     config: Dict[str, object] = {}
     for key in sorted(config_kwargs):
         config[key] = _jsonable(config_kwargs[key])
+    if "resilience" in config:
+        config["resilience"].update(_RETIRED_RESILIENCE_FIELDS)
     return {
         "entry": entry,
         "args": [_jsonable(a) for a in args],

@@ -118,11 +118,12 @@ class TestServeBasics:
     @pytest.mark.parametrize("options", [
         {"event_encoding": "object"},
         {"pipeline_shards": 2},
-        {"drain": "threads"},
+        {"drain": "procs"},
+        {"batch_size": "abc"},
     ])
     def test_removed_options_yield_error_envelope(self, tmp_path, options):
-        """Removed runtime knobs off the wire get the canonical error
-        envelope, and the daemon keeps serving."""
+        """Removed runtime knobs and wrongly typed options off the wire
+        get the canonical error envelope, and the daemon keeps serving."""
         doc = {"kind": "psec", "source": ROI_SOURCE, "name": "daemon",
                "options": options}
         with _Daemon(tmp_path) as server:

@@ -33,14 +33,8 @@ int main() { print_int(work(40)); return 0; }
 """
 
 #: The runtime folds the differential suite must cover: the decoder
-#: oracle (``object``), the in-process kernel (``packed``), and the procs
-#: drain, which shards the kernel's work by object id over worker
-#: processes (``packed_sharded``).  Each maps to (fold, run kwargs).
-FOLD_CASES = {
-    "object": ("object", {}),
-    "packed": ("packed", {}),
-    "packed_sharded": ("packed", {"drain": "procs"}),
-}
+#: oracle (``object``) and the in-process kernel (``packed``).
+FOLD_CASES = ("object", "packed")
 
 BUDGET = "steps=5000000,heap=1048576,depth=256,retries=2,degrade=1"
 FAULTS = "seed=42;crash@1;drop@3"
@@ -59,25 +53,23 @@ def _resilient_kwargs():
 def _cold_warm_live(tmp_path, case, **extra):
     """Profile cold, warm and live under one fold case; also return the
     in-process kernel's live payload as the reference."""
-    fold_name, kwargs = FOLD_CASES[case]
-    kwargs = dict(kwargs, **extra)
     reference = Session(enabled=False).profile(SOURCE, "carmot", **extra)
-    with fold(fold_name):
+    with fold(case):
         cached = Session(cache_dir=str(tmp_path / "store"))
-        cold = cached.profile(SOURCE, "carmot", **kwargs)
-        warm = cached.profile(SOURCE, "carmot", **kwargs)
-        live = Session(enabled=False).profile(SOURCE, "carmot", **kwargs)
+        cold = cached.profile(SOURCE, "carmot", **extra)
+        warm = cached.profile(SOURCE, "carmot", **extra)
+        live = Session(enabled=False).profile(SOURCE, "carmot", **extra)
     return cold, warm, live, reference
 
 
-@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+@pytest.mark.parametrize("case", FOLD_CASES)
 def test_cached_profile_matches_recomputed(tmp_path, case):
     cold, warm, live, reference = _cold_warm_live(tmp_path, case)
     assert warm.cached and not cold.cached
     assert cold.payload == warm.payload == live.payload == reference.payload
 
 
-@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+@pytest.mark.parametrize("case", FOLD_CASES)
 def test_cached_profile_matches_under_faults_and_budgets(tmp_path, case):
     cold, warm, live, reference = _cold_warm_live(
         tmp_path, case, **_resilient_kwargs()

@@ -1,8 +1,8 @@
 """Property: DegradationReport serialization is canonical — independent
 of the arrival order (and thread interleaving) of its records.
 
-The pipeline and the multi-process drain supervisor both append records
-in whatever order failures happen to surface; the report's
+Records arrive in whatever order failures happen to surface — and the
+report is a lock-guarded accumulator any thread may append to; its
 contract is that ``to_dict()``/``to_json()`` erase that nondeterminism.
 """
 
@@ -13,8 +13,9 @@ import threading
 import pytest
 
 from repro.resilience.degradation import (
+    ACTION_CLASSIFY_ONLY,
     ACTION_CONSERVATIVE,
-    ACTION_FALLBACK,
+    ACTION_DELAYED,
     ACTION_RETRIED,
     DegradationRecord,
     DegradationReport,
@@ -23,8 +24,9 @@ from repro.resilience.degradation import (
 
 def _records(seed: int, n: int):
     rng = random.Random(seed)
-    kinds = ["worker_crash", "drop", "shed", "worker_lost", "event-budget"]
-    actions = [ACTION_RETRIED, ACTION_CONSERVATIVE, ACTION_FALLBACK]
+    kinds = ["worker_crash", "drop", "shed", "slow", "event-budget"]
+    actions = [ACTION_RETRIED, ACTION_CONSERVATIVE, ACTION_DELAYED,
+               ACTION_CLASSIFY_ONLY]
     return [
         DegradationRecord(
             batch_seq=rng.randrange(-1, 40),
@@ -102,11 +104,11 @@ def test_records_sorted_by_stable_key():
     late = DegradationRecord(batch_seq=9, kind="drop", rois=(1,), events=5,
                              action=ACTION_CONSERVATIVE, sets_complete=False,
                              use_callstacks_complete=False)
-    early = DegradationRecord(batch_seq=2, kind="worker_lost", rois=(0,),
-                              events=0, action=ACTION_FALLBACK,
+    early = DegradationRecord(batch_seq=2, kind="slow", rois=(0,),
+                              events=0, action=ACTION_DELAYED,
                               sets_complete=True,
                               use_callstacks_complete=True)
     report.add(late)
     report.add(early)
     assert [r.batch_seq for r in report.records()] == [2, 9]
-    assert json.loads(report.to_json())["records"][0]["kind"] == "worker_lost"
+    assert json.loads(report.to_json())["records"][0]["kind"] == "slow"

@@ -1,13 +1,12 @@
 """Differential testing: hybrid static+dynamic PSEC against fully-dynamic.
 
-The prescreen contract (DESIGN.md §14) promises that a build with
+The prescreen contract (DESIGN.md §13) promises that a build with
 ``--prescreen safe|aggressive`` produces **identical Sets** to the
 fully-dynamic build — the static verdicts are only admissible because
 they are indistinguishable from profiling.  This suite holds the hybrid
 build to that promise across the golden examples, seeded random ROI
-programs, both execution engines, both packed-batch drains, the
-tests-side decoder oracle, and fault plans whose retries force exact
-replay.
+programs, both execution engines, the tests-side decoder oracle, and
+fault plans whose retries force exact replay.
 """
 
 import tempfile
@@ -99,19 +98,6 @@ def test_random_roi_programs_across_engines(seed):
                               vm=vm)
         states[vm] = _state(res, rt)
     assert states["ir"] == states["bytecode"]
-
-
-# -- drains -------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("drain", ["inproc", "procs"])
-@pytest.mark.parametrize("mode", MODES)
-def test_drains_sets_identical(drain, mode):
-    source = _example_source("roi_loop")
-    kwargs = dict(drain=drain)
-    _, off_res, off_rt = _profile(source, "roi_loop", **kwargs)
-    _, hyb_res, hyb_rt = _profile(source, "roi_loop", mode, **kwargs)
-    assert _state(off_res, off_rt) == _state(hyb_res, hyb_rt)
 
 
 # -- fault plans --------------------------------------------------------------

@@ -153,28 +153,6 @@ def test_tier2_reentry_instrumented_profiles(seed, prescreen):
     assert run("bytecode") == oracle  # warm: fully quickened stream
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_tier2_reentry_procs_drain_exit_fault(seed):
-    """Tier-2 under the crash-tolerant process drain with an injected
-    worker exit: the replayed batches see the same event stream whether
-    the producer ran fused/quickened or tree-walk, cold or re-entered."""
-    source = _random_roi_program(seed)
-    program = compile_carmot(source, name=f"requick_procs{seed}")
-
-    def run(vm):
-        result, runtime = program.run(
-            vm=vm, batch_size=16, drain="procs",
-            fault_plan=FaultPlan.parse("seed=3;exit@1"),
-            resilience=ResiliencePolicy(max_retries=2),
-        )
-        return (runtime.degradation.to_json(),
-                serialize_profile(runtime, result), _run_state(result))
-
-    oracle = run("ir")
-    assert run("bytecode") == oracle
-    assert run("bytecode") == oracle
-
-
 # -- resilience: faults and budgets -------------------------------------------
 #
 # Oracle against production: the tree-walk run folds through the decoder

@@ -120,7 +120,7 @@ class TestErrors:
     @pytest.mark.parametrize("flags, message", [
         (["--event-encoding", "object"], "unrecognized arguments"),
         (["--pipeline-shards", "2"], "unrecognized arguments"),
-        (["--drain", "threads"], "invalid choice: 'threads'"),
+        (["--drain", "procs"], "unrecognized arguments"),
     ])
     def test_removed_runtime_flags_are_usage_errors(self, source_file,
                                                     capsys, flags, message):
@@ -129,4 +129,23 @@ class TestErrors:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--fault-plan", "seed=x"],
+        ["--fault-plan", "crash@"],
+        ["--fault-plan", "slow@1:"],
+        ["--fault-plan", "slow@x"],
+        ["--fault-plan", "exit@1"],
+        ["--budget", "heartbeat=25"],
+        ["--budget", "worker-deadline=10000"],
+    ])
+    def test_bad_fault_plan_or_budget_is_an_error(self, source_file, capsys,
+                                                  flags):
+        """Malformed fault plans and removed fault kinds or budget keys
+        print one ``error:`` line and exit 1 — no traceback."""
+        assert main(["psec", source_file, "--no-cache",
+                     "--batch-size", "16"] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
         assert "Traceback" not in err

@@ -82,23 +82,17 @@ class TestFaultPlanParsing:
         assert FaultPlan.parse(FaultPlan.parse(text).render()) == \
             FaultPlan.parse(text)
 
-    def test_parse_worker_exit(self):
-        plan = FaultPlan.parse("seed=3;exit@1;exit@4!")
-        kinds = {(s.kind, s.seq, s.persist) for s in plan.specs}
-        assert (FaultKind.WORKER_EXIT, 1, False) in kinds
-        assert (FaultKind.WORKER_EXIT, 4, True) in kinds
-
-    def test_worker_exit_render_round_trip(self):
-        text = "seed=3;exit@1;exit@4!"
-        assert FaultPlan.parse(FaultPlan.parse(text).render()) == \
-            FaultPlan.parse(text)
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(RuntimeToolError, match="unknown fault kind"):
             FaultPlan.parse("explode@3")
+        # Batches never fold on a worker process, so there is no process
+        # to kill: ``exit`` is not a fault kind.
+        with pytest.raises(RuntimeToolError,
+                           match="unknown fault kind 'exit'"):
+            FaultPlan.parse("seed=3;exit@1")
 
     def test_unknown_kind_error_lists_valid_kinds(self):
-        with pytest.raises(RuntimeToolError, match="exit"):
+        with pytest.raises(RuntimeToolError, match="mempressure"):
             FaultPlan.parse("explode@3")
         with pytest.raises(RuntimeToolError, match="crash"):
             FaultPlan.parse("explode@3")
@@ -106,6 +100,12 @@ class TestFaultPlanParsing:
     def test_malformed_spec_rejected(self):
         with pytest.raises(RuntimeToolError, match="bad fault spec"):
             FaultPlan.parse("crash3")
+        # Malformed numbers name the bad spec instead of leaking a
+        # ValueError.
+        for text in ("seed=x", "rate=lots", "crash@", "slow@1:", "slow@x"):
+            with pytest.raises(RuntimeToolError,
+                               match=f"bad fault spec '{text}'"):
+                FaultPlan.parse(f"seed=1;{text}")
 
     def test_negative_seq_rejected(self):
         with pytest.raises(RuntimeToolError):
@@ -128,23 +128,18 @@ class TestBudgetSpecParsing:
         assert spec.runtime.degrade
         assert spec.runtime.max_events_per_roi == 20_000
 
-    def test_parse_worker_supervision_keys(self):
-        spec = parse_budget_spec("heartbeat=5,worker-deadline=2000")
-        assert spec.runtime.heartbeat_ms == 5
-        assert spec.runtime.worker_deadline_ms == 2000
-        # The underscore spelling is accepted too.
-        spec = parse_budget_spec("worker_deadline=750")
-        assert spec.runtime.worker_deadline_ms == 750
-
     def test_unknown_key_rejected(self):
         with pytest.raises(RuntimeToolError, match="unknown budget key"):
             parse_budget_spec("fuel=9")
 
     @pytest.mark.parametrize("entry", ["queue=64", "policy=block",
-                                       "policy=shed"])
+                                       "policy=shed", "heartbeat=25",
+                                       "worker-deadline=10000",
+                                       "worker_deadline=750"])
     def test_queue_keys_rejected(self, entry):
-        """The profiling pipeline has no queue: ``queue``/``policy`` are
-        unknown budget keys, not silently ignored ones."""
+        """The profiling pipeline has no queue and no worker processes to
+        supervise: ``queue``/``policy``/``heartbeat``/``worker-deadline``
+        are unknown budget keys, not silently ignored ones."""
         with pytest.raises(RuntimeToolError, match="unknown budget key"):
             parse_budget_spec(f"retries=1,{entry},degrade=1")
 

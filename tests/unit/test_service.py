@@ -63,11 +63,30 @@ LOOP_SOURCE = (
 
 
 #: Run options off the wire that name removed runtime knobs: the object
-#: event encoding, thread shards, and the threads drain.
+#: event encoding, thread shards, and the drain selector.
 REMOVED_OPTIONS = [
     ({"event_encoding": "object"}, "unknown run option(s): event_encoding"),
     ({"pipeline_shards": 2}, "unknown run option(s): pipeline_shards"),
-    ({"drain": "threads"}, "drain must be one of ('inproc', 'procs')"),
+    ({"drain": "procs"}, "unknown run option(s): drain"),
+]
+
+#: Run options off the wire whose values do not match the option's type
+#: (or, for ``fault_plan``, its syntax): each is a request error, never an
+#: ``internal`` one, and never silently accepted.
+MALFORMED_OPTIONS = [
+    ({"batch_size": "abc"}, "'batch_size' must be an integer or null"),
+    ({"batch_size": True}, "'batch_size' must be an integer or null"),
+    ({"batch_size": 1.5}, "'batch_size' must be an integer or null"),
+    ({"budget": 5}, "'budget' must be a string or null"),
+    ({"fault_plan": 7}, "'fault_plan' must be a string or null"),
+    ({"passes": 3}, "'passes' must be a string or null"),
+    ({"abstraction": 5}, "'abstraction' must be a string or null"),
+    ({"recommenders": 5}, "'recommenders' must be a string or null"),
+    ({"no_cache": "yes"}, "'no_cache' must be a boolean"),
+    ({"entry": None}, "'entry' must be a string"),
+    ({"fault_plan": "seed=x"}, "bad fault spec 'seed=x'"),
+    ({"fault_plan": "exit@1"}, "unknown fault kind 'exit'"),
+    ({"budget": "heartbeat=25"}, "unknown budget key 'heartbeat'"),
 ]
 
 
@@ -92,20 +111,12 @@ class TestRunOptions:
     @pytest.mark.parametrize("kwargs", [
         {"vm": "jit"},
         {"prescreen": "yes"},
-        {"drain": "boats"},
-        {"drain": "threads"},
+        {"abstraction": "bogus"},
+        {"abstraction": "parallel-for"},
     ])
     def test_bad_enum_values_rejected(self, kwargs):
         with pytest.raises(ReproError):
             RunOptions(**kwargs)
-
-    def test_drain_implies_packed_encoding(self):
-        """Both drains fold packed blocks, the only event encoding: a
-        drain needs no companion option, and there is no encoding option
-        left to set."""
-        assert RunOptions(drain="procs").run_kwargs() == {"drain": "procs"}
-        with pytest.raises(ReproError, match="unknown run option"):
-            RunOptions.from_doc({"drain": "procs", "event_encoding": "object"})
 
     def test_uninstrumented_pipeline_rejected(self):
         with pytest.raises(ReproError, match="no instrumenter"):
@@ -193,9 +204,12 @@ class TestServiceCore:
         assert doc["ok"] is False
         assert "unknown request kind" in doc["error"]["message"]
 
-    @pytest.mark.parametrize("options, message", REMOVED_OPTIONS)
+    @pytest.mark.parametrize("options, message",
+                             REMOVED_OPTIONS + MALFORMED_OPTIONS)
     def test_removed_options_get_error_envelope(self, tmp_path, options,
                                                 message):
+        """Removed or malformed run options off the wire get the
+        canonical error envelope."""
         core = ServiceCore(cache_dir=str(tmp_path / "cache"))
         doc = core.execute_doc({"kind": "psec", "source": ROI_SOURCE,
                                 "name": "unit", "options": options})

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ReproError
-from repro.resilience.budgets import ExecutionBudgets
+from repro.resilience.budgets import ExecutionBudgets, ResiliencePolicy
 from repro.session import (
     CACHE_DIR_ENV,
     DEFAULT_CACHE_DIR,
@@ -189,13 +189,28 @@ class TestKeys:
             doc(args=(3,)),
             doc(max_instructions=999),
             doc(budgets=ExecutionBudgets(5000, 1024, 16)),
-            doc(config_kwargs={"drain": "procs"}),
             doc(config_kwargs={"batch_size": 7}),
             doc(config_kwargs={"fault_plan": "seed=42;crash@3"}),
         ):
             assert profile_key("d" * 64, "carmot", changed) != base
         assert profile_key("d" * 64, "naive", doc()) != base
         assert profile_key("e" * 64, "carmot", doc()) != base
+
+    def test_profile_doc_keeps_retired_resilience_fields(self):
+        """Profiles cached while ``ResiliencePolicy`` still had the
+        process drain's supervision fields keep hitting: the key document
+        carries them at their old defaults."""
+        doc = keys.run_config_doc(
+            entry="main", args=(), cost_model=None, max_instructions=1000,
+            budgets=None, abstraction=None, options=None,
+            config_kwargs={"resilience": ResiliencePolicy(max_retries=2)},
+        )
+        assert doc["config"]["resilience"] == {
+            "degrade": False, "heartbeat_ms": 25, "max_events_per_roi": 0,
+            "max_queue_batches": 0, "max_retries": 2,
+            "queue_policy": "block", "retry_backoff": 100,
+            "worker_deadline_ms": 10_000,
+        }
 
     def test_environment_fingerprint_is_embedded(self, monkeypatch):
         base = frontend_key("int main() {}", "a")
