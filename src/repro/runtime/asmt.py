@@ -54,9 +54,6 @@ class Asmt:
     def get(self, obj_id: int) -> Optional[AsmtEntry]:
         return self._entries.get(obj_id)
 
-    def __contains__(self, obj_id: int) -> bool:
-        return obj_id in self._entries
-
     def __len__(self) -> int:
         return len(self._entries)
 

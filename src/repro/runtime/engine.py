@@ -527,6 +527,7 @@ class CarmotRuntime:
         letters_values = self._letters.values
         psecs = self.psecs
         flat = fsa.FLAT_TRANSITIONS
+        forced_join = fsa.FORCED_JOIN
         track_uses = self.config.policy.track_use_callstacks
         max_use = self.config.max_use_records
         var_keys = self._var_keys
@@ -571,9 +572,13 @@ class CarmotRuntime:
                         elif var is not None and entry.var is None:
                             entry.var = var
                         if epoch != entry.last_epoch:
-                            entry.forced = "".join(sorted(fsa.force_states(
-                                fsa.STATES[entry.state_code], entry.forced
-                            ).sets))
+                            # A miss is a letter outside CIOT (a loaded IR
+                            # probe.classify is not validated).
+                            forced = forced_join[entry.state_code].get(
+                                entry.forced)
+                            entry.forced = (fsa.join_forced(
+                                entry.state_code, entry.forced)
+                                if forced is None else forced)
                             entry.state_code = 0
                             entry.last_invocation = -1
                             entry.last_epoch = epoch
@@ -729,12 +734,14 @@ class CarmotHooks(ExecutionHooks):
         #: Per-frame flags for callstack clustering (opt 7): has the current
         #: function invocation already captured its callstack?
         self._frame_captured: List[bool] = [False]
+        self._asmt_entries = runtime.asmt._entries
+        self.on_probe_access = self._bind_probe_access()
 
     # -- helpers ---------------------------------------------------------------
 
     def _object_for(self, addr: int) -> Optional[MemoryObject]:
         obj = self.vm.memory.try_object_at(addr)
-        if obj is not None and obj.obj_id not in self.runtime.asmt:
+        if obj is not None and obj.obj_id not in self._asmt_entries:
             # Globals (and anything else allocated before hooks attach)
             # enter the ASMT lazily on first observation.
             self.runtime.asmt.register(
@@ -770,31 +777,44 @@ class CarmotHooks(ExecutionHooks):
 
     # -- access probes -----------------------------------------------------------
 
-    def on_probe_access(self, kind, addr, size, var, count, stride, loc,
-                        callstack, site_id=None) -> int:
-        runtime = self.runtime
-        cost = self.cm.aggregate_probe if count > 1 else self.cm.probe_push
-        if not runtime.any_roi_active:
-            runtime.stats.events_ignored_outside_roi += 1
+    def _bind_probe_access(self):
+        """``on_probe_access`` specialised on this run's config, bound once
+        so a probe pays only for what the run switched on (the myia
+        ``do_emit_events`` pattern)."""
+        runtime, cm, config = self.runtime, self.cm, self.runtime.config
+        stats, active = runtime.stats, runtime._active
+        push, aggregate = cm.probe_push, cm.aggregate_probe
+        use_cost = 0
+        if config.policy.track_use_callstacks:
+            use_cost = (cm.use_callstack_shadow if config.shadow_callstacks
+                        else cm.use_callstack_walk)
+        inline = cm.inline_process if config.inline_processing else 0
+        single = push + use_cost + inline
+        # Without Sets tracking no address resolves: every probe is a push.
+        object_for = (self._object_for if config.policy.track_sets
+                      else lambda addr: None)
+        packed_access, write = runtime.packed_access, AccessKind.WRITE
+
+        def on_probe_access(kind, addr, size, var, count, stride, loc,
+                            callstack, site_id=None) -> int:
+            if not active:
+                stats.events_ignored_outside_roi += 1
+                return aggregate if count > 1 else push
+            obj = object_for(addr)
+            if obj is None:
+                return aggregate if count > 1 else push
+            stats.access_events += 1
+            if count > 1:
+                stats.aggregated_events += 1
+                cost = aggregate + use_cost + inline * count
+            else:
+                cost = single
+            packed_access(
+                kind is write, obj.obj_id, addr - obj.base, size, count,
+                stride, var, loc, site_id, callstack, self.vm.instructions,
+            )
             return cost
-        if runtime.config.policy.track_sets:
-            obj = self._object_for(addr)
-            if obj is not None:
-                runtime.stats.access_events += 1
-                if count > 1:
-                    runtime.stats.aggregated_events += 1
-                if runtime.config.policy.track_use_callstacks:
-                    cost += (self.cm.use_callstack_shadow
-                             if runtime.config.shadow_callstacks
-                             else self.cm.use_callstack_walk)
-                if runtime.config.inline_processing:
-                    cost += self.cm.inline_process * max(1, count)
-                runtime.packed_access(
-                    kind is AccessKind.WRITE, obj.obj_id, addr - obj.base,
-                    size, count, stride, var, loc, site_id, callstack,
-                    self.vm.instructions,
-                )
-        return cost
+        return on_probe_access
 
     def on_probe_classify(self, states, addr, size, var, count, stride,
                           loc, roi_id=None, site_id=None) -> int:

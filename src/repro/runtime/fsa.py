@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from array import array
+from itertools import combinations
 from typing import Dict, FrozenSet, Tuple
 
 from repro.errors import RuntimeToolError
@@ -162,3 +163,18 @@ def _state_for_letters(letters: FrozenSet[str]) -> State:
     if "C" in letters:
         return State.CIO if "I" in letters else State.CO
     raise RuntimeToolError(f"no FSA state for letters {sorted(letters)}")
+
+
+def join_forced(state_code: int, forced: str) -> str:
+    """The epoch-commit join: sorted letters of the state forced by
+    ``forced`` (the fold reads :data:`FORCED_JOIN` instead)."""
+    return "".join(sorted(force_states(STATES[state_code], forced).sets))
+
+
+#: ``FORCED_JOIN[state_code][forced]`` → :func:`join_forced`, for every
+#: subset of ``CIOT`` spelled in sorted order.
+FORCED_JOIN: Tuple[Dict[str, str], ...] = tuple(
+    {"".join(f): join_forced(code, "".join(f))
+     for n in range(5) for f in combinations("CIOT", n)}
+    for code in range(len(STATES))
+)

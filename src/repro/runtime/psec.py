@@ -84,9 +84,7 @@ class PsecEntry:
         if epoch != self.last_epoch:
             # New loop execution: commit the previous epoch's letters (set
             # union with the C/T rule of §4.2) and restart the FSA.
-            self.forced = "".join(
-                sorted(fsa.force_states(self.state, self.forced).sets)
-            )
+            self.forced = fsa.join_forced(self.state_code, self.forced)
             self.state_code = 0  # fsa.State.EPS
             self.last_invocation = -1
             self.last_epoch = epoch

@@ -91,6 +91,9 @@ class Memory:
         }
         self._obj_counter = 0
         self._dead = 0
+        #: Last object a lookup resolved, checked before the bisect (loop
+        #: bodies re-touch the same array); starts empty, matching nothing.
+        self._last = MemoryObject(0, 0, 0, "global", bytearray())
         self.clock = 0  # logical time, bumped by the interpreter
         self.heap_bytes_allocated = 0
         self.heap_bytes_freed = 0
@@ -186,6 +189,10 @@ class Memory:
     # -- lookup ----------------------------------------------------------------
 
     def object_at(self, addr: int) -> MemoryObject:
+        obj = self._last
+        base = obj.base
+        if base <= addr < base + obj.size and not obj.freed:
+            return obj
         segment = self._segment_of(addr)
         index = bisect.bisect_right(self._bases[segment], addr) - 1
         if index >= 0:
@@ -193,16 +200,22 @@ class Memory:
             if obj.contains(addr):
                 if obj.freed:
                     raise MemoryFault(f"use-after-free at {addr:#x} in {obj!r}")
+                self._last = obj
                 return obj
         raise MemoryFault(f"invalid address {addr:#x}")
 
     def try_object_at(self, addr: int) -> Optional[MemoryObject]:
         """Like :meth:`object_at` but returns None for invalid/freed addrs."""
+        obj = self._last
+        base = obj.base
+        if base <= addr < base + obj.size and not obj.freed:
+            return obj
         segment = self._segment_of(addr)
         index = bisect.bisect_right(self._bases[segment], addr) - 1
         if index >= 0:
             obj = self._objects[segment][index]
             if obj.contains(addr) and not obj.freed:
+                self._last = obj
                 return obj
         return None
 

@@ -1,17 +1,24 @@
 """Unit tests for the runtime engine / VM-hook layer (§4.5–4.6)."""
 
+import dataclasses
+import types
+
 import pytest
 
 from repro.compiler import compile_carmot, compile_naive
 from repro.compiler.driver import frontend
 from repro.compiler.instrument import InstrumentationPlan, instrument_module
+from repro.ir.instructions import AccessKind
 from repro.runtime import (
     CarmotHooks,
     CarmotRuntime,
     FULL_POLICY,
+    POLICIES,
     RuntimeConfig,
 )
+from repro.runtime.config import NAIVE_POLICIES
 from repro.vm import run_module
+from repro.vm.memory import Memory
 
 LIB_HEAVY = """
 int main() {
@@ -138,3 +145,119 @@ class TestEventFiltering:
         r_shadow, _ = run_with_config(LIB_HEAVY, shadow_callstacks=True)
         r_walk, _ = run_with_config(LIB_HEAVY, shadow_callstacks=False)
         assert r_shadow.cost < r_walk.cost
+
+
+#: (policy, inline_processing, shadow_callstacks) → cost of one probe
+#: that records an event at ``count`` 0, 1 and 4, from the default
+#: cost model: probe_push 14 (aggregate_probe 22 when count > 1), plus
+#: a use-callstack capture (shadow 6, walk 450) when the policy records
+#: use callstacks, plus inline_process 90 per covered element without
+#: the pipeline.  Without Sets tracking a probe costs the push alone.
+EXPECTED_COST = {
+    ("parallel_for", False, True): (20, 20, 28),
+    ("parallel_for", False, False): (464, 464, 472),
+    ("parallel_for", True, True): (110, 110, 388),
+    ("parallel_for", True, False): (554, 554, 832),
+    ("full", False, True): (20, 20, 28),
+    ("full", False, False): (464, 464, 472),
+    ("full", True, True): (110, 110, 388),
+    ("full", True, False): (554, 554, 832),
+    ("task", False, True): (14, 14, 22),
+    ("task", False, False): (14, 14, 22),
+    ("task", True, True): (104, 104, 382),
+    ("task", True, False): (104, 104, 382),
+    ("stats", False, True): (14, 14, 22),
+    ("stats", False, False): (14, 14, 22),
+    ("stats", True, True): (104, 104, 382),
+    ("stats", True, False): (104, 104, 382),
+    ("smart_pointers_table1", False, True): (14, 14, 22),
+    ("smart_pointers_table1", False, False): (14, 14, 22),
+    ("smart_pointers_table1", True, True): (104, 104, 382),
+    ("smart_pointers_table1", True, False): (104, 104, 382),
+    ("smart_pointers", False, True): (14, 14, 22),
+    ("smart_pointers", False, False): (14, 14, 22),
+    ("smart_pointers", True, True): (14, 14, 22),
+    ("smart_pointers", True, False): (14, 14, 22),
+}
+COUNTS = (0, 1, 4)
+PROBE_POLICIES = [*NAIVE_POLICIES.values(), FULL_POLICY,
+                  POLICIES["smart_pointers"]]
+
+
+def probe_cases():
+    for policy in PROBE_POLICIES:
+        for inline in (False, True):
+            for shadow in (False, True):
+                for index, count in enumerate(COUNTS):
+                    yield pytest.param(
+                        policy, inline, shadow, count,
+                        EXPECTED_COST[policy.name, inline, shadow][index],
+                        id=f"{policy.name}-inline{int(inline)}-"
+                           f"shadow{int(shadow)}-count{count}",
+                    )
+
+
+class TestProbeAccessParity:
+    """``on_probe_access`` is bound once per run; whatever config it was
+    bound for, it charges and counts exactly what the cost model says."""
+
+    @pytest.fixture(scope="class")
+    def module(self):
+        return frontend("""
+        int main() {
+          int x = 0;
+          #pragma carmot roi
+          { x = 1; }
+          return x;
+        }
+        """, "t")
+
+    def setup_probe(self, module, policy, inline, shadow):
+        runtime = CarmotRuntime(module, RuntimeConfig(
+            policy=policy, inline_processing=inline,
+            shadow_callstacks=shadow,
+        ))
+        hooks = CarmotHooks(runtime)
+        hooks.vm = types.SimpleNamespace(memory=Memory(), instructions=7)
+        obj = hooks.vm.memory.allocate(64, "heap")
+        return runtime, hooks, obj
+
+    @staticmethod
+    def probe(runtime, hooks, addr, count):
+        before = dataclasses.asdict(runtime.stats)
+        events = runtime._block_events
+        cost = hooks.on_probe_access(
+            AccessKind.WRITE, addr, 8, None, count, 8, None, ("main",))
+        after = dataclasses.asdict(runtime.stats)
+        bumped = {name: after[name] - before[name]
+                  for name in after if after[name] != before[name]}
+        return cost, bumped, runtime._block_events - events
+
+    @pytest.mark.parametrize("policy,inline,shadow,count,cost", probe_cases())
+    def test_probe_in_roi(self, module, policy, inline, shadow, count, cost):
+        runtime, hooks, obj = self.setup_probe(module, policy, inline, shadow)
+        runtime.roi_begin(0)
+        got = self.probe(runtime, hooks, obj.base + 8, count)
+        if policy.track_sets:
+            bumped = {"access_events": 1}
+            if count > 1:
+                bumped["aggregated_events"] = 1
+            assert got == (cost, bumped, 1)
+        else:
+            assert got == (cost, {}, 0)
+
+    @pytest.mark.parametrize("policy,inline,shadow,count,cost", probe_cases())
+    def test_probe_outside_roi(self, module, policy, inline, shadow, count,
+                               cost):
+        runtime, hooks, obj = self.setup_probe(module, policy, inline, shadow)
+        base = 22 if count > 1 else 14
+        assert self.probe(runtime, hooks, obj.base, count) == (
+            base, {"events_ignored_outside_roi": 1}, 0)
+
+    @pytest.mark.parametrize("policy,inline,shadow,count,cost", probe_cases())
+    def test_probe_at_invalid_address(self, module, policy, inline, shadow,
+                                      count, cost):
+        runtime, hooks, obj = self.setup_probe(module, policy, inline, shadow)
+        runtime.roi_begin(0)
+        base = 22 if count > 1 else 14
+        assert self.probe(runtime, hooks, obj.end, count) == (base, {}, 0)

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import RuntimeToolError
-from repro.runtime.fsa import Event, State, TRANSITIONS, classify, force_states, step
+from repro.runtime.fsa import (
+    FORCED_JOIN, STATES, Event, State, TRANSITIONS, classify, force_states,
+    step,
+)
 
 
 class TestBasicTransitions:
@@ -157,3 +160,16 @@ def test_force_states_is_monotone_join(seq, letters):
     merged = force_states(state, letters)
     assert state.sets <= merged.sets or "C" in state.sets
     assert not ({"C", "T"} <= merged.sets)
+
+
+#: Every subset of ``CIOT``, each spelled in sorted order.
+CIOT_SUBSETS = ["", "C", "I", "O", "T", "CI", "CO", "CT", "IO", "IT", "OT",
+                "CIO", "CIT", "COT", "IOT", "CIOT"]
+
+
+@pytest.mark.parametrize("code", range(len(STATES)))
+def test_forced_join_table_matches_force_states(code):
+    assert sorted(FORCED_JOIN[code]) == sorted(CIOT_SUBSETS)
+    for forced in CIOT_SUBSETS:
+        assert FORCED_JOIN[code][forced] == "".join(
+            sorted(force_states(STATES[code], forced).sets))

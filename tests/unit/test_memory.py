@@ -130,11 +130,97 @@ class TestCompaction:
         released = []
         for _ in range(5000):
             obj = mem.allocate(8, "stack")
+            assert mem.object_at(obj.base) is obj  # the last hit, then freed
             released.append(obj)
             mem.release_stack_object(obj)
+        assert len(mem._objects["stack"]) < 5001  # a compaction ran
         mem.write_scalar(keep.base, 42, ct.INT)
         assert mem.read_scalar(keep.base, ct.INT) == 42
-        assert mem.try_object_at(released[0].base) is None
+        late = mem.allocate(8, "stack")
+        for obj in (late, keep, late):
+            assert mem.object_at(obj.base + 4) is obj
+        for obj in (released[0], released[-1]):
+            with pytest.raises(MemoryFault):
+                mem.object_at(obj.base)
+            assert mem.try_object_at(obj.base) is None
+
+
+class TestLastHitCache:
+    """``object_at`` answers from the last object it resolved before it
+    bisects; that shortcut must never hide a fault."""
+
+    def test_freed_last_hit_still_faults(self):
+        mem = Memory()
+        obj = mem.allocate(16, "heap")
+        assert mem.object_at(obj.base + 8) is obj
+        mem.free(obj.base)
+        with pytest.raises(MemoryFault, match="use-after-free"):
+            mem.object_at(obj.base + 8)
+        assert mem.try_object_at(obj.base + 8) is None
+
+    def test_released_stack_last_hit_still_faults(self):
+        mem = Memory()
+        obj = mem.allocate(8, "stack")
+        assert mem.try_object_at(obj.base) is obj
+        mem.release_stack_object(obj)
+        with pytest.raises(MemoryFault, match="use-after-free"):
+            mem.read_scalar(obj.base, ct.INT)
+        assert mem.try_object_at(obj.base) is None
+
+    def test_guard_byte_after_last_hit_faults(self):
+        mem = Memory()
+        a = mem.allocate(8, "heap")
+        mem.allocate(8, "heap")
+        assert mem.object_at(a.base + 7) is a
+        with pytest.raises(MemoryFault, match="invalid address"):
+            mem.object_at(a.base + 8)
+        assert mem.try_object_at(a.base + 8) is None
+
+    def test_access_straddling_last_hit_end_faults(self):
+        mem = Memory()
+        obj = mem.allocate(12, "heap")
+        mem.write_scalar(obj.base, 1, ct.INT)  # obj is now the last hit
+        with pytest.raises(MemoryFault, match="out-of-bounds"):
+            mem.read_scalar(obj.base + 8, ct.INT)
+        with pytest.raises(MemoryFault, match="out-of-bounds"):
+            mem.write_scalar(obj.base + 8, 2, ct.INT)
+        assert mem.read_scalar(obj.base + 8, ct.CHAR) == 0
+
+    @given(st.lists(st.tuples(st.sampled_from(["alloc", "free", "look"]),
+                              st.integers(0, 40)), max_size=60))
+    def test_matches_a_linear_scan(self, ops):
+        """Any interleaving of allocations, frees and lookups resolves
+        exactly as a scan over every object ever allocated."""
+        mem = Memory()
+        objects = []
+
+        def scan(addr):
+            for obj in objects:
+                if obj.base <= addr < obj.end:
+                    return obj
+            return None
+
+        for op, n in ops:
+            if op == "alloc":
+                objects.append(mem.allocate(n % 17, ("heap", "stack")[n % 2]))
+            elif op == "free" and objects:
+                obj = objects[n % len(objects)]
+                if not obj.freed:
+                    if obj.kind == "heap":
+                        mem.free(obj.base)
+                    else:
+                        mem.release_stack_object(obj)
+            elif objects:
+                target = objects[n % len(objects)]
+                addr = target.base + n % (target.size + 2) - 1
+                want = scan(addr)
+                if want is None or want.freed:
+                    with pytest.raises(MemoryFault):
+                        mem.object_at(addr)
+                    assert mem.try_object_at(addr) is None
+                else:
+                    assert mem.object_at(addr) is want
+                    assert mem.try_object_at(addr) is want
 
 
 @given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=20))
