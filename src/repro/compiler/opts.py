@@ -15,6 +15,7 @@ The module-level entry points are also registered as passes (``o3``,
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Set
 
 from repro.lang import types as ct
@@ -102,8 +103,13 @@ def fold_constants(function: Function) -> int:
                     continue
             elif isinstance(instr, Cast):
                 value = resolve(instr.value)
-                if isinstance(value, Const):
-                    if isinstance(instr.result.ty, ct.FloatType):
+                to_float = isinstance(instr.result.ty, ct.FloatType)
+                # A non-finite float cast to an integer stays a cast: it
+                # traps when it runs.
+                if isinstance(value, Const) and (
+                        to_float or not isinstance(value.value, float)
+                        or math.isfinite(value.value)):
+                    if to_float:
                         casted: object = float(value.value)
                     else:
                         casted = int(value.value)

@@ -69,7 +69,7 @@ def _bench_module() -> Module:
 #: is a tight reduction/flag loop (the paper's induction-variable hot
 #: path); ``mixed_loop`` adds array walks and an occasional aggregated
 #: access; ``array_walk`` is dominated by walks whose offset advances
-#: every iteration (the anti-merging worst case).
+#: every iteration (a new PSE key on almost every access).
 _STREAM_SHAPES: Dict[str, Tuple[Tuple[int, int], Tuple[int, int], float]] = {
     "scalar_loop": ((6, 9), (0, 0), 0.0),
     "mixed_loop": ((4, 7), (1, 2), 0.3),

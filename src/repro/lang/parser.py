@@ -45,6 +45,26 @@ _BINARY_PRECEDENCE: Dict[str, int] = {
 
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=")
 
+#: Deepest nesting the parser accepts.  Each statement, assignment
+#: expression and unary operand open at once counts one level, and so does
+#: each operator of a binary chain.  Every level costs a few Python frames
+#: here and in each later stage that walks the tree, so a program nested
+#: exactly this deep still runs end to end at the default recursion limit.
+MAX_NESTING = 160
+
+
+def _nested(parse):
+    """Count one nesting level while ``parse`` runs."""
+
+    def nested(self, *args):
+        self._enter()
+        try:
+            return parse(self, *args)
+        finally:
+            self._depth -= 1
+
+    return nested
+
 
 class Parser:
     """Parses a token stream into a :class:`repro.lang.astnodes.Program`."""
@@ -54,6 +74,7 @@ class Parser:
         self._index = 0
         self._structs: Dict[str, ct.StructType] = {}
         self._typedefs: Dict[str, ct.Type] = {}
+        self._depth = 0
 
     # -- token helpers ----------------------------------------------------
 
@@ -84,6 +105,13 @@ class Parser:
         if tok.kind is not TokenKind.IDENT:
             raise ParseError(f"expected identifier, got {tok}")
         return tok
+
+    def _enter(self) -> None:
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than {MAX_NESTING} levels, got {self._peek()}"
+            )
 
     def _accept_punct(self, text: str) -> bool:
         if self._peek().is_punct(text):
@@ -258,6 +286,7 @@ class Parser:
         self._expect_punct("}")
         return ast.Block(pos, stmts)
 
+    @_nested
     def _parse_stmt(self) -> ast.Stmt:
         pragmas = self._collect_pragmas()
         stmt = self._parse_stmt_inner()
@@ -376,6 +405,7 @@ class Parser:
     def _parse_expr(self) -> ast.Expr:
         return self._parse_assignment()
 
+    @_nested
     def _parse_assignment(self) -> ast.Expr:
         lhs = self._parse_ternary()
         tok = self._peek()
@@ -397,17 +427,20 @@ class Parser:
 
     def _parse_binary(self, min_prec: int) -> ast.Expr:
         lhs = self._parse_unary()
+        depth = self._depth
         while True:
             tok = self._peek()
-            if tok.kind is not TokenKind.PUNCT:
-                return lhs
-            prec = _BINARY_PRECEDENCE.get(str(tok.value), 0)
+            prec = (_BINARY_PRECEDENCE.get(str(tok.value), 0)
+                    if tok.kind is TokenKind.PUNCT else 0)
             if prec == 0 or prec <= min_prec:
+                self._depth = depth
                 return lhs
+            self._enter()  # a chain nests its operands left-deep
             self._next()
             rhs = self._parse_binary(prec)
             lhs = ast.BinOp(tok.pos, str(tok.value), lhs, rhs)
 
+    @_nested
     def _parse_unary(self) -> ast.Expr:
         tok = self._peek()
         if tok.kind is TokenKind.PUNCT and tok.value in ("-", "+", "!", "~"):

@@ -10,6 +10,7 @@ those annotations, so :func:`analyze` must run before
 from __future__ import annotations
 
 import enum
+import math
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -152,6 +153,13 @@ class Analyzer:
             if not isinstance(gvar.init, (ast.IntLit, ast.FloatLit, ast.NullLit)):
                 raise SemanticError(
                     f"global initializer for {gvar.name!r} must be a literal"
+                )
+            if (isinstance(gvar.init, ast.FloatLit)
+                    and not isinstance(gvar.var_type, ct.FloatType)
+                    and not math.isfinite(gvar.init.value)):
+                raise SemanticError(
+                    f"global initializer for {gvar.name!r} at {gvar.pos} "
+                    f"is not a finite number"
                 )
             self._check_expr(gvar.init, self._globals)
 

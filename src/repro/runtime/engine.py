@@ -36,7 +36,6 @@ from repro.runtime.packed import (
     F_AUX,
     F_COUNT,
     F_CS,
-    F_LAST,
     F_OBJ,
     F_OFFSET,
     F_SITE,
@@ -135,9 +134,6 @@ class CarmotRuntime:
         self._block = PackedBlock()
         self._block_limit = self.config.batch_size
         self._block_events = 0
-        #: Run-merge anchors: nine-field row head → base offset of the
-        #: anchor row in the current block (reset at every flush).
-        self._anchors: Dict[Tuple, int] = {}
         self._cs = InternTable()
         self._actives = InternTable()
         self._letters = InternTable()
@@ -331,21 +327,14 @@ class CarmotRuntime:
             block.events = self._block_events
             self._block = PackedBlock()
             self._block_events = 0
-            self._anchors.clear()
             self.pipeline.push_block(block)
 
     def packed_access(self, is_write, obj_id, offset, size, count, stride,
                       var, loc, site_id, callstack, time) -> None:
-        """Append one access row — or run-merge it into an identical one.
+        """Append one access row.
 
-        An access whose nine head fields match an anchor row already in
-        the block (a loop body re-executing the same access in the same
-        ROI invocation) bumps the anchor's repeat count and last-time
-        instead of appending; the fold replays repeats exactly (see
-        :mod:`repro.runtime.packed`).  Event budgets disable merging so
-        per-event narrowing keeps its row-per-event shape: past the
-        budget, an access becomes a conservative classify row for the
-        over-budget ROIs plus an access row for the rest.
+        Past an event budget, an access becomes a conservative classify
+        row for the over-budget ROIs plus an access row for the rest.
         """
         if site_id is None:
             site_id = self._site_for(var, loc)
@@ -388,18 +377,10 @@ class CarmotRuntime:
             if self._block_events >= self._block_limit:
                 self._flush_block()
             return
-        head = (is_write, obj_id, offset, size, count, stride,
-                site_id, cs_id, self._active_id)
-        anchors = self._anchors
-        base = anchors.get(head)
-        data = block.data
-        if base is None:
-            anchors[head] = len(data)
-            data.extend(head)
-            data.extend((time, 0, time))
-        else:
-            data[base + F_AUX] += 1
-            data[base + F_LAST] = time
+        block.data.extend((
+            is_write, obj_id, offset, size, count, stride,
+            site_id, cs_id, self._active_id, time, 0, time,
+        ))
         events = self._block_events + 1
         self._block_events = events
         if events >= self._block_limit:
@@ -517,8 +498,8 @@ class CarmotRuntime:
         ``bases`` are row start offsets into ``block.data`` (ascending =
         event order).  The per-ROI ``total_accesses``/``use_records``
         counters and the use-record budget are applied per event, exactly
-        as replaying every event (merged repeats included) through
-        :meth:`Psec.record_access` would.
+        as replaying every event through :meth:`Psec.record_access`
+        would.
         """
         data = block.data
         site_values = self._site_values
@@ -540,14 +521,17 @@ class CarmotRuntime:
                 var, _, loc_str = site_values[data[base + F_SITE]]
                 count = data[base + F_COUNT]
                 time = data[base + F_TIME]
-                t_last = data[base + F_LAST]
-                n = data[base + F_AUX] + 1
                 active = active_values[data[base + F_ACTIVE]]
-                if var is not None and count == 1:
-                    key = var_keys.get(obj)
-                    if key is None:
-                        key = intern_key(("var", obj), ("var", obj))
-                        var_keys[obj] = key
+                if count == 1:
+                    if var is not None:
+                        key = var_keys.get(obj)
+                        if key is None:
+                            key = intern_key(("var", obj), ("var", obj))
+                            var_keys[obj] = key
+                    else:
+                        key = ("mem", obj, data[base + F_OFFSET],
+                               data[base + F_SIZE])
+                        key = intern_key(key, key)
                     keys = (key,)
                 else:
                     size = data[base + F_SIZE]
@@ -586,24 +570,18 @@ class CarmotRuntime:
                             kind if invocation != entry.last_invocation
                             else kind + 2
                         )
-                        # Merged repeats are non-fresh accesses of the
-                        # same kind (same active id ⇒ same invocation),
-                        # and every step lands on a fixpoint of those
-                        # (asserted in tests): the repeats only add to
-                        # the counters and the max last-time.
                         state_code = flat[entry.state_code * 4 + event_code]
                         if state_code < 0:
                             fsa.step_code(entry.state_code, event_code)
                         entry.state_code = state_code
                         if kind:
                             entry.write_seen = True
-                        entry.access_count += n
+                        entry.access_count += 1
                         entry.last_invocation = invocation
                         if entry.first_time is None:
                             entry.first_time = time
-                        if entry.last_time is None or t_last > entry.last_time:
-                            entry.last_time = t_last
-                        psec.total_accesses += n
+                        entry.last_time = time
+                        psec.total_accesses += 1
                         if track_uses and use not in entry.uses:
                             entry.uses.add(use)
                             psec.use_records += 1
@@ -674,7 +652,6 @@ class CarmotRuntime:
                 var, _, _ = site_values[data[base + F_SITE]]
                 letters = CONSERVATIVE_WRITE if kind else CONSERVATIVE_READ
                 time = data[base + F_TIME]
-                reps = data[base + F_AUX]
                 if var is not None and data[base + F_COUNT] == 1:
                     keys = (intern_key(("var", obj), ("var", obj)),)
                 else:
@@ -691,12 +668,6 @@ class CarmotRuntime:
                     for roi_id, _, _ in active_values[data[base + F_ACTIVE]]:
                         psec = self.psecs[roi_id]
                         psec.force_classification(key, var, letters, time)
-                        if reps:
-                            # Replay run-merged repeats: the forced letters
-                            # idempote; only the max last-time advances.
-                            psec.force_classification(
-                                key, var, letters, data[base + F_LAST]
-                            )
                         rois.add(roi_id)
             elif kind == KIND_FREE:
                 self.asmt.mark_freed(data[base + F_OBJ], data[base + F_TIME])

@@ -18,8 +18,7 @@ kind code             fields used
 ====================  =====================================================
 ``KIND_READ/WRITE``   obj, offset, size, count, stride, site (interned
                       (var, loc) id), cs (callstack id), active (snapshot
-                      id), time; ``aux`` = run-merge repeat count, ``last``
-                      = time of the latest merged repeat
+                      id), time; ``aux`` = 0, ``last`` = time
 ``KIND_CLASSIFY``     obj, offset, size, count, stride, site, active,
                       time; ``aux`` = letters-string id
 ``KIND_ALLOC``        obj, size, active, time; ``aux`` = index into
@@ -29,17 +28,10 @@ kind code             fields used
 ``KIND_FREE``         obj, active, time
 ====================  =====================================================
 
-**Run merging.**  An access identical to an *anchor* row already in the
-block — the nine head fields ``kind..active`` all equal, i.e. a loop body
-re-executing the same access in the same ROI invocation — does not append
-a new row: capture bumps the anchor's ``aux`` repeat count and ``last``
-timestamp instead.  The fold replays a merged row exactly: repeats are
-non-fresh events of the row's kind, which leave the state the row's first
-event reached unchanged (a fixpoint property of the transition table), so
-counters add the repeat count and ``last_time`` folds as a maximum.  ``PackedBlock.events`` counts *events* (rows + merged repeats),
-and a block is flushed every ``batch_size`` events, so batch boundaries —
-and the fault plans keyed on batch sequence numbers — do not depend on
-how much merging happened.
+Every event is one row.  ``PackedBlock.events`` counts events, and a
+block is flushed every ``batch_size`` events, so batch boundaries — and
+the fault plans keyed on batch sequence numbers — follow the event
+stream alone.
 """
 
 from __future__ import annotations
@@ -71,9 +63,8 @@ class PackedBlock:
         self.data = array("q")
         #: Non-integer payloads (alloc rows): (kind, var, loc, callstack).
         self.side: List[Tuple] = []
-        #: Event count including run-merged repeats (set at flush time);
-        #: ``len(block)`` reports this, so batch accounting counts events,
-        #: not rows.
+        #: Event count (set at flush time); ``len(block)`` reports it,
+        #: so batch accounting counts events.
         self.events = 0
 
     def __len__(self) -> int:

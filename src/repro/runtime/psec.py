@@ -180,10 +180,9 @@ class Psec:
         entry.forced = "".join(sorted(set(entry.forced) | set(letters)))
         if entry.first_time is None:
             entry.first_time = time
-        # Max, not last-assignment: packed run merging replays a merged
-        # row's repeats out of original event order, so a later fold step
-        # may carry an earlier timestamp.  VM times are monotone, so for
-        # unmerged streams this is the same value as before.
+        # Max, not last-assignment: prescreen verdicts resolve at finish
+        # stamped with their first execution time, after the events that
+        # followed it have been folded.
         if entry.last_time is None or time > entry.last_time:
             entry.last_time = time
 

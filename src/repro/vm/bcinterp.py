@@ -142,7 +142,7 @@ from repro.vm.bytecode import (
 from repro.vm.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.vm.hooks import ExecutionHooks
 from repro.vm.interpreter import RunResult
-from repro.vm.memory import FUNC_PTR_BASE, Memory, MemoryObject
+from repro.vm.memory import FUNC_PTR_BASE, Memory, MemoryObject, to_int
 
 #: Sub-operation evaluators for the fused load+binop / binop+store
 #: opcodes (the fusion catalog excludes div/rem, so none of these trap).
@@ -690,8 +690,9 @@ class BytecodeInterpreter:
         hooks = self.hooks
         cm = self.cost_model
         call_stack = self.call_stack
-        read_scalar = memory.read_scalar
-        write_scalar = memory.write_scalar
+        # Typed loads and stores, indexed by TY_* codes.
+        readers = (memory.read_int, memory.read_float, memory.read_char)
+        writers = (memory.write_int, memory.write_float, memory.write_char)
         max_instructions = self.max_instructions
         max_depth = self.max_recursion_depth
         bc = self.bytecode
@@ -719,7 +720,6 @@ class BytecodeInterpreter:
         # paths charge the components separately to match the oracle).
         arith_branch = arith + branch_cost
         load_arith = load_cost + arith
-        ty_objs = (ct.INT, ct.FLOAT, ct.CHAR)  # indexed by TY_* codes
         kind_objs = (AccessKind.READ, AccessKind.WRITE)
         code = fn.xcode
         pc = fn.entry_pc
@@ -740,46 +740,18 @@ class BytecodeInterpreter:
                     print(f"trace: [{ic}] {fn.name}+{pc} {OPCODE_NAMES[op]}",
                           file=trace)
                 # Dispatch: hot opcodes (quickened, fused, common binops)
-                # sit in a shallow inline chain; fused opcodes count both
+                # sit in a shallow inline chain, each sub-chain ordered
+                # hottest first by measured dynamic opcode mixes (DESIGN.md
+                # §12); fused opcodes count both
                 # component instructions and re-check the budget between
                 # the halves so trip points match the unfused pair.
                 # Everything past the chain dispatches through the dense
                 # cold handler table.
                 if op >= OP_ADD:
-                    if op == OP_PHI_Q1:
-                        regs[code[pc + 4]] = regs[code[pc + 3]]
-                        cost += arith
-                        pc = code[pc + 2]
-                    elif op == OP_ADD_QI:
+                    if op == OP_ADD_QI:
                         regs[code[pc + 1]] = regs[code[pc + 2]] + code[pc + 3]
                         cost += arith
                         pc += 4
-                    elif op == OP_MUL_QI:
-                        regs[code[pc + 1]] = regs[code[pc + 2]] * code[pc + 3]
-                        cost += arith
-                        pc += 4
-                    elif op == OP_LT_BR_QI:
-                        ic += 1
-                        if ic > max_instructions:
-                            cost += arith
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        cost += arith_branch
-                        if regs[code[pc + 2]] < code[pc + 3]:
-                            regs[code[pc + 1]] = 1
-                            pc = code[pc + 4]
-                        else:
-                            regs[code[pc + 1]] = 0
-                            pc = code[pc + 5]
-                    elif op == OP_REM_QI:
-                        lhs = regs[code[pc + 2]]
-                        rhs = code[pc + 3]
-                        quotient = abs(lhs) // abs(rhs)
-                        if (lhs < 0) != (rhs < 0):
-                            quotient = -quotient
-                        regs[code[pc + 1]] = lhs - quotient * rhs
-                        cost += arith
-                        pc += 5
                     elif op == OP_JUMP_PHI:
                         cost += branch_cost
                         ic += 1
@@ -811,11 +783,87 @@ class BytecodeInterpreter:
                         ic += k - 1
                         cost += arith * k
                         pc = code[t + 2]
+                    elif op == OP_MUL_QI:
+                        regs[code[pc + 1]] = regs[code[pc + 2]] * code[pc + 3]
+                        cost += arith
+                        pc += 4
+                    elif op == OP_LT_BR_QI:
+                        ic += 1
+                        if ic > max_instructions:
+                            cost += arith
+                            raise BudgetExceeded(
+                                "instruction budget exceeded")
+                        cost += arith_branch
+                        if regs[code[pc + 2]] < code[pc + 3]:
+                            regs[code[pc + 1]] = 1
+                            pc = code[pc + 4]
+                        else:
+                            regs[code[pc + 1]] = 0
+                            pc = code[pc + 5]
                     elif op == OP_ADD:
                         regs[code[pc + 1]] = (
                             regs[code[pc + 2]] + regs[code[pc + 3]])
                         cost += arith
                         pc += 4
+                    elif op == OP_REM_QI:
+                        lhs = regs[code[pc + 2]]
+                        rhs = code[pc + 3]
+                        quotient = abs(lhs) // abs(rhs)
+                        if (lhs < 0) != (rhs < 0):
+                            quotient = -quotient
+                        regs[code[pc + 1]] = lhs - quotient * rhs
+                        cost += arith
+                        pc += 5
+                    elif op == OP_PHI_Q1:
+                        regs[code[pc + 4]] = regs[code[pc + 3]]
+                        cost += arith
+                        pc = code[pc + 2]
+                    elif op == OP_SUB:
+                        regs[code[pc + 1]] = (
+                            regs[code[pc + 2]] - regs[code[pc + 3]])
+                        cost += arith
+                        pc += 4
+                    elif op == OP_PROBE_LOAD:
+                        addr = int(regs[code[pc + 2]])
+                        count_slot = code[pc + 5]
+                        count = (1 if count_slot < 0
+                                 else int(regs[count_slot]))
+                        var_index = code[pc + 4]
+                        loc_index = code[pc + 7]
+                        site_id = code[pc + 8]
+                        self.instructions = ic
+                        self.cost = cost
+                        cost += hooks.on_probe_access(
+                            kind_objs[code[pc + 1]], addr, code[pc + 3],
+                            var_table[var_index] if var_index >= 0 else None,
+                            count, code[pc + 6],
+                            loc_table[loc_index] if loc_index >= 0 else None,
+                            cs, site_id if site_id >= 0 else None,
+                        )
+                        ic += 1
+                        if ic > max_instructions:
+                            raise BudgetExceeded(
+                                "instruction budget exceeded")
+                        addr = int(regs[code[pc + 10]])
+                        regs[code[pc + 9]] = readers[code[pc + 11]](addr)
+                        if code[pc + 12]:
+                            var_accesses += 1
+                        else:
+                            mem_accesses += 1
+                        cost += load_cost
+                        pc += 13
+                    elif op == OP_DIV_QI:
+                        lhs = regs[code[pc + 2]]
+                        rhs = code[pc + 3]
+                        if isinstance(lhs, float):
+                            result = lhs / rhs
+                        else:
+                            result = abs(lhs) // abs(rhs)
+                            if (lhs < 0) != (rhs < 0):
+                                result = -result
+                        regs[code[pc + 1]] = result
+                        cost += arith
+                        pc += 5
                     elif op == OP_GT_BR_QI:
                         ic += 1
                         if ic > max_instructions:
@@ -829,30 +877,9 @@ class BytecodeInterpreter:
                         else:
                             regs[code[pc + 1]] = 0
                             pc = code[pc + 5]
-                    elif op == OP_SUB:
-                        regs[code[pc + 1]] = (
-                            regs[code[pc + 2]] - regs[code[pc + 3]])
-                        cost += arith
-                        pc += 4
-                    elif op == OP_DIV_QI:
-                        lhs = regs[code[pc + 2]]
-                        rhs = code[pc + 3]
-                        if isinstance(lhs, float):
-                            result = lhs / rhs
-                        else:
-                            result = abs(lhs) // abs(rhs)
-                            if (lhs < 0) != (rhs < 0):
-                                result = -result
-                        regs[code[pc + 1]] = result
-                        cost += arith
-                        pc += 5
-                    elif op == OP_RSUB_QI:
-                        regs[code[pc + 1]] = code[pc + 2] - regs[code[pc + 3]]
-                        cost += arith
-                        pc += 4
                     elif op == OP_LOAD_BIN:
-                        regs[code[pc + 2]] = read_scalar(
-                            int(regs[code[pc + 3]]), ty_objs[code[pc + 4]])
+                        regs[code[pc + 2]] = readers[code[pc + 4]](
+                            int(regs[code[pc + 3]]))
                         if code[pc + 5]:
                             var_accesses += 1
                         else:
@@ -866,22 +893,56 @@ class BytecodeInterpreter:
                             regs[code[pc + 7]], regs[code[pc + 8]])
                         cost += load_arith
                         pc += 9
-                    elif op == OP_BIN_STORE:
-                        regs[code[pc + 2]] = value = bin_eval[code[pc + 1]](
-                            regs[code[pc + 3]], regs[code[pc + 4]])
-                        cost += arith
+                    elif op == OP_PROBE_STORE:
+                        addr = int(regs[code[pc + 2]])
+                        count_slot = code[pc + 5]
+                        count = (1 if count_slot < 0
+                                 else int(regs[count_slot]))
+                        var_index = code[pc + 4]
+                        loc_index = code[pc + 7]
+                        site_id = code[pc + 8]
+                        self.instructions = ic
+                        self.cost = cost
+                        cost += hooks.on_probe_access(
+                            kind_objs[code[pc + 1]], addr, code[pc + 3],
+                            var_table[var_index] if var_index >= 0 else None,
+                            count, code[pc + 6],
+                            loc_table[loc_index] if loc_index >= 0 else None,
+                            cs, site_id if site_id >= 0 else None,
+                        )
                         ic += 1
                         if ic > max_instructions:
                             raise BudgetExceeded(
                                 "instruction budget exceeded")
-                        addr = int(regs[code[pc + 5]])
-                        write_scalar(addr, value, ty_objs[code[pc + 6]])
-                        if code[pc + 7]:
+                        addr = int(regs[code[pc + 10]])
+                        writers[code[pc + 11]](addr, regs[code[pc + 9]])
+                        if code[pc + 12]:
                             var_accesses += 1
                         else:
                             mem_accesses += 1
                         cost += store_cost
-                        pc += 8
+                        pc += 13
+                    elif op == OP_SUB_QI:
+                        regs[code[pc + 1]] = regs[code[pc + 2]] - code[pc + 3]
+                        cost += arith
+                        pc += 4
+                    elif op == OP_NE:
+                        regs[code[pc + 1]] = (
+                            1 if regs[code[pc + 2]] != regs[code[pc + 3]]
+                            else 0)
+                        cost += arith
+                        pc += 4
+                    elif op == OP_EQ:
+                        regs[code[pc + 1]] = (
+                            1 if regs[code[pc + 2]] == regs[code[pc + 3]]
+                            else 0)
+                        cost += arith
+                        pc += 4
+                    elif op == OP_MUL:
+                        regs[code[pc + 1]] = (
+                            regs[code[pc + 2]] * regs[code[pc + 3]])
+                        cost += arith
+                        pc += 4
                     elif op == OP_LT_BR:
                         ic += 1
                         if ic > max_instructions:
@@ -895,6 +956,52 @@ class BytecodeInterpreter:
                         else:
                             regs[code[pc + 1]] = 0
                             pc = code[pc + 5]
+                    elif op == OP_DIV:
+                        lhs = regs[code[pc + 2]]
+                        rhs = regs[code[pc + 3]]
+                        if rhs == 0:
+                            loc_index = code[pc + 4]
+                            loc = (loc_table[loc_index]
+                                   if loc_index >= 0 else None)
+                            raise TrapError(f"division by zero at {loc}")
+                        if isinstance(lhs, float) or isinstance(rhs, float):
+                            result = lhs / rhs
+                        else:
+                            result = abs(lhs) // abs(rhs)
+                            if (lhs < 0) != (rhs < 0):
+                                result = -result
+                        regs[code[pc + 1]] = result
+                        cost += arith
+                        pc += 5
+                    elif op == OP_EQ_BR:
+                        ic += 1
+                        if ic > max_instructions:
+                            cost += arith
+                            raise BudgetExceeded(
+                                "instruction budget exceeded")
+                        cost += arith_branch
+                        if regs[code[pc + 2]] == regs[code[pc + 3]]:
+                            regs[code[pc + 1]] = 1
+                            pc = code[pc + 4]
+                        else:
+                            regs[code[pc + 1]] = 0
+                            pc = code[pc + 5]
+                    elif op == OP_BIN_STORE:
+                        regs[code[pc + 2]] = value = bin_eval[code[pc + 1]](
+                            regs[code[pc + 3]], regs[code[pc + 4]])
+                        cost += arith
+                        ic += 1
+                        if ic > max_instructions:
+                            raise BudgetExceeded(
+                                "instruction budget exceeded")
+                        addr = int(regs[code[pc + 5]])
+                        writers[code[pc + 6]](addr, value)
+                        if code[pc + 7]:
+                            var_accesses += 1
+                        else:
+                            mem_accesses += 1
+                        cost += store_cost
+                        pc += 8
                     elif op == OP_GT_BR:
                         ic += 1
                         if ic > max_instructions:
@@ -908,15 +1015,36 @@ class BytecodeInterpreter:
                         else:
                             regs[code[pc + 1]] = 0
                             pc = code[pc + 5]
-                    elif op == OP_MUL:
-                        regs[code[pc + 1]] = (
-                            regs[code[pc + 2]] * regs[code[pc + 3]])
+                    elif op == OP_RSUB_QI:
+                        regs[code[pc + 1]] = code[pc + 2] - regs[code[pc + 3]]
                         cost += arith
                         pc += 4
-                    elif op == OP_SUB_QI:
-                        regs[code[pc + 1]] = regs[code[pc + 2]] - code[pc + 3]
-                        cost += arith
-                        pc += 4
+                    elif op == OP_GE_BR_QI:
+                        ic += 1
+                        if ic > max_instructions:
+                            cost += arith
+                            raise BudgetExceeded(
+                                "instruction budget exceeded")
+                        cost += arith_branch
+                        if regs[code[pc + 2]] >= code[pc + 3]:
+                            regs[code[pc + 1]] = 1
+                            pc = code[pc + 4]
+                        else:
+                            regs[code[pc + 1]] = 0
+                            pc = code[pc + 5]
+                    elif op == OP_EQ_BR_QI:
+                        ic += 1
+                        if ic > max_instructions:
+                            cost += arith
+                            raise BudgetExceeded(
+                                "instruction budget exceeded")
+                        cost += arith_branch
+                        if regs[code[pc + 2]] == code[pc + 3]:
+                            regs[code[pc + 1]] = 1
+                            pc = code[pc + 4]
+                        else:
+                            regs[code[pc + 1]] = 0
+                            pc = code[pc + 5]
                     elif op == OP_LT:
                         regs[code[pc + 1]] = (
                             1 if regs[code[pc + 2]] < regs[code[pc + 3]]
@@ -949,19 +1077,6 @@ class BytecodeInterpreter:
                         else:
                             regs[code[pc + 1]] = 0
                             pc = code[pc + 5]
-                    elif op == OP_EQ_BR:
-                        ic += 1
-                        if ic > max_instructions:
-                            cost += arith
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        cost += arith_branch
-                        if regs[code[pc + 2]] == regs[code[pc + 3]]:
-                            regs[code[pc + 1]] = 1
-                            pc = code[pc + 4]
-                        else:
-                            regs[code[pc + 1]] = 0
-                            pc = code[pc + 5]
                     elif op == OP_NE_BR:
                         ic += 1
                         if ic > max_instructions:
@@ -988,32 +1103,6 @@ class BytecodeInterpreter:
                         else:
                             regs[code[pc + 1]] = 0
                             pc = code[pc + 5]
-                    elif op == OP_GE_BR_QI:
-                        ic += 1
-                        if ic > max_instructions:
-                            cost += arith
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        cost += arith_branch
-                        if regs[code[pc + 2]] >= code[pc + 3]:
-                            regs[code[pc + 1]] = 1
-                            pc = code[pc + 4]
-                        else:
-                            regs[code[pc + 1]] = 0
-                            pc = code[pc + 5]
-                    elif op == OP_EQ_BR_QI:
-                        ic += 1
-                        if ic > max_instructions:
-                            cost += arith
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        cost += arith_branch
-                        if regs[code[pc + 2]] == code[pc + 3]:
-                            regs[code[pc + 1]] = 1
-                            pc = code[pc + 4]
-                        else:
-                            regs[code[pc + 1]] = 0
-                            pc = code[pc + 5]
                     elif op == OP_NE_BR_QI:
                         ic += 1
                         if ic > max_instructions:
@@ -1027,23 +1116,6 @@ class BytecodeInterpreter:
                         else:
                             regs[code[pc + 1]] = 0
                             pc = code[pc + 5]
-                    elif op == OP_DIV:
-                        lhs = regs[code[pc + 2]]
-                        rhs = regs[code[pc + 3]]
-                        if rhs == 0:
-                            loc_index = code[pc + 4]
-                            loc = (loc_table[loc_index]
-                                   if loc_index >= 0 else None)
-                            raise TrapError(f"division by zero at {loc}")
-                        if isinstance(lhs, float) or isinstance(rhs, float):
-                            result = lhs / rhs
-                        else:
-                            result = abs(lhs) // abs(rhs)
-                            if (lhs < 0) != (rhs < 0):
-                                result = -result
-                        regs[code[pc + 1]] = result
-                        cost += arith
-                        pc += 5
                     elif op == OP_LE:
                         regs[code[pc + 1]] = (
                             1 if regs[code[pc + 2]] <= regs[code[pc + 3]]
@@ -1062,18 +1134,6 @@ class BytecodeInterpreter:
                             else 0)
                         cost += arith
                         pc += 4
-                    elif op == OP_EQ:
-                        regs[code[pc + 1]] = (
-                            1 if regs[code[pc + 2]] == regs[code[pc + 3]]
-                            else 0)
-                        cost += arith
-                        pc += 4
-                    elif op == OP_NE:
-                        regs[code[pc + 1]] = (
-                            1 if regs[code[pc + 2]] != regs[code[pc + 3]]
-                            else 0)
-                        cost += arith
-                        pc += 4
                     elif op == OP_REM:
                         lhs = regs[code[pc + 2]]
                         rhs = regs[code[pc + 3]]
@@ -1088,66 +1148,6 @@ class BytecodeInterpreter:
                         regs[code[pc + 1]] = lhs - quotient * rhs
                         cost += arith
                         pc += 5
-                    elif op == OP_PROBE_LOAD:
-                        addr = int(regs[code[pc + 2]])
-                        count_slot = code[pc + 5]
-                        count = (1 if count_slot < 0
-                                 else int(regs[count_slot]))
-                        var_index = code[pc + 4]
-                        loc_index = code[pc + 7]
-                        site_id = code[pc + 8]
-                        self.instructions = ic
-                        self.cost = cost
-                        cost += hooks.on_probe_access(
-                            kind_objs[code[pc + 1]], addr, code[pc + 3],
-                            var_table[var_index] if var_index >= 0 else None,
-                            count, code[pc + 6],
-                            loc_table[loc_index] if loc_index >= 0 else None,
-                            cs, site_id if site_id >= 0 else None,
-                        )
-                        ic += 1
-                        if ic > max_instructions:
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        addr = int(regs[code[pc + 10]])
-                        regs[code[pc + 9]] = read_scalar(
-                            addr, ty_objs[code[pc + 11]])
-                        if code[pc + 12]:
-                            var_accesses += 1
-                        else:
-                            mem_accesses += 1
-                        cost += load_cost
-                        pc += 13
-                    elif op == OP_PROBE_STORE:
-                        addr = int(regs[code[pc + 2]])
-                        count_slot = code[pc + 5]
-                        count = (1 if count_slot < 0
-                                 else int(regs[count_slot]))
-                        var_index = code[pc + 4]
-                        loc_index = code[pc + 7]
-                        site_id = code[pc + 8]
-                        self.instructions = ic
-                        self.cost = cost
-                        cost += hooks.on_probe_access(
-                            kind_objs[code[pc + 1]], addr, code[pc + 3],
-                            var_table[var_index] if var_index >= 0 else None,
-                            count, code[pc + 6],
-                            loc_table[loc_index] if loc_index >= 0 else None,
-                            cs, site_id if site_id >= 0 else None,
-                        )
-                        ic += 1
-                        if ic > max_instructions:
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        addr = int(regs[code[pc + 10]])
-                        write_scalar(addr, regs[code[pc + 9]],
-                                     ty_objs[code[pc + 11]])
-                        if code[pc + 12]:
-                            var_accesses += 1
-                        else:
-                            mem_accesses += 1
-                        cost += store_cost
-                        pc += 13
                     elif op == OP_CALL_IND_QF:
                         callee = quick_targets[code[pc + 1]]
                         argc = code[pc + 5]
@@ -1222,33 +1222,39 @@ class BytecodeInterpreter:
                         finally:
                             cost = self.cost
                 elif op <= OP_PHI:
-                    if op == OP_LOAD:
-                        addr = int(regs[code[pc + 2]])
-                        regs[code[pc + 1]] = read_scalar(
-                            addr, ty_objs[code[pc + 3]])
-                        if code[pc + 4]:
-                            var_accesses += 1
-                        else:
-                            mem_accesses += 1
-                        cost += load_cost
-                        pc += 5
+                    if op == OP_ADDR:
+                        regs[code[pc + 1]] = (
+                            int(regs[code[pc + 2]])
+                            + int(regs[code[pc + 3]]) * code[pc + 4]
+                            + code[pc + 5]
+                        )
+                        cost += addr_cost
+                        pc += 6
                     elif op == OP_JUMP:
                         pc = code[pc + 1]
                         cost += branch_cost
+                    elif op == OP_BR:
+                        pc = code[pc + 2] if regs[code[pc + 1]] != 0 \
+                            else code[pc + 3]
+                        cost += branch_cost
                     elif op == OP_STORE:
                         addr = int(regs[code[pc + 2]])
-                        write_scalar(addr, regs[code[pc + 1]],
-                                     ty_objs[code[pc + 3]])
+                        writers[code[pc + 3]](addr, regs[code[pc + 1]])
                         if code[pc + 4]:
                             var_accesses += 1
                         else:
                             mem_accesses += 1
                         cost += store_cost
                         pc += 5
-                    elif op == OP_BR:
-                        pc = code[pc + 2] if regs[code[pc + 1]] != 0 \
-                            else code[pc + 3]
-                        cost += branch_cost
+                    elif op == OP_LOAD:
+                        addr = int(regs[code[pc + 2]])
+                        regs[code[pc + 1]] = readers[code[pc + 3]](addr)
+                        if code[pc + 4]:
+                            var_accesses += 1
+                        else:
+                            mem_accesses += 1
+                        cost += load_cost
+                        pc += 5
                     elif op == OP_PHI:
                         # Per-edge trampoline: read every incoming against
                         # the predecessor's values, then write all results
@@ -1278,16 +1284,53 @@ class BytecodeInterpreter:
                         ic += k - 1
                         cost += arith * k
                         pc = code[pc + 2]
-                    elif op == OP_ADDR:
-                        regs[code[pc + 1]] = (
-                            int(regs[code[pc + 2]])
-                            + int(regs[code[pc + 3]]) * code[pc + 4]
-                            + code[pc + 5]
-                        )
-                        cost += addr_cost
-                        pc += 6
                     else:
                         raise VMError(f"unknown opcode {op} at {fn.name}+{pc}")
+                elif op == OP_CALL_BUILTIN:
+                    name, impl, base_cost = linked_builtins[code[pc + 1]]
+                    argc = code[pc + 5]
+                    base = pc + 6
+                    args = [regs[code[base + i]] for i in range(argc)]
+                    cost += call_cost
+                    loc_index = code[pc + 4]
+                    self._alloc_loc = (loc_table[loc_index]
+                                       if loc_index >= 0 else None)
+                    memory.clock = ic
+                    self.instructions = ic
+                    if code[pc + 3] and hooks.wants_pin():
+                        self.cost = cost
+                        cost += hooks.on_pin_attach()
+                        self._pin_active = True
+                    self.cost = cost
+                    try:
+                        result = impl(self, args)
+                    finally:
+                        self._pin_active = False
+                        cost = self.cost
+                    cost += base_cost
+                    dst = code[pc + 2]
+                    if dst >= 0:
+                        regs[dst] = result
+                    pc = base + argc
+                elif op == OP_RET:
+                    memory.clock = ic
+                    value_slot = code[pc + 1]
+                    value = regs[value_slot] if value_slot >= 0 else None
+                    for obj in stack_objects:
+                        memory.release_stack_object(obj)
+                    call_stack.pop()
+                    cost += ret_cost
+                    if frames:
+                        self.instructions = ic
+                        self.cost = cost
+                        cost += hooks.on_call_exit(fn.name)
+                        fn, regs, pc, dst, stack_objects, cs = frames.pop()
+                        code = fn.xcode
+                        if dst >= 0:
+                            regs[dst] = value
+                    else:
+                        self._return_value = value
+                        return
                 elif op == OP_CALL:
                     callee = linked_fns[code[pc + 1]]
                     argc = code[pc + 4]
@@ -1325,60 +1368,15 @@ class BytecodeInterpreter:
                     self.instructions = ic
                     self.cost = cost
                     cost += hooks.on_call_enter(fn.name, fn.instrumented)
-                elif op == OP_RET:
-                    memory.clock = ic
-                    value_slot = code[pc + 1]
-                    value = regs[value_slot] if value_slot >= 0 else None
-                    for obj in stack_objects:
-                        memory.release_stack_object(obj)
-                    call_stack.pop()
-                    cost += ret_cost
-                    if frames:
-                        self.instructions = ic
-                        self.cost = cost
-                        cost += hooks.on_call_exit(fn.name)
-                        fn, regs, pc, dst, stack_objects, cs = frames.pop()
-                        code = fn.xcode
-                        if dst >= 0:
-                            regs[dst] = value
-                    else:
-                        self._return_value = value
-                        return
-                elif op == OP_CALL_BUILTIN:
-                    name, impl, base_cost = linked_builtins[code[pc + 1]]
-                    argc = code[pc + 5]
-                    base = pc + 6
-                    args = [regs[code[base + i]] for i in range(argc)]
-                    cost += call_cost
-                    loc_index = code[pc + 4]
-                    self._alloc_loc = (loc_table[loc_index]
-                                       if loc_index >= 0 else None)
-                    memory.clock = ic
-                    self.instructions = ic
-                    if code[pc + 3] and hooks.wants_pin():
-                        self.cost = cost
-                        cost += hooks.on_pin_attach()
-                        self._pin_active = True
-                    self.cost = cost
-                    try:
-                        result = impl(self, args)
-                    finally:
-                        self._pin_active = False
-                        cost = self.cost
-                    cost += base_cost
-                    dst = code[pc + 2]
-                    if dst >= 0:
-                        regs[dst] = result
-                    pc = base + argc
                 elif op == OP_CAST:
                     value = regs[code[pc + 2]]
                     to = code[pc + 3]
                     if to == TY_FLOAT:
                         regs[code[pc + 1]] = float(value)
                     elif to == TY_CHAR:
-                        regs[code[pc + 1]] = int(value) & 0xFF
+                        regs[code[pc + 1]] = to_int(value) & 0xFF
                     else:
-                        regs[code[pc + 1]] = int(value)
+                        regs[code[pc + 1]] = to_int(value)
                     cost += cast_cost
                     pc += 4
                 elif op == OP_CALL_IND:

@@ -49,7 +49,7 @@ from repro.builtins_spec import BUILTINS
 from repro.vm.builtins import BUILTIN_IMPLS, Xorshift64
 from repro.vm.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.vm.hooks import ExecutionHooks
-from repro.vm.memory import FUNC_PTR_BASE, Memory, MemoryObject
+from repro.vm.memory import FUNC_PTR_BASE, Memory, MemoryObject, to_int
 
 
 @dataclass
@@ -445,9 +445,9 @@ class Interpreter:
         if isinstance(to, ct.FloatType):
             result: object = float(value)
         elif isinstance(to, ct.CharType):
-            result = int(value) & 0xFF
+            result = to_int(value) & 0xFF
         else:
-            result = int(value)
+            result = to_int(value)
         frame.temps[instr.result.name] = result
         self.cost += cm.cast
 

@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import BudgetExceeded, MemoryFault, VMError
+from repro.errors import BudgetExceeded, MemoryFault, TrapError, VMError
 from repro.lang import types as ct
 from repro.ir.instructions import SourceLoc, VarInfo
 
@@ -39,8 +39,35 @@ SEGMENT_LIMITS = {
     "heap": FUNC_PTR_BASE,
 }
 
-_INT = struct.Struct("<q")
-_DOUBLE = struct.Struct("<d")
+
+def _typed_access(fmt: str, convert, wrap):
+    """The ``(read, write)`` method pair for one scalar type.
+
+    An access that lies inside the live last-hit object runs inline;
+    any other goes through :meth:`Memory._resolve`, which raises the
+    fault.  A store packs ``convert(value)`` and falls back to the
+    C-style ``wrap(value)`` when that is out of the type's range."""
+    codec = struct.Struct(fmt)
+    size, unpack, pack = codec.size, codec.unpack_from, codec.pack_into
+
+    def read(self, addr: int):
+        obj = self._last
+        off = addr - obj.base
+        if off < 0 or off + size > obj.size or obj.freed:
+            obj, off = self._resolve(addr, size)
+        return unpack(obj.data, off)[0]
+
+    def write(self, addr: int, value) -> None:
+        obj = self._last
+        off = addr - obj.base
+        if off < 0 or off + size > obj.size or obj.freed:
+            obj, off = self._resolve(addr, size)
+        try:
+            pack(obj.data, off, convert(value))
+        except struct.error:
+            pack(obj.data, off, wrap(value))
+
+    return read, write
 
 
 @dataclass(slots=True)
@@ -63,9 +90,6 @@ class MemoryObject:
     @property
     def end(self) -> int:
         return self.base + self.size
-
-    def contains(self, addr: int, size: int = 1) -> bool:
-        return self.base <= addr and addr + size <= self.end
 
     def __repr__(self) -> str:
         who = self.var.name if self.var else "?"
@@ -100,14 +124,6 @@ class Memory:
         #: Live-heap budget in bytes (0 = unlimited); allocations past it
         #: raise :class:`BudgetExceeded` instead of growing host memory.
         self.heap_limit = 0
-
-    @staticmethod
-    def _segment_of(addr: int) -> str:
-        if addr >= HEAP_BASE:
-            return "heap"
-        if addr >= STACK_BASE:
-            return "stack"
-        return "global"
 
     # -- allocation ---------------------------------------------------------
 
@@ -193,16 +209,13 @@ class Memory:
         base = obj.base
         if base <= addr < base + obj.size and not obj.freed:
             return obj
-        segment = self._segment_of(addr)
-        index = bisect.bisect_right(self._bases[segment], addr) - 1
-        if index >= 0:
-            obj = self._objects[segment][index]
-            if obj.contains(addr):
-                if obj.freed:
-                    raise MemoryFault(f"use-after-free at {addr:#x} in {obj!r}")
-                self._last = obj
-                return obj
-        raise MemoryFault(f"invalid address {addr:#x}")
+        obj = self._bisect(addr)
+        if obj is None:
+            raise MemoryFault(f"invalid address {addr:#x}")
+        if obj.freed:
+            raise MemoryFault(f"use-after-free at {addr:#x} in {obj!r}")
+        self._last = obj
+        return obj
 
     def try_object_at(self, addr: int) -> Optional[MemoryObject]:
         """Like :meth:`object_at` but returns None for invalid/freed addrs."""
@@ -210,12 +223,20 @@ class Memory:
         base = obj.base
         if base <= addr < base + obj.size and not obj.freed:
             return obj
-        segment = self._segment_of(addr)
+        obj = self._bisect(addr)
+        if obj is None or obj.freed:
+            return None
+        self._last = obj
+        return obj
+
+    def _bisect(self, addr: int) -> Optional[MemoryObject]:
+        """The object whose bytes hold ``addr``, freed or not."""
+        segment = ("heap" if addr >= HEAP_BASE
+                   else "stack" if addr >= STACK_BASE else "global")
         index = bisect.bisect_right(self._bases[segment], addr) - 1
         if index >= 0:
             obj = self._objects[segment][index]
-            if obj.contains(addr) and not obj.freed:
-                self._last = obj
+            if addr < obj.base + obj.size:
                 return obj
         return None
 
@@ -232,48 +253,52 @@ class Memory:
     def scalar_size(ty: ct.Type) -> int:
         return 1 if isinstance(ty, ct.CharType) else 8
 
+    read_int, write_int = _typed_access("<q", int, lambda v: _wrap64(int(v)))
+    read_float, write_float = _typed_access("<d", float, float)
+    read_char, write_char = _typed_access("<B", int, lambda v: int(v) & 0xFF)
+
     def read_scalar(self, addr: int, ty: ct.Type):
-        obj = self.object_at(addr)
-        off = addr - obj.base
         if isinstance(ty, ct.CharType):
-            self._check(obj, off, 1, addr)
-            return obj.data[off]
-        self._check(obj, off, 8, addr)
+            return self.read_char(addr)
         if isinstance(ty, ct.FloatType):
-            return _DOUBLE.unpack_from(obj.data, off)[0]
-        return _INT.unpack_from(obj.data, off)[0]
+            return self.read_float(addr)
+        return self.read_int(addr)
 
     def write_scalar(self, addr: int, value, ty: ct.Type) -> None:
-        obj = self.object_at(addr)
-        off = addr - obj.base
         if isinstance(ty, ct.CharType):
-            self._check(obj, off, 1, addr)
-            obj.data[off] = int(value) & 0xFF
-            return
-        self._check(obj, off, 8, addr)
-        if isinstance(ty, ct.FloatType):
-            _DOUBLE.pack_into(obj.data, off, float(value))
+            self.write_char(addr, value)
+        elif isinstance(ty, ct.FloatType):
+            self.write_float(addr, value)
         else:
-            _INT.pack_into(obj.data, off, _wrap64(int(value)))
+            self.write_int(addr, value)
 
     def read_bytes(self, addr: int, size: int) -> bytes:
-        obj = self.object_at(addr)
-        off = addr - obj.base
-        self._check(obj, off, size, addr)
+        obj, off = self._resolve(addr, size)
         return bytes(obj.data[off : off + size])
 
     def write_bytes(self, addr: int, payload: bytes) -> None:
-        obj = self.object_at(addr)
-        off = addr - obj.base
-        self._check(obj, off, len(payload), addr)
+        obj, off = self._resolve(addr, len(payload))
         obj.data[off : off + len(payload)] = payload
 
-    @staticmethod
-    def _check(obj: MemoryObject, off: int, size: int, addr: int) -> None:
-        if off < 0 or off + size > obj.size:
+    def _resolve(self, addr: int, size: int) -> Tuple[MemoryObject, int]:
+        """The live object holding ``size`` bytes at ``addr`` and the
+        offset of ``addr`` in it, or a fault."""
+        obj = self.object_at(addr)
+        off = addr - obj.base
+        if off + size > obj.size:
             raise MemoryFault(
                 f"out-of-bounds access at {addr:#x} (+{size}) in {obj!r}"
             )
+        return obj, off
+
+
+def to_int(value) -> int:
+    """``int(value)`` for a cast, trapping on infinity and NaN (undefined
+    behaviour in C) instead of leaking a Python conversion error."""
+    try:
+        return int(value)
+    except (OverflowError, ValueError):
+        raise TrapError(f"cannot convert {value} to an integer") from None
 
 
 def _wrap64(value: int) -> int:

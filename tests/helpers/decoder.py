@@ -3,14 +3,9 @@
 :func:`replay_rows` decodes packed rows and replays them, one event at a
 time, through the per-PSE object API — :meth:`Psec.record_access`,
 :meth:`Psec.force_classification`, the ASMT and the reachability graph.
-A run-merged row is expanded back into its repeats, stamped with the
-row's last timestamp, and the events replay in timestamp order: the
-original event order, except that merged repeats (non-fresh accesses of
-one ROI invocation) may move later, which the FSA's confluence property
-makes invisible.  It shares no code with ``CarmotRuntime._fold_rows``
-(no flat transition table, no one-step replay of merged repeats, no
-key interning), so a run folded by it and a run folded by the kernel
-must agree byte for byte.
+It shares no code with ``CarmotRuntime._fold_rows`` (no flat
+transition table, no key interning), so a run folded by it and a run
+folded by the kernel must agree byte for byte.
 
 :func:`decoder_fold` swaps the oracle in for the kernel on every runtime
 created inside the ``with`` block; capture, batching, event budgets,
@@ -47,31 +42,23 @@ def _keys(var, obj, offset, size, count, stride):
 
 def _decode(runtime, block, base):
     (kind, obj, offset, size, count, stride, site, cs, active, time, aux,
-     last) = block.data[base:base + ROW_STRIDE]
+     _) = block.data[base:base + ROW_STRIDE]
     var, loc, _ = runtime._site_values[site]
     return (kind, obj, offset, size, count, stride, var, loc,
             runtime._cs.values[cs], runtime._actives.values[active],
-            time, aux, last)
+            time, aux)
 
 
 def replay_rows(runtime, block, bases):
     """Apply the rows at ``bases`` to ``runtime``'s PSECs and ASMT."""
-    events = []
     for base in bases:
-        row = _decode(runtime, block, base)
-        kind, time, aux, last = row[0], row[10], row[11], row[12]
-        events.append((time, row))
-        if kind <= KIND_WRITE:
-            events.extend((last, row) for _ in range(aux))
-    events.sort(key=lambda event: event[0])  # stable: ties keep row order
-    for time, row in events:
-        _replay_event(runtime, block, row, time)
+        _replay_event(runtime, block, _decode(runtime, block, base))
 
 
-def _replay_event(runtime, block, row, time):
+def _replay_event(runtime, block, row):
     config = runtime.config
     (kind, obj, offset, size, count, stride, var, loc, callstack, active,
-     _, aux, _) = row
+     time, aux) = row
     keys = _keys(var, obj, offset, size, count, stride)
     if kind <= KIND_WRITE:
         for key in keys:
@@ -116,16 +103,15 @@ def degrade_rows(runtime, block):
     rois = set()
     for base in range(0, len(block.data), ROW_STRIDE):
         (kind, obj, offset, size, count, stride, var, _, _, active, time,
-         aux, last) = _decode(runtime, block, base)
+         _) = _decode(runtime, block, base)
         if kind <= KIND_WRITE:
             letters = CONSERVATIVE_WRITE if kind else CONSERVATIVE_READ
-            for event_time in [time] + [last] * aux:
-                for key in _keys(var, obj, offset, size, count, stride):
-                    for roi_id, _, _ in active:
-                        runtime.psecs[roi_id].force_classification(
-                            key, var, letters, event_time
-                        )
-                        rois.add(roi_id)
+            for key in _keys(var, obj, offset, size, count, stride):
+                for roi_id, _, _ in active:
+                    runtime.psecs[roi_id].force_classification(
+                        key, var, letters, time
+                    )
+                    rois.add(roi_id)
             continue
         replay_rows(runtime, block, (base,))
         if kind != KIND_FREE:

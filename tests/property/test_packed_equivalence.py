@@ -2,9 +2,9 @@
 oracle.
 
 The tests-side decoder (:mod:`tests.helpers.decoder`) replays every packed
-row — run-merged repeats expanded — through the per-PSE object API.  For
-the three golden example programs, for seeded random loop-shaped event
-streams (including heavily run-merged ones), and under fault plans and
+row, one event at a time, through the per-PSE object API.  For the three
+golden example programs, for seeded random loop-shaped event streams,
+and under fault plans and
 event budgets, the kernel must produce byte-identical PSEC output and
 identical degradation reports.  The ``object`` side of each comparison is
 the decoder oracle, the ``packed`` side the production kernel.
@@ -88,8 +88,8 @@ def test_golden_examples_identical_across_encodings(name):
 @pytest.mark.parametrize("shape", sorted(_STREAM_SHAPES))
 @pytest.mark.parametrize("seed", [0, 7, 1234])
 def test_random_streams_identical_across_encodings(shape, seed):
-    """Seeded loop-shaped streams (the scalar_loop shape exercises heavy
-    run merging; array_walk exercises the unmerged full path)."""
+    """Seeded loop-shaped streams (the scalar_loop shape repeats
+    variable PSEs; array_walk reaches a new heap key on most accesses)."""
     ops, vars_by_obj, locs, callstacks = _make_stream(seed, 4000, shape)
     states = []
     for fold_name in FOLDS:

@@ -1,17 +1,14 @@
 """Flat FSA transition-table properties backing the packed hot path.
 
 The packed fold walks ``FLAT_TRANSITIONS`` directly instead of the enum
-table, and capture-side run merging collapses repeated identical accesses
-into one row whose repeats add no FSA step.  These tests pin the
-two representations together and prove (exhaustively — the table is tiny)
-the algebraic properties that make run merging exact:
+table.  These tests pin the two representations together and prove
+(exhaustively — the table is tiny) two algebraic properties of repeated
+non-fresh accesses within one ROI invocation:
 
 1. every step reaches a fixpoint of the non-fresh event of its kind, so
-   *k* merged repeats of a row add no step, for any *k*;
+   *k* repeats of an access add no step, for any *k*;
 2. non-fresh runs are confluent: the final state depends only on the
-   multiset of events, not their order, so same-key anchors may replay
-   their repeats early.
-"""
+   multiset of events, not their order."""
 
 from itertools import permutations
 
@@ -59,10 +56,10 @@ def _walk(state_code, events):
     return state_code
 
 
-class TestRunMergingProperties:
+class TestNonFreshRepeatProperties:
     def test_one_nonfresh_step_is_a_fixpoint(self):
-        """flat[flat[s, e], e] == flat[s, e] for non-fresh e: merged
-        repeats beyond the first add nothing to the state."""
+        """flat[flat[s, e], e] == flat[s, e] for non-fresh e: repeats
+        beyond the first add nothing to the state."""
         for s in range(len(fsa.STATES)):
             for e in (fsa.RN, fsa.WN):
                 nxt = fsa.FLAT_TRANSITIONS[s * fsa.N_EVENTS + e]
@@ -72,8 +69,8 @@ class TestRunMergingProperties:
 
     def test_every_step_lands_on_a_nonfresh_fixpoint(self):
         """flat[flat[s, e], e'] == flat[s, e], where e' is the non-fresh
-        event of e's kind: a merged row's repeats never move the state
-        its first event reached, so the fold applies one step per row."""
+        event of e's kind: repeats never move the state the first
+        access of a run reached."""
         for s in range(len(fsa.STATES)):
             for e in range(fsa.N_EVENTS):
                 nxt = fsa.FLAT_TRANSITIONS[s * fsa.N_EVENTS + e]
@@ -85,8 +82,7 @@ class TestRunMergingProperties:
 
     def test_nonfresh_runs_are_confluent(self):
         """Any interleaving of a non-fresh read/write multiset ends in the
-        same state, so replaying an anchor's repeats before later
-        same-invocation accesses of the same PSE is order-exact."""
+        same state."""
         for s in range(1, len(fsa.STATES)):  # EPS has no non-fresh edges
             for reads in range(3):
                 for writes in range(3):

@@ -1,5 +1,7 @@
 """Unit tests for the VM memory model."""
 
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -269,3 +271,168 @@ class TestSegmentOverflow:
         obj = mem.allocate(64, "stack")
         mem.write_scalar(obj.base, 7, ct.INT)
         assert mem.read_scalar(obj.base, ct.INT) == 7
+
+
+# -- typed accessors against a linear-scan oracle -----------------------------
+
+_TYPES = {"int": (ct.INT, "<q"), "float": (ct.FLOAT, "<d"),
+          "char": (ct.CHAR, "<B")}
+
+
+def _outcome(access, *args):
+    try:
+        value = access(*args)
+    except MemoryFault as exc:
+        return type(exc), str(exc)
+    if isinstance(value, float):  # compare bit patterns: NaN != NaN
+        value = struct.pack("<d", value)
+    return "ok", value
+
+
+class _Twin:
+    """Two memories driven in lockstep — the typed accessors on one,
+    ``read_scalar``/``write_scalar`` on the other — checked against a
+    linear scan over every object ever allocated and a shadow copy of
+    their bytes."""
+
+    def __init__(self):
+        self.typed, self.scalar = Memory(), Memory()
+        self.pairs = []
+        self.shadow = {}
+
+    def alloc(self, size, kind="heap"):
+        obj = self.typed.allocate(size, kind)
+        self.pairs.append((obj, self.scalar.allocate(size, kind)))
+        self.shadow[obj.base] = bytearray(obj.size)
+        return obj
+
+    def free(self, index):
+        for mem, obj in zip((self.typed, self.scalar), self.pairs[index]):
+            if obj.kind == "heap":
+                mem.free(obj.base)
+            else:
+                mem.release_stack_object(obj)
+
+    def _oracle(self, addr, size):
+        for obj, _ in self.pairs:
+            if obj.base <= addr < obj.base + obj.size:
+                if obj.freed:
+                    return f"use-after-free at {addr:#x} in {obj!r}", None
+                off = addr - obj.base
+                if off + size > obj.size:
+                    return (f"out-of-bounds access at {addr:#x} (+{size}) "
+                            f"in {obj!r}"), None
+                return None, (self.shadow[obj.base], off)
+        return f"invalid address {addr:#x}", None
+
+    def read(self, name, addr):
+        ty, fmt = _TYPES[name]
+        fault, where = self._oracle(addr, struct.calcsize(fmt))
+        if fault:
+            want = (MemoryFault, fault)
+        else:
+            want = _outcome(lambda: struct.unpack_from(fmt, *where)[0])
+        typed = _outcome(getattr(self.typed, f"read_{name}"), addr)
+        scalar = _outcome(self.scalar.read_scalar, addr, ty)
+        assert typed == scalar == want
+        return typed
+
+    def write(self, name, addr, value):
+        ty, fmt = _TYPES[name]
+        fault, where = self._oracle(addr, struct.calcsize(fmt))
+        if fault:
+            want = (MemoryFault, fault)
+        else:
+            if name == "int":  # C-style wrap into signed 64 bits
+                value_out = (int(value) + 2**63) % 2**64 - 2**63
+            elif name == "char":
+                value_out = int(value) % 256
+            else:
+                value_out = float(value)
+            struct.pack_into(fmt, *where, value_out)
+            want = ("ok", None)
+        typed = _outcome(getattr(self.typed, f"write_{name}"), addr, value)
+        scalar = _outcome(self.scalar.write_scalar, addr, value, ty)
+        assert typed == scalar == want
+        for obj, twin in self.pairs:
+            assert obj.data == twin.data == self.shadow[obj.base]
+        return typed
+
+
+class TestTypedAccessors:
+    """``read_int``/``read_float``/``read_char`` and their writers serve
+    the live last-hit object inline; every other access must fault with
+    the same type and message as ``read_scalar``/``write_scalar``."""
+
+    @pytest.mark.parametrize("name", sorted(_TYPES))
+    def test_freed_last_hit(self, name):
+        twin = _Twin()
+        obj = twin.alloc(16)
+        assert twin.write(name, obj.base, 7)[0] == "ok"  # now the last hit
+        twin.free(0)
+        assert twin.typed._last is obj and obj.freed
+        assert "use-after-free" in twin.read(name, obj.base)[1]
+        assert "use-after-free" in twin.write(name, obj.base, 1)[1]
+
+    @pytest.mark.parametrize("name", sorted(_TYPES))
+    def test_guard_byte(self, name):
+        twin = _Twin()
+        a = twin.alloc(8)
+        twin.alloc(8)
+        twin.read(name, a.base)
+        assert "invalid address" in twin.read(name, a.base + 8)[1]
+        assert "invalid address" in twin.write(name, a.base + 8, 1)[1]
+
+    @pytest.mark.parametrize("name", ["int", "float"])
+    def test_eight_bytes_straddling_the_end(self, name):
+        twin = _Twin()
+        obj = twin.alloc(12)
+        for last_hit in (True, False):
+            if not last_hit:
+                twin.read("char", twin.alloc(4).base)
+            assert "out-of-bounds" in twin.read(name, obj.base + 8)[1]
+            assert "out-of-bounds" in twin.write(name, obj.base + 5, 1)[1]
+
+    def test_char_at_the_last_byte(self):
+        twin = _Twin()
+        obj = twin.alloc(12)
+        assert twin.write("char", obj.base + 11, 0x1AB) == ("ok", None)
+        assert twin.read("char", obj.base + 11) == ("ok", 0xAB)
+
+    @pytest.mark.parametrize("value", [1 << 70, (1 << 63) + 5, -(1 << 63) - 1,
+                                       2.5e19, -1])
+    def test_int_store_wraps_to_64_bits(self, value):
+        twin = _Twin()
+        obj = twin.alloc(8)
+        twin.write("int", obj.base, value)
+        twin.read("int", obj.base)
+
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("alloc"), st.integers(0, 20),
+                  st.sampled_from(["heap", "stack"])),
+        st.tuples(st.just("free"), st.integers(0, 50)),
+        st.tuples(st.just("read"), st.sampled_from(sorted(_TYPES)),
+                  st.integers(0, 50), st.integers(-2, 24)),
+        st.tuples(st.just("write"), st.sampled_from(sorted(_TYPES)),
+                  st.integers(0, 50), st.integers(-2, 24),
+                  st.one_of(st.integers(-2**70, 2**70),
+                            st.floats(allow_nan=False,
+                                      allow_infinity=False))),
+    ), max_size=60))
+    def test_matches_a_linear_scan(self, ops):
+        twin = _Twin()
+        for op in ops:
+            if op[0] == "alloc":
+                twin.alloc(op[1], op[2])
+            elif not twin.pairs:
+                continue
+            elif op[0] == "free":
+                index = op[1] % len(twin.pairs)
+                if not twin.pairs[index][0].freed:
+                    twin.free(index)
+            else:
+                target = twin.pairs[op[2] % len(twin.pairs)][0]
+                if op[0] == "read":
+                    twin.read(op[1], target.base + op[3])
+                else:
+                    twin.write(op[1], target.base + op[3], op[4])

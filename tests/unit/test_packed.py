@@ -1,11 +1,11 @@
-"""Units for the packed event encoding: block/intern-table containers and
-the capture-side run merging of repeated identical accesses."""
+"""Units for the packed event encoding: block/intern-table containers,
+one row per captured event, and the fold's PSE keys."""
 
 from repro.ir.instructions import SourceLoc, VarInfo
 from repro.ir.module import Module
 from repro.lang import types as ct
 from repro.lang.tokens import SourcePos
-from repro.resilience import ResiliencePolicy
+from repro.resilience import FaultPlan, ResiliencePolicy
 from repro.runtime.config import RuntimeConfig, policy_for
 from repro.runtime.engine import CarmotRuntime
 from repro.runtime.packed import (
@@ -16,6 +16,7 @@ from repro.runtime.packed import (
     PackedBlock,
     ROW_STRIDE,
 )
+from tests.unit.test_resilience import run_roi_loop
 
 LOC = SourceLoc.of(SourcePos("m.mc", 3, 1))
 VAR = VarInfo(uid=1, name="v", storage="local", ty=ct.IntType())
@@ -59,17 +60,20 @@ class TestContainers:
         assert block.row(0) == tuple(range(ROW_STRIDE))
 
 
-class TestRunMerging:
-    def test_identical_accesses_merge_into_one_row(self):
+class TestOneRowPerEvent:
+    """Capture appends one row per access event; batches are cut every
+    ``batch_size`` events."""
+
+    def test_identical_accesses_append_one_row_each(self):
         runtime, roi_id = make_runtime()
         runtime.roi_begin(roi_id)
         for time in range(5):
             access(runtime, time)
         block = runtime._block
-        assert block.rows() == 1
-        assert block.data[F_AUX] == 4
-        assert block.data[F_TIME] == 0
-        assert block.data[F_LAST] == 4
+        assert block.rows() == 5
+        for index in range(5):
+            row = block.row(index)
+            assert (row[F_TIME], row[F_AUX], row[F_LAST]) == (index, 0, index)
         runtime.roi_end(roi_id)
         runtime.finish()
         assert runtime.pipeline.events_seen == 5
@@ -77,34 +81,9 @@ class TestRunMerging:
         assert psec.total_accesses == 5
         (entry,) = psec.entries.values()
         assert entry.access_count == 5
-        assert entry.first_time == 0
-        assert entry.last_time == 4
+        assert (entry.first_time, entry.last_time) == (0, 4)
 
-    def test_different_offsets_do_not_merge(self):
-        runtime, roi_id = make_runtime()
-        runtime.roi_begin(roi_id)
-        access(runtime, 0, obj=500, offset=0)
-        access(runtime, 1, obj=500, offset=8)
-        assert runtime._block.rows() == 2
-        runtime.roi_end(roi_id)
-        runtime.finish()
-
-    def test_invocation_boundary_breaks_merging(self):
-        # A new invocation changes the active-snapshot id in the row head,
-        # so the fold still sees the fresh re-access (Rf/Wf) it needs.
-        runtime, roi_id = make_runtime()
-        runtime.roi_begin(roi_id)
-        access(runtime, 0)
-        runtime.roi_end(roi_id)
-        runtime.roi_begin(roi_id)
-        access(runtime, 1)
-        assert runtime._block.rows() == 2
-        runtime.roi_end(roi_id)
-        runtime.finish()
-        (entry,) = runtime.psecs[roi_id].entries.values()
-        assert entry.access_count == 2
-
-    def test_flush_resets_anchors_and_stamps_event_count(self):
+    def test_flush_every_batch_size_events(self):
         runtime, roi_id = make_runtime(batch_size=4)
         flushed = []
         push_block = runtime.pipeline.push_block
@@ -114,18 +93,14 @@ class TestRunMerging:
         )
         runtime.roi_begin(roi_id)
         for time in range(6):
-            access(runtime, time)
+            access(runtime, time, offset=8 * (time % 2))
         runtime.roi_end(roi_id)
         runtime.finish()
-        # 6 identical events: one anchor row flushed at the 4-event batch
-        # boundary, then a fresh anchor for the remaining 2.
-        assert flushed == [(1, 4), (1, 2)]
+        assert flushed == [(4, 4), (2, 2)]
         assert runtime.pipeline.events_seen == 6
-        (entry,) = runtime.psecs[roi_id].entries.values()
-        assert entry.access_count == 6
-        assert entry.last_time == 5
+        assert runtime.psecs[roi_id].total_accesses == 6
 
-    def test_event_budget_disables_merging(self):
+    def test_event_budget_keeps_one_row_per_event(self):
         runtime, roi_id = make_runtime(
             resilience=ResiliencePolicy(max_events_per_roi=100, degrade=True)
         )
@@ -136,3 +111,46 @@ class TestRunMerging:
         runtime.roi_end(roi_id)
         runtime.finish()
         assert runtime.psecs[roi_id].total_accesses == 5
+
+    def test_fault_plan_batch_seqs_are_unchanged(self):
+        # The records below are what the runtime produced while capture
+        # still merged repeated accesses into one row: batches are cut by
+        # event count, so the faulted sequence numbers cannot move.
+        plan = FaultPlan.parse("seed=7;crash@1;drop@2;slow@3:100;rate=0.05")
+        _, runtime = run_roi_loop(
+            batch_size=16, fault_plan=plan,
+            resilience=ResiliencePolicy(max_retries=1, degrade=True),
+        )
+        records = [(r.batch_seq, r.kind, r.events, r.action)
+                   for r in runtime.degradation.records()]
+        assert records == [
+            (1, "worker_crash", 16, "retried"),
+            (2, "drop", 16, "conservative-fallback"),
+            (3, "slow", 0, "delayed"),
+            (13, "worker_crash", 16, "retried"),
+            (16, "worker_crash", 16, "retried"),
+            (33, "worker_crash", 16, "retried"),
+        ]
+        assert runtime.pipeline.events_seen == 651
+
+
+class TestFoldKeys:
+    def test_single_mem_key_interns_like_the_general_path(self):
+        # A count == 1 row without a variable builds its ``mem`` key
+        # directly; it must be the very tuple the count > 1 path interns.
+        runtime, roi_id = make_runtime()
+        runtime.roi_begin(roi_id)
+        runtime.packed_access(0, 500, 16, 8, 1, 0, None, LOC, None, CS, 0)
+        runtime.packed_access(1, 500, 8, 8, 3, 8, None, LOC, None, CS, 1)
+        runtime.roi_end(roi_id)
+        runtime.finish()
+        single = ("mem", 500, 16, 8)
+        interned = runtime._pse_keys[single]
+        entries = runtime.psecs[roi_id].entries
+        assert list(entries) == [single, ("mem", 500, 8, 8),
+                                 ("mem", 500, 24, 8)]
+        (key,) = (k for k in entries if k == single)
+        assert key is interned
+        entry = entries[single]
+        assert entry.access_count == 2
+        assert (entry.first_time, entry.last_time) == (0, 1)
