@@ -1,11 +1,11 @@
 """Single source of truth for the toolchain version and artifact schemas.
 
-``__version__`` is what ``repro --version`` prints and what ``repro
-bench`` stamps into its JSON report.  The schema constants version the
-on-disk artifact formats independently of the package version: bump one
-whenever the corresponding serialized form changes shape, and every
-cache key derived from it changes with it (stale entries are simply
-never looked up again — see :mod:`repro.session.keys`).
+``__version__`` is what ``repro --version`` prints.  The schema
+constants version the on-disk artifact formats independently of the
+package version: bump one whenever the corresponding serialized form
+changes shape, and every cache key derived from it changes with it
+(stale entries are simply never looked up again — see
+:mod:`repro.session.keys`).
 """
 
 __version__ = "1.4.0"

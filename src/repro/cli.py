@@ -17,8 +17,10 @@ Subcommands:
   (``--stats``/``--shutdown`` talk to a running daemon);
 - ``request``   — send one request to a running daemon and print the
   response exactly as the local subcommand would;
-- ``bench``     — runtime hot-path benchmark, writes ``BENCH_runtime.json``;
 - ``cache``     — artifact-cache maintenance (stats/clear/verify).
+
+Request throughput and latency are measured end to end by
+``bench/run.py`` at the repository root, not by a subcommand.
 
 Every profiling subcommand is a thin client of the service layer
 (:mod:`repro.service`): the command body builds a typed request, executes
@@ -63,8 +65,13 @@ from repro.session import ArtifactStore
 
 
 def _read(path: str) -> str:
-    with open(path) as handle:
-        return handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as error:
+        raise ReproError(str(error)) from None
+    except UnicodeDecodeError as error:
+        raise ReproError(f"{path}: source is not UTF-8 ({error})") from None
 
 
 def _emit(rendered: Rendered) -> int:
@@ -182,21 +189,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                   f"{ns['evicted']} evicted")
         return 0 if report["evicted"] == 0 else 1
     raise ReproError(f"unknown cache action {args.action!r}")
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness.bench import render_bench, run_bench
-
-    report = run_bench(quick=args.quick, seed=args.seed,
-                       vm_min_speedup=args.vm_min_speedup,
-                       serve_min_speedup=args.serve_min_speedup)
-    print(render_bench(report))
-    if args.out != "-":
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\nwrote {args.out}")
-    return 0 if report["checks"]["passed"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     req.add_argument("kind", choices=list(REQUEST_KINDS),
                      help="which subcommand to run remotely")
     common(req)
-    tracing(req)
     req.add_argument("--socket", required=True, metavar="PATH",
                      help="Unix socket of the serve daemon")
     req.add_argument("--namespace", default=None, metavar="NAME",
@@ -406,40 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="dis only: annotate runtime-quickened sites")
     req.set_defaults(func=_cmd_request)
 
-    bench = sub.add_parser(
-        "bench",
-        help="runtime hot-path benchmark (event streams, VM, cache, "
-             "serve)",
-        epilog="Gates: --vm-min-speedup (default 3.5) covers the "
-               "vm_dispatch leg — the tier-2 bytecode engine vs the IR "
-               "tree-walk oracle, with byte-identical PSEC digests "
-               "required and fused_sites/quickened_ops/dequicken_count "
-               "reported on the vm_tier2 line; --serve-min-speedup gates "
-               "warm vs cold sustained req/s through the serve daemon, "
-               "with response digests required identical to the "
-               "in-process service core.  Each event-stream leg reports "
-               "the in-process fold's ns/event and its PSEC digest.",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller streams and one workload (CI smoke)")
-    bench.add_argument("--seed", type=int, default=1234)
-    bench.add_argument("--vm-min-speedup", type=float, default=3.5,
-                       metavar="X",
-                       help="fail unless the tier-2 bytecode VM beats the "
-                            "IR tree-walk by X on the dispatch workload "
-                            "(with byte-identical PSEC digests); default "
-                            "3.5 — pass a lower floor on noisy shared "
-                            "runners")
-    bench.add_argument("--serve-min-speedup", type=float, default=3.0,
-                       metavar="X",
-                       help="fail unless warm daemon requests sustain X "
-                            "the cold req/s under concurrent clients "
-                            "(digest identity vs the in-process core is "
-                            "always enforced)")
-    bench.add_argument("--out", default="BENCH_runtime.json", metavar="PATH",
-                       help="write the JSON report here ('-' = stdout only)")
-    bench.set_defaults(func=_cmd_bench)
-
     cache = sub.add_parser(
         "cache", help="artifact cache maintenance (stats/clear/verify)"
     )
@@ -458,7 +415,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # Default subcommand: treat `repro foo.mc` as `repro recommend foo.mc`.
     known = {"recommend", "psec", "overhead", "ir", "dis", "serve",
-             "request", "bench", "cache", "-h", "--help", "--version"}
+             "request", "cache", "-h", "--help", "--version"}
     if argv and argv[0] not in known:
         argv.insert(0, "recommend")
     parser = build_parser()

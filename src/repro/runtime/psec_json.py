@@ -271,7 +271,7 @@ def psec_sets_doc(
 def psec_sets_digest(psecs: Dict[int, Psec],
                      doc: Optional[Dict] = None) -> str:
     """Digest of just the four Sets per ROI — the byte-identity gate used
-    by bench warm/cold comparisons and the differential cache tests.
+    by the warm/cold and differential tests.
 
     ``doc`` is ``psec_sets_doc(psecs)`` when the caller already built it.
     """

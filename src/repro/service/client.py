@@ -2,8 +2,8 @@
 
 :class:`ServiceClient` opens one Unix-socket connection and exchanges
 request/response documents (:mod:`repro.service.wire` frames).  The
-``repro request`` subcommand, the serve bench leg, and the daemon test
-suites are all built on it.
+``repro request`` subcommand, the ``serve_mix`` workload of
+``bench/run.py``, and the daemon test suites are all built on it.
 """
 
 from __future__ import annotations

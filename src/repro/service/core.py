@@ -17,7 +17,7 @@ Response envelope::
 The body/meta split is the digest contract: :func:`response_digest`
 hashes ``kind`` + ``body`` only, so a cold daemon response, a warm one,
 and an in-process run of the same request all share one digest — that is
-what the serve bench leg and the differential suites gate on.  Every
+what the daemon and differential suites gate on.  Every
 response is normalized through JSON (the session's normalize-through-
 artifact idiom, applied to the wire): the in-process caller sees exactly
 the object a socket client would parse.
@@ -223,6 +223,8 @@ class ServiceCore:
         come back as the canonical error envelope.
         """
         kind = doc.get("kind") if isinstance(doc, dict) else None
+        if not isinstance(kind, str):
+            kind = None
         try:
             request = parse_request_doc(doc)
             return self.execute(request)

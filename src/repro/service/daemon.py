@@ -4,7 +4,7 @@ One asyncio event loop accepts connections and multiplexes request
 documents onto a bounded thread pool running
 :class:`~repro.service.core.ServiceCore` — the same core the CLI uses,
 so a daemon response is byte-for-byte the document an in-process run
-would produce (the serve bench leg digest-gates this).  The cache
+would produce (the serve equivalence suite digest-gates this).  The cache
 amortizes across every client: the first request for a program pays the
 cold compile+profile, every later request from any client with the same
 namespace is a warm artifact load.
@@ -262,6 +262,16 @@ class ServeDaemon:
                 and self._waiting >= bound):
             return self._overloaded(
                 kind, f"request queue bound {bound} reached; request shed"
+            )
+        options = doc.get("options")
+        if isinstance(options, dict) and options.get("trace") is True:
+            # The trace streams to the executing process's stderr: over
+            # the socket it would land in the daemon's log, not the
+            # client's response.
+            return error_response(
+                kind, "error",
+                "run option 'trace' is not served by the daemon; run the "
+                "subcommand locally with --trace",
             )
         try:
             core = self._core_for(doc.pop("namespace", None))

@@ -262,7 +262,7 @@ def parse_request_doc(doc: Dict[str, object]):
     if not isinstance(doc, dict):
         raise ReproError("request must be a JSON object")
     kind = doc.get("kind")
-    if kind not in _REQUEST_TYPES:
+    if kind not in REQUEST_KINDS:  # a tuple: unhashable kinds compare too
         raise ReproError(
             f"unknown request kind {kind!r} "
             f"(choose from {', '.join(REQUEST_KINDS)})"
@@ -297,5 +297,11 @@ def parse_request_doc(doc: Dict[str, object]):
                 f"dis mode must be one of {_DIS_MODES}, got {mode!r}"
             )
         kwargs["mode"] = mode
-        kwargs["quicken_report"] = bool(doc.get("quicken_report", False))
+        quicken_report = doc.get("quicken_report", False)
+        if not isinstance(quicken_report, bool):
+            raise ReproError(
+                f"request 'quicken_report' must be a boolean, "
+                f"got {quicken_report!r}"
+            )
+        kwargs["quicken_report"] = quicken_report
     return _REQUEST_TYPES[kind](**kwargs)

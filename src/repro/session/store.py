@@ -24,8 +24,9 @@ and report per-namespace breakdowns.
 
 Robustness contract (exercised by the cache tests and the CI cache-smoke
 job): a corrupt entry — truncated file, invalid JSON, bytes that are
-not UTF-8, bad envelope, payload hash mismatch, foreign store version —
-is **evicted and treated as a miss**, never raised to the caller.
+not UTF-8, a payload with a lone surrogate, bad envelope, payload hash
+mismatch, foreign store version — is **evicted and treated as a
+miss**, never raised to the caller.
 Writes are atomic (an ``O_EXCL``-unique tempfile per writer +
 ``os.replace``), so concurrent writers never interleave bytes and a
 crashed writer leaves at worst a stray tmp file, not a half-written
@@ -342,7 +343,13 @@ class ArtifactStore:
         payload = doc.get("payload")
         if not isinstance(payload, str):
             return None
-        if doc.get("payload_sha256") != _sha256(payload):
+        try:
+            digest = _sha256(payload)
+        except UnicodeEncodeError:
+            # An escaped lone surrogate (``\ud800``) parses as JSON but
+            # has no UTF-8 encoding: no stored payload can look like it.
+            return None
+        if doc.get("payload_sha256") != digest:
             return None
         return payload
 

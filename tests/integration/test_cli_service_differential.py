@@ -9,7 +9,7 @@ Two contracts, per golden example and per subcommand variant:
    stray ``print`` in the orchestration path breaks this suite.
 2. **digest identity** — the CLI-side response digest equals the service
    response digest (trivially, since both sides run the same core; the
-   check documents the contract the serve bench leg gates end-to-end).
+   check documents the contract the serve suites gate end-to-end).
 
 Plus a structural enforcement: ``cli.py`` may not reference the session
 orchestration layer at all — no ``Session`` usage, no direct
@@ -107,7 +107,7 @@ def test_cli_output_is_rendered_service_response(name, capsys, tmp_path,
 
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_response_digest_is_deterministic_per_example(name, tmp_path):
-    """The digest the serve bench gates on: equal requests produce equal
+    """The digest the serve suites gate on: equal requests produce equal
     digests across independent cores, cold or warm."""
     path = _example(name)
     source = (REPO / path).read_text()

@@ -2,7 +2,8 @@
 
 Each test boots a real daemon (asyncio Unix-socket server in a thread)
 and talks to it with :class:`ServiceClient` — the exact transport the
-``repro request`` subcommand and the serve bench leg use.
+``repro request`` subcommand and ``bench/run.py``'s ``serve_mix``
+workload use.
 """
 
 import asyncio
@@ -10,6 +11,7 @@ import threading
 
 import pytest
 
+from repro.cli import main
 from repro.service import (
     PsecRequest,
     RecommendRequest,
@@ -120,10 +122,14 @@ class TestServeBasics:
         {"pipeline_shards": 2},
         {"drain": "procs"},
         {"batch_size": "abc"},
+        {"trace": True},
     ])
-    def test_removed_options_yield_error_envelope(self, tmp_path, options):
-        """Removed runtime knobs and wrongly typed options off the wire
-        get the canonical error envelope, and the daemon keeps serving."""
+    def test_removed_options_yield_error_envelope(self, tmp_path, capfd,
+                                                  options):
+        """Removed runtime knobs, wrongly typed options and a trace (it
+        streams to the executing process's stderr, which for the daemon
+        is its own log) get the canonical error envelope off the wire,
+        the daemon writes nothing to stderr, and it keeps serving."""
         doc = {"kind": "psec", "source": ROI_SOURCE, "name": "daemon",
                "options": options}
         with _Daemon(tmp_path) as server:
@@ -135,6 +141,16 @@ class TestServeBasics:
         expected = error_response("psec", "error",
                                   response["error"]["message"])
         assert dict(response, meta={}) == expected
+        assert capfd.readouterr().err == ""
+
+    def test_request_trace_is_a_usage_error(self, tmp_path, capsys):
+        source = tmp_path / "roi.mc"
+        source.write_text(ROI_SOURCE)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["request", "psec", str(source), "--socket",
+                  str(tmp_path / "serve.sock"), "--trace"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --trace" in capsys.readouterr().err
 
     def test_invalid_namespace_rejected(self, tmp_path):
         request = PsecRequest(source=ROI_SOURCE, name="daemon")

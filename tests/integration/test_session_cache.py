@@ -16,6 +16,7 @@ import pytest
 from repro.cli import main
 from repro.resilience import FaultPlan, parse_budget_spec
 from repro.session import Session
+from repro.workloads import workload
 from tests.helpers.decoder import fold
 
 SOURCE = """
@@ -36,6 +37,10 @@ int main() { print_int(work(40)); return 0; }
 #: oracle (``object``) and the in-process kernel (``packed``).
 FOLD_CASES = ("object", "packed")
 
+#: Paper ports with small, medium and large event volumes, profiled at
+#: their test sizes beside ``SOURCE``.
+PORTS = ("bt", "lu", "canneal")
+
 BUDGET = "steps=5000000,heap=1048576,depth=256,retries=2,degrade=1"
 FAULTS = "seed=42;crash@1;drop@3"
 
@@ -50,21 +55,25 @@ def _resilient_kwargs():
     }
 
 
-def _cold_warm_live(tmp_path, case, **extra):
+def _cold_warm_live(tmp_path, case, source=SOURCE, **extra):
     """Profile cold, warm and live under one fold case; also return the
     in-process kernel's live payload as the reference."""
-    reference = Session(enabled=False).profile(SOURCE, "carmot", **extra)
+    reference = Session(enabled=False).profile(source, "carmot", **extra)
     with fold(case):
         cached = Session(cache_dir=str(tmp_path / "store"))
-        cold = cached.profile(SOURCE, "carmot", **extra)
-        warm = cached.profile(SOURCE, "carmot", **extra)
-        live = Session(enabled=False).profile(SOURCE, "carmot", **extra)
+        cold = cached.profile(source, "carmot", **extra)
+        warm = cached.profile(source, "carmot", **extra)
+        live = Session(enabled=False).profile(source, "carmot", **extra)
     return cold, warm, live, reference
 
 
+@pytest.mark.parametrize("program", ("work",) + PORTS)
 @pytest.mark.parametrize("case", FOLD_CASES)
-def test_cached_profile_matches_recomputed(tmp_path, case):
-    cold, warm, live, reference = _cold_warm_live(tmp_path, case)
+def test_cached_profile_matches_recomputed(tmp_path, case, program):
+    source = SOURCE if program == "work" \
+        else workload(program).test_source("openmp")
+    cold, warm, live, reference = _cold_warm_live(tmp_path, case, source,
+                                                  name=program)
     assert warm.cached and not cold.cached
     assert cold.payload == warm.payload == live.payload == reference.payload
 

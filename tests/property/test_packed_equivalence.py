@@ -17,16 +17,16 @@ import pytest
 
 from repro.abstractions import describe_pse
 from repro.compiler import compile_carmot
-from repro.harness.bench import (
-    _STREAM_SHAPES,
-    _digest,
-    _make_stream,
-    _replay_packed,
-    _resolve_ops,
-    _stream_runtime,
-)
 from repro.resilience import FaultPlan, ResiliencePolicy
 from tests.helpers.decoder import FOLDS, fold
+from tests.helpers.streams import (
+    STREAM_SHAPES,
+    make_stream,
+    psec_digest,
+    replay_packed,
+    resolve_ops,
+    stream_runtime,
+)
 
 REPO = Path(__file__).resolve().parents[2]
 EXAMPLES = ["roi_loop", "stencil_calls", "anneal_stats"]
@@ -85,20 +85,20 @@ def test_golden_examples_identical_across_encodings(name):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("shape", sorted(_STREAM_SHAPES))
+@pytest.mark.parametrize("shape", sorted(STREAM_SHAPES))
 @pytest.mark.parametrize("seed", [0, 7, 1234])
 def test_random_streams_identical_across_encodings(shape, seed):
     """Seeded loop-shaped streams (the scalar_loop shape repeats
     variable PSEs; array_walk reaches a new heap key on most accesses)."""
-    ops, vars_by_obj, locs, callstacks = _make_stream(seed, 4000, shape)
+    ops, vars_by_obj, locs, callstacks = make_stream(seed, 4000, shape)
     states = []
     for fold_name in FOLDS:
         with fold(fold_name):
-            runtime = _stream_runtime(batch_size=128)
-            resolved = _resolve_ops(ops, vars_by_obj, locs, callstacks,
-                                    runtime)
-            _replay_packed(runtime, resolved, 250)
-        states.append((_digest(runtime), _entry_state(runtime)))
+            runtime = stream_runtime(batch_size=128)
+            resolved = resolve_ops(ops, vars_by_obj, locs, callstacks,
+                                   runtime)
+            replay_packed(runtime, resolved, 250)
+        states.append((psec_digest(runtime), _entry_state(runtime)))
     assert states[0] == states[1]
 
 
@@ -108,15 +108,15 @@ def test_epoch_streams_identical_across_encodings(seed):
     each epoch's letters before the FSA restarts.  Read-only epochs
     alternate with read/write ones so that a lost commit changes the
     Sets."""
-    ops, vars_by_obj, locs, callstacks = _make_stream(seed, 3000,
-                                                      "mixed_loop")
+    ops, vars_by_obj, locs, callstacks = make_stream(seed, 3000,
+                                                     "mixed_loop")
     states = []
     for fold_name in FOLDS:
         with fold(fold_name):
-            runtime = _stream_runtime(batch_size=128)
+            runtime = stream_runtime(batch_size=128)
             roi_id = next(iter(runtime.psecs))
-            resolved = _resolve_ops(ops, vars_by_obj, locs, callstacks,
-                                    runtime)
+            resolved = resolve_ops(ops, vars_by_obj, locs, callstacks,
+                                   runtime)
             for index, (is_write, obj_id, offset, count, stride, var, loc,
                         site_id, cs) in enumerate(resolved):
                 if index % 100 == 0:
@@ -132,7 +132,7 @@ def test_epoch_streams_identical_across_encodings(seed):
                 )
             runtime.roi_end(roi_id)
             runtime.finish()
-        states.append((_digest(runtime), _entry_state(runtime)))
+        states.append((psec_digest(runtime), _entry_state(runtime)))
     assert states[0] == states[1]
 
 

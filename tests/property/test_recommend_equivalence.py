@@ -16,6 +16,7 @@ from repro.service import RecommendRequest, RunOptions, ServiceCore
 from repro.service.core import response_digest
 from repro.session import Session
 from tests.helpers.decoder import FOLDS, fold
+from repro.workloads import workload
 from repro.workloads.fuzz import (
     random_pointer_chase_program,
     random_roi_program,
@@ -39,11 +40,13 @@ def _doc(session, source, name, recommenders=None, **kwargs):
     return doc, stage
 
 
-@pytest.mark.parametrize("name", EXAMPLES)
+@pytest.mark.parametrize("name", EXAMPLES + ["bt"])
 @pytest.mark.parametrize("fold_name", FOLDS)
 @pytest.mark.parametrize("vm", ["ir", "bytecode"])
 def test_warm_doc_byte_identical_to_cold(tmp_path, name, fold_name, vm):
-    source = _example_source(name)
+    """The golden examples and the NAS ``bt`` port at its test size."""
+    source = _example_source(name) if name in EXAMPLES \
+        else workload(name).test_source("openmp")
     session = Session(cache_dir=str(tmp_path / "store"))
     with fold(fold_name):
         cold, cold_stage = _doc(session, source, name, vm=vm)

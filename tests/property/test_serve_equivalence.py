@@ -5,7 +5,9 @@ are submitted to a live ``repro serve`` daemon running the bytecode
 engine; an in-process :class:`ServiceCore` running the IR tree-walk is
 the oracle.  The PSEC ``sets_digest`` and the full response digest must
 agree — the daemon transport, its thread pool, its cache namespaces, and
-the vm tier may not perturb a single characterized byte.
+the vm tier may not perturb a single characterized byte.  Eight
+namespaced clients replaying a mixed psec/recommend matrix, cold and
+then warm, are held to the in-process core the same way.
 """
 
 import asyncio
@@ -24,7 +26,9 @@ from repro.service import (
 )
 from repro.service.client import wait_for_daemon
 from repro.service.daemon import ServeDaemon
+from repro.workloads import workload
 from repro.workloads.fuzz import random_roi_program
+from tests.helpers.subjects import ARRAY_ROI_SOURCE, SCALAR_REDUCTION_SOURCE
 
 SEEDS = range(6)
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
@@ -158,3 +162,50 @@ def test_golden_responses_share_one_digest(example, kind, daemon, tmp_path):
     digests = {response_digest(doc)
                for doc in (cold, warm, live, served_cold, served_warm)}
     assert len(digests) == 1
+
+
+def test_namespaced_clients_cold_then_warm_match_core(daemon, tmp_path):
+    """Eight namespaced clients replay a mixed psec/recommend matrix over
+    three programs: a cold pass (each program's psec request, so every
+    stage misses) and then a warm pass (the whole matrix).  Every
+    response, cold or warm, from any client, carries the digest the
+    in-process core gives the same request."""
+    sources = (
+        ("serve_roi", ARRAY_ROI_SOURCE),
+        ("serve_scalar", SCALAR_REDUCTION_SOURCE),
+        ("serve_bt", workload("bt").test_source("openmp")),
+    )
+    matrix = [request_type(source=source, name=name)
+              for name, source in sources
+              for request_type in (PsecRequest, RecommendRequest)]
+    core = ServiceCore(cache_dir=str(tmp_path / "oracle"))
+    cases = [(request, response_digest(core.execute(request)))
+             for request in matrix]
+    n_clients = 8
+    failures = []
+
+    def client_pass(index, barrier, pass_cases):
+        try:
+            with ServiceClient(daemon, namespace=f"mix{index}") as client:
+                barrier.wait()
+                for request, expected in pass_cases:
+                    served = client.request(request)
+                    label = f"{request.kind}:{request.name}@mix{index}"
+                    if not served.get("ok"):
+                        failures.append((label, served.get("error")))
+                    elif response_digest(served) != expected:
+                        failures.append((label, "digest mismatch"))
+        except Exception as error:  # noqa: BLE001
+            failures.append((index, repr(error)))
+
+    for pass_cases in ([case for case in cases if case[0].kind == "psec"],
+                       cases):
+        barrier = threading.Barrier(n_clients, timeout=120)
+        threads = [threading.Thread(target=client_pass,
+                                    args=(index, barrier, pass_cases))
+                   for index in range(n_clients)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    assert failures == []

@@ -114,6 +114,34 @@ class TestErrors:
         assert main(["recommend", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @staticmethod
+    def _assert_one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("command", ["psec", "dis", "recommend"])
+    def test_directory_source_is_an_error(self, tmp_path, capsys, command):
+        assert main([command, str(tmp_path)]) == 1
+        assert "Is a directory" in self._assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["psec", "dis"])
+    def test_non_utf8_source_is_an_error(self, tmp_path, capsys, command):
+        path = tmp_path / "bad-utf8.mc"
+        path.write_bytes(b"int main() { return 0; }\n\xff\n")
+        assert main([command, str(path)]) == 1
+        assert "not UTF-8" in self._assert_one_error_line(capsys)
+
+    def test_bench_is_not_a_subcommand(self, tmp_path, monkeypatch, capsys):
+        """A bare ``bench`` argument reads as ``recommend bench``; beside
+        a ``bench/`` directory that is a clean source-read error."""
+        (tmp_path / "bench").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench"]) == 1
+        assert "'bench'" in self._assert_one_error_line(capsys)
+
     def test_help_without_command(self, capsys):
         assert main([]) == 2
 

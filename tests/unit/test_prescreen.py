@@ -17,6 +17,7 @@ from repro.ir.instructions import ProbeStatic
 from repro.ir.serialize import deserialize_module, serialize_module
 from repro.runtime.psec_json import psec_sets_digest
 from repro.session import Session
+from tests.helpers.subjects import ARRAY_ROI_SOURCE, SCALAR_REDUCTION_SOURCE
 
 #: Safe-tier showcase: every verdict shape in one ROI.  Per invocation
 #: ``acc``/``i`` are written first (O→CO), ``k`` is only read (I→I),
@@ -102,10 +103,15 @@ class TestVerdicts:
                 by_var["sum"].steady_letters) == VERDICT_READ_THEN_WRITE
         assert all(f.kind == "slot" for f in by_var.values())
 
-    def test_verdict_kernel_matches_dynamic(self):
-        _, off_rt = compile_carmot(VERDICT_SOURCE, name="verdicts").run()
-        hybrid = compile_carmot(VERDICT_SOURCE, name="verdicts",
-                                options=CarmotOptions(prescreen="safe"))
+    @pytest.mark.parametrize("source, mode", [
+        (VERDICT_SOURCE, "safe"),
+        (SCALAR_REDUCTION_SOURCE, "safe"),
+        (ARRAY_ROI_SOURCE, "aggressive"),
+    ], ids=["verdicts", "scalar_loop", "array_walk"])
+    def test_verdict_kernel_matches_dynamic(self, source, mode):
+        _, off_rt = compile_carmot(source, name="verdicts").run()
+        hybrid = compile_carmot(source, name="verdicts",
+                                options=CarmotOptions(prescreen=mode))
         _, hyb_rt = hybrid.run()
         assert psec_sets_digest(off_rt.psecs) == psec_sets_digest(
             hyb_rt.psecs)

@@ -142,9 +142,11 @@ class TestRequestDocs:
             doc = json.loads(json.dumps(request.to_doc()))
             assert parse_request_doc(doc) == request
 
-    def test_unknown_kind_rejected(self):
+    @pytest.mark.parametrize("kind", ["transmogrify", [1], {"psec": 1}, 3,
+                                      None])
+    def test_unknown_kind_rejected(self, kind):
         with pytest.raises(ReproError, match="unknown request kind"):
-            parse_request_doc({"kind": "transmogrify", "source": "s"})
+            parse_request_doc({"kind": kind, "source": "s"})
 
     def test_source_must_be_text(self):
         with pytest.raises(ReproError, match="source"):
@@ -159,6 +161,13 @@ class TestRequestDocs:
         with pytest.raises(ReproError, match="dis mode"):
             parse_request_doc({"kind": "dis", "source": "s",
                                "mode": "plain"})
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_quicken_report_must_be_a_boolean(self, value):
+        with pytest.raises(ReproError,
+                           match="'quicken_report' must be a boolean, got"):
+            parse_request_doc({"kind": "dis", "source": "s",
+                               "quicken_report": value})
 
 
 class TestServiceCore:
@@ -198,10 +207,14 @@ class TestServiceCore:
         assert doc["error"]["type"] == "error"
         assert doc["body"] is None
 
-    def test_execute_doc_wraps_request_errors(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["nope", [1]])
+    def test_execute_doc_wraps_request_errors(self, tmp_path, kind):
+        """An unknown kind, unhashable ones included, is an ordinary
+        request error; the envelope echoes only a string kind."""
         core = ServiceCore(cache_dir=str(tmp_path / "cache"))
-        doc = core.execute_doc({"kind": "nope", "source": "s"})
-        assert doc["ok"] is False
+        doc = core.execute_doc({"kind": kind, "source": "s"})
+        assert doc == error_response(kind if isinstance(kind, str) else None,
+                                     "error", doc["error"]["message"])
         assert "unknown request kind" in doc["error"]["message"]
 
     @pytest.mark.parametrize("options, message",

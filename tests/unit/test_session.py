@@ -51,6 +51,29 @@ class TestResolveCacheDir:
 
 # -- artifact store ----------------------------------------------------------
 
+def _flip_to_0xff(path):
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] = 0xFF
+    path.write_bytes(bytes(raw))
+
+
+def _write_lone_surrogate(path):
+    """An escaped ``\\ud800`` payload: valid JSON, but no UTF-8 form to
+    hash."""
+    doc = json.loads(path.read_text())
+    doc["payload"] = "bad \ud800 payload"
+    path.write_text(json.dumps(doc))
+    assert "\\ud800" in path.read_text()
+
+
+@pytest.fixture(params=[_flip_to_0xff, _write_lone_surrogate],
+                ids=["byte_0xff", "lone_surrogate"])
+def corrupt(request):
+    """Two ways an entry stops being UTF-8: a raw byte that does not
+    decode, and an escaped surrogate that does not encode."""
+    return request.param
+
+
 class TestArtifactStore:
     def test_put_get_roundtrip(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -90,31 +113,26 @@ class TestArtifactStore:
         path.write_text(json.dumps(doc))
         assert store.get(KEY_A) is None
 
-    @staticmethod
-    def _flip_to_0xff(path):
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] = 0xFF
-        path.write_bytes(bytes(raw))
-
-    def test_non_utf8_entry_is_evicted_on_get(self, tmp_path):
+    def test_non_utf8_entry_is_evicted_on_get(self, tmp_path, corrupt):
         store = ArtifactStore(tmp_path)
         store.put(KEY_A, "payload", "ir")
         path = store._entry_path(KEY_A)
-        self._flip_to_0xff(path)
+        corrupt(path)
         assert store.get(KEY_A) is None
         assert not path.exists()
         stats = store.stats()
         assert (stats.misses, stats.evicted_corrupt) == (1, 1)
 
-    def test_non_utf8_entry_is_evicted_by_verify(self, tmp_path):
+    def test_non_utf8_entry_is_evicted_by_verify(self, tmp_path, corrupt):
         store = ArtifactStore(tmp_path)
         store.put(KEY_A, "good", "ir")
         store.put(KEY_B, "bad", "profile")
-        self._flip_to_0xff(store._entry_path(KEY_B))
+        corrupt(store._entry_path(KEY_B))
         report = store.verify()
         assert (report["checked"], report["ok"], report["evicted"]) \
             == (2, 1, 1)
         assert not store._entry_path(KEY_B).exists()
+        assert store.verify()["evicted"] == 0
         assert store.get(KEY_A) == "good"
 
     def test_verify_reports_and_evicts(self, tmp_path):
