@@ -235,12 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "sequence numbers)",
         )
         p.add_argument(
-            "--vm", default="bytecode", choices=["bytecode", "ir"],
-            help="execution engine: the register-bytecode dispatch loop "
-                 "(default) or the IR tree-walk differential oracle; both "
-                 "produce identical profiles",
-        )
-        p.add_argument(
             "--prescreen", default="off", choices=list(PRESCREEN_MODES),
             help="hybrid static+dynamic PSEC: prove Set membership at "
                  "compile time and strip the probes — 'safe' claims "
@@ -279,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--trace", action="store_true",
             help="stream an execution trace to stderr — one line per "
-                 "opcode (bytecode VM) or per IR instruction (tree-walk); "
-                 "implies --no-cache (the trace only exists on a live run)",
+                 "dispatched opcode; implies --no-cache (the trace only "
+                 "exists on a live run)",
         )
 
     rec = sub.add_parser("recommend", help="print recommendations (default)")

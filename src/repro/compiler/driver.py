@@ -50,7 +50,7 @@ from repro.runtime.config import (
 )
 from repro.runtime.engine import CarmotHooks, CarmotRuntime
 from repro.vm.costmodel import DEFAULT_COST_MODEL, CostModel
-from repro.vm.interpreter import RunResult, run_module
+from repro.vm import RunResult, run_module
 
 
 class BuildMode(enum.Enum):
@@ -105,16 +105,13 @@ class CompiledProgram:
         cost_model: CostModel = DEFAULT_COST_MODEL,
         max_instructions: int = 2_000_000_000,
         budgets: Optional[ExecutionBudgets] = None,
-        vm: str = "bytecode",
         trace: bool = False,
         **config_kwargs,
     ):
         """Run the program; instrumented modes also return the runtime.
 
-        ``budgets`` bounds the VM (steps/heap/recursion); ``vm`` selects
-        the execution engine (``"bytecode"`` dispatch loop or the ``"ir"``
-        tree-walk oracle); ``trace`` streams a per-opcode (bytecode) or
-        per-instruction (IR walk) execution trace to stderr.  Runtime-layer
+        ``budgets`` bounds the VM (steps/heap/recursion); ``trace``
+        streams a per-opcode execution trace to stderr.  Runtime-layer
         resilience flows through ``config_kwargs`` (``resilience=...``,
         ``fault_plan=...``) into the :class:`RuntimeConfig`.
         """
@@ -123,7 +120,7 @@ class CompiledProgram:
             result = run_module(self.module, entry, args,
                                 cost_model=cost_model,
                                 max_instructions=max_instructions,
-                                budgets=budgets, vm=vm,
+                                budgets=budgets,
                                 bytecode=self.bytecode,
                                 trace_stream=trace_stream)
             return result, None
@@ -131,7 +128,7 @@ class CompiledProgram:
         result = run_module(self.module, entry, args, hooks=hooks,
                             cost_model=cost_model,
                             max_instructions=max_instructions,
-                            budgets=budgets, vm=vm,
+                            budgets=budgets,
                             bytecode=self.bytecode,
                             trace_stream=trace_stream)
         return result, runtime

@@ -35,7 +35,7 @@ from repro.parallel import (
 )
 from repro.recommend import table1_requirements
 from repro.runtime.psec import MemoryBudgetExceeded, Psec
-from repro.vm.interpreter import run_module
+from repro.vm import run_module
 from repro.workloads import ALL_WORKLOADS, Workload, figure6_workloads
 
 _USE_CASE_OF = {"openmp": "openmp", "cycles": "cycles", "stats": "stats"}

@@ -8,7 +8,8 @@ The simulator needs, for each parallel loop: the cost of every iteration
   explicit marker instructions, so the profiler measures them exactly;
 - **generated pragmas**: the recommendation names the *source lines* whose
   statements must be wrapped; the profiler attributes cost per source line
-  (``trace_lines``) and charges those lines as the serial fraction.
+  (``trace_lines``, the bytecode VM's line tracer) and charges those
+  lines as the serial fraction.
 
 The profiler also measures ``omp parallel sections``: the per-section costs
 feed the sections simulator used for the pthreads/sections benchmarks.
@@ -20,8 +21,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.module import Module
+from repro.vm.bcinterp import BytecodeInterpreter
+from repro.vm.codegen import lower_module
 from repro.vm.hooks import ExecutionHooks
-from repro.vm.interpreter import Interpreter, RunResult
+from repro.vm.result import RunResult
 
 
 @dataclass
@@ -75,7 +78,7 @@ class ProfilingHooks(ExecutionHooks):
     def __init__(self, module: Module) -> None:
         self.module = module
         self.profile = ExecutionProfile()
-        self.vm: Optional[Interpreter] = None
+        self.vm: Optional[BytecodeInterpreter] = None
         self._roi_start: Dict[int, int] = {}
         self._serial_acc: Dict[int, int] = {}
         self._region_start: Dict[int, int] = {}
@@ -133,7 +136,6 @@ class ProfilingHooks(ExecutionHooks):
 
     def finish(self) -> None:
         self.profile.total_cost = self.vm.cost
-        self.profile.line_costs = dict(getattr(self.vm, "line_costs", {}))
 
 
 def profile_execution(
@@ -143,11 +145,17 @@ def profile_execution(
     max_instructions: int = 2_000_000_000,
     trace_lines: bool = True,
 ) -> ExecutionProfile:
-    """Run ``module`` (typically the baseline build) and profile it."""
+    """Run ``module`` (typically the baseline build) and profile it.
+
+    The run lowers its own bytecode: the line tracer needs codegen's line
+    table, and a traced run must not share execution streams that other
+    runs quicken.
+    """
     hooks = ProfilingHooks(module)
-    interp = Interpreter(module, hooks, max_instructions=max_instructions)
+    interp = BytecodeInterpreter(lower_module(module), hooks,
+                                 max_instructions=max_instructions)
     if trace_lines:
-        interp.enable_line_tracing()
+        hooks.profile.line_costs = interp.enable_line_tracing()
     result = interp.run(entry, args)
     hooks.profile.result = result
     return hooks.profile

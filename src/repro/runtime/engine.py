@@ -684,14 +684,12 @@ class CarmotRuntime:
 class CarmotHooks(ExecutionHooks):
     """VM hook adapter: records events, charges main-thread costs.
 
-    Both execution engines — the IR tree-walk and the register-bytecode
-    dispatch loop — drive this same adapter, and the contract is shared:
-    before any hook fires, the engine must have spilled its live
-    instruction/cost counters into ``self.vm`` (this adapter reads
-    ``vm.cost``, and helpers read ``vm.memory`` / ``vm.call_stack``),
-    and hooks may mutate ``vm.cost``, which the engine reloads after the
-    call.  Identical hook sequences with identical arguments are what
-    make the two engines' profiles byte-for-byte equal.
+    The contract with the VM: before any hook fires, the VM must have
+    spilled its live instruction/cost counters into ``self.vm`` (this
+    adapter reads ``vm.cost``, and helpers read ``vm.memory`` /
+    ``vm.call_stack``), and hooks may mutate ``vm.cost``, which the VM
+    reloads after the call.  Identical hook sequences with identical
+    arguments give byte-for-byte equal profiles.
     """
 
     def __init__(
@@ -701,7 +699,7 @@ class CarmotHooks(ExecutionHooks):
     ) -> None:
         self.runtime = runtime
         self.cm = cost_model
-        self.vm = None  # set by the Interpreter
+        self.vm = None  # set by the VM
         #: Per-frame flags for callstack clustering (opt 7): has the current
         #: function invocation already captured its callstack?
         self._frame_captured: List[bool] = [False]

@@ -37,7 +37,7 @@ from repro.resilience.degradation import DegradationRecord, DegradationReport
 from repro.runtime.asmt import Asmt, AsmtEntry
 from repro.runtime.psec import Psec, PsecEntry
 from repro.runtime.reachability import ReachabilityGraph
-from repro.vm.interpreter import RunResult
+from repro.vm.result import RunResult
 
 FORMAT_NAME = "repro-profile"
 

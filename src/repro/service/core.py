@@ -254,7 +254,7 @@ class ServiceCore:
             request.source, options.profiling_pipeline(),
             abstraction=options.abstraction,
             options=options.carmot_options(),
-            name=request.name, entry=options.entry, vm=options.vm,
+            name=request.name, entry=options.entry,
             trace=options.trace, **options.run_kwargs(),
         )
         meta: Dict[str, object] = {"stages": dict(profiled.stages)}
@@ -351,7 +351,6 @@ class ServiceCore:
         )
         base, _ = base_compile.program.run(
             entry=options.entry, budgets=kwargs.get("budgets"),
-            vm=options.vm,
         )
         pass_stats: List[str] = []
         legs: Dict[str, object] = {}
@@ -365,7 +364,7 @@ class ServiceCore:
             profiled = session.profile(
                 request.source, pipeline, abstraction=options.abstraction,
                 name=request.name, options=carmot_options,
-                entry=options.entry, vm=options.vm, **kwargs,
+                entry=options.entry, **kwargs,
             )
             block = _pass_stats_block(options, profiled.program)
             if block is not None:
@@ -440,7 +439,7 @@ class ServiceCore:
             # renders the canonical stream — it is byte-identical before
             # and after the run.
             try:
-                program.run(vm="bytecode", entry=options.entry,
+                program.run(entry=options.entry,
                             **options.run_kwargs())
             except ReproError as error:
                 note = (f"note: run aborted ({error}); quickening still "

@@ -6,7 +6,7 @@ daemon, in-process embedding — speaks the same four request kinds plus
 which absorbs the option-resolution logic the CLI used to duplicate
 across ``_run_kwargs``/``_carmot_options``/``_profiling_pipeline``/
 ``_session_for``: translating the flat flag surface (budget spec, fault
-plan, engine, prescreen mode, pass pipeline) into the
+plan, prescreen mode, pass pipeline) into the
 ``Session``/``CompiledProgram.run`` keyword arguments.
 
 Requests round-trip through canonical JSON documents (``to_doc`` /
@@ -30,7 +30,6 @@ from repro.runtime.config import POLICIES
 #: ``shutdown`` are daemon control frames, not service requests).
 REQUEST_KINDS = ("recommend", "psec", "overhead", "ir", "dis")
 
-_VMS = ("bytecode", "ir")
 #: What a ``RunOptions`` field's declared base type accepts off the wire.
 _OPTION_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
                  "bool": (bool, "a boolean")}
@@ -53,7 +52,6 @@ class RunOptions:
     budget: Optional[str] = None
     fault_plan: Optional[str] = None
     batch_size: Optional[int] = None
-    vm: str = "bytecode"
     prescreen: str = "off"
     passes: Optional[str] = None
     trace: bool = False
@@ -64,8 +62,6 @@ class RunOptions:
         for spec in fields(self):
             _check_option_type(spec.name, getattr(self, spec.name),
                                spec.type)
-        if self.vm not in _VMS:
-            raise ReproError(f"vm must be one of {_VMS}, got {self.vm!r}")
         if self.abstraction is not None and self.abstraction not in POLICIES:
             raise ReproError(
                 f"abstraction must be one of {tuple(POLICIES)}, "

@@ -203,6 +203,10 @@ def response_key(
 #: drain it no longer has.  They stay in the profile-key document so
 #: profiles cached before their removal keep hitting.
 _RETIRED_RESILIENCE_FIELDS = {"heartbeat_ms": 25, "worker_deadline_ms": 10_000}
+#: The engine field of the removed ``vm`` option, at the value every
+#: cached profile was keyed with.  It stays in the profile-key document
+#: so those profiles keep hitting.
+_RETIRED_VM = "bytecode"
 
 
 def run_config_doc(
@@ -214,17 +218,13 @@ def run_config_doc(
     abstraction: Optional[str],
     options,
     config_kwargs: Dict[str, object],
-    vm: str = "bytecode",
 ) -> Dict[str, object]:
     """Canonical, JSON-able view of one ``CompiledProgram.run()`` call.
 
     ``config_kwargs`` are the ``RuntimeConfig`` overrides the CLI passes
     (``batch_size``, ``resilience``, ``fault_plan``); dataclass values
     are flattened via ``asdict`` so two equal plans produce equal
-    documents.  ``vm`` names the execution engine — both engines are
-    held to identical profiles, but keying on it keeps any divergence
-    visible as a cache miss rather than silently serving one engine's
-    artifact for the other.
+    documents.
     """
     config: Dict[str, object] = {}
     for key in sorted(config_kwargs):
@@ -240,7 +240,7 @@ def run_config_doc(
         "abstraction": abstraction,
         "options": _jsonable(options),
         "config": config,
-        "vm": vm,
+        "vm": _RETIRED_VM,
     }
 
 

@@ -12,8 +12,7 @@ stages backed by the content-addressed :class:`ArtifactStore`:
     registry fingerprint;
 ``codegen``
     bytecode lowering → the register bytecode the dispatch-loop VM
-    executes, keyed on the post-pipeline IR digest alone (skipped when
-    profiling with ``vm="ir"``);
+    executes, keyed on the post-pipeline IR digest alone;
 ``profile``
     execute + characterize → the full profile (PSECs, ASMT, degradation,
     run result), keyed on the post-pipeline IR digest and the complete
@@ -323,16 +322,13 @@ class Session:
         cost_model: CostModel = DEFAULT_COST_MODEL,
         max_instructions: int = 2_000_000_000,
         budgets: Optional[ExecutionBudgets] = None,
-        vm: str = "bytecode",
         trace: bool = False,
         **config_kwargs,
     ) -> ProfileResult:
         """Compile (cached) and profile (cached): the full flow.
 
         On a profile hit the VM never executes — result, PSECs, ASMT and
-        degradation report all load from the artifact.  ``vm`` selects
-        the execution engine; the codegen stage only runs (and only
-        appears in ``stages``) for the bytecode engine.
+        degradation report all load from the artifact.
         """
         compile_result = self.compile(
             source, pipeline, abstraction=abstraction, options=options,
@@ -344,13 +340,10 @@ class Session:
                 "cannot profile an uninstrumented (baseline) build"
             )
         stages = dict(compile_result.stages)
-        if vm == "bytecode":
-            stages["codegen"] = self.codegen(
-                program, compile_result.ir_digest
-            )
+        stages["codegen"] = self.codegen(program, compile_result.ir_digest)
         run_doc = keys.run_config_doc(
             entry, args, cost_model, max_instructions, budgets,
-            abstraction, options, config_kwargs, vm=vm,
+            abstraction, options, config_kwargs,
         )
         key = keys.profile_key(
             compile_result.ir_digest, program.mode.value, run_doc
@@ -370,7 +363,7 @@ class Session:
         result, runtime = program.run(
             entry=entry, args=args, cost_model=cost_model,
             max_instructions=max_instructions, budgets=budgets,
-            vm=vm, trace=trace, **config_kwargs,
+            trace=trace, **config_kwargs,
         )
         payload = serialize_profile(runtime, result)
         if self.store is not None:

@@ -1,13 +1,11 @@
-"""MiniC virtual machine: memory model, execution engines, cost model.
+"""MiniC virtual machine: memory model, execution engine, cost model.
 
-Two engines execute verified IR behind one ``run_module`` entry point:
-the register-bytecode dispatch loop (:mod:`repro.vm.bcinterp`, lowered
-by :mod:`repro.vm.codegen`) and the IR tree-walk
-(:mod:`repro.vm.interpreter`), which serves as the differential oracle.
-Both are held to identical results, costs, and profiles.
+``run_module`` lowers verified IR to register bytecode
+(:mod:`repro.vm.codegen`) and runs it on the dispatch loop
+(:mod:`repro.vm.bcinterp`).
 """
 
-from repro.vm.bcinterp import BytecodeInterpreter
+from repro.vm.bcinterp import BytecodeInterpreter, run_module
 from repro.vm.bytecode import (
     BytecodeError,
     BytecodeFunction,
@@ -20,8 +18,8 @@ from repro.vm.bytecode import (
 from repro.vm.codegen import lower_module
 from repro.vm.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.vm.hooks import ExecutionHooks
-from repro.vm.interpreter import Interpreter, RunResult, run_module
 from repro.vm.memory import Memory, MemoryObject
+from repro.vm.result import RunResult
 
 __all__ = [
     "BytecodeError",
@@ -32,7 +30,6 @@ __all__ = [
     "CostModel",
     "DEFAULT_COST_MODEL",
     "ExecutionHooks",
-    "Interpreter",
     "RunResult",
     "bytecode_digest",
     "deserialize_bytecode",

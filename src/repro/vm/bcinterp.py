@@ -1,16 +1,18 @@
-"""The tier-2 bytecode dispatch engine.
+"""The MiniC virtual machine: a register-bytecode dispatch loop.
 
 Executes a lowered :class:`~repro.vm.bytecode.BytecodeModule` with a flat
 while-loop over a per-function *execution stream*: integer opcodes,
 operand slots into a per-frame register list, and pre-resolved
-branch/call targets.  Exactly the same observable semantics as the
-tree-walk :class:`~repro.vm.interpreter.Interpreter` — same cost model
-charges, same instruction counting (and therefore identical
-``BudgetExceeded`` trip points), same
-:class:`~repro.vm.hooks.ExecutionHooks` call sequence with the same
-arguments, same trap messages — just without per-step object inspection.
-``tests/property/test_vm_equivalence.py`` holds the two engines equal
-instruction-for-instruction.
+branch/call targets.  A deterministic cost model charges every executed
+IR instruction, and pluggable :class:`~repro.vm.hooks.ExecutionHooks`
+let the CARMOT runtime observe ROI markers, instrumentation probes,
+allocations and Pin-traced builtin accesses.  The VM itself is
+profiling-agnostic: a run with the default hooks is the *baseline* whose
+cost is the denominator of every overhead figure.
+
+Instruction counting follows the IR: one count per IR instruction, so
+``BudgetExceeded`` trip points, hook event times and trap messages are
+properties of the program, not of the bytecode layout.
 
 Tier-2 structure (see DESIGN.md §12):
 
@@ -36,6 +38,10 @@ Tier-2 structure (see DESIGN.md §12):
   The interpreter state is spilled before a table handler runs and the
   ``cost`` local is reloaded after, so the hook-spill contract holds at
   exactly the opcodes that can reach hooks.
+- **One trace slot.**  A per-dispatch callback, off (``None``) by
+  default and tested once per dispatch, serves both the ``--trace``
+  printer and the per-source-line cost attribution of the Figure 6
+  profiler (:meth:`BytecodeInterpreter.enable_line_tracing`).
 
 Hot-loop discipline: ``instructions``/``cost`` live in locals and are
 spilled to the interpreter attributes
@@ -45,18 +51,18 @@ spilled to the interpreter attributes
 - around builtin calls (builtin impls *mutate* ``vm.cost`` through
   ``charge_bytes``/``heap_alloc``, so the local is reloaded after),
 - around cold-table handlers (which mutate ``vm.cost`` directly), and
-- unconditionally in a ``finally`` so trap/budget exits leave the same
-  state the tree-walk leaves.
+- unconditionally in a ``finally`` so trap/budget exits leave the
+  counters at the trapping instruction.
 
 ``memory.clock`` is only ever read inside ``allocate``/``free``/
-``release_stack_object``, so instead of the tree-walk's per-step store it
-is refreshed exactly at the opcodes that can reach those: ``OP_ALLOCA``,
-``OP_RET``, and the builtin-call opcodes.
+``release_stack_object``, so instead of a per-step store it is refreshed
+exactly at the opcodes that can reach those: ``OP_ALLOCA``, ``OP_RET``,
+and the builtin-call opcodes.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.builtins_spec import BUILTINS
 from repro.errors import BudgetExceeded, TrapError, VMError
@@ -137,12 +143,14 @@ from repro.vm.bytecode import (
     QUICKENED_BINOPS,
     TY_CHAR,
     TY_FLOAT,
+    dequicken_module,
     instr_width,
 )
+from repro.vm.codegen import lower_module
 from repro.vm.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.vm.hooks import ExecutionHooks
-from repro.vm.interpreter import RunResult
 from repro.vm.memory import FUNC_PTR_BASE, Memory, MemoryObject, to_int
+from repro.vm.result import RunResult
 
 #: Sub-operation evaluators for the fused load+binop / binop+store
 #: opcodes (the fusion catalog excludes div/rem, so none of these trap).
@@ -162,6 +170,86 @@ _BIN_EVAL = {
     OP_SHL: lambda a, b: int(a) << (int(b) & 63),
     OP_SHR: lambda a, b: int(a) >> (int(b) & 63),
 }
+
+
+def _trace_printer(stream):
+    """The ``--trace`` consumer of the trace slot: one line per dispatch."""
+    def trace(fn, pc, op, ic, cost):
+        print(f"trace: [{ic}] {fn.name}+{pc} {OPCODE_NAMES[op]}", file=stream)
+    return trace
+
+
+class _LineTracer:
+    """The line-profile consumer of the trace slot.
+
+    Each dispatch charges the cost accrued since the previous dispatch to
+    the previous instruction: an instruction's cost includes the hooks it
+    reached and its builtin work.  Costs add up per pc, and :meth:`close`
+    folds the pcs into source lines through codegen's ``fn.lines`` table.
+    A fused site whose halves sit on two lines is charged as it runs, and
+    splits statically: one half always costs a fixed amount (the compare,
+    load or binop of the first half; the load or store after a probe).
+    """
+
+    def __init__(self, bytecode: BytecodeModule, cost_model: CostModel):
+        functions = list(bytecode.functions.values())
+        if any(fn.lines is None for fn in functions):
+            raise VMError("bytecode has no line table; lower it from IR")
+        self.line_costs: Dict[Tuple[str, int], int] = {}
+        #: fn -> {pc: cost}; a pc is present once it has executed.
+        self._pc_costs = {fn: {} for fn in functions}
+        #: fn -> {pc: (first loc, second loc, opcode)} of its fused sites
+        #: on two lines.
+        self._splits = {
+            fn: {pc: (*loc, fn.code[pc]) for pc, loc in fn.lines.items()
+                 if type(loc) is tuple}
+            for fn in functions
+        }
+        self._fn = None
+        self._acc: Dict[int, int] = {}
+        self._split: Dict[int, tuple] = {}
+        self._pc = 0
+        self._cost = 0
+        cm = cost_model
+        #: Fused opcode -> fixed cost of its first half.
+        self._heads = {op: cm.arith for op in range(OP_LT_BR, OP_NE_BR + 1)}
+        self._heads[OP_LOAD_BIN] = cm.load
+        self._heads[OP_BIN_STORE] = cm.arith
+        #: Fused opcode -> fixed cost of its second half.
+        self._tails = {OP_PROBE_LOAD: cm.load, OP_PROBE_STORE: cm.store}
+
+    def __call__(self, fn, pc, op, ic, cost) -> None:
+        prev = self._pc
+        delta = cost - self._cost
+        split = self._split.get(prev)
+        if split is None:
+            acc = self._acc
+            acc[prev] = acc.get(prev, 0) + delta
+        else:
+            first, second, fused = split
+            tail = self._tails.get(fused)
+            head = self._heads[fused] if tail is None else delta - tail
+            self._charge(first, head)
+            self._charge(second, delta - head)
+        if fn is not self._fn:
+            self._fn = fn
+            self._acc = self._pc_costs[fn]
+            self._split = self._splits[fn]
+        self._pc = pc
+        self._cost = cost
+
+    def close(self, cost: int) -> None:
+        """Charge the last instruction, which ran up to ``cost``, and
+        fold the per-pc costs into :attr:`line_costs`."""
+        self(self._fn, 0, 0, 0, cost)
+        for fn, acc in self._pc_costs.items():
+            for pc, amount in acc.items():
+                self._charge(fn.lines[pc], amount)
+
+    def _charge(self, loc, amount: int) -> None:
+        if loc is not None:
+            key = (loc.filename, loc.line)
+            self.line_costs[key] = self.line_costs.get(key, 0) + amount
 
 
 class BytecodeInterpreter:
@@ -198,12 +286,13 @@ class BytecodeInterpreter:
         self._pin_active = False
         self._return_value: object = None
         #: Allocation-site loc for builtins that heap-allocate, baked into
-        #: the call opcode (mirrors the tree-walk's ``_current_loc``).
+        #: the call opcode (the loc of the instruction after the call).
         self._alloc_loc = None
-        self.trace_stream = trace_stream
-        #: Parity attribute; per-line cost attribution is an IR-walk-only
-        #: feature (the Figure 6 profiler drives the tree-walk directly).
-        self.line_costs = {}
+        #: The trace slot: ``trace(fn, pc, op, ic, cost)`` before every
+        #: dispatch, or None.
+        self._trace = (None if trace_stream is None
+                       else _trace_printer(trace_stream))
+        self._line_tracer: Optional[_LineTracer] = None
         self._globals_addr = {}
         setattr(self.hooks, "vm", self)
         self._link()
@@ -254,8 +343,8 @@ class BytecodeInterpreter:
                     raise VMError(
                         f"bytecode references unknown builtin {name!r}")
                 linked_builtins.append((name, impl, spec.base_cost))
-            # Indirect-call resolution mirrors the tree-walk: address ->
-            # name, then builtins shadow module functions of the same name.
+            # Indirect-call resolution: address -> name, then builtins
+            # shadow module functions of the same name.
             addr_targets = {}
             for addr, name in funcs_by_addr.items():
                 if name in BUILTINS:
@@ -309,8 +398,11 @@ class BytecodeInterpreter:
         eligible.  Every quickened layout is word-for-word compatible
         with its canonical form, so patches never move code.  Records
         the patched sites on ``fn.quickened`` for dequickening and the
-        ``--quicken-report`` disassembly.
+        ``--quicken-report`` disassembly.  A line-traced run never
+        quickens.
         """
+        if self._line_tracer is not None:
+            return
         code = fn.code
         xcode = fn.xcode
         proto = fn.proto
@@ -391,6 +483,24 @@ class BytecodeInterpreter:
 
     # -- public API --------------------------------------------------------
 
+    def enable_line_tracing(self) -> Dict[Tuple[str, int], int]:
+        """Attribute cost per source line (the Figure 6 profiler).
+
+        Returns the ``(filename, line) -> cost`` map the run fills in.
+        Needs codegen's line table, so the module must come from
+        :func:`~repro.vm.codegen.lower_module` (a deserialized artifact
+        has none).  The run does not quicken: a quickened jump runs its
+        phi trampoline inside its own dispatch, which would move the
+        trampoline's cost onto the jump's line.
+        """
+        if self._trace is not None:
+            raise VMError("line tracing and an execution trace share one "
+                          "trace slot")
+        tracer = _LineTracer(self.bytecode, self.cost_model)
+        dequicken_module(self.bytecode)
+        self._trace = self._line_tracer = tracer
+        return tracer.line_costs
+
     def run(self, entry: str = "main", args: Tuple = ()) -> RunResult:
         fn = self.bytecode.functions.get(entry)
         if fn is None:
@@ -404,6 +514,8 @@ class BytecodeInterpreter:
                 regs[arg_base + index] = value
         self.call_stack.append(entry)
         self._execute(fn, regs)
+        if self._line_tracer is not None:
+            self._line_tracer.close(self.cost)
         self.hooks.finish()
         return RunResult(
             return_value=self._return_value,
@@ -448,9 +560,6 @@ class BytecodeInterpreter:
 
     def reseed(self, seed: int) -> None:
         self.rng = Xorshift64(seed or 1)
-
-    def _current_loc(self):
-        return self._alloc_loc
 
     # -- flattened dispatch table ------------------------------------------
 
@@ -706,7 +815,7 @@ class BytecodeInterpreter:
         cold_table = self._cold_table
         n_cold = len(cold_table)
         bin_eval = _BIN_EVAL
-        trace = self.trace_stream
+        trace = self._trace
         arith = cm.arith
         load_cost = cm.load
         store_cost = cm.store
@@ -717,7 +826,8 @@ class BytecodeInterpreter:
         ret_cost = cm.ret
         roi_cost = cm.roi_marker
         # Merged constants for the fused fast paths (the trip/trap
-        # paths charge the components separately to match the oracle).
+        # paths charge the components separately, as the unfused pair
+        # would).
         arith_branch = arith + branch_cost
         load_arith = load_cost + arith
         kind_objs = (AccessKind.READ, AccessKind.WRITE)
@@ -737,8 +847,7 @@ class BytecodeInterpreter:
                 if ic > max_instructions:
                     raise BudgetExceeded("instruction budget exceeded")
                 if trace is not None:
-                    print(f"trace: [{ic}] {fn.name}+{pc} {OPCODE_NAMES[op]}",
-                          file=trace)
+                    trace(fn, pc, op, ic, cost)
                 # Dispatch: hot opcodes (quickened, fused, common binops)
                 # sit in a shallow inline chain, each sub-chain ordered
                 # hottest first by measured dynamic opcode mixes (DESIGN.md
@@ -1258,8 +1367,8 @@ class BytecodeInterpreter:
                     elif op == OP_PHI:
                         # Per-edge trampoline: read every incoming against
                         # the predecessor's values, then write all results
-                        # (the tree-walk's atomic phi run), then enter the
-                        # successor body.
+                        # (a block's phis assign atomically), then enter
+                        # the successor body.
                         k = code[pc + 1]
                         base = pc + 3
                         if k == 1:
@@ -1476,3 +1585,33 @@ class BytecodeInterpreter:
             self.cost = cost
             self.access_counts["var"] += var_accesses
             self.access_counts["mem"] += mem_accesses
+
+
+def run_module(
+    module,
+    entry: str = "main",
+    args: Tuple = (),
+    hooks: Optional[ExecutionHooks] = None,
+    cost_model: CostModel = DEFAULT_COST_MODEL,
+    max_instructions: int = 2_000_000_000,
+    budgets: Optional[ExecutionBudgets] = None,
+    bytecode: Optional[BytecodeModule] = None,
+    trace_stream=None,
+) -> RunResult:
+    """Run IR ``module`` once and return the result.
+
+    ``bytecode`` optionally supplies an already-lowered
+    :class:`~repro.vm.bytecode.BytecodeModule` (e.g. from the session
+    artifact cache); otherwise lowering happens on first use and is
+    memoized on the module object.  ``trace_stream`` receives one
+    ``trace:`` line per dispatch.
+    """
+    if bytecode is None:
+        bytecode = getattr(module, "_bytecode", None)
+        if bytecode is None:
+            bytecode = lower_module(module)
+            module._bytecode = bytecode
+    interp = BytecodeInterpreter(bytecode, hooks, cost_model,
+                                 max_instructions, budgets,
+                                 trace_stream=trace_stream)
+    return interp.run(entry, args)

@@ -100,8 +100,8 @@ OP_PROBE_STATIC = 39   # [ptr, roi, fact]
 # pairs that dominate lowered streams (see the static pair-frequency
 # count it records) into one fused opcode each.  Fused execution still
 # counts both component instructions and checks the budget between the
-# halves, so trip points and spilled state match the unfused stream and
-# the tree-walk oracle exactly.
+# halves, so trip points and spilled state match the unfused stream
+# exactly.
 
 OP_LT_BR = 40          # [dst, lhs, rhs, true_pc, false_pc]  (cmp+branch)
 OP_LE_BR = 41
@@ -270,7 +270,7 @@ class BytecodeFunction:
 
     __slots__ = ("name", "code", "consts", "n_args", "n_regs", "entry_pc",
                  "instrumented", "arg_base", "proto", "xcode", "xquick",
-                 "quickened")
+                 "quickened", "lines")
 
     def __init__(self, name: str, code, consts: List[tuple], n_args: int,
                  n_regs: int, entry_pc: int, instrumented: bool) -> None:
@@ -296,6 +296,12 @@ class BytecodeFunction:
         #: pc -> quickened opcode for every rewritten site (None until the
         #: first quickening pass touches the function).
         self.quickened: Optional[Dict[int, int]] = None
+        #: Codegen's line table: pc -> the :class:`SourceLoc` of the
+        #: instruction there, or a ``(first, second)`` pair for a fused
+        #: site whose halves sit on two source lines.  Phi trampolines
+        #: carry their first phi's loc.  Never serialized (``None`` on a
+        #: deserialized module), so bytecode digests do not see it.
+        self.lines: Optional[Dict[int, object]] = None
 
 
 class GlobalInit:
@@ -316,10 +322,10 @@ class BytecodeModule:
     """A lowered module: functions plus the shared side tables.
 
     ``function_order`` fixes function-pointer addresses
-    (``FUNC_PTR_BASE + index``, builtins appended after — the same table
-    the tree-walk interpreter builds), ``builtin_order`` the direct
-    builtin-call binding, and the var/loc/string tables everything the
-    probe and marker opcodes reference.
+    (``FUNC_PTR_BASE + index``, builtins appended after),
+    ``builtin_order`` the direct builtin-call binding, and the
+    var/loc/string tables everything the probe and marker opcodes
+    reference.
     """
 
     def __init__(self, name: str) -> None:

@@ -13,8 +13,8 @@ into a :class:`~repro.vm.bytecode.BytecodeModule`:
 - **Pre-bound call targets.**  Direct calls are split at lowering time into
   ``OP_CALL`` (defined function, by function-table index),
   ``OP_CALL_BUILTIN`` (by builtin-table index, with the builtin's
-  allocation-site location baked in) and ``OP_CALL_MISSING`` (the exact
-  tree-walk trap).  Indirect calls stay one ``OP_CALL_IND`` resolved
+  allocation-site location baked in) and ``OP_CALL_MISSING`` (a trap
+  when executed).  Indirect calls stay one ``OP_CALL_IND`` resolved
   through the linked address table.
 - **Branch targets as code offsets.**  Jumps and branches carry absolute
   offsets into the function's code stream.  Phi nodes are lowered to
@@ -113,6 +113,10 @@ _ARG_NAME = re.compile(r"arg(\d+)\Z")
 _SIMPLE_BINOPS = frozenset(
     op for op in BINOP_OPCODES.values() if op not in (OP_DIV, OP_REM)
 )
+
+
+def _line_of(loc: Optional[SourceLoc]) -> Optional[Tuple[str, int]]:
+    return None if loc is None else (loc.filename, loc.line)
 
 
 def _ty_code(ty: ct.Type) -> int:
@@ -216,6 +220,9 @@ class _FunctionLowering:
         self._temp_slots: Dict[str, int] = {}
         self.n_args = len(function.param_vars)
         self.code: List[int] = []
+        #: pc -> source loc of the instruction there (see
+        #: ``BytecodeFunction.lines``).
+        self.lines: Dict[int, object] = {}
         self.block_pc: Dict[int, int] = {}       # id(block) -> body pc
         self.head_phis: Dict[int, List[Phi]] = {}  # id(block) -> leading phis
         self.fixups: List[Tuple[int, Block, Block]] = []
@@ -369,9 +376,13 @@ class _FunctionLowering:
             # Fused opcodes are never fusion sources themselves (greedy
             # left-to-right pairing, no triple superinstructions).
             self._prev = None
+            first = self.lines[prev[0]]
+            if _line_of(first) != _line_of(instr.loc):
+                self.lines[prev[0]] = (first, instr.loc)
             return
         start = len(code)
         self._emit_plain(instr, block, index, kind)
+        self.lines[start] = instr.loc
         op = code[start]
         if prev is not None:
             self._count_pair(prev[1], op)
@@ -477,10 +488,9 @@ class _FunctionLowering:
         dst = -1 if instr.result is None else self._slot(instr.result)
         pin = 1 if instr.pin_gated else 0
         args = [self._slot(a) for a in instr.args]
-        # The tree-walk reports a builtin's allocation site as the source
-        # location of the *next* instruction (frame.index has already
-        # advanced when the builtin asks).  A Call is never a terminator,
-        # so that instruction always exists; bake its loc in.
+        # A builtin's allocation site is the source location of the
+        # *next* instruction.  A Call is never a terminator, so that
+        # instruction always exists; bake its loc in.
         alloc_loc = self.tables.loc(block.instrs[index + 1].loc)
         if isinstance(instr.callee, FunctionRef):
             name = instr.callee.name
@@ -527,8 +537,8 @@ class _FunctionLowering:
                 f"entry block of {function.name} has phis")
         # One OP_PHI trampoline per (pred, succ-with-phis) edge, emitted in
         # first-use order: read all incomings, write all results, enter the
-        # successor body.  This is the tree-walk's atomic phi-run without
-        # any runtime prev_block bookkeeping.
+        # successor body: a block's phis assign atomically, without any
+        # runtime prev_block bookkeeping.
         edge_pc: Dict[Tuple[int, int], int] = {}
         for _, pred, succ in self.fixups:
             key = (id(pred), id(succ))
@@ -536,6 +546,7 @@ class _FunctionLowering:
                 continue
             edge_pc[key] = len(code)
             phis = self.head_phis[id(succ)]
+            self.lines[len(code)] = phis[0].loc
             code.extend((OP_PHI, len(phis), self.block_pc[id(succ)]))
             for phi in phis:
                 incoming = phi.incomings.get(pred)
@@ -549,7 +560,7 @@ class _FunctionLowering:
         for at, pred, succ in self.fixups:
             target = edge_pc.get((id(pred), id(succ)))
             code[at] = self.block_pc[id(succ)] if target is None else target
-        return BytecodeFunction(
+        lowered = BytecodeFunction(
             name=function.name,
             code=array("q", code),
             consts=self.consts,
@@ -558,6 +569,8 @@ class _FunctionLowering:
             entry_pc=self.block_pc[id(function.entry)],
             instrumented=not function.conventionally_optimized,
         )
+        lowered.lines = self.lines
+        return lowered
 
 
 def lower_module(module: Module) -> BytecodeModule:

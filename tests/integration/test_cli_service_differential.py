@@ -35,6 +35,7 @@ from repro.service import (
     render_response,
     response_digest,
 )
+from tests.helpers.treewalk import treewalk_engine
 
 REPO = Path(__file__).resolve().parents[2]
 EXAMPLES = ["roi_loop", "stencil_calls", "anneal_stats"]
@@ -68,8 +69,8 @@ def _case_matrix(name: str):
          RenderOptions(json=True)),
         (["psec", path, "--cache-stats"], req(PsecRequest),
          RenderOptions(cache_stats=True)),
-        (["psec", path, "--vm", "ir"],
-         req(PsecRequest, RunOptions(vm="ir")), RenderOptions()),
+        (["psec", path, "--no-cache"],
+         req(PsecRequest, RunOptions(no_cache=True)), RenderOptions()),
         (["psec", path, "--prescreen", "safe"],
          req(PsecRequest, RunOptions(prescreen="safe")), RenderOptions()),
         (["overhead", path], req(OverheadRequest), RenderOptions()),
@@ -103,6 +104,22 @@ def test_cli_output_is_rendered_service_response(name, capsys, tmp_path,
         assert captured.out == rendered.out, argv
         assert captured.err == rendered.err, argv
         assert exit_code == rendered.exit_code, argv
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_tree_walk_cli_output_matches_the_service(name, capsys):
+    """The CLI on the tree-walk oracle prints exactly what the service
+    core renders from a bytecode-VM run of the same request."""
+    path = _example(name)
+    with treewalk_engine():
+        exit_code = main(["psec", path, "--no-cache"])
+    captured = capsys.readouterr()
+    request = PsecRequest(source=(REPO / path).read_text(), name=path,
+                          options=RunOptions(no_cache=True))
+    rendered = render_response(ServiceCore().execute(request),
+                               RenderOptions())
+    assert (captured.out, captured.err, exit_code) == \
+        (rendered.out, rendered.err, rendered.exit_code)
 
 
 @pytest.mark.parametrize("name", EXAMPLES)

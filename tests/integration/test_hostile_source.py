@@ -1,7 +1,8 @@
 """Hostile MiniC source is a clean error, never a Python traceback.
 
 Two families: float-to-int conversions of infinity or NaN (at compile
-time in constant folding, at run time in both engines' casts), and
+time in constant folding, at run time in the VM's casts and the
+tree-walk oracle's), and
 programs nested deeper than the parser's bound.  Through the CLI each
 must print one ``error:`` line and exit 1; through the service it must
 come back as the canonical error envelope.
@@ -16,8 +17,7 @@ from repro.ir.instructions import Cast
 from repro.lang.parser import MAX_NESTING, Parser
 from repro.lang.lexer import tokenize
 from repro.service import ServiceCore, error_response
-
-VMS = ("bytecode", "ir")
+from tests.helpers.treewalk import ENGINES, engine
 
 
 def _roi(body, decls="int x; int c; int a[4];"):
@@ -39,17 +39,17 @@ def _roi(body, decls="int x; int c; int a[4];"):
     )
 
 
-def _cli(tmp_path, source, vm):
+def _cli(tmp_path, source):
     path = tmp_path / "hostile.mc"
     path.write_text(source)
-    return main(["psec", str(path), "--no-cache", "--vm", vm])
+    return main(["psec", str(path), "--no-cache"])
 
 
-def _served(tmp_path, source, vm):
+def _served(tmp_path, source):
     core = ServiceCore(cache_dir=str(tmp_path / "cache"))
     return core.execute_doc({"kind": "psec", "source": source,
                              "name": "hostile",
-                             "options": {"vm": vm, "no_cache": True}})
+                             "options": {"no_cache": True}})
 
 
 # -- non-finite float -> int ---------------------------------------------------
@@ -74,36 +74,35 @@ def test_constant_folding_leaves_non_finite_casts(case):
     assert casts, "the cast to int must survive constant folding"
 
 
-@pytest.mark.parametrize("vm", VMS)
+@pytest.mark.parametrize("vm", ENGINES)
 @pytest.mark.parametrize("case", sorted(NON_FINITE))
 def test_non_finite_cast_traps_on_both_engines(case, vm):
     source, text = NON_FINITE[case]
     program = compile_carmot(source, name=case)
     with pytest.raises(TrapError,
-                       match=f"^cannot convert {text} to an integer$"):
-        program.run(vm=vm)
+                       match=f"^cannot convert {text} to an integer$"), \
+            engine(vm):
+        program.run()
 
 
-@pytest.mark.parametrize("vm", VMS)
 @pytest.mark.parametrize("case", sorted(NON_FINITE))
-def test_non_finite_cast_is_a_cli_error(tmp_path, capsys, case, vm):
+def test_non_finite_cast_is_a_cli_error(tmp_path, capsys, case):
     source, text = NON_FINITE[case]
-    assert _cli(tmp_path, source, vm) == 1
+    assert _cli(tmp_path, source) == 1
     err = capsys.readouterr().err
     assert err == f"error: cannot convert {text} to an integer\n"
 
 
-@pytest.mark.parametrize("vm", VMS)
 @pytest.mark.parametrize("case", sorted(NON_FINITE))
-def test_non_finite_cast_is_an_error_envelope(tmp_path, case, vm):
+def test_non_finite_cast_is_an_error_envelope(tmp_path, case):
     source, text = NON_FINITE[case]
-    assert _served(tmp_path, source, vm) == error_response(
+    assert _served(tmp_path, source) == error_response(
         "psec", "error", f"cannot convert {text} to an integer")
 
 
 def test_non_finite_integer_global_is_a_semantic_error(tmp_path, capsys):
     source = "int h = 1e400;\nint main() { print_int(h); return 0; }\n"
-    assert _cli(tmp_path, source, "bytecode") == 1
+    assert _cli(tmp_path, source) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: global initializer for 'h'")
     assert "is not a finite number" in err
@@ -165,9 +164,8 @@ def test_nested_exactly_to_the_bound_runs_end_to_end(tmp_path, shape):
     # One more level would cross the bound, so this program sits on it
     # (a chain or an if level may cost more than one nesting level).
     assert MAX_NESTING - 3 < _peak(source) <= MAX_NESTING
-    for vm in VMS:
-        doc = _served(tmp_path, source, vm)
-        assert doc["ok"], doc["error"]
+    doc = _served(tmp_path, source)
+    assert doc["ok"], doc["error"]
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -177,10 +175,10 @@ def test_one_level_past_the_bound_is_a_located_syntax_error(tmp_path,
     message = f"nesting deeper than {MAX_NESTING} levels, got "
     with pytest.raises(ParseError, match=f"^{message}.*@nest.mc:"):
         _peak(source)
-    assert _cli(tmp_path, source, "bytecode") == 1
+    assert _cli(tmp_path, source) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
-    doc = _served(tmp_path, source, "ir")
+    doc = _served(tmp_path, source)
     assert doc == error_response("psec", "error", doc["error"]["message"])
     assert doc["error"]["message"].startswith(message)

@@ -5,7 +5,8 @@ The prescreen contract (DESIGN.md §13) promises that a build with
 fully-dynamic build — the static verdicts are only admissible because
 they are indistinguishable from profiling.  This suite holds the hybrid
 build to that promise across the golden examples, seeded random ROI
-programs, both execution engines, the tests-side decoder oracle, and
+programs, both execution engines (the tests-side tree-walk oracle and
+the bytecode VM), the tests-side decoder oracle, and
 fault plans whose retries force exact replay.
 """
 
@@ -20,6 +21,7 @@ from repro.runtime.psec_json import psec_sets_digest
 from repro.session import Session
 from repro.workloads.fuzz import random_roi_program
 from tests.helpers.decoder import decoder_fold
+from tests.helpers.treewalk import ENGINES, engine
 
 REPO = Path(__file__).resolve().parents[2]
 EXAMPLES = ["roi_loop", "stencil_calls", "anneal_stats"]
@@ -30,11 +32,13 @@ def _example_source(name: str) -> str:
     return (REPO / "examples" / f"{name}.mc").read_text()
 
 
-def _profile(source: str, name: str, mode: str = "off", **run_kwargs):
+def _profile(source: str, name: str, mode: str = "off",
+             vm: str = "bytecode", **run_kwargs):
     options = CarmotOptions() if mode == "off" \
         else CarmotOptions(prescreen=mode)
     program = compile_carmot(source, name=name, options=options)
-    result, runtime = program.run(**run_kwargs)
+    with engine(vm):
+        result, runtime = program.run(**run_kwargs)
     return program, result, runtime
 
 
@@ -51,7 +55,7 @@ def _state(result, runtime):
 
 @pytest.mark.parametrize("name", EXAMPLES)
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("vm", ["ir", "bytecode"])
+@pytest.mark.parametrize("vm", ENGINES)
 def test_golden_examples_sets_identical(name, mode, vm):
     source = _example_source(name)
     _, off_res, off_rt = _profile(source, name, vm=vm)
@@ -93,11 +97,11 @@ def test_random_roi_programs_across_engines(seed):
     dispatch and note resolution agree between tree-walk and bytecode."""
     source = random_roi_program(50 + seed)
     states = {}
-    for vm in ("ir", "bytecode"):
+    for vm in ENGINES:
         _, res, rt = _profile(source, f"rand_roi{seed}", "aggressive",
                               vm=vm)
         states[vm] = _state(res, rt)
-    assert states["ir"] == states["bytecode"]
+    assert states["treewalk"] == states["bytecode"]
 
 
 # -- fault plans --------------------------------------------------------------

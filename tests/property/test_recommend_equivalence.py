@@ -2,7 +2,8 @@
 
 A warm (cache-served) RecommendationDoc must be byte-identical to the
 cold one that populated the store — across both runtime folds (the
-decoder oracle and the kernel), both execution engines, and through the service core — and a live
+decoder oracle and the kernel), both execution engines (the tree-walk
+oracle and the bytecode VM), and through the service core — and a live
 (cache-disabled) doc must match both.  Selection and registry state fold
 into the cache key, so distinct selections never alias.
 """
@@ -16,6 +17,7 @@ from repro.service import RecommendRequest, RunOptions, ServiceCore
 from repro.service.core import response_digest
 from repro.session import Session
 from tests.helpers.decoder import FOLDS, fold
+from tests.helpers.treewalk import ENGINES, engine
 from repro.workloads import workload
 from repro.workloads.fuzz import (
     random_pointer_chase_program,
@@ -42,34 +44,33 @@ def _doc(session, source, name, recommenders=None, **kwargs):
 
 @pytest.mark.parametrize("name", EXAMPLES + ["bt"])
 @pytest.mark.parametrize("fold_name", FOLDS)
-@pytest.mark.parametrize("vm", ["ir", "bytecode"])
+@pytest.mark.parametrize("vm", ENGINES)
 def test_warm_doc_byte_identical_to_cold(tmp_path, name, fold_name, vm):
     """The golden examples and the NAS ``bt`` port at its test size."""
     source = _example_source(name) if name in EXAMPLES \
         else workload(name).test_source("openmp")
     session = Session(cache_dir=str(tmp_path / "store"))
-    with fold(fold_name):
-        cold, cold_stage = _doc(session, source, name, vm=vm)
-        warm, warm_stage = _doc(session, source, name, vm=vm)
-        live, live_stage = _doc(Session(enabled=False), source, name,
-                                vm=vm)
+    with fold(fold_name), engine(vm):
+        cold, cold_stage = _doc(session, source, name)
+        warm, warm_stage = _doc(session, source, name)
+        live, live_stage = _doc(Session(enabled=False), source, name)
     assert (cold_stage, warm_stage, live_stage) == ("miss", "hit", "miss")
     assert _canon(cold) == _canon(warm) == _canon(live)
 
 
 @pytest.mark.parametrize("name", ["roi_loop"])
 def test_docs_agree_across_engines_and_encodings(tmp_path, name):
-    """Four cold paths — {ir, bytecode} x {decoder oracle, kernel} —
+    """Four cold paths — {treewalk, bytecode} x {decoder oracle, kernel} —
     produce the same document bytes: the doc depends on the Sets, not on
     how the runtime observed or folded them."""
     source = _example_source(name)
     docs = set()
-    for vm in ("ir", "bytecode"):
+    for vm in ENGINES:
         for fold_name in FOLDS:
             session = Session(
                 cache_dir=str(tmp_path / f"{vm}-{fold_name}"))
-            with fold(fold_name):
-                doc, _ = _doc(session, source, name, vm=vm)
+            with fold(fold_name), engine(vm):
+                doc, _ = _doc(session, source, name)
             docs.add(_canon(doc))
     assert len(docs) == 1
 

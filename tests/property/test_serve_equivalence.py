@@ -2,10 +2,11 @@
 
 Seeded random ROI programs (shared generator in ``repro.workloads.fuzz``)
 are submitted to a live ``repro serve`` daemon running the bytecode
-engine; an in-process :class:`ServiceCore` running the IR tree-walk is
-the oracle.  The PSEC ``sets_digest`` and the full response digest must
-agree — the daemon transport, its thread pool, its cache namespaces, and
-the vm tier may not perturb a single characterized byte.  Eight
+VM; an in-process :class:`ServiceCore` running the IR tree-walk
+(``tests/helpers/treewalk.py``) is the oracle.  The PSEC ``sets_digest``
+and the full response digest must agree — the daemon transport, its
+thread pool, its cache namespaces, and the bytecode tier may not perturb
+a single characterized byte.  Eight
 namespaced clients replaying a mixed psec/recommend matrix, cold and
 then warm, are held to the in-process core the same way.
 """
@@ -29,6 +30,7 @@ from repro.service.daemon import ServeDaemon
 from repro.workloads import workload
 from repro.workloads.fuzz import random_roi_program
 from tests.helpers.subjects import ARRAY_ROI_SOURCE, SCALAR_REDUCTION_SOURCE
+from tests.helpers.treewalk import treewalk_engine
 
 SEEDS = range(6)
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
@@ -54,23 +56,33 @@ def daemon(tmp_path_factory):
     thread.join(timeout=10)
 
 
+class _Oracle:
+    """A :class:`ServiceCore` on its own store whose every execution runs
+    on the tree-walk.  The daemon shares this process, so the swap lasts
+    only while the oracle executes and no daemon request is in flight."""
+
+    def __init__(self, cache_dir: str) -> None:
+        self.core = ServiceCore(cache_dir=cache_dir)
+
+    def execute(self, request):
+        with treewalk_engine():
+            return self.core.execute(request)
+
+
 @pytest.fixture(scope="module")
 def oracle(tmp_path_factory):
     """Tree-walk oracle core on its own store."""
     root = tmp_path_factory.mktemp("serve-oracle")
-    return ServiceCore(cache_dir=str(root / "cache"))
+    return _Oracle(str(root / "cache"))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_daemon_psec_matches_tree_walk_oracle(seed, daemon, oracle):
-    """PSEC through the daemon (bytecode vm) == in-process tree-walk."""
+    """PSEC through the daemon (bytecode VM) == in-process tree-walk."""
     source = random_roi_program(seed)
     name = f"serveprop{seed}"
-    expected = oracle.execute(
-        PsecRequest(source=source, name=name, options=RunOptions(vm="ir"))
-    )
-    request = PsecRequest(source=source, name=name,
-                          options=RunOptions(vm="bytecode"))
+    request = PsecRequest(source=source, name=name)
+    expected = oracle.execute(request)
     with ServiceClient(daemon, namespace=f"s{seed}") as client:
         served = client.request(request)
         warm = client.request(request)
@@ -86,15 +98,10 @@ def test_daemon_psec_matches_tree_walk_oracle(seed, daemon, oracle):
 def test_daemon_recommend_matches_oracle(seed, daemon, oracle):
     source = random_roi_program(seed)
     name = f"serveprop{seed}"  # same namespace+name: rides the psec cache
-    expected = oracle.execute(
-        RecommendRequest(source=source, name=name,
-                         options=RunOptions(vm="ir"))
-    )
+    request = RecommendRequest(source=source, name=name)
+    expected = oracle.execute(request)
     with ServiceClient(daemon, namespace=f"s{seed}") as client:
-        served = client.request(
-            RecommendRequest(source=source, name=name,
-                             options=RunOptions(vm="bytecode"))
-        )
+        served = client.request(request)
     assert served["ok"], served.get("error")
     assert response_digest(served) == response_digest(expected)
 
@@ -106,10 +113,7 @@ def test_concurrent_seeds_keep_digests_independent(daemon, oracle):
     for seed in SEEDS:
         source = random_roi_program(seed)
         name = f"serveprop{seed}"
-        expected = oracle.execute(
-            PsecRequest(source=source, name=name,
-                        options=RunOptions(vm="ir"))
-        )
+        expected = oracle.execute(PsecRequest(source=source, name=name))
         cases.append((seed, source, name, response_digest(expected)))
 
     failures = []
@@ -117,8 +121,7 @@ def test_concurrent_seeds_keep_digests_independent(daemon, oracle):
 
     def run_case(seed, source, name, expected_digest):
         try:
-            request = PsecRequest(source=source, name=name,
-                                  options=RunOptions(vm="bytecode"))
+            request = PsecRequest(source=source, name=name)
             with ServiceClient(daemon, namespace=f"s{seed}") as client:
                 barrier.wait()
                 served = client.request(request)

@@ -1,10 +1,10 @@
-"""Differential testing: the bytecode engine against the tree-walk oracle.
+"""Differential testing: the bytecode VM against the tree-walk oracle.
 
-The IR tree-walk is kept as the differential oracle for the register
-bytecode: on the golden examples (both runtime folds), on seeded
-random MiniC programs, and under fault plans and execution budgets, both
-engines must produce byte-identical profiles, equal run results, and the
-same failure at the same virtual step.
+The IR tree-walk in ``tests/helpers/treewalk.py`` is the differential
+oracle for the register bytecode: on the golden examples (both runtime
+folds), on seeded random MiniC programs, and under fault plans and
+execution budgets, both engines must produce byte-identical profiles,
+equal run results, and the same failure at the same virtual step.
 """
 
 from pathlib import Path
@@ -22,6 +22,7 @@ from repro.resilience import FaultPlan, ResiliencePolicy
 from repro.resilience.budgets import ExecutionBudgets
 from repro.runtime.psec_json import serialize_profile
 from tests.helpers.decoder import FOLDS, fold
+from tests.helpers.treewalk import ENGINES, engine, run_treewalk
 from repro.workloads.fuzz import (
     random_pointer_chase_program as _random_pointer_chase_program,
 )
@@ -41,6 +42,11 @@ def _run_state(result):
             result.access_counts)
 
 
+def _run(program, vm, **kwargs):
+    with engine(vm):
+        return program.run(**kwargs)
+
+
 # -- golden examples ----------------------------------------------------------
 
 
@@ -48,24 +54,24 @@ def _run_state(result):
 @pytest.mark.parametrize("fold_name", FOLDS)
 def test_golden_examples_identical_across_engines(name, fold_name):
     payloads = {}
-    for vm in ("ir", "bytecode"):
+    for vm in ENGINES:
         program = compile_carmot(_example_source(name), name=name)
         with fold(fold_name):
-            result, runtime = program.run(vm=vm)
+            result, runtime = _run(program, vm)
         payloads[vm] = (serialize_profile(runtime, result),
                         _run_state(result))
-    assert payloads["ir"] == payloads["bytecode"]
+    assert payloads["treewalk"] == payloads["bytecode"]
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_naive_mode_identical_across_engines(name):
     payloads = {}
-    for vm in ("ir", "bytecode"):
+    for vm in ENGINES:
         program = compile_naive(_example_source(name), name=name)
-        result, runtime = program.run(vm=vm)
+        result, runtime = _run(program, vm)
         payloads[vm] = (serialize_profile(runtime, result),
                         _run_state(result))
-    assert payloads["ir"] == payloads["bytecode"]
+    assert payloads["treewalk"] == payloads["bytecode"]
 
 
 # -- seeded random programs (generator shared via repro.workloads.fuzz) -------
@@ -75,8 +81,8 @@ def test_naive_mode_identical_across_engines(name):
 def test_random_programs_identical_across_engines(seed):
     source = _random_program(seed)
     program = compile_baseline(source, name=f"rand{seed}")
-    ir = program.run(vm="ir")[0]
-    bc = program.run(vm="bytecode")[0]
+    ir = _run(program, "treewalk")[0]
+    bc = program.run()[0]
     assert _run_state(ir) == _run_state(bc)
 
 
@@ -87,12 +93,12 @@ def test_random_programs_unoptimized_pipeline(seed):
     mostly promote away."""
     source = _random_program(100 + seed)
     payloads = {}
-    for vm in ("ir", "bytecode"):
+    for vm in ENGINES:
         program = compile_naive(source, "stats", name=f"rand{seed}")
-        result, runtime = program.run(vm=vm)
+        result, runtime = _run(program, vm)
         payloads[vm] = (serialize_profile(runtime, result),
                         _run_state(result))
-    assert payloads["ir"] == payloads["bytecode"]
+    assert payloads["treewalk"] == payloads["bytecode"]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -104,13 +110,13 @@ def test_pointer_chase_identical_across_engines(seed, fold_name):
     must profile identically."""
     source = _random_pointer_chase_program(seed)
     payloads = {}
-    for vm in ("ir", "bytecode"):
+    for vm in ENGINES:
         program = compile_carmot(source, name=f"chase{seed}")
         with fold(fold_name):
-            result, runtime = program.run(vm=vm)
+            result, runtime = _run(program, vm)
         payloads[vm] = (serialize_profile(runtime, result),
                         _run_state(result))
-    assert payloads["ir"] == payloads["bytecode"]
+    assert payloads["treewalk"] == payloads["bytecode"]
     assert any(key[0] == "mem" and "T" in entry.letters
                for psec in runtime.psecs.values()
                for key, entry in psec.entries.items())
@@ -127,9 +133,9 @@ def test_tier2_reentry_identical_across_engines(seed):
     quickened).  Both runs must match the tree-walk oracle exactly."""
     source = _random_program(seed)
     program = compile_baseline(source, name=f"requick{seed}")
-    oracle = _run_state(program.run(vm="ir")[0])
-    cold = _run_state(program.run(vm="bytecode")[0])
-    warm = _run_state(program.run(vm="bytecode")[0])
+    oracle = _run_state(_run(program, "treewalk")[0])
+    cold = _run_state(program.run()[0])
+    warm = _run_state(program.run()[0])
     assert cold == oracle
     assert warm == oracle
 
@@ -145,10 +151,10 @@ def test_tier2_reentry_instrumented_profiles(seed, prescreen):
                              options=CarmotOptions(prescreen=prescreen))
 
     def run(vm):
-        result, runtime = program.run(vm=vm)
+        result, runtime = _run(program, vm)
         return (serialize_profile(runtime, result), _run_state(result))
 
-    oracle = run("ir")
+    oracle = run("treewalk")
     assert run("bytecode") == oracle  # cold: fused, quickens on entry
     assert run("bytecode") == oracle  # warm: fully quickened stream
 
@@ -160,7 +166,7 @@ def test_tier2_reentry_instrumented_profiles(seed, prescreen):
 
 
 def _oracle_fold(vm):
-    return fold("object" if vm == "ir" else "packed")
+    return fold("object" if vm == "treewalk" else "packed")
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
@@ -168,8 +174,8 @@ def test_fault_plan_degradation_identical_across_engines(name):
     def run(vm):
         program = compile_carmot(_example_source(name), name=name)
         with _oracle_fold(vm):
-            result, runtime = program.run(
-                vm=vm, batch_size=16,
+            result, runtime = _run(
+                program, vm, batch_size=16,
                 fault_plan=FaultPlan.parse(
                     "seed=7;crash@1;drop@2;slow@3:100"),
                 resilience=ResiliencePolicy(max_retries=1, degrade=True),
@@ -177,7 +183,7 @@ def test_fault_plan_degradation_identical_across_engines(name):
         return (runtime.degradation.to_json(),
                 serialize_profile(runtime, result), _run_state(result))
 
-    assert run("ir") == run("bytecode")
+    assert run("treewalk") == run("bytecode")
 
 
 @pytest.mark.parametrize("name", ["roi_loop", "anneal_stats"])
@@ -185,15 +191,15 @@ def test_event_budget_identical_across_engines(name):
     def run(vm):
         program = compile_carmot(_example_source(name), name=name)
         with _oracle_fold(vm):
-            result, runtime = program.run(
-                vm=vm, batch_size=16,
+            result, runtime = _run(
+                program, vm, batch_size=16,
                 resilience=ResiliencePolicy(max_events_per_roi=20,
                                             degrade=True),
             )
         return (runtime.degradation.to_json(),
                 serialize_profile(runtime, result), _run_state(result))
 
-    assert run("ir") == run("bytecode")
+    assert run("treewalk") == run("bytecode")
 
 
 @pytest.mark.parametrize("max_steps", [10, 100, 1000, 5000])
@@ -202,13 +208,13 @@ def test_step_budget_trips_at_the_same_virtual_step(max_steps):
     program = compile_baseline(source, name="budget")
     budgets = ExecutionBudgets(max_steps=max_steps)
     outcomes = {}
-    for vm in ("ir", "bytecode"):
+    for vm in ENGINES:
         try:
-            result = program.run(vm=vm, budgets=budgets)[0]
+            result = _run(program, vm, budgets=budgets)[0]
             outcomes[vm] = ("completed", _run_state(result))
         except BudgetExceeded as err:
             outcomes[vm] = ("budget", str(err))
-    assert outcomes["ir"] == outcomes["bytecode"]
+    assert outcomes["treewalk"] == outcomes["bytecode"]
 
 
 def test_recursion_budget_identical_across_engines():
@@ -222,12 +228,12 @@ def test_recursion_budget_identical_across_engines():
     program = compile_baseline(source, name="deep")
     budgets = ExecutionBudgets(max_recursion_depth=64)
     messages = {}
-    for vm in ("ir", "bytecode"):
+    for vm in ENGINES:
         with pytest.raises(BudgetExceeded) as excinfo:
-            program.run(vm=vm, budgets=budgets)
+            _run(program, vm, budgets=budgets)
         messages[vm] = str(excinfo.value)
-    assert messages["ir"] == messages["bytecode"]
-    assert "recursion depth" in messages["ir"]
+    assert messages["treewalk"] == messages["bytecode"]
+    assert "recursion depth" in messages["treewalk"]
 
 
 def test_instruction_counts_agree_with_trace_length():
@@ -236,13 +242,13 @@ def test_instruction_counts_agree_with_trace_length():
     on the bytecode side."""
     import io
 
-    from repro.vm.interpreter import run_module
+    from repro.vm import run_module
 
     program = compile_baseline(_random_program(1), name="trace")
     counts = {}
-    for vm in ("ir", "bytecode"):
+    for vm, run in (("treewalk", run_treewalk), ("bytecode", run_module)):
         stream = io.StringIO()
-        result = run_module(program.module, vm=vm, trace_stream=stream)
+        result = run(program.module, trace_stream=stream)
         counts[vm] = (result.instructions, bool(stream.getvalue()))
-    assert counts["ir"][0] == counts["bytecode"][0]
-    assert counts["ir"][1] and counts["bytecode"][1]
+    assert counts["treewalk"][0] == counts["bytecode"][0]
+    assert counts["treewalk"][1] and counts["bytecode"][1]

@@ -1,6 +1,7 @@
 """Unit tests for the register-bytecode layer: codegen layout, constant
 interning, artifact round-trips, and the dispatch loop's observable
-contract (budgets, traps, tracing) against the tree-walk oracle."""
+contract (budgets, traps, tracing, line costs) against the tree-walk
+oracle."""
 
 import io
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.compiler import compile_baseline, compile_carmot
+from repro.compiler import BuildMode, compile_baseline, compile_carmot
 from repro.errors import BudgetExceeded, TrapError, VMError
 from repro.resilience.budgets import ExecutionBudgets
 from repro.vm.bytecode import (
@@ -25,8 +26,13 @@ from repro.vm.bytecode import (
     quickened_op_count,
     serialize_bytecode,
 )
+from repro.parallel.profile import ProfilingHooks, profile_execution
+from repro.vm import BytecodeInterpreter, run_module
 from repro.vm.codegen import lower_module
-from repro.vm.interpreter import run_module
+from tests.helpers.treewalk import Interpreter, run_treewalk
+
+#: (engine name, run_module-shaped runner): the oracle, then the VM.
+RUNNERS = (("treewalk", run_treewalk), ("bytecode", run_module))
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -166,14 +172,14 @@ class TestDispatchContract:
         budgets = ExecutionBudgets(max_steps=25, max_heap_bytes=0,
                                    max_recursion_depth=64)
         outcomes = {}
-        for vm in ("ir", "bytecode"):
+        for vm, run in RUNNERS:
             try:
-                run_module(program.module, budgets=budgets, vm=vm)
+                run(program.module, budgets=budgets)
                 outcomes[vm] = None
             except BudgetExceeded as err:
                 outcomes[vm] = str(err)
-        assert outcomes["ir"] is not None
-        assert outcomes["ir"] == outcomes["bytecode"]
+        assert outcomes["treewalk"] is not None
+        assert outcomes["treewalk"] == outcomes["bytecode"]
 
     def test_trap_messages_match_the_tree_walk(self):
         source = """
@@ -184,27 +190,27 @@ class TestDispatchContract:
         """
         program = compile_baseline(source)
         messages = {}
-        for vm in ("ir", "bytecode"):
+        for vm, run in RUNNERS:
             with pytest.raises(TrapError) as excinfo:
-                run_module(program.module, vm=vm)
+                run(program.module)
             messages[vm] = str(excinfo.value)
-        assert messages["ir"] == messages["bytecode"]
-        assert "division by zero" in messages["ir"]
+        assert messages["treewalk"] == messages["bytecode"]
+        assert "division by zero" in messages["treewalk"]
 
     def test_missing_entry_raises_vm_error(self):
         program = compile_baseline(SCALAR)
         with pytest.raises(VMError, match="no function named"):
-            run_module(program.module, entry="nope", vm="bytecode")
+            run_module(program.module, entry="nope")
 
-    def test_unknown_vm_name_raises(self):
+    def test_there_is_no_engine_choice(self):
         program = compile_baseline(SCALAR)
-        with pytest.raises(VMError, match="unknown vm"):
-            run_module(program.module, vm="llvm")
+        with pytest.raises(TypeError, match="vm"):
+            run_module(program.module, vm="ir")
 
     def test_trace_streams_one_line_per_dispatch(self):
         program = compile_baseline(SCALAR)
         stream = io.StringIO()
-        run_module(program.module, vm="bytecode", trace_stream=stream)
+        run_module(program.module, trace_stream=stream)
         lines = stream.getvalue().splitlines()
         assert lines, "no trace emitted"
         assert all(line.startswith("trace: [") for line in lines)
@@ -213,7 +219,7 @@ class TestDispatchContract:
     def test_ir_walk_trace_names_blocks(self):
         program = compile_baseline(SCALAR)
         stream = io.StringIO()
-        run_module(program.module, vm="ir", trace_stream=stream)
+        run_treewalk(program.module, trace_stream=stream)
         lines = stream.getvalue().splitlines()
         assert lines and all(line.startswith("trace: [") for line in lines)
         assert any("main:" in line for line in lines)
@@ -249,7 +255,7 @@ class TestTier2:
         bc = lower_module(program.module)
         payload = serialize_bytecode(bc)
         listing = disassemble(bc)
-        run_module(program.module, bytecode=bc, vm="bytecode")
+        run_module(program.module, bytecode=bc)
         assert quickened_op_count(bc) > 0
         assert serialize_bytecode(bc) == payload
         assert disassemble(bc) == listing
@@ -257,7 +263,7 @@ class TestTier2:
     def test_quickened_opcodes_never_reach_the_canonical_stream(self):
         program = compile_baseline(SCALAR)
         bc = lower_module(program.module)
-        run_module(program.module, bytecode=bc, vm="bytecode")
+        run_module(program.module, bytecode=bc)
         for name in bc.function_order:
             fn = bc.functions[name]
             pc = 0
@@ -268,7 +274,7 @@ class TestTier2:
     def test_dequicken_restores_canonical_execution_stream(self):
         program = compile_baseline(SCALAR)
         bc = lower_module(program.module)
-        run_module(program.module, bytecode=bc, vm="bytecode")
+        run_module(program.module, bytecode=bc)
         n = quickened_op_count(bc)
         assert n > 0
         assert dequicken_module(bc) == n
@@ -279,20 +285,113 @@ class TestTier2:
             assert not fn.xquick and fn.quickened is None
         assert not bc._quick_targets
         # A fresh run re-quickens from scratch and stays correct.
-        a = run_module(program.module, bytecode=bc, vm="bytecode")
-        b = run_module(program.module, vm="ir")
+        a = run_module(program.module, bytecode=bc)
+        b = run_treewalk(program.module)
         assert (a.output, a.cost, a.instructions) == \
             (b.output, b.cost, b.instructions)
 
     def test_quicken_report_annotates_without_mutating_canonical(self):
         program = compile_baseline(SCALAR)
         bc = lower_module(program.module)
-        run_module(program.module, bytecode=bc, vm="bytecode")
+        run_module(program.module, bytecode=bc)
         report = disassemble(bc, quicken_report=True)
         assert "; quickened ->" in report
         stripped = "\n".join(line.split("  ; quickened ->")[0]
                              for line in report.splitlines())
         assert stripped == disassemble(bc)
+
+
+# -- per-source-line costs (the Figure 6 profiler) ----------------------------
+
+#: Every fusion kind with a static split has a site whose halves sit on
+#: two source lines here: lt.br (7/6), bin.store (9/8), load.bin (11/10).
+CROSS_LINE = """
+int g[8];
+int main() {
+    int i = 0;
+    int acc = 0;
+    while (i
+           < 8) {
+        g[i] = i
+            * 3;
+        acc = acc +
+              g[i];
+        i = i + 1;
+    }
+    print_int(acc);
+    return 0;
+}
+"""
+
+
+def _line_costs(program, vm):
+    """Line costs of one traced run on either engine, with fresh hooks
+    (the CARMOT runtime's for instrumented builds, so hook costs count)."""
+    hooks = (ProfilingHooks(program.module)
+             if program.mode is BuildMode.BASELINE
+             else program.make_runtime()[1])
+    if vm == "treewalk":
+        interp = Interpreter(program.module, hooks)
+        interp.enable_line_tracing()
+        interp.run()
+        return interp.line_costs
+    interp = BytecodeInterpreter(lower_module(program.module), hooks)
+    costs = interp.enable_line_tracing()
+    interp.run()
+    return costs
+
+
+class TestLineTracer:
+    @pytest.mark.parametrize("compile_", [compile_baseline, compile_carmot])
+    @pytest.mark.parametrize("source", [SCALAR, CROSS_LINE])
+    def test_line_costs_match_the_oracle(self, compile_, source):
+        program = compile_(source)
+        oracle = _line_costs(program, "treewalk")
+        assert oracle
+        assert _line_costs(program, "bytecode") == oracle
+
+    def test_cross_line_fused_sites_split(self):
+        bc = lower_module(compile_baseline(CROSS_LINE).module)
+        split = {OPCODE_NAMES[fn.code[pc]]
+                 for fn in bc.functions.values()
+                 for pc, loc in fn.lines.items() if type(loc) is tuple}
+        assert split == {"lt.br", "bin.store", "load.bin"}
+
+    def test_traced_run_does_not_quicken_and_untraced_run_does(self):
+        program = compile_baseline(SCALAR)
+        bc = lower_module(program.module)
+        run_module(program.module, bytecode=bc)
+        assert quickened_op_count(bc) > 0
+        interp = BytecodeInterpreter(bc, ProfilingHooks(program.module))
+        interp.enable_line_tracing()
+        interp.run()
+        assert quickened_op_count(bc) == 0
+        assert all(fn.xcode == list(fn.code) for fn in bc.functions.values())
+        run_module(program.module, bytecode=bc)
+        assert quickened_op_count(bc) > 0
+
+    def test_profile_execution_totals_match_the_traced_run(self):
+        program = compile_baseline(SCALAR)
+        profile = profile_execution(program.module)
+        assert profile.total_cost == profile.result.cost
+        # Instructions without a source loc charge no line.
+        assert 0 < sum(profile.line_costs.values()) <= profile.result.cost
+        assert profile_execution(program.module,
+                                 trace_lines=False).line_costs == {}
+
+    def test_deserialized_bytecode_has_no_line_table(self):
+        program = compile_baseline(SCALAR)
+        restored = deserialize_bytecode(
+            serialize_bytecode(lower_module(program.module)))
+        with pytest.raises(VMError, match="no line table"):
+            BytecodeInterpreter(restored).enable_line_tracing()
+
+    def test_line_tracing_and_trace_stream_share_one_slot(self):
+        program = compile_baseline(SCALAR)
+        interp = BytecodeInterpreter(lower_module(program.module),
+                                     trace_stream=io.StringIO())
+        with pytest.raises(VMError, match="one trace slot"):
+            interp.enable_line_tracing()
 
 
 # -- session artifact ---------------------------------------------------------

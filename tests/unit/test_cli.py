@@ -149,6 +149,8 @@ class TestErrors:
         (["--event-encoding", "object"], "unrecognized arguments"),
         (["--pipeline-shards", "2"], "unrecognized arguments"),
         (["--drain", "procs"], "unrecognized arguments"),
+        (["--vm", "ir"], "unrecognized arguments"),
+        (["--vm", "bytecode"], "unrecognized arguments"),
     ])
     def test_removed_runtime_flags_are_usage_errors(self, source_file,
                                                     capsys, flags, message):

@@ -63,11 +63,15 @@ LOOP_SOURCE = (
 
 
 #: Run options off the wire that name removed runtime knobs: the object
-#: event encoding, thread shards, and the drain selector.
+#: event encoding, thread shards, the drain selector, and the engine
+#: selector (whatever engine it names).
 REMOVED_OPTIONS = [
     ({"event_encoding": "object"}, "unknown run option(s): event_encoding"),
     ({"pipeline_shards": 2}, "unknown run option(s): pipeline_shards"),
     ({"drain": "procs"}, "unknown run option(s): drain"),
+    ({"vm": "ir"}, "unknown run option(s): vm"),
+    ({"vm": "bytecode"}, "unknown run option(s): vm"),
+    ({"vm": "jit"}, "unknown run option(s): vm"),
 ]
 
 #: Run options off the wire whose values do not match the option's type
@@ -97,11 +101,11 @@ class TestRunOptions:
         assert RunOptions.from_doc({}) == options
 
     def test_non_defaults_round_trip(self):
-        options = RunOptions(abstraction="task", vm="ir", no_cache=True,
-                             budget="retries=1,degrade=1")
+        options = RunOptions(abstraction="task", prescreen="safe",
+                             no_cache=True, budget="retries=1,degrade=1")
         doc = options.to_doc()
-        assert doc == {"abstraction": "task", "vm": "ir", "no_cache": True,
-                       "budget": "retries=1,degrade=1"}
+        assert doc == {"abstraction": "task", "prescreen": "safe",
+                       "no_cache": True, "budget": "retries=1,degrade=1"}
         assert RunOptions.from_doc(doc) == options
 
     def test_unknown_option_rejected(self):
@@ -109,7 +113,6 @@ class TestRunOptions:
             RunOptions.from_doc({"warp_speed": 9})
 
     @pytest.mark.parametrize("kwargs", [
-        {"vm": "jit"},
         {"prescreen": "yes"},
         {"abstraction": "bogus"},
         {"abstraction": "parallel-for"},
@@ -134,7 +137,7 @@ class TestRequestDocs:
         requests = [
             RecommendRequest(source="int main(){return 0;}", name="p"),
             PsecRequest(source="s", name="p",
-                        options=RunOptions(vm="ir")),
+                        options=RunOptions(no_cache=True)),
             IrRequest(source="s", mode="carmot"),
             DisRequest(source="s", quicken_report=True),
         ]

@@ -230,6 +230,42 @@ class TestKeys:
             "worker_deadline_ms": 10_000,
         }
 
+    def test_profile_doc_keeps_the_retired_engine_field(self):
+        """Profiles cached while runs still chose an engine keep hitting:
+        the key document names the bytecode engine they were keyed on."""
+        doc = keys.run_config_doc(
+            entry="main", args=(), cost_model=None, max_instructions=1000,
+            budgets=None, abstraction=None, options=None, config_kwargs={},
+        )
+        assert doc["vm"] == "bytecode"
+
+    def test_default_psec_profile_key_is_pinned(self, tmp_path, monkeypatch):
+        """The profile key a default ``psec`` of ``examples/roi_loop.mc``
+        looks up, pinned to its value from before the engine option was
+        removed (Python pinned to 3.11 in the fingerprint so the literal
+        holds on every interpreter version)."""
+        from pathlib import Path
+
+        from repro.service import PsecRequest, ServiceCore
+
+        fingerprint = keys.environment_fingerprint
+        monkeypatch.setattr(keys, "environment_fingerprint",
+                            lambda: {**fingerprint(), "python": "3.11"})
+        looked_up = []
+        real_profile_key = keys.profile_key
+        monkeypatch.setattr(
+            keys, "profile_key",
+            lambda *args: looked_up.append(real_profile_key(*args))
+            or looked_up[-1])
+        name = "examples/roi_loop.mc"
+        source = (Path(__file__).resolve().parents[2] / name).read_text()
+        doc = ServiceCore(cache_dir=str(tmp_path / "cache")).execute(
+            PsecRequest(source=source, name=name))
+        assert doc["ok"], doc["error"]
+        assert looked_up == [
+            "d9aed703379490759bfbd0738a5fe4e8754310c352979f1de95dddf09754b6f1"
+        ]
+
     def test_environment_fingerprint_is_embedded(self, monkeypatch):
         base = frontend_key("int main() {}", "a")
         monkeypatch.setattr(keys, "IR_SCHEMA_VERSION", 999)
