@@ -69,14 +69,18 @@ def promote_allocas(
                 if instr.ptr.name in slots:
                     def_blocks[instr.ptr.name].add(block)
 
-    # φ placement at iterated dominance frontiers.
+    # φ placement at iterated dominance frontiers.  Blocks hash by
+    # identity, so both block sets are walked in layout order: φ order
+    # and temp numbers must not depend on object addresses.
+    layout = {block: index for index, block in enumerate(function.blocks)}
     phi_sites: Dict[Tuple[Block, str], Phi] = {}
     for name, blocks in def_blocks.items():
-        worklist = list(blocks)
+        worklist = sorted(blocks, key=layout.__getitem__)
         placed: Set[Block] = set()
         while worklist:
             block = worklist.pop()
-            for frontier_block in dom.frontier.get(block, ()):
+            for frontier_block in sorted(dom.frontier.get(block, ()),
+                                         key=layout.__getitem__):
                 if (frontier_block, name) in phi_sites:
                     continue
                 alloca = slots[name]

@@ -182,7 +182,11 @@ class StaticFacts:
             raise ReproError(f"corrupt prescreen artifact: {exc}") from None
         if not isinstance(doc, dict):
             raise ReproError("corrupt prescreen artifact: not an object")
-        return cls.from_json(doc)
+        try:
+            return cls.from_json(doc)
+        except (KeyError, IndexError, TypeError, ValueError,
+                AttributeError) as exc:
+            raise ReproError(f"corrupt prescreen artifact: {exc}") from None
 
     def digest(self) -> str:
         return hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()

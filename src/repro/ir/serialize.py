@@ -12,7 +12,10 @@ walk order.  The guarantees the artifact cache is built on:
 - a deserialized module is a faithful working copy: the verifier passes,
   passes can keep transforming it (def/use identity of temps, interned
   :class:`SourceLoc` and :class:`VarInfo` instances, live label/temp
-  counters), and the VM executes it to the same PSECs.
+  counters), and the VM executes it to the same PSECs;
+- :func:`deserialize_module` raises nothing but :class:`IRSerializeError`
+  on a bad payload (syntax, format, version or shape), which the session
+  treats as a cache miss.
 
 The format carries ``IR_SCHEMA_VERSION``; any shape change must bump it
 (stale cache entries then simply never match — see
@@ -666,7 +669,8 @@ class _Decoder:
 
 
 def deserialize_module(text: str) -> Module:
-    """Rebuild a :class:`Module` from :func:`serialize_module` output."""
+    """Rebuild a :class:`Module` from :func:`serialize_module` output;
+    raises :class:`IRSerializeError` on any malformed or stale payload."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as error:
@@ -678,6 +682,16 @@ def deserialize_module(text: str) -> Module:
             f"IR artifact version {doc.get('version')!r} does not match "
             f"this toolchain's {IR_SCHEMA_VERSION}"
         )
+    try:
+        return _decode_module(doc)
+    except IRSerializeError:
+        raise
+    except (ReproError, KeyError, IndexError, TypeError, ValueError,
+            AttributeError, OverflowError) as error:
+        raise IRSerializeError(f"malformed IR artifact: {error}")
+
+
+def _decode_module(doc: Dict) -> Module:
     dec = _Decoder(doc)
     module = Module(doc["name"])
     for gvar_doc in doc["globals"]:

@@ -290,7 +290,9 @@ def _tuple_key(doc: List):
 
 
 def deserialize_profile(text: str, module=None) -> Profile:
-    """Rebuild a :class:`Profile` from :func:`serialize_profile` output.
+    """Rebuild a :class:`Profile` from :func:`serialize_profile` output;
+    raises :class:`ProfileSerializeError` on any malformed or stale
+    payload.
 
     ``module`` (optional) attaches the IR module the consumers expect on a
     runtime-like object; cached profiles are only meaningful next to the
@@ -308,6 +310,16 @@ def deserialize_profile(text: str, module=None) -> Profile:
             f"profile artifact version {doc.get('version')!r} does not "
             f"match this toolchain's {PROFILE_SCHEMA_VERSION}"
         )
+    try:
+        return _decode_profile(doc, module)
+    except ProfileSerializeError:
+        raise
+    except (ReproError, KeyError, IndexError, TypeError, ValueError,
+            AttributeError, OverflowError) as error:
+        raise ProfileSerializeError(f"malformed profile artifact: {error}")
+
+
+def _decode_profile(doc: Dict, module) -> Profile:
     from repro.lang import types as ct
 
     structs: Dict[str, ct.StructType] = {}

@@ -18,9 +18,11 @@ The body/meta split is the digest contract: :func:`response_digest`
 hashes ``kind`` + ``body`` only, so a cold daemon response, a warm one,
 and an in-process run of the same request all share one digest — that is
 what the daemon and differential suites gate on.  Every
-response is normalized through JSON (the session's normalize-through-
-artifact idiom, applied to the wire): the in-process caller sees exactly
-the object a socket client would parse.
+response is normalized through JSON: a round trip does not return the
+Python values it was given (tuples come back as lists), and the
+in-process caller must see exactly the object a socket client would
+parse.  The session stages behind a response hand their live results
+downstream; only this wire shape is normalized.
 """
 
 from __future__ import annotations

@@ -18,10 +18,16 @@ stages backed by the content-addressed :class:`ArtifactStore`:
     run result), keyed on the post-pipeline IR digest and the complete
     run configuration.
 
-Stage outputs are *normalized through their artifacts*: even on a cache
-miss the stage returns ``deserialize(serialize(result))``, so downstream
-stages see bit-identical inputs whether the stage was computed or loaded
-— a cold run and a warm run produce byte-identical artifacts.
+A stage miss stores the serialized result (those bytes are the cache
+entry, and their digest is what every later key is built on) and hands
+the *live* result downstream; only a hit decodes.  The contract that
+makes this sound: a live stage output and its decoded artifact are
+interchangeable — every downstream artifact and response built from one
+is byte-identical to the one built from the other, so a cold run and a
+warm run agree (``tests/integration/test_live_stage_outputs.py`` pins
+this per stage).  The recommendation doc is the exception: JSON does not
+return the Python values it was given (tuples come back as lists), so a
+miss hands back the decoded doc, exactly what a later hit returns.
 
 A stale or foreign artifact (schema bump, hand-edited entry) fails
 deserialization and is treated as a miss: the stage recomputes and
@@ -168,8 +174,7 @@ class Session:
         payload = serialize_module(module)
         if self.store is not None:
             self.store.put(key, payload, "ir")
-        # Normalize through the artifact (see module docstring).
-        return deserialize_module(payload), payload_digest(payload), "miss"
+        return module, payload_digest(payload), "miss"
 
     # -- stage: pass pipeline + instrument ----------------------------------
 
@@ -251,15 +256,12 @@ class Session:
             payload = serialize_module(module)
             if self.store is not None:
                 self.store.put(key, payload, "ir")
-            facts = module.static_facts
-            compiled = deserialize_module(payload)
-            if facts is not None:
-                facts_payload = facts.serialize()
+            if module.static_facts is not None:
                 if self.store is not None:
-                    self.store.put(facts_key, facts_payload, "prescreen")
-                # Normalize through the artifact (see module docstring).
-                compiled.static_facts = StaticFacts.deserialize(facts_payload)
+                    self.store.put(facts_key, module.static_facts.serialize(),
+                                   "prescreen")
                 prescreen_stage = "miss"
+            compiled = module
             pipeline_stage = "miss"
         program = CompiledProgram(
             compiled, mode, policy=policy,
@@ -282,11 +284,12 @@ class Session:
         """Lower (cached) the program to register bytecode.
 
         Attaches the bytecode to ``program.bytecode`` and returns
-        ``"hit"`` or ``"miss"``.  Cold and warm paths both normalize
-        through the serialized artifact, then rebind the variable table
-        against the program's own IR module — the engine keys access
-        sites by ``VarInfo`` identity, so the bytecode must share the
-        module's instances, not deserialized clones.
+        ``"hit"`` or ``"miss"``.  A miss attaches the live lowering,
+        whose variable table already holds the module's own ``VarInfo``
+        instances.  A hit rebinds the decoded table against the
+        program's IR module — the engine keys access sites by
+        ``VarInfo`` identity, so the bytecode must share the module's
+        instances, not deserialized clones.
         """
         key = keys.codegen_key(ir_digest)
         payload = self.store.get(key) if self.store else None
@@ -299,13 +302,10 @@ class Session:
                 bytecode.rebind_vars(program.module)
                 program.bytecode = bytecode
                 return "hit"
-        payload = serialize_bytecode(lower_module(program.module))
+        program.bytecode = lower_module(program.module)
         if self.store is not None:
-            self.store.put(key, payload, "bytecode")
-        # Normalize through the artifact (see module docstring).
-        bytecode = deserialize_bytecode(payload)
-        bytecode.rebind_vars(program.module)
-        program.bytecode = bytecode
+            self.store.put(key, serialize_bytecode(program.bytecode),
+                           "bytecode")
         return "miss"
 
     # -- stage: execute + characterize --------------------------------------
@@ -427,5 +427,5 @@ class Session:
         payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         if self.store is not None:
             self.store.put(key, payload, "recommend")
-        # Normalize through the artifact (see module docstring).
+        # Hand back the decoded doc, as a hit would (see module docstring).
         return json.loads(payload), "miss"

@@ -355,3 +355,75 @@ class TestSession:
         again = session.profile(SOURCE, "carmot")
         assert again.stages["profile"] == "miss"
         assert again.payload == cold.payload
+
+
+# -- shape-malformed stage artifacts -----------------------------------------
+
+GLOBAL_SOURCE = """
+int g;
+int main() {
+  int i;
+  #pragma carmot roi abstraction(parallel_for)
+  for (i = 0; i < 8; ++i) { g = g + i; }
+  print_int(g);
+  return 0;
+}
+"""
+
+
+def _drop_global_type(doc):
+    del doc["globals"][0]["ty"]
+
+
+#: (stage, entry kind, run options, mutation of the decoded payload).
+#: Each payload keeps a valid envelope, format and version, so only its
+#: shape is wrong.
+SHAPE_MALFORMED = {
+    "functions_not_a_list": ("frontend", "ir", {},
+                             lambda doc: doc.update(functions=5)),
+    "global_without_type": ("frontend", "ir", {}, _drop_global_type),
+    "psecs_not_a_list": ("profile", "profile", {},
+                         lambda doc: doc.update(psecs=12345)),
+    "facts_not_a_list": ("prescreen", "prescreen", {"prescreen": "safe"},
+                         lambda doc: doc.update(facts=5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_MALFORMED))
+def test_shape_malformed_artifact_is_a_miss(tmp_path, case):
+    from repro.service.core import ServiceCore
+    from repro.service.requests import (
+        PsecRequest,
+        RecommendRequest,
+        RunOptions,
+    )
+    from tests.helpers.subjects import SCALAR_REDUCTION_SOURCE
+
+    stage, kind, options, mutate = SHAPE_MALFORMED[case]
+    # Only a module with prescreen-proved PSEs carries a facts sidecar.
+    source = SCALAR_REDUCTION_SOURCE if stage == "prescreen" \
+        else GLOBAL_SOURCE
+    run_options = RunOptions(**options)
+    session = Session(cache_dir=str(tmp_path))
+    session.profile(source, "carmot", name="g",
+                    options=run_options.carmot_options())
+    if stage == "frontend":
+        key = frontend_key(source, "g")
+    else:
+        entries = [json.loads(path.read_text())
+                   for path in (tmp_path / "objects").rglob("*.json")]
+        [key] = [entry["key"] for entry in entries if entry["kind"] == kind]
+    doc = json.loads(session.store.get(key))
+    mutate(doc)
+    session.store.put(key, json.dumps(doc), kind)
+
+    core = ServiceCore(cache_dir=str(tmp_path))
+    answer = core.execute_doc(
+        PsecRequest(source=source, name="g", options=run_options).to_doc()
+    )
+    assert answer["ok"], answer["error"]
+    assert answer["meta"]["stages"][stage] == "miss"
+    # The recomputed artifact replaced the malformed one.
+    again = core.execute(RecommendRequest(source=source, name="g",
+                                          options=run_options))
+    assert again["meta"]["stages"][stage] == "hit"
