@@ -217,22 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--entry", default="main")
         p.add_argument(
             "--budget", default=None, metavar="SPEC",
-            help="execution budgets and resilience policy, e.g. "
+            help="VM budgets and the per-ROI event budget, e.g. "
                  "'steps=5000000,heap=1048576,depth=256,"
-                 "events-per-roi=20000,retries=2,degrade=1'",
-        )
-        p.add_argument(
-            "--fault-plan", default=None, metavar="PLAN",
-            help="deterministic fault injection, e.g. "
-                 "'seed=42;crash@3;drop@5;slow@7:250' "
-                 "(combine with --budget retries=...,degrade=1 to observe "
-                 "degraded-mode recovery)",
+                 "events-per-roi=20000' (an ROI past its event budget "
+                 "degrades to conservative Sets)",
         )
         p.add_argument(
             "--batch-size", type=int, default=None, metavar="N",
-            help="pipeline batch size (smaller values create more batches "
-                 "— useful with --fault-plan, whose faults target batch "
-                 "sequence numbers)",
+            help="events per packed block folded into the PSECs "
+                 "(default 1024; the Sets do not depend on it)",
         )
         p.add_argument(
             "--prescreen", default="off", choices=list(PRESCREEN_MODES),

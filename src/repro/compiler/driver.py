@@ -113,7 +113,7 @@ class CompiledProgram:
         ``budgets`` bounds the VM (steps/heap/recursion); ``trace``
         streams a per-opcode execution trace to stderr.  Runtime-layer
         resilience flows through ``config_kwargs`` (``resilience=...``,
-        ``fault_plan=...``) into the :class:`RuntimeConfig`.
+        ``batch_size=...``) into the :class:`RuntimeConfig`.
         """
         trace_stream = sys.stderr if trace else None
         if self.mode is BuildMode.BASELINE:

@@ -51,33 +51,13 @@ class BudgetExceeded(TrapError):
     """An execution budget tripped (step, heap-byte, or recursion limit).
 
     Subclasses :class:`TrapError` so existing callers that treat budget
-    trips as VM traps keep working; resilience-aware callers catch this
-    type specifically to enter degraded mode instead of aborting.
+    trips as VM traps keep working; callers that must tell a budget trip
+    from a program fault catch this type specifically.
     """
 
 
 class RuntimeToolError(ReproError):
     """Raised by the CARMOT runtime (batching pipeline, FSA engine)."""
-
-
-class FaultInjected(RuntimeToolError):
-    """A deterministic fault-injection point fired (testing/hardening only).
-
-    Never raised unless a :class:`repro.resilience.FaultPlan` is configured.
-    """
-
-
-class DegradedResult(RuntimeToolError):
-    """A profiling run completed only in degraded mode.
-
-    Raised by callers that demand a complete (non-degraded) PSEC, e.g.
-    ``CarmotRuntime.require_complete()``; the exception carries the
-    machine-readable :class:`repro.resilience.DegradationReport`.
-    """
-
-    def __init__(self, message: str, report=None) -> None:
-        super().__init__(message)
-        self.report = report
 
 
 class RecommendationError(ReproError):

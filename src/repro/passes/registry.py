@@ -87,7 +87,7 @@ def _unknown_message(name: str) -> str:
 
 
 def _unknown_negation_message(target: str, token: str) -> str:
-    """FaultPlan.parse-style message for ``-name`` with an unknown name."""
+    """Error message for ``-name`` with an unknown name."""
     return (
         f"unknown pass {target!r} in negation {token!r} "
         f"(choose from registered passes {registered_pass_names()} "

@@ -124,7 +124,7 @@ def _unknown_message(name: str) -> str:
 
 
 def _unknown_negation_message(target: str, token: str) -> str:
-    """FaultPlan.parse-style message for ``-name`` with an unknown name."""
+    """Error message for ``-name`` with an unknown name."""
     return (
         f"unknown recommender {target!r} in negation {token!r} "
         f"(choose from registered recommenders "

@@ -1,20 +1,20 @@
 """Machine-readable degradation accounting for fail-soft profiling runs.
 
-When a budget trips or a batch fails, the runtime does not silently lose
-events: every fallback is recorded as a :class:`DegradationRecord`, and a
+When an ROI exceeds its event budget, the runtime does not silently lose
+events: the fallback is recorded as a :class:`DegradationRecord`, and a
 run's :class:`DegradationReport` states exactly which ROIs are affected
 and what the degraded PSEC still guarantees.
 
 Soundness contract (documented in DESIGN.md): degradation may move PSEs
 into *conservative* Sets — a read forces Input membership, a write forces
 Output and Transfer (the §4.2 merge direction: Transfer beats Cloneable)
-— but a PSE touched by a dropped batch is never silently absent from the
+— but a PSE accessed past the budget is never silently absent from the
 Sets.  Use-callstacks, by contrast, may be incomplete, and the record says
 so.
 
 Reports serialize deterministically: records are sorted by a stable key
 and :meth:`DegradationReport.to_json` emits canonical JSON, so two runs
-with the same seed and fault plan produce byte-identical reports.
+of the same program and budget produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -24,17 +24,13 @@ import threading
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Set, Tuple
 
-#: Actions a record can describe.
-ACTION_RETRIED = "retried"
-ACTION_CONSERVATIVE = "conservative-fallback"
+#: The action of an event-budget record: the ROI stops full tracking
+#: and only classifies.
 ACTION_CLASSIFY_ONLY = "classify-only"
-ACTION_DELAYED = "delayed"
 
-#: Conservative set letters applied when an access event is lost or its
-#: ROI is over budget: a read forces Input; a write forces Output plus
-#: Transfer (never Cloneable — the §4.2 merge direction).  Shared by the
-#: engine and the tests' decoder oracle, which must degrade
-#: byte-identically.
+#: Conservative set letters applied when an access event's ROI is over
+#: budget: a read forces Input; a write forces Output plus Transfer
+#: (never Cloneable — the §4.2 merge direction).
 CONSERVATIVE_READ = "I"
 CONSERVATIVE_WRITE = "OT"
 
@@ -46,17 +42,16 @@ class DegradationRecord:
     #: Batch sequence number the record concerns, or -1 for ROI-scoped
     #: records (e.g. an event-budget trip).
     batch_seq: int
-    #: What went wrong: ``worker_crash``, ``drop``, ``shed``,
-    #: ``mempressure``, ``slow``, ``event-budget``, ``postprocess-error``.
+    #: What went wrong, e.g. ``event-budget``.
     kind: str
     #: ROIs whose PSECs the intervention touched.
     rois: Tuple[int, ...]
     #: Number of events the intervention covered.
     events: int
-    #: What the runtime did about it (see ACTION_* constants).
+    #: What the runtime did about it, e.g. :data:`ACTION_CLASSIFY_ONLY`.
     action: str
-    #: Whether the affected ROIs' Sets are still exact (a recovered retry
-    #: loses nothing) or merely conservative supersets.
+    #: Whether the affected ROIs' Sets are still exact or merely
+    #: conservative supersets.
     sets_complete: bool
     #: Whether the affected ROIs' Use-callstacks are still complete.
     use_callstacks_complete: bool
@@ -80,8 +75,7 @@ class DegradationReport:
 
     @property
     def degraded(self) -> bool:
-        """True if any record weakened a PSEC (recovered retries count:
-        the run needed fail-soft intervention to complete)."""
+        """True if the run needed any fail-soft intervention."""
         return bool(self._records)
 
     def records(self) -> List[DegradationRecord]:

@@ -16,10 +16,6 @@ from repro.resilience import (
     DegradationRecord,
     DegradationReport,
     ExecutionBudgets,
-    FaultInjector,
-    FaultKind,
-    FaultPlan,
-    FaultSpec,
     ResiliencePolicy,
     parse_budget_spec,
 )
@@ -39,6 +35,5 @@ __all__ = [
     "BatchingPipeline", "MemoryBudgetExceeded", "Psec", "PsecEntry",
     "PseKey", "merge_psecs", "CycleReport", "ReachabilityGraph",
     "DegradationRecord", "DegradationReport", "ExecutionBudgets",
-    "FaultInjector", "FaultKind", "FaultPlan", "FaultSpec",
     "ResiliencePolicy", "parse_budget_spec",
 ]

@@ -7,7 +7,6 @@ from typing import Dict, Optional
 
 from repro.errors import RuntimeToolError
 from repro.resilience.budgets import ResiliencePolicy
-from repro.resilience.faultinject import FaultPlan
 
 
 @dataclass(frozen=True)
@@ -106,12 +105,9 @@ class RuntimeConfig:
     #: Memory guard: the naive configuration can accumulate unboundedly many
     #: use-callstack records; the paper marks such runs with "*" in Figure 7.
     max_use_records: int = 4_000_000
-    #: Runtime-layer resilience: retries, per-ROI event budgets, and the
-    #: degraded-mode switch.  The all-off default keeps every PSEC
-    #: bit-identical to the pre-resilience runtime.
+    #: Runtime-layer resilience: the per-ROI event budget.  The all-off
+    #: default keeps every PSEC bit-identical to the unbudgeted runtime.
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
-    #: Deterministic fault-injection schedule (None = no faults).
-    fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:

@@ -14,20 +14,16 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.errors import DegradedResult, RuntimeToolError
+from repro.errors import RuntimeToolError
 from repro.ir.instructions import AccessKind, SourceLoc
 from repro.ir.module import Module
 from repro.resilience.degradation import (
     ACTION_CLASSIFY_ONLY,
-    ACTION_CONSERVATIVE,
-    ACTION_DELAYED,
-    ACTION_RETRIED,
     CONSERVATIVE_READ,
     CONSERVATIVE_WRITE,
     DegradationRecord,
     DegradationReport,
 )
-from repro.resilience.faultinject import FaultInjector
 from repro.runtime import fsa
 from repro.runtime.asmt import Asmt, AsmtEntry
 from repro.runtime.config import RuntimeConfig
@@ -51,7 +47,7 @@ from repro.runtime.packed import (
     InternTable,
     PackedBlock,
 )
-from repro.runtime.pipeline import Batch, BatchingPipeline, Failure
+from repro.runtime.pipeline import Batch, BatchingPipeline
 from repro.runtime.psec import MemoryBudgetExceeded, Psec, PseKey, PsecEntry
 from repro.vm.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.vm.hooks import ExecutionHooks
@@ -98,29 +94,16 @@ class CarmotRuntime:
         self._active: List[Tuple[int, int, int]] = []  # (roi, inv, epoch)
         self._invocations: Dict[int, int] = {roi_id: 0 for roi_id in module.rois}
         self._epochs: Dict[int, int] = {roi_id: 0 for roi_id in module.rois}
-        resilience = self.config.resilience
-        self._resilience = resilience
         self.degradation = DegradationReport()
-        self.injector: Optional[FaultInjector] = (
-            FaultInjector(self.config.fault_plan)
-            if self.config.fault_plan is not None else None
-        )
         #: Per-ROI event budget state (only consulted when a budget is set,
         #: keeping the default hot path untouched).
-        self._event_budget = resilience.max_events_per_roi > 0
+        self._event_limit = self.config.resilience.max_events_per_roi
+        self._event_budget = self._event_limit > 0
         self._roi_event_counts: Dict[int, int] = {
             roi_id: 0 for roi_id in module.rois
         }
         self._budget_tripped: Set[int] = set()
-        self.pipeline = BatchingPipeline(
-            postprocess=self._postprocess_batch,
-            max_retries=resilience.max_retries,
-            retry_backoff=resilience.retry_backoff,
-            degrade=resilience.degrade,
-            on_degraded=self._apply_degraded_batch,
-            on_retry=self._note_retry,
-            injector=self.injector,
-        )
+        self.pipeline = BatchingPipeline(postprocess=self._postprocess_batch)
         #: PSE-key interning: one shared tuple instance per key, even
         #: when the key appears in several ROIs' PSECs.
         self._pse_keys: Dict[PseKey, PseKey] = {}
@@ -244,13 +227,6 @@ class CarmotRuntime:
             self.stats.callsites_interned = len(self._site_values)
             self.stats.callstacks_interned = len(self._cs)
             self.stats.active_sets_interned = len(self._actives)
-        for seq, delay in self.pipeline.slow_batches:
-            self.degradation.add(DegradationRecord(
-                batch_seq=seq, kind="slow", rois=(), events=0,
-                action=ACTION_DELAYED, sets_complete=True,
-                use_callstacks_complete=True,
-                detail=f"injected {delay} virtual time units of latency",
-            ))
         for roi_id in self.degradation.degraded_rois():
             psec = self.psecs.get(roi_id)
             if psec is None:
@@ -268,16 +244,6 @@ class CarmotRuntime:
     def degraded(self) -> bool:
         return self.degradation.degraded
 
-    def require_complete(self) -> None:
-        """Raise :class:`DegradedResult` if the run needed fail-soft
-        intervention (callers that demand exact PSECs)."""
-        if self.degradation.degraded:
-            raise DegradedResult(
-                "profiling run completed in degraded mode: "
-                + self.degradation.summary(),
-                report=self.degradation,
-            )
-
     # -- event capture -------------------------------------------------------
 
     def _budget_note(self, active):
@@ -285,7 +251,7 @@ class CarmotRuntime:
         and split the snapshot into (over-budget, under-budget) entries.
         Past the limit an ROI stops full FSA/use-callstack tracking and
         records conservative letters instead."""
-        limit = self._resilience.max_events_per_roi
+        limit = self._event_limit
         over: List[Tuple[int, int, int]] = []
         under: List[Tuple[int, int, int]] = []
         for entry in active:
@@ -448,44 +414,6 @@ class CarmotRuntime:
         if self._block_events >= self._block_limit:
             self._flush_block()
 
-    # -- degraded-mode fallback ----------------------------------------------
-
-    def _note_retry(self, batch: Batch, attempt: int,
-                    exc: BaseException) -> None:
-        """A batch failed and is being retried (recoverable): nothing is
-        lost, but the run needed intervention — record it."""
-        rois: Set[int] = set()
-        active_values = self._actives.values
-        data = batch.events.data
-        for base in range(F_ACTIVE, len(data), ROW_STRIDE):
-            for entry in active_values[data[base]]:
-                rois.add(entry[0])
-        self.degradation.add(DegradationRecord(
-            batch_seq=batch.seq, kind="worker_crash",
-            rois=tuple(sorted(rois)), events=len(batch.events),
-            action=ACTION_RETRIED, sets_complete=True,
-            use_callstacks_complete=True,
-            detail=f"attempt {attempt}: {type(exc).__name__}: {exc}",
-        ))
-
-    def _apply_degraded_batch(self, batch: Batch, failure: Failure) -> None:
-        """A batch is unrecoverable (retries exhausted, dropped, or shed):
-        apply conservative classification instead of the full FSA.
-
-        Reads force Input, writes force Output+Transfer; allocations,
-        escapes, and frees still apply exactly (they are order-insensitive
-        here), so the ASMT and reachability graph never lose nodes.  Runs
-        in batch sequence order.
-        """
-        kind, detail = failure
-        rois = self._degrade_block(batch.events)
-        self.degradation.add(DegradationRecord(
-            batch_seq=batch.seq, kind=kind, rois=tuple(sorted(rois)),
-            events=len(batch.events), action=ACTION_CONSERVATIVE,
-            sets_complete=False, use_callstacks_complete=False,
-            detail=detail,
-        ))
-
     # -- the fold (the flat-table FSA kernel) ---------------------------------
 
     def _postprocess_batch(self, batch: Batch) -> None:
@@ -636,49 +564,6 @@ class CarmotRuntime:
                     )
             else:  # KIND_FREE
                 self.asmt.mark_freed(data[base + F_OBJ], data[base + F_TIME])
-
-    def _degrade_block(self, block: PackedBlock) -> Set[int]:
-        """Degraded fallback: force conservative letters for access rows,
-        apply everything else exactly."""
-        data = block.data
-        site_values = self._site_values
-        active_values = self._actives.values
-        intern_key = self._pse_keys.setdefault
-        rois: Set[int] = set()
-        for base in range(0, len(data), ROW_STRIDE):
-            kind = data[base]
-            if kind <= KIND_WRITE:
-                obj = data[base + F_OBJ]
-                var, _, _ = site_values[data[base + F_SITE]]
-                letters = CONSERVATIVE_WRITE if kind else CONSERVATIVE_READ
-                time = data[base + F_TIME]
-                if var is not None and data[base + F_COUNT] == 1:
-                    keys = (intern_key(("var", obj), ("var", obj)),)
-                else:
-                    size = data[base + F_SIZE]
-                    stride = data[base + F_STRIDE] or size
-                    offset = data[base + F_OFFSET]
-                    keys = tuple(
-                        intern_key(k, k) for k in (
-                            ("mem", obj, offset + j * stride, size)
-                            for j in range(data[base + F_COUNT])
-                        )
-                    )
-                for key in keys:
-                    for roi_id, _, _ in active_values[data[base + F_ACTIVE]]:
-                        psec = self.psecs[roi_id]
-                        psec.force_classification(key, var, letters, time)
-                        rois.add(roi_id)
-            elif kind == KIND_FREE:
-                self.asmt.mark_freed(data[base + F_OBJ], data[base + F_TIME])
-            else:
-                # Classify/alloc/escape rows apply exactly (order-
-                # insensitive here), so the ASMT and reachability graph
-                # never lose nodes.
-                self._fold_rows(block, (base,))
-                for entry in active_values[data[base + F_ACTIVE]]:
-                    rois.add(entry[0])
-        return rois
 
 
 class CarmotHooks(ExecutionHooks):

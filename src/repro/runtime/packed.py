@@ -29,9 +29,8 @@ kind code             fields used
 ====================  =====================================================
 
 Every event is one row.  ``PackedBlock.events`` counts events, and a
-block is flushed every ``batch_size`` events, so batch boundaries — and
-the fault plans keyed on batch sequence numbers — follow the event
-stream alone.
+block is flushed every ``batch_size`` events, so batch boundaries follow
+the event stream alone.
 """
 
 from __future__ import annotations

@@ -124,8 +124,8 @@ class Psec:
     allocated_in_roi: Set[int] = field(default_factory=set)
     use_records: int = 0
     total_accesses: int = 0
-    #: Set when the run needed fail-soft intervention for this ROI (budget
-    #: trip, worker crash, dropped/shed batch).  A degraded PSEC's Sets are
+    #: Set when the run needed fail-soft intervention for this ROI (an
+    #: event-budget trip).  A degraded PSEC's Sets are
     #: conservative supersets — a PSE may move to Transfer instead of
     #: Cloneable, or gain Input/Output letters, but is never silently
     #: dropped; Use-callstacks may be incomplete (see

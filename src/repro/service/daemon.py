@@ -9,12 +9,11 @@ amortizes across every client: the first request for a program pays the
 cold compile+profile, every later request from any client with the same
 namespace is a warm artifact load.
 
-Admission control rides the existing resilience machinery: the daemon
-holds a :class:`~repro.resilience.ResiliencePolicy` whose
-``max_queue_batches``/``queue_policy`` bound the request queue —
-``block`` parks excess requests until a worker frees up, ``shed``
-answers them immediately with the canonical ``overloaded`` envelope
-(HTTP-503 semantics; clients retry or fall back to a local run).
+Admission control bounds the request queue (``queue_bound``, set by
+``--queue``) under a ``queue_policy`` (``--queue-policy``): ``block``
+parks excess requests until a worker frees up, ``shed`` answers them
+immediately with the canonical ``overloaded`` envelope (HTTP-503
+semantics; clients retry or fall back to a local run).
 
 Control frames (``ping``/``stats``/``shutdown``) bypass admission so a
 saturated daemon stays observable and drainable: ``shutdown`` stops
@@ -31,7 +30,6 @@ from typing import Dict, Optional
 
 from repro._version import SERVICE_SCHEMA_VERSION, __version__
 from repro.errors import ReproError
-from repro.resilience import ResiliencePolicy
 from repro.service.core import ServiceCore, error_response
 from repro.service.requests import REQUEST_KINDS
 from repro.service.wire import WireError, read_frame, write_frame
@@ -42,8 +40,10 @@ from repro.session.store import NamespaceError, validate_namespace
 #: couple of workers saturate a core while warm (artifact-load) requests
 #: still overlap; clients needing more start more daemons.
 DEFAULT_WORKERS = 4
-#: Default queue bound (0 = unbounded, matching ResiliencePolicy).
+#: Default queue bound (0 = unbounded).
 DEFAULT_QUEUE = 16
+#: What the daemon does with a request past the queue bound.
+QUEUE_POLICIES = ("block", "shed")
 
 
 class ServeMetrics:
@@ -121,14 +121,17 @@ class ServeDaemon:
     ) -> None:
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
-        # Admission control is configured *as* a resilience policy so the
-        # bounds share validation (and vocabulary) with the runtime's
-        # batch queue; degrade=True is the shed invariant.
-        self.policy = ResiliencePolicy(
-            max_queue_batches=queue_bound,
-            queue_policy=queue_policy,
-            degrade=True,
-        )
+        if queue_bound < 0:
+            raise ReproError(
+                f"queue bound (--queue) must be >= 0, got {queue_bound}"
+            )
+        if queue_policy not in QUEUE_POLICIES:
+            raise ReproError(
+                f"queue policy must be one of {QUEUE_POLICIES}, "
+                f"got {queue_policy!r}"
+            )
+        self.queue_bound = queue_bound
+        self.queue_policy = queue_policy
         self.socket_path = socket_path
         self.cache_dir = cache_dir
         self.workers = workers
@@ -162,8 +165,8 @@ class ServeDaemon:
                 announce(
                     f"repro serve {__version__}: listening on "
                     f"{self.socket_path} (workers={self.workers} "
-                    f"queue={self.policy.max_queue_batches} "
-                    f"policy={self.policy.queue_policy})"
+                    f"queue={self.queue_bound} "
+                    f"policy={self.queue_policy})"
                 )
             await self._stop.wait()
         finally:
@@ -249,7 +252,7 @@ class ServeDaemon:
         response["meta"] = {
             "queued": self._waiting,
             "active": self._active,
-            "queue_bound": self.policy.max_queue_batches,
+            "queue_bound": self.queue_bound,
         }
         return response
 
@@ -257,9 +260,8 @@ class ServeDaemon:
                            doc: Dict[str, object]) -> Dict[str, object]:
         if self._draining:
             return self._overloaded(kind, "daemon is draining for shutdown")
-        bound = self.policy.max_queue_batches
-        if (self.policy.queue_policy == "shed" and bound
-                and self._waiting >= bound):
+        bound = self.queue_bound
+        if self.queue_policy == "shed" and bound and self._waiting >= bound:
             return self._overloaded(
                 kind, f"request queue bound {bound} reached; request shed"
             )
@@ -327,8 +329,8 @@ class ServeDaemon:
         body = {
             **self.metrics.doc(),
             "workers": self.workers,
-            "queue_bound": self.policy.max_queue_batches,
-            "queue_policy": self.policy.queue_policy,
+            "queue_bound": self.queue_bound,
+            "queue_policy": self.queue_policy,
             "queued_now": self._waiting,
             "active_now": self._active,
             "store": {

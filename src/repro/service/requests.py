@@ -5,8 +5,8 @@ daemon, in-process embedding — speaks the same four request kinds plus
 ``dis``.  A request is a plain dataclass built around :class:`RunOptions`,
 which absorbs the option-resolution logic the CLI used to duplicate
 across ``_run_kwargs``/``_carmot_options``/``_profiling_pipeline``/
-``_session_for``: translating the flat flag surface (budget spec, fault
-plan, prescreen mode, pass pipeline) into the
+``_session_for``: translating the flat flag surface (budget spec,
+prescreen mode, pass pipeline) into the
 ``Session``/``CompiledProgram.run`` keyword arguments.
 
 Requests round-trip through canonical JSON documents (``to_doc`` /
@@ -23,7 +23,7 @@ from typing import Dict, Optional
 from repro.compiler import PRESCREEN_MODES, CarmotOptions
 from repro.errors import ReproError
 from repro.passes.registry import parse_pipeline
-from repro.resilience import FaultPlan, parse_budget_spec
+from repro.resilience import parse_budget_spec
 from repro.runtime.config import POLICIES
 
 #: Request kinds the service core executes (``stats``/``ping``/
@@ -39,8 +39,8 @@ _OPTION_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
 class RunOptions:
     """Everything that steers one profiled run, in CLI-flag shape.
 
-    Values stay in their flat, JSON-able spelling (the ``--budget``,
-    ``--fault-plan``, and ``--recommenders`` strings, not the parsed
+    Values stay in their flat, JSON-able spelling (the ``--budget`` and
+    ``--recommenders`` strings, not the parsed
     dataclasses/name lists); parsing happens on use so a request
     document validates identically whether it came from argparse or off
     the wire.
@@ -50,7 +50,6 @@ class RunOptions:
     recommenders: Optional[str] = None
     entry: str = "main"
     budget: Optional[str] = None
-    fault_plan: Optional[str] = None
     batch_size: Optional[int] = None
     prescreen: str = "off"
     passes: Optional[str] = None
@@ -105,15 +104,13 @@ class RunOptions:
     # -- resolution (the logic formerly inlined in cli.py) -------------------
 
     def run_kwargs(self) -> Dict[str, object]:
-        """Translate budget/fault-plan/batch-size options into
+        """Translate budget/batch-size options into
         ``CompiledProgram.run()`` keyword arguments."""
         kwargs: Dict[str, object] = {}
         if self.budget:
             spec = parse_budget_spec(self.budget)
             kwargs["budgets"] = spec.vm
             kwargs["resilience"] = spec.runtime
-        if self.fault_plan:
-            kwargs["fault_plan"] = FaultPlan.parse(self.fault_plan)
         if self.batch_size is not None:
             kwargs["batch_size"] = self.batch_size
         return kwargs

@@ -12,7 +12,7 @@ changed input        frontend  pipeline  profile  recommend  response
 source text          miss      miss      miss     miss       miss
 pass pipeline/opts   hit       miss      miss     miss       miss
 registry version     hit       miss      miss     miss       miss
-fault plan/budgets   hit       hit       miss     miss       miss
+budgets              hit       hit       miss     miss       miss
 batch size           hit       hit       miss     miss       miss
 entry/args/costs     hit       hit       miss     miss       miss
 recommender select   hit       hit       hit      miss       miss
@@ -137,8 +137,7 @@ def profile_key(
     Keyed on the post-pipeline IR *content* digest — not the pipeline
     key — so two pipelines producing identical instrumented IR share one
     profile.  ``run_config`` carries everything that steers execution:
-    entry/args, cost model, VM budgets, resilience policy, fault plan,
-    batching.
+    entry/args, cost model, VM budgets, resilience policy, batching.
     """
     return _digest("profile", {
         "ir": ir_digest,
@@ -200,9 +199,14 @@ def response_key(
 
 
 #: Fields ``ResiliencePolicy`` had, at these defaults, for the process
-#: drain it no longer has.  They stay in the profile-key document so
-#: profiles cached before their removal keep hitting.
-_RETIRED_RESILIENCE_FIELDS = {"heartbeat_ms": 25, "worker_deadline_ms": 10_000}
+#: drain, the fault-recovery path and the daemon queue it no longer
+#: carries.  They stay in the profile-key document so profiles cached
+#: before their removal keep hitting.
+_RETIRED_RESILIENCE_FIELDS = {
+    "heartbeat_ms": 25, "worker_deadline_ms": 10_000,
+    "max_retries": 0, "retry_backoff": 100, "degrade": False,
+    "max_queue_batches": 0, "queue_policy": "block",
+}
 #: The engine field of the removed ``vm`` option, at the value every
 #: cached profile was keyed with.  It stays in the profile-key document
 #: so those profiles keep hitting.
@@ -222,9 +226,8 @@ def run_config_doc(
     """Canonical, JSON-able view of one ``CompiledProgram.run()`` call.
 
     ``config_kwargs`` are the ``RuntimeConfig`` overrides the CLI passes
-    (``batch_size``, ``resilience``, ``fault_plan``); dataclass values
-    are flattened via ``asdict`` so two equal plans produce equal
-    documents.
+    (``batch_size``, ``resilience``); dataclass values are flattened
+    via ``asdict`` so two equal policies produce equal documents.
     """
     config: Dict[str, object] = {}
     for key in sorted(config_kwargs):

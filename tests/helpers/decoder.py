@@ -8,8 +8,8 @@ transition table, no key interning), so a run folded by it and a run
 folded by the kernel must agree byte for byte.
 
 :func:`decoder_fold` swaps the oracle in for the kernel on every runtime
-created inside the ``with`` block; capture, batching, event budgets,
-fault injection, retries and degradation records stay the runtime's own.
+created inside the ``with`` block; capture, batching, event budgets and
+degradation records stay the runtime's own.
 The suites select it through the ``object`` fold parameter
 (:data:`FOLDS`): the oracle replays rows into per-PSE objects, the
 ``packed`` fold is the production kernel.
@@ -17,7 +17,6 @@ The suites select it through the ``object`` fold parameter
 
 from contextlib import contextmanager, nullcontext
 
-from repro.resilience.degradation import CONSERVATIVE_READ, CONSERVATIVE_WRITE
 from repro.runtime.asmt import AsmtEntry
 from repro.runtime.engine import CarmotRuntime
 from repro.runtime.packed import (
@@ -97,38 +96,15 @@ def _replay_event(runtime, block, row):
         runtime.asmt.mark_freed(obj, time)
 
 
-def degrade_rows(runtime, block):
-    """Degraded fallback: conservative letters for every access event,
-    every other row applied exactly.  Returns the touched ROI ids."""
-    rois = set()
-    for base in range(0, len(block.data), ROW_STRIDE):
-        (kind, obj, offset, size, count, stride, var, _, _, active, time,
-         _) = _decode(runtime, block, base)
-        if kind <= KIND_WRITE:
-            letters = CONSERVATIVE_WRITE if kind else CONSERVATIVE_READ
-            for key in _keys(var, obj, offset, size, count, stride):
-                for roi_id, _, _ in active:
-                    runtime.psecs[roi_id].force_classification(
-                        key, var, letters, time
-                    )
-                    rois.add(roi_id)
-            continue
-        replay_rows(runtime, block, (base,))
-        if kind != KIND_FREE:
-            rois.update(entry[0] for entry in active)
-    return rois
-
-
 @contextmanager
 def decoder_fold():
     """Fold every runtime created in the block through the oracle."""
-    saved = CarmotRuntime._fold_rows, CarmotRuntime._degrade_block
+    saved = CarmotRuntime._fold_rows
     CarmotRuntime._fold_rows = replay_rows
-    CarmotRuntime._degrade_block = degrade_rows
     try:
         yield
     finally:
-        CarmotRuntime._fold_rows, CarmotRuntime._degrade_block = saved
+        CarmotRuntime._fold_rows = saved
 
 
 def fold(name):

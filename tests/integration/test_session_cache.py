@@ -1,6 +1,6 @@
 """Differential cache tests: a cached profile must be indistinguishable
-from a recomputed one — across every runtime fold, under fault injection
-and budgets, and through the CLI.
+from a recomputed one — across every runtime fold, under budgets (a
+degraded profile included), and through the CLI.
 
 Each case runs the same program three ways: cold (populating the store),
 warm (every stage hits), and live (``enabled=False`` / ``--no-cache``).
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.resilience import FaultPlan, parse_budget_spec
+from repro.resilience import parse_budget_spec
 from repro.session import Session
 from repro.workloads import workload
 from tests.helpers.decoder import fold
@@ -41,8 +41,9 @@ FOLD_CASES = ("object", "packed")
 #: their test sizes beside ``SOURCE``.
 PORTS = ("bt", "lu", "canneal")
 
-BUDGET = "steps=5000000,heap=1048576,depth=256,retries=2,degrade=1"
-FAULTS = "seed=42;crash@1;drop@3"
+#: VM budgets plus an event budget the ``work`` ROI exceeds, so the
+#: profile is degraded.
+BUDGET = "steps=5000000,heap=1048576,depth=256,events-per-roi=20"
 
 
 def _resilient_kwargs():
@@ -50,7 +51,6 @@ def _resilient_kwargs():
     return {
         "budgets": spec.vm,
         "resilience": spec.runtime,
-        "fault_plan": FaultPlan.parse(FAULTS),
         "batch_size": 8,
     }
 
@@ -79,7 +79,7 @@ def test_cached_profile_matches_recomputed(tmp_path, case, program):
 
 
 @pytest.mark.parametrize("case", FOLD_CASES)
-def test_cached_profile_matches_under_faults_and_budgets(tmp_path, case):
+def test_cached_profile_matches_under_budgets(tmp_path, case):
     cold, warm, live, reference = _cold_warm_live(
         tmp_path, case, **_resilient_kwargs()
     )
@@ -88,6 +88,7 @@ def test_cached_profile_matches_under_faults_and_budgets(tmp_path, case):
     # The degradation report survives the round trip: a degraded cold run
     # must read back as degraded, not silently healthy.
     assert warm.runtime.degraded == live.runtime.degraded
+    assert live.runtime.degraded
 
 
 def test_run_config_shares_compile_but_not_profile(tmp_path):
@@ -121,10 +122,10 @@ class TestCliCaching:
         live = _cli(capsys, ["psec", source_file, "--no-cache"])
         assert cold == warm == live
 
-    def test_recommend_identical_under_faults(
+    def test_recommend_identical_under_budgets(
             self, source_file, tmp_path, capsys):
         argv = ["recommend", source_file, "--budget", BUDGET,
-                "--fault-plan", FAULTS, "--batch-size", "8",
+                "--batch-size", "8",
                 "--cache-dir", str(tmp_path / "store")]
         assert _cli(capsys, argv) == _cli(capsys, argv)
 

@@ -18,7 +18,7 @@ from repro.compiler import (
     compile_naive,
 )
 from repro.errors import BudgetExceeded
-from repro.resilience import FaultPlan, ResiliencePolicy
+from repro.resilience import ResiliencePolicy
 from repro.resilience.budgets import ExecutionBudgets
 from repro.runtime.psec_json import serialize_profile
 from tests.helpers.decoder import FOLDS, fold
@@ -170,16 +170,11 @@ def _oracle_fold(vm):
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
-def test_fault_plan_degradation_identical_across_engines(name):
+def test_small_batches_identical_across_engines(name):
     def run(vm):
         program = compile_carmot(_example_source(name), name=name)
         with _oracle_fold(vm):
-            result, runtime = _run(
-                program, vm, batch_size=16,
-                fault_plan=FaultPlan.parse(
-                    "seed=7;crash@1;drop@2;slow@3:100"),
-                resilience=ResiliencePolicy(max_retries=1, degrade=True),
-            )
+            result, runtime = _run(program, vm, batch_size=16)
         return (runtime.degradation.to_json(),
                 serialize_profile(runtime, result), _run_state(result))
 
@@ -193,8 +188,7 @@ def test_event_budget_identical_across_engines(name):
         with _oracle_fold(vm):
             result, runtime = _run(
                 program, vm, batch_size=16,
-                resilience=ResiliencePolicy(max_events_per_roi=20,
-                                            degrade=True),
+                resilience=ResiliencePolicy(max_events_per_roi=20),
             )
         return (runtime.degradation.to_json(),
                 serialize_profile(runtime, result), _run_state(result))

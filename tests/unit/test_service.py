@@ -24,6 +24,7 @@ from repro.service import (
     RecommendRequest,
     RenderOptions,
     RunOptions,
+    ServeDaemon,
     ServiceCore,
     error_response,
     parse_request_doc,
@@ -63,8 +64,8 @@ LOOP_SOURCE = (
 
 
 #: Run options off the wire that name removed runtime knobs: the object
-#: event encoding, thread shards, the drain selector, and the engine
-#: selector (whatever engine it names).
+#: event encoding, thread shards, the drain selector, the engine
+#: selector (whatever engine it names), and the fault plan.
 REMOVED_OPTIONS = [
     ({"event_encoding": "object"}, "unknown run option(s): event_encoding"),
     ({"pipeline_shards": 2}, "unknown run option(s): pipeline_shards"),
@@ -72,25 +73,32 @@ REMOVED_OPTIONS = [
     ({"vm": "ir"}, "unknown run option(s): vm"),
     ({"vm": "bytecode"}, "unknown run option(s): vm"),
     ({"vm": "jit"}, "unknown run option(s): vm"),
+    ({"fault_plan": "seed=7;crash@1"}, "unknown run option(s): fault_plan"),
+    ({"fault_plan": "exit@1"}, "unknown run option(s): fault_plan"),
+    ({"fault_plan": 5}, "unknown run option(s): fault_plan"),
+    ({"fault_plan": None}, "unknown run option(s): fault_plan"),
 ]
 
 #: Run options off the wire whose values do not match the option's type
-#: (or, for ``fault_plan``, its syntax): each is a request error, never an
+#: (or, for ``budget``, its syntax): each is a request error, never an
 #: ``internal`` one, and never silently accepted.
 MALFORMED_OPTIONS = [
     ({"batch_size": "abc"}, "'batch_size' must be an integer or null"),
     ({"batch_size": True}, "'batch_size' must be an integer or null"),
     ({"batch_size": 1.5}, "'batch_size' must be an integer or null"),
     ({"budget": 5}, "'budget' must be a string or null"),
-    ({"fault_plan": 7}, "'fault_plan' must be a string or null"),
     ({"passes": 3}, "'passes' must be a string or null"),
     ({"abstraction": 5}, "'abstraction' must be a string or null"),
     ({"recommenders": 5}, "'recommenders' must be a string or null"),
     ({"no_cache": "yes"}, "'no_cache' must be a boolean"),
     ({"entry": None}, "'entry' must be a string"),
-    ({"fault_plan": "seed=x"}, "bad fault spec 'seed=x'"),
-    ({"fault_plan": "exit@1"}, "unknown fault kind 'exit'"),
     ({"budget": "heartbeat=25"}, "unknown budget key 'heartbeat'"),
+    ({"budget": "retries=1"}, "unknown budget key 'retries'"),
+    ({"budget": "degrade=1"}, "unknown budget key 'degrade'"),
+    ({"budget": "backoff=5"}, "unknown budget key 'backoff'"),
+    ({"budget": "events-per-roi=-1"},
+     "budget 'events-per-roi' must be >= 0, got -1"),
+    ({"budget": "steps=lots"}, "bad budget value for 'steps'"),
 ]
 
 
@@ -102,10 +110,10 @@ class TestRunOptions:
 
     def test_non_defaults_round_trip(self):
         options = RunOptions(abstraction="task", prescreen="safe",
-                             no_cache=True, budget="retries=1,degrade=1")
+                             no_cache=True, budget="events-per-roi=20")
         doc = options.to_doc()
         assert doc == {"abstraction": "task", "prescreen": "safe",
-                       "no_cache": True, "budget": "retries=1,degrade=1"}
+                       "no_cache": True, "budget": "events-per-roi=20"}
         assert RunOptions.from_doc(doc) == options
 
     def test_unknown_option_rejected(self):
@@ -337,8 +345,7 @@ class TestResponseArtifact:
             for option in (
                 {"recommenders": "paper"},
                 {"abstraction": "task"},
-                {"budget": "retries=1"},
-                {"fault_plan": "seed=7;crash@1"},
+                {"budget": "events-per-roi=20"},
             )
         ]
         assert len({key(request) for request in changed} | {key(base)}) \
@@ -354,6 +361,21 @@ class TestResponseArtifact:
         assert doc["meta"]["stages"]["profile"] == "hit"
         assert doc["meta"]["stages"]["recommend"] == "miss"
         assert doc["meta"]["stages"]["response"] == "miss"
+
+
+class TestServeDaemonValidation:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"queue_bound": -1}, "queue bound (--queue) must be >= 0"),
+        ({"queue_policy": "drop"}, "queue policy must be one of"),
+        ({"workers": 0}, "workers must be >= 1"),
+    ])
+    def test_bad_admission_settings_rejected(self, tmp_path, kwargs,
+                                             message):
+        """The daemon validates its own admission control: a bad bound,
+        policy or worker count is a ``ReproError`` naming the setting."""
+        with pytest.raises(ReproError) as excinfo:
+            ServeDaemon(socket_path=str(tmp_path / "s.sock"), **kwargs)
+        assert message in str(excinfo.value)
 
 
 class TestRenderers:

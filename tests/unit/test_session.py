@@ -208,7 +208,8 @@ class TestKeys:
             doc(max_instructions=999),
             doc(budgets=ExecutionBudgets(5000, 1024, 16)),
             doc(config_kwargs={"batch_size": 7}),
-            doc(config_kwargs={"fault_plan": "seed=42;crash@3"}),
+            doc(config_kwargs={
+                "resilience": ResiliencePolicy(max_events_per_roi=20)}),
         ):
             assert profile_key("d" * 64, "carmot", changed) != base
         assert profile_key("d" * 64, "naive", doc()) != base
@@ -216,16 +217,18 @@ class TestKeys:
 
     def test_profile_doc_keeps_retired_resilience_fields(self):
         """Profiles cached while ``ResiliencePolicy`` still had the
-        process drain's supervision fields keep hitting: the key document
-        carries them at their old defaults."""
+        process drain's supervision fields, the fault-recovery knobs and
+        the daemon queue keep hitting: the key document carries them at
+        their old defaults."""
         doc = keys.run_config_doc(
             entry="main", args=(), cost_model=None, max_instructions=1000,
             budgets=None, abstraction=None, options=None,
-            config_kwargs={"resilience": ResiliencePolicy(max_retries=2)},
+            config_kwargs={
+                "resilience": ResiliencePolicy(max_events_per_roi=2)},
         )
         assert doc["config"]["resilience"] == {
-            "degrade": False, "heartbeat_ms": 25, "max_events_per_roi": 0,
-            "max_queue_batches": 0, "max_retries": 2,
+            "degrade": False, "heartbeat_ms": 25, "max_events_per_roi": 2,
+            "max_queue_batches": 0, "max_retries": 0,
             "queue_policy": "block", "retry_backoff": 100,
             "worker_deadline_ms": 10_000,
         }
@@ -265,6 +268,40 @@ class TestKeys:
         assert looked_up == [
             "d9aed703379490759bfbd0738a5fe4e8754310c352979f1de95dddf09754b6f1"
         ]
+
+    @pytest.mark.parametrize("budget, key", [
+        ("events-per-roi=20000",
+         "443162f546b6cdedca9bd10689c48dc937bbe9c979ef7ef0c2076945313606d1"),
+        ("steps=5000000,heap=1048576,depth=256,events-per-roi=20000",
+         "6d342a58d12b8cdd12534ae996c105422740e07ba88cbcbfb5770bc6684d57c2"),
+    ])
+    def test_budget_psec_profile_key_is_pinned(self, tmp_path, monkeypatch,
+                                               budget, key):
+        """The profile key a ``psec --budget`` of ``examples/roi_loop.mc``
+        looks up, pinned to its value from before ``ResiliencePolicy``
+        lost its retry, degrade and queue fields: the key document goes
+        through ``asdict(ResiliencePolicy)``, so a dropped field that is
+        not retired would re-key every cached ``--budget`` profile."""
+        from pathlib import Path
+
+        from repro.service import PsecRequest, RunOptions, ServiceCore
+
+        fingerprint = keys.environment_fingerprint
+        monkeypatch.setattr(keys, "environment_fingerprint",
+                            lambda: {**fingerprint(), "python": "3.11"})
+        looked_up = []
+        real_profile_key = keys.profile_key
+        monkeypatch.setattr(
+            keys, "profile_key",
+            lambda *args: looked_up.append(real_profile_key(*args))
+            or looked_up[-1])
+        name = "examples/roi_loop.mc"
+        source = (Path(__file__).resolve().parents[2] / name).read_text()
+        doc = ServiceCore(cache_dir=str(tmp_path / "cache")).execute(
+            PsecRequest(source=source, name=name,
+                        options=RunOptions(budget=budget)))
+        assert doc["ok"], doc["error"]
+        assert looked_up == [key]
 
     def test_environment_fingerprint_is_embedded(self, monkeypatch):
         base = frontend_key("int main() {}", "a")
