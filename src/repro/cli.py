@@ -223,11 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "degrades to conservative Sets)",
         )
         p.add_argument(
-            "--batch-size", type=int, default=None, metavar="N",
-            help="events per packed block folded into the PSECs "
-                 "(default 1024; the Sets do not depend on it)",
-        )
-        p.add_argument(
             "--prescreen", default="off", choices=list(PRESCREEN_MODES),
             help="hybrid static+dynamic PSEC: prove Set membership at "
                  "compile time and strip the probes — 'safe' claims "

@@ -112,8 +112,8 @@ class CompiledProgram:
 
         ``budgets`` bounds the VM (steps/heap/recursion); ``trace``
         streams a per-opcode execution trace to stderr.  Runtime-layer
-        resilience flows through ``config_kwargs`` (``resilience=...``,
-        ``batch_size=...``) into the :class:`RuntimeConfig`.
+        resilience flows through ``config_kwargs`` (``resilience=...``)
+        into the :class:`RuntimeConfig`.
         """
         trace_stream = sys.stderr if trace else None
         if self.mode is BuildMode.BASELINE:

@@ -201,7 +201,7 @@ def _gate_call(instr: Call, plan: InstrumentationPlan,
 
 
 # ---------------------------------------------------------------------------
-# Call-site table (compile-time interning for the packed event encoding)
+# Call-site table (compile-time interning for the runtime's probe fold)
 # ---------------------------------------------------------------------------
 
 
@@ -211,10 +211,10 @@ class SiteTable:
 
     Computed by the ``site-table`` analysis *after* probe insertion; the
     instrument passes call :meth:`apply` to stamp each probe with its id
-    and publish the decode list on ``module.site_table``.  The packed
-    runtime encoding seeds its intern tables from that list, so the hot
-    path records a precomputed int instead of interning (var, loc) per
-    event.
+    and publish the decode list on ``module.site_table``.  The runtime
+    seeds its site table from that list, so the hot path carries a
+    precomputed int instead of interning (var, loc) per event, and keys
+    its per-site last-object cache on it.
     """
 
     sites: List[Tuple[Optional[object], Optional[object]]] = field(

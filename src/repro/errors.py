@@ -57,7 +57,7 @@ class BudgetExceeded(TrapError):
 
 
 class RuntimeToolError(ReproError):
-    """Raised by the CARMOT runtime (batching pipeline, FSA engine)."""
+    """Raised by the CARMOT runtime (event fold, FSA engine)."""
 
 
 class RecommendationError(ReproError):

@@ -202,8 +202,8 @@ class Module:
         self._region_counter = itertools.count()
         #: Dense call-site table, (var, loc) per site id, filled by the
         #: ``site-table`` analysis after instrumentation.  Probes carry the
-        #: matching ``site_id``; the packed runtime encoding seeds its
-        #: intern tables from this so the hot path never re-interns.
+        #: matching ``site_id``; the runtime seeds its site table from
+        #: this so the hot path never re-interns.
         self.site_table: List[tuple] = []
         #: Prescreen sidecar: the compile-time Set verdicts
         #: (:class:`repro.compiler.prescreen.StaticFacts`) indexed by the

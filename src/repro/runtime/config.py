@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.errors import RuntimeToolError
 from repro.resilience.budgets import ResiliencePolicy
 
 
@@ -87,10 +86,11 @@ class RuntimeConfig:
     """Knobs of the CARMOT runtime.
 
     ``callstack_clustering`` is optimization 7 of §4.4 (one callstack
-    capture per function invocation instead of per allocation).
-    ``batch_size`` sets how many events one packed block carries into the
-    batching pipeline of §4.6, which folds blocks in sequence order (so
-    PSECs are bit-identical run to run) on the producing thread.
+    capture per function invocation instead of per allocation).  The
+    §4.6 batching of events to shadow workers has no knob: the cost model
+    charges only the main thread's share, and every event folds into the
+    PSECs at its hook, in event order, so PSECs are bit-identical run to
+    run.
     """
 
     policy: InstrumentationPolicy = FULL_POLICY
@@ -101,14 +101,9 @@ class RuntimeConfig:
     #: The naive runtime lacks the §4.6 pipeline and processes events inline
     #: on the main thread.
     inline_processing: bool = False
-    batch_size: int = 1024
     #: Memory guard: the naive configuration can accumulate unboundedly many
     #: use-callstack records; the paper marks such runs with "*" in Figure 7.
     max_use_records: int = 4_000_000
     #: Runtime-layer resilience: the per-ROI event budget.  The all-off
     #: default keeps every PSEC bit-identical to the unbudgeted runtime.
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise RuntimeToolError("batch_size must be >= 1")

@@ -1,11 +1,17 @@
 """The CARMOT runtime engine and its VM hook adapter.
 
-:class:`CarmotRuntime` owns the per-ROI PSECs, the ASMT, and the batching
-pipeline; :class:`CarmotHooks` is the :class:`repro.vm.hooks.ExecutionHooks`
-implementation that instrumented modules run with.  The hooks charge
+:class:`CarmotRuntime` owns the per-ROI PSECs, the ASMT and the
+reachability graphs; :class:`CarmotHooks` is the
+:class:`repro.vm.hooks.ExecutionHooks` implementation that instrumented
+modules run with.  Every event folds into the PSECs at its hook, in
+event order: a probed access steps the flat-table FSA inside the bound
+``on_probe_access`` closure, and classify, allocation, escape, free and
+Pin events fold through the runtime as they arrive.  The hooks charge
 main-thread costs (event pushes, callstack captures, Pin tracing) per the
-cost model; FSA processing happens in the pipeline and is not charged to
-the program's critical path, modelling the shadow-profiling design of §4.6.
+cost model.  The FSA work is not charged to the program's critical path:
+that is how the cost model represents the batching and shadow workers of
+§4.6, while the fold itself runs on the producing thread, so PSECs are
+bit-identical run to run.
 """
 
 from __future__ import annotations
@@ -27,27 +33,6 @@ from repro.resilience.degradation import (
 from repro.runtime import fsa
 from repro.runtime.asmt import Asmt, AsmtEntry
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.packed import (
-    F_ACTIVE,
-    F_AUX,
-    F_COUNT,
-    F_CS,
-    F_OBJ,
-    F_OFFSET,
-    F_SITE,
-    F_SIZE,
-    F_STRIDE,
-    F_TIME,
-    KIND_ALLOC,
-    KIND_CLASSIFY,
-    KIND_ESCAPE,
-    KIND_FREE,
-    KIND_WRITE,
-    ROW_STRIDE,
-    InternTable,
-    PackedBlock,
-)
-from repro.runtime.pipeline import Batch, BatchingPipeline
 from repro.runtime.psec import MemoryBudgetExceeded, Psec, PseKey, PsecEntry
 from repro.vm.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.vm.hooks import ExecutionHooks
@@ -62,7 +47,7 @@ class RuntimeStats:
     aggregated_events: int = 0
     classify_events: int = 0
     #: ``probe.static`` executions (prescreen facts): synchronous
-    #: bookkeeping, never an event in the pipeline.
+    #: bookkeeping, never a PSE event.
     static_probe_events: int = 0
     alloc_events: int = 0
     escape_events: int = 0
@@ -73,8 +58,6 @@ class RuntimeStats:
     #: Intern-table sizes, filled in by :meth:`CarmotRuntime.finish`.
     pse_keys_interned: int = 0
     callsites_interned: int = 0
-    callstacks_interned: int = 0
-    active_sets_interned: int = 0
     source_locs_interned: int = 0
 
 
@@ -103,7 +86,6 @@ class CarmotRuntime:
             roi_id: 0 for roi_id in module.rois
         }
         self._budget_tripped: Set[int] = set()
-        self.pipeline = BatchingPipeline(postprocess=self._postprocess_batch)
         #: PSE-key interning: one shared tuple instance per key, even
         #: when the key appears in several ROIs' PSECs.
         self._pse_keys: Dict[PseKey, PseKey] = {}
@@ -114,20 +96,13 @@ class CarmotRuntime:
         #: var, {epoch: invocation count}].
         self.static_facts = getattr(module, "static_facts", None)
         self._static_notes: Dict[Tuple[int, int], List] = {}
-        self._block = PackedBlock()
-        self._block_limit = self.config.batch_size
-        self._block_events = 0
-        self._cs = InternTable()
-        self._actives = InternTable()
-        self._letters = InternTable()
         #: site id → (var, loc, str(loc)); ids 0..n-1 match the
         #: compile-time ``module.site_table`` so probes can carry them.
         self._site_values: List[Tuple] = []
         self._site_ids: Dict[Tuple[int, int], int] = {}
         for var, loc in getattr(module, "site_table", ()) or ():
             self._register_site(var, loc)
-        self._active_tuple: Tuple = ()
-        self._active_id = self._actives.intern(())
+
     # -- ROI lifecycle ------------------------------------------------------
 
     def roi_begin(self, roi_id: int) -> None:
@@ -136,8 +111,6 @@ class CarmotRuntime:
             (roi_id, self._invocations[roi_id], self._epochs[roi_id])
         )
         self.psecs[roi_id].invocations += 1
-        self._active_tuple = tuple(self._active)
-        self._active_id = self._actives.intern(self._active_tuple)
 
     def roi_reset(self, roi_id: int) -> None:
         """A new epoch: the ROI's loop is being entered afresh (§4.2)."""
@@ -147,8 +120,6 @@ class CarmotRuntime:
         for index in range(len(self._active) - 1, -1, -1):
             if self._active[index][0] == roi_id:
                 del self._active[index]
-                self._active_tuple = tuple(self._active)
-                self._active_id = self._actives.intern(self._active_tuple)
                 return
 
     @property
@@ -218,15 +189,11 @@ class CarmotRuntime:
 
     def finish(self) -> None:
         try:
-            self._flush_block()
-            self.pipeline.close()
             self._resolve_static_facts()
         finally:
             self.stats.pse_keys_interned = len(self._pse_keys)
             self.stats.source_locs_interned = SourceLoc.interned_count()
             self.stats.callsites_interned = len(self._site_values)
-            self.stats.callstacks_interned = len(self._cs)
-            self.stats.active_sets_interned = len(self._actives)
         for roi_id in self.degradation.degraded_rois():
             psec = self.psecs.get(roi_id)
             if psec is None:
@@ -244,7 +211,7 @@ class CarmotRuntime:
     def degraded(self) -> bool:
         return self.degradation.degraded
 
-    # -- event capture -------------------------------------------------------
+    # -- the fold: events other than probed accesses --------------------------
 
     def _budget_note(self, active):
         """Per-ROI event budget: count the event against every active ROI
@@ -281,300 +248,82 @@ class CarmotRuntime:
 
     def _site_for(self, var, loc) -> int:
         """Runtime fallback for probes without a compile-time site id
-        (direct ``instrument_module`` use, Pin accesses, escapes)."""
+        (direct ``instrument_module`` use, Pin accesses)."""
         site_id = self._site_ids.get((id(var), id(loc)))
         if site_id is None:
             site_id = self._register_site(var, loc)
         return site_id
 
-    def _flush_block(self) -> None:
-        block = self._block
-        if block.data:
-            block.events = self._block_events
-            self._block = PackedBlock()
-            self._block_events = 0
-            self.pipeline.push_block(block)
-
-    def packed_access(self, is_write, obj_id, offset, size, count, stride,
-                      var, loc, site_id, callstack, time) -> None:
-        """Append one access row.
-
-        Past an event budget, an access becomes a conservative classify
-        row for the over-budget ROIs plus an access row for the rest.
-        """
-        if site_id is None:
-            site_id = self._site_for(var, loc)
-        # Inlined InternTable.intern: one dict probe on the hit path.
-        cs = self._cs
-        cs_id = cs.ids.get(callstack)
-        if cs_id is None:
-            cs_id = cs.intern(callstack)
-        stride = stride or 0
-        block = self._block
-        if self._event_budget:
-            over, under = self._budget_note(self._active_tuple)
-            if over:
-                letters = (CONSERVATIVE_WRITE if is_write
-                           else CONSERVATIVE_READ)
-                block.data.extend((
-                    KIND_CLASSIFY, obj_id, offset, size, count, stride,
-                    site_id, 0, self._actives.intern(tuple(over)), time,
-                    self._letters.intern(letters), time,
-                ))
-                self._block_events += 1
-                if self._block_events >= self._block_limit:
-                    self._flush_block()
-                if not under:
-                    return
-                self._block.data.extend((
-                    is_write, obj_id, offset, size, count, stride,
-                    site_id, cs_id, self._actives.intern(tuple(under)),
-                    time, 0, time,
-                ))
-                self._block_events += 1
-                if self._block_events >= self._block_limit:
-                    self._flush_block()
-                return
-            block.data.extend((
-                is_write, obj_id, offset, size, count, stride,
-                site_id, cs_id, self._active_id, time, 0, time,
-            ))
-            self._block_events += 1
-            if self._block_events >= self._block_limit:
-                self._flush_block()
-            return
-        block.data.extend((
-            is_write, obj_id, offset, size, count, stride,
-            site_id, cs_id, self._active_id, time, 0, time,
-        ))
-        events = self._block_events + 1
-        self._block_events = events
-        if events >= self._block_limit:
-            self._flush_block()
-
-    def packed_classify(self, states, obj_id, offset, size, count, stride,
-                        var, loc, site_id, active, time) -> None:
-        """``active=None`` stamps the current snapshot; an explicit tuple
-        is the hoisted-probe case (``roi_id`` binding)."""
-        if site_id is None:
-            site_id = self._site_for(var, loc)
-        if active is None:
-            active_tuple, active_id = self._active_tuple, self._active_id
-        else:
-            active_tuple, active_id = active, self._actives.intern(active)
-        if self._event_budget and active_tuple:
-            self._budget_note(active_tuple)
-        block = self._block
-        block.data.extend((
-            KIND_CLASSIFY, obj_id, offset, size, count, stride or 0,
-            site_id, 0, active_id, time, self._letters.intern(states), time,
-        ))
-        self._block_events += 1
-        if self._block_events >= self._block_limit:
-            self._flush_block()
-
-    def packed_alloc(self, obj: MemoryObject, time: int) -> None:
-        if self._event_budget and self._active_tuple:
-            self._budget_note(self._active_tuple)
-        block = self._block
-        aux = len(block.side)
-        block.side.append(
-            (obj.kind, obj.var, obj.alloc_loc, obj.alloc_callstack)
-        )
-        block.data.extend((
-            KIND_ALLOC, obj.obj_id, 0, obj.size, 0, 0, 0, 0,
-            self._active_id, time, aux, time,
-        ))
-        self._block_events += 1
-        if self._block_events >= self._block_limit:
-            self._flush_block()
-
-    def packed_escape(self, src_obj, src_offset, dst_obj, loc, time) -> None:
-        if self._event_budget and self._active_tuple:
-            self._budget_note(self._active_tuple)
-        site_id = self._site_for(None, loc)
-        block = self._block
-        block.data.extend((
-            KIND_ESCAPE, src_obj, src_offset, 0, 0, 0, site_id, 0,
-            self._active_id, time, dst_obj, time,
-        ))
-        self._block_events += 1
-        if self._block_events >= self._block_limit:
-            self._flush_block()
-
-    def packed_free(self, obj_id: int, time: int) -> None:
-        if self._event_budget and self._active_tuple:
-            self._budget_note(self._active_tuple)
-        block = self._block
-        block.data.extend((
-            KIND_FREE, obj_id, 0, 0, 0, 0, 0, 0, self._active_id, time, 0,
-            time,
-        ))
-        self._block_events += 1
-        if self._block_events >= self._block_limit:
-            self._flush_block()
-
-    # -- the fold (the flat-table FSA kernel) ---------------------------------
-
-    def _postprocess_batch(self, batch: Batch) -> None:
-        block = batch.events
-        self._fold_rows(block, range(0, len(block.data), ROW_STRIDE))
-
-    def _fold_rows(self, block: PackedBlock, bases) -> None:
-        """Fold packed rows into the PSECs in one tight loop.
-
-        ``bases`` are row start offsets into ``block.data`` (ascending =
-        event order).  The per-ROI ``total_accesses``/``use_records``
-        counters and the use-record budget are applied per event, exactly
-        as replaying every event through :meth:`Psec.record_access`
-        would.
-        """
-        data = block.data
-        site_values = self._site_values
-        cs_values = self._cs.values
-        active_values = self._actives.values
-        letters_values = self._letters.values
-        psecs = self.psecs
-        flat = fsa.FLAT_TRANSITIONS
-        forced_join = fsa.FORCED_JOIN
-        track_uses = self.config.policy.track_use_callstacks
-        max_use = self.config.max_use_records
-        var_keys = self._var_keys
+    def _keys(self, var, obj_id, offset, size, count, stride):
+        """The interned PSE keys one event touches: the variable's slot,
+        or ``count`` element granules ``stride or size`` bytes apart."""
         intern_key = self._pse_keys.setdefault
-        use = None
-        for base in bases:
-            kind = data[base]
-            if kind <= KIND_WRITE:
-                obj = data[base + F_OBJ]
-                var, _, loc_str = site_values[data[base + F_SITE]]
-                count = data[base + F_COUNT]
-                time = data[base + F_TIME]
-                active = active_values[data[base + F_ACTIVE]]
-                if count == 1:
-                    if var is not None:
-                        key = var_keys.get(obj)
-                        if key is None:
-                            key = intern_key(("var", obj), ("var", obj))
-                            var_keys[obj] = key
-                    else:
-                        key = ("mem", obj, data[base + F_OFFSET],
-                               data[base + F_SIZE])
-                        key = intern_key(key, key)
-                    keys = (key,)
-                else:
-                    size = data[base + F_SIZE]
-                    stride = data[base + F_STRIDE] or size
-                    offset = data[base + F_OFFSET]
-                    keys = tuple(
-                        intern_key(k, k) for k in (
-                            ("mem", obj, offset + j * stride, size)
-                            for j in range(count)
-                        )
-                    )
-                if track_uses:
-                    use = (loc_str, cs_values[data[base + F_CS]])
-                for key in keys:
-                    for roi_id, invocation, epoch in active:
-                        psec = psecs[roi_id]
-                        entries = psec.entries
-                        entry = entries.get(key)
-                        if entry is None:
-                            entry = PsecEntry(key, var)
-                            entries[key] = entry
-                        elif var is not None and entry.var is None:
-                            entry.var = var
-                        if epoch != entry.last_epoch:
-                            # A miss is a letter outside CIOT (a loaded IR
-                            # probe.classify is not validated).
-                            forced = forced_join[entry.state_code].get(
-                                entry.forced)
-                            entry.forced = (fsa.join_forced(
-                                entry.state_code, entry.forced)
-                                if forced is None else forced)
-                            entry.state_code = 0
-                            entry.last_invocation = -1
-                            entry.last_epoch = epoch
-                        event_code = (
-                            kind if invocation != entry.last_invocation
-                            else kind + 2
-                        )
-                        state_code = flat[entry.state_code * 4 + event_code]
-                        if state_code < 0:
-                            fsa.step_code(entry.state_code, event_code)
-                        entry.state_code = state_code
-                        if kind:
-                            entry.write_seen = True
-                        entry.access_count += 1
-                        entry.last_invocation = invocation
-                        if entry.first_time is None:
-                            entry.first_time = time
-                        entry.last_time = time
-                        psec.total_accesses += 1
-                        if track_uses and use not in entry.uses:
-                            entry.uses.add(use)
-                            psec.use_records += 1
-                            if max_use and psec.use_records > max_use:
-                                raise MemoryBudgetExceeded(
-                                    f"ROI {psec.roi_id}: more than "
-                                    f"{max_use} use-callstack records"
-                                )
-            elif kind == KIND_CLASSIFY:
-                obj = data[base + F_OBJ]
-                var, _, _ = site_values[data[base + F_SITE]]
-                letters = letters_values[data[base + F_AUX]]
-                time = data[base + F_TIME]
-                if var is not None and data[base + F_COUNT] == 1:
-                    keys = (intern_key(("var", obj), ("var", obj)),)
-                else:
-                    size = data[base + F_SIZE]
-                    stride = data[base + F_STRIDE] or size
-                    offset = data[base + F_OFFSET]
-                    keys = tuple(
-                        intern_key(k, k) for k in (
-                            ("mem", obj, offset + j * stride, size)
-                            for j in range(data[base + F_COUNT])
-                        )
-                    )
-                for key in keys:
-                    for roi_id, _, _ in active_values[data[base + F_ACTIVE]]:
-                        psecs[roi_id].force_classification(
-                            key, var, letters, time
-                        )
-            elif kind == KIND_ALLOC:
-                akind, var, loc, callstack = block.side[data[base + F_AUX]]
-                obj = data[base + F_OBJ]
-                time = data[base + F_TIME]
-                self.asmt.register(AsmtEntry(
-                    obj_id=obj, size=data[base + F_SIZE], kind=akind,
-                    var=var, alloc_loc=loc, alloc_callstack=callstack,
-                    alloc_time=time,
-                ))
-                if self.config.policy.track_reachability:
-                    for roi_id, _, _ in active_values[data[base + F_ACTIVE]]:
-                        psec = psecs[roi_id]
-                        psec.allocated_in_roi.add(obj)
-                        psec.reachability.add_node(obj, True, time)
-            elif kind == KIND_ESCAPE:
-                _, loc, _ = site_values[data[base + F_SITE]]
-                loc_repr = str(loc) if loc else None
-                for roi_id, _, _ in active_values[data[base + F_ACTIVE]]:
-                    psecs[roi_id].reachability.add_edge(
-                        data[base + F_OBJ], data[base + F_AUX],
-                        data[base + F_OFFSET], data[base + F_TIME], loc_repr,
-                    )
-            else:  # KIND_FREE
-                self.asmt.mark_freed(data[base + F_OBJ], data[base + F_TIME])
+        if var is not None and count == 1:
+            return (intern_key(("var", obj_id), ("var", obj_id)),)
+        stride = stride or size
+        return tuple(
+            intern_key(key, key) for key in (
+                ("mem", obj_id, offset + j * stride, size)
+                for j in range(count)
+            )
+        )
+
+    def classify(self, states, obj_id, offset, size, count, stride, var,
+                 active, time) -> None:
+        """Force ``states`` on the PSEs for every ROI in ``active``
+        (``None``: the active ROIs; an explicit tuple is the hoisted-probe
+        case, ``roi_id`` binding)."""
+        if active is None:
+            active = self._active
+        if self._event_budget and active:
+            self._budget_note(active)
+        psecs = self.psecs
+        for key in self._keys(var, obj_id, offset, size, count, stride):
+            for roi_id, _, _ in active:
+                psecs[roi_id].force_classification(key, var, states, time)
+
+    def alloc(self, obj: MemoryObject, time: int) -> None:
+        active = self._active
+        if self._event_budget and active:
+            self._budget_note(active)
+        self.asmt.register(AsmtEntry(
+            obj_id=obj.obj_id, size=obj.size, kind=obj.kind, var=obj.var,
+            alloc_loc=obj.alloc_loc, alloc_callstack=obj.alloc_callstack,
+            alloc_time=time,
+        ))
+        if self.config.policy.track_reachability:
+            for roi_id, _, _ in active:
+                psec = self.psecs[roi_id]
+                psec.allocated_in_roi.add(obj.obj_id)
+                psec.reachability.add_node(obj.obj_id, True, time)
+
+    def escape(self, src_obj, src_offset, dst_obj, loc, time) -> None:
+        active = self._active
+        if self._event_budget and active:
+            self._budget_note(active)
+        loc_repr = str(loc) if loc else None
+        for roi_id, _, _ in active:
+            self.psecs[roi_id].reachability.add_edge(
+                src_obj, dst_obj, src_offset, time, loc_repr,
+            )
+
+    def free(self, obj_id: int, time: int) -> None:
+        if self._event_budget and self._active:
+            self._budget_note(self._active)
+        self.asmt.mark_freed(obj_id, time)
 
 
 class CarmotHooks(ExecutionHooks):
-    """VM hook adapter: records events, charges main-thread costs.
+    """VM hook adapter: folds events, charges main-thread costs.
 
     The contract with the VM: before any hook fires, the VM must have
     spilled its live instruction/cost counters into ``self.vm`` (this
     adapter reads ``vm.cost``, and helpers read ``vm.memory`` /
     ``vm.call_stack``), and hooks may mutate ``vm.cost``, which the VM
     reloads after the call.  Identical hook sequences with identical
-    arguments give byte-for-byte equal profiles.
+    arguments give byte-for-byte equal profiles.  One adapter serves one
+    run, like its runtime: the probe's per-site cache holds that run's
+    memory objects.
     """
 
     def __init__(
@@ -590,6 +339,7 @@ class CarmotHooks(ExecutionHooks):
         self._frame_captured: List[bool] = [False]
         self._asmt_entries = runtime.asmt._entries
         self.on_probe_access = self._bind_probe_access()
+        self._pin_access = self._bind_probe_access(probe=False)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -631,42 +381,156 @@ class CarmotHooks(ExecutionHooks):
 
     # -- access probes -----------------------------------------------------------
 
-    def _bind_probe_access(self):
+    def _bind_probe_access(self, probe: bool = True):
         """``on_probe_access`` specialised on this run's config, bound once
         so a probe pays only for what the run switched on (the myia
-        ``do_emit_events`` pattern)."""
+        ``do_emit_events`` pattern).  The returned closure resolves the
+        object, charges the probe, and folds the access into the PSECs.
+
+        ``probe=False`` binds the same fold for Pin accesses, which
+        ``on_pin_access`` counts and charges itself: their probe counters
+        go to a scratch :class:`RuntimeStats`.
+        """
         runtime, cm, config = self.runtime, self.cm, self.runtime.config
-        stats, active = runtime.stats, runtime._active
+        stats = runtime.stats if probe else RuntimeStats()
+        active = runtime._active
         push, aggregate = cm.probe_push, cm.aggregate_probe
+        if not config.policy.track_sets:
+            # Without Sets tracking no address resolves: every probe is a
+            # push.
+            def on_probe_access(kind, addr, size, var, count, stride, loc,
+                                callstack, site_id=None) -> int:
+                if not active:
+                    stats.events_ignored_outside_roi += 1
+                return aggregate if count > 1 else push
+            return on_probe_access
+        track_uses = config.policy.track_use_callstacks
         use_cost = 0
-        if config.policy.track_use_callstacks:
+        if track_uses:
             use_cost = (cm.use_callstack_shadow if config.shadow_callstacks
                         else cm.use_callstack_walk)
         inline = cm.inline_process if config.inline_processing else 0
         single = push + use_cost + inline
-        # Without Sets tracking no address resolves: every probe is a push.
-        object_for = (self._object_for if config.policy.track_sets
-                      else lambda addr: None)
-        packed_access, write = runtime.packed_access, AccessKind.WRITE
+        hooks, object_for, write = self, self._object_for, AccessKind.WRITE
+        site_for, site_values = runtime._site_for, runtime._site_values
+        # The last object each compile-time site resolved: a loop body
+        # touching two arrays in alternation evicts ``Memory``'s single
+        # last-hit object on every probe, but not these.
+        site_last = [MemoryObject(0, 0, 0, "global", bytearray())] * len(
+            site_values)
+        psecs, var_keys = runtime.psecs, runtime._var_keys
+        intern_key, keys_for = runtime._pse_keys.setdefault, runtime._keys
+        flat, forced_join = fsa.FLAT_TRANSITIONS, fsa.FORCED_JOIN
+        max_use = config.max_use_records
+        event_budget, budget_note = runtime._event_budget, runtime._budget_note
+        use = None
 
         def on_probe_access(kind, addr, size, var, count, stride, loc,
                             callstack, site_id=None) -> int:
             if not active:
                 stats.events_ignored_outside_roi += 1
                 return aggregate if count > 1 else push
-            obj = object_for(addr)
-            if obj is None:
-                return aggregate if count > 1 else push
+            vm = hooks.vm
+            if site_id is None:
+                obj = object_for(addr)
+                if obj is None:
+                    return aggregate if count > 1 else push
+                site_id = site_for(var, loc)
+            else:
+                # ``Memory.try_object_at``'s check, against this site's
+                # last object; a hit leaves it as ``Memory``'s last-hit
+                # object for the load or store that follows the probe.
+                obj = site_last[site_id]
+                base = obj.base
+                if base <= addr < base + obj.size and not obj.freed:
+                    vm.memory._last = obj
+                else:
+                    obj = object_for(addr)
+                    if obj is None:
+                        return aggregate if count > 1 else push
+                    site_last[site_id] = obj
             stats.access_events += 1
             if count > 1:
                 stats.aggregated_events += 1
                 cost = aggregate + use_cost + inline * count
             else:
                 cost = single
-            packed_access(
-                kind is write, obj.obj_id, addr - obj.base, size, count,
-                stride, var, loc, site_id, callstack, self.vm.instructions,
-            )
+            obj_id = obj.obj_id
+            offset = addr - obj.base
+            var, _, loc_str = site_values[site_id]
+            time = vm.instructions
+            if count == 1:
+                if var is not None:
+                    key = var_keys.get(obj_id)
+                    if key is None:
+                        key = intern_key(("var", obj_id), ("var", obj_id))
+                        var_keys[obj_id] = key
+                else:
+                    key = ("mem", obj_id, offset, size)
+                    key = intern_key(key, key)
+                keys = (key,)
+            else:
+                keys = keys_for(var, obj_id, offset, size, count, stride)
+            is_write = 1 if kind is write else 0
+            rois = active
+            if event_budget:
+                # Past its event budget an ROI gets conservative letters
+                # instead of an FSA step.
+                over, rois = budget_note(active)
+                if over:
+                    letters = (CONSERVATIVE_WRITE if is_write
+                               else CONSERVATIVE_READ)
+                    for key in keys:
+                        for roi_id, _, _ in over:
+                            psecs[roi_id].force_classification(
+                                key, var, letters, time)
+            if track_uses:
+                use = (loc_str, callstack)
+            for key in keys:
+                for roi_id, invocation, epoch in rois:
+                    psec = psecs[roi_id]
+                    entries = psec.entries
+                    entry = entries.get(key)
+                    if entry is None:
+                        entry = PsecEntry(key, var)
+                        entries[key] = entry
+                    elif var is not None and entry.var is None:
+                        entry.var = var
+                    if epoch != entry.last_epoch:
+                        # A miss is a letter outside CIOT (a loaded IR
+                        # probe.classify is not validated).
+                        forced = forced_join[entry.state_code].get(
+                            entry.forced)
+                        entry.forced = (fsa.join_forced(
+                            entry.state_code, entry.forced)
+                            if forced is None else forced)
+                        entry.state_code = 0
+                        entry.last_invocation = -1
+                        entry.last_epoch = epoch
+                    event_code = (
+                        is_write if invocation != entry.last_invocation
+                        else is_write + 2
+                    )
+                    state_code = flat[entry.state_code * 4 + event_code]
+                    if state_code < 0:
+                        fsa.step_code(entry.state_code, event_code)
+                    entry.state_code = state_code
+                    if is_write:
+                        entry.write_seen = True
+                    entry.access_count += 1
+                    entry.last_invocation = invocation
+                    if entry.first_time is None:
+                        entry.first_time = time
+                    entry.last_time = time
+                    psec.total_accesses += 1
+                    if track_uses and use not in entry.uses:
+                        entry.uses.add(use)
+                        psec.use_records += 1
+                        if max_use and psec.use_records > max_use:
+                            raise MemoryBudgetExceeded(
+                                f"ROI {psec.roi_id}: more than "
+                                f"{max_use} use-callstack records"
+                            )
             return cost
         return on_probe_access
 
@@ -683,9 +547,11 @@ class CarmotHooks(ExecutionHooks):
             obj = self._object_for(addr)
             if obj is not None:
                 runtime.stats.classify_events += 1
-                runtime.packed_classify(
+                if site_id is not None:
+                    var = runtime._site_values[site_id][0]
+                runtime.classify(
                     states, obj.obj_id, addr - obj.base, size, count,
-                    stride, var, loc, site_id, active, self.vm.instructions,
+                    stride, var, active, self.vm.instructions,
                 )
                 if runtime.config.inline_processing:
                     return (self.cm.classify_probe
@@ -716,7 +582,7 @@ class CarmotHooks(ExecutionHooks):
             src = self._object_for(dest_addr)
             if dst is not None and src is not None and src is not dst:
                 runtime.stats.escape_events += 1
-                runtime.packed_escape(
+                runtime.escape(
                     src.obj_id, dest_addr - src.base, dst.obj_id, loc,
                     self.vm.instructions,
                 )
@@ -740,13 +606,13 @@ class CarmotHooks(ExecutionHooks):
             cost += self._callstack_cost(len(obj.alloc_callstack))
             runtime.stats.callstack_captures += 1
         runtime.stats.alloc_events += 1
-        runtime.packed_alloc(obj, self.vm.instructions)
+        runtime.alloc(obj, self.vm.instructions)
         if runtime.config.inline_processing:
             cost += self.cm.inline_process
         return cost
 
     def on_free(self, obj: MemoryObject) -> int:
-        self.runtime.packed_free(obj.obj_id, self.vm.instructions)
+        self.runtime.free(obj.obj_id, self.vm.instructions)
         return self.cm.alloc_event
 
     def on_call_enter(self, function_name: str, instrumented: bool) -> int:
@@ -780,14 +646,8 @@ class CarmotHooks(ExecutionHooks):
         runtime = self.runtime
         granules = max(1, math.ceil(size / 8))
         runtime.stats.pin_accesses += granules
-        if runtime.config.policy.track_sets:
-            obj = self._object_for(addr)
-            if obj is not None:
-                runtime.packed_access(
-                    kind is AccessKind.WRITE, obj.obj_id, addr - obj.base,
-                    min(size, 8), granules, 8, None, None, None,
-                    tuple(self.vm.call_stack), self.vm.instructions,
-                )
+        self._pin_access(kind, addr, min(size, 8), None, granules, 8, None,
+                         tuple(self.vm.call_stack))
         cost = self.cm.pin_per_access * granules
         if runtime.config.inline_processing:
             cost += self.cm.inline_process * granules

@@ -178,3 +178,12 @@ FORCED_JOIN: Tuple[Dict[str, str], ...] = tuple(
      for n in range(5) for f in combinations("CIOT", n)}
     for code in range(len(STATES))
 )
+
+
+#: ``FORCED_LETTERS[state_code][forced]`` → ``force_states(state,
+#: forced).sets``, for every subset of ``CIOT`` spelled in sorted order.
+FORCED_LETTERS: Tuple[Dict[str, FrozenSet[str]], ...] = tuple(
+    {"".join(f): force_states(STATES[code], "".join(f)).sets
+     for n in range(5) for f in combinations("CIOT", n)}
+    for code in range(len(STATES))
+)

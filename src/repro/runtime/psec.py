@@ -77,7 +77,12 @@ class PsecEntry:
 
     @property
     def letters(self) -> FrozenSet[str]:
-        return fsa.force_states(self.state, self.forced).sets
+        letters = fsa.FORCED_LETTERS[self.state_code].get(self.forced)
+        if letters is None:
+            # A spelling outside the table: unsorted, or a letter outside
+            # CIOT (a loaded IR probe.classify is not validated).
+            return fsa.force_states(self.state, self.forced).sets
+        return letters
 
     def record(self, is_write: bool, invocation: int, time: int,
                epoch: int = 0) -> None:

@@ -156,7 +156,7 @@ def _enc_psec(psec: Psec, vars_table: _VarTable) -> Dict:
         "invocations": psec.invocations,
         # Sorted by (first_time, key), not insertion order, so the
         # artifact is a function of the entries alone: a fold that builds
-        # the same entries in another order (the tests' decoder oracle,
+        # the same entries in another order (the tests' recording oracle,
         # for one) serializes to the same bytes.
         "entries": [
             _enc_entry(entry, vars_table)

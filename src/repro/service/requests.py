@@ -50,7 +50,6 @@ class RunOptions:
     recommenders: Optional[str] = None
     entry: str = "main"
     budget: Optional[str] = None
-    batch_size: Optional[int] = None
     prescreen: str = "off"
     passes: Optional[str] = None
     trace: bool = False
@@ -104,15 +103,13 @@ class RunOptions:
     # -- resolution (the logic formerly inlined in cli.py) -------------------
 
     def run_kwargs(self) -> Dict[str, object]:
-        """Translate budget/batch-size options into
-        ``CompiledProgram.run()`` keyword arguments."""
+        """Translate the budget option into ``CompiledProgram.run()``
+        keyword arguments."""
         kwargs: Dict[str, object] = {}
         if self.budget:
             spec = parse_budget_spec(self.budget)
             kwargs["budgets"] = spec.vm
             kwargs["resilience"] = spec.runtime
-        if self.batch_size is not None:
-            kwargs["batch_size"] = self.batch_size
         return kwargs
 
     def carmot_options(self) -> Optional[CarmotOptions]:

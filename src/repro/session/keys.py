@@ -13,7 +13,6 @@ source text          miss      miss      miss     miss       miss
 pass pipeline/opts   hit       miss      miss     miss       miss
 registry version     hit       miss      miss     miss       miss
 budgets              hit       hit       miss     miss       miss
-batch size           hit       hit       miss     miss       miss
 entry/args/costs     hit       hit       miss     miss       miss
 recommender select   hit       hit       hit      miss       miss
 recommender registry hit       hit       hit      miss       miss
@@ -137,7 +136,7 @@ def profile_key(
     Keyed on the post-pipeline IR *content* digest — not the pipeline
     key — so two pipelines producing identical instrumented IR share one
     profile.  ``run_config`` carries everything that steers execution:
-    entry/args, cost model, VM budgets, resilience policy, batching.
+    entry/args, cost model, VM budgets, resilience policy.
     """
     return _digest("profile", {
         "ir": ir_digest,
@@ -226,8 +225,8 @@ def run_config_doc(
     """Canonical, JSON-able view of one ``CompiledProgram.run()`` call.
 
     ``config_kwargs`` are the ``RuntimeConfig`` overrides the CLI passes
-    (``batch_size``, ``resilience``); dataclass values are flattened
-    via ``asdict`` so two equal policies produce equal documents.
+    (``resilience``); dataclass values are flattened via ``asdict`` so
+    two equal policies produce equal documents.
     """
     config: Dict[str, object] = {}
     for key in sorted(config_kwargs):

@@ -1,35 +1,31 @@
-"""The differential oracle for the runtime's flat-table fold kernel.
+"""The recording oracle for the runtime's fold.
 
-:func:`replay_rows` decodes packed rows and replays them, one event at a
-time, through the per-PSE object API — :meth:`Psec.record_access`,
-:meth:`Psec.force_classification`, the ASMT and the reachability graph.
-It shares no code with ``CarmotRuntime._fold_rows`` (no flat
-transition table, no key interning), so a run folded by it and a run
-folded by the kernel must agree byte for byte.
+Inside :func:`decoder_fold`, every runtime and hook adapter records each
+hook-level event as one tuple — kind, object, offset, size, count,
+stride, var, loc, callstack, active-ROI snapshot, time, and the kind's
+payload (classify letters, escape destination, allocation metadata) —
+and replays it, one event at a time, through the per-PSE object API:
+:meth:`Psec.record_access`, :meth:`Psec.force_classification`, the ASMT
+and the reachability graph.  It shares no code with the kernel (no flat
+transition table, no key interning, no per-site object cache), so a run
+folded by it and a run folded by the kernel must agree byte for byte.
 
-:func:`decoder_fold` swaps the oracle in for the kernel on every runtime
-created inside the ``with`` block; capture, batching, event budgets and
-degradation records stay the runtime's own.
-The suites select it through the ``object`` fold parameter
-(:data:`FOLDS`): the oracle replays rows into per-PSE objects, the
-``packed`` fold is the production kernel.
+The hooks' costs and counters, object resolution and the per-ROI event
+budget stay the runtime's own.  The suites select the oracle through the
+``object`` fold parameter (:data:`FOLDS`); ``kernel`` is the production
+fold.
 """
 
 from contextlib import contextmanager, nullcontext
 
+from repro.ir.instructions import AccessKind
+from repro.resilience.degradation import CONSERVATIVE_READ, CONSERVATIVE_WRITE
 from repro.runtime.asmt import AsmtEntry
-from repro.runtime.engine import CarmotRuntime
-from repro.runtime.packed import (
-    KIND_ALLOC,
-    KIND_CLASSIFY,
-    KIND_ESCAPE,
-    KIND_FREE,
-    KIND_WRITE,
-    ROW_STRIDE,
-)
+from repro.runtime.engine import CarmotHooks, CarmotRuntime, RuntimeStats
 
-#: Fold parameter values: ``object`` = this oracle, ``packed`` = kernel.
-FOLDS = ("object", "packed")
+#: Fold parameter values: ``object`` = this oracle, ``kernel`` = the
+#: production fold.
+FOLDS = ("object", "kernel")
 
 
 def _keys(var, obj, offset, size, count, stride):
@@ -39,46 +35,39 @@ def _keys(var, obj, offset, size, count, stride):
             for j in range(count)]
 
 
-def _decode(runtime, block, base):
-    (kind, obj, offset, size, count, stride, site, cs, active, time, aux,
-     _) = block.data[base:base + ROW_STRIDE]
-    var, loc, _ = runtime._site_values[site]
-    return (kind, obj, offset, size, count, stride, var, loc,
-            runtime._cs.values[cs], runtime._actives.values[active],
-            time, aux)
-
-
-def replay_rows(runtime, block, bases):
-    """Apply the rows at ``bases`` to ``runtime``'s PSECs and ASMT."""
-    for base in bases:
-        _replay_event(runtime, block, _decode(runtime, block, base))
-
-
-def _replay_event(runtime, block, row):
+def replay(runtime, event):
+    """Apply one recorded event to ``runtime``'s PSECs and ASMT."""
     config = runtime.config
     (kind, obj, offset, size, count, stride, var, loc, callstack, active,
-     time, aux) = row
-    keys = _keys(var, obj, offset, size, count, stride)
-    if kind <= KIND_WRITE:
+     time, payload) = event
+    over, under = [], list(active)
+    if runtime._event_budget and active:
+        over, under = runtime._budget_note(active)
+    if kind in ("read", "write"):
+        is_write = kind == "write"
+        keys = _keys(var, obj, offset, size, count, stride)
+        letters = CONSERVATIVE_WRITE if is_write else CONSERVATIVE_READ
         for key in keys:
-            for roi_id, invocation, epoch in active:
+            for roi_id, _, _ in over:
+                runtime.psecs[roi_id].force_classification(
+                    key, var, letters, time)
+        for key in keys:
+            for roi_id, invocation, epoch in under:
                 runtime.psecs[roi_id].record_access(
-                    key, var, kind == KIND_WRITE, invocation, time, loc,
-                    callstack, config.policy.track_use_callstacks,
+                    key, var, is_write, invocation, time, loc, callstack,
+                    config.policy.track_use_callstacks,
                     config.max_use_records, epoch,
                 )
-    elif kind == KIND_CLASSIFY:
-        letters = runtime._letters.values[aux]
-        for key in keys:
+    elif kind == "classify":
+        for key in _keys(var, obj, offset, size, count, stride):
             for roi_id, _, _ in active:
                 runtime.psecs[roi_id].force_classification(
-                    key, var, letters, time
-                )
-    elif kind == KIND_ALLOC:
-        akind, avar, aloc, acallstack = block.side[aux]
+                    key, var, payload, time)
+    elif kind == "alloc":
+        akind, alloc_loc, alloc_callstack = payload
         runtime.asmt.register(AsmtEntry(
-            obj_id=obj, size=size, kind=akind, var=avar,
-            alloc_loc=aloc, alloc_callstack=acallstack,
+            obj_id=obj, size=size, kind=akind, var=var,
+            alloc_loc=alloc_loc, alloc_callstack=alloc_callstack,
             alloc_time=time,
         ))
         if config.policy.track_reachability:
@@ -86,25 +75,96 @@ def _replay_event(runtime, block, row):
                 psec = runtime.psecs[roi_id]
                 psec.allocated_in_roi.add(obj)
                 psec.reachability.add_node(obj, True, time)
-    elif kind == KIND_ESCAPE:
+    elif kind == "escape":
         for roi_id, _, _ in active:
             runtime.psecs[roi_id].reachability.add_edge(
-                obj, aux, offset, time, str(loc) if loc else None,
+                obj, payload, offset, time, str(loc) if loc else None,
             )
     else:
-        assert kind == KIND_FREE, kind
+        assert kind == "free", kind
         runtime.asmt.mark_freed(obj, time)
+
+
+def _recording_probe_access(hooks, probe=True):
+    """The hook adapter's access probe, recording each access instead of
+    folding it; charges and counts exactly as the kernel's closure."""
+    runtime, cm, config = hooks.runtime, hooks.cm, hooks.runtime.config
+    stats = runtime.stats if probe else RuntimeStats()
+    use_cost = 0
+    if config.policy.track_use_callstacks:
+        use_cost = (cm.use_callstack_shadow if config.shadow_callstacks
+                    else cm.use_callstack_walk)
+    inline = cm.inline_process if config.inline_processing else 0
+
+    def on_probe_access(kind, addr, size, var, count, stride, loc,
+                        callstack, site_id=None):
+        miss = cm.aggregate_probe if count > 1 else cm.probe_push
+        if not runtime._active:
+            stats.events_ignored_outside_roi += 1
+            return miss
+        obj = hooks._object_for(addr) if config.policy.track_sets else None
+        if obj is None:
+            return miss
+        stats.access_events += 1
+        if count > 1:
+            stats.aggregated_events += 1
+            cost = cm.aggregate_probe + use_cost + inline * count
+        else:
+            cost = cm.probe_push + use_cost + inline
+        if site_id is not None:
+            var, loc, _ = runtime._site_values[site_id]
+        replay(runtime, (
+            "write" if kind is AccessKind.WRITE else "read", obj.obj_id,
+            addr - obj.base, size, count, stride, var, loc, callstack,
+            tuple(runtime._active), hooks.vm.instructions, None,
+        ))
+        return cost
+    return on_probe_access
+
+
+def _record_classify(runtime, states, obj_id, offset, size, count, stride,
+                     var, active, time):
+    active = tuple(runtime._active) if active is None else active
+    replay(runtime, ("classify", obj_id, offset, size, count, stride, var,
+                     None, (), active, time, states))
+
+
+def _record_alloc(runtime, obj, time):
+    replay(runtime, ("alloc", obj.obj_id, 0, obj.size, 1, 0, obj.var, None,
+                     (), tuple(runtime._active), time,
+                     (obj.kind, obj.alloc_loc, obj.alloc_callstack)))
+
+
+def _record_escape(runtime, src_obj, src_offset, dst_obj, loc, time):
+    replay(runtime, ("escape", src_obj, src_offset, 0, 1, 0, None, loc, (),
+                     tuple(runtime._active), time, dst_obj))
+
+
+def _record_free(runtime, obj_id, time):
+    replay(runtime, ("free", obj_id, 0, 0, 1, 0, None, None, (),
+                     tuple(runtime._active), time, None))
+
+
+_PATCHES = (
+    (CarmotHooks, "_bind_probe_access", _recording_probe_access),
+    (CarmotRuntime, "classify", _record_classify),
+    (CarmotRuntime, "alloc", _record_alloc),
+    (CarmotRuntime, "escape", _record_escape),
+    (CarmotRuntime, "free", _record_free),
+)
 
 
 @contextmanager
 def decoder_fold():
     """Fold every runtime created in the block through the oracle."""
-    saved = CarmotRuntime._fold_rows
-    CarmotRuntime._fold_rows = replay_rows
+    saved = [(cls, name, getattr(cls, name)) for cls, name, _ in _PATCHES]
+    for cls, name, oracle in _PATCHES:
+        setattr(cls, name, oracle)
     try:
         yield
     finally:
-        CarmotRuntime._fold_rows = saved
+        for cls, name, original in saved:
+            setattr(cls, name, original)
 
 
 def fold(name):

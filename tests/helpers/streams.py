@@ -1,25 +1,29 @@
-"""Seeded, loop-shaped access streams for the runtime's packed sink.
+"""Seeded, loop-shaped access streams for the runtime's fold.
 
 :func:`make_stream` builds an op stream the way a profiled loop would
 produce one; :func:`resolve_ops` interns its sites on a runtime the way
-compiled probes would; :func:`replay_packed` pushes it through
-``CarmotRuntime.packed_access`` in ROI invocations; :func:`psec_digest`
-hashes the resulting Sets.  The fold-kernel differential suite replays
-these streams through both folds, and the pinned-stream test holds the
-kernel's Sets for fixed seeds to recorded digests.
+compiled probes would; :func:`stream_hooks` lays the stream's objects
+out in a VM memory and :func:`probe` sends one op through the hook
+adapter's ``on_probe_access``; :func:`replay_stream` replays a whole
+stream in ROI invocations; :func:`psec_digest` hashes the resulting
+Sets.  The fold differential suite replays these streams through both
+folds, and the pinned-stream test holds the kernel's Sets for fixed
+seeds to recorded digests.
 """
 
 import hashlib
 import json
 import random
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
-from repro.ir.instructions import SourceLoc, VarInfo
+from repro.ir.instructions import AccessKind, SourceLoc, VarInfo
 from repro.ir.module import Module
 from repro.lang import types as ct
 from repro.lang.tokens import SourcePos
 from repro.runtime.config import RuntimeConfig, policy_for
-from repro.runtime.engine import CarmotRuntime
+from repro.runtime.engine import CarmotHooks, CarmotRuntime
+from repro.vm.memory import Memory
 
 #: Loop-body rosters for the three stream shapes: (scalar sites,
 #: array-walk sites, aggregated-access chance) drawn per phase.
@@ -48,7 +52,7 @@ def make_stream(
 ) -> Tuple[List[Tuple[int, int, int, int, int, int, int]],
            Dict[int, Optional[VarInfo]], List[SourceLoc],
            List[Tuple[str, ...]]]:
-    """One seeded, loop-shaped op stream for the runtime's packed sink.
+    """One seeded, loop-shaped op stream for the runtime's fold.
 
     Profiled programs spend their ROIs in loops, so the stream is built
     from *phases*: each phase fixes a loop-body roster of access sites —
@@ -106,45 +110,65 @@ def make_stream(
     return ops[:n_events], vars_by_obj, locs, callstacks
 
 
-def stream_runtime(batch_size: int) -> CarmotRuntime:
+def stream_runtime() -> CarmotRuntime:
     return CarmotRuntime(_stream_module(), RuntimeConfig(
         policy=policy_for("parallel_for"),
         shadow_callstacks=True,
         inline_processing=False,
-        batch_size=batch_size,
     ))
 
 
 def resolve_ops(ops, vars_by_obj, locs, callstacks, runtime: CarmotRuntime):
     """Pre-resolve the stream the way compiled probes would (operands in
     instruction fields, site ids interned at compile time on
-    ``runtime``)."""
+    ``runtime``).  Call it before :func:`stream_hooks`, which sizes the
+    per-site object cache from the runtime's site table."""
     resolved = []
     for is_write, obj, offset, count, stride, loc_index, cs_index in ops:
         var = vars_by_obj[obj]
         loc = locs[loc_index]
         site_id = runtime._site_for(var, loc)
-        resolved.append((is_write, 1000 + obj, offset, count, stride, var,
+        resolved.append((is_write, obj, offset, count, stride, var,
                          loc, site_id, callstacks[cs_index]))
     return resolved
 
 
-def replay_packed(runtime: CarmotRuntime, resolved,
+def stream_hooks(runtime: CarmotRuntime, n_objects: int):
+    """Hooks over a VM memory holding one 512-byte object per stream
+    object, stream object ``i`` with id ``1000 + i``; returns the hooks
+    and the objects' base addresses."""
+    memory = Memory()
+    memory._obj_counter = 999
+    bases = [memory.allocate(512, "heap").base for _ in range(n_objects)]
+    hooks = CarmotHooks(runtime)
+    hooks.vm = SimpleNamespace(memory=memory, instructions=0)
+    return hooks, bases
+
+
+def probe(hooks: CarmotHooks, bases, op, time: int, is_write=None) -> None:
+    """Send one resolved op through ``on_probe_access`` at ``time``
+    (``is_write`` overrides the op's access kind)."""
+    written, obj, offset, count, stride, var, loc, site_id, cs = op
+    if is_write is None:
+        is_write = written
+    hooks.vm.instructions = time
+    hooks.on_probe_access(AccessKind.WRITE if is_write else AccessKind.READ,
+                          bases[obj] + offset, 8, var, count, stride, loc,
+                          cs, site_id)
+
+
+def replay_stream(runtime: CarmotRuntime, resolved, n_objects: int,
                   invocation_len: int) -> None:
-    """Push ``resolved`` through the packed sink, ``invocation_len`` ops
-    per ROI invocation, then finish the run."""
+    """Probe every op of ``resolved``, ``invocation_len`` ops per ROI
+    invocation, then finish the run."""
     roi_id = next(iter(runtime.psecs))
-    packed_access = runtime.packed_access
+    hooks, bases = stream_hooks(runtime, n_objects)
     runtime.roi_begin(roi_id)
-    index = 0
-    for is_write, obj_id, offset, count, stride, var, loc, site_id, cs in \
-            resolved:
+    for index, op in enumerate(resolved):
         if index and index % invocation_len == 0:
             runtime.roi_end(roi_id)
             runtime.roi_begin(roi_id)
-        packed_access(is_write, obj_id, offset, 8, count, stride,
-                      var, loc, site_id, cs, index)
-        index += 1
+        probe(hooks, bases, op, index)
     runtime.roi_end(roi_id)
     runtime.finish()
 

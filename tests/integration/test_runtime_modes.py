@@ -1,11 +1,11 @@
-"""Runtime batching and multi-run merging.
+"""Run-to-run determinism and multi-run merging.
 
-The batching pipeline (§4.6) must produce the same PSEC whatever the
-batch size; multi-run merging must follow the §4.2 rules on real
-profiles."""
+Folding each event at its hook must give bit-identical PSECs run to
+run; multi-run merging must follow the §4.2 rules on real profiles."""
 
 from repro.compiler import compile_carmot, compile_naive
 from repro.runtime import merge_psecs
+from repro.runtime.psec_json import psec_sets_digest
 from repro.vm import run_module
 from repro.workloads import workload
 
@@ -18,15 +18,20 @@ def _run_with(program, **config_kwargs):
     return runtime
 
 
-class TestBatchSizes:
-    def test_small_batches_match_large(self):
+class TestDeterminism:
+    def test_repeat_runs_fold_identical_psecs(self):
         program = compile_carmot(SOURCE, name="cg")
-        small = _run_with(program, batch_size=2)
-        large = _run_with(program, batch_size=65536)
-        for roi_id, expected in small.psecs.items():
-            actual = large.psecs[roi_id]
+        first = _run_with(program)
+        second = _run_with(program)
+        assert psec_sets_digest(first.psecs) == \
+            psec_sets_digest(second.psecs)
+        for roi_id, expected in first.psecs.items():
+            actual = second.psecs[roi_id]
+            assert list(actual.entries) == list(expected.entries)
             for key, entry in expected.entries.items():
-                assert actual.entries[key].letters == entry.letters
+                other = actual.entries[key]
+                assert (other.letters, other.access_count, other.uses) == \
+                    (entry.letters, entry.access_count, entry.uses)
 
 
 class TestMultiRunMerge:

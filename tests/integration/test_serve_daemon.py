@@ -121,7 +121,7 @@ class TestServeBasics:
         {"event_encoding": "object"},
         {"pipeline_shards": 2},
         {"drain": "procs"},
-        {"batch_size": "abc"},
+        {"batch_size": 16},
         {"trace": True},
     ])
     def test_removed_options_yield_error_envelope(self, tmp_path, capfd,

@@ -17,7 +17,7 @@ from repro.cli import main
 from repro.resilience import parse_budget_spec
 from repro.session import Session
 from repro.workloads import workload
-from tests.helpers.decoder import fold
+from tests.helpers.decoder import FOLDS, fold
 
 SOURCE = """
 int work(int n) {
@@ -33,10 +33,6 @@ int work(int n) {
 int main() { print_int(work(40)); return 0; }
 """
 
-#: The runtime folds the differential suite must cover: the decoder
-#: oracle (``object``) and the in-process kernel (``packed``).
-FOLD_CASES = ("object", "packed")
-
 #: Paper ports with small, medium and large event volumes, profiled at
 #: their test sizes beside ``SOURCE``.
 PORTS = ("bt", "lu", "canneal")
@@ -48,11 +44,7 @@ BUDGET = "steps=5000000,heap=1048576,depth=256,events-per-roi=20"
 
 def _resilient_kwargs():
     spec = parse_budget_spec(BUDGET)
-    return {
-        "budgets": spec.vm,
-        "resilience": spec.runtime,
-        "batch_size": 8,
-    }
+    return {"budgets": spec.vm, "resilience": spec.runtime}
 
 
 def _cold_warm_live(tmp_path, case, source=SOURCE, **extra):
@@ -68,7 +60,7 @@ def _cold_warm_live(tmp_path, case, source=SOURCE, **extra):
 
 
 @pytest.mark.parametrize("program", ("work",) + PORTS)
-@pytest.mark.parametrize("case", FOLD_CASES)
+@pytest.mark.parametrize("case", FOLDS)
 def test_cached_profile_matches_recomputed(tmp_path, case, program):
     source = SOURCE if program == "work" \
         else workload(program).test_source("openmp")
@@ -78,7 +70,7 @@ def test_cached_profile_matches_recomputed(tmp_path, case, program):
     assert cold.payload == warm.payload == live.payload == reference.payload
 
 
-@pytest.mark.parametrize("case", FOLD_CASES)
+@pytest.mark.parametrize("case", FOLDS)
 def test_cached_profile_matches_under_budgets(tmp_path, case):
     cold, warm, live, reference = _cold_warm_live(
         tmp_path, case, **_resilient_kwargs()
@@ -92,11 +84,17 @@ def test_cached_profile_matches_under_budgets(tmp_path, case):
 
 
 def test_run_config_shares_compile_but_not_profile(tmp_path):
+    """A run-config change the program never reaches (a lower instruction
+    cap) misses the profile, yet profiles byte-identically, so the
+    recommendation doc keyed on the payload still hits."""
     session = Session(cache_dir=str(tmp_path / "store"))
-    session.profile(SOURCE, "carmot")
-    rebatched = session.profile(SOURCE, "carmot", batch_size=8)
-    assert rebatched.stages == {"frontend": "hit", "pipeline": "hit",
+    first = session.profile(SOURCE, "carmot")
+    assert session.recommend_doc(first)[1] == "miss"
+    capped = session.profile(SOURCE, "carmot", max_instructions=10_000_000)
+    assert capped.stages == {"frontend": "hit", "pipeline": "hit",
                              "codegen": "hit", "profile": "miss"}
+    assert capped.payload == first.payload
+    assert session.recommend_doc(capped)[1] == "hit"
 
 
 # -- the CLI as a cache client ----------------------------------------------
@@ -125,7 +123,6 @@ class TestCliCaching:
     def test_recommend_identical_under_budgets(
             self, source_file, tmp_path, capsys):
         argv = ["recommend", source_file, "--budget", BUDGET,
-                "--batch-size", "8",
                 "--cache-dir", str(tmp_path / "store")]
         assert _cli(capsys, argv) == _cli(capsys, argv)
 

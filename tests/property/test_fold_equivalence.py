@@ -1,13 +1,13 @@
-"""Differential testing: the flat-table fold kernel against the decoder
-oracle.
+"""Differential testing: the flat-table fold kernel against the
+recording oracle.
 
-The tests-side decoder (:mod:`tests.helpers.decoder`) replays every packed
-row, one event at a time, through the per-PSE object API.  For the three
-golden example programs, for seeded random loop-shaped event streams,
-and under fault plans and
-event budgets, the kernel must produce byte-identical PSEC output and
-identical degradation reports.  The ``object`` side of each comparison is
-the decoder oracle, the ``packed`` side the production kernel.
+The tests-side oracle (:mod:`tests.helpers.decoder`) records every
+hook-level event and replays it, one event at a time, through the
+per-PSE object API.  For the three golden example programs, for seeded
+random loop-shaped access streams, and under event budgets, the kernel
+must produce byte-identical PSEC output and identical degradation
+reports.  The ``object`` side of each comparison is the oracle, the
+``kernel`` side the production fold.
 """
 
 import json
@@ -16,15 +16,19 @@ from pathlib import Path
 import pytest
 
 from repro.abstractions import describe_pse
-from repro.compiler import compile_carmot
+from repro.compiler import compile_carmot, compile_naive
 from repro.resilience import ResiliencePolicy
+from repro.runtime.psec import MemoryBudgetExceeded
+from repro.vm import run_module
 from tests.helpers.decoder import FOLDS, fold
 from tests.helpers.streams import (
     STREAM_SHAPES,
     make_stream,
+    probe,
     psec_digest,
-    replay_packed,
+    replay_stream,
     resolve_ops,
+    stream_hooks,
     stream_runtime,
 )
 
@@ -74,36 +78,38 @@ def _entry_state(runtime):
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
-def test_golden_examples_identical_across_encodings(name):
+def test_golden_examples_identical_across_folds(name):
     source = _example_source(name)
     outputs = []
     for fold_name in FOLDS:
         program = compile_carmot(source, name=f"examples/{name}.mc")
         with fold(fold_name):
             result, runtime = program.run()
-        outputs.append((result.output, _psec_json(program, runtime)))
+        outputs.append((result.output, result.cost,
+                        runtime.degradation.to_json(),
+                        _psec_json(program, runtime)))
     assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("shape", sorted(STREAM_SHAPES))
 @pytest.mark.parametrize("seed", [0, 7, 1234])
-def test_random_streams_identical_across_encodings(shape, seed):
+def test_random_streams_identical_across_folds(shape, seed):
     """Seeded loop-shaped streams (the scalar_loop shape repeats
     variable PSEs; array_walk reaches a new heap key on most accesses)."""
     ops, vars_by_obj, locs, callstacks = make_stream(seed, 4000, shape)
     states = []
     for fold_name in FOLDS:
         with fold(fold_name):
-            runtime = stream_runtime(batch_size=128)
+            runtime = stream_runtime()
             resolved = resolve_ops(ops, vars_by_obj, locs, callstacks,
                                    runtime)
-            replay_packed(runtime, resolved, 250)
+            replay_stream(runtime, resolved, len(vars_by_obj), 250)
         states.append((psec_digest(runtime), _entry_state(runtime)))
     assert states[0] == states[1]
 
 
 @pytest.mark.parametrize("seed", [0, 7, 1234])
-def test_epoch_streams_identical_across_encodings(seed):
+def test_epoch_streams_identical_across_folds(seed):
     """A re-entered ROI loop (``roi_reset`` starts a new epoch) commits
     each epoch's letters before the FSA restarts.  Read-only epochs
     alternate with read/write ones so that a lost commit changes the
@@ -113,12 +119,12 @@ def test_epoch_streams_identical_across_encodings(seed):
     states = []
     for fold_name in FOLDS:
         with fold(fold_name):
-            runtime = stream_runtime(batch_size=128)
+            runtime = stream_runtime()
             roi_id = next(iter(runtime.psecs))
             resolved = resolve_ops(ops, vars_by_obj, locs, callstacks,
                                    runtime)
-            for index, (is_write, obj_id, offset, count, stride, var, loc,
-                        site_id, cs) in enumerate(resolved):
+            hooks, bases = stream_hooks(runtime, len(vars_by_obj))
+            for index, op in enumerate(resolved):
                 if index % 100 == 0:
                     if index:
                         runtime.roi_end(roi_id)
@@ -126,10 +132,8 @@ def test_epoch_streams_identical_across_encodings(seed):
                         runtime.roi_reset(roi_id)
                     runtime.roi_begin(roi_id)
                 read_only_epoch = (index // 500) % 2 == 0
-                runtime.packed_access(
-                    0 if read_only_epoch else is_write, obj_id, offset, 8,
-                    count, stride, var, loc, site_id, cs, index,
-                )
+                probe(hooks, bases, op, index,
+                      is_write=0 if read_only_epoch else op[0])
             runtime.roi_end(roi_id)
             runtime.finish()
         states.append((psec_digest(runtime), _entry_state(runtime)))
@@ -144,27 +148,64 @@ def _run_example(name, fold_name, **kwargs):
     return program, runtime
 
 
-@pytest.mark.parametrize("name", EXAMPLES)
-def test_small_batches_identical_across_encodings(name):
-    """Sixteen-event batches cut every example's stream into many
-    blocks; the oracle and the kernel fold them to the same bytes."""
-    def run(fold_name):
-        program, runtime = _run_example(name, fold_name, batch_size=16)
-        return runtime.degradation.to_json(), _psec_json(program, runtime)
-
-    report_object, psec_object = run("object")
-    report_packed, psec_packed = run("packed")
-    assert report_object == report_packed
-    assert psec_object == psec_packed
-
-
 @pytest.mark.parametrize("name", ["roi_loop", "anneal_stats"])
-def test_event_budget_identical_across_encodings(name):
+def test_event_budget_identical_across_folds(name):
     def run(fold_name):
         program, runtime = _run_example(
-            name, fold_name, batch_size=16,
+            name, fold_name,
             resilience=ResiliencePolicy(max_events_per_roi=20),
         )
         return runtime.degradation.to_json(), _psec_json(program, runtime)
 
-    assert run("object") == run("packed")
+    assert run("object") == run("kernel")
+
+
+#: memcpy/qsort traffic inside the ROI reaches the PSEC only through Pin
+#: accesses (§4.5).
+PIN_HEAVY = """
+int main() {
+  int a[8];
+  int b[8];
+  for (int i = 0; i < 8; ++i) a[i] = 8 - i;
+  for (int rep = 0; rep < 4; ++rep) {
+    #pragma carmot roi abstraction(parallel_for)
+    {
+      memcpy((char*) b, (char*) a, 64);
+      qsort_int(b, 8);
+    }
+  }
+  print_int(b[0]);
+  return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("compile_program", [compile_carmot, compile_naive],
+                         ids=["carmot", "naive"])
+def test_pin_accesses_identical_across_folds(compile_program):
+    outputs = []
+    for fold_name in FOLDS:
+        program = compile_program(PIN_HEAVY, name="pin_heavy")
+        with fold(fold_name):
+            result, runtime = program.run()
+        assert runtime.stats.pin_accesses > 0
+        outputs.append((result.output, result.cost,
+                        _entry_state(runtime),
+                        _psec_json(program, runtime)))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("name", ["roi_loop", "stencil_calls"])
+def test_use_record_budget_raises_alike_across_folds(name):
+    """Both folds raise the use-record budget at the same event (the
+    examples whose abstraction tracks use-callstacks)."""
+    def run(fold_name):
+        program = compile_carmot(_example_source(name),
+                                 name=f"examples/{name}.mc")
+        with fold(fold_name):
+            runtime, hooks = program.make_runtime(max_use_records=3)
+            with pytest.raises(MemoryBudgetExceeded) as info:
+                run_module(program.module, hooks=hooks)
+        return str(info.value), _entry_state(runtime)
+
+    assert run("object") == run("kernel")

@@ -6,8 +6,7 @@ fully-dynamic build — the static verdicts are only admissible because
 they are indistinguishable from profiling.  This suite holds the hybrid
 build to that promise across the golden examples, seeded random ROI
 programs, both execution engines (the tests-side tree-walk oracle and
-the bytecode VM), the tests-side decoder oracle, and
-fault plans whose retries force exact replay.
+the bytecode VM) and the tests-side recording fold oracle.
 """
 
 import tempfile
@@ -103,28 +102,18 @@ def test_random_roi_programs_across_engines(seed):
     assert states["treewalk"] == states["bytecode"]
 
 
-# -- small batches ------------------------------------------------------------
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_small_batch_runs_sets_identical(mode):
-    """Stripping probes changes where sixteen-event batches are cut, but
-    not the Sets: hybrid and fully-dynamic stay byte-identical."""
-    source = _example_source("roi_loop")
-    _, off_res, off_rt = _profile(source, "roi_loop", batch_size=16)
-    _, hyb_res, hyb_rt = _profile(source, "roi_loop", mode, batch_size=16)
-    assert _state(off_res, off_rt) == _state(hyb_res, hyb_rt)
+# -- the recording oracle -----------------------------------------------------
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
 @pytest.mark.parametrize("mode", MODES)
 def test_hybrid_matches_decoder_oracle(name, mode):
-    """The fully-dynamic build folded by the decoder oracle and the
-    hybrid build folded by the kernel agree, batch by batch."""
+    """The fully-dynamic build folded by the recording oracle and the
+    hybrid build folded by the kernel agree."""
     source = _example_source(name)
     with decoder_fold():
-        _, off_res, off_rt = _profile(source, name, batch_size=16)
-    _, hyb_res, hyb_rt = _profile(source, name, mode, batch_size=16)
+        _, off_res, off_rt = _profile(source, name)
+    _, hyb_res, hyb_rt = _profile(source, name, mode)
     assert _state(off_res, off_rt) == _state(hyb_res, hyb_rt)
 
 

@@ -159,22 +159,22 @@ def test_tier2_reentry_instrumented_profiles(seed, prescreen):
     assert run("bytecode") == oracle  # warm: fully quickened stream
 
 
-# -- resilience: faults and budgets -------------------------------------------
+# -- oracles against production ------------------------------------------------
 #
-# Oracle against production: the tree-walk run folds through the decoder
-# oracle, the bytecode run through the flat-table kernel.
+# The tree-walk run folds through the recording oracle, the bytecode run
+# through the flat-table kernel.
 
 
 def _oracle_fold(vm):
-    return fold("object" if vm == "treewalk" else "packed")
+    return fold("object" if vm == "treewalk" else "kernel")
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
-def test_small_batches_identical_across_engines(name):
+def test_oracles_identical_to_production(name):
     def run(vm):
         program = compile_carmot(_example_source(name), name=name)
         with _oracle_fold(vm):
-            result, runtime = _run(program, vm, batch_size=16)
+            result, runtime = _run(program, vm)
         return (runtime.degradation.to_json(),
                 serialize_profile(runtime, result), _run_state(result))
 
@@ -187,7 +187,7 @@ def test_event_budget_identical_across_engines(name):
         program = compile_carmot(_example_source(name), name=name)
         with _oracle_fold(vm):
             result, runtime = _run(
-                program, vm, batch_size=16,
+                program, vm,
                 resilience=ResiliencePolicy(max_events_per_roi=20),
             )
         return (runtime.degradation.to_json(),

@@ -152,6 +152,8 @@ class TestErrors:
         (["--vm", "ir"], "unrecognized arguments"),
         (["--vm", "bytecode"], "unrecognized arguments"),
         (["--fault-plan", "seed=7;crash@1"], "unrecognized arguments"),
+        (["--batch-size", "16"], "unrecognized arguments"),
+        (["--batch-size", "1024"], "unrecognized arguments"),
     ])
     def test_removed_runtime_flags_are_usage_errors(self, source_file,
                                                     capsys, flags, message):
@@ -172,8 +174,7 @@ class TestErrors:
     def test_bad_budget_is_an_error(self, source_file, capsys, flags):
         """Removed budget keys print one ``error:`` line and exit 1 — no
         traceback."""
-        assert main(["psec", source_file, "--no-cache",
-                     "--batch-size", "16"] + flags) == 1
+        assert main(["psec", source_file, "--no-cache"] + flags) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "unknown budget key" in err

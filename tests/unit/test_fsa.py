@@ -5,9 +5,10 @@ from hypothesis import given, strategies as st
 
 from repro.errors import RuntimeToolError
 from repro.runtime.fsa import (
-    FORCED_JOIN, STATES, Event, State, TRANSITIONS, classify, force_states,
-    step,
+    FORCED_JOIN, FORCED_LETTERS, STATES, Event, State, TRANSITIONS, classify,
+    force_states, step,
 )
+from repro.runtime.psec import PsecEntry
 
 
 class TestBasicTransitions:
@@ -173,3 +174,18 @@ def test_forced_join_table_matches_force_states(code):
     for forced in CIOT_SUBSETS:
         assert FORCED_JOIN[code][forced] == "".join(
             sorted(force_states(STATES[code], forced).sets))
+
+
+@pytest.mark.parametrize("code", range(len(STATES)))
+def test_forced_letters_table_matches_force_states(code):
+    assert sorted(FORCED_LETTERS[code]) == sorted(CIOT_SUBSETS)
+    for forced in CIOT_SUBSETS:
+        assert FORCED_LETTERS[code][forced] == \
+            force_states(STATES[code], forced).sets
+
+
+def test_entry_letters_fall_back_outside_the_table():
+    # An unsorted spelling misses FORCED_LETTERS; the letters are still
+    # force_states' answer.
+    entry = PsecEntry(("var", 1), state=State.CO, forced="OI")
+    assert entry.letters == force_states(State.CO, "IO").sets

@@ -40,9 +40,9 @@ int main() {
 """
 
 
-def run_roi_loop(batch_size=16, **kwargs):
+def run_roi_loop(**kwargs):
     program = compile_carmot(ROI_LOOP, name="roi_loop")
-    result, runtime = program.run(batch_size=batch_size, **kwargs)
+    result, runtime = program.run(**kwargs)
     return result, runtime
 
 

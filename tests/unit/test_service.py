@@ -77,15 +77,15 @@ REMOVED_OPTIONS = [
     ({"fault_plan": "exit@1"}, "unknown run option(s): fault_plan"),
     ({"fault_plan": 5}, "unknown run option(s): fault_plan"),
     ({"fault_plan": None}, "unknown run option(s): fault_plan"),
+    ({"batch_size": 16}, "unknown run option(s): batch_size"),
+    ({"batch_size": 1}, "unknown run option(s): batch_size"),
+    ({"batch_size": None}, "unknown run option(s): batch_size"),
 ]
 
 #: Run options off the wire whose values do not match the option's type
 #: (or, for ``budget``, its syntax): each is a request error, never an
 #: ``internal`` one, and never silently accepted.
 MALFORMED_OPTIONS = [
-    ({"batch_size": "abc"}, "'batch_size' must be an integer or null"),
-    ({"batch_size": True}, "'batch_size' must be an integer or null"),
-    ({"batch_size": 1.5}, "'batch_size' must be an integer or null"),
     ({"budget": 5}, "'budget' must be a string or null"),
     ({"passes": 3}, "'passes' must be a string or null"),
     ({"abstraction": 5}, "'abstraction' must be a string or null"),

@@ -207,7 +207,7 @@ class TestKeys:
             doc(args=(3,)),
             doc(max_instructions=999),
             doc(budgets=ExecutionBudgets(5000, 1024, 16)),
-            doc(config_kwargs={"batch_size": 7}),
+            doc(config_kwargs={"max_use_records": 7}),
             doc(config_kwargs={
                 "resilience": ResiliencePolicy(max_events_per_roi=20)}),
         ):
@@ -242,10 +242,20 @@ class TestKeys:
         )
         assert doc["vm"] == "bytecode"
 
-    def test_default_psec_profile_key_is_pinned(self, tmp_path, monkeypatch):
-        """The profile key a default ``psec`` of ``examples/roi_loop.mc``
-        looks up, pinned to its value from before the engine option was
-        removed (Python pinned to 3.11 in the fingerprint so the literal
+    @pytest.mark.parametrize("example, key", [
+        ("roi_loop",
+         "d9aed703379490759bfbd0738a5fe4e8754310c352979f1de95dddf09754b6f1"),
+        ("stencil_calls",
+         "0d28fc32e854ae79740462f4af6607665e2adf4782995bc7cce86495bd749abc"),
+        ("anneal_stats",
+         "418a3ae7c91763d72b0940f891598aa2aff5c41364235c391a085f249c423f3a"),
+    ])
+    def test_default_psec_profile_key_is_pinned(self, tmp_path, monkeypatch,
+                                                example, key):
+        """The profile key a default ``psec`` of an example looks up,
+        pinned to its value from before the engine option and the batch
+        size were removed: neither entered the key document of a default
+        run (Python pinned to 3.11 in the fingerprint so the literal
         holds on every interpreter version)."""
         from pathlib import Path
 
@@ -260,14 +270,12 @@ class TestKeys:
             keys, "profile_key",
             lambda *args: looked_up.append(real_profile_key(*args))
             or looked_up[-1])
-        name = "examples/roi_loop.mc"
+        name = f"examples/{example}.mc"
         source = (Path(__file__).resolve().parents[2] / name).read_text()
         doc = ServiceCore(cache_dir=str(tmp_path / "cache")).execute(
             PsecRequest(source=source, name=name))
         assert doc["ok"], doc["error"]
-        assert looked_up == [
-            "d9aed703379490759bfbd0738a5fe4e8754310c352979f1de95dddf09754b6f1"
-        ]
+        assert looked_up == [key]
 
     @pytest.mark.parametrize("budget, key", [
         ("events-per-roi=20000",
@@ -340,7 +348,7 @@ class TestSession:
     def test_run_config_change_invalidates_only_profile(self, tmp_path):
         session = Session(cache_dir=str(tmp_path))
         session.profile(SOURCE, "carmot")
-        changed = session.profile(SOURCE, "carmot", batch_size=3)
+        changed = session.profile(SOURCE, "carmot", max_use_records=10**6)
         assert changed.stages == {"frontend": "hit", "pipeline": "hit",
                                   "codegen": "hit", "profile": "miss"}
 

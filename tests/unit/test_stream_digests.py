@@ -1,8 +1,8 @@
 """Pinned Sets for the seeded event streams.
 
-Each stream shape at seed 1234 is replayed through the packed sink and
-the in-process fold (20,000 events, batches of 1,024, ROI invocations
-of 500 events).  The Sets digest must equal the recorded value: a fold
+Each stream shape at seed 1234 is replayed through the hook adapter's
+access probe, which folds each access as it arrives (20,000 events, ROI
+invocations of 500 events).  The Sets digest must equal the recorded value: a fold
 change that moves any PSE between Sets shows up here even when the
 kernel and the decoder oracle move together.
 """
@@ -13,7 +13,7 @@ from tests.helpers.streams import (
     STREAM_SHAPES,
     make_stream,
     psec_digest,
-    replay_packed,
+    replay_stream,
     resolve_ops,
     stream_runtime,
 )
@@ -31,8 +31,8 @@ PINNED = {
 @pytest.mark.parametrize("shape", sorted(STREAM_SHAPES))
 def test_stream_digest_pinned(shape):
     ops, vars_by_obj, locs, callstacks = make_stream(1234, 20_000, shape)
-    runtime = stream_runtime(batch_size=1024)
-    replay_packed(runtime,
+    runtime = stream_runtime()
+    replay_stream(runtime,
                   resolve_ops(ops, vars_by_obj, locs, callstacks, runtime),
-                  invocation_len=500)
+                  len(vars_by_obj), invocation_len=500)
     assert psec_digest(runtime) == PINNED[shape]
