@@ -59,10 +59,6 @@ class SourceLoc:
             cls._interned[key] = loc
         return loc
 
-    @classmethod
-    def interned_count(cls) -> int:
-        return len(cls._interned)
-
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}"
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import RuntimeToolError
-from repro.ir.instructions import AccessKind, SourceLoc
+from repro.ir.instructions import AccessKind
 from repro.ir.module import Module
 from repro.resilience.degradation import (
     ACTION_CLASSIFY_ONLY,
@@ -55,10 +55,6 @@ class RuntimeStats:
     pin_attaches: int = 0
     callstack_captures: int = 0
     events_ignored_outside_roi: int = 0
-    #: Intern-table sizes, filled in by :meth:`CarmotRuntime.finish`.
-    pse_keys_interned: int = 0
-    callsites_interned: int = 0
-    source_locs_interned: int = 0
 
 
 class CarmotRuntime:
@@ -188,12 +184,7 @@ class CarmotRuntime:
                     )
 
     def finish(self) -> None:
-        try:
-            self._resolve_static_facts()
-        finally:
-            self.stats.pse_keys_interned = len(self._pse_keys)
-            self.stats.source_locs_interned = SourceLoc.interned_count()
-            self.stats.callsites_interned = len(self._site_values)
+        self._resolve_static_facts()
         for roi_id in self.degradation.degraded_rois():
             psec = self.psecs.get(roi_id)
             if psec is None:
@@ -438,13 +429,10 @@ class CarmotHooks(ExecutionHooks):
                 site_id = site_for(var, loc)
             else:
                 # ``Memory.try_object_at``'s check, against this site's
-                # last object; a hit leaves it as ``Memory``'s last-hit
-                # object for the load or store that follows the probe.
+                # last object.
                 obj = site_last[site_id]
                 base = obj.base
-                if base <= addr < base + obj.size and not obj.freed:
-                    vm.memory._last = obj
-                else:
+                if not (base <= addr < base + obj.size and not obj.freed):
                     obj = object_for(addr)
                     if obj is None:
                         return aggregate if count > 1 else push

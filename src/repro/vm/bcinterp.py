@@ -1,9 +1,10 @@
 """The MiniC virtual machine: a register-bytecode dispatch loop.
 
 Executes a lowered :class:`~repro.vm.bytecode.BytecodeModule` with a flat
-while-loop over a per-function *execution stream*: integer opcodes,
-operand slots into a per-frame register list, and pre-resolved
-branch/call targets.  A deterministic cost model charges every executed
+while-loop over a per-function *execution stream*: one tuple per
+instruction (opcode, operand slots into a per-frame register list,
+pre-resolved branch/call targets), indexed by the instruction's pc in
+the canonical code.  A deterministic cost model charges every executed
 IR instruction, and pluggable :class:`~repro.vm.hooks.ExecutionHooks`
 let the CARMOT runtime observe ROI markers, instrumentation probes,
 allocations and Pin-traced builtin accesses.  The VM itself is
@@ -16,28 +17,44 @@ properties of the program, not of the bytecode layout.
 
 Tier-2 structure (see DESIGN.md §12):
 
+- **One tuple per instruction.**  ``fn.xcode`` (built at link time by
+  :func:`~repro.vm.bytecode.execution_stream`) holds, at each
+  instruction's canonical pc, the tuple of its words, and ``None``
+  between.  Each dispatch fetches that tuple once (``ins = code[pc]``)
+  and its handler unpacks the operands by name; phi trampolines and
+  call argument lists are read from the target's or the call's tuple.
+  Because pcs stay canonical, branch targets, return pcs, ``fn.lines``,
+  the trace slot and ``{fn.name}+{pc}`` messages are the canonical
+  stream's.
 - **Superinstructions** arrive pre-fused from codegen (cmp+branch,
   load+binop, binop+store, probe+access).  A fused opcode executes both
   halves with the *same* instruction counting and budget check between
   them as the unfused pair, so trip points and trap-time state never
   move.
 - **Quickening.**  The first time a function is entered, ``_quicken``
-  walks its canonical stream and rewrites eligible sites of the
-  execution stream (``fn.xcode``, a plain-list mirror built at link
-  time) in place: const-operand binops and fused compare-branches
-  become immediate forms, single-predecessor phi trampolines become
-  ``OP_PHI_Q1``, and indirect calls through constant function pointers
-  pre-resolve their target.  The canonical ``array('q')`` stream
-  (``fn.code``) is never touched, so serialization, digests, and
-  disassembly cannot observe quickened code;
-  :func:`~repro.vm.bytecode.dequicken_module` restores the execution
-  streams from it.
+  replaces the tuples of eligible sites of its execution stream:
+  const-operand binops and fused compare-branches become immediate
+  forms, single-predecessor phi trampolines become ``OP_PHI_Q1``, and
+  indirect calls through constant function pointers pre-resolve their
+  target.  The canonical ``array('q')`` stream (``fn.code``) is never
+  touched, so serialization, digests, and disassembly cannot observe
+  quickened code; :func:`~repro.vm.bytecode.dequicken_module` rebuilds
+  the tuples from it.
+- **Loads and stores resolve inline.**  The six opcodes that touch
+  memory (``load``, ``store``, ``load.bin``, ``bin.store``,
+  ``probe.load``, ``probe.store``) first test the object their pc
+  resolved last: the access must lie inside it and it must not be
+  freed.  Any other access goes through ``Memory._resolve``, which
+  raises every fault.  The cache is per interpreter, never on the shared
+  stream: every run places its globals at the same addresses, so an
+  earlier run's object would pass the bounds test and serve stale bytes.
 - **Flattened dispatch.**  The hot opcodes run in a shallow inline
   chain; everything else dispatches through a dense handler table (a
-  list indexed by opcode) of per-opcode closures with pre-bound locals.
-  The interpreter state is spilled before a table handler runs and the
-  ``cost`` local is reloaded after, so the hook-spill contract holds at
-  exactly the opcodes that can reach hooks.
+  list indexed by opcode) of per-opcode closures with pre-bound locals,
+  called with the pc and the instruction's tuple.  The interpreter
+  state is spilled before a table handler runs and the ``cost`` local is
+  reloaded after, so the hook-spill contract holds at exactly the
+  opcodes that can reach hooks.
 - **One trace slot.**  A per-dispatch callback, off (``None``) by
   default and tested once per dispatch, serves both the ``--trace``
   printer and the per-source-line cost attribution of the Figure 6
@@ -62,6 +79,7 @@ and the builtin-call opcodes.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, List, Optional, Tuple
 
 from repro.builtins_spec import BUILTINS
@@ -144,12 +162,18 @@ from repro.vm.bytecode import (
     TY_CHAR,
     TY_FLOAT,
     dequicken_module,
-    instr_width,
+    execution_stream,
 )
 from repro.vm.codegen import lower_module
 from repro.vm.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.vm.hooks import ExecutionHooks
-from repro.vm.memory import FUNC_PTR_BASE, Memory, MemoryObject, to_int
+from repro.vm.memory import (
+    FUNC_PTR_BASE,
+    SCALAR_CODECS,
+    Memory,
+    MemoryObject,
+    to_int,
+)
 from repro.vm.result import RunResult
 
 #: Sub-operation evaluators for the fused load+binop / binop+store
@@ -382,24 +406,35 @@ class BytecodeInterpreter:
         self._linked_functions = [bc.functions[name]
                                   for name in bc.function_order]
         # The execution streams (shared by every interpreter over this
-        # module) mirror the canonical code; quickening rewrites them in
-        # place and dequicken_module restores them.
+        # module) hold each instruction's tuple at its canonical pc;
+        # quickening replaces tuples in place and dequicken_module
+        # restores them.
         for fn in self._linked_functions:
             if fn.xcode is None:
-                fn.xcode = list(fn.code)
+                fn.xcode = execution_stream(fn)
+        # The access cache: per function, the object each load or store
+        # pc resolved last, starting at an empty object that matches
+        # nothing.  Addresses are only unique within one memory (every
+        # run places its globals at the same bases), so the cache belongs
+        # to this interpreter and never to the shared streams.
+        nothing = MemoryObject(0, 0, 0, "global", bytearray())
+        self._access_objs = {fn: [nothing] * len(fn.code)
+                             for fn in self._linked_functions}
 
     # -- quickening --------------------------------------------------------
 
     def _quicken(self, fn: BytecodeFunction) -> None:
         """Rewrite the function's execution stream in place.
 
-        Walks the *canonical* stream (so re-quickening after a dequicken
-        sees original operands), patching ``fn.xcode`` where a site is
-        eligible.  Every quickened layout is word-for-word compatible
-        with its canonical form, so patches never move code.  Records
-        the patched sites on ``fn.quickened`` for dequickening and the
-        ``--quicken-report`` disassembly.  A line-traced run never
-        quickens.
+        Walks ``fn.xcode``, which is canonical whenever ``fn.xquick`` is
+        false (quickening sets the flag, :func:`dequicken_module` restores
+        the canonical tuples and clears it), and replaces the tuple of
+        each eligible site with its quickened tuple.  Jump targets are
+        tested against ``fn.code`` because an earlier site may already
+        have been rewritten.  Every quickened tuple has its canonical
+        width, so pcs never move.  Records the patched sites on
+        ``fn.quickened`` for dequickening and the ``--quicken-report``
+        disassembly.  A line-traced run never quickens.
         """
         if self._line_tracer is not None:
             return
@@ -410,14 +445,15 @@ class BytecodeInterpreter:
         addr_targets = self._addr_targets
         quick_targets = self.bytecode._quick_targets
         sites = {}
-        pc = 0
-        n = len(code)
-        while pc < n:
-            op = code[pc]
+        for pc, ins in enumerate(xcode):
+            if ins is None:
+                continue
+            op = ins[0]
+            quick = None
             qop = QUICKENED_BINOPS.get(op)
             if qop is not None:
-                lhs = code[pc + 2]
-                rhs = code[pc + 3]
+                lhs = ins[2]
+                rhs = ins[3]
                 rhs_const = (rhs < arg_base
                              and type(proto[rhs]) in (int, float))
                 lhs_const = (lhs < arg_base
@@ -427,57 +463,44 @@ class BytecodeInterpreter:
                     # compile-time-nonzero int divisor is eligible.
                     if (rhs_const and type(proto[rhs]) is int
                             and proto[rhs] != 0):
-                        xcode[pc] = qop
-                        xcode[pc + 3] = proto[rhs]
-                        sites[pc] = qop
+                        quick = (qop, ins[1], lhs, proto[rhs]) + ins[4:]
                 elif rhs_const:
-                    xcode[pc] = qop
-                    xcode[pc + 3] = proto[rhs]
-                    sites[pc] = qop
+                    quick = (qop, ins[1], lhs, proto[rhs])
                 elif lhs_const:
                     if op == OP_SUB:
-                        xcode[pc] = OP_RSUB_QI
-                        xcode[pc + 2] = proto[lhs]
-                        sites[pc] = OP_RSUB_QI
+                        quick = (OP_RSUB_QI, ins[1], proto[lhs], rhs)
                     elif op == OP_ADD or op == OP_MUL:
                         # Commutative: swap the constant into the
                         # immediate slot.
-                        xcode[pc] = qop
-                        xcode[pc + 2] = rhs
-                        xcode[pc + 3] = proto[lhs]
-                        sites[pc] = qop
+                        quick = (qop, ins[1], rhs, proto[lhs])
             elif OP_LT_BR <= op <= OP_NE_BR:
-                rhs = code[pc + 3]
+                rhs = ins[3]
                 if rhs < arg_base and type(proto[rhs]) in (int, float):
-                    qop = op + QUICKEN_CMP_BR_OFFSET
-                    xcode[pc] = qop
-                    xcode[pc + 3] = proto[rhs]
-                    sites[pc] = qop
+                    quick = ((op + QUICKEN_CMP_BR_OFFSET,) + ins[1:3]
+                             + (proto[rhs],) + ins[4:])
             elif op == OP_PHI:
-                if code[pc + 1] == 1:
-                    xcode[pc] = OP_PHI_Q1
-                    sites[pc] = OP_PHI_Q1
+                if ins[1] == 1:
+                    quick = (OP_PHI_Q1,) + ins[1:]
             elif op == OP_JUMP:
                 # A jump straight onto a phi trampoline absorbs the
                 # trampoline into the jump's dispatch (targets are always
                 # intra-function).  The trampoline itself stays — fused
                 # cmp+branch edges may still enter it directly.
-                if code[code[pc + 1]] == OP_PHI:
-                    xcode[pc] = OP_JUMP_PHI
-                    sites[pc] = OP_JUMP_PHI
+                if code[ins[1]] == OP_PHI:
+                    quick = (OP_JUMP_PHI, ins[1])
             elif op == OP_CALL_IND:
-                slot = code[pc + 1]
+                slot = ins[1]
                 if slot < arg_base and type(proto[slot]) is int:
                     target = addr_targets.get(proto[slot])
                     if target is not None:
                         is_builtin, payload = target
                         qop = (OP_CALL_IND_QB if is_builtin
                                else OP_CALL_IND_QF)
-                        xcode[pc] = qop
-                        xcode[pc + 1] = len(quick_targets)
+                        quick = (qop, len(quick_targets)) + ins[2:]
                         quick_targets.append(payload)
-                        sites[pc] = qop
-            pc += instr_width(code, pc)
+            if quick is not None:
+                xcode[pc] = quick
+                sites[pc] = quick[0]
         fn.quickened = sites if sites else None
         fn.xquick = True
 
@@ -567,13 +590,13 @@ class BytecodeInterpreter:
         """Dense opcode -> handler list for the cold opcodes.
 
         Handlers are closures over the *immutable* per-run bindings
-        (tables, cost constants, hooks, memory) and receive the mutable
-        frame state as arguments; they return the next pc.  Contract
-        with the dispatch loop: the loop spills ``instructions``/``cost``
-        before the call and reloads ``cost`` after, handlers charge via
-        ``vm.cost`` (reading it *before* a hook runs, exactly like the
-        inline spill-then-charge pattern), and no handler changes the
-        instruction count.
+        (tables, cost constants, hooks, memory) and receive the pc, the
+        instruction's tuple and the mutable frame state as arguments;
+        they return the next pc.  Contract with the dispatch loop: the
+        loop spills ``instructions``/``cost`` before the call and reloads
+        ``cost`` after, handlers charge via ``vm.cost`` (reading it
+        *before* a hook runs, exactly like the inline spill-then-charge
+        pattern), and no handler changes the instruction count.
         """
         vm = self
         memory = self.memory
@@ -588,100 +611,96 @@ class BytecodeInterpreter:
         call_cost = cm.call
         roi_cost = cm.roi_marker
 
-        def op_and(pc, code, regs, stack_objects, cs):
-            regs[code[pc + 1]] = (
-                int(regs[code[pc + 2]]) & int(regs[code[pc + 3]]))
+        def op_and(pc, ins, regs, stack_objects, cs):
+            _, dst, lhs, rhs = ins
+            regs[dst] = int(regs[lhs]) & int(regs[rhs])
             vm.cost += arith
             return pc + 4
 
-        def op_or(pc, code, regs, stack_objects, cs):
-            regs[code[pc + 1]] = (
-                int(regs[code[pc + 2]]) | int(regs[code[pc + 3]]))
+        def op_or(pc, ins, regs, stack_objects, cs):
+            _, dst, lhs, rhs = ins
+            regs[dst] = int(regs[lhs]) | int(regs[rhs])
             vm.cost += arith
             return pc + 4
 
-        def op_xor(pc, code, regs, stack_objects, cs):
-            regs[code[pc + 1]] = (
-                int(regs[code[pc + 2]]) ^ int(regs[code[pc + 3]]))
+        def op_xor(pc, ins, regs, stack_objects, cs):
+            _, dst, lhs, rhs = ins
+            regs[dst] = int(regs[lhs]) ^ int(regs[rhs])
             vm.cost += arith
             return pc + 4
 
-        def op_shl(pc, code, regs, stack_objects, cs):
-            regs[code[pc + 1]] = (
-                int(regs[code[pc + 2]]) << (int(regs[code[pc + 3]]) & 63))
+        def op_shl(pc, ins, regs, stack_objects, cs):
+            _, dst, lhs, rhs = ins
+            regs[dst] = int(regs[lhs]) << (int(regs[rhs]) & 63)
             vm.cost += arith
             return pc + 4
 
-        def op_shr(pc, code, regs, stack_objects, cs):
-            regs[code[pc + 1]] = (
-                int(regs[code[pc + 2]]) >> (int(regs[code[pc + 3]]) & 63))
+        def op_shr(pc, ins, regs, stack_objects, cs):
+            _, dst, lhs, rhs = ins
+            regs[dst] = int(regs[lhs]) >> (int(regs[rhs]) & 63)
             vm.cost += arith
             return pc + 4
 
-        def op_alloca(pc, code, regs, stack_objects, cs):
+        def op_alloca(pc, ins, regs, stack_objects, cs):
+            _, dst, size, var_index, loc_index = ins
             memory.clock = vm.instructions
-            var_index = code[pc + 3]
             var = var_table[var_index] if var_index >= 0 else None
-            loc_index = code[pc + 4]
             obj = memory.allocate(
-                code[pc + 2], "stack", var=var,
+                size, "stack", var=var,
                 loc=loc_table[loc_index] if loc_index >= 0 else None,
                 callstack=cs,
             )
             stack_objects.append(obj)
-            regs[code[pc + 1]] = obj.base
+            regs[dst] = obj.base
             c = vm.cost + alloca_cost
             vm.cost = c
             if var is not None:
                 vm.cost = c + hooks.on_alloc(obj)
             return pc + 5
 
-        def op_call_missing(pc, code, regs, stack_objects, cs):
+        def op_call_missing(pc, ins, regs, stack_objects, cs):
             vm.cost += call_cost
             raise TrapError(
-                f"call to undefined function {str_table[code[pc + 1]]!r}"
+                f"call to undefined function {str_table[ins[1]]!r}"
             )
 
-        def op_roi_begin(pc, code, regs, stack_objects, cs):
+        def op_roi_begin(pc, ins, regs, stack_objects, cs):
             vm.roi_depth += 1
             c = vm.cost
-            vm.cost = c + roi_cost + hooks.on_roi_begin(code[pc + 1])
+            vm.cost = c + roi_cost + hooks.on_roi_begin(ins[1])
             return pc + 2
 
-        def op_roi_end(pc, code, regs, stack_objects, cs):
+        def op_roi_end(pc, ins, regs, stack_objects, cs):
             vm.roi_depth -= 1
             c = vm.cost
-            vm.cost = c + roi_cost + hooks.on_roi_end(code[pc + 1])
+            vm.cost = c + roi_cost + hooks.on_roi_end(ins[1])
             return pc + 2
 
-        def op_roi_reset(pc, code, regs, stack_objects, cs):
+        def op_roi_reset(pc, ins, regs, stack_objects, cs):
             c = vm.cost
-            vm.cost = c + roi_cost + hooks.on_roi_reset(code[pc + 1])
+            vm.cost = c + roi_cost + hooks.on_roi_reset(ins[1])
             return pc + 2
 
-        def op_probe_classify(pc, code, regs, stack_objects, cs):
-            addr = int(regs[code[pc + 2]])
-            count_slot = code[pc + 5]
+        def op_probe_classify(pc, ins, regs, stack_objects, cs):
+            (_, states, ptr, size, var_index, count_slot, stride, loc_index,
+             roi_id, site_id) = ins
+            addr = int(regs[ptr])
             count = 1 if count_slot < 0 else int(regs[count_slot])
-            var_index = code[pc + 4]
-            loc_index = code[pc + 7]
-            roi_id = code[pc + 8]
-            site_id = code[pc + 9]
             c = vm.cost
             vm.cost = c + hooks.on_probe_classify(
-                str_table[code[pc + 1]], addr, code[pc + 3],
+                str_table[states], addr, size,
                 var_table[var_index] if var_index >= 0 else None,
-                count, code[pc + 6],
+                count, stride,
                 loc_table[loc_index] if loc_index >= 0 else None,
                 roi_id if roi_id >= 0 else None,
                 site_id if site_id >= 0 else None,
             )
             return pc + 10
 
-        def op_probe_escape(pc, code, regs, stack_objects, cs):
-            value = int(regs[code[pc + 1]])
-            dest = int(regs[code[pc + 2]])
-            loc_index = code[pc + 3]
+        def op_probe_escape(pc, ins, regs, stack_objects, cs):
+            _, val, ptr, loc_index = ins
+            value = int(regs[val])
+            dest = int(regs[ptr])
             c = vm.cost
             vm.cost = c + hooks.on_probe_escape(
                 value, dest,
@@ -689,27 +708,26 @@ class BytecodeInterpreter:
             )
             return pc + 4
 
-        def op_probe_static(pc, code, regs, stack_objects, cs):
-            addr = int(regs[code[pc + 1]])
+        def op_probe_static(pc, ins, regs, stack_objects, cs):
+            _, ptr, roi_id, fact = ins
+            addr = int(regs[ptr])
             c = vm.cost
-            vm.cost = c + hooks.on_probe_static(
-                code[pc + 3], addr, code[pc + 2],
-            )
+            vm.cost = c + hooks.on_probe_static(fact, addr, roi_id)
             return pc + 4
 
-        def op_omp_begin(pc, code, regs, stack_objects, cs):
+        def op_omp_begin(pc, ins, regs, stack_objects, cs):
             c = vm.cost
             vm.cost = c + roi_cost + hooks.on_omp_region(
-                str_table[code[pc + 1]], code[pc + 2], True)
+                str_table[ins[1]], ins[2], True)
             return pc + 3
 
-        def op_omp_end(pc, code, regs, stack_objects, cs):
+        def op_omp_end(pc, ins, regs, stack_objects, cs):
             c = vm.cost
             vm.cost = c + roi_cost + hooks.on_omp_region(
-                str_table[code[pc + 1]], code[pc + 2], False)
+                str_table[ins[1]], ins[2], False)
             return pc + 3
 
-        def op_omp_barrier(pc, code, regs, stack_objects, cs):
+        def op_omp_barrier(pc, ins, regs, stack_objects, cs):
             c = vm.cost
             vm.cost = c + roi_cost + hooks.on_omp_barrier()
             return pc + 1
@@ -794,20 +812,21 @@ class BytecodeInterpreter:
         OP_SUB_QI=OP_SUB_QI,
         TY_CHAR=TY_CHAR,
         TY_FLOAT=TY_FLOAT,
+        struct_error=struct.error,
     ) -> None:
         memory = self.memory
+        resolve = memory._resolve
         hooks = self.hooks
         cm = self.cost_model
         call_stack = self.call_stack
-        # Typed loads and stores, indexed by TY_* codes.
-        readers = (memory.read_int, memory.read_float, memory.read_char)
-        writers = (memory.write_int, memory.write_float, memory.write_char)
+        # Typed access, indexed by TY_* codes: size, unpack_from,
+        # pack_into, the store's convert and its C-style wrap.
+        sizes, unpackers, packers, converts, wraps = zip(*SCALAR_CODECS)
         max_instructions = self.max_instructions
         max_depth = self.max_recursion_depth
         bc = self.bytecode
         loc_table = bc.loc_table
         var_table = bc.var_table
-        str_table = bc.string_table
         linked_fns = self._linked_functions
         linked_builtins = self._linked_builtins
         addr_targets = self._addr_targets
@@ -824,14 +843,15 @@ class BytecodeInterpreter:
         cast_cost = cm.cast
         call_cost = cm.call
         ret_cost = cm.ret
-        roi_cost = cm.roi_marker
         # Merged constants for the fused fast paths (the trip/trap
         # paths charge the components separately, as the unfused pair
         # would).
         arith_branch = arith + branch_cost
         load_arith = load_cost + arith
         kind_objs = (AccessKind.READ, AccessKind.WRITE)
+        access_objs = self._access_objs
         code = fn.xcode
+        objs = access_objs[fn]
         pc = fn.entry_pc
         cs = tuple(call_stack)
         frames: List[tuple] = []  # suspended callers
@@ -842,7 +862,8 @@ class BytecodeInterpreter:
         mem_accesses = 0
         try:
             while True:
-                op = code[pc]
+                ins = code[pc]
+                op = ins[0]
                 ic += 1
                 if ic > max_instructions:
                     raise BudgetExceeded("instruction budget exceeded")
@@ -855,10 +876,13 @@ class BytecodeInterpreter:
                 # component instructions and re-check the budget between
                 # the halves so trip points match the unfused pair.
                 # Everything past the chain dispatches through the dense
-                # cold handler table.
+                # cold handler table.  Loads and stores test the object
+                # their pc resolved last (``objs[pc]``) before asking
+                # ``Memory._resolve``, which raises every fault.
                 if op >= OP_ADD:
                     if op == OP_ADD_QI:
-                        regs[code[pc + 1]] = regs[code[pc + 2]] + code[pc + 3]
+                        _, dst, lhs, imm = ins
+                        regs[dst] = regs[lhs] + imm
                         cost += arith
                         pc += 4
                     elif op == OP_JUMP_PHI:
@@ -867,33 +891,32 @@ class BytecodeInterpreter:
                         if ic > max_instructions:
                             raise BudgetExceeded(
                                 "instruction budget exceeded")
-                        t = code[pc + 1]
-                        k = code[t + 1]
-                        base = t + 3
+                        phi = code[ins[1]]
+                        k = phi[1]
                         if k == 1:
-                            regs[code[base + 1]] = regs[code[base]]
+                            regs[phi[4]] = regs[phi[3]]
                         elif k == 2:
-                            v0 = regs[code[base]]
-                            v1 = regs[code[base + 2]]
-                            regs[code[base + 1]] = v0
-                            regs[code[base + 3]] = v1
+                            v0 = regs[phi[3]]
+                            v1 = regs[phi[5]]
+                            regs[phi[4]] = v0
+                            regs[phi[6]] = v1
                         elif k == 3:
-                            v0 = regs[code[base]]
-                            v1 = regs[code[base + 2]]
-                            v2 = regs[code[base + 4]]
-                            regs[code[base + 1]] = v0
-                            regs[code[base + 3]] = v1
-                            regs[code[base + 5]] = v2
+                            v0 = regs[phi[3]]
+                            v1 = regs[phi[5]]
+                            v2 = regs[phi[7]]
+                            regs[phi[4]] = v0
+                            regs[phi[6]] = v1
+                            regs[phi[8]] = v2
                         else:
-                            values = [regs[code[base + 2 * i]]
-                                      for i in range(k)]
-                            for i in range(k):
-                                regs[code[base + 2 * i + 1]] = values[i]
+                            values = [regs[src] for src in phi[3::2]]
+                            for dst, value in zip(phi[4::2], values):
+                                regs[dst] = value
                         ic += k - 1
                         cost += arith * k
-                        pc = code[t + 2]
+                        pc = phi[2]
                     elif op == OP_MUL_QI:
-                        regs[code[pc + 1]] = regs[code[pc + 2]] * code[pc + 3]
+                        _, dst, lhs, imm = ins
+                        regs[dst] = regs[lhs] * imm
                         cost += arith
                         pc += 4
                     elif op == OP_LT_BR_QI:
@@ -903,49 +926,50 @@ class BytecodeInterpreter:
                             raise BudgetExceeded(
                                 "instruction budget exceeded")
                         cost += arith_branch
-                        if regs[code[pc + 2]] < code[pc + 3]:
-                            regs[code[pc + 1]] = 1
-                            pc = code[pc + 4]
+                        _, dst, lhs, imm, on_true, on_false = ins
+                        if regs[lhs] < imm:
+                            regs[dst] = 1
+                            pc = on_true
                         else:
-                            regs[code[pc + 1]] = 0
-                            pc = code[pc + 5]
+                            regs[dst] = 0
+                            pc = on_false
                     elif op == OP_ADD:
-                        regs[code[pc + 1]] = (
-                            regs[code[pc + 2]] + regs[code[pc + 3]])
+                        _, dst, lhs, rhs = ins
+                        regs[dst] = regs[lhs] + regs[rhs]
                         cost += arith
                         pc += 4
                     elif op == OP_REM_QI:
-                        lhs = regs[code[pc + 2]]
-                        rhs = code[pc + 3]
+                        _, dst, lhs, rhs, _ = ins
+                        lhs = regs[lhs]
                         quotient = abs(lhs) // abs(rhs)
                         if (lhs < 0) != (rhs < 0):
                             quotient = -quotient
-                        regs[code[pc + 1]] = lhs - quotient * rhs
+                        regs[dst] = lhs - quotient * rhs
                         cost += arith
                         pc += 5
                     elif op == OP_PHI_Q1:
-                        regs[code[pc + 4]] = regs[code[pc + 3]]
+                        _, _, succ, src, dst = ins
+                        regs[dst] = regs[src]
                         cost += arith
-                        pc = code[pc + 2]
+                        pc = succ
                     elif op == OP_SUB:
-                        regs[code[pc + 1]] = (
-                            regs[code[pc + 2]] - regs[code[pc + 3]])
+                        _, dst, lhs, rhs = ins
+                        regs[dst] = regs[lhs] - regs[rhs]
                         cost += arith
                         pc += 4
                     elif op == OP_PROBE_LOAD:
-                        addr = int(regs[code[pc + 2]])
-                        count_slot = code[pc + 5]
+                        (_, is_write, probed, size, var_index, count_slot,
+                         stride, loc_index, site_id, dst, ptr, ty,
+                         is_var) = ins
+                        addr = int(regs[probed])
                         count = (1 if count_slot < 0
                                  else int(regs[count_slot]))
-                        var_index = code[pc + 4]
-                        loc_index = code[pc + 7]
-                        site_id = code[pc + 8]
                         self.instructions = ic
                         self.cost = cost
                         cost += hooks.on_probe_access(
-                            kind_objs[code[pc + 1]], addr, code[pc + 3],
+                            kind_objs[is_write], addr, size,
                             var_table[var_index] if var_index >= 0 else None,
-                            count, code[pc + 6],
+                            count, stride,
                             loc_table[loc_index] if loc_index >= 0 else None,
                             cs, site_id if site_id >= 0 else None,
                         )
@@ -953,24 +977,30 @@ class BytecodeInterpreter:
                         if ic > max_instructions:
                             raise BudgetExceeded(
                                 "instruction budget exceeded")
-                        addr = int(regs[code[pc + 10]])
-                        regs[code[pc + 9]] = readers[code[pc + 11]](addr)
-                        if code[pc + 12]:
+                        addr = int(regs[ptr])
+                        obj = objs[pc]
+                        off = addr - obj.base
+                        size = sizes[ty]
+                        if off < 0 or off + size > obj.size or obj.freed:
+                            obj, off = resolve(addr, size)
+                            objs[pc] = obj
+                        regs[dst] = unpackers[ty](obj.data, off)[0]
+                        if is_var:
                             var_accesses += 1
                         else:
                             mem_accesses += 1
                         cost += load_cost
                         pc += 13
                     elif op == OP_DIV_QI:
-                        lhs = regs[code[pc + 2]]
-                        rhs = code[pc + 3]
+                        _, dst, lhs, rhs, _ = ins
+                        lhs = regs[lhs]
                         if isinstance(lhs, float):
                             result = lhs / rhs
                         else:
                             result = abs(lhs) // abs(rhs)
                             if (lhs < 0) != (rhs < 0):
                                 result = -result
-                        regs[code[pc + 1]] = result
+                        regs[dst] = result
                         cost += arith
                         pc += 5
                     elif op == OP_GT_BR_QI:
@@ -980,16 +1010,24 @@ class BytecodeInterpreter:
                             raise BudgetExceeded(
                                 "instruction budget exceeded")
                         cost += arith_branch
-                        if regs[code[pc + 2]] > code[pc + 3]:
-                            regs[code[pc + 1]] = 1
-                            pc = code[pc + 4]
+                        _, dst, lhs, imm, on_true, on_false = ins
+                        if regs[lhs] > imm:
+                            regs[dst] = 1
+                            pc = on_true
                         else:
-                            regs[code[pc + 1]] = 0
-                            pc = code[pc + 5]
+                            regs[dst] = 0
+                            pc = on_false
                     elif op == OP_LOAD_BIN:
-                        regs[code[pc + 2]] = readers[code[pc + 4]](
-                            int(regs[code[pc + 3]]))
-                        if code[pc + 5]:
+                        _, subop, ldst, ptr, ty, is_var, dst, lhs, rhs = ins
+                        addr = int(regs[ptr])
+                        obj = objs[pc]
+                        off = addr - obj.base
+                        size = sizes[ty]
+                        if off < 0 or off + size > obj.size or obj.freed:
+                            obj, off = resolve(addr, size)
+                            objs[pc] = obj
+                        regs[ldst] = unpackers[ty](obj.data, off)[0]
+                        if is_var:
                             var_accesses += 1
                         else:
                             mem_accesses += 1
@@ -998,24 +1036,22 @@ class BytecodeInterpreter:
                             cost += load_cost
                             raise BudgetExceeded(
                                 "instruction budget exceeded")
-                        regs[code[pc + 6]] = bin_eval[code[pc + 1]](
-                            regs[code[pc + 7]], regs[code[pc + 8]])
+                        regs[dst] = bin_eval[subop](regs[lhs], regs[rhs])
                         cost += load_arith
                         pc += 9
                     elif op == OP_PROBE_STORE:
-                        addr = int(regs[code[pc + 2]])
-                        count_slot = code[pc + 5]
+                        (_, is_write, probed, size, var_index, count_slot,
+                         stride, loc_index, site_id, val, ptr, ty,
+                         is_var) = ins
+                        addr = int(regs[probed])
                         count = (1 if count_slot < 0
                                  else int(regs[count_slot]))
-                        var_index = code[pc + 4]
-                        loc_index = code[pc + 7]
-                        site_id = code[pc + 8]
                         self.instructions = ic
                         self.cost = cost
                         cost += hooks.on_probe_access(
-                            kind_objs[code[pc + 1]], addr, code[pc + 3],
+                            kind_objs[is_write], addr, size,
                             var_table[var_index] if var_index >= 0 else None,
-                            count, code[pc + 6],
+                            count, stride,
                             loc_table[loc_index] if loc_index >= 0 else None,
                             cs, site_id if site_id >= 0 else None,
                         )
@@ -1023,33 +1059,42 @@ class BytecodeInterpreter:
                         if ic > max_instructions:
                             raise BudgetExceeded(
                                 "instruction budget exceeded")
-                        addr = int(regs[code[pc + 10]])
-                        writers[code[pc + 11]](addr, regs[code[pc + 9]])
-                        if code[pc + 12]:
+                        addr = int(regs[ptr])
+                        obj = objs[pc]
+                        off = addr - obj.base
+                        size = sizes[ty]
+                        if off < 0 or off + size > obj.size or obj.freed:
+                            obj, off = resolve(addr, size)
+                            objs[pc] = obj
+                        value = regs[val]
+                        try:
+                            packers[ty](obj.data, off, converts[ty](value))
+                        except struct_error:
+                            packers[ty](obj.data, off, wraps[ty](value))
+                        if is_var:
                             var_accesses += 1
                         else:
                             mem_accesses += 1
                         cost += store_cost
                         pc += 13
                     elif op == OP_SUB_QI:
-                        regs[code[pc + 1]] = regs[code[pc + 2]] - code[pc + 3]
+                        _, dst, lhs, imm = ins
+                        regs[dst] = regs[lhs] - imm
                         cost += arith
                         pc += 4
                     elif op == OP_NE:
-                        regs[code[pc + 1]] = (
-                            1 if regs[code[pc + 2]] != regs[code[pc + 3]]
-                            else 0)
+                        _, dst, lhs, rhs = ins
+                        regs[dst] = 1 if regs[lhs] != regs[rhs] else 0
                         cost += arith
                         pc += 4
                     elif op == OP_EQ:
-                        regs[code[pc + 1]] = (
-                            1 if regs[code[pc + 2]] == regs[code[pc + 3]]
-                            else 0)
+                        _, dst, lhs, rhs = ins
+                        regs[dst] = 1 if regs[lhs] == regs[rhs] else 0
                         cost += arith
                         pc += 4
                     elif op == OP_MUL:
-                        regs[code[pc + 1]] = (
-                            regs[code[pc + 2]] * regs[code[pc + 3]])
+                        _, dst, lhs, rhs = ins
+                        regs[dst] = regs[lhs] * regs[rhs]
                         cost += arith
                         pc += 4
                     elif op == OP_LT_BR:
@@ -1059,17 +1104,18 @@ class BytecodeInterpreter:
                             raise BudgetExceeded(
                                 "instruction budget exceeded")
                         cost += arith_branch
-                        if regs[code[pc + 2]] < regs[code[pc + 3]]:
-                            regs[code[pc + 1]] = 1
-                            pc = code[pc + 4]
+                        _, dst, lhs, rhs, on_true, on_false = ins
+                        if regs[lhs] < regs[rhs]:
+                            regs[dst] = 1
+                            pc = on_true
                         else:
-                            regs[code[pc + 1]] = 0
-                            pc = code[pc + 5]
+                            regs[dst] = 0
+                            pc = on_false
                     elif op == OP_DIV:
-                        lhs = regs[code[pc + 2]]
-                        rhs = regs[code[pc + 3]]
+                        _, dst, lhs, rhs, loc_index = ins
+                        lhs = regs[lhs]
+                        rhs = regs[rhs]
                         if rhs == 0:
-                            loc_index = code[pc + 4]
                             loc = (loc_table[loc_index]
                                    if loc_index >= 0 else None)
                             raise TrapError(f"division by zero at {loc}")
@@ -1079,7 +1125,7 @@ class BytecodeInterpreter:
                             result = abs(lhs) // abs(rhs)
                             if (lhs < 0) != (rhs < 0):
                                 result = -result
-                        regs[code[pc + 1]] = result
+                        regs[dst] = result
                         cost += arith
                         pc += 5
                     elif op == OP_EQ_BR:
@@ -1089,23 +1135,34 @@ class BytecodeInterpreter:
                             raise BudgetExceeded(
                                 "instruction budget exceeded")
                         cost += arith_branch
-                        if regs[code[pc + 2]] == regs[code[pc + 3]]:
-                            regs[code[pc + 1]] = 1
-                            pc = code[pc + 4]
+                        _, dst, lhs, rhs, on_true, on_false = ins
+                        if regs[lhs] == regs[rhs]:
+                            regs[dst] = 1
+                            pc = on_true
                         else:
-                            regs[code[pc + 1]] = 0
-                            pc = code[pc + 5]
+                            regs[dst] = 0
+                            pc = on_false
                     elif op == OP_BIN_STORE:
-                        regs[code[pc + 2]] = value = bin_eval[code[pc + 1]](
-                            regs[code[pc + 3]], regs[code[pc + 4]])
+                        _, subop, dst, lhs, rhs, ptr, ty, is_var = ins
+                        regs[dst] = value = bin_eval[subop](
+                            regs[lhs], regs[rhs])
                         cost += arith
                         ic += 1
                         if ic > max_instructions:
                             raise BudgetExceeded(
                                 "instruction budget exceeded")
-                        addr = int(regs[code[pc + 5]])
-                        writers[code[pc + 6]](addr, value)
-                        if code[pc + 7]:
+                        addr = int(regs[ptr])
+                        obj = objs[pc]
+                        off = addr - obj.base
+                        size = sizes[ty]
+                        if off < 0 or off + size > obj.size or obj.freed:
+                            obj, off = resolve(addr, size)
+                            objs[pc] = obj
+                        try:
+                            packers[ty](obj.data, off, converts[ty](value))
+                        except struct_error:
+                            packers[ty](obj.data, off, wraps[ty](value))
+                        if is_var:
                             var_accesses += 1
                         else:
                             mem_accesses += 1
@@ -1118,14 +1175,16 @@ class BytecodeInterpreter:
                             raise BudgetExceeded(
                                 "instruction budget exceeded")
                         cost += arith_branch
-                        if regs[code[pc + 2]] > regs[code[pc + 3]]:
-                            regs[code[pc + 1]] = 1
-                            pc = code[pc + 4]
+                        _, dst, lhs, rhs, on_true, on_false = ins
+                        if regs[lhs] > regs[rhs]:
+                            regs[dst] = 1
+                            pc = on_true
                         else:
-                            regs[code[pc + 1]] = 0
-                            pc = code[pc + 5]
+                            regs[dst] = 0
+                            pc = on_false
                     elif op == OP_RSUB_QI:
-                        regs[code[pc + 1]] = code[pc + 2] - regs[code[pc + 3]]
+                        _, dst, imm, rhs = ins
+                        regs[dst] = imm - regs[rhs]
                         cost += arith
                         pc += 4
                     elif op == OP_GE_BR_QI:
@@ -1135,12 +1194,13 @@ class BytecodeInterpreter:
                             raise BudgetExceeded(
                                 "instruction budget exceeded")
                         cost += arith_branch
-                        if regs[code[pc + 2]] >= code[pc + 3]:
-                            regs[code[pc + 1]] = 1
-                            pc = code[pc + 4]
+                        _, dst, lhs, imm, on_true, on_false = ins
+                        if regs[lhs] >= imm:
+                            regs[dst] = 1
+                            pc = on_true
                         else:
-                            regs[code[pc + 1]] = 0
-                            pc = code[pc + 5]
+                            regs[dst] = 0
+                            pc = on_false
                     elif op == OP_EQ_BR_QI:
                         ic += 1
                         if ic > max_instructions:
@@ -1148,16 +1208,16 @@ class BytecodeInterpreter:
                             raise BudgetExceeded(
                                 "instruction budget exceeded")
                         cost += arith_branch
-                        if regs[code[pc + 2]] == code[pc + 3]:
-                            regs[code[pc + 1]] = 1
-                            pc = code[pc + 4]
+                        _, dst, lhs, imm, on_true, on_false = ins
+                        if regs[lhs] == imm:
+                            regs[dst] = 1
+                            pc = on_true
                         else:
-                            regs[code[pc + 1]] = 0
-                            pc = code[pc + 5]
+                            regs[dst] = 0
+                            pc = on_false
                     elif op == OP_LT:
-                        regs[code[pc + 1]] = (
-                            1 if regs[code[pc + 2]] < regs[code[pc + 3]]
-                            else 0)
+                        _, dst, lhs, rhs = ins
+                        regs[dst] = 1 if regs[lhs] < regs[rhs] else 0
                         cost += arith
                         pc += 4
                     elif op == OP_LE_BR:
@@ -1167,12 +1227,13 @@ class BytecodeInterpreter:
                             raise BudgetExceeded(
                                 "instruction budget exceeded")
                         cost += arith_branch
-                        if regs[code[pc + 2]] <= regs[code[pc + 3]]:
-                            regs[code[pc + 1]] = 1
-                            pc = code[pc + 4]
+                        _, dst, lhs, rhs, on_true, on_false = ins
+                        if regs[lhs] <= regs[rhs]:
+                            regs[dst] = 1
+                            pc = on_true
                         else:
-                            regs[code[pc + 1]] = 0
-                            pc = code[pc + 5]
+                            regs[dst] = 0
+                            pc = on_false
                     elif op == OP_GE_BR:
                         ic += 1
                         if ic > max_instructions:
@@ -1180,12 +1241,13 @@ class BytecodeInterpreter:
                             raise BudgetExceeded(
                                 "instruction budget exceeded")
                         cost += arith_branch
-                        if regs[code[pc + 2]] >= regs[code[pc + 3]]:
-                            regs[code[pc + 1]] = 1
-                            pc = code[pc + 4]
+                        _, dst, lhs, rhs, on_true, on_false = ins
+                        if regs[lhs] >= regs[rhs]:
+                            regs[dst] = 1
+                            pc = on_true
                         else:
-                            regs[code[pc + 1]] = 0
-                            pc = code[pc + 5]
+                            regs[dst] = 0
+                            pc = on_false
                     elif op == OP_NE_BR:
                         ic += 1
                         if ic > max_instructions:
@@ -1193,12 +1255,13 @@ class BytecodeInterpreter:
                             raise BudgetExceeded(
                                 "instruction budget exceeded")
                         cost += arith_branch
-                        if regs[code[pc + 2]] != regs[code[pc + 3]]:
-                            regs[code[pc + 1]] = 1
-                            pc = code[pc + 4]
+                        _, dst, lhs, rhs, on_true, on_false = ins
+                        if regs[lhs] != regs[rhs]:
+                            regs[dst] = 1
+                            pc = on_true
                         else:
-                            regs[code[pc + 1]] = 0
-                            pc = code[pc + 5]
+                            regs[dst] = 0
+                            pc = on_false
                     elif op == OP_LE_BR_QI:
                         ic += 1
                         if ic > max_instructions:
@@ -1206,12 +1269,13 @@ class BytecodeInterpreter:
                             raise BudgetExceeded(
                                 "instruction budget exceeded")
                         cost += arith_branch
-                        if regs[code[pc + 2]] <= code[pc + 3]:
-                            regs[code[pc + 1]] = 1
-                            pc = code[pc + 4]
+                        _, dst, lhs, imm, on_true, on_false = ins
+                        if regs[lhs] <= imm:
+                            regs[dst] = 1
+                            pc = on_true
                         else:
-                            regs[code[pc + 1]] = 0
-                            pc = code[pc + 5]
+                            regs[dst] = 0
+                            pc = on_false
                     elif op == OP_NE_BR_QI:
                         ic += 1
                         if ic > max_instructions:
@@ -1219,51 +1283,47 @@ class BytecodeInterpreter:
                             raise BudgetExceeded(
                                 "instruction budget exceeded")
                         cost += arith_branch
-                        if regs[code[pc + 2]] != code[pc + 3]:
-                            regs[code[pc + 1]] = 1
-                            pc = code[pc + 4]
+                        _, dst, lhs, imm, on_true, on_false = ins
+                        if regs[lhs] != imm:
+                            regs[dst] = 1
+                            pc = on_true
                         else:
-                            regs[code[pc + 1]] = 0
-                            pc = code[pc + 5]
+                            regs[dst] = 0
+                            pc = on_false
                     elif op == OP_LE:
-                        regs[code[pc + 1]] = (
-                            1 if regs[code[pc + 2]] <= regs[code[pc + 3]]
-                            else 0)
+                        _, dst, lhs, rhs = ins
+                        regs[dst] = 1 if regs[lhs] <= regs[rhs] else 0
                         cost += arith
                         pc += 4
                     elif op == OP_GT:
-                        regs[code[pc + 1]] = (
-                            1 if regs[code[pc + 2]] > regs[code[pc + 3]]
-                            else 0)
+                        _, dst, lhs, rhs = ins
+                        regs[dst] = 1 if regs[lhs] > regs[rhs] else 0
                         cost += arith
                         pc += 4
                     elif op == OP_GE:
-                        regs[code[pc + 1]] = (
-                            1 if regs[code[pc + 2]] >= regs[code[pc + 3]]
-                            else 0)
+                        _, dst, lhs, rhs = ins
+                        regs[dst] = 1 if regs[lhs] >= regs[rhs] else 0
                         cost += arith
                         pc += 4
                     elif op == OP_REM:
-                        lhs = regs[code[pc + 2]]
-                        rhs = regs[code[pc + 3]]
+                        _, dst, lhs, rhs, loc_index = ins
+                        lhs = regs[lhs]
+                        rhs = regs[rhs]
                         if rhs == 0:
-                            loc_index = code[pc + 4]
                             loc = (loc_table[loc_index]
                                    if loc_index >= 0 else None)
                             raise TrapError(f"modulo by zero at {loc}")
                         quotient = abs(lhs) // abs(rhs)
                         if (lhs < 0) != (rhs < 0):
                             quotient = -quotient
-                        regs[code[pc + 1]] = lhs - quotient * rhs
+                        regs[dst] = lhs - quotient * rhs
                         cost += arith
                         pc += 5
                     elif op == OP_CALL_IND_QF:
-                        callee = quick_targets[code[pc + 1]]
-                        argc = code[pc + 5]
-                        base = pc + 6
-                        args = [regs[code[base + i]] for i in range(argc)]
+                        callee = quick_targets[ins[1]]
+                        args = [regs[slot] for slot in ins[6:]]
                         cost += call_cost
-                        if code[pc + 3] and hooks.wants_pin():
+                        if ins[3] and hooks.wants_pin():
                             self.instructions = ic
                             self.cost = cost
                             cost += hooks.on_pin_attach()
@@ -1273,18 +1333,17 @@ class BytecodeInterpreter:
                                 f"({max_depth} frames) calling "
                                 f"{callee.name!r}"
                             )
-                        frames.append((fn, regs, base + argc, code[pc + 2],
-                                       stack_objects, cs))
+                        frames.append((fn, regs, pc + len(ins), ins[2],
+                                       stack_objects, cs, objs))
                         fn = callee
                         if not fn.xquick:
                             self._quicken(fn)
                         code = fn.xcode
-                        new_regs = fn.proto.copy()
+                        objs = access_objs[fn]
+                        regs = fn.proto.copy()
                         arg_base = fn.arg_base
-                        n_args = fn.n_args
-                        for i in range(argc if argc < n_args else n_args):
-                            new_regs[arg_base + i] = args[i]
-                        regs = new_regs
+                        del args[fn.n_args:]
+                        regs[arg_base:arg_base + len(args)] = args
                         stack_objects = []
                         pc = fn.entry_pc
                         call_stack.append(fn.name)
@@ -1293,17 +1352,15 @@ class BytecodeInterpreter:
                         self.cost = cost
                         cost += hooks.on_call_enter(fn.name, fn.instrumented)
                     elif op == OP_CALL_IND_QB:
-                        name, impl, base_cost = quick_targets[code[pc + 1]]
-                        argc = code[pc + 5]
-                        base = pc + 6
-                        args = [regs[code[base + i]] for i in range(argc)]
+                        name, impl, base_cost = quick_targets[ins[1]]
+                        args = [regs[slot] for slot in ins[6:]]
                         cost += call_cost
-                        loc_index = code[pc + 4]
+                        loc_index = ins[4]
                         self._alloc_loc = (loc_table[loc_index]
                                            if loc_index >= 0 else None)
                         memory.clock = ic
                         self.instructions = ic
-                        if code[pc + 3] and hooks.wants_pin():
+                        if ins[3] and hooks.wants_pin():
                             self.cost = cost
                             cost += hooks.on_pin_attach()
                             self._pin_active = True
@@ -1314,10 +1371,10 @@ class BytecodeInterpreter:
                             self._pin_active = False
                             cost = self.cost
                         cost += base_cost
-                        dst = code[pc + 2]
+                        dst = ins[2]
                         if dst >= 0:
                             regs[dst] = result
-                        pc = base + argc
+                        pc += len(ins)
                     else:
                         handler = (cold_table[op]
                                    if 0 <= op < n_cold else None)
@@ -1327,38 +1384,54 @@ class BytecodeInterpreter:
                         self.instructions = ic
                         self.cost = cost
                         try:
-                            pc = handler(pc, code, regs, stack_objects, cs)
+                            pc = handler(pc, ins, regs, stack_objects, cs)
                         finally:
                             cost = self.cost
                 elif op <= OP_PHI:
                     if op == OP_ADDR:
-                        regs[code[pc + 1]] = (
-                            int(regs[code[pc + 2]])
-                            + int(regs[code[pc + 3]]) * code[pc + 4]
-                            + code[pc + 5]
-                        )
+                        _, dst, base, index, scale, offset = ins
+                        regs[dst] = (int(regs[base])
+                                     + int(regs[index]) * scale + offset)
                         cost += addr_cost
                         pc += 6
                     elif op == OP_JUMP:
-                        pc = code[pc + 1]
+                        pc = ins[1]
                         cost += branch_cost
                     elif op == OP_BR:
-                        pc = code[pc + 2] if regs[code[pc + 1]] != 0 \
-                            else code[pc + 3]
+                        _, cond, on_true, on_false = ins
+                        pc = on_true if regs[cond] != 0 else on_false
                         cost += branch_cost
                     elif op == OP_STORE:
-                        addr = int(regs[code[pc + 2]])
-                        writers[code[pc + 3]](addr, regs[code[pc + 1]])
-                        if code[pc + 4]:
+                        _, val, ptr, ty, is_var = ins
+                        addr = int(regs[ptr])
+                        obj = objs[pc]
+                        off = addr - obj.base
+                        size = sizes[ty]
+                        if off < 0 or off + size > obj.size or obj.freed:
+                            obj, off = resolve(addr, size)
+                            objs[pc] = obj
+                        value = regs[val]
+                        try:
+                            packers[ty](obj.data, off, converts[ty](value))
+                        except struct_error:
+                            packers[ty](obj.data, off, wraps[ty](value))
+                        if is_var:
                             var_accesses += 1
                         else:
                             mem_accesses += 1
                         cost += store_cost
                         pc += 5
                     elif op == OP_LOAD:
-                        addr = int(regs[code[pc + 2]])
-                        regs[code[pc + 1]] = readers[code[pc + 3]](addr)
-                        if code[pc + 4]:
+                        _, dst, ptr, ty, is_var = ins
+                        addr = int(regs[ptr])
+                        obj = objs[pc]
+                        off = addr - obj.base
+                        size = sizes[ty]
+                        if off < 0 or off + size > obj.size or obj.freed:
+                            obj, off = resolve(addr, size)
+                            objs[pc] = obj
+                        regs[dst] = unpackers[ty](obj.data, off)[0]
+                        if is_var:
                             var_accesses += 1
                         else:
                             mem_accesses += 1
@@ -1369,44 +1442,40 @@ class BytecodeInterpreter:
                         # the predecessor's values, then write all results
                         # (a block's phis assign atomically), then enter
                         # the successor body.
-                        k = code[pc + 1]
-                        base = pc + 3
+                        k = ins[1]
                         if k == 1:
-                            regs[code[base + 1]] = regs[code[base]]
+                            regs[ins[4]] = regs[ins[3]]
                         elif k == 2:
-                            v0 = regs[code[base]]
-                            v1 = regs[code[base + 2]]
-                            regs[code[base + 1]] = v0
-                            regs[code[base + 3]] = v1
+                            v0 = regs[ins[3]]
+                            v1 = regs[ins[5]]
+                            regs[ins[4]] = v0
+                            regs[ins[6]] = v1
                         elif k == 3:
-                            v0 = regs[code[base]]
-                            v1 = regs[code[base + 2]]
-                            v2 = regs[code[base + 4]]
-                            regs[code[base + 1]] = v0
-                            regs[code[base + 3]] = v1
-                            regs[code[base + 5]] = v2
+                            v0 = regs[ins[3]]
+                            v1 = regs[ins[5]]
+                            v2 = regs[ins[7]]
+                            regs[ins[4]] = v0
+                            regs[ins[6]] = v1
+                            regs[ins[8]] = v2
                         else:
-                            values = [regs[code[base + 2 * i]]
-                                      for i in range(k)]
-                            for i in range(k):
-                                regs[code[base + 2 * i + 1]] = values[i]
+                            values = [regs[src] for src in ins[3::2]]
+                            for dst, value in zip(ins[4::2], values):
+                                regs[dst] = value
                         ic += k - 1
                         cost += arith * k
-                        pc = code[pc + 2]
+                        pc = ins[2]
                     else:
                         raise VMError(f"unknown opcode {op} at {fn.name}+{pc}")
                 elif op == OP_CALL_BUILTIN:
-                    name, impl, base_cost = linked_builtins[code[pc + 1]]
-                    argc = code[pc + 5]
-                    base = pc + 6
-                    args = [regs[code[base + i]] for i in range(argc)]
+                    name, impl, base_cost = linked_builtins[ins[1]]
+                    args = [regs[slot] for slot in ins[6:]]
                     cost += call_cost
-                    loc_index = code[pc + 4]
+                    loc_index = ins[4]
                     self._alloc_loc = (loc_table[loc_index]
                                        if loc_index >= 0 else None)
                     memory.clock = ic
                     self.instructions = ic
-                    if code[pc + 3] and hooks.wants_pin():
+                    if ins[3] and hooks.wants_pin():
                         self.cost = cost
                         cost += hooks.on_pin_attach()
                         self._pin_active = True
@@ -1417,13 +1486,13 @@ class BytecodeInterpreter:
                         self._pin_active = False
                         cost = self.cost
                     cost += base_cost
-                    dst = code[pc + 2]
+                    dst = ins[2]
                     if dst >= 0:
                         regs[dst] = result
-                    pc = base + argc
+                    pc += len(ins)
                 elif op == OP_RET:
                     memory.clock = ic
-                    value_slot = code[pc + 1]
+                    value_slot = ins[1]
                     value = regs[value_slot] if value_slot >= 0 else None
                     for obj in stack_objects:
                         memory.release_stack_object(obj)
@@ -1433,7 +1502,8 @@ class BytecodeInterpreter:
                         self.instructions = ic
                         self.cost = cost
                         cost += hooks.on_call_exit(fn.name)
-                        fn, regs, pc, dst, stack_objects, cs = frames.pop()
+                        (fn, regs, pc, dst, stack_objects, cs,
+                         objs) = frames.pop()
                         code = fn.xcode
                         if dst >= 0:
                             regs[dst] = value
@@ -1441,12 +1511,10 @@ class BytecodeInterpreter:
                         self._return_value = value
                         return
                 elif op == OP_CALL:
-                    callee = linked_fns[code[pc + 1]]
-                    argc = code[pc + 4]
-                    base = pc + 5
-                    args = [regs[code[base + i]] for i in range(argc)]
+                    callee = linked_fns[ins[1]]
+                    args = [regs[slot] for slot in ins[5:]]
                     cost += call_cost
-                    if code[pc + 3] and hooks.wants_pin():
+                    if ins[3] and hooks.wants_pin():
                         # A conservatively-gated call toggles the Pintool
                         # even though the target turns out to be
                         # instrumented code (§4.4.6).
@@ -1458,18 +1526,17 @@ class BytecodeInterpreter:
                             f"recursion depth budget exceeded "
                             f"({max_depth} frames) calling {callee.name!r}"
                         )
-                    frames.append((fn, regs, base + argc, code[pc + 2],
-                                   stack_objects, cs))
+                    frames.append((fn, regs, pc + len(ins), ins[2],
+                                   stack_objects, cs, objs))
                     fn = callee
                     if not fn.xquick:
                         self._quicken(fn)
                     code = fn.xcode
-                    new_regs = fn.proto.copy()
+                    objs = access_objs[fn]
+                    regs = fn.proto.copy()
                     arg_base = fn.arg_base
-                    n_args = fn.n_args
-                    for i in range(argc if argc < n_args else n_args):
-                        new_regs[arg_base + i] = args[i]
-                    regs = new_regs
+                    del args[fn.n_args:]
+                    regs[arg_base:arg_base + len(args)] = args
                     stack_objects = []
                     pc = fn.entry_pc
                     call_stack.append(fn.name)
@@ -1478,35 +1545,40 @@ class BytecodeInterpreter:
                     self.cost = cost
                     cost += hooks.on_call_enter(fn.name, fn.instrumented)
                 elif op == OP_CAST:
-                    value = regs[code[pc + 2]]
-                    to = code[pc + 3]
+                    _, dst, src, to = ins
+                    value = regs[src]
                     if to == TY_FLOAT:
-                        regs[code[pc + 1]] = float(value)
+                        try:
+                            regs[dst] = float(value)
+                        except OverflowError:
+                            # Registers hold unbounded ints; the value is
+                            # left out because its decimal form can pass
+                            # Python's int-to-str digit limit.
+                            raise TrapError("integer too large to convert "
+                                            "to a float") from None
                     elif to == TY_CHAR:
-                        regs[code[pc + 1]] = to_int(value) & 0xFF
+                        regs[dst] = to_int(value) & 0xFF
                     else:
-                        regs[code[pc + 1]] = to_int(value)
+                        regs[dst] = to_int(value)
                     cost += cast_cost
                     pc += 4
                 elif op == OP_CALL_IND:
-                    addr = int(regs[code[pc + 1]])
+                    addr = int(regs[ins[1]])
                     target = addr_targets.get(addr)
                     if target is None:
                         raise TrapError(
                             f"call through bad function pointer {addr:#x}")
-                    argc = code[pc + 5]
-                    base = pc + 6
-                    args = [regs[code[base + i]] for i in range(argc)]
+                    args = [regs[slot] for slot in ins[6:]]
                     cost += call_cost
                     is_builtin, payload = target
                     if is_builtin:
                         name, impl, base_cost = payload
-                        loc_index = code[pc + 4]
+                        loc_index = ins[4]
                         self._alloc_loc = (loc_table[loc_index]
                                            if loc_index >= 0 else None)
                         memory.clock = ic
                         self.instructions = ic
-                        if code[pc + 3] and hooks.wants_pin():
+                        if ins[3] and hooks.wants_pin():
                             self.cost = cost
                             cost += hooks.on_pin_attach()
                             self._pin_active = True
@@ -1517,13 +1589,13 @@ class BytecodeInterpreter:
                             self._pin_active = False
                             cost = self.cost
                         cost += base_cost
-                        dst = code[pc + 2]
+                        dst = ins[2]
                         if dst >= 0:
                             regs[dst] = result
-                        pc = base + argc
+                        pc += len(ins)
                     else:
                         callee = payload
-                        if code[pc + 3] and hooks.wants_pin():
+                        if ins[3] and hooks.wants_pin():
                             self.instructions = ic
                             self.cost = cost
                             cost += hooks.on_pin_attach()
@@ -1533,18 +1605,17 @@ class BytecodeInterpreter:
                                 f"({max_depth} frames) calling "
                                 f"{callee.name!r}"
                             )
-                        frames.append((fn, regs, base + argc, code[pc + 2],
-                                       stack_objects, cs))
+                        frames.append((fn, regs, pc + len(ins), ins[2],
+                                       stack_objects, cs, objs))
                         fn = callee
                         if not fn.xquick:
                             self._quicken(fn)
                         code = fn.xcode
-                        new_regs = fn.proto.copy()
+                        objs = access_objs[fn]
+                        regs = fn.proto.copy()
                         arg_base = fn.arg_base
-                        n_args = fn.n_args
-                        for i in range(argc if argc < n_args else n_args):
-                            new_regs[arg_base + i] = args[i]
-                        regs = new_regs
+                        del args[fn.n_args:]
+                        regs[arg_base:arg_base + len(args)] = args
                         stack_objects = []
                         pc = fn.entry_pc
                         call_stack.append(fn.name)
@@ -1553,18 +1624,16 @@ class BytecodeInterpreter:
                         self.cost = cost
                         cost += hooks.on_call_enter(fn.name, fn.instrumented)
                 elif op == OP_PROBE_ACCESS:
-                    addr = int(regs[code[pc + 2]])
-                    count_slot = code[pc + 5]
+                    (_, is_write, ptr, size, var_index, count_slot, stride,
+                     loc_index, site_id) = ins
+                    addr = int(regs[ptr])
                     count = 1 if count_slot < 0 else int(regs[count_slot])
-                    var_index = code[pc + 4]
-                    loc_index = code[pc + 7]
-                    site_id = code[pc + 8]
                     self.instructions = ic
                     self.cost = cost
                     cost += hooks.on_probe_access(
-                        kind_objs[code[pc + 1]], addr, code[pc + 3],
+                        kind_objs[is_write], addr, size,
                         var_table[var_index] if var_index >= 0 else None,
-                        count, code[pc + 6],
+                        count, stride,
                         loc_table[loc_index] if loc_index >= 0 else None,
                         cs, site_id if site_id >= 0 else None,
                     )
@@ -1577,7 +1646,7 @@ class BytecodeInterpreter:
                     self.instructions = ic
                     self.cost = cost
                     try:
-                        pc = handler(pc, code, regs, stack_objects, cs)
+                        pc = handler(pc, ins, regs, stack_objects, cs)
                     finally:
                         cost = self.cost
         finally:

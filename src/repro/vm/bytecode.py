@@ -48,7 +48,9 @@ class BytecodeSerializeError(ReproError):
 # ---------------------------------------------------------------------------
 #
 # Every opcode is one int followed by a fixed (per-opcode) operand layout;
-# call opcodes append ``argc`` trailing argument slots.  Operand slots are
+# call opcodes append ``argc`` trailing argument slots.  The interpreter
+# runs each instruction's words as one tuple (:func:`execution_stream`),
+# at the same pc as in the canonical stream.  Operand slots are
 # indices into the frame's flat register file; ``*_pc`` operands are
 # absolute offsets into the function's code stream; ``var``/``loc``/string
 # operands index the module-level side tables (-1 encodes None).
@@ -119,12 +121,12 @@ FUSED_CMP_BR: Dict[int, int] = {}
 
 # -- tier-2 quickened opcodes (runtime-only: NEVER serialized) --------------
 #
-# The interpreter rewrites quickenable sites of a function's *execution
-# stream* into these on first execution (see ``BytecodeInterpreter``);
-# the canonical ``fn.code`` stream is never touched, and ``dequicken``
-# restores the execution stream from it.  Layouts match the canonical
-# forms word for word so rewrites are in place; ``*_QI`` variants carry
-# an immediate operand value where the canonical form carries a
+# The interpreter replaces the tuples of quickenable sites in a function's
+# *execution stream* with these on first execution (see
+# ``BytecodeInterpreter``); the canonical ``fn.code`` stream is never
+# touched, and ``dequicken`` rebuilds the tuples from it.  Layouts match
+# the canonical forms word for word, so pcs never move; ``*_QI`` variants
+# carry an immediate operand value where the canonical form carries a
 # const-pool slot.
 
 OP_ADD_QI = 56         # [dst, lhs, imm]
@@ -253,6 +255,32 @@ def instr_width(code, pc: int) -> int:
     return width
 
 
+def execution_stream(fn: "BytecodeFunction") -> list:
+    """The list the dispatch loop runs for ``fn``: at each instruction's
+    canonical pc the tuple of its words (opcode first, then operands, call
+    arguments included), ``None`` at the pcs in between.
+
+    Raises :class:`BytecodeError` on an unknown opcode or an instruction
+    that runs past the end of the code."""
+    code = fn.code
+    n = len(code)
+    stream: list = [None] * n
+    pc = 0
+    while pc < n:
+        try:
+            width = instr_width(code, pc)
+        except KeyError:
+            raise BytecodeError(
+                f"unknown opcode {code[pc]} at {fn.name}+{pc}") from None
+        except IndexError:  # a call or phi cut before its count word
+            width = n + 1
+        if pc + width > n:
+            raise BytecodeError(f"truncated instruction at {fn.name}+{pc}")
+        stream[pc] = tuple(code[pc:pc + width])
+        pc += width
+    return stream
+
+
 # ---------------------------------------------------------------------------
 # Containers
 # ---------------------------------------------------------------------------
@@ -286,10 +314,13 @@ class BytecodeFunction:
         self.arg_base = len(consts)
         #: Linked frame prototype (filled by the interpreter's first link).
         self.proto: Optional[list] = None
-        #: Execution stream: a plain-list mirror of ``code`` built at link
-        #: time.  This is what the dispatch loop runs and what quickening
-        #: rewrites in place; ``code`` itself stays canonical forever, so
+        #: Execution stream (:func:`execution_stream`), built at link
+        #: time: one tuple per instruction, indexed by canonical pc.  This
+        #: is what the dispatch loop runs and what quickening rewrites,
+        #: tuple by tuple; ``code`` itself stays canonical forever, so
         #: serialization and digests can never observe quickened opcodes.
+        #: It is shared by every interpreter over the module and holds
+        #: nothing of one run (the load/store object cache is per run).
         self.xcode: Optional[list] = None
         #: True once this function's execution stream has been quickened.
         self.xquick = False
@@ -387,10 +418,10 @@ class BytecodeModule:
 
 
 def dequicken_module(bc: BytecodeModule) -> int:
-    """Restore every quickened execution stream to the canonical words.
+    """Restore every quickened execution stream to the canonical tuples.
 
-    Rewrites each patched site of ``fn.xcode`` back from ``fn.code`` (the
-    canonical stream, which quickening never touches) and clears the
+    Rebuilds each patched site's tuple in ``fn.xcode`` from ``fn.code``
+    (the canonical stream, which quickening never touches) and clears the
     quickening state so the next run re-quickens from scratch.  Returns
     the number of sites restored and accumulates it on
     ``bc.dequicken_count``.
@@ -403,8 +434,7 @@ def dequicken_module(bc: BytecodeModule) -> int:
             code = fn.code
             xcode = fn.xcode
             for pc in sites:
-                width = instr_width(code, pc)
-                xcode[pc:pc + width] = list(code[pc:pc + width])
+                xcode[pc] = tuple(code[pc:pc + instr_width(code, pc)])
             restored += len(sites)
         fn.quickened = None
         fn.xquick = False

@@ -10,6 +10,16 @@ The memory keeps allocation metadata (site, callstack, logical time) because
 PSEC needs it: the Sets classification reports *where and in which context*
 a PSE was allocated (§3.1), and the smart-pointer use case ranks cycle nodes
 by access time (§3.2).
+
+The VM does its typed loads and stores itself: each load or store
+instruction keeps the object it resolved last (a per-run cache, see
+:mod:`repro.vm.bcinterp`), packs and unpacks with :data:`SCALAR_CODECS`,
+and calls :meth:`Memory._resolve` only when the access is not inside that
+object or the object is freed.  ``_resolve`` is the one place that raises
+invalid-address, use-after-free and out-of-bounds faults, so their types
+and messages do not depend on the cache.  :meth:`Memory.read_scalar` and
+:meth:`Memory.write_scalar` serve global initialisation and the test
+oracle.
 """
 
 from __future__ import annotations
@@ -40,34 +50,19 @@ SEGMENT_LIMITS = {
 }
 
 
-def _typed_access(fmt: str, convert, wrap):
-    """The ``(read, write)`` method pair for one scalar type.
+_INT = struct.Struct("<q")
+_FLOAT = struct.Struct("<d")
+_CHAR = struct.Struct("<B")
 
-    An access that lies inside the live last-hit object runs inline;
-    any other goes through :meth:`Memory._resolve`, which raises the
-    fault.  A store packs ``convert(value)`` and falls back to the
-    C-style ``wrap(value)`` when that is out of the type's range."""
-    codec = struct.Struct(fmt)
-    size, unpack, pack = codec.size, codec.unpack_from, codec.pack_into
-
-    def read(self, addr: int):
-        obj = self._last
-        off = addr - obj.base
-        if off < 0 or off + size > obj.size or obj.freed:
-            obj, off = self._resolve(addr, size)
-        return unpack(obj.data, off)[0]
-
-    def write(self, addr: int, value) -> None:
-        obj = self._last
-        off = addr - obj.base
-        if off < 0 or off + size > obj.size or obj.freed:
-            obj, off = self._resolve(addr, size)
-        try:
-            pack(obj.data, off, convert(value))
-        except struct.error:
-            pack(obj.data, off, wrap(value))
-
-    return read, write
+#: ``(size, unpack_from, pack_into, convert, wrap)`` for int, float and
+#: char, in the order of the bytecode's ``TY_*`` codes.  A store packs
+#: ``convert(value)`` and falls back to the C-style ``wrap(value)`` when
+#: that is out of the type's range.
+SCALAR_CODECS = (
+    (8, _INT.unpack_from, _INT.pack_into, int, lambda v: _wrap64(int(v))),
+    (8, _FLOAT.unpack_from, _FLOAT.pack_into, float, float),
+    (1, _CHAR.unpack_from, _CHAR.pack_into, int, lambda v: int(v) & 0xFF),
+)
 
 
 @dataclass(slots=True)
@@ -253,24 +248,18 @@ class Memory:
     def scalar_size(ty: ct.Type) -> int:
         return 1 if isinstance(ty, ct.CharType) else 8
 
-    read_int, write_int = _typed_access("<q", int, lambda v: _wrap64(int(v)))
-    read_float, write_float = _typed_access("<d", float, float)
-    read_char, write_char = _typed_access("<B", int, lambda v: int(v) & 0xFF)
-
     def read_scalar(self, addr: int, ty: ct.Type):
-        if isinstance(ty, ct.CharType):
-            return self.read_char(addr)
-        if isinstance(ty, ct.FloatType):
-            return self.read_float(addr)
-        return self.read_int(addr)
+        size, unpack, _, _, _ = SCALAR_CODECS[_type_code(ty)]
+        obj, off = self._resolve(addr, size)
+        return unpack(obj.data, off)[0]
 
     def write_scalar(self, addr: int, value, ty: ct.Type) -> None:
-        if isinstance(ty, ct.CharType):
-            self.write_char(addr, value)
-        elif isinstance(ty, ct.FloatType):
-            self.write_float(addr, value)
-        else:
-            self.write_int(addr, value)
+        size, _, pack, convert, wrap = SCALAR_CODECS[_type_code(ty)]
+        obj, off = self._resolve(addr, size)
+        try:
+            pack(obj.data, off, convert(value))
+        except struct.error:
+            pack(obj.data, off, wrap(value))
 
     def read_bytes(self, addr: int, size: int) -> bytes:
         obj, off = self._resolve(addr, size)
@@ -292,6 +281,15 @@ class Memory:
         return obj, off
 
 
+def _type_code(ty: ct.Type) -> int:
+    """The :data:`SCALAR_CODECS` index of a scalar type."""
+    if isinstance(ty, ct.CharType):
+        return 2
+    if isinstance(ty, ct.FloatType):
+        return 1
+    return 0
+
+
 def to_int(value) -> int:
     """``int(value)`` for a cast, trapping on infinity and NaN (undefined
     behaviour in C) instead of leaking a Python conversion error."""
@@ -307,3 +305,4 @@ def _wrap64(value: int) -> int:
     if value >= 1 << 63:
         value -= 1 << 64
     return value
+

@@ -25,17 +25,23 @@ from repro.runtime.config import RuntimeConfig, policy_for
 from repro.runtime.engine import CarmotHooks, CarmotRuntime
 from repro.vm.memory import Memory
 
-#: Loop-body rosters for the three stream shapes: (scalar sites,
-#: array-walk sites, aggregated-access chance) drawn per phase.
-#: ``scalar_loop`` is a tight reduction/flag loop (the paper's
+#: Loop-body rosters for the stream shapes: (scalar sites, array-walk
+#: sites, aggregated-access chance, read-then-write sites) drawn per
+#: phase.  ``scalar_loop`` is a tight reduction/flag loop (the paper's
 #: induction-variable hot path); ``mixed_loop`` adds array walks and an
 #: occasional aggregated access; ``array_walk`` is dominated by walks
 #: whose offset advances every iteration (a new PSE key on almost every
-#: access).
-STREAM_SHAPES: Dict[str, Tuple[Tuple[int, int], Tuple[int, int], float]] = {
-    "scalar_loop": ((6, 9), (0, 0), 0.0),
-    "mixed_loop": ((4, 7), (1, 2), 0.3),
-    "array_walk": ((0, 1), (2, 3), 0.3),
+#: access).  In those three every object is always read or always
+#: written; ``read_write`` adds sites that access one PSE twice in an
+#: iteration, read then write (``x = x + 1``, ``a[i] = a[i] * 2``) or
+#: write then read (a private temporary), so one invocation sees reads
+#: after writes of the same PSE.
+STREAM_SHAPES: Dict[str, Tuple[Tuple[int, int], Tuple[int, int], float,
+                               Tuple[int, int]]] = {
+    "scalar_loop": ((6, 9), (0, 0), 0.0, (0, 0)),
+    "mixed_loop": ((4, 7), (1, 2), 0.3, (0, 0)),
+    "array_walk": ((0, 1), (2, 3), 0.3, (0, 0)),
+    "read_write": ((1, 3), (0, 1), 0.2, (2, 4)),
 }
 
 
@@ -64,7 +70,7 @@ def make_stream(
     mix.  Each op is ``(is_write, obj_index, offset, count, stride,
     loc_index, cs_index)``.
     """
-    scalar_range, walk_range, agg_chance = STREAM_SHAPES[shape]
+    scalar_range, walk_range, agg_chance, rmw_range = STREAM_SHAPES[shape]
     rng = random.Random(f"{seed}:{shape}")
     int_ty = ct.IntType()
     locs = [SourceLoc.of(SourcePos("bench.mc", line, 1))
@@ -96,6 +102,21 @@ def make_stream(
             vars_by_obj[obj] = None
             roster.append(("agg", 0, obj, rng.randrange(len(locs)),
                            cs_index))
+        # Drawn only for shapes that have them, so the other shapes'
+        # draws (and pinned digests) stay as they were.
+        for _ in range(rng.randint(*rmw_range) if rmw_range[1] else 0):
+            obj = next_obj
+            next_obj += 1
+            if rng.random() < 0.5:  # a scalar
+                vars_by_obj[obj] = VarInfo(uid=10_000 + obj, name=f"v{obj}",
+                                           storage="local", ty=int_ty)
+                kind = "rmw_scalar"
+            else:  # an array walk
+                vars_by_obj[obj] = None
+                kind = "rmw_walk"
+            write_first = 1 if rng.random() < 0.5 else 0
+            roster.append((kind, write_first, obj,
+                           rng.randrange(len(locs)), cs_index))
         for iteration in range(rng.randint(200, 600)):
             for kind, is_write, obj, loc_index, cs in roster:
                 if kind == "scalar":
@@ -103,8 +124,14 @@ def make_stream(
                 elif kind == "walk":
                     ops.append((is_write, obj, 8 * (iteration % 64), 1, 0,
                                 loc_index, cs))
-                else:
+                elif kind == "agg":
                     ops.append((is_write, obj, 0, 8, 8, loc_index, cs))
+                else:  # is_write is the first access's kind
+                    offset = (0 if kind == "rmw_scalar"
+                              else 8 * (iteration % 64))
+                    ops.append((is_write, obj, offset, 1, 0, loc_index, cs))
+                    ops.append((1 - is_write, obj, offset, 1, 0, loc_index,
+                                cs))
             if len(ops) >= n_events:
                 break
     return ops[:n_events], vars_by_obj, locs, callstacks

@@ -437,7 +437,11 @@ class Interpreter:
         value = self._value(frame, instr.value)
         to = instr.result.ty
         if isinstance(to, ct.FloatType):
-            result: object = float(value)
+            try:
+                result: object = float(value)
+            except OverflowError:
+                raise TrapError(
+                    "integer too large to convert to a float") from None
         elif isinstance(to, ct.CharType):
             result = to_int(value) & 0xFF
         else:

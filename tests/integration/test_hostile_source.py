@@ -1,11 +1,11 @@
 """Hostile MiniC source is a clean error, never a Python traceback.
 
-Two families: float-to-int conversions of infinity or NaN (at compile
+Three families: float-to-int conversions of infinity or NaN (at compile
 time in constant folding, at run time in the VM's casts and the
-tree-walk oracle's), and
-programs nested deeper than the parser's bound.  Through the CLI each
-must print one ``error:`` line and exit 1; through the service it must
-come back as the canonical error envelope.
+tree-walk oracle's), int-to-float conversions of an int too large for a
+double, and programs nested deeper than the parser's bound.  Through the
+CLI each must print one ``error:`` line and exit 1; through the service
+it must come back as the canonical error envelope.
 """
 
 import pytest
@@ -98,6 +98,30 @@ def test_non_finite_cast_is_an_error_envelope(tmp_path, case):
     source, text = NON_FINITE[case]
     assert _served(tmp_path, source) == error_response(
         "psec", "error", f"cannot convert {text} to an integer")
+
+
+#: Registers hold unbounded ints, so a product that never passes through
+#: memory can outgrow a double.
+HUGE_INT = _roi("d = c" + " * 1000000000" * 40 + ";",
+                decls="int x; int c; int a[4]; float d;")
+HUGE_INT_ERROR = "integer too large to convert to a float"
+
+
+@pytest.mark.parametrize("vm", ENGINES)
+def test_huge_int_to_float_traps_on_both_engines(vm):
+    program = compile_carmot(HUGE_INT, name="huge_int")
+    with pytest.raises(TrapError, match=f"^{HUGE_INT_ERROR}$"), engine(vm):
+        program.run()
+
+
+def test_huge_int_to_float_is_a_cli_error(tmp_path, capsys):
+    assert _cli(tmp_path, HUGE_INT) == 1
+    assert capsys.readouterr().err == f"error: {HUGE_INT_ERROR}\n"
+
+
+def test_huge_int_to_float_is_an_error_envelope(tmp_path):
+    assert _served(tmp_path, HUGE_INT) == error_response(
+        "psec", "error", HUGE_INT_ERROR)
 
 
 def test_non_finite_integer_global_is_a_semantic_error(tmp_path, capsys):

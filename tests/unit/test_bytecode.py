@@ -5,6 +5,8 @@ oracle."""
 
 import io
 import json
+import re
+from array import array
 from pathlib import Path
 
 import pytest
@@ -16,11 +18,15 @@ from repro.vm.bytecode import (
     OP_PHI,
     OPCODE_NAMES,
     QUICKENED_OPCODES,
+    BytecodeError,
+    BytecodeFunction,
+    BytecodeModule,
     BytecodeSerializeError,
     bytecode_digest,
     dequicken_module,
     deserialize_bytecode,
     disassemble,
+    execution_stream,
     fused_site_counts,
     instr_width,
     quickened_op_count,
@@ -202,6 +208,20 @@ class TestDispatchContract:
         with pytest.raises(VMError, match="no function named"):
             run_module(program.module, entry="nope")
 
+    @pytest.mark.parametrize("code, message", [
+        ([999], "unknown opcode 999 at main+0"),
+        ([13], "truncated instruction at main+0"),
+        ([13, -1, 9, 0, -1, 0], "truncated instruction at main+2"),
+    ])
+    def test_malformed_code_is_refused_at_link(self, code, message):
+        bc = BytecodeModule("bad")
+        bc.functions["main"] = BytecodeFunction(
+            "main", array("q", code), [], n_args=0, n_regs=1, entry_pc=0,
+            instrumented=False)
+        bc.function_order.append("main")
+        with pytest.raises(BytecodeError, match=f"^{re.escape(message)}$"):
+            BytecodeInterpreter(bc)
+
     def test_there_is_no_engine_choice(self):
         program = compile_baseline(SCALAR)
         with pytest.raises(TypeError, match="vm"):
@@ -281,7 +301,7 @@ class TestTier2:
         assert bc.dequicken_count == n
         for name in bc.function_order:
             fn = bc.functions[name]
-            assert fn.xcode == list(fn.code)
+            assert fn.xcode == execution_stream(fn)
             assert not fn.xquick and fn.quickened is None
         assert not bc._quick_targets
         # A fresh run re-quickens from scratch and stays correct.
@@ -366,7 +386,8 @@ class TestLineTracer:
         interp.enable_line_tracing()
         interp.run()
         assert quickened_op_count(bc) == 0
-        assert all(fn.xcode == list(fn.code) for fn in bc.functions.values())
+        assert all(fn.xcode == execution_stream(fn)
+                   for fn in bc.functions.values())
         run_module(program.module, bytecode=bc)
         assert quickened_op_count(bc) > 0
 

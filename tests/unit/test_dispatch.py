@@ -3,7 +3,9 @@
 ``BytecodeInterpreter._execute`` runs the hot opcodes in an inline
 ``if``/``elif`` chain, ordered hottest first, and sends the rest through
 a dense handler table.  Reordering the chain must never drop an opcode,
-handle one twice, or put one behind a guard it cannot pass.
+handle one twice, or put one behind a guard it cannot pass, and every
+handler reads its operands from the one instruction tuple the loop head
+fetched.
 """
 
 import ast
@@ -40,10 +42,14 @@ def _is_op_test(test, comparator):
             and len(test.ops) == 1 and isinstance(test.ops[0], comparator))
 
 
+def _execute_tree():
+    source = textwrap.dedent(inspect.getsource(BytecodeInterpreter._execute))
+    return ast.parse(source)
+
+
 def _inline_opcodes():
     """Map each inline-handled opcode to the range guards it sits under."""
-    source = textwrap.dedent(inspect.getsource(BytecodeInterpreter._execute))
-    tree = ast.parse(source)
+    tree = _execute_tree()
     top = next(
         node for node in ast.walk(tree)
         if isinstance(node, ast.If) and _is_op_test(node.test, ast.GtE)
@@ -67,11 +73,15 @@ def _inline_opcodes():
     return handled
 
 
-def _cold_opcodes():
+def _cold_handlers():
     program = compile_carmot("int main() { return 0; }", name="dispatch")
     vm = BytecodeInterpreter(lower_module(program.module))
-    return [op for op, handler in enumerate(vm._cold_table)
+    return [(op, handler) for op, handler in enumerate(vm._cold_table)
             if handler is not None]
+
+
+def _cold_opcodes():
+    return [op for op, _ in _cold_handlers()]
 
 
 def test_every_opcode_is_handled_exactly_once():
@@ -110,3 +120,22 @@ def test_hot_chains_lead_with_the_hottest_opcodes():
                         bcinterp.OP_MUL_QI, bcinterp.OP_LT_BR_QI]
     assert high.index(bcinterp.OP_PROBE_STORE) < len(high) // 2
     assert low[0] == bcinterp.OP_ADDR
+
+
+def test_each_dispatch_decodes_one_instruction_tuple():
+    # The loop head fetches the instruction's tuple once; handlers
+    # unpack operands from it and never read operand words at
+    # ``code[pc + k]``.  The only other read of the stream is
+    # ``jump.phi`` fetching its target trampoline's tuple.
+    tree = _execute_tree()
+    loop = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.While))
+    assert [ast.unparse(stmt) for stmt in loop.body[:2]] == [
+        "ins = code[pc]", "op = ins[0]"]
+    reads = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Subscript)
+             and isinstance(node.value, ast.Name) and node.value.id == "code"]
+    assert sorted(set(reads)) == ["code[ins[1]]", "code[pc]"]
+    for op, handler in _cold_handlers():
+        params = list(inspect.signature(handler).parameters)
+        assert params[:2] == ["pc", "ins"], OPCODE_NAMES[op]

@@ -5,6 +5,7 @@ its per-site last-object cache resolves addresses exactly as
 
 import types
 
+from repro.compiler import compile_carmot
 from repro.ir.instructions import AccessKind, SourceLoc, VarInfo
 from repro.ir.module import Module
 from repro.lang import types as ct
@@ -13,6 +14,8 @@ from repro.resilience import ResiliencePolicy
 from repro.resilience.degradation import CONSERVATIVE_WRITE
 from repro.runtime.config import RuntimeConfig, policy_for
 from repro.runtime.engine import CarmotHooks, CarmotRuntime
+from repro.vm.bcinterp import BytecodeInterpreter
+from repro.vm.codegen import lower_module
 from repro.vm.memory import Memory
 
 LOC = SourceLoc.of(SourcePos("m.mc", 3, 1))
@@ -143,7 +146,7 @@ class TestSiteCache:
     def sites():
         return [(None, LOC), (None, SourceLoc.of(SourcePos("m.mc", 4, 1)))]
 
-    def test_alternating_sites_hit_and_leave_the_memory_cache(self):
+    def test_alternating_sites_hit(self):
         runtime, hooks = make_hooks(sites=self.sites())
         memory = hooks.vm.memory
         a = memory.allocate(64, "heap")
@@ -154,12 +157,45 @@ class TestSiteCache:
         memory._bisect = lambda addr: bisects.append(addr) or lookup(addr)
         for index in range(4):
             access(hooks, a.base + 8 * index, 2 * index, site_id=0)
-            assert memory._last is a
             access(hooks, b.base + 8 * index, 2 * index + 1, site_id=1)
-            assert memory._last is b
         # Each site bisects once, on its first access.
         assert bisects == [a.base, b.base]
         assert runtime.psecs[0].total_accesses == 8
+
+    def test_load_after_a_probe_resolves_no_object(self):
+        """The probe hands nothing to ``Memory``: each probed load and
+        store hits the VM's own per-instruction object cache, so a loop
+        over two arrays resolves objects on its first iteration only."""
+        source = """
+int a[64];
+int b[64];
+int main() {
+    int i = 0;
+    int acc = 0;
+    #pragma carmot roi abstraction(parallel_for)
+    while (i < %d) {
+        a[i] = i;
+        b[i] = a[i] + acc;
+        acc = acc + b[i];
+        i = i + 1;
+    }
+    return acc %% 7;
+}
+"""
+
+        def resolves(n):
+            program = compile_carmot(source % n)
+            hooks = program.make_runtime()[1]
+            vm = BytecodeInterpreter(lower_module(program.module), hooks)
+            calls = []
+            resolve = vm.memory._resolve
+            vm.memory._resolve = (
+                lambda addr, size: calls.append(addr) or resolve(addr, size))
+            vm.run()
+            assert hooks.runtime.psecs[0].total_accesses > n
+            return len(calls)
+
+        assert resolves(4) == resolves(40) > 0
 
     def test_first_resolution_registers_globals_in_the_asmt(self):
         runtime, hooks = make_hooks(sites=self.sites())

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from repro.errors import MemoryFault, VMError
 from repro.lang import types as ct
 from repro.vm.memory import Memory
+from tests.helpers.access import FORMS, AccessVM
 
 
 class TestAllocation:
@@ -273,7 +274,7 @@ class TestSegmentOverflow:
         assert mem.read_scalar(obj.base, ct.INT) == 7
 
 
-# -- typed accessors against a linear-scan oracle -----------------------------
+# -- the VM's loads and stores against a linear-scan oracle -------------------
 
 _TYPES = {"int": (ct.INT, "<q"), "float": (ct.FLOAT, "<d"),
           "char": (ct.CHAR, "<B")}
@@ -290,13 +291,14 @@ def _outcome(access, *args):
 
 
 class _Twin:
-    """Two memories driven in lockstep — the typed accessors on one,
-    ``read_scalar``/``write_scalar`` on the other — checked against a
-    linear scan over every object ever allocated and a shadow copy of
-    their bytes."""
+    """Two memories driven in lockstep — the VM's load and store opcodes
+    of one form (:mod:`tests.helpers.access`) on one, ``read_scalar``/
+    ``write_scalar`` on the other — checked against a linear scan over
+    every object ever allocated and a shadow copy of their bytes."""
 
-    def __init__(self):
-        self.typed, self.scalar = Memory(), Memory()
+    def __init__(self, form):
+        self.vm = AccessVM(form)
+        self.typed, self.scalar = self.vm.memory, Memory()
         self.pairs = []
         self.shadow = {}
 
@@ -332,7 +334,7 @@ class _Twin:
             want = (MemoryFault, fault)
         else:
             want = _outcome(lambda: struct.unpack_from(fmt, *where)[0])
-        typed = _outcome(getattr(self.typed, f"read_{name}"), addr)
+        typed = _outcome(self.vm.read, name, addr)
         scalar = _outcome(self.scalar.read_scalar, addr, ty)
         assert typed == scalar == want
         return typed
@@ -351,7 +353,7 @@ class _Twin:
                 value_out = float(value)
             struct.pack_into(fmt, *where, value_out)
             want = ("ok", None)
-        typed = _outcome(getattr(self.typed, f"write_{name}"), addr, value)
+        typed = _outcome(self.vm.write, name, addr, value)
         scalar = _outcome(self.scalar.write_scalar, addr, value, ty)
         assert typed == scalar == want
         for obj, twin in self.pairs:
@@ -359,50 +361,59 @@ class _Twin:
         return typed
 
 
+@pytest.mark.parametrize("form", sorted(FORMS))
 class TestTypedAccessors:
-    """``read_int``/``read_float``/``read_char`` and their writers serve
-    the live last-hit object inline; every other access must fault with
+    """The VM's typed loads and stores serve the object their
+    instruction resolved last inline; every other access must fault with
     the same type and message as ``read_scalar``/``write_scalar``."""
 
     @pytest.mark.parametrize("name", sorted(_TYPES))
-    def test_freed_last_hit(self, name):
-        twin = _Twin()
+    def test_freed_last_hit(self, form, name):
+        twin = _Twin(form)
         obj = twin.alloc(16)
-        assert twin.write(name, obj.base, 7)[0] == "ok"  # now the last hit
+        assert twin.write(name, obj.base, 7)[0] == "ok"  # now cached
+        assert twin.read(name, obj.base)[0] == "ok"
         twin.free(0)
-        assert twin.typed._last is obj and obj.freed
+        assert twin.vm.cached("write", name) is obj and obj.freed
+        assert twin.vm.cached("read", name) is obj
         assert "use-after-free" in twin.read(name, obj.base)[1]
         assert "use-after-free" in twin.write(name, obj.base, 1)[1]
 
     @pytest.mark.parametrize("name", sorted(_TYPES))
-    def test_guard_byte(self, name):
-        twin = _Twin()
+    def test_guard_byte(self, form, name):
+        twin = _Twin(form)
         a = twin.alloc(8)
         twin.alloc(8)
         twin.read(name, a.base)
+        twin.write(name, a.base, 1)
         assert "invalid address" in twin.read(name, a.base + 8)[1]
         assert "invalid address" in twin.write(name, a.base + 8, 1)[1]
 
     @pytest.mark.parametrize("name", ["int", "float"])
-    def test_eight_bytes_straddling_the_end(self, name):
-        twin = _Twin()
+    def test_eight_bytes_straddling_the_end(self, form, name):
+        twin = _Twin(form)
         obj = twin.alloc(12)
         for last_hit in (True, False):
-            if not last_hit:
-                twin.read("char", twin.alloc(4).base)
+            if last_hit:
+                twin.read(name, obj.base)
+                twin.write(name, obj.base, 1)
+            else:
+                other = twin.alloc(16).base
+                twin.read(name, other)
+                twin.write(name, other, 1)
             assert "out-of-bounds" in twin.read(name, obj.base + 8)[1]
             assert "out-of-bounds" in twin.write(name, obj.base + 5, 1)[1]
 
-    def test_char_at_the_last_byte(self):
-        twin = _Twin()
+    def test_char_at_the_last_byte(self, form):
+        twin = _Twin(form)
         obj = twin.alloc(12)
         assert twin.write("char", obj.base + 11, 0x1AB) == ("ok", None)
         assert twin.read("char", obj.base + 11) == ("ok", 0xAB)
 
     @pytest.mark.parametrize("value", [1 << 70, (1 << 63) + 5, -(1 << 63) - 1,
                                        2.5e19, -1])
-    def test_int_store_wraps_to_64_bits(self, value):
-        twin = _Twin()
+    def test_int_store_wraps_to_64_bits(self, form, value):
+        twin = _Twin(form)
         obj = twin.alloc(8)
         twin.write("int", obj.base, value)
         twin.read("int", obj.base)
@@ -419,8 +430,8 @@ class TestTypedAccessors:
                             st.floats(allow_nan=False,
                                       allow_infinity=False))),
     ), max_size=60))
-    def test_matches_a_linear_scan(self, ops):
-        twin = _Twin()
+    def test_matches_a_linear_scan(self, form, ops):
+        twin = _Twin(form)
         for op in ops:
             if op[0] == "alloc":
                 twin.alloc(op[1], op[2])

@@ -25,6 +25,8 @@ PINNED = {
         "d7784eb4331f7c2385db390455ec5a7694a5ec22ad5e473558c5a294cd8cdb76",
     "array_walk":
         "dfc2c9e7f4d8f754e1ec78f72bea9e70819007d21000e87cec35440d5f188b33",
+    "read_write":
+        "db9617202e8670db83af123ec11dd5693ed5ca45f2f703b2df1d6578232237a2",
 }
 
 
