@@ -27,10 +27,6 @@ BYTECODE_SCHEMA_VERSION = 2
 #: (:mod:`repro.session.store`).
 STORE_VERSION = 1
 
-#: Format version of serialized static prescreen facts
-#: (:mod:`repro.compiler.prescreen`).
-PRESCREEN_SCHEMA_VERSION = 1
-
 #: Format version of service request/response documents — the wire
 #: format of the ``repro serve`` daemon and the envelope returned by
 #: :class:`repro.service.core.ServiceCore` (:mod:`repro.service`).

@@ -45,8 +45,8 @@ import sys
 from typing import List, Optional
 
 from repro._version import __version__
-from repro.compiler import PRESCREEN_MODES
 from repro.errors import ReproError
+from repro.resilience.budgets import MAX_CALL_DEPTH
 from repro.service import (
     REQUEST_KINDS,
     DisRequest,
@@ -220,15 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="VM budgets and the per-ROI event budget, e.g. "
                  "'steps=5000000,heap=1048576,depth=256,"
                  "events-per-roi=20000' (an ROI past its event budget "
-                 "degrades to conservative Sets)",
-        )
-        p.add_argument(
-            "--prescreen", default="off", choices=list(PRESCREEN_MODES),
-            help="hybrid static+dynamic PSEC: prove Set membership at "
-                 "compile time and strip the probes — 'safe' claims "
-                 "non-escaping scalar locals, 'aggressive' additionally "
-                 "claims induction-walked array elements; the profile is "
-                 "identical (at Sets level) to the fully-dynamic run",
+                 "degrades to conservative Sets; depth is at most "
+                 f"{MAX_CALL_DEPTH}, the call-depth ceiling every run has)",
         )
         p.add_argument(
             "--passes", default=None, metavar="PIPELINE",

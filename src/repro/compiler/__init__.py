@@ -28,17 +28,12 @@ from repro.compiler.instrument import (
     instrument_module,
 )
 from repro.compiler.mem2reg import promotable_allocas, promote_allocas
-from repro.compiler.prescreen import (
-    PRESCREEN_MODES,
-    PrescreenPass,
-    StaticFact,
-    StaticFacts,
-)
-from repro.compiler.o3 import optimize_module_o3, optimize_o3
 from repro.compiler.opts import (
     eliminate_dead_code,
     fold_constants,
     optimize_function,
+    optimize_module_o3,
+    optimize_o3,
     simplify_cfg,
 )
 
@@ -47,7 +42,6 @@ __all__ = [
     "carmot_pass_names", "BuildMode", "CompiledProgram", "compile_baseline",
     "compile_carmot", "compile_naive", "compile_pipeline", "frontend",
     "InstrumentationPlan", "InstrumentationReport", "instrument_module",
-    "PRESCREEN_MODES", "PrescreenPass", "StaticFact", "StaticFacts",
     "promotable_allocas", "promote_allocas", "optimize_module_o3",
     "optimize_o3", "eliminate_dead_code", "fold_constants",
     "optimize_function", "simplify_cfg",

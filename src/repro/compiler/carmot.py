@@ -89,10 +89,6 @@ class CarmotOptions:
     callgraph_o3: bool = True             # opt 5
     reduce_pin: bool = True               # opt 6
     callstack_clustering: bool = True     # opt 7 (runtime knob)
-    #: Hybrid static+dynamic pre-screening: "off" (fully dynamic PSEC,
-    #: the paper's default), "safe" (non-escaping scalar slots), or
-    #: "aggressive" (safe + induction-walked array elements).
-    prescreen: str = "off"
 
     @classmethod
     def none(cls) -> "CarmotOptions":
@@ -108,9 +104,6 @@ class CarmotBuildInfo:
     promoted_locals: int = 0
     report: Optional[InstrumentationReport] = None
     pass_report: Optional[PassTimingReport] = None
-    #: Prescreen sidecar (``repro.compiler.prescreen.StaticFacts``), when
-    #: the prescreen pass ran and proved at least one verdict.
-    static_facts: Optional[object] = None
 
 
 #: Which pass names each :class:`CarmotOptions` toggle controls (opt 7 is
@@ -123,7 +116,6 @@ OPTION_PASSES: Dict[str, Tuple[str, ...]] = {
     "callgraph_o3": ("callgraph-o3", "out-of-roi-suppression"),
     "reduce_pin": ("pin-reduction",),
     "callstack_clustering": (),
-    "prescreen": ("prescreen",),
 }
 
 
@@ -135,10 +127,6 @@ def carmot_pass_names(options: Optional[CarmotOptions] = None) -> List[str]:
         names.append("callgraph-o3")
     if options.selective_mem2reg:
         names.append("selective-mem2reg")
-    if options.prescreen != "off":
-        # Before opts 3/2/1: statically-claimed PSEs are recorded in the
-        # pipeline context so the dynamic planners skip them.
-        names.append("prescreen")
     if options.fixed_classification:
         names.append("fixed-classification")
     if options.aggregation:
@@ -293,7 +281,7 @@ class FixedClassificationPass(Pass):
             multi_trip = _provably_multi_trip(function, loop, roi)
             for key, (loads, stores) in accesses.items():
                 if key in handled:
-                    continue  # claimed by a prescreen static fact
+                    continue  # classified by an earlier run of this pass
                 addr = (loads or stores)[0][2].ptr
                 var = (loads or stores)[0][2].var
                 size = _probe_size_of(loads, stores)
@@ -452,7 +440,7 @@ def _aggregate_candidates(am, function, region, loop, trip, plan):
             continue
         kind, access = users[0]
         if id(access) in plan.suppressed:
-            continue  # already claimed (e.g. by a prescreen static fact)
+            continue  # already claimed by fixed classification
         # No other in-region access may touch the same array.
         conflict = False
         for _, _, other in region.instructions():

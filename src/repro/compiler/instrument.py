@@ -28,7 +28,6 @@ from repro.ir.instructions import (
     Load,
     ProbeAccess,
     ProbeClassify,
-    ProbeStatic,
     Store,
     ProbeEscape,
 )
@@ -49,14 +48,11 @@ class InstrumentationPlan:
     to probes spliced in immediately before that instruction (opts 2–3
     hoisted probes — anchors survive the block rewrites of mem2reg);
     ``pin_cleared`` holds ids of Call instructions whose Pin gate is safe
-    to drop (opt 6).  ``static_suppressed`` is the subset of
-    ``suppressed`` claimed by prescreen static facts (reported
-    separately so Figure-8-style breakdowns can attribute the saving).
+    to drop (opt 6).
     """
 
     policy: InstrumentationPolicy
     suppressed: Set[int] = field(default_factory=set)
-    static_suppressed: Set[int] = field(default_factory=set)
     escape_suppressed: Set[int] = field(default_factory=set)
     insertions: Dict[int, List[Instr]] = field(default_factory=dict)
     pin_cleared: Set[int] = field(default_factory=set)
@@ -74,10 +70,7 @@ class InstrumentationReport:
     access_probes: int = 0
     escape_probes: int = 0
     classify_probes: int = 0
-    static_probes: int = 0
     suppressed_probes: int = 0
-    #: Subset of ``suppressed_probes`` stripped by prescreen static facts.
-    static_suppressed_probes: int = 0
     pin_gates: int = 0
     pin_gates_cleared: int = 0
 
@@ -125,8 +118,6 @@ def _instrument_function(
                     report.classify_probes += 1
                 elif isinstance(hoisted, ProbeAccess):
                     report.access_probes += 1
-                elif isinstance(hoisted, ProbeStatic):
-                    report.static_probes += 1
             probe = _probe_for(instr, policy, temp_slots, plan, report)
             if probe is not None:
                 new_instrs.append(probe)
@@ -150,8 +141,6 @@ def _probe_for(instr, policy, temp_slots, plan, report) -> Optional[ProbeAccess]
             return None
         if id(instr) in plan.suppressed:
             report.suppressed_probes += 1
-            if id(instr) in plan.static_suppressed:
-                report.static_suppressed_probes += 1
             return None
         report.access_probes += 1
         return ProbeAccess(
@@ -163,8 +152,6 @@ def _probe_for(instr, policy, temp_slots, plan, report) -> Optional[ProbeAccess]
             return None
         if id(instr) in plan.suppressed:
             report.suppressed_probes += 1
-            if id(instr) in plan.static_suppressed:
-                report.static_suppressed_probes += 1
             return None
         pointee = (instr.ptr.ty.pointee
                    if isinstance(instr.ptr.ty, ct.PointerType)

@@ -456,34 +456,6 @@ class ProbeClassify(Instr):
 
 
 @dataclass
-class ProbeStatic(Instr):
-    """Bind one statically-classified PSE to its prescreen verdict.
-
-    Inserted by the ``prescreen`` pass immediately after ``roi.begin``
-    for every PSE whose Set membership was proved at compile time (the
-    access probes for such PSEs are stripped).  Unlike the probe family
-    above, executing it emits **no event**: the runtime synchronously
-    notes "fact ``fact_index`` resolved to address ``ptr`` in this
-    invocation" and merges the verdict into the PSEC at ``finish()``.
-    ``fact_index`` indexes the module's :class:`StaticFacts` sidecar,
-    which carries the once/steady verdict letters and (for element
-    facts) the range geometry.
-    """
-
-    ptr: Value
-    roi_id: int
-    fact_index: int
-    loc: Optional[SourceLoc] = None
-    result: Optional[Temp] = None
-
-    def operands(self):
-        return (self.ptr,)
-
-    def __str__(self) -> str:
-        return f"probe.static #{self.roi_id}/{self.fact_index} {self.ptr}"
-
-
-@dataclass
 class ProbeEscape(Instr):
     """Report a pointer escape: ``value`` (a pointer) stored into ``ptr``.
 

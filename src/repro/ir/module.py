@@ -205,12 +205,6 @@ class Module:
         #: matching ``site_id``; the runtime seeds its site table from
         #: this so the hot path never re-interns.
         self.site_table: List[tuple] = []
-        #: Prescreen sidecar: the compile-time Set verdicts
-        #: (:class:`repro.compiler.prescreen.StaticFacts`) indexed by the
-        #: module's ``probe.static`` instructions; None when the
-        #: prescreen pass did not run or proved nothing.  Serialized as
-        #: its own session artifact, not as part of the IR payload.
-        self.static_facts = None
 
     def new_omp_region(
         self, kind: str, pragma: object, function: str, pos: SourcePos

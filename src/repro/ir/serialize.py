@@ -53,7 +53,6 @@ from repro.ir.instructions import (
     ProbeAccess,
     ProbeClassify,
     ProbeEscape,
-    ProbeStatic,
     Ret,
     RoiBegin,
     RoiEnd,
@@ -362,11 +361,6 @@ class _Encoder:
                 "count": self.value(instr.count), "stride": instr.stride,
                 "roi": instr.roi_id, "site": instr.site_id,
             }
-        if isinstance(instr, ProbeStatic):
-            return {
-                "op": "probe.static", "ptr": self.value(instr.ptr),
-                "roi": instr.roi_id, "fact": instr.fact_index, "loc": loc,
-            }
         if isinstance(instr, ProbeEscape):
             return {
                 "op": "probe.escape", "value": self.value(instr.value),
@@ -654,11 +648,6 @@ class _Decoder:
                 size=doc["size"], var=self.var(doc["var"]), loc=loc,
                 count=self.value(doc["count"]), stride=doc["stride"],
                 roi_id=doc["roi"], site_id=doc["site"],
-            )
-        if op == "probe.static":
-            return ProbeStatic(
-                ptr=self.value(doc["ptr"]), roi_id=doc["roi"],
-                fact_index=doc["fact"], loc=loc,
             )
         if op == "probe.escape":
             return ProbeEscape(

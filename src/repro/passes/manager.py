@@ -113,9 +113,6 @@ class PassRunStats:
     blocks_before: int = 0
     blocks_after: int = 0
     changed: bool = False
-    #: Pass-specific counters published via :meth:`AnalysisManager.annotate`
-    #: (e.g. prescreen's verdict counts), rendered under the stats table.
-    extras: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def instr_delta(self) -> int:
@@ -208,12 +205,6 @@ class PassTimingReport:
                 f"{name} computed {computed}x, served {served}x"
                 for name, (computed, served) in sorted(summary.items())
             ))
-        for run in self.runs:
-            if run.extras:
-                lines.append(f"  {run.name}: " + " ".join(
-                    f"{key}={value}"
-                    for key, value in sorted(run.extras.items())
-                ))
         return "\n".join(lines)
 
 
@@ -326,12 +317,6 @@ class AnalysisManager:
                 dropped.add(key)
         for key in dropped:
             del self._cache[key]
-
-    def annotate(self, key: str, value: Any) -> None:
-        """Publish a pass-specific counter into the running pass's stats
-        (no-op outside a :class:`PassManager` run)."""
-        if self._current_stats is not None:
-            self._current_stats.extras[key] = value
 
     # -- pass attribution (driven by PassManager) ------------------------
 

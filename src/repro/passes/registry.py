@@ -29,8 +29,8 @@ class UnknownPassError(ReproError):
 #: Version of the pass registry's *semantics*: bump when a registered
 #: pass changes behaviour without changing its name, so pipeline cache
 #: keys derived from :func:`registry_fingerprint` stop matching old
-#: artifacts.  2: prescreen-aware planning (fixed-classification and
-#: aggregation skip statically-claimed PSEs).
+#: artifacts.  2: fixed-classification and aggregation skip PSEs an
+#: earlier pass already claimed.
 REGISTRY_VERSION = 2
 
 

@@ -6,7 +6,8 @@ profiling session:
 - :class:`ExecutionBudgets` guards the **VM**: step limit, heap-byte
   limit, and recursion depth, each raising
   :class:`repro.errors.BudgetExceeded` (a :class:`TrapError`) instead of
-  exhausting host memory or hitting Python's ``RecursionError``;
+  exhausting host memory or hitting Python's ``RecursionError``.  The
+  call depth is bounded even with no budget: :data:`MAX_CALL_DEPTH`;
 - :class:`ResiliencePolicy` guards the **runtime**: a per-ROI event
   budget past which the ROI degrades to conservative classification.
 
@@ -23,6 +24,14 @@ from typing import Dict, Tuple
 from repro.errors import RuntimeToolError
 
 
+#: Deepest call stack the VM runs, budget or not: a call that would make
+#: more frames active trips the depth budget's ``BudgetExceeded``.  Not
+#: a knob (like the parser's ``MAX_NESTING``): every frame keeps its own
+#: callstack tuple, so an unbounded recursion grows memory quadratically
+#: until the host kills the process.  The paper's ports need 2–4 frames.
+MAX_CALL_DEPTH = 1024
+
+
 def _require_nonnegative(name: str, value: int) -> None:
     if value < 0:
         raise RuntimeToolError(f"budget {name!r} must be >= 0, got {value}")
@@ -30,7 +39,12 @@ def _require_nonnegative(name: str, value: int) -> None:
 
 @dataclass(frozen=True)
 class ExecutionBudgets:
-    """VM guards; ``0`` disables the corresponding limit."""
+    """VM guards; ``0`` disables the corresponding limit.
+
+    ``max_recursion_depth`` is the most frames that may be active at
+    once.  It cannot exceed :data:`MAX_CALL_DEPTH`, which also applies
+    when it is ``0``.
+    """
 
     max_steps: int = 0
     max_heap_bytes: int = 0
@@ -40,6 +54,11 @@ class ExecutionBudgets:
         _require_nonnegative("steps", self.max_steps)
         _require_nonnegative("heap", self.max_heap_bytes)
         _require_nonnegative("depth", self.max_recursion_depth)
+        if self.max_recursion_depth > MAX_CALL_DEPTH:
+            raise RuntimeToolError(
+                f"budget 'depth' must be <= {MAX_CALL_DEPTH} (the VM's "
+                f"call-depth ceiling), got {self.max_recursion_depth}"
+            )
 
 
 @dataclass(frozen=True)

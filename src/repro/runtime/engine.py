@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.errors import RuntimeToolError
 from repro.ir.instructions import AccessKind
 from repro.ir.module import Module
 from repro.resilience.degradation import (
@@ -46,9 +45,6 @@ class RuntimeStats:
     access_events: int = 0
     aggregated_events: int = 0
     classify_events: int = 0
-    #: ``probe.static`` executions (prescreen facts): synchronous
-    #: bookkeeping, never a PSE event.
-    static_probe_events: int = 0
     alloc_events: int = 0
     escape_events: int = 0
     pin_accesses: int = 0
@@ -86,12 +82,6 @@ class CarmotRuntime:
         #: when the key appears in several ROIs' PSECs.
         self._pse_keys: Dict[PseKey, PseKey] = {}
         self._var_keys: Dict[int, PseKey] = {}
-        #: Prescreen sidecar: compile-time Set verdicts, resolved into
-        #: the PSECs at :meth:`finish`.  ``_static_notes`` accumulates
-        #: per-(fact, object) observations: [first_time, base_offset,
-        #: var, {epoch: invocation count}].
-        self.static_facts = getattr(module, "static_facts", None)
-        self._static_notes: Dict[Tuple[int, int], List] = {}
         #: site id → (var, loc, str(loc)); ids 0..n-1 match the
         #: compile-time ``module.site_table`` so probes can carry them.
         self._site_values: List[Tuple] = []
@@ -122,69 +112,7 @@ class CarmotRuntime:
     def any_roi_active(self) -> bool:
         return bool(self._active)
 
-    def static_note(self, fact_index: int, obj_id: int, base_offset: int,
-                    var, roi_id: int, time: int) -> None:
-        """Record one ``probe.static`` execution (one ROI invocation).
-
-        Only counts are kept per epoch; the letters resolve at
-        :meth:`finish`, after all dynamic folds, exactly like the FSA's
-        epoch-commit rule: ``once`` letters for single-invocation
-        epochs, ``steady`` letters otherwise, unioned across epochs."""
-        self.stats.static_probe_events += 1
-        epoch = self._epochs[roi_id]
-        note = self._static_notes.get((fact_index, obj_id))
-        if note is None:
-            self._static_notes[(fact_index, obj_id)] = [
-                time, base_offset, var, {epoch: 1}
-            ]
-        else:
-            counts = note[3]
-            counts[epoch] = counts.get(epoch, 0) + 1
-
-    def _resolve_static_facts(self) -> None:
-        """Merge the prescreen verdicts into the PSECs (§4.2 rules)."""
-        if not self._static_notes:
-            return
-        if self.static_facts is None:
-            raise RuntimeToolError(
-                "probe.static executed but the module carries no "
-                "prescreen static facts sidecar"
-            )
-        facts = self.static_facts.facts
-        intern_key = self._pse_keys.setdefault
-        for fact_index, obj_id in sorted(self._static_notes):
-            first_time, base_offset, var, epoch_counts = (
-                self._static_notes[(fact_index, obj_id)]
-            )
-            fact = facts[fact_index]
-            psec = self.psecs.get(fact.roi_id)
-            if psec is None:
-                continue
-            letters: Set[str] = set()
-            for count in epoch_counts.values():
-                letters |= set(fact.once_letters if count == 1
-                               else fact.steady_letters)
-            if "T" in letters:
-                letters.discard("C")
-            text = "".join(sorted(letters))
-            if fact.kind == "slot":
-                key = self._var_keys.get(obj_id)
-                if key is None:
-                    key = intern_key(
-                        ("var", obj_id), ("var", obj_id)
-                    )
-                    self._var_keys[obj_id] = key
-                psec.force_classification(key, var, text, first_time)
-            else:
-                for index in range(fact.count):
-                    offset = base_offset + fact.start + index * fact.stride
-                    key = ("mem", obj_id, offset, fact.size)
-                    psec.force_classification(
-                        intern_key(key, key), None, text, first_time
-                    )
-
     def finish(self) -> None:
-        self._resolve_static_facts()
         for roi_id in self.degradation.degraded_rois():
             psec = self.psecs.get(roi_id)
             if psec is None:
@@ -545,21 +473,6 @@ class CarmotHooks(ExecutionHooks):
                     return (self.cm.classify_probe
                             + self.cm.inline_process * max(1, count))
         return self.cm.classify_probe
-
-    def on_probe_static(self, fact_index: int, addr: int,
-                        roi_id: int) -> int:
-        """Prescreen fact bookkeeping: resolve the object once per ROI
-        invocation, emit **no** event (the verdict was proven at compile
-        time; only invocation counts per epoch are needed)."""
-        runtime = self.runtime
-        if runtime.config.policy.track_sets:
-            obj = self._object_for(addr)
-            if obj is not None:
-                runtime.static_note(
-                    fact_index, obj.obj_id, addr - obj.base, obj.var,
-                    roi_id, self.vm.instructions,
-                )
-        return self.cm.probe_push
 
     def on_probe_escape(self, value_addr, dest_addr, loc) -> int:
         runtime = self.runtime

@@ -185,9 +185,9 @@ class Psec:
         entry.forced = "".join(sorted(set(entry.forced) | set(letters)))
         if entry.first_time is None:
             entry.first_time = time
-        # Max, not last-assignment: prescreen verdicts resolve at finish
-        # stamped with their first execution time, after the events that
-        # followed it have been folded.
+        # Max, not last-assignment: FSA folds and event-budget forcing
+        # both stamp the same entry, and ``last_time`` must never move
+        # backwards whichever of them ran last.
         if entry.last_time is None or time > entry.last_time:
             entry.last_time = time
 

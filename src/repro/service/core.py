@@ -255,7 +255,6 @@ class ServiceCore:
         profiled = session.profile(
             request.source, options.profiling_pipeline(),
             abstraction=options.abstraction,
-            options=options.carmot_options(),
             name=request.name, entry=options.entry,
             trace=options.trace, **options.run_kwargs(),
         )
@@ -356,17 +355,14 @@ class ServiceCore:
         )
         pass_stats: List[str] = []
         legs: Dict[str, object] = {}
-        # --passes swaps out the CARMOT leg of the comparison; --prescreen
-        # only steers this leg (naive has no plan to prescreen).
-        for leg_name, pipeline, carmot_options in (
-            ("naive", "naive", None),
-            ("carmot", options.profiling_pipeline(),
-             options.carmot_options()),
+        # --passes swaps out the CARMOT leg of the comparison.
+        for leg_name, pipeline in (
+            ("naive", "naive"),
+            ("carmot", options.profiling_pipeline()),
         ):
             profiled = session.profile(
                 request.source, pipeline, abstraction=options.abstraction,
-                name=request.name, options=carmot_options,
-                entry=options.entry, **kwargs,
+                name=request.name, entry=options.entry, **kwargs,
             )
             block = _pass_stats_block(options, profiled.program)
             if block is not None:
@@ -403,7 +399,7 @@ class ServiceCore:
         else:
             compiled = session.compile(
                 request.source, pipeline, options.abstraction,
-                options=options.carmot_options(), name=request.name,
+                name=request.name,
             )
             block = _pass_stats_block(options, compiled.program)
             if block is not None:
@@ -423,7 +419,7 @@ class ServiceCore:
         pipeline = options.passes if options.passes else request.mode
         compiled = session.compile(
             request.source, pipeline, options.abstraction,
-            options=options.carmot_options(), name=request.name,
+            name=request.name,
         )
         program = compiled.program
         stages = dict(compiled.stages)

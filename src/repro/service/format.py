@@ -139,8 +139,8 @@ def render_psec(doc: Dict, render: RenderOptions) -> Rendered:
     if render.json:
         # Canonical sets-level document: exactly the psec_sets_digest
         # material plus ROI names/invocations, so two invocations with
-        # identical Sets print byte-identical JSON (the CI prescreen
-        # smoke job byte-diffs hybrid vs fully-dynamic output).
+        # identical Sets print byte-identical JSON (a Figure-8 pass
+        # toggle, for one, must not change it).
         json_doc = {
             "sets_digest": body["sets_digest"],
             "rois": {

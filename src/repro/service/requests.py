@@ -6,7 +6,7 @@ daemon, in-process embedding — speaks the same four request kinds plus
 which absorbs the option-resolution logic the CLI used to duplicate
 across ``_run_kwargs``/``_carmot_options``/``_profiling_pipeline``/
 ``_session_for``: translating the flat flag surface (budget spec,
-prescreen mode, pass pipeline) into the
+pass pipeline) into the
 ``Session``/``CompiledProgram.run`` keyword arguments.
 
 Requests round-trip through canonical JSON documents (``to_doc`` /
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional
 
-from repro.compiler import PRESCREEN_MODES, CarmotOptions
 from repro.errors import ReproError
 from repro.passes.registry import parse_pipeline
 from repro.resilience import parse_budget_spec
@@ -50,7 +49,6 @@ class RunOptions:
     recommenders: Optional[str] = None
     entry: str = "main"
     budget: Optional[str] = None
-    prescreen: str = "off"
     passes: Optional[str] = None
     trace: bool = False
     no_cache: bool = False
@@ -64,11 +62,6 @@ class RunOptions:
             raise ReproError(
                 f"abstraction must be one of {tuple(POLICIES)}, "
                 f"got {self.abstraction!r}"
-            )
-        if self.prescreen not in PRESCREEN_MODES:
-            raise ReproError(
-                f"prescreen must be one of {tuple(PRESCREEN_MODES)}, "
-                f"got {self.prescreen!r}"
             )
 
     # -- construction --------------------------------------------------------
@@ -111,13 +104,6 @@ class RunOptions:
             kwargs["budgets"] = spec.vm
             kwargs["resilience"] = spec.runtime
         return kwargs
-
-    def carmot_options(self) -> Optional[CarmotOptions]:
-        """CarmotOptions, or None when every option-level flag is at its
-        default (so cache keys match pre-flag invocations)."""
-        if self.prescreen == "off":
-            return None
-        return CarmotOptions(prescreen=self.prescreen)
 
     def profiling_pipeline(self) -> str:
         """The pipeline text for recommend/psec: full CARMOT by default,

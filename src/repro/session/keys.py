@@ -46,7 +46,6 @@ from typing import Dict, List, Optional, Sequence
 from repro._version import (
     BYTECODE_SCHEMA_VERSION,
     IR_SCHEMA_VERSION,
-    PRESCREEN_SCHEMA_VERSION,
     PROFILE_SCHEMA_VERSION,
     RECOMMEND_SCHEMA_VERSION,
     SERVICE_SCHEMA_VERSION,
@@ -62,7 +61,9 @@ def environment_fingerprint() -> Dict[str, object]:
         "ir_schema": IR_SCHEMA_VERSION,
         "profile_schema": PROFILE_SCHEMA_VERSION,
         "bytecode_schema": BYTECODE_SCHEMA_VERSION,
-        "prescreen_schema": PRESCREEN_SCHEMA_VERSION,
+        # Schema of the removed static-facts sidecar, frozen at its last
+        # value: every key embeds it, so dropping it would orphan them.
+        "prescreen_schema": 1,
         "recommend_schema": RECOMMEND_SCHEMA_VERSION,
         "store": STORE_VERSION,
     }
@@ -99,19 +100,6 @@ def pipeline_key(
         "options": options_doc,
         "registry": registry_fingerprint(),
     })
-
-
-def prescreen_key(pipeline_key: str) -> str:
-    """Key of the prescreen static-facts sidecar.
-
-    Keyed on the *pipeline stage key* (not the IR content digest): the
-    facts are a byproduct of exactly that pipeline run, and the pairing
-    must be exact — a ``probe.static`` whose ``fact_index`` resolves
-    against a foreign sidecar would silently force wrong Sets.  The
-    environment fingerprint already carries
-    :data:`~repro._version.PRESCREEN_SCHEMA_VERSION`.
-    """
-    return _digest("prescreen", {"pipeline": pipeline_key})
 
 
 def codegen_key(ir_digest: str) -> str:
@@ -210,6 +198,11 @@ _RETIRED_RESILIENCE_FIELDS = {
 #: cached profile was keyed with.  It stays in the profile-key document
 #: so those profiles keep hitting.
 _RETIRED_VM = "bytecode"
+#: The build option of the removed hybrid static pre-screen, at the
+#: value every cached CARMOT profile was keyed with (it was off by
+#: default).  It stays in the options of the profile-key document so
+#: those profiles keep hitting.
+_RETIRED_OPTIONS = {"prescreen": "off"}
 
 
 def run_config_doc(
@@ -233,6 +226,9 @@ def run_config_doc(
         config[key] = _jsonable(config_kwargs[key])
     if "resilience" in config:
         config["resilience"].update(_RETIRED_RESILIENCE_FIELDS)
+    options_doc = _jsonable(options)
+    if options_doc is not None:
+        options_doc.update(_RETIRED_OPTIONS)
     return {
         "entry": entry,
         "args": [_jsonable(a) for a in args],
@@ -240,7 +236,7 @@ def run_config_doc(
         "max_instructions": max_instructions,
         "budgets": _jsonable(budgets),
         "abstraction": abstraction,
-        "options": _jsonable(options),
+        "options": options_doc,
         "config": config,
         "vm": _RETIRED_VM,
     }

@@ -48,9 +48,7 @@ from repro.compiler.carmot import (
 from repro.compiler.driver import BuildMode, CompiledProgram
 from repro.compiler.driver import frontend as live_frontend
 from repro.compiler.driver import _resolve_abstraction
-from repro.compiler.prescreen import StaticFacts
 from repro.errors import ReproError
-from repro.ir.instructions import ProbeStatic
 from repro.ir.module import Module
 from repro.ir.serialize import (
     IRSerializeError,
@@ -80,25 +78,12 @@ from repro.vm.codegen import lower_module
 from repro.vm.costmodel import DEFAULT_COST_MODEL, CostModel
 
 #: Stage names, in flow order (parse/lower share the frontend artifact,
-#: pass-pipeline/instrument share the pipeline artifact, the prescreen
-#: static-facts sidecar rides with the pipeline artifact, lowering owns
+#: pass-pipeline/instrument share the pipeline artifact, lowering owns
 #: the bytecode artifact, execute/characterize share the profile
 #: artifact, and recommendation-doc generation owns the recommend
-#: artifact).  The ``prescreen`` stage only appears in ``stages`` when
-#: the compiled module carries ``probe.static`` instructions; the
-#: ``recommend`` stage only for :meth:`Session.recommend_doc` callers.
-STAGES = ("frontend", "pipeline", "prescreen", "codegen", "profile",
-          "recommend")
-
-
-def _needs_static_facts(module: Module) -> bool:
-    """True when the module carries ``probe.static`` instructions (and so
-    cannot be profiled without its prescreen sidecar)."""
-    return any(
-        isinstance(instr, ProbeStatic)
-        for function in module.functions.values()
-        for instr in function.instructions()
-    )
+#: artifact).  The ``recommend`` stage only appears in ``stages`` for
+#: :meth:`Session.recommend_doc` callers.
+STAGES = ("frontend", "pipeline", "codegen", "profile", "recommend")
 
 
 @dataclass
@@ -190,7 +175,7 @@ class Session:
         if pipeline == "carmot" and options is not None:
             # The bare alias is frozen at default options; expand it from
             # the caller's options instead (``compile_carmot`` parity) so
-            # option-gated passes like prescreen actually run.
+            # the pipeline follows the per-optimization toggles.
             names = list(carmot_pass_names(options))
         else:
             names = parse_pipeline(pipeline)
@@ -209,38 +194,17 @@ class Session:
         key = keys.pipeline_key(
             frontend_digest, names, abstraction, keys._jsonable(options)
         )
-        facts_key = keys.prescreen_key(key)
         payload = self.store.get(key) if self.store else None
         compiled: Optional[Module] = None
         build_info = None
         instrument_report = None
         pass_report = None
-        prescreen_stage: Optional[str] = None
         if payload is not None:
             try:
                 compiled = deserialize_module(payload)
                 pipeline_stage = "hit"
             except IRSerializeError:
                 payload = None
-            else:
-                if _needs_static_facts(compiled):
-                    # The IR artifact is unusable without its sidecar: a
-                    # missing/corrupt facts artifact demotes the whole
-                    # pipeline stage to a miss rather than crashing at
-                    # probe.static resolution time.
-                    facts_payload = (
-                        self.store.get(facts_key) if self.store else None
-                    )
-                    try:
-                        if facts_payload is None:
-                            raise ReproError("missing prescreen sidecar")
-                        compiled.static_facts = StaticFacts.deserialize(
-                            facts_payload
-                        )
-                        prescreen_stage = "hit"
-                    except ReproError:
-                        compiled = None
-                        payload = None
         if compiled is None:
             build_info = (
                 CarmotBuildInfo(options=options)
@@ -256,11 +220,6 @@ class Session:
             payload = serialize_module(module)
             if self.store is not None:
                 self.store.put(key, payload, "ir")
-            if module.static_facts is not None:
-                if self.store is not None:
-                    self.store.put(facts_key, module.static_facts.serialize(),
-                                   "prescreen")
-                prescreen_stage = "miss"
             compiled = module
             pipeline_stage = "miss"
         program = CompiledProgram(
@@ -269,13 +228,10 @@ class Session:
             build_info=build_info, report=instrument_report,
             pass_report=pass_report,
         )
-        stages = {"frontend": frontend_stage, "pipeline": pipeline_stage}
-        if prescreen_stage is not None:
-            stages["prescreen"] = prescreen_stage
         return CompileResult(
             program=program,
             ir_digest=payload_digest(payload),
-            stages=stages,
+            stages={"frontend": frontend_stage, "pipeline": pipeline_stage},
         )
 
     # -- stage: bytecode lowering --------------------------------------------

@@ -84,7 +84,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.builtins_spec import BUILTINS
 from repro.errors import BudgetExceeded, TrapError, VMError
-from repro.resilience.budgets import ExecutionBudgets
+from repro.resilience.budgets import MAX_CALL_DEPTH, ExecutionBudgets
 from repro.lang import types as ct
 from repro.ir.instructions import AccessKind
 from repro.vm.builtins import BUILTIN_IMPLS, Xorshift64
@@ -142,7 +142,6 @@ from repro.vm.bytecode import (
     OP_PROBE_CLASSIFY,
     OP_PROBE_ESCAPE,
     OP_PROBE_LOAD,
-    OP_PROBE_STATIC,
     OP_PROBE_STORE,
     OP_REM,
     OP_REM_QI,
@@ -293,12 +292,15 @@ class BytecodeInterpreter:
         self.cost_model = cost_model
         self.max_instructions = max_instructions
         self.budgets = budgets
-        self.max_recursion_depth = 0
+        #: Most frames active at once: the depth budget, else the
+        #: ceiling every run has (budgets cannot exceed it).
+        self.max_recursion_depth = MAX_CALL_DEPTH
         self.memory = Memory()
         if budgets is not None:
             if budgets.max_steps:
                 self.max_instructions = budgets.max_steps
-            self.max_recursion_depth = budgets.max_recursion_depth
+            self.max_recursion_depth = (budgets.max_recursion_depth
+                                        or MAX_CALL_DEPTH)
             self.memory.heap_limit = budgets.max_heap_bytes
         self.rng = Xorshift64()
         self.output: List[str] = []
@@ -708,13 +710,6 @@ class BytecodeInterpreter:
             )
             return pc + 4
 
-        def op_probe_static(pc, ins, regs, stack_objects, cs):
-            _, ptr, roi_id, fact = ins
-            addr = int(regs[ptr])
-            c = vm.cost
-            vm.cost = c + hooks.on_probe_static(fact, addr, roi_id)
-            return pc + 4
-
         def op_omp_begin(pc, ins, regs, stack_objects, cs):
             c = vm.cost
             vm.cost = c + roi_cost + hooks.on_omp_region(
@@ -745,7 +740,6 @@ class BytecodeInterpreter:
         table[OP_ROI_RESET] = op_roi_reset
         table[OP_PROBE_CLASSIFY] = op_probe_classify
         table[OP_PROBE_ESCAPE] = op_probe_escape
-        table[OP_PROBE_STATIC] = op_probe_static
         table[OP_OMP_BEGIN] = op_omp_begin
         table[OP_OMP_END] = op_omp_end
         table[OP_OMP_BARRIER] = op_omp_barrier
@@ -1327,7 +1321,7 @@ class BytecodeInterpreter:
                             self.instructions = ic
                             self.cost = cost
                             cost += hooks.on_pin_attach()
-                        if max_depth and len(frames) + 1 >= max_depth:
+                        if len(frames) + 1 >= max_depth:
                             raise BudgetExceeded(
                                 f"recursion depth budget exceeded "
                                 f"({max_depth} frames) calling "
@@ -1521,7 +1515,7 @@ class BytecodeInterpreter:
                         self.instructions = ic
                         self.cost = cost
                         cost += hooks.on_pin_attach()
-                    if max_depth and len(frames) + 1 >= max_depth:
+                    if len(frames) + 1 >= max_depth:
                         raise BudgetExceeded(
                             f"recursion depth budget exceeded "
                             f"({max_depth} frames) calling {callee.name!r}"
@@ -1599,7 +1593,7 @@ class BytecodeInterpreter:
                             self.instructions = ic
                             self.cost = cost
                             cost += hooks.on_pin_attach()
-                        if max_depth and len(frames) + 1 >= max_depth:
+                        if len(frames) + 1 >= max_depth:
                             raise BudgetExceeded(
                                 f"recursion depth budget exceeded "
                                 f"({max_depth} frames) calling "

@@ -94,7 +94,8 @@ OP_OR = 35
 OP_XOR = 36
 OP_SHL = 37
 OP_SHR = 38
-OP_PROBE_STATIC = 39   # [ptr, roi, fact]
+# 39 is retired and unassigned: the opcodes after it keep their numbers,
+# and a stream that still carries it is refused at link.
 
 # -- tier-2 superinstructions (canonical: serialized, schema v2) ------------
 #
@@ -196,7 +197,6 @@ OPCODE_NAMES: Dict[int, str] = {
     OP_RET: "ret", OP_ROI_BEGIN: "roi.begin", OP_ROI_END: "roi.end",
     OP_ROI_RESET: "roi.reset", OP_PROBE_ACCESS: "probe.access",
     OP_PROBE_CLASSIFY: "probe.classify", OP_PROBE_ESCAPE: "probe.escape",
-    OP_PROBE_STATIC: "probe.static",
     OP_OMP_BEGIN: "omp.begin", OP_OMP_END: "omp.end",
     OP_OMP_BARRIER: "omp.barrier",
     OP_LT_BR: "lt.br", OP_LE_BR: "le.br", OP_GT_BR: "gt.br",
@@ -220,8 +220,7 @@ OPCODE_WIDTHS: Dict[int, int] = {
     OP_CAST: 3, OP_ALLOCA: 4, OP_CALL: 4, OP_CALL_BUILTIN: 5,
     OP_CALL_IND: 5, OP_CALL_MISSING: 2, OP_RET: 1, OP_ROI_BEGIN: 1,
     OP_ROI_END: 1, OP_ROI_RESET: 1, OP_PROBE_ACCESS: 8,
-    OP_PROBE_CLASSIFY: 9, OP_PROBE_ESCAPE: 3, OP_PROBE_STATIC: 3,
-    OP_OMP_BEGIN: 2,
+    OP_PROBE_CLASSIFY: 9, OP_PROBE_ESCAPE: 3, OP_OMP_BEGIN: 2,
     OP_OMP_END: 2, OP_OMP_BARRIER: 0,
     OP_ADD: 3, OP_SUB: 3, OP_MUL: 3, OP_DIV: 4, OP_REM: 4, OP_EQ: 3,
     OP_NE: 3, OP_LT: 3, OP_LE: 3, OP_GT: 3, OP_GE: 3, OP_AND: 3,

@@ -53,7 +53,6 @@ from repro.ir.instructions import (
     ProbeAccess,
     ProbeClassify,
     ProbeEscape,
-    ProbeStatic,
     Ret,
     RoiBegin,
     RoiEnd,
@@ -93,7 +92,6 @@ from repro.vm.bytecode import (
     OP_PROBE_CLASSIFY,
     OP_PROBE_ESCAPE,
     OP_PROBE_LOAD,
-    OP_PROBE_STATIC,
     OP_PROBE_STORE,
     OP_REM,
     OP_RET,
@@ -200,8 +198,6 @@ def _operand_values(instr) -> List[Value]:
         if instr.count is not None:
             values.append(instr.count)
         return values
-    if kind is ProbeStatic:
-        return [instr.ptr]
     if kind is ProbeEscape:
         return [instr.value, instr.ptr]
     return []
@@ -461,9 +457,6 @@ class _FunctionLowering:
                 -1 if instr.roi_id is None else instr.roi_id,
                 -1 if instr.site_id is None else instr.site_id,
             ))
-        elif kind is ProbeStatic:
-            code.extend((OP_PROBE_STATIC, self._slot(instr.ptr),
-                         instr.roi_id, instr.fact_index))
         elif kind is ProbeEscape:
             code.extend((OP_PROBE_ESCAPE, self._slot(instr.value),
                          self._slot(instr.ptr), tables.loc(instr.loc)))

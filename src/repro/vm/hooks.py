@@ -55,14 +55,6 @@ class ExecutionHooks:
     ) -> int:
         return 0
 
-    def on_probe_static(
-        self, fact_index: int, addr: int, roi_id: int
-    ) -> int:
-        """A prescreen-classified PSE resolved to ``addr`` this ROI
-        invocation.  Synchronous bookkeeping only — no event is emitted
-        and no cost is charged (the probe replaces stripped ones)."""
-        return 0
-
     def on_probe_escape(
         self, value_addr: int, dest_addr: int, loc: Optional[SourceLoc]
     ) -> int:

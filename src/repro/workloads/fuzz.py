@@ -1,10 +1,10 @@
 """Seeded random MiniC program generation for differential suites.
 
-Every differential suite — VM equivalence, prescreen hybrid-vs-dynamic,
-serve round-trips, recommendation warm/cold — draws from one generator
-family instead of copy-pasting program shapes.  The programs are deterministic
-per seed: same seed, same source bytes, so cache keys and golden digests
-stay stable across suites and sessions.
+Every differential suite — VM equivalence, live-vs-decoded stage
+outputs, serve round-trips, recommendation warm/cold — draws from one
+generator family instead of copy-pasting program shapes.  The programs
+are deterministic per seed: same seed, same source bytes, so cache keys
+and golden digests stay stable across suites and sessions.
 
 Families:
 
@@ -12,7 +12,7 @@ Families:
   flow, array walks, helper calls, and recursion; enough surface to
   shake out operand-slot, phi, call-lowering, and probe-planning bugs;
 - :func:`random_roi_program` — the inner loop wrapped in a
-  ``#pragma carmot roi``, mixing prescreen-provable and unprovable PSEs;
+  ``#pragma carmot roi``, mixing fixed-state and data-dependent PSEs;
 - :func:`random_pointer_chase_program` — a heap-allocated permutation
   walked by ``cur = next[cur]`` inside an ROI: every iteration's access
   depends on the previous iteration's load, so the chased container
@@ -68,13 +68,13 @@ int main() {{
 
 def random_roi_program(seed: int) -> str:
     """A seeded random MiniC program whose inner loop is wrapped in a
-    ``#pragma carmot roi`` — the prescreen differential suite's subject.
+    ``#pragma carmot roi`` — the ROI subject of the differential suites.
 
-    The shape deliberately mixes prescreen-provable PSEs (an
-    accumulator read+written every iteration, an induction slot) with
-    unprovable ones (conditionally-written scalars, accesses behind a
-    helper call) so hybrid-vs-dynamic comparisons exercise both the
-    strip path and the dynamic fallback within one ROI.
+    The shape deliberately mixes PSEs whose Set membership is the same
+    every iteration (an accumulator read+written every iteration, an
+    induction slot) with data-dependent ones (conditionally-written
+    scalars, accesses behind a helper call), so one ROI exercises both
+    the compile-time planners and the dynamic FSA.
     """
     rng = random.Random(seed ^ 0x5EED)
     n = rng.randint(8, 24)
@@ -119,7 +119,7 @@ def random_pointer_chase_program(seed: int) -> str:
     ``cur = next[cur]`` and folds the visited payloads.  The chased
     index is loop-carried — iteration ``k``'s address is iteration
     ``k-1``'s loaded value — so the container is irreducibly Transfer
-    and no static prescreen can claim its elements.  Deterministic per
+    and no compile-time analysis can classify its elements.  Deterministic per
     ``seed``.
     """
     rng = random.Random(seed ^ 0xC4A5E)

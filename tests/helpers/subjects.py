@@ -1,9 +1,7 @@
-"""Two small annotated MiniC subjects shared by the prescreen and serve
-suites."""
+"""Two small annotated MiniC subjects shared by the serve suites."""
 
-#: A pure scalar reduction: every loop-body PSE (accumulators, induction
-#: variables) is provable at compile time, so ``--prescreen safe``
-#: strips every access probe in the ROI.
+#: A pure scalar reduction: every loop-body PSE is an accumulator or an
+#: induction variable, read and written on every iteration.
 SCALAR_REDUCTION_SOURCE = """
 int main() {
     int sum;
@@ -23,8 +21,8 @@ int main() {
 }
 """
 
-#: An induction-walked array kernel: ``--prescreen aggressive`` claims
-#: its elements, ``safe`` leaves them to the profiler.
+#: An induction-walked array kernel: every ROI invocation reads and
+#: writes each element of ``a``.
 ARRAY_ROI_SOURCE = """
 int main() {
     int a[16];

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 import repro.compiler.driver as driver
 from repro.errors import BudgetExceeded, TrapError, VMError
-from repro.resilience.budgets import ExecutionBudgets
+from repro.resilience.budgets import MAX_CALL_DEPTH, ExecutionBudgets
 from repro.lang import types as ct
 from repro.ir.instructions import (
     AccessKind,
@@ -45,7 +45,6 @@ from repro.ir.instructions import (
     ProbeAccess,
     ProbeClassify,
     ProbeEscape,
-    ProbeStatic,
     Ret,
     RoiBegin,
     RoiEnd,
@@ -100,12 +99,13 @@ class Interpreter:
         #: :class:`BudgetExceeded` (a TrapError the profiler can catch)
         #: instead of exhausting host memory or Python recursion.
         self.budgets = budgets
-        self.max_recursion_depth = 0
+        self.max_recursion_depth = MAX_CALL_DEPTH
         self.memory = Memory()
         if budgets is not None:
             if budgets.max_steps:
                 self.max_instructions = budgets.max_steps
-            self.max_recursion_depth = budgets.max_recursion_depth
+            self.max_recursion_depth = (budgets.max_recursion_depth
+                                        or MAX_CALL_DEPTH)
             self.memory.heap_limit = budgets.max_heap_bytes
         self.rng = Xorshift64()
         self.output: List[str] = []
@@ -322,11 +322,6 @@ class Interpreter:
                     instr.states, addr, instr.size, instr.var, count,
                     instr.stride, instr.loc, instr.roi_id, instr.site_id,
                 )
-            elif kind is ProbeStatic:
-                addr = int(self._value(frame, instr.ptr))
-                self.cost += self.hooks.on_probe_static(
-                    instr.fact_index, addr, instr.roi_id,
-                )
             elif kind is ProbeEscape:
                 value = int(self._value(frame, instr.value))
                 dest = int(self._value(frame, instr.ptr))
@@ -484,8 +479,7 @@ class Interpreter:
             # A conservatively-gated call toggles the Pintool even though
             # the target turns out to be instrumented code (§4.4.6).
             self.cost += self.hooks.on_pin_attach()
-        if (self.max_recursion_depth
-                and len(self._frames) >= self.max_recursion_depth):
+        if len(self._frames) >= self.max_recursion_depth:
             raise BudgetExceeded(
                 f"recursion depth budget exceeded "
                 f"({self.max_recursion_depth} frames) calling {name!r}"

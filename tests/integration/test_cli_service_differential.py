@@ -71,8 +71,6 @@ def _case_matrix(name: str):
          RenderOptions(cache_stats=True)),
         (["psec", path, "--no-cache"],
          req(PsecRequest, RunOptions(no_cache=True)), RenderOptions()),
-        (["psec", path, "--prescreen", "safe"],
-         req(PsecRequest, RunOptions(prescreen="safe")), RenderOptions()),
         (["overhead", path], req(OverheadRequest), RenderOptions()),
         (["overhead", path, "--json"], req(OverheadRequest),
          RenderOptions(json=True)),

@@ -1,23 +1,28 @@
 """Hostile MiniC source is a clean error, never a Python traceback.
 
-Three families: float-to-int conversions of infinity or NaN (at compile
+Four families: float-to-int conversions of infinity or NaN (at compile
 time in constant folding, at run time in the VM's casts and the
 tree-walk oracle's), int-to-float conversions of an int too large for a
-double, and programs nested deeper than the parser's bound.  Through the
-CLI each must print one ``error:`` line and exit 1; through the service
-it must come back as the canonical error envelope.
+double, programs nested deeper than the parser's bound, and runaway
+recursion past the VM's call-depth ceiling.  Through the CLI each must
+print one ``error:`` line and exit 1; through the service it must come
+back as the canonical error envelope.
 """
 
 import pytest
 
 from repro.cli import main
 from repro.compiler import compile_carmot
-from repro.errors import ParseError, TrapError
+from repro.errors import BudgetExceeded, ParseError, TrapError
 from repro.ir.instructions import Cast
 from repro.lang.parser import MAX_NESTING, Parser
 from repro.lang.lexer import tokenize
-from repro.service import ServiceCore, error_response
-from tests.helpers.treewalk import ENGINES, engine
+from repro.resilience.budgets import MAX_CALL_DEPTH
+from repro.service import ServiceClient, ServiceCore, error_response
+from repro.vm.bcinterp import BytecodeInterpreter
+from repro.vm.codegen import lower_module
+from tests.helpers.treewalk import ENGINES, Interpreter, engine
+from tests.integration.test_serve_daemon import _Daemon
 
 
 def _roi(body, decls="int x; int c; int a[4];"):
@@ -206,3 +211,102 @@ def test_one_level_past_the_bound_is_a_located_syntax_error(tmp_path,
     doc = _served(tmp_path, source)
     assert doc == error_response("psec", "error", doc["error"]["message"])
     assert doc["error"]["message"].startswith(message)
+
+
+# -- runaway recursion -----------------------------------------------------------
+
+#: Recursions with no base case: direct, mutual, and through a function
+#: pointer (``call.ind``, quickened on first execution).  With no depth
+#: budget each must still trip at the ceiling, not grow memory until the
+#: host kills the process.
+RUNAWAY = {
+    "direct": "int f(int a) { return f(a + 1); }\n"
+              "int main() { return f(0); }\n",
+    "mutual": "int g(int a);\n"
+              "int f(int a) { return g(a + 1); }\n"
+              "int g(int a) { return f(a + 1); }\n"
+              "int main() { return f(0); }\n",
+    "indirect": "int g(int a);\n"
+                "int f(int a) { return (a >= 0 ? &g : &f)(a + 1); }\n"
+                "int g(int a) { return (a >= 0 ? &f : &g)(a + 1); }\n"
+                "int main() { return f(0); }\n",
+}
+RUNAWAY_CALLEE = {"direct": "f", "mutual": "g", "indirect": "g"}
+
+
+def _runaway_error(case):
+    return (f"recursion depth budget exceeded ({MAX_CALL_DEPTH} frames) "
+            f"calling {RUNAWAY_CALLEE[case]!r}")
+
+
+def _counting(depth):
+    """``main`` plus ``f(depth)`` down to ``f(0)``: depth + 2 frames."""
+    return ("int f(int n) { if (n <= 0) { return 0; } "
+            "return f(n - 1) + 1; }\n"
+            f"int main() {{ print_int(f({depth})); return 0; }}\n")
+
+
+@pytest.mark.parametrize("case", sorted(RUNAWAY))
+def test_runaway_recursion_traps_identically_on_both_engines(case):
+    module = compile_carmot(RUNAWAY[case], name=case).module
+    outcomes = {}
+    for vm in (BytecodeInterpreter(lower_module(module)),
+               Interpreter(module)):
+        with pytest.raises(BudgetExceeded) as excinfo:
+            vm.run()
+        outcomes[type(vm).__name__] = (str(excinfo.value), vm.instructions,
+                                       vm.cost)
+    bytecode, treewalk = outcomes.values()
+    assert bytecode == treewalk
+    assert bytecode[0] == _runaway_error(case)
+
+
+@pytest.mark.parametrize("case", sorted(RUNAWAY))
+def test_runaway_recursion_is_a_cli_error(tmp_path, capsys, case):
+    assert _cli(tmp_path, RUNAWAY[case]) == 1
+    assert capsys.readouterr().err == f"error: {_runaway_error(case)}\n"
+
+
+@pytest.mark.parametrize("case", sorted(RUNAWAY))
+def test_runaway_recursion_is_an_error_envelope(tmp_path, case):
+    assert _served(tmp_path, RUNAWAY[case]) == error_response(
+        "psec", "error", _runaway_error(case))
+
+
+def test_daemon_answers_ping_after_a_runaway_recursion(tmp_path):
+    doc = {"kind": "psec", "source": RUNAWAY["direct"], "name": "runaway",
+           "options": {"no_cache": True}}
+    with _Daemon(tmp_path) as server:
+        with ServiceClient(server.socket_path) as client:
+            response = client.call(doc)
+            assert client.ping()["ok"]
+    assert response["ok"] is False
+    assert response["error"]["message"] == _runaway_error("direct")
+
+
+@pytest.mark.parametrize("vm", ENGINES)
+@pytest.mark.parametrize("frames", [MAX_CALL_DEPTH - 1, MAX_CALL_DEPTH])
+def test_recursion_up_to_the_ceiling_runs(vm, frames):
+    program = compile_carmot(_counting(frames - 2), name="deep")
+    with engine(vm):
+        result, _ = program.run()
+    assert result.output == [str(frames - 2)]
+
+
+@pytest.mark.parametrize("vm", ENGINES)
+def test_one_frame_past_the_ceiling_traps(vm):
+    program = compile_carmot(_counting(MAX_CALL_DEPTH - 1), name="deep")
+    with pytest.raises(BudgetExceeded, match=f"\\({MAX_CALL_DEPTH} frames\\)"), \
+            engine(vm):
+        program.run()
+
+
+def test_depth_budget_above_the_ceiling_is_a_cli_error(tmp_path, capsys):
+    path = tmp_path / "deep.mc"
+    path.write_text(_counting(3))
+    over = MAX_CALL_DEPTH + 1
+    assert main(["psec", str(path), "--no-cache",
+                 "--budget", f"depth={over}"]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: budget 'depth' must be <= {MAX_CALL_DEPTH} "
+                   f"(the VM's call-depth ceiling), got {over}\n")

@@ -14,7 +14,6 @@ import json
 
 import pytest
 
-from repro.compiler.prescreen import StaticFacts
 from repro.service.core import ServiceCore, response_digest
 from repro.service.requests import (
     DisRequest,
@@ -37,10 +36,14 @@ for _generator in (random_program, random_roi_program,
                    random_pointer_chase_program):
     PROGRAMS[_generator.__name__] = _generator(3)
 
+#: Run configurations production serves: the default CARMOT build, a
+#: profile degraded by the per-ROI event budget (64 events trip it in
+#: nearly every ROI here), a Figure-8 toggle pipeline, and the naive
+#: build.
 CONFIGS = {
     "default": RunOptions(),
-    "safe": RunOptions(prescreen="safe"),
-    "aggressive": RunOptions(prescreen="aggressive"),
+    "event-budget": RunOptions(budget="events-per-roi=64"),
+    "no-pin-reduction": RunOptions(passes="carmot,-pin-reduction"),
     "naive": RunOptions(passes="naive"),
 }
 
@@ -49,8 +52,8 @@ CONFIGS = {
 #: artifact and recomputes every stage after it.
 RESUME_KINDS = {
     "frontend": (),
-    "pipeline": ("ir", "prescreen"),
-    "codegen": ("ir", "prescreen", "bytecode"),
+    "pipeline": ("ir",),
+    "codegen": ("ir", "bytecode"),
 }
 
 
@@ -84,11 +87,6 @@ def _count_decodes(monkeypatch):
                  "deserialize_profile"):
         monkeypatch.setattr(session_module, name,
                             counting(name, getattr(session_module, name)))
-    monkeypatch.setattr(
-        StaticFacts, "deserialize",
-        staticmethod(counting("StaticFacts.deserialize",
-                              StaticFacts.deserialize)),
-    )
     return calls
 
 
@@ -119,8 +117,8 @@ def _check_resumes(tmp_path, monkeypatch, request, resumes):
 @pytest.mark.parametrize("program", sorted(PROGRAMS))
 def test_psec_from_decoded_artifacts_matches_live(tmp_path, monkeypatch,
                                                   program, config):
-    """Pipeline IR, prescreen facts, bytecode, profile and response
-    agree whichever stage's artifact the request resumes from."""
+    """Pipeline IR, bytecode, profile and response agree whichever
+    stage's artifact the request resumes from."""
     request = PsecRequest(source=PROGRAMS[program], name=program,
                           options=CONFIGS[config])
     _check_resumes(tmp_path, monkeypatch, request, ("codegen",))

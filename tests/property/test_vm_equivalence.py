@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from repro.compiler import (
-    CarmotOptions,
     compile_baseline,
     compile_carmot,
     compile_naive,
@@ -141,14 +140,11 @@ def test_tier2_reentry_identical_across_engines(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("prescreen", ["off", "aggressive"])
-def test_tier2_reentry_instrumented_profiles(seed, prescreen):
-    """Cold and re-entered tier-2 runs of instrumented ROI programs —
-    with and without the aggressive static prescreen — produce the same
-    serialized profile as the tree-walk oracle."""
+def test_tier2_reentry_instrumented_profiles(seed):
+    """Cold and re-entered tier-2 runs of instrumented ROI programs
+    produce the same serialized profile as the tree-walk oracle."""
     source = _random_roi_program(seed)
-    program = compile_carmot(source, name=f"requick{seed}",
-                             options=CarmotOptions(prescreen=prescreen))
+    program = compile_carmot(source, name=f"requick{seed}")
 
     def run(vm):
         result, runtime = _run(program, vm)

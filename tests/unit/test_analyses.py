@@ -120,9 +120,10 @@ class TestLoops:
 
 
 class TestTripCountFacts:
-    """Induction/trip-count facts the prescreen pass builds on: starts,
-    inclusive bounds, the induction-slot filter, and the recognised
-    shapes of the golden example kernels."""
+    """Induction/trip-count facts that fixed classification and the
+    recommender's roles build on: starts, inclusive bounds, the
+    induction-slot filter, and the recognised shapes of the golden
+    example kernels."""
 
     def test_nonzero_start(self):
         module = frontend(

@@ -154,6 +154,9 @@ class TestErrors:
         (["--fault-plan", "seed=7;crash@1"], "unrecognized arguments"),
         (["--batch-size", "16"], "unrecognized arguments"),
         (["--batch-size", "1024"], "unrecognized arguments"),
+        (["--prescreen", "off"], "unrecognized arguments"),
+        (["--prescreen", "safe"], "unrecognized arguments"),
+        (["--prescreen", "aggressive"], "unrecognized arguments"),
     ])
     def test_removed_runtime_flags_are_usage_errors(self, source_file,
                                                     capsys, flags, message):

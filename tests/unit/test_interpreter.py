@@ -1,9 +1,12 @@
 """Unit tests for the VM interpreter (semantics of compiled MiniC)."""
 
+import sys
+
 import pytest
 
 from repro.errors import MemoryFault, TrapError
 from repro.compiler.driver import frontend
+from repro.resilience.budgets import MAX_CALL_DEPTH
 from repro.vm import run_module
 
 
@@ -200,11 +203,16 @@ class TestFunctions:
         assert result.return_value == 42
 
     def test_deep_recursion_no_python_overflow(self):
+        # ``main`` plus ``down(n)`` .. ``down(0)``: exactly the VM's
+        # call-depth ceiling, which is past Python's default recursion
+        # limit, so the VM must not recurse in Python.
+        depth = MAX_CALL_DEPTH - 2
+        assert MAX_CALL_DEPTH > sys.getrecursionlimit()
         result = run(
             """
             int down(int n) { if (n == 0) return 0; return down(n - 1); }
-            int main() { return down(5000); }
-            """
+            int main() { return down(%d); }
+            """ % depth
         )
         assert result.return_value == 0
 

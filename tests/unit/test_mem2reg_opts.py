@@ -4,7 +4,7 @@ import pytest
 
 from repro.compiler.driver import frontend
 from repro.compiler.mem2reg import promotable_allocas, promote_allocas
-from repro.compiler.o3 import optimize_module_o3
+from repro.compiler.opts import optimize_module_o3
 from repro.compiler.opts import (
     eliminate_dead_code,
     fold_constants,

@@ -17,6 +17,7 @@ from repro.resilience import (
     ResiliencePolicy,
     parse_budget_spec,
 )
+from repro.resilience.budgets import MAX_CALL_DEPTH
 from repro.runtime.psec import MemoryBudgetExceeded
 from repro.vm import run_module
 
@@ -223,10 +224,12 @@ class TestVMBudgets:
                        budgets=ExecutionBudgets(max_recursion_depth=64))
 
     def test_budgets_off_by_default(self):
+        # No budget: the recursion runs up to the fixed call-depth
+        # ceiling (``main`` plus ``down(n)`` .. ``down(0)``).
         module = frontend("""
             int down(int n) { if (n == 0) return 0; return down(n - 1); }
-            int main() { return down(5000); }
-        """)
+            int main() { return down(%d); }
+        """ % (MAX_CALL_DEPTH - 2))
         assert run_module(module).return_value == 0
 
 

@@ -65,7 +65,8 @@ LOOP_SOURCE = (
 
 #: Run options off the wire that name removed runtime knobs: the object
 #: event encoding, thread shards, the drain selector, the engine
-#: selector (whatever engine it names), and the fault plan.
+#: selector (whatever engine it names), the fault plan, the batch size,
+#: and the hybrid static pre-screen (whatever mode it names).
 REMOVED_OPTIONS = [
     ({"event_encoding": "object"}, "unknown run option(s): event_encoding"),
     ({"pipeline_shards": 2}, "unknown run option(s): pipeline_shards"),
@@ -80,6 +81,10 @@ REMOVED_OPTIONS = [
     ({"batch_size": 16}, "unknown run option(s): batch_size"),
     ({"batch_size": 1}, "unknown run option(s): batch_size"),
     ({"batch_size": None}, "unknown run option(s): batch_size"),
+    ({"prescreen": "off"}, "unknown run option(s): prescreen"),
+    ({"prescreen": "safe"}, "unknown run option(s): prescreen"),
+    ({"prescreen": "aggressive"}, "unknown run option(s): prescreen"),
+    ({"prescreen": "yes"}, "unknown run option(s): prescreen"),
 ]
 
 #: Run options off the wire whose values do not match the option's type
@@ -99,6 +104,9 @@ MALFORMED_OPTIONS = [
     ({"budget": "events-per-roi=-1"},
      "budget 'events-per-roi' must be >= 0, got -1"),
     ({"budget": "steps=lots"}, "bad budget value for 'steps'"),
+    ({"budget": "depth=1025"},
+     "budget 'depth' must be <= 1024 (the VM's call-depth ceiling), "
+     "got 1025"),
 ]
 
 
@@ -109,11 +117,11 @@ class TestRunOptions:
         assert RunOptions.from_doc({}) == options
 
     def test_non_defaults_round_trip(self):
-        options = RunOptions(abstraction="task", prescreen="safe",
-                             no_cache=True, budget="events-per-roi=20")
+        options = RunOptions(abstraction="task", no_cache=True,
+                             budget="events-per-roi=20")
         doc = options.to_doc()
-        assert doc == {"abstraction": "task", "prescreen": "safe",
-                       "no_cache": True, "budget": "events-per-roi=20"}
+        assert doc == {"abstraction": "task", "no_cache": True,
+                       "budget": "events-per-roi=20"}
         assert RunOptions.from_doc(doc) == options
 
     def test_unknown_option_rejected(self):
@@ -121,7 +129,6 @@ class TestRunOptions:
             RunOptions.from_doc({"warp_speed": 9})
 
     @pytest.mark.parametrize("kwargs", [
-        {"prescreen": "yes"},
         {"abstraction": "bogus"},
         {"abstraction": "parallel-for"},
     ])

@@ -420,38 +420,27 @@ def _drop_global_type(doc):
     del doc["globals"][0]["ty"]
 
 
-#: (stage, entry kind, run options, mutation of the decoded payload).
-#: Each payload keeps a valid envelope, format and version, so only its
-#: shape is wrong.
+#: (stage, entry kind, mutation of the decoded payload).  Each payload
+#: keeps a valid envelope, format and version, so only its shape is
+#: wrong.
 SHAPE_MALFORMED = {
-    "functions_not_a_list": ("frontend", "ir", {},
+    "functions_not_a_list": ("frontend", "ir",
                              lambda doc: doc.update(functions=5)),
-    "global_without_type": ("frontend", "ir", {}, _drop_global_type),
-    "psecs_not_a_list": ("profile", "profile", {},
+    "global_without_type": ("frontend", "ir", _drop_global_type),
+    "psecs_not_a_list": ("profile", "profile",
                          lambda doc: doc.update(psecs=12345)),
-    "facts_not_a_list": ("prescreen", "prescreen", {"prescreen": "safe"},
-                         lambda doc: doc.update(facts=5)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SHAPE_MALFORMED))
 def test_shape_malformed_artifact_is_a_miss(tmp_path, case):
     from repro.service.core import ServiceCore
-    from repro.service.requests import (
-        PsecRequest,
-        RecommendRequest,
-        RunOptions,
-    )
-    from tests.helpers.subjects import SCALAR_REDUCTION_SOURCE
+    from repro.service.requests import PsecRequest, RecommendRequest
 
-    stage, kind, options, mutate = SHAPE_MALFORMED[case]
-    # Only a module with prescreen-proved PSEs carries a facts sidecar.
-    source = SCALAR_REDUCTION_SOURCE if stage == "prescreen" \
-        else GLOBAL_SOURCE
-    run_options = RunOptions(**options)
+    stage, kind, mutate = SHAPE_MALFORMED[case]
+    source = GLOBAL_SOURCE
     session = Session(cache_dir=str(tmp_path))
-    session.profile(source, "carmot", name="g",
-                    options=run_options.carmot_options())
+    session.profile(source, "carmot", name="g")
     if stage == "frontend":
         key = frontend_key(source, "g")
     else:
@@ -463,12 +452,9 @@ def test_shape_malformed_artifact_is_a_miss(tmp_path, case):
     session.store.put(key, json.dumps(doc), kind)
 
     core = ServiceCore(cache_dir=str(tmp_path))
-    answer = core.execute_doc(
-        PsecRequest(source=source, name="g", options=run_options).to_doc()
-    )
+    answer = core.execute_doc(PsecRequest(source=source, name="g").to_doc())
     assert answer["ok"], answer["error"]
     assert answer["meta"]["stages"][stage] == "miss"
     # The recomputed artifact replaced the malformed one.
-    again = core.execute(RecommendRequest(source=source, name="g",
-                                          options=run_options))
+    again = core.execute(RecommendRequest(source=source, name="g"))
     assert again["meta"]["stages"][stage] == "hit"
