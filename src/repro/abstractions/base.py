@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.ir.module import Module, RoiInfo
-from repro.runtime.asmt import Asmt, AsmtEntry
+from repro.ir.module import RoiInfo
+from repro.runtime.asmt import Asmt
 from repro.runtime.psec import Psec, PseKey
 
 

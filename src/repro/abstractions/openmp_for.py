@@ -18,18 +18,14 @@ Mapping from the PSEC Sets (with the worked example of §2.2 in mind):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.liveness import locals_read_after_region
 from repro.analysis.regions import find_roi_region
 from repro.ir.module import Module, RoiInfo
 from repro.runtime.asmt import Asmt
 from repro.runtime.psec import Psec, PseKey
-from repro.abstractions.base import (
-    PseDescriptor,
-    Recommendation,
-    describe_pse,
-)
+from repro.abstractions.base import Recommendation, describe_pse
 from repro.abstractions.reductions import detect_reduction
 from repro.errors import RecommendationError
 

@@ -8,7 +8,7 @@ the statements touching it must be wrapped in critical/ordered sections.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.ir.instructions import REDUCIBLE_OPS, BinOp, Load, Store
 from repro.ir.module import Function

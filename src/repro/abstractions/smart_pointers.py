@@ -10,7 +10,7 @@ drops out of the count first and the cycle cannot keep the group alive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.ir.module import Module, RoiInfo
 from repro.runtime.asmt import Asmt

@@ -19,7 +19,7 @@ content variable per abstract object.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.ir.instructions import (
     AddrOffset,
@@ -31,7 +31,7 @@ from repro.ir.instructions import (
     Ret,
     Store,
 )
-from repro.ir.module import Function, Module
+from repro.ir.module import Module
 from repro.ir.values import Const, FunctionRef, GlobalRef, Temp, Value
 
 AbstractObject = Tuple  # see module docstring

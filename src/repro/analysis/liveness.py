@@ -13,12 +13,12 @@ compiler cannot see may read them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from repro.ir.instructions import Alloca, Load, RoiEnd
+from repro.ir.instructions import Alloca, Load
 from repro.ir.module import Block, Function
 from repro.ir.values import Temp
-from repro.analysis.loops import Loop, find_loops, innermost_loop_containing
+from repro.analysis.loops import find_loops, innermost_loop_containing
 from repro.analysis.pdg import address_taken_allocas
 from repro.analysis.regions import RoiRegion
 

@@ -10,7 +10,7 @@ go), and — for contiguous-PSE aggregation — a simple symbolic trip count
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.instructions import BinOp, Branch, Load, Store
 from repro.ir.module import Block, Function

@@ -18,9 +18,9 @@ always access the same PSE" restriction of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
-from repro.ir.instructions import Instr, Load, Store
+from repro.ir.instructions import Load, Store
 from repro.ir.module import Block, Function
 from repro.ir.values import GlobalRef, Temp, Value
 from repro.analysis.dataflow import ForwardMustProblem

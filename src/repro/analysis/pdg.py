@@ -11,20 +11,12 @@ never-address-taken allocas are provably safe from it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from repro import builtins_spec
-from repro.ir.instructions import (
-    AddrOffset,
-    Alloca,
-    Call,
-    Cast,
-    Load,
-    Phi,
-    Store,
-)
+from repro.ir.instructions import Alloca, Call, Load, Store
 from repro.ir.module import Function
-from repro.ir.values import FunctionRef, Temp, Value
+from repro.ir.values import Temp, Value
 from repro.analysis.alias import PointsTo
 from repro.analysis.regions import RoiRegion
 

@@ -11,8 +11,7 @@ Subcommands:
 - ``overhead``  — compare baseline/naive/CARMOT cost on the program;
 - ``ir``        — dump the (optionally instrumented) IR;
 - ``dis``       — disassemble the lowered register bytecode (fused sites
-  marked; ``--quicken-report`` additionally runs the program and reports
-  the runtime-quickened sites);
+  marked);
 - ``serve``     — long-lived profiling daemon on a Unix socket
   (``--stats``/``--shutdown`` talk to a running daemon);
 - ``request``   — send one request to a running daemon and print the
@@ -90,11 +89,8 @@ def _build_request(kind: str, args: argparse.Namespace, source: str):
         return IrRequest(mode=getattr(args, "mode", None) or "plain",
                          **common)
     if kind == "dis":
-        return DisRequest(
-            mode=getattr(args, "mode", None) or "carmot",
-            quicken_report=getattr(args, "quicken_report", False),
-            **common,
-        )
+        return DisRequest(mode=getattr(args, "mode", None) or "carmot",
+                          **common)
     return {
         "recommend": RecommendRequest,
         "psec": PsecRequest,
@@ -303,13 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["baseline", "naive", "carmot"],
                      help="pipeline to lower before disassembling "
                           "(default: carmot, the instrumented build)")
-    dis.add_argument(
-        "--quicken-report", action="store_true",
-        help="run the program on the bytecode engine first and annotate "
-             "every site the interpreter quickened (the listing itself "
-             "stays canonical: quickened code never leaves the execution "
-             "stream)",
-    )
     dis.set_defaults(func=_cmd_execute, kind="dis")
 
     serve = sub.add_parser(
@@ -368,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["plain", "baseline", "naive", "carmot"],
                      help="ir/dis pipeline mode (defaults: ir=plain, "
                           "dis=carmot)")
-    req.add_argument("--quicken-report", action="store_true",
-                     help="dis only: annotate runtime-quickened sites")
     req.set_defaults(func=_cmd_request)
 
     cache = sub.add_parser(

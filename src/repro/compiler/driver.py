@@ -50,7 +50,7 @@ from repro.runtime.config import (
 )
 from repro.runtime.engine import CarmotHooks, CarmotRuntime
 from repro.vm.costmodel import DEFAULT_COST_MODEL, CostModel
-from repro.vm import RunResult, run_module
+from repro.vm import run_module
 
 
 class BuildMode(enum.Enum):

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro import builtins_spec
 from repro.lang import types as ct
 from repro.ir.instructions import (
     AccessKind,
@@ -31,7 +30,7 @@ from repro.ir.instructions import (
     Store,
     ProbeEscape,
 )
-from repro.ir.module import Block, Function, Module
+from repro.ir.module import Function, Module
 from repro.ir.values import Temp
 from repro.errors import ReproError
 from repro.passes.manager import Pass, register_analysis

@@ -17,7 +17,7 @@ scalar allocas whose address never escapes direct loads/stores.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lang import types as ct
 from repro.ir.instructions import Alloca, Instr, Load, Phi, Store

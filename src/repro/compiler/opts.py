@@ -28,7 +28,6 @@ from repro.ir.instructions import (
     Cast,
     Instr,
     Jump,
-    Load,
     Phi,
     ProbeAccess,
     ProbeClassify,

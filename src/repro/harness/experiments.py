@@ -6,7 +6,7 @@ paper's qualitative claims (who wins, by roughly what factor)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.abstractions import (
@@ -23,7 +23,6 @@ from repro.compiler import (
     compile_naive,
     frontend,
 )
-from repro.errors import ReproError
 from repro.harness.reporting import render_table
 from repro.parallel import (
     DEFAULT_MACHINE,

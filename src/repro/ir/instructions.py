@@ -10,12 +10,12 @@ source — the reversible source↔IR mapping of §4.4 — and, where relevant, 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.lang import types as ct
 from repro.lang.tokens import SourcePos
-from repro.ir.values import Const, FunctionRef, Temp, Value
+from repro.ir.values import FunctionRef, Temp, Value
 
 #: Arithmetic/bitwise binary opcodes.
 ARITH_OPS = ("add", "sub", "mul", "div", "rem", "and", "or", "xor", "shl", "shr")

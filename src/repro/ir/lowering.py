@@ -17,16 +17,14 @@ uses); on any other statement it wraps that statement.  ``roi.begin`` /
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from repro import builtins_spec
 from repro.errors import LoweringError
 from repro.lang import astnodes as ast
 from repro.lang import types as ct
 from repro.lang.pragmas import CarmotRoi, OmpPragma
 from repro.lang.sema import SemaResult, Symbol, SymbolKind
 from repro.ir.instructions import (
-    AccessKind,
     AddrOffset,
     Alloca,
     BinOp,

@@ -13,7 +13,6 @@ from repro.ir.instructions import (
     Branch,
     Instr,
     Jump,
-    Ret,
     SourceLoc,
     VarInfo,
 )

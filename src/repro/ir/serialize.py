@@ -28,7 +28,7 @@ import hashlib
 import itertools
 import json
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro._version import IR_SCHEMA_VERSION
 from repro.errors import ReproError

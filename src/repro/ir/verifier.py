@@ -5,16 +5,8 @@ from __future__ import annotations
 from typing import Set
 
 from repro.errors import IRVerifyError
-from repro.ir.instructions import (
-    Alloca,
-    Branch,
-    Instr,
-    Jump,
-    RoiBegin,
-    RoiEnd,
-    Temp,
-)
-from repro.ir.module import Block, Function, Module
+from repro.ir.instructions import RoiBegin, RoiEnd, Temp
+from repro.ir.module import Function, Module
 from repro.ir.values import Const, FunctionRef, GlobalRef, Value
 
 

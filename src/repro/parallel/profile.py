@@ -148,8 +148,7 @@ def profile_execution(
     """Run ``module`` (typically the baseline build) and profile it.
 
     The run lowers its own bytecode: the line tracer needs codegen's line
-    table, and a traced run must not share execution streams that other
-    runs quicken.
+    table.
     """
     hooks = ProfilingHooks(module)
     interp = BytecodeInterpreter(lower_module(module), hooks,

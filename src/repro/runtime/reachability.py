@@ -10,10 +10,9 @@ be ported to smart pointers gradually.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.ir.instructions import SourceLoc
 
 
 @dataclass

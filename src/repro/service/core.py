@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro._version import SERVICE_SCHEMA_VERSION
 from repro.abstractions import describe_pse
@@ -121,13 +121,8 @@ def error_response(kind: Optional[str], error_type: str,
 
 
 def _tier2_line(program: CompiledProgram) -> Optional[str]:
-    """Codegen fusion + runtime quickening counters, one greppable line.
-
-    Fusion is a canonical-stream property; quickened/dequickened counts
-    are only non-zero once the execution streams have been warmed (i.e.
-    after the program ran on the bytecode engine).
-    """
-    from repro.vm.bytecode import fused_site_counts, quickened_op_count
+    """Codegen fusion counters, one greppable line."""
+    from repro.vm.bytecode import fused_site_counts
 
     bc = getattr(program, "bytecode", None) \
         or getattr(program.module, "_bytecode", None)
@@ -137,9 +132,7 @@ def _tier2_line(program: CompiledProgram) -> Optional[str]:
     return (f"tier2: fused_sites={fused['total']} "
             f"(cmp_br={fused['cmp_br']} load_bin={fused['load_bin']} "
             f"bin_store={fused['bin_store']} "
-            f"probe_access={fused['probe_access']}) "
-            f"quickened_ops={quickened_op_count(bc)} "
-            f"dequicken_count={bc.dequicken_count}")
+            f"probe_access={fused['probe_access']})")
 
 
 def _pass_stats_block(options: RunOptions,
@@ -412,7 +405,7 @@ class ServiceCore:
     # -- kind: dis -----------------------------------------------------------
 
     def _dis(self, request: DisRequest):
-        from repro.vm.bytecode import dequicken_module, disassemble
+        from repro.vm.bytecode import disassemble
 
         options = request.options
         session = self._session(options)
@@ -428,24 +421,4 @@ class ServiceCore:
         block = _pass_stats_block(options, program)
         if block is not None:
             meta["pass_stats"] = [block]
-        bytecode = program.bytecode
-        note = None
-        if request.quicken_report:
-            # Run once on the bytecode engine so quickenable sites are
-            # rewritten, disassemble with the report markers, then restore
-            # the canonical execution streams.  The listing itself always
-            # renders the canonical stream — it is byte-identical before
-            # and after the run.
-            try:
-                program.run(entry=options.entry,
-                            **options.run_kwargs())
-            except ReproError as error:
-                note = (f"note: run aborted ({error}); quickening still "
-                        f"reflects every function that was entered")
-            listing = disassemble(bytecode, quicken_report=True)
-            dequicken_module(bytecode)
-        else:
-            listing = disassemble(bytecode)
-        body = {"listing": listing, "quicken_report": request.quicken_report,
-                "note": note}
-        return body, meta
+        return {"listing": disassemble(program.bytecode)}, meta

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 @dataclass(frozen=True)
@@ -210,8 +210,6 @@ def render_dis(doc: Dict, render: RenderOptions) -> Rendered:
     body = doc["body"]
     out = _meta_preamble(doc, render)
     err = _stderr_preamble(doc, render, degradation=False)
-    if body.get("note"):
-        err.print(body["note"])
     out.print(body["listing"])
     return Rendered(out=out.text(), err=err.text())
 

@@ -212,13 +212,9 @@ class DisRequest(_BaseRequest):
 
     kind = "dis"
     mode: str = "carmot"
-    #: Run the program on the bytecode engine first and annotate the
-    #: sites the interpreter quickened.
-    quicken_report: bool = False
 
     def to_doc(self) -> Dict[str, object]:
-        return {**super().to_doc(), "mode": self.mode,
-                "quicken_report": self.quicken_report}
+        return {**super().to_doc(), "mode": self.mode}
 
 
 _REQUEST_TYPES = {
@@ -231,6 +227,11 @@ _REQUEST_TYPES = {
 
 _IR_MODES = ("plain", "baseline", "naive", "carmot")
 _DIS_MODES = ("baseline", "naive", "carmot")
+#: Top-level fields of a request document (``namespace`` routes a
+#: daemon request to its cache partition); ``ir`` and ``dis`` add
+#: ``mode``.
+_REQUEST_FIELDS = frozenset(("kind", "source", "name", "options",
+                             "namespace"))
 
 
 def parse_request_doc(doc: Dict[str, object]):
@@ -243,6 +244,10 @@ def parse_request_doc(doc: Dict[str, object]):
             f"unknown request kind {kind!r} "
             f"(choose from {', '.join(REQUEST_KINDS)})"
         )
+    unknown = sorted(set(doc) - _REQUEST_FIELDS
+                     - ({"mode"} if kind in ("ir", "dis") else set()))
+    if unknown:
+        raise ReproError(f"unknown request field(s): {', '.join(unknown)}")
     source = doc.get("source")
     if not isinstance(source, str):
         raise ReproError("request 'source' must be the MiniC source text")
@@ -273,11 +278,4 @@ def parse_request_doc(doc: Dict[str, object]):
                 f"dis mode must be one of {_DIS_MODES}, got {mode!r}"
             )
         kwargs["mode"] = mode
-        quicken_report = doc.get("quicken_report", False)
-        if not isinstance(quicken_report, bool):
-            raise ReproError(
-                f"request 'quicken_report' must be a boolean, "
-                f"got {quicken_report!r}"
-            )
-        kwargs["quicken_report"] = quicken_report
     return _REQUEST_TYPES[kind](**kwargs)

@@ -41,7 +41,7 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro._version import (
     BYTECODE_SCHEMA_VERSION,

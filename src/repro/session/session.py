@@ -38,7 +38,7 @@ semantics are identical, nothing touches disk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.compiler.carmot import (
     CarmotBuildInfo,
@@ -62,7 +62,6 @@ from repro.passes.registry import parse_pipeline
 from repro.resilience.budgets import ExecutionBudgets
 from repro.runtime.config import naive_policy_for, policy_for
 from repro.runtime.psec_json import (
-    Profile,
     ProfileSerializeError,
     deserialize_profile,
     serialize_profile,

@@ -1,7 +1,7 @@
 """MiniC virtual machine: memory model, execution engine, cost model.
 
 ``run_module`` lowers verified IR to register bytecode
-(:mod:`repro.vm.codegen`) and runs it on the dispatch loop
+(:mod:`repro.vm.codegen`) and runs it compiled to Python
 (:mod:`repro.vm.bcinterp`).
 """
 

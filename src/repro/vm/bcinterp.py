@@ -1,99 +1,87 @@
-"""The MiniC virtual machine: a register-bytecode dispatch loop.
+"""The MiniC virtual machine: each function's bytecode compiled to Python.
 
-Executes a lowered :class:`~repro.vm.bytecode.BytecodeModule` with a flat
-while-loop over a per-function *execution stream*: one tuple per
-instruction (opcode, operand slots into a per-frame register list,
-pre-resolved branch/call targets), indexed by the instruction's pc in
-the canonical code.  A deterministic cost model charges every executed
-IR instruction, and pluggable :class:`~repro.vm.hooks.ExecutionHooks`
-let the CARMOT runtime observe ROI markers, instrumentation probes,
-allocations and Pin-traced builtin accesses.  The VM itself is
-profiling-agnostic: a run with the default hooks is the *baseline* whose
-cost is the denominator of every overhead figure.
+The first time a run enters a MiniC function, :class:`_Source` generates
+one Python function from the function's canonical code stream
+(``fn.code``), ``compile()`` turns it into a factory, and the factory is
+kept on the :class:`~repro.vm.bytecode.BytecodeFunction` for every later
+run over the same :class:`~repro.vm.bytecode.BytecodeModule`.  Each run
+instantiates the factories it needs as closures over its own state (the
+interpreter, its memory, its hooks), so nothing of one run outlives it.
+A deterministic cost model charges every executed IR instruction, and
+pluggable :class:`~repro.vm.hooks.ExecutionHooks` observe ROI markers,
+probes, allocations and Pin-traced builtin accesses; a run with the
+default hooks is the *baseline* every overhead figure divides by.
 
-Instruction counting follows the IR: one count per IR instruction, so
-``BudgetExceeded`` trip points, hook event times and trap messages are
-properties of the program, not of the bytecode layout.
+Shape of a generated function (DESIGN.md §12):
 
-Tier-2 structure (see DESIGN.md §12):
+- **Registers are locals**: arguments are parameters and temps plain
+  locals; constant slots, side-table entries and MiniC names are closure
+  variables bound from a constants tuple.  No MiniC identifier, string
+  or literal is ever spliced into the source text.
+- **Blocks** dispatch through a binary ``if b < k`` tree inside one
+  ``while`` loop, so nesting depth grows with log2 of the block count.
+  Phi trampolines run inline on the edge that jumps to them, and a
+  block with one incoming edge runs where that edge leaves.
+- **Counting per segment.**  A segment is a block, or the part of one
+  after a MiniC call.  Its header adds the segment's static instruction
+  count, cost and access counts once.  Check points (the entry, loop
+  headers, post-call continuations) test the step budget against the
+  longest count to the next check point; when it could be crossed the
+  frame hands its locals to the *counted* form of the function, which
+  counts and budget-checks every instruction as the IR does, so the
+  trip point never moves.
+- **Spills.**  Before every hook, builtin and call the exact counters
+  are written to ``vm.instructions``/``vm.cost`` (hooks read them as
+  event time), and ``vm.cost`` is read back after builtins and calls,
+  which charge it directly.
+- **Traps map back to their op.**  Every line of generated source has an
+  entry in a per-function table: how much of the segment's pre-added
+  count, cost and accesses is still ahead of that line.  The frame's
+  exception handler corrects the counters by it, so
+  ``vm.instructions``/``vm.cost`` after a trap are those of the
+  trapping instruction.
+- **Loads, stores and probes** call their site's closure, made once per
+  run: a load or store site tests the object it resolved last before
+  ``Memory._resolve``, which raises every fault; a probe site binds the
+  probe's static operands.
+- **MiniC calls are Python calls**; the call-depth ceiling
+  (``MAX_CALL_DEPTH``) trips long before Python's recursion limit, which
+  this module raises once at import.
 
-- **One tuple per instruction.**  ``fn.xcode`` (built at link time by
-  :func:`~repro.vm.bytecode.execution_stream`) holds, at each
-  instruction's canonical pc, the tuple of its words, and ``None``
-  between.  Each dispatch fetches that tuple once (``ins = code[pc]``)
-  and its handler unpacks the operands by name; phi trampolines and
-  call argument lists are read from the target's or the call's tuple.
-  Because pcs stay canonical, branch targets, return pcs, ``fn.lines``,
-  the trace slot and ``{fn.name}+{pc}`` messages are the canonical
-  stream's.
-- **Superinstructions** arrive pre-fused from codegen (cmp+branch,
-  load+binop, binop+store, probe+access).  A fused opcode executes both
-  halves with the *same* instruction counting and budget check between
-  them as the unfused pair, so trip points and trap-time state never
-  move.
-- **Quickening.**  The first time a function is entered, ``_quicken``
-  replaces the tuples of eligible sites of its execution stream:
-  const-operand binops and fused compare-branches become immediate
-  forms, single-predecessor phi trampolines become ``OP_PHI_Q1``, and
-  indirect calls through constant function pointers pre-resolve their
-  target.  The canonical ``array('q')`` stream (``fn.code``) is never
-  touched, so serialization, digests, and disassembly cannot observe
-  quickened code; :func:`~repro.vm.bytecode.dequicken_module` rebuilds
-  the tuples from it.
-- **Loads and stores resolve inline.**  The six opcodes that touch
-  memory (``load``, ``store``, ``load.bin``, ``bin.store``,
-  ``probe.load``, ``probe.store``) first test the object their pc
-  resolved last: the access must lie inside it and it must not be
-  freed.  Any other access goes through ``Memory._resolve``, which
-  raises every fault.  The cache is per interpreter, never on the shared
-  stream: every run places its globals at the same addresses, so an
-  earlier run's object would pass the bounds test and serve stale bytes.
-- **Flattened dispatch.**  The hot opcodes run in a shallow inline
-  chain; everything else dispatches through a dense handler table (a
-  list indexed by opcode) of per-opcode closures with pre-bound locals,
-  called with the pc and the instruction's tuple.  The interpreter
-  state is spilled before a table handler runs and the ``cost`` local is
-  reloaded after, so the hook-spill contract holds at exactly the
-  opcodes that can reach hooks.
-- **One trace slot.**  A per-dispatch callback, off (``None``) by
-  default and tested once per dispatch, serves both the ``--trace``
-  printer and the per-source-line cost attribution of the Figure 6
-  profiler (:meth:`BytecodeInterpreter.enable_line_tracing`).
+The counted form also serves ``--trace`` and the Figure 6 line profiler:
+it calls the run's trace callback before every instruction.
 
-Hot-loop discipline: ``instructions``/``cost`` live in locals and are
-spilled to the interpreter attributes
-
-- before every hook invocation (hooks read ``vm.instructions`` as event
-  time and may read ``vm.cost``),
-- around builtin calls (builtin impls *mutate* ``vm.cost`` through
-  ``charge_bytes``/``heap_alloc``, so the local is reloaded after),
-- around cold-table handlers (which mutate ``vm.cost`` directly), and
-- unconditionally in a ``finally`` so trap/budget exits leave the
-  counters at the trapping instruction.
-
-``memory.clock`` is only ever read inside ``allocate``/``free``/
-``release_stack_object``, so instead of a per-step store it is refreshed
-exactly at the opcodes that can reach those: ``OP_ALLOCA``, ``OP_RET``,
-and the builtin-call opcodes.
+Memory: a function that never runs is never compiled; the source text
+is dropped once compiled and nothing enters ``linecache``; compiled code
+lives on its ``BytecodeModule`` (no process-wide cache), and generated
+globals hold only exception types and pure helpers.  ``compile()`` needs
+about 1 MB for the largest function of the paper's ports, which is why
+the generated text is kept short; the freed memory is handed back to
+the system after each compile.  A run drops its closures and the hooks'
+back-reference when it exits, so a finished run is freed by reference
+counting.
 """
 
 from __future__ import annotations
 
+import re
 import struct
+import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.builtins_spec import BUILTINS
 from repro.errors import BudgetExceeded, TrapError, VMError
-from repro.resilience.budgets import MAX_CALL_DEPTH, ExecutionBudgets
-from repro.lang import types as ct
 from repro.ir.instructions import AccessKind
+from repro.lang import types as ct
+from repro.resilience.budgets import MAX_CALL_DEPTH, ExecutionBudgets
 from repro.vm.builtins import BUILTIN_IMPLS, Xorshift64
 from repro.vm.bytecode import (
+    FUSED_CMP_BR,
+    OPCODE_NAMES,
+    BytecodeError,
     BytecodeFunction,
     BytecodeModule,
-    OPCODE_NAMES,
     OP_ADD,
-    OP_ADD_QI,
     OP_ADDR,
     OP_ALLOCA,
     OP_AND,
@@ -102,66 +90,42 @@ from repro.vm.bytecode import (
     OP_CALL,
     OP_CALL_BUILTIN,
     OP_CALL_IND,
-    OP_CALL_IND_QB,
-    OP_CALL_IND_QF,
     OP_CALL_MISSING,
     OP_CAST,
     OP_DIV,
-    OP_DIV_QI,
     OP_EQ,
-    OP_EQ_BR,
-    OP_EQ_BR_QI,
     OP_GE,
-    OP_GE_BR,
-    OP_GE_BR_QI,
     OP_GT,
-    OP_GT_BR,
-    OP_GT_BR_QI,
     OP_JUMP,
-    OP_JUMP_PHI,
     OP_LE,
-    OP_LE_BR,
-    OP_LE_BR_QI,
     OP_LOAD,
     OP_LOAD_BIN,
     OP_LT,
-    OP_LT_BR,
-    OP_LT_BR_QI,
     OP_MUL,
-    OP_MUL_QI,
     OP_NE,
-    OP_NE_BR,
-    OP_NE_BR_QI,
     OP_OMP_BARRIER,
     OP_OMP_BEGIN,
     OP_OMP_END,
     OP_OR,
     OP_PHI,
-    OP_PHI_Q1,
     OP_PROBE_ACCESS,
     OP_PROBE_CLASSIFY,
     OP_PROBE_ESCAPE,
     OP_PROBE_LOAD,
     OP_PROBE_STORE,
     OP_REM,
-    OP_REM_QI,
     OP_RET,
     OP_ROI_BEGIN,
     OP_ROI_END,
     OP_ROI_RESET,
-    OP_RSUB_QI,
     OP_SHL,
     OP_SHR,
     OP_STORE,
     OP_SUB,
-    OP_SUB_QI,
     OP_XOR,
-    QUICKEN_CMP_BR_OFFSET,
-    QUICKENED_BINOPS,
     TY_CHAR,
     TY_FLOAT,
-    dequicken_module,
-    execution_stream,
+    decode,
 )
 from repro.vm.codegen import lower_module
 from repro.vm.costmodel import DEFAULT_COST_MODEL, CostModel
@@ -175,38 +139,1105 @@ from repro.vm.memory import (
 )
 from repro.vm.result import RunResult
 
-#: Sub-operation evaluators for the fused load+binop / binop+store
-#: opcodes (the fusion catalog excludes div/rem, so none of these trap).
-_BIN_EVAL = {
-    OP_ADD: lambda a, b: a + b,
-    OP_SUB: lambda a, b: a - b,
-    OP_MUL: lambda a, b: a * b,
-    OP_EQ: lambda a, b: 1 if a == b else 0,
-    OP_NE: lambda a, b: 1 if a != b else 0,
-    OP_LT: lambda a, b: 1 if a < b else 0,
-    OP_LE: lambda a, b: 1 if a <= b else 0,
-    OP_GT: lambda a, b: 1 if a > b else 0,
-    OP_GE: lambda a, b: 1 if a >= b else 0,
-    OP_AND: lambda a, b: int(a) & int(b),
-    OP_OR: lambda a, b: int(a) | int(b),
-    OP_XOR: lambda a, b: int(a) ^ int(b),
-    OP_SHL: lambda a, b: int(a) << (int(b) & 63),
-    OP_SHR: lambda a, b: int(a) >> (int(b) & 63),
+#: One Python frame per MiniC frame, plus the caller's own stack and the
+#: hooks: the ceiling must always trip first, on any thread.
+if sys.getrecursionlimit() < 4 * MAX_CALL_DEPTH:
+    sys.setrecursionlimit(4 * MAX_CALL_DEPTH)
+
+#: Access counts travel packed in one int: var accesses in the low bits.
+_ACC_SHIFT = 40
+_MEM_ACCESS = 1 << _ACC_SHIFT
+
+#: A load or store site before its first access: lowest address,
+#: highest address and object, matching no address.
+_NO_SITE = (0, -1, MemoryObject(0, 0, 0, "global", bytearray()))
+
+_CMP_BR = {fused: cmp for cmp, fused in FUSED_CMP_BR.items()}
+_CMP_TEXT = {OP_EQ: "==", OP_NE: "!=", OP_LT: "<", OP_LE: "<=",
+             OP_GT: ">", OP_GE: ">="}
+_NAME = re.compile(r"[A-Za-z_]\w*")
+_TERMINATORS = frozenset((OP_JUMP, OP_BR, OP_RET, OP_PHI, *_CMP_BR))
+#: Bounds on inlining blocks at their only predecessor: branch arms
+#: nested into one another, and blocks inlined in a row.
+_INLINE_NEST = 8
+_INLINE_CHAIN = 32
+#: Opcodes that count as two IR instructions.
+_FUSED = frozenset((OP_LOAD_BIN, OP_BIN_STORE, OP_PROBE_LOAD,
+                    OP_PROBE_STORE, *_CMP_BR))
+
+
+def _div_zero(loc):
+    raise TrapError(f"division by zero at {loc}")
+
+
+def _mod_zero(loc):
+    raise TrapError(f"modulo by zero at {loc}")
+
+
+def _div(lhs, rhs, loc):
+    """C division of operands that may be floats."""
+    if rhs == 0:
+        _div_zero(loc)
+    if isinstance(lhs, float) or isinstance(rhs, float):
+        return lhs / rhs
+    result = abs(lhs) // abs(rhs)
+    return -result if (lhs < 0) != (rhs < 0) else result
+
+
+def _rem(lhs, rhs, loc):
+    """C remainder of operands that may be floats."""
+    if rhs == 0:
+        _mod_zero(loc)
+    quotient = abs(lhs) // abs(rhs)
+    if (lhs < 0) != (rhs < 0):
+        quotient = -quotient
+    return lhs - quotient * rhs
+
+
+def _float_overflow():
+    # The value is left out: its decimal form can pass Python's
+    # int-to-str digit limit.
+    raise TrapError("integer too large to convert to a float") from None
+
+
+def _missing(name):
+    raise TrapError(f"call to undefined function {name!r}")
+
+
+#: The globals of every generated function: exception types and pure
+#: helpers, never an interpreter or a module.
+_GEN_GLOBALS = {
+    "__builtins__": {}, "int": int, "float": float, "abs": abs, "len": len,
+    "BaseException": BaseException, "OverflowError": OverflowError,
+    "locals": locals,
+    "BE": BudgetExceeded, "to_int": to_int, "DZ": _div_zero, "MZ": _mod_zero,
+    "DIV": _div, "REM": _rem, "FO": _float_overflow, "MISS": _missing,
 }
 
+#: Names a generated function can read from its run
+#: (:meth:`BytecodeInterpreter._run_state`); its factory takes the ones
+#: it uses.
+_RUN_NAMES = (
+    "vm", "M", "LIM", "MAXD", "CS", "F", "CF", "CI", "BP", "RD", "X", "TK",
+    "AL", "SITES", "HK", "HPC", "HPE", "HRB", "HRE", "HRR", "HOR", "HOB",
+    "HCE", "HCX", "HWP", "HPT",
+)
+_UNPACK = tuple(codec[1] for codec in SCALAR_CODECS)
+#: Stores pack masked ints unsigned, which is the C-style wrap of the
+#: signed codec byte for byte.
+_PACK = (struct.Struct("<Q").pack_into, SCALAR_CODECS[TY_FLOAT][2],
+         SCALAR_CODECS[TY_CHAR][2])
+#: A stored int wraps C-style: ``int`` to 64 bits, ``char`` to 8.
+_STORE_MASK = {0: (1 << 64) - 1, TY_CHAR: 0xFF}
 
-def _trace_printer(stream):
-    """The ``--trace`` consumer of the trace slot: one line per dispatch."""
-    def trace(fn, pc, op, ic, cost):
-        print(f"trace: [{ic}] {fn.name}+{pc} {OPCODE_NAMES[op]}", file=stream)
+
+def _operands(ins: tuple) -> Tuple[tuple, tuple]:
+    """The register slots an instruction reads, and those it writes."""
+    op = ins[0]
+    if op == OP_LOAD or op == OP_CAST:
+        return (ins[2],), (ins[1],)
+    if op == OP_STORE or op == OP_PROBE_ESCAPE:
+        return ins[1:3], ()
+    if op == OP_ADDR:
+        return ins[2:4], (ins[1],)
+    if OP_ADD <= op <= OP_SHR or op in _CMP_BR:
+        return ins[2:4], (ins[1],)
+    if op == OP_BR:
+        return (ins[1],), ()
+    if op == OP_PHI:
+        return ins[3::2], ins[4::2]
+    if op == OP_ALLOCA:
+        return (), (ins[1],)
+    if op in (OP_CALL, OP_CALL_BUILTIN, OP_CALL_IND):
+        args = ins[5:] if op == OP_CALL else ins[6:]
+        if op == OP_CALL_IND:
+            args = (ins[1],) + args
+        return args, (ins[2],) if ins[2] >= 0 else ()
+    if op == OP_RET:
+        return (ins[1],) if ins[1] >= 0 else (), ()
+    if op == OP_LOAD_BIN:
+        return (ins[3], ins[7], ins[8]), (ins[2], ins[6])
+    if op == OP_BIN_STORE:
+        return (ins[3], ins[4], ins[2], ins[5]), (ins[2],)
+    if op in (OP_PROBE_ACCESS, OP_PROBE_CLASSIFY, OP_PROBE_LOAD,
+              OP_PROBE_STORE):
+        reads = (ins[2],) if ins[5] < 0 else (ins[2], ins[5])
+        if op == OP_PROBE_LOAD:
+            return reads + (ins[10],), (ins[9],)
+        if op == OP_PROBE_STORE:
+            return reads + ins[9:11], ()
+        return reads, ()
+    return (), ()
+
+
+class _Slots:
+    """What the generator knows of a function's register slots: how
+    often each is read and written, which provably hold ints (their
+    ``int()`` conversions are left out) or floats (their ``float()``
+    ones), and which hold a link-time constant address."""
+
+    def __init__(self, fn: BytecodeFunction, ops, builtin_order) -> None:
+        arg_base = fn.arg_base
+        proto = fn.proto
+        self.reads: Dict[int, int] = {}
+        self.writes: Dict[int, int] = {}
+        #: (dst, producer, inputs): producer is "int", "float", "any"
+        #: (unknown), "arith" (a float if an input is) or "copy".
+        rules = []
+        for _, ins in ops:
+            op = ins[0]
+            reads, writes = _operands(ins)
+            for slot in reads:
+                self.reads[slot] = self.reads.get(slot, 0) + 1
+            for slot in writes:
+                self.writes[slot] = self.writes.get(slot, 0) + 1
+            if op in (OP_LOAD, OP_PROBE_LOAD, OP_LOAD_BIN, OP_CAST):
+                ty = ins[{OP_LOAD: 3, OP_PROBE_LOAD: 11, OP_LOAD_BIN: 4,
+                          OP_CAST: 3}[op]]
+                rules.append((writes[0], "float" if ty == TY_FLOAT
+                              else "int", ()))
+                if op == OP_LOAD_BIN:
+                    rules.append((ins[6], _producer(ins[1]), ins[7:9]))
+            elif op == OP_BIN_STORE:
+                rules.append((ins[2], _producer(ins[1]), ins[3:5]))
+            elif OP_ADD <= op <= OP_SHR:
+                rules.append((ins[1], _producer(op), ins[2:4]))
+            elif op == OP_PHI:
+                rules += [(dst, "copy", (src,))
+                          for src, dst in zip(ins[3::2], ins[4::2])]
+            elif op == OP_CALL_BUILTIN and writes:
+                ret = BUILTINS[builtin_order[ins[1]]].return_type
+                rules.append((ins[2], "float" if isinstance(
+                    ret, ct.FloatType) else "int", ()))
+            elif op in (OP_CALL, OP_CALL_IND) and writes:
+                rules.append((ins[2], "any", ()))
+            else:
+                rules += [(dst, "int", ()) for dst in writes]
+        consts = {slot for slot in range(arg_base)
+                  if slot not in self.writes}
+        #: Slots that may hold something other than an int: non-int
+        #: constants, arguments, temps never written (``None``), and
+        #: whatever flows from them.
+        self.nonint = {slot for slot in consts
+                       if type(proto[slot]) is not int}
+        self.nonint.update(range(arg_base, arg_base + fn.n_args))
+        self.nonint.update(slot for slot in range(arg_base, fn.n_regs)
+                           if slot not in self.writes
+                           and slot >= arg_base + fn.n_args)
+        #: Slots that provably hold floats.
+        self.floats = {slot for slot in consts
+                       if type(proto[slot]) is float}
+        self.floats.update(dst for dst, _, _ in rules)
+        changed = True
+        while changed:
+            changed = False
+            for dst, producer, inputs in rules:
+                if dst not in self.nonint and (
+                        producer in ("float", "any") or any(
+                            slot in self.nonint for slot in inputs
+                            if producer != "int")):
+                    self.nonint.add(dst)
+                    changed = True
+                if dst in self.floats and not (
+                        producer == "float"
+                        or producer == "copy" and inputs[0] in self.floats
+                        or producer == "arith" and any(
+                            slot in self.floats for slot in inputs)):
+                    self.floats.discard(dst)
+                    changed = True
+        #: dst -> its value, for ``addr`` of a constant base and index
+        #: into the only write of a temp.
+        self.const_addrs: Dict[int, int] = {}
+        for _, ins in ops:
+            if ins[0] == OP_ADDR and self.writes.get(ins[1]) == 1 \
+                    and ins[1] >= arg_base and ins[2] in consts \
+                    and ins[3] in consts and type(proto[ins[2]]) is int \
+                    and type(proto[ins[3]]) is int:
+                self.const_addrs[ins[1]] = (proto[ins[2]]
+                                            + proto[ins[3]] * ins[4]
+                                            + ins[5])
+
+
+def _producer(op: int) -> str:
+    """How a binop's result type follows from its operands: compares and
+    bit operations always give ints."""
+    return "arith" if op <= OP_REM else "int"
+
+
+class _Source:
+    """Generates the source of one compiled form of one function.
+
+    ``counted`` selects the form: the fast form counts per segment, the
+    counted form per instruction (with a budget check and the trace call
+    before each).  :meth:`build` returns the source text and the
+    constants tuple its factory takes, the per-line trap table included.
+    """
+
+    def __init__(self, interp: "BytecodeInterpreter", fn: BytecodeFunction,
+                 index: int, counted: bool) -> None:
+        self.interp = interp
+        self.bc = interp.bytecode
+        self.fn = fn
+        self.index = index
+        self.counted = counted
+        self.cm = interp.cost_model
+        self.ops = decode(fn)
+        self.at = {pc: i for i, (pc, _) in enumerate(self.ops)}
+        self.slots = _Slots(fn, self.ops, self.bc.builtin_order)
+        self.nonint = self.slots.nonint
+        self.consts: List[object] = []
+        self.const_names: List[str] = []
+        self._const_ids: Dict[tuple, str] = {}
+        self.lines: List[str] = []
+        self.fix: List[object] = [None]  # line numbers start at 1
+        self._fix_ids: Dict[object, object] = {}
+        self.depth = 0
+        #: Pre-added count, cost and accesses still ahead (fast form).
+        self.ahead = (0, 0, 0)
+        #: Load, store and probe sites: the spec of each one's closure.
+        self.sites: List[tuple] = []
+        self.has_alloca = any(ins[0] == OP_ALLOCA for _, ins in self.ops)
+        arg_base = fn.arg_base
+        #: Constant slots some op writes get a local copy of their own.
+        self.written_consts = sorted(
+            slot for slot in self.slots.writes if 0 <= slot < arg_base)
+        #: Parameters: the arguments; the counted form also takes every
+        #: other register, so that a fast frame can hand its state over.
+        #: (A fast frame's temps are plain locals: codegen defines each
+        #: before any use.)
+        last = fn.n_regs if counted else arg_base + fn.n_args
+        self.params = [f"r{slot}" for slot in range(arg_base, last)]
+        if counted:
+            self.params += [f"r{slot}" for slot in self.written_consts]
+        self._blocks()
+
+    # -- analysis ------------------------------------------------------------
+
+    def _targets(self, pc: int, ins: tuple) -> tuple:
+        op = ins[0]
+        if op == OP_JUMP:
+            targets = (ins[1],)
+        elif op == OP_BR:
+            targets = (ins[2], ins[3])
+        elif op == OP_PHI:
+            targets = (ins[2],)
+        elif op in _CMP_BR:
+            targets = (ins[4], ins[5])
+        else:
+            return ()
+        for target in targets:
+            if target not in self.at:
+                raise BytecodeError(
+                    f"branch to {target}, not an instruction start, at "
+                    f"{self.fn.name}+{pc}")
+        return targets
+
+    def _blocks(self) -> None:
+        """Split the stream into the blocks reachable from the entry and
+        number the leaves of both forms' dispatch trees."""
+        fn = self.fn
+        if fn.entry_pc not in self.at:
+            raise BytecodeError(
+                f"entry {fn.entry_pc} is not an instruction start in "
+                f"{fn.name}")
+        leaders = {fn.entry_pc}
+        for pc, ins in self.ops:
+            leaders.update(self._targets(pc, ins))
+        #: start pc -> ops of the block (up to a terminator or a leader).
+        self.blocks: Dict[int, list] = {}
+        #: start pc -> the leader it falls through to, if any.
+        self.falls: Dict[int, int] = {}
+        todo = [fn.entry_pc]
+        while todo:
+            start = todo.pop()
+            if start in self.blocks:
+                continue
+            i = self.at[start]
+            body = []
+            while True:
+                if i == len(self.ops):
+                    raise BytecodeError(
+                        f"code runs off the end of {fn.name}")
+                pc, ins = self.ops[i]
+                if body and pc in leaders:
+                    self.falls[start] = pc
+                    todo.append(pc)
+                    break
+                body.append((pc, ins))
+                if ins[0] in _TERMINATORS:
+                    todo.extend(self._targets(pc, ins))
+                    break
+                i += 1
+            self.blocks[start] = body
+        #: pc -> start of the block that holds it.
+        self.block_of = {pc: start for start, body in self.blocks.items()
+                         for pc, _ in body}
+        self.trampolines = {pc for pc, body in self.blocks.items()
+                            if body[0][1][0] == OP_PHI}
+        resumes = set(self.blocks)
+        for body in self.blocks.values():
+            for (pc, ins), nxt in zip(body, body[1:]):
+                if ins[0] in (OP_CALL, OP_CALL_IND):
+                    resumes.add(nxt[0])
+        self.counted_ids = {pc: i for i, pc in enumerate(sorted(resumes))}
+        #: block start -> [(phi count, successor block)] of its exits, a
+        #: trampoline resolved to the block it enters.
+        self.exits: Dict[int, list] = {}
+        for start, body in self.blocks.items():
+            if start in self.trampolines:
+                continue
+            exits = []
+            for target in (*self._targets(*body[-1]),
+                           *([self.falls[start]] if start in self.falls
+                             else [])):
+                if target in self.trampolines:
+                    (_, phi), = self.blocks[target]
+                    exits.append((phi[1], phi[2]))
+                else:
+                    exits.append((0, target))
+            self.exits[start] = exits
+        self._windows()
+        self._plan_inlining()
+
+    def _plan_inlining(self) -> None:
+        """Choose the fast form's dispatch leaves.
+
+        A block with one incoming edge (not the entry, not a check point)
+        is emitted where that edge leaves its predecessor, so running
+        into it costs no dispatch.  Inlining into a branch arm nests one
+        level deeper; both the nesting and the length of an inlined chain
+        are bounded, and a block past either bound is a leaf."""
+        entry = self.fn.entry_pc
+        preds: Dict[int, int] = {}
+        for exits in self.exits.values():
+            for _, target in exits:
+                preds[target] = preds.get(target, 0) + 1
+        #: Blocks emitted at their predecessor rather than dispatched.
+        self.inlined = set()
+        leaves = {entry}
+        todo = [(entry, 0, 0)]
+        while todo:
+            block, nest, chain = todo.pop()
+            exits = self.exits[block]
+            for _, target in exits:
+                deeper = nest + (len(exits) == 2)
+                if (target != entry and preds[target] == 1
+                        and target not in self.windows
+                        and deeper <= _INLINE_NEST and chain < _INLINE_CHAIN):
+                    self.inlined.add(target)
+                    todo.append((target, deeper, chain + 1))
+                elif target not in leaves:
+                    leaves.add(target)
+                    todo.append((target, 0, 0))
+        self.fast_ids = {pc: i for i, pc in enumerate(sorted(leaves))}
+
+    def _windows(self) -> None:
+        """Where the fast form checks the step budget, and how far ahead.
+
+        A check point is the entry, a loop header (the target of a
+        retreating edge) or the continuation after a MiniC call, whose
+        callee ran an unknown count.  Every cycle passes through one, so
+        the code between check points is acyclic, and a check point's
+        window is the longest count from it to the next check point or a
+        return.  Once the check passed, no instruction before the next
+        check point can trip the budget, so only check points test it."""
+        counts: Dict[int, int] = {}
+        succs: Dict[int, list] = {}
+        checks = {self.fn.entry_pc}
+        for start, body in self.blocks.items():
+            if start in self.trampolines:
+                continue
+            seg, count = start, 0
+            for i, (pc, ins) in enumerate(body):
+                op = ins[0]
+                count += (ins[1] if op == OP_PHI else 2 if op in _FUSED
+                          else 1)
+                if op in (OP_CALL, OP_CALL_IND) and i + 1 < len(body):
+                    nxt = body[i + 1][0]
+                    counts[seg], succs[seg] = count, [(0, nxt)]
+                    checks.add(nxt)
+                    seg, count = nxt, 0
+            counts[seg], succs[seg] = count, self.exits[start]
+        # Loop headers: targets of retreating edges of a depth-first walk.
+        state = {self.fn.entry_pc: 1}
+        stack = [(self.fn.entry_pc, iter(succs[self.fn.entry_pc]))]
+        while stack:
+            node, edges = stack[-1]
+            for _, nxt in edges:
+                if state.get(nxt) == 1:
+                    checks.add(nxt)
+                elif nxt not in state:
+                    state[nxt] = 1
+                    stack.append((nxt, iter(succs[nxt])))
+                    break
+            else:
+                state[node] = 2
+                stack.pop()
+        length: Dict[int, int] = {}
+        for root in counts:
+            todo = [(root, False)]
+            while todo:
+                node, ready = todo.pop()
+                if node in length:
+                    continue
+                if ready:
+                    length[node] = counts[node] + max(
+                        [k + (0 if nxt in checks else length[nxt])
+                         for k, nxt in succs[node]], default=0)
+                    continue
+                todo.append((node, True))
+                todo.extend((nxt, False) for _, nxt in succs[node]
+                            if nxt not in checks and nxt not in length)
+        #: check point -> its window.
+        self.windows = {pc: length[pc] for pc in checks}
+
+    # -- names -----------------------------------------------------------------
+
+    def _const(self, prefix: str, key, value) -> str:
+        """The closure name bound to ``value`` through the constants
+        tuple."""
+        name = self._const_ids.get((prefix, key))
+        if name is None:
+            name = f"{prefix}{key}"
+            self._const_ids[(prefix, key)] = name
+            self.consts.append(value)
+            self.const_names.append(name)
+        return name
+
+    def reg(self, slot: int) -> str:
+        if slot in self.slots.const_addrs:
+            return self._const("d", slot, self.slots.const_addrs[slot])
+        if slot < self.fn.arg_base and slot not in self.written_consts:
+            return self._const("k", slot, self.fn.proto[slot])
+        return f"r{slot}"
+
+    def as_int(self, slot: int) -> str:
+        name = self.reg(slot)
+        return f"int({name})" if slot in self.nonint else name
+
+    def loc(self, index: int) -> str:
+        if index < 0:
+            return "None"
+        return self._const("L", index, self.bc.loc_table[index])
+
+    def var(self, index: int) -> str:
+        if index < 0:
+            return "None"
+        return self._const("V", index, self.bc.var_table[index])
+
+    def string(self, index: int) -> str:
+        return self._const("S", index, self.bc.string_table[index])
+
+    def fname(self, index: int) -> str:
+        return self._const("N", index, self.interp._fns[index].name)
+
+    # -- emission --------------------------------------------------------------
+
+    def line(self, text: str, mode: str = "fix") -> None:
+        """Emit one line; ``mode`` says how a trap on it is unwound:
+        ``fix`` corrects the counters by what is still ahead, ``leave``
+        keeps the counters the callee or builtin left in ``vm``, ``skip``
+        leaves everything to the counted form the frame handed off to."""
+        ic, cost, acc = self.ahead
+        if mode == "fix":
+            entry = (ic, cost, acc)
+        elif mode == "leave":
+            entry = (None, None, acc)
+        else:
+            entry = None
+        entry = self._fix_ids.setdefault(entry, entry)
+        if "{" in text:
+            text = (text.replace("{IC}", f"ic - {ic}" if ic else "ic")
+                    .replace("{COST}", f"cost - {cost}" if cost else "cost")
+                    .replace("{D}", f" + {cost}" if cost else ""))
+        self.lines.append(" " * self.depth + text)
+        self.fix.append(entry)
+
+    def build(self) -> Tuple[str, tuple]:
+        """The source of the factory ``_mk(K, <run names>)`` and its
+        constants tuple ``K``."""
+        fn = self.fn
+        counted = self.counted
+        ids = self.counted_ids if counted else self.fast_ids
+        entry = ids[fn.entry_pc]
+        leaves = sorted(ids, key=ids.get)
+        # The body comes first, so that every closure name it uses is
+        # known when the prologue is written.
+        self.depth = 3
+        if counted or len(leaves) > 1 or self._loops(fn.entry_pc):
+            if not counted:  # the counted form takes ``b`` as a parameter
+                self.line(f"b = {entry}")
+            self.line("while True:")
+            self.depth = 4
+        self._tree(leaves, 0, len(leaves))
+        body, body_fix = self.lines, self.fix[1:]
+        self.lines, self.fix = [], [None]
+        self.ahead = (0, 0, 0)
+        inits = [f"r{slot} = {self._const('k', slot, fn.proto[slot])}"
+                 for slot in self.written_consts]
+        fix_name = self._const("FX", "", None)
+        name = self.fname(self.index)
+        sites = (self._const("Z", "", tuple(self.sites)) if self.sites
+                 else None)
+        self.depth = 0
+        self.line("def _mk(K, @RUN@):")
+        self.depth = 1
+        self.line(f"{', '.join(self.const_names)}, = K")
+        if sites:
+            self.line(f"{', '.join(f'm{n}' for n in range(len(self.sites)))}"
+                      f", = SITES({sites})")
+        params = "".join(f", {reg}=None" for reg in self.params)
+        if counted:
+            params += f", b={entry}, ic=None, cost=0, ac=0, so=None"
+        self.line(f"def f(cs{params}):")
+        self.depth = 2
+        if counted:
+            self.line("if ic is None:")
+            self.depth = 3
+        # Entry: a call from MiniC (``cs`` is the caller's call stack) is
+        # depth-checked, pushed and announced; the run's entry is not.
+        self.line("ic = vm.instructions; cost = vm.cost; ac = 0")
+        self.line("if cs:")
+        self.line(f" if len(cs) >= MAXD: RD({name})")
+        self.line(f" CS.append({name}); cost += HCE({name}, "
+                  f"{fn.instrumented})")
+        self.line(f"cs += ({name},)")
+        if self.has_alloca:
+            self.line("so = []")
+        for init in inits:
+            self.line(init)
+        self.depth = 2
+        self.line("try:")
+        self.lines.extend(body)
+        self.fix.extend(body_fix)
+        self.line("except BaseException as e:")
+        self.depth = 3
+        self.line(f"X(e, {fix_name}, ic, cost, ac)")
+        self.line("raise")
+        self.depth = 1
+        self.line("return f")
+        text = "\n".join(self.lines) + "\n"
+        names = set(_NAME.findall(text))
+        run = [name for name in _RUN_NAMES if name in names]
+        consts = list(self.consts)
+        consts[self.const_names.index(fix_name)] = self.fix
+        return text.replace("@RUN@", ", ".join(run)), tuple(consts)
+
+    def _loops(self, start: int) -> bool:
+        """Whether the block at ``start`` can reach a dispatch again."""
+        for pc, ins in self.blocks[start]:
+            if ins[0] in _TERMINATORS and ins[0] != OP_RET:
+                return True
+        return start in self.falls
+
+    def _tree(self, leaves: List[int], lo: int, hi: int) -> None:
+        if hi - lo == 1:
+            self._leaf(leaves[lo])
+            return
+        mid = (lo + hi) // 2
+        self.line(f"if b < {mid}:")
+        self.depth += 1
+        self._tree(leaves, lo, mid)
+        self.depth -= 1
+        self.line("else:")
+        self.depth += 1
+        self._tree(leaves, mid, hi)
+        self.depth -= 1
+
+    def _leaf(self, start: int) -> None:
+        """Emit the code that runs from ``start`` to the next dispatch.
+
+        In the fast form a trampoline or an inlined block reached by a
+        jump or a fall-through joins the segment it continues, under one
+        header."""
+        block = self.block_of[start]
+        body = self.blocks[block]
+        body = body[[pc for pc, _ in body].index(start):]
+        segment: list = []
+        while True:
+            start = self._ops(body, segment, start)
+            if start is None:
+                return
+            if block in self.falls:
+                segment.append(("goto", self.falls[block]))
+            last = segment[-1] if segment and not self.counted else None
+            if last is None or last[0] != "goto":
+                break
+            block = last[1]
+            if block not in self.trampolines and block not in self.inlined:
+                break
+            body = self.blocks[block]
+            segment.pop()
+        self._segment(segment, start)
+
+    def _ops(self, body: list, segment: list, start: int) -> Optional[int]:
+        """Append the items of ``body`` to ``segment``, emitting the
+        segments that end at a MiniC call on the way; returns the start of
+        the open segment (None when the counted form ended its leaf)."""
+        i = 0
+        while i < len(body):
+            pc, ins = body[i]
+            op = ins[0]
+            nxt = body[i + 1][1] if i + 1 < len(body) else None
+            dst = (ins[1] if op in _CMP_TEXT
+                   else ins[6] if op == OP_LOAD_BIN and ins[1] in _CMP_TEXT
+                   else None)
+            if (dst is not None and not self.counted and nxt is not None
+                    and nxt[0] == OP_BR and nxt[1] == dst
+                    and self.slots.reads.get(dst) == 1):
+                # A compare only its branch reads: one ``if`` on it (the
+                # counted form keeps both, as the line profiler sees them).
+                segment += self._op(pc, ins, body[i + 1])
+                i += 2
+                continue
+            segment += self._op(pc, ins)
+            i += 1
+            if op in (OP_CALL, OP_CALL_IND) and i < len(body):
+                # The rest of the block is a segment of its own, and in
+                # the counted form a dispatch leaf of its own.
+                if self.counted:
+                    segment.append(("goto", body[i][0]))
+                    self._segment(segment, start)
+                    return None
+                self._segment(segment, start)
+                start = body[i][0]
+                segment.clear()
+        return start
+
+    def _segment(self, items: list, resume: int) -> None:
+        """Emit one segment: in the fast form, its header first."""
+        if not self.counted:
+            count = cost = acc = 0
+            for item in items:
+                kind = item[0]
+                if kind == "n":
+                    count += 1
+                elif kind == "c":
+                    cost += item[1]
+                elif kind == "a":
+                    acc += item[1]
+                elif kind == "u":
+                    count += item[1]
+            self.ahead = (0, 0, 0)
+            window = self.windows.get(resume)
+            if window is not None:
+                self.line(f"if ic + {window} > LIM: return CF({self.index}, "
+                          f"{self.counted_ids[resume]}, ic, locals())",
+                          "skip")
+            adds = [f"ic += {count}"]
+            if cost:
+                adds.append(f"cost += {cost}")
+            if acc:
+                adds.append(f"ac += {acc}")
+            self.line("; ".join(adds))
+            self.ahead = (count, cost, acc)
+        for item in items:
+            self._item(item)
+
+    def _item(self, item: tuple) -> None:
+        kind = item[0]
+        if kind == "l":
+            self.line(item[1], item[2] if len(item) > 2 else "fix")
+            return
+        ic, cost, acc = self.ahead
+        if kind == "n":
+            if not self.counted:
+                self.ahead = (ic - 1, cost, acc)
+            elif len(item) > 1:
+                # An instruction's first count: budget check and trace.
+                self.line(f"ic = TK(ic, cost, {self.index}, {item[1]}, "
+                          f"{item[2]})", "leave")
+            else:
+                self.line('if (ic := ic + 1) > LIM: raise BE("instruction '
+                          'budget exceeded")')
+        elif kind == "u":
+            if not self.counted:
+                self.ahead = (ic - item[1], cost, acc)
+            elif item[1]:
+                self.line(f"ic += {item[1]}")
+        elif kind == "c":
+            if self.counted:
+                self.line(f"cost += {item[1]}")
+            else:
+                self.ahead = (ic, cost - item[1], acc)
+        elif kind == "a":
+            if self.counted:
+                self.line(f"ac += {item[1]}")
+            else:
+                self.ahead = (ic, cost, acc - item[1])
+        elif kind == "if":
+            _, test, arms = item
+            saved = self.ahead
+            for n, arm in enumerate(arms):
+                self.line(test if n == 0 else "else:")
+                self.depth += 1
+                for sub in arm:
+                    self._item(sub)
+                self.depth -= 1
+                self.ahead = saved
+        elif kind == "goto":
+            self._goto(item[1])
+        else:
+            raise AssertionError(kind)
+
+    def _goto(self, target: int) -> None:
+        if self.counted:
+            self.line(f"b = {self.counted_ids[target]}")
+        elif target in self.trampolines:
+            saved = self.ahead
+            (pc, ins), = self.blocks[target]
+            self._segment(self._op(pc, ins), target)
+            self.ahead = saved
+        elif target in self.inlined:
+            saved = self.ahead
+            self._leaf(target)
+            self.ahead = saved
+        else:
+            self.line(f"b = {self.fast_ids[target]}")
+
+    # -- opcodes ---------------------------------------------------------------
+
+    def _op(self, pc: int, ins: tuple, branch: Optional[tuple] = None
+            ) -> list:
+        """The items of one instruction, in the order the IR runs them:
+        ``n`` a budget-checked count, ``u`` unchecked counts, ``c`` a
+        static charge, ``a`` an access count, ``t`` the trace call, ``l``
+        a line, ``if`` a two-armed branch, ``goto`` a block transfer.
+        ``branch`` is the ``(pc, words)`` of a ``br`` on the compare
+        ``ins`` computes, emitted as one ``if`` on the compare."""
+        op = ins[0]
+        cm = self.cm
+        items: list = [("n", pc, op)]
+        if op == OP_LOAD or op == OP_STORE:
+            items += self._access(op == OP_STORE, *ins[1:])
+        elif op == OP_ADDR and ins[1] in self.slots.const_addrs:
+            items.append(("c", cm.addr))
+        elif op == OP_ADDR:
+            _, dst, base, index, scale, offset = ins
+            expr = self.as_int(base)
+            if not (index < self.fn.arg_base and index not in self.nonint
+                    and self.fn.proto[index] == 0):
+                expr += f" + {self.as_int(index)}"
+                if scale != 1:
+                    expr += f" * {scale}"
+            if offset:
+                expr += f" + {offset}"
+            items += [("l", f"{self.reg(dst)} = {expr}"), ("c", cm.addr)]
+        elif branch is not None and op in _CMP_TEXT:
+            items.append(("c", cm.arith))
+            items += self._branch(op, ins[2], ins[3], branch)
+        elif OP_ADD <= op <= OP_SHR:
+            items += self._binop(op, *ins[1:4], ins[4] if len(ins) > 4
+                                 else -1)
+            items.append(("c", cm.arith))
+        elif op in _CMP_BR:
+            _, dst, lhs, rhs, on_true, on_false = ins
+            test = (f"if {self.reg(lhs)} {_CMP_TEXT[_CMP_BR[op]]} "
+                    f"{self.reg(rhs)}:")
+            items += [("c", cm.arith), ("n",), ("c", cm.branch)]
+            arms = ([("goto", on_true)], [("goto", on_false)])
+            if self.slots.reads.get(dst):
+                arms[0].insert(0, ("l", f"{self.reg(dst)} = 1"))
+                arms[1].insert(0, ("l", f"{self.reg(dst)} = 0"))
+            items.append(("if", test, arms))
+        elif op == OP_BR:
+            _, cond, on_true, on_false = ins
+            name = self.reg(cond)
+            test = (f"if {name}:" if cond not in self.nonint
+                    else f"if {name} != 0:")
+            items += [("c", cm.branch),
+                      ("if", test, ([("goto", on_true)],
+                                    [("goto", on_false)]))]
+        elif op == OP_JUMP:
+            items += [("c", cm.branch), ("goto", ins[1])]
+        elif op == OP_PHI:
+            k = ins[1]
+            pairs = [(ins[3 + 2 * i], ins[4 + 2 * i]) for i in range(k)]
+            pairs = [(src, dst) for src, dst in pairs if src != dst]
+            items += [("u", k - 1), ("c", cm.arith * k)]
+            if pairs:
+                items.append(("l", ", ".join(self.reg(d) for _, d in pairs)
+                              + " = " + ", ".join(self.reg(s)
+                                                  for s, _ in pairs)))
+            items.append(("goto", ins[2]))
+        elif op == OP_CAST:
+            items += self._cast(*ins[1:])
+            items.append(("c", cm.cast))
+        elif op == OP_LOAD_BIN:
+            _, subop, ldst, ptr, ty, is_var, dst, lhs, rhs = ins
+            items += self._access(False, ldst, ptr, ty, is_var)
+            if branch is not None:
+                items += [("n",), ("c", cm.arith)]
+                items += self._branch(subop, lhs, rhs, branch)
+            else:
+                items += [("n",)] + self._binop(subop, dst, lhs, rhs, -1)
+                items.append(("c", cm.arith))
+        elif op == OP_BIN_STORE:
+            _, subop, dst, lhs, rhs, ptr, ty, is_var = ins
+            items += self._binop(subop, dst, lhs, rhs, -1)
+            items += [("c", cm.arith), ("n",)]
+            items += self._access(True, dst, ptr, ty, is_var)
+        elif op == OP_PROBE_LOAD or op == OP_PROBE_STORE:
+            items += self._probe(ins[1:9])
+            items.append(("n",))
+            items += self._access(op == OP_PROBE_STORE, *ins[9:13])
+        elif op == OP_PROBE_ACCESS:
+            items += self._probe(ins[1:9])
+        elif op == OP_CALL:
+            items += self._call(ins)
+        elif op == OP_CALL_BUILTIN:
+            items += self._builtin(ins)
+        elif op == OP_CALL_IND:
+            args = ", ".join(self.reg(slot) for slot in ins[6:])
+            call = (f"CI({self.as_int(ins[1])}, [{args}], cs, {ins[3]}, "
+                    f"{self.loc(ins[4])})")
+            items += [("l", "vm.instructions = {IC}; vm.cost = {COST}"),
+                      ("l", self._assign(ins[2], call), "leave"),
+                      ("l", "ic = vm.instructions; cost = vm.cost")]
+        elif op == OP_CALL_MISSING:
+            items += [("c", cm.call),
+                      ("l", f"MISS({self.string(ins[1])})")]
+        elif op == OP_RET:
+            if self.has_alloca:
+                items.append(("l", "M.clock = {IC}"))
+                items.append(("l", "for o in so: M.release_stack_object(o)"))
+            value = "None" if ins[1] < 0 else self.reg(ins[1])
+            name = self.fname(self.index)
+            items += [("l", "CS.pop()"), ("c", cm.ret),
+                      ("l", "vm.instructions = ic; vm.cost = cost"),
+                      ("l", f"if len(cs) > 1: vm.cost = cost + HCX({name})"),
+                      ("l", f"vm._acc += ac; return {value}")]
+        elif op == OP_ALLOCA:
+            _, dst, size, var, loc = ins
+            items += [("l", f"{self.reg(dst)} = AL({size}, {self.var(var)}, "
+                            f"{self.loc(loc)}, cs, so, {{IC}}, {{COST}})",
+                       "leave"),
+                      ("c", cm.alloca), ("l", "cost = vm.cost{D}")]
+        elif op in (OP_ROI_BEGIN, OP_ROI_END, OP_ROI_RESET):
+            hook = {OP_ROI_BEGIN: "HRB", OP_ROI_END: "HRE",
+                    OP_ROI_RESET: "HRR"}[op]
+            items += self._hook(hook, ins[1])
+            items.append(("c", cm.roi_marker))
+        elif op == OP_PROBE_CLASSIFY:
+            (_, states, ptr, size, var, count, stride, loc, roi,
+             site) = ins
+            items += self._hook(
+                "HPC", self.string(states), self.as_int(ptr), size,
+                self.var(var), self._count(count), stride, self.loc(loc),
+                roi if roi >= 0 else None, site if site >= 0 else None)
+        elif op == OP_PROBE_ESCAPE:
+            _, val, ptr, loc = ins
+            items += self._hook("HPE", self.as_int(val), self.as_int(ptr),
+                                self.loc(loc))
+        elif op in (OP_OMP_BEGIN, OP_OMP_END):
+            begin = op == OP_OMP_BEGIN
+            items += self._hook("HOR", self.string(ins[1]), ins[2], begin)
+            items.append(("c", cm.roi_marker))
+        elif op == OP_OMP_BARRIER:
+            items += self._hook("HOB")
+            items.append(("c", cm.roi_marker))
+        else:
+            raise VMError(f"unknown opcode {op} at {self.fn.name}+{pc}")
+        return items
+
+    def _branch(self, cmp: int, lhs: int, rhs: int, branch: tuple) -> list:
+        """The ``br`` ``branch`` on a compare whose result is not kept."""
+        pc, ins = branch
+        test = f"if {self.reg(lhs)} {_CMP_TEXT[cmp]} {self.reg(rhs)}:"
+        return [("n", pc, OP_BR), ("c", self.cm.branch),
+                ("if", test, ([("goto", ins[2])], [("goto", ins[3])]))]
+
+    def _assign(self, dst: int, expr: str) -> str:
+        return expr if dst < 0 else f"{self.reg(dst)} = {expr}"
+
+    def _count(self, slot: int) -> str:
+        return "1" if slot < 0 else self.as_int(slot)
+
+    def _hook(self, hook: str, *args) -> list:
+        """A hook call, with the exact counters spilled first."""
+        args = "".join(f", {arg}" for arg in args)
+        return [("l", f"cost += HK({{IC}}, {{COST}}, {hook}{args})")]
+
+    def _probe(self, operands: tuple) -> list:
+        """``probe.access``: the site's probe spills the counters and calls
+        the hook."""
+        is_write, ptr, size, var, count, stride, loc, site_id = operands
+        site = self._site(
+            "probe", is_write, size,
+            self.bc.var_table[var] if var >= 0 else None, stride,
+            self.bc.loc_table[loc] if loc >= 0 else None,
+            site_id if site_id >= 0 else None)
+        count = "" if count < 0 else f", {self.as_int(count)}"
+        return [("l", f"cost += {site}({{IC}}, {{COST}}, {self.as_int(ptr)}, "
+                      f"cs{count})")]
+
+    def _site(self, *spec) -> str:
+        """The name of a per-run closure for one load, store or probe
+        site; the factory makes them all from their ``spec`` tuples."""
+        self.sites.append(spec)
+        return f"m{len(self.sites) - 1}"
+
+    def _access(self, store: bool, reg: int, ptr: int, ty: int,
+                is_var: int) -> list:
+        """A load into or a store from ``reg`` through the site's
+        accessor, which tests the object the site resolved last."""
+        size = 1 if ty == TY_CHAR else 8
+        addr = self.as_int(ptr)
+        if store:
+            value = self.reg(reg)
+            if ty == TY_FLOAT:
+                if reg not in self.slots.floats:
+                    value = f"float({value})"
+            elif reg in self.nonint:
+                value = f"int({value})"
+            site = self._site("write", size, ty)
+            line = f"{site}({addr}, {value})"
+        else:
+            site = self._site("read", size, ty)
+            line = f"{self.reg(reg)} = {site}({addr})"
+        return [("l", line), ("a", 1 if is_var else _MEM_ACCESS),
+                ("c", self.cm.store if store else self.cm.load)]
+
+    def _binop(self, op: int, dst: int, lhs: int, rhs: int,
+               loc: int) -> list:
+        a, b = self.reg(lhs), self.reg(rhs)
+        out = self.reg(dst)
+        ints = lhs not in self.nonint and rhs not in self.nonint
+        if op == OP_ADD:
+            return [("l", f"{out} = {a} + {b}")]
+        if op == OP_SUB:
+            return [("l", f"{out} = {a} - {b}")]
+        if op == OP_MUL:
+            return [("l", f"{out} = {a} * {b}")]
+        if op in _CMP_TEXT:
+            return [("l", f"{out} = 1 if {a} {_CMP_TEXT[op]} {b} else 0")]
+        if op in (OP_DIV, OP_REM):
+            where = self.loc(loc)
+            if not ints:
+                helper = "DIV" if op == OP_DIV else "REM"
+                return [("l", f"{out} = {helper}({a}, {b}, {where})")]
+            if op == OP_DIV:
+                return [("l", f"if {b} == 0: DZ({where})"),
+                        ("l", f"q = abs({a}) // abs({b}); "
+                              f"{out} = -q if ({a} < 0) != ({b} < 0) "
+                              f"else q")]
+            return [("l", f"if {b} == 0: MZ({where})"),
+                    ("l", f"q = abs({a}) % abs({b}); "
+                          f"{out} = -q if {a} < 0 else q")]
+        a, b = self.as_int(lhs), self.as_int(rhs)
+        if op == OP_AND:
+            return [("l", f"{out} = {a} & {b}")]
+        if op == OP_OR:
+            return [("l", f"{out} = {a} | {b}")]
+        if op == OP_XOR:
+            return [("l", f"{out} = {a} ^ {b}")]
+        if op == OP_SHL:
+            return [("l", f"{out} = {a} << ({b} & 63)")]
+        return [("l", f"{out} = {a} >> ({b} & 63)")]
+
+    def _cast(self, dst: int, src: int, to: int) -> list:
+        out, value = self.reg(dst), self.reg(src)
+        if to == TY_FLOAT and src in self.slots.floats:
+            return [("l", f"{out} = {value}")]
+        if to == TY_FLOAT:
+            return [("l", f"try: {out} = float({value})"),
+                    ("l", "except OverflowError: FO()")]
+        if src in self.nonint:
+            value = f"to_int({value})"
+        if to == TY_CHAR:
+            value = f"{value} & 255"
+        return [("l", f"{out} = {value}")]
+
+    def _call(self, ins: tuple) -> list:
+        """A direct MiniC call: the callee's Python function, entered
+        with the counters spilled and left with them reloaded (the
+        callee checks the depth and runs the call hooks)."""
+        _, index, dst, pin, argc = ins[:5]
+        callee = self.interp._fns[index]
+        args = "".join(f", {self.reg(slot)}"
+                       for slot in ins[5:5 + min(argc, callee.n_args)])
+        items = [("c", self.cm.call)]
+        if pin:
+            items.append(("l", "if HWP(): vm.instructions = {IC}; "
+                               "vm.cost = {COST}; cost += HPT()"))
+        return items + [
+            ("l", "vm.instructions = {IC}; vm.cost = {COST}"),
+            ("l", self._assign(dst, f"F[{index}](cs{args})"), "leave"),
+            ("l", "ic = vm.instructions; cost = vm.cost"),
+        ]
+
+    def _builtin(self, ins: tuple) -> list:
+        _, index, dst, pin, loc, argc = ins[:6]
+        name, impl, base_cost = self.interp._linked_builtins[index]
+        impl_name = self._const("B", index, impl)
+        args = ", ".join(self.reg(slot) for slot in ins[6:])
+        items = [("c", self.cm.call)]
+        setup = "vm.instructions = {IC}; vm.cost = {COST}"
+        if BUILTINS[name].allocates:
+            setup = f"vm._alloc_loc = {self.loc(loc)}; M.clock = " + setup
+        elif name == "free":
+            setup = "M.clock = " + setup
+        call = (f"BP({impl_name}, [{args}])" if pin
+                else f"{impl_name}(vm, [{args}])")
+        items += [("l", setup),
+                  ("l", self._assign(dst, call), "leave"),
+                  ("l", "cost = vm.cost{D}"),
+                  ("c", base_cost)]
+        return items
+
+
+def _compile(interp: "BytecodeInterpreter", fn: BytecodeFunction,
+             index: int, kind: str) -> tuple:
+    """Generate and compile one form of ``fn``: ``(cost model, factory,
+    constants)``.  The source text is dropped here."""
+    source, consts = _Source(interp, fn, index, kind == "counted").build()
+    namespace: Dict[str, object] = {}
+    exec(compile(source, "<bytecode>", "exec"), _GEN_GLOBALS, namespace)
+    del source
+    _release_freed_memory()
+    return interp.cost_model, namespace["_mk"], consts
+
+
+def _release_freed_memory() -> None:
+    """Hand the C heap's free pages back to the system.
+
+    ``compile()`` allocates about 2 KB of parser and compiler memory per
+    instruction and frees it on return, but glibc keeps freed pages, per
+    thread, for reuse; a daemon whose worker threads each compile would
+    keep each thread's high-water mark resident.  ``malloc_trim`` (a few
+    microseconds) returns them.  Elsewhere this does nothing."""
+    global _malloc_trim
+    if _malloc_trim is None:
+        import ctypes
+
+        try:
+            _malloc_trim = ctypes.CDLL(None).malloc_trim
+        except (AttributeError, OSError):
+            _malloc_trim = False
+        else:
+            _malloc_trim.argtypes = [ctypes.c_size_t]
+            _malloc_trim.restype = ctypes.c_int
+    if _malloc_trim:
+        _malloc_trim(0)
+
+
+#: glibc's ``malloc_trim``, looked up on first use (False: not there).
+_malloc_trim = None
+
+
+def _trace_printer(stream, names):
+    """The ``--trace`` callback: one line per instruction."""
+    def trace(fi, pc, op, ic, cost):
+        print(f"trace: [{ic}] {names[fi]}+{pc} {OPCODE_NAMES[op]}",
+              file=stream)
     return trace
 
 
 class _LineTracer:
-    """The line-profile consumer of the trace slot.
+    """The line-profile callback of the counted form.
 
-    Each dispatch charges the cost accrued since the previous dispatch to
-    the previous instruction: an instruction's cost includes the hooks it
+    Each call charges the cost accrued since the previous call to the
+    previous instruction: an instruction's cost includes the hooks it
     reached and its builtin work.  Costs add up per pc, and :meth:`close`
     folds the pcs into source lines through codegen's ``fn.lines`` table.
     A fused site whose halves sit on two lines is charged as it runs, and
@@ -215,33 +1246,35 @@ class _LineTracer:
     """
 
     def __init__(self, bytecode: BytecodeModule, cost_model: CostModel):
-        functions = list(bytecode.functions.values())
+        functions = [bytecode.functions[name]
+                     for name in bytecode.function_order]
         if any(fn.lines is None for fn in functions):
             raise VMError("bytecode has no line table; lower it from IR")
         self.line_costs: Dict[Tuple[str, int], int] = {}
-        #: fn -> {pc: cost}; a pc is present once it has executed.
-        self._pc_costs = {fn: {} for fn in functions}
-        #: fn -> {pc: (first loc, second loc, opcode)} of its fused sites
-        #: on two lines.
-        self._splits = {
-            fn: {pc: (*loc, fn.code[pc]) for pc, loc in fn.lines.items()
-                 if type(loc) is tuple}
+        self._functions = functions
+        #: per function: {pc: cost}; a pc is present once it has executed.
+        self._pc_costs: List[Dict[int, int]] = [{} for _ in functions]
+        #: per function: {pc: (first loc, second loc, opcode)} of its
+        #: fused sites on two lines.
+        self._splits = [
+            {pc: (*loc, fn.code[pc]) for pc, loc in fn.lines.items()
+             if type(loc) is tuple}
             for fn in functions
-        }
-        self._fn = None
+        ]
+        self._fi = -1
         self._acc: Dict[int, int] = {}
         self._split: Dict[int, tuple] = {}
         self._pc = 0
         self._cost = 0
         cm = cost_model
         #: Fused opcode -> fixed cost of its first half.
-        self._heads = {op: cm.arith for op in range(OP_LT_BR, OP_NE_BR + 1)}
+        self._heads = {fused: cm.arith for fused in _CMP_BR}
         self._heads[OP_LOAD_BIN] = cm.load
         self._heads[OP_BIN_STORE] = cm.arith
         #: Fused opcode -> fixed cost of its second half.
         self._tails = {OP_PROBE_LOAD: cm.load, OP_PROBE_STORE: cm.store}
 
-    def __call__(self, fn, pc, op, ic, cost) -> None:
+    def __call__(self, fi, pc, op, ic, cost) -> None:
         prev = self._pc
         delta = cost - self._cost
         split = self._split.get(prev)
@@ -254,18 +1287,18 @@ class _LineTracer:
             head = self._heads[fused] if tail is None else delta - tail
             self._charge(first, head)
             self._charge(second, delta - head)
-        if fn is not self._fn:
-            self._fn = fn
-            self._acc = self._pc_costs[fn]
-            self._split = self._splits[fn]
+        if fi != self._fi:
+            self._fi = fi
+            self._acc = self._pc_costs[fi]
+            self._split = self._splits[fi]
         self._pc = pc
         self._cost = cost
 
     def close(self, cost: int) -> None:
         """Charge the last instruction, which ran up to ``cost``, and
         fold the per-pc costs into :attr:`line_costs`."""
-        self(self._fn, 0, 0, 0, cost)
-        for fn, acc in self._pc_costs.items():
+        self(self._fi, 0, 0, 0, cost)
+        for fn, acc in zip(self._functions, self._pc_costs):
             for pc, amount in acc.items():
                 self._charge(fn.lines[pc], amount)
 
@@ -308,21 +1341,25 @@ class BytecodeInterpreter:
         self.instructions = 0
         self.access_counts = {"var": 0, "mem": 0}
         self.call_stack: List[str] = []
-        self.roi_depth = 0
         self._pin_active = False
         self._return_value: object = None
-        #: Allocation-site loc for builtins that heap-allocate, baked into
-        #: the call opcode (the loc of the instruction after the call).
+        #: Allocation-site loc for builtins that heap-allocate (the loc of
+        #: the instruction after the call).
         self._alloc_loc = None
-        #: The trace slot: ``trace(fn, pc, op, ic, cost)`` before every
-        #: dispatch, or None.
-        self._trace = (None if trace_stream is None
-                       else _trace_printer(trace_stream))
+        #: Packed access counts the generated frames flush into.
+        self._acc = 0
+        #: The counted form's per-instruction callback, or None.
+        self._trace = None
         self._line_tracer: Optional[_LineTracer] = None
         self._globals_addr = {}
-        setattr(self.hooks, "vm", self)
+        #: Per run: the function table, the counted forms, the run tuple.
+        self._F: Optional[list] = None
+        self._CF: Optional[list] = None
+        self._R: Optional[dict] = None
         self._link()
-        self._cold_table = self._build_cold_table()
+        if trace_stream is not None:
+            self._trace = _trace_printer(
+                trace_stream, [fn.name for fn in self._fns])
 
     # -- setup -------------------------------------------------------------
 
@@ -343,8 +1380,9 @@ class BytecodeInterpreter:
                 self.memory.write_scalar(obj.base, int(gvar.init), ct.INT)
 
     def _link(self) -> None:
-        """Allocate globals for this run and (once per module) resolve
-        const pools, call targets, and function addresses.
+        """Allocate globals for this run and (once per module) check every
+        code stream and resolve const pools, call targets, and function
+        addresses.
 
         Global and function addresses are bump-allocated deterministically
         from the module's own tables, so the resolved frame prototypes and
@@ -353,14 +1391,15 @@ class BytecodeInterpreter:
         """
         bc = self.bytecode
         self._init_globals()
+        self._fns = [bc.functions[name] for name in bc.function_order]
+        self._index = {fn.name: i for i, fn in enumerate(self._fns)}
         if bc._linked is None:
+            for fn in self._fns:
+                decode(fn)
             func_addrs = {}
-            funcs_by_addr = {}
             names = list(bc.function_order) + list(bc.builtin_order)
             for index, name in enumerate(names):
-                addr = FUNC_PTR_BASE + index
-                func_addrs[name] = addr
-                funcs_by_addr[addr] = name
+                func_addrs[name] = FUNC_PTR_BASE + index
             linked_builtins = []
             for name in bc.builtin_order:
                 spec = BUILTINS.get(name)
@@ -369,19 +1408,18 @@ class BytecodeInterpreter:
                     raise VMError(
                         f"bytecode references unknown builtin {name!r}")
                 linked_builtins.append((name, impl, spec.base_cost))
-            # Indirect-call resolution: address -> name, then builtins
-            # shadow module functions of the same name.
+            # Indirect-call resolution: address -> builtin or function
+            # index; builtins shadow module functions of the same name.
             addr_targets = {}
-            for addr, name in funcs_by_addr.items():
+            for name, addr in func_addrs.items():
                 if name in BUILTINS:
                     addr_targets[addr] = (
                         True,
                         (name, BUILTIN_IMPLS[name], BUILTINS[name].base_cost),
                     )
                 else:
-                    addr_targets[addr] = (False, bc.functions[name])
-            for name in bc.function_order:
-                fn = bc.functions[name]
+                    addr_targets[addr] = (False, self._index[name])
+            for fn in self._fns:
                 resolved: List[object] = []
                 for tag, payload in fn.consts:
                     if tag == "v":
@@ -400,111 +1438,9 @@ class BytecodeInterpreter:
                                 f"bytecode references undefined function "
                                 f"{payload!r}")
                         resolved.append(addr)
-                fn.proto = resolved + [None] * (fn.n_regs - len(resolved))
-            bc._linked = (func_addrs, funcs_by_addr, linked_builtins,
-                          addr_targets)
-        (self._func_addrs, self._funcs_by_addr, self._linked_builtins,
-         self._addr_targets) = bc._linked
-        self._linked_functions = [bc.functions[name]
-                                  for name in bc.function_order]
-        # The execution streams (shared by every interpreter over this
-        # module) hold each instruction's tuple at its canonical pc;
-        # quickening replaces tuples in place and dequicken_module
-        # restores them.
-        for fn in self._linked_functions:
-            if fn.xcode is None:
-                fn.xcode = execution_stream(fn)
-        # The access cache: per function, the object each load or store
-        # pc resolved last, starting at an empty object that matches
-        # nothing.  Addresses are only unique within one memory (every
-        # run places its globals at the same bases), so the cache belongs
-        # to this interpreter and never to the shared streams.
-        nothing = MemoryObject(0, 0, 0, "global", bytearray())
-        self._access_objs = {fn: [nothing] * len(fn.code)
-                             for fn in self._linked_functions}
-
-    # -- quickening --------------------------------------------------------
-
-    def _quicken(self, fn: BytecodeFunction) -> None:
-        """Rewrite the function's execution stream in place.
-
-        Walks ``fn.xcode``, which is canonical whenever ``fn.xquick`` is
-        false (quickening sets the flag, :func:`dequicken_module` restores
-        the canonical tuples and clears it), and replaces the tuple of
-        each eligible site with its quickened tuple.  Jump targets are
-        tested against ``fn.code`` because an earlier site may already
-        have been rewritten.  Every quickened tuple has its canonical
-        width, so pcs never move.  Records the patched sites on
-        ``fn.quickened`` for dequickening and the ``--quicken-report``
-        disassembly.  A line-traced run never quickens.
-        """
-        if self._line_tracer is not None:
-            return
-        code = fn.code
-        xcode = fn.xcode
-        proto = fn.proto
-        arg_base = fn.arg_base
-        addr_targets = self._addr_targets
-        quick_targets = self.bytecode._quick_targets
-        sites = {}
-        for pc, ins in enumerate(xcode):
-            if ins is None:
-                continue
-            op = ins[0]
-            quick = None
-            qop = QUICKENED_BINOPS.get(op)
-            if qop is not None:
-                lhs = ins[2]
-                rhs = ins[3]
-                rhs_const = (rhs < arg_base
-                             and type(proto[rhs]) in (int, float))
-                lhs_const = (lhs < arg_base
-                             and type(proto[lhs]) in (int, float))
-                if op == OP_DIV or op == OP_REM:
-                    # Immediate forms skip the zero check, so only a
-                    # compile-time-nonzero int divisor is eligible.
-                    if (rhs_const and type(proto[rhs]) is int
-                            and proto[rhs] != 0):
-                        quick = (qop, ins[1], lhs, proto[rhs]) + ins[4:]
-                elif rhs_const:
-                    quick = (qop, ins[1], lhs, proto[rhs])
-                elif lhs_const:
-                    if op == OP_SUB:
-                        quick = (OP_RSUB_QI, ins[1], proto[lhs], rhs)
-                    elif op == OP_ADD or op == OP_MUL:
-                        # Commutative: swap the constant into the
-                        # immediate slot.
-                        quick = (qop, ins[1], rhs, proto[lhs])
-            elif OP_LT_BR <= op <= OP_NE_BR:
-                rhs = ins[3]
-                if rhs < arg_base and type(proto[rhs]) in (int, float):
-                    quick = ((op + QUICKEN_CMP_BR_OFFSET,) + ins[1:3]
-                             + (proto[rhs],) + ins[4:])
-            elif op == OP_PHI:
-                if ins[1] == 1:
-                    quick = (OP_PHI_Q1,) + ins[1:]
-            elif op == OP_JUMP:
-                # A jump straight onto a phi trampoline absorbs the
-                # trampoline into the jump's dispatch (targets are always
-                # intra-function).  The trampoline itself stays — fused
-                # cmp+branch edges may still enter it directly.
-                if code[ins[1]] == OP_PHI:
-                    quick = (OP_JUMP_PHI, ins[1])
-            elif op == OP_CALL_IND:
-                slot = ins[1]
-                if slot < arg_base and type(proto[slot]) is int:
-                    target = addr_targets.get(proto[slot])
-                    if target is not None:
-                        is_builtin, payload = target
-                        qop = (OP_CALL_IND_QB if is_builtin
-                               else OP_CALL_IND_QF)
-                        quick = (qop, len(quick_targets)) + ins[2:]
-                        quick_targets.append(payload)
-            if quick is not None:
-                xcode[pc] = quick
-                sites[pc] = quick[0]
-        fn.quickened = sites if sites else None
-        fn.xquick = True
+                fn.proto = resolved
+            bc._linked = (linked_builtins, addr_targets)
+        self._linked_builtins, self._addr_targets = bc._linked
 
     # -- public API --------------------------------------------------------
 
@@ -514,15 +1450,12 @@ class BytecodeInterpreter:
         Returns the ``(filename, line) -> cost`` map the run fills in.
         Needs codegen's line table, so the module must come from
         :func:`~repro.vm.codegen.lower_module` (a deserialized artifact
-        has none).  The run does not quicken: a quickened jump runs its
-        phi trampoline inside its own dispatch, which would move the
-        trampoline's cost onto the jump's line.
+        has none).  The run uses the counted form throughout.
         """
         if self._trace is not None:
             raise VMError("line tracing and an execution trace share one "
                           "trace slot")
         tracer = _LineTracer(self.bytecode, self.cost_model)
-        dequicken_module(self.bytecode)
         self._trace = self._line_tracer = tracer
         return tracer.line_costs
 
@@ -530,18 +1463,28 @@ class BytecodeInterpreter:
         fn = self.bytecode.functions.get(entry)
         if fn is None:
             raise VMError(f"no function named {entry!r}")
-        if not fn.xquick:
-            self._quicken(fn)
-        regs = fn.proto.copy()
-        arg_base = fn.arg_base
-        for index, value in enumerate(args):
-            if index < fn.n_args:
-                regs[arg_base + index] = value
+        setattr(self.hooks, "vm", self)
+        kind = "fast" if self._trace is None else "counted"
+        self._F = [self._stub(i, kind) for i in range(len(self._fns))]
+        self._CF = [None] * len(self._fns)
+        self._R = self._run_state()
         self.call_stack.append(entry)
-        self._execute(fn, regs)
-        if self._line_tracer is not None:
-            self._line_tracer.close(self.cost)
-        self.hooks.finish()
+        try:
+            self._return_value = self._F[self._index[entry]](
+                (), *args[:fn.n_args])
+            if self._line_tracer is not None:
+                self._line_tracer.close(self.cost)
+            self.hooks.finish()
+        finally:
+            # Break every reference cycle through this run (its closures
+            # reach its function table, the hooks reach this engine), so
+            # that it is freed by reference counting.
+            self._F.clear()
+            self._F = self._CF = self._R = None
+            setattr(self.hooks, "vm", None)
+            acc, self._acc = self._acc, 0
+            self.access_counts["var"] += acc & (_MEM_ACCESS - 1)
+            self.access_counts["mem"] += acc >> _ACC_SHIFT
         return RunResult(
             return_value=self._return_value,
             cost=self.cost,
@@ -586,1068 +1529,205 @@ class BytecodeInterpreter:
     def reseed(self, seed: int) -> None:
         self.rng = Xorshift64(seed or 1)
 
-    # -- flattened dispatch table ------------------------------------------
+    # -- the run's compiled functions --------------------------------------
 
-    def _build_cold_table(self) -> list:
-        """Dense opcode -> handler list for the cold opcodes.
-
-        Handlers are closures over the *immutable* per-run bindings
-        (tables, cost constants, hooks, memory) and receive the pc, the
-        instruction's tuple and the mutable frame state as arguments;
-        they return the next pc.  Contract with the dispatch loop: the
-        loop spills ``instructions``/``cost`` before the call and reloads
-        ``cost`` after, handlers charge via ``vm.cost`` (reading it
-        *before* a hook runs, exactly like the inline spill-then-charge
-        pattern), and no handler changes the instruction count.
-        """
-        vm = self
-        memory = self.memory
+    def _run_state(self) -> dict:
+        """The run names every generated factory of this run binds."""
         hooks = self.hooks
-        cm = self.cost_model
-        bc = self.bytecode
-        loc_table = bc.loc_table
-        var_table = bc.var_table
-        str_table = bc.string_table
-        arith = cm.arith
-        alloca_cost = cm.alloca
-        call_cost = cm.call
-        roi_cost = cm.roi_marker
-
-        def op_and(pc, ins, regs, stack_objects, cs):
-            _, dst, lhs, rhs = ins
-            regs[dst] = int(regs[lhs]) & int(regs[rhs])
-            vm.cost += arith
-            return pc + 4
-
-        def op_or(pc, ins, regs, stack_objects, cs):
-            _, dst, lhs, rhs = ins
-            regs[dst] = int(regs[lhs]) | int(regs[rhs])
-            vm.cost += arith
-            return pc + 4
-
-        def op_xor(pc, ins, regs, stack_objects, cs):
-            _, dst, lhs, rhs = ins
-            regs[dst] = int(regs[lhs]) ^ int(regs[rhs])
-            vm.cost += arith
-            return pc + 4
-
-        def op_shl(pc, ins, regs, stack_objects, cs):
-            _, dst, lhs, rhs = ins
-            regs[dst] = int(regs[lhs]) << (int(regs[rhs]) & 63)
-            vm.cost += arith
-            return pc + 4
-
-        def op_shr(pc, ins, regs, stack_objects, cs):
-            _, dst, lhs, rhs = ins
-            regs[dst] = int(regs[lhs]) >> (int(regs[rhs]) & 63)
-            vm.cost += arith
-            return pc + 4
-
-        def op_alloca(pc, ins, regs, stack_objects, cs):
-            _, dst, size, var_index, loc_index = ins
-            memory.clock = vm.instructions
-            var = var_table[var_index] if var_index >= 0 else None
-            obj = memory.allocate(
-                size, "stack", var=var,
-                loc=loc_table[loc_index] if loc_index >= 0 else None,
-                callstack=cs,
-            )
-            stack_objects.append(obj)
-            regs[dst] = obj.base
-            c = vm.cost + alloca_cost
-            vm.cost = c
-            if var is not None:
-                vm.cost = c + hooks.on_alloc(obj)
-            return pc + 5
-
-        def op_call_missing(pc, ins, regs, stack_objects, cs):
-            vm.cost += call_cost
-            raise TrapError(
-                f"call to undefined function {str_table[ins[1]]!r}"
-            )
-
-        def op_roi_begin(pc, ins, regs, stack_objects, cs):
-            vm.roi_depth += 1
-            c = vm.cost
-            vm.cost = c + roi_cost + hooks.on_roi_begin(ins[1])
-            return pc + 2
-
-        def op_roi_end(pc, ins, regs, stack_objects, cs):
-            vm.roi_depth -= 1
-            c = vm.cost
-            vm.cost = c + roi_cost + hooks.on_roi_end(ins[1])
-            return pc + 2
-
-        def op_roi_reset(pc, ins, regs, stack_objects, cs):
-            c = vm.cost
-            vm.cost = c + roi_cost + hooks.on_roi_reset(ins[1])
-            return pc + 2
-
-        def op_probe_classify(pc, ins, regs, stack_objects, cs):
-            (_, states, ptr, size, var_index, count_slot, stride, loc_index,
-             roi_id, site_id) = ins
-            addr = int(regs[ptr])
-            count = 1 if count_slot < 0 else int(regs[count_slot])
-            c = vm.cost
-            vm.cost = c + hooks.on_probe_classify(
-                str_table[states], addr, size,
-                var_table[var_index] if var_index >= 0 else None,
-                count, stride,
-                loc_table[loc_index] if loc_index >= 0 else None,
-                roi_id if roi_id >= 0 else None,
-                site_id if site_id >= 0 else None,
-            )
-            return pc + 10
-
-        def op_probe_escape(pc, ins, regs, stack_objects, cs):
-            _, val, ptr, loc_index = ins
-            value = int(regs[val])
-            dest = int(regs[ptr])
-            c = vm.cost
-            vm.cost = c + hooks.on_probe_escape(
-                value, dest,
-                loc_table[loc_index] if loc_index >= 0 else None,
-            )
-            return pc + 4
-
-        def op_omp_begin(pc, ins, regs, stack_objects, cs):
-            c = vm.cost
-            vm.cost = c + roi_cost + hooks.on_omp_region(
-                str_table[ins[1]], ins[2], True)
-            return pc + 3
-
-        def op_omp_end(pc, ins, regs, stack_objects, cs):
-            c = vm.cost
-            vm.cost = c + roi_cost + hooks.on_omp_region(
-                str_table[ins[1]], ins[2], False)
-            return pc + 3
-
-        def op_omp_barrier(pc, ins, regs, stack_objects, cs):
-            c = vm.cost
-            vm.cost = c + roi_cost + hooks.on_omp_barrier()
-            return pc + 1
-
-        table: list = [None] * (OP_CALL_IND_QB + 1)
-        table[OP_AND] = op_and
-        table[OP_OR] = op_or
-        table[OP_XOR] = op_xor
-        table[OP_SHL] = op_shl
-        table[OP_SHR] = op_shr
-        table[OP_ALLOCA] = op_alloca
-        table[OP_CALL_MISSING] = op_call_missing
-        table[OP_ROI_BEGIN] = op_roi_begin
-        table[OP_ROI_END] = op_roi_end
-        table[OP_ROI_RESET] = op_roi_reset
-        table[OP_PROBE_CLASSIFY] = op_probe_classify
-        table[OP_PROBE_ESCAPE] = op_probe_escape
-        table[OP_OMP_BEGIN] = op_omp_begin
-        table[OP_OMP_END] = op_omp_end
-        table[OP_OMP_BARRIER] = op_omp_barrier
-        return table
-
-    # -- main loop ---------------------------------------------------------
-
-    def _execute(
-        self,
-        fn: BytecodeFunction,
-        regs: list,
-        # Default-argument idiom: binds every opcode the dispatch
-        # chain compares against as a fast local instead of a module
-        # global.  Never pass these.
-        *,
-        OP_ADD=OP_ADD,
-        OP_ADDR=OP_ADDR,
-        OP_ADD_QI=OP_ADD_QI,
-        OP_BIN_STORE=OP_BIN_STORE,
-        OP_BR=OP_BR,
-        OP_CALL=OP_CALL,
-        OP_CALL_BUILTIN=OP_CALL_BUILTIN,
-        OP_CALL_IND=OP_CALL_IND,
-        OP_CALL_IND_QB=OP_CALL_IND_QB,
-        OP_CALL_IND_QF=OP_CALL_IND_QF,
-        OP_CAST=OP_CAST,
-        OP_DIV=OP_DIV,
-        OP_DIV_QI=OP_DIV_QI,
-        OP_EQ=OP_EQ,
-        OP_EQ_BR=OP_EQ_BR,
-        OP_EQ_BR_QI=OP_EQ_BR_QI,
-        OP_GE=OP_GE,
-        OP_GE_BR=OP_GE_BR,
-        OP_GE_BR_QI=OP_GE_BR_QI,
-        OP_GT=OP_GT,
-        OP_GT_BR=OP_GT_BR,
-        OP_GT_BR_QI=OP_GT_BR_QI,
-        OP_JUMP=OP_JUMP,
-        OP_JUMP_PHI=OP_JUMP_PHI,
-        OP_LE=OP_LE,
-        OP_LE_BR=OP_LE_BR,
-        OP_LE_BR_QI=OP_LE_BR_QI,
-        OP_LOAD=OP_LOAD,
-        OP_LOAD_BIN=OP_LOAD_BIN,
-        OP_LT=OP_LT,
-        OP_LT_BR=OP_LT_BR,
-        OP_LT_BR_QI=OP_LT_BR_QI,
-        OP_MUL=OP_MUL,
-        OP_MUL_QI=OP_MUL_QI,
-        OP_NE=OP_NE,
-        OP_NE_BR=OP_NE_BR,
-        OP_NE_BR_QI=OP_NE_BR_QI,
-        OP_PHI=OP_PHI,
-        OP_PHI_Q1=OP_PHI_Q1,
-        OP_PROBE_ACCESS=OP_PROBE_ACCESS,
-        OP_PROBE_LOAD=OP_PROBE_LOAD,
-        OP_PROBE_STORE=OP_PROBE_STORE,
-        OP_REM=OP_REM,
-        OP_REM_QI=OP_REM_QI,
-        OP_RET=OP_RET,
-        OP_RSUB_QI=OP_RSUB_QI,
-        OP_STORE=OP_STORE,
-        OP_SUB=OP_SUB,
-        OP_SUB_QI=OP_SUB_QI,
-        TY_CHAR=TY_CHAR,
-        TY_FLOAT=TY_FLOAT,
-        struct_error=struct.error,
-    ) -> None:
         memory = self.memory
-        resolve = memory._resolve
-        hooks = self.hooks
-        cm = self.cost_model
-        call_stack = self.call_stack
-        # Typed access, indexed by TY_* codes: size, unpack_from,
-        # pack_into, the store's convert and its C-style wrap.
-        sizes, unpackers, packers, converts, wraps = zip(*SCALAR_CODECS)
-        max_instructions = self.max_instructions
-        max_depth = self.max_recursion_depth
-        bc = self.bytecode
-        loc_table = bc.loc_table
-        var_table = bc.var_table
-        linked_fns = self._linked_functions
-        linked_builtins = self._linked_builtins
-        addr_targets = self._addr_targets
-        quick_targets = bc._quick_targets
-        cold_table = self._cold_table
-        n_cold = len(cold_table)
-        bin_eval = _BIN_EVAL
-        trace = self._trace
-        arith = cm.arith
-        load_cost = cm.load
-        store_cost = cm.store
-        addr_cost = cm.addr
-        branch_cost = cm.branch
-        cast_cost = cm.cast
-        call_cost = cm.call
-        ret_cost = cm.ret
-        # Merged constants for the fused fast paths (the trip/trap
-        # paths charge the components separately, as the unfused pair
-        # would).
-        arith_branch = arith + branch_cost
-        load_arith = load_cost + arith
-        kind_objs = (AccessKind.READ, AccessKind.WRITE)
-        access_objs = self._access_objs
-        code = fn.xcode
-        objs = access_objs[fn]
-        pc = fn.entry_pc
-        cs = tuple(call_stack)
-        frames: List[tuple] = []  # suspended callers
-        stack_objects: List[MemoryObject] = []
-        ic = self.instructions
-        cost = self.cost
-        var_accesses = 0
-        mem_accesses = 0
-        try:
-            while True:
-                ins = code[pc]
-                op = ins[0]
-                ic += 1
-                if ic > max_instructions:
-                    raise BudgetExceeded("instruction budget exceeded")
-                if trace is not None:
-                    trace(fn, pc, op, ic, cost)
-                # Dispatch: hot opcodes (quickened, fused, common binops)
-                # sit in a shallow inline chain, each sub-chain ordered
-                # hottest first by measured dynamic opcode mixes (DESIGN.md
-                # §12); fused opcodes count both
-                # component instructions and re-check the budget between
-                # the halves so trip points match the unfused pair.
-                # Everything past the chain dispatches through the dense
-                # cold handler table.  Loads and stores test the object
-                # their pc resolved last (``objs[pc]``) before asking
-                # ``Memory._resolve``, which raises every fault.
-                if op >= OP_ADD:
-                    if op == OP_ADD_QI:
-                        _, dst, lhs, imm = ins
-                        regs[dst] = regs[lhs] + imm
-                        cost += arith
-                        pc += 4
-                    elif op == OP_JUMP_PHI:
-                        cost += branch_cost
-                        ic += 1
-                        if ic > max_instructions:
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        phi = code[ins[1]]
-                        k = phi[1]
-                        if k == 1:
-                            regs[phi[4]] = regs[phi[3]]
-                        elif k == 2:
-                            v0 = regs[phi[3]]
-                            v1 = regs[phi[5]]
-                            regs[phi[4]] = v0
-                            regs[phi[6]] = v1
-                        elif k == 3:
-                            v0 = regs[phi[3]]
-                            v1 = regs[phi[5]]
-                            v2 = regs[phi[7]]
-                            regs[phi[4]] = v0
-                            regs[phi[6]] = v1
-                            regs[phi[8]] = v2
-                        else:
-                            values = [regs[src] for src in phi[3::2]]
-                            for dst, value in zip(phi[4::2], values):
-                                regs[dst] = value
-                        ic += k - 1
-                        cost += arith * k
-                        pc = phi[2]
-                    elif op == OP_MUL_QI:
-                        _, dst, lhs, imm = ins
-                        regs[dst] = regs[lhs] * imm
-                        cost += arith
-                        pc += 4
-                    elif op == OP_LT_BR_QI:
-                        ic += 1
-                        if ic > max_instructions:
-                            cost += arith
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        cost += arith_branch
-                        _, dst, lhs, imm, on_true, on_false = ins
-                        if regs[lhs] < imm:
-                            regs[dst] = 1
-                            pc = on_true
-                        else:
-                            regs[dst] = 0
-                            pc = on_false
-                    elif op == OP_ADD:
-                        _, dst, lhs, rhs = ins
-                        regs[dst] = regs[lhs] + regs[rhs]
-                        cost += arith
-                        pc += 4
-                    elif op == OP_REM_QI:
-                        _, dst, lhs, rhs, _ = ins
-                        lhs = regs[lhs]
-                        quotient = abs(lhs) // abs(rhs)
-                        if (lhs < 0) != (rhs < 0):
-                            quotient = -quotient
-                        regs[dst] = lhs - quotient * rhs
-                        cost += arith
-                        pc += 5
-                    elif op == OP_PHI_Q1:
-                        _, _, succ, src, dst = ins
-                        regs[dst] = regs[src]
-                        cost += arith
-                        pc = succ
-                    elif op == OP_SUB:
-                        _, dst, lhs, rhs = ins
-                        regs[dst] = regs[lhs] - regs[rhs]
-                        cost += arith
-                        pc += 4
-                    elif op == OP_PROBE_LOAD:
-                        (_, is_write, probed, size, var_index, count_slot,
-                         stride, loc_index, site_id, dst, ptr, ty,
-                         is_var) = ins
-                        addr = int(regs[probed])
-                        count = (1 if count_slot < 0
-                                 else int(regs[count_slot]))
-                        self.instructions = ic
-                        self.cost = cost
-                        cost += hooks.on_probe_access(
-                            kind_objs[is_write], addr, size,
-                            var_table[var_index] if var_index >= 0 else None,
-                            count, stride,
-                            loc_table[loc_index] if loc_index >= 0 else None,
-                            cs, site_id if site_id >= 0 else None,
-                        )
-                        ic += 1
-                        if ic > max_instructions:
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        addr = int(regs[ptr])
-                        obj = objs[pc]
-                        off = addr - obj.base
-                        size = sizes[ty]
-                        if off < 0 or off + size > obj.size or obj.freed:
-                            obj, off = resolve(addr, size)
-                            objs[pc] = obj
-                        regs[dst] = unpackers[ty](obj.data, off)[0]
-                        if is_var:
-                            var_accesses += 1
-                        else:
-                            mem_accesses += 1
-                        cost += load_cost
-                        pc += 13
-                    elif op == OP_DIV_QI:
-                        _, dst, lhs, rhs, _ = ins
-                        lhs = regs[lhs]
-                        if isinstance(lhs, float):
-                            result = lhs / rhs
-                        else:
-                            result = abs(lhs) // abs(rhs)
-                            if (lhs < 0) != (rhs < 0):
-                                result = -result
-                        regs[dst] = result
-                        cost += arith
-                        pc += 5
-                    elif op == OP_GT_BR_QI:
-                        ic += 1
-                        if ic > max_instructions:
-                            cost += arith
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        cost += arith_branch
-                        _, dst, lhs, imm, on_true, on_false = ins
-                        if regs[lhs] > imm:
-                            regs[dst] = 1
-                            pc = on_true
-                        else:
-                            regs[dst] = 0
-                            pc = on_false
-                    elif op == OP_LOAD_BIN:
-                        _, subop, ldst, ptr, ty, is_var, dst, lhs, rhs = ins
-                        addr = int(regs[ptr])
-                        obj = objs[pc]
-                        off = addr - obj.base
-                        size = sizes[ty]
-                        if off < 0 or off + size > obj.size or obj.freed:
-                            obj, off = resolve(addr, size)
-                            objs[pc] = obj
-                        regs[ldst] = unpackers[ty](obj.data, off)[0]
-                        if is_var:
-                            var_accesses += 1
-                        else:
-                            mem_accesses += 1
-                        ic += 1
-                        if ic > max_instructions:
-                            cost += load_cost
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        regs[dst] = bin_eval[subop](regs[lhs], regs[rhs])
-                        cost += load_arith
-                        pc += 9
-                    elif op == OP_PROBE_STORE:
-                        (_, is_write, probed, size, var_index, count_slot,
-                         stride, loc_index, site_id, val, ptr, ty,
-                         is_var) = ins
-                        addr = int(regs[probed])
-                        count = (1 if count_slot < 0
-                                 else int(regs[count_slot]))
-                        self.instructions = ic
-                        self.cost = cost
-                        cost += hooks.on_probe_access(
-                            kind_objs[is_write], addr, size,
-                            var_table[var_index] if var_index >= 0 else None,
-                            count, stride,
-                            loc_table[loc_index] if loc_index >= 0 else None,
-                            cs, site_id if site_id >= 0 else None,
-                        )
-                        ic += 1
-                        if ic > max_instructions:
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        addr = int(regs[ptr])
-                        obj = objs[pc]
-                        off = addr - obj.base
-                        size = sizes[ty]
-                        if off < 0 or off + size > obj.size or obj.freed:
-                            obj, off = resolve(addr, size)
-                            objs[pc] = obj
-                        value = regs[val]
-                        try:
-                            packers[ty](obj.data, off, converts[ty](value))
-                        except struct_error:
-                            packers[ty](obj.data, off, wraps[ty](value))
-                        if is_var:
-                            var_accesses += 1
-                        else:
-                            mem_accesses += 1
-                        cost += store_cost
-                        pc += 13
-                    elif op == OP_SUB_QI:
-                        _, dst, lhs, imm = ins
-                        regs[dst] = regs[lhs] - imm
-                        cost += arith
-                        pc += 4
-                    elif op == OP_NE:
-                        _, dst, lhs, rhs = ins
-                        regs[dst] = 1 if regs[lhs] != regs[rhs] else 0
-                        cost += arith
-                        pc += 4
-                    elif op == OP_EQ:
-                        _, dst, lhs, rhs = ins
-                        regs[dst] = 1 if regs[lhs] == regs[rhs] else 0
-                        cost += arith
-                        pc += 4
-                    elif op == OP_MUL:
-                        _, dst, lhs, rhs = ins
-                        regs[dst] = regs[lhs] * regs[rhs]
-                        cost += arith
-                        pc += 4
-                    elif op == OP_LT_BR:
-                        ic += 1
-                        if ic > max_instructions:
-                            cost += arith
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        cost += arith_branch
-                        _, dst, lhs, rhs, on_true, on_false = ins
-                        if regs[lhs] < regs[rhs]:
-                            regs[dst] = 1
-                            pc = on_true
-                        else:
-                            regs[dst] = 0
-                            pc = on_false
-                    elif op == OP_DIV:
-                        _, dst, lhs, rhs, loc_index = ins
-                        lhs = regs[lhs]
-                        rhs = regs[rhs]
-                        if rhs == 0:
-                            loc = (loc_table[loc_index]
-                                   if loc_index >= 0 else None)
-                            raise TrapError(f"division by zero at {loc}")
-                        if isinstance(lhs, float) or isinstance(rhs, float):
-                            result = lhs / rhs
-                        else:
-                            result = abs(lhs) // abs(rhs)
-                            if (lhs < 0) != (rhs < 0):
-                                result = -result
-                        regs[dst] = result
-                        cost += arith
-                        pc += 5
-                    elif op == OP_EQ_BR:
-                        ic += 1
-                        if ic > max_instructions:
-                            cost += arith
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        cost += arith_branch
-                        _, dst, lhs, rhs, on_true, on_false = ins
-                        if regs[lhs] == regs[rhs]:
-                            regs[dst] = 1
-                            pc = on_true
-                        else:
-                            regs[dst] = 0
-                            pc = on_false
-                    elif op == OP_BIN_STORE:
-                        _, subop, dst, lhs, rhs, ptr, ty, is_var = ins
-                        regs[dst] = value = bin_eval[subop](
-                            regs[lhs], regs[rhs])
-                        cost += arith
-                        ic += 1
-                        if ic > max_instructions:
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        addr = int(regs[ptr])
-                        obj = objs[pc]
-                        off = addr - obj.base
-                        size = sizes[ty]
-                        if off < 0 or off + size > obj.size or obj.freed:
-                            obj, off = resolve(addr, size)
-                            objs[pc] = obj
-                        try:
-                            packers[ty](obj.data, off, converts[ty](value))
-                        except struct_error:
-                            packers[ty](obj.data, off, wraps[ty](value))
-                        if is_var:
-                            var_accesses += 1
-                        else:
-                            mem_accesses += 1
-                        cost += store_cost
-                        pc += 8
-                    elif op == OP_GT_BR:
-                        ic += 1
-                        if ic > max_instructions:
-                            cost += arith
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        cost += arith_branch
-                        _, dst, lhs, rhs, on_true, on_false = ins
-                        if regs[lhs] > regs[rhs]:
-                            regs[dst] = 1
-                            pc = on_true
-                        else:
-                            regs[dst] = 0
-                            pc = on_false
-                    elif op == OP_RSUB_QI:
-                        _, dst, imm, rhs = ins
-                        regs[dst] = imm - regs[rhs]
-                        cost += arith
-                        pc += 4
-                    elif op == OP_GE_BR_QI:
-                        ic += 1
-                        if ic > max_instructions:
-                            cost += arith
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        cost += arith_branch
-                        _, dst, lhs, imm, on_true, on_false = ins
-                        if regs[lhs] >= imm:
-                            regs[dst] = 1
-                            pc = on_true
-                        else:
-                            regs[dst] = 0
-                            pc = on_false
-                    elif op == OP_EQ_BR_QI:
-                        ic += 1
-                        if ic > max_instructions:
-                            cost += arith
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        cost += arith_branch
-                        _, dst, lhs, imm, on_true, on_false = ins
-                        if regs[lhs] == imm:
-                            regs[dst] = 1
-                            pc = on_true
-                        else:
-                            regs[dst] = 0
-                            pc = on_false
-                    elif op == OP_LT:
-                        _, dst, lhs, rhs = ins
-                        regs[dst] = 1 if regs[lhs] < regs[rhs] else 0
-                        cost += arith
-                        pc += 4
-                    elif op == OP_LE_BR:
-                        ic += 1
-                        if ic > max_instructions:
-                            cost += arith
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        cost += arith_branch
-                        _, dst, lhs, rhs, on_true, on_false = ins
-                        if regs[lhs] <= regs[rhs]:
-                            regs[dst] = 1
-                            pc = on_true
-                        else:
-                            regs[dst] = 0
-                            pc = on_false
-                    elif op == OP_GE_BR:
-                        ic += 1
-                        if ic > max_instructions:
-                            cost += arith
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        cost += arith_branch
-                        _, dst, lhs, rhs, on_true, on_false = ins
-                        if regs[lhs] >= regs[rhs]:
-                            regs[dst] = 1
-                            pc = on_true
-                        else:
-                            regs[dst] = 0
-                            pc = on_false
-                    elif op == OP_NE_BR:
-                        ic += 1
-                        if ic > max_instructions:
-                            cost += arith
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        cost += arith_branch
-                        _, dst, lhs, rhs, on_true, on_false = ins
-                        if regs[lhs] != regs[rhs]:
-                            regs[dst] = 1
-                            pc = on_true
-                        else:
-                            regs[dst] = 0
-                            pc = on_false
-                    elif op == OP_LE_BR_QI:
-                        ic += 1
-                        if ic > max_instructions:
-                            cost += arith
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        cost += arith_branch
-                        _, dst, lhs, imm, on_true, on_false = ins
-                        if regs[lhs] <= imm:
-                            regs[dst] = 1
-                            pc = on_true
-                        else:
-                            regs[dst] = 0
-                            pc = on_false
-                    elif op == OP_NE_BR_QI:
-                        ic += 1
-                        if ic > max_instructions:
-                            cost += arith
-                            raise BudgetExceeded(
-                                "instruction budget exceeded")
-                        cost += arith_branch
-                        _, dst, lhs, imm, on_true, on_false = ins
-                        if regs[lhs] != imm:
-                            regs[dst] = 1
-                            pc = on_true
-                        else:
-                            regs[dst] = 0
-                            pc = on_false
-                    elif op == OP_LE:
-                        _, dst, lhs, rhs = ins
-                        regs[dst] = 1 if regs[lhs] <= regs[rhs] else 0
-                        cost += arith
-                        pc += 4
-                    elif op == OP_GT:
-                        _, dst, lhs, rhs = ins
-                        regs[dst] = 1 if regs[lhs] > regs[rhs] else 0
-                        cost += arith
-                        pc += 4
-                    elif op == OP_GE:
-                        _, dst, lhs, rhs = ins
-                        regs[dst] = 1 if regs[lhs] >= regs[rhs] else 0
-                        cost += arith
-                        pc += 4
-                    elif op == OP_REM:
-                        _, dst, lhs, rhs, loc_index = ins
-                        lhs = regs[lhs]
-                        rhs = regs[rhs]
-                        if rhs == 0:
-                            loc = (loc_table[loc_index]
-                                   if loc_index >= 0 else None)
-                            raise TrapError(f"modulo by zero at {loc}")
-                        quotient = abs(lhs) // abs(rhs)
-                        if (lhs < 0) != (rhs < 0):
-                            quotient = -quotient
-                        regs[dst] = lhs - quotient * rhs
-                        cost += arith
-                        pc += 5
-                    elif op == OP_CALL_IND_QF:
-                        callee = quick_targets[ins[1]]
-                        args = [regs[slot] for slot in ins[6:]]
-                        cost += call_cost
-                        if ins[3] and hooks.wants_pin():
-                            self.instructions = ic
-                            self.cost = cost
-                            cost += hooks.on_pin_attach()
-                        if len(frames) + 1 >= max_depth:
-                            raise BudgetExceeded(
-                                f"recursion depth budget exceeded "
-                                f"({max_depth} frames) calling "
-                                f"{callee.name!r}"
-                            )
-                        frames.append((fn, regs, pc + len(ins), ins[2],
-                                       stack_objects, cs, objs))
-                        fn = callee
-                        if not fn.xquick:
-                            self._quicken(fn)
-                        code = fn.xcode
-                        objs = access_objs[fn]
-                        regs = fn.proto.copy()
-                        arg_base = fn.arg_base
-                        del args[fn.n_args:]
-                        regs[arg_base:arg_base + len(args)] = args
-                        stack_objects = []
-                        pc = fn.entry_pc
-                        call_stack.append(fn.name)
-                        cs = cs + (fn.name,)
-                        self.instructions = ic
-                        self.cost = cost
-                        cost += hooks.on_call_enter(fn.name, fn.instrumented)
-                    elif op == OP_CALL_IND_QB:
-                        name, impl, base_cost = quick_targets[ins[1]]
-                        args = [regs[slot] for slot in ins[6:]]
-                        cost += call_cost
-                        loc_index = ins[4]
-                        self._alloc_loc = (loc_table[loc_index]
-                                           if loc_index >= 0 else None)
-                        memory.clock = ic
-                        self.instructions = ic
-                        if ins[3] and hooks.wants_pin():
-                            self.cost = cost
-                            cost += hooks.on_pin_attach()
-                            self._pin_active = True
-                        self.cost = cost
-                        try:
-                            result = impl(self, args)
-                        finally:
-                            self._pin_active = False
-                            cost = self.cost
-                        cost += base_cost
-                        dst = ins[2]
-                        if dst >= 0:
-                            regs[dst] = result
-                        pc += len(ins)
-                    else:
-                        handler = (cold_table[op]
-                                   if 0 <= op < n_cold else None)
-                        if handler is None:
-                            raise VMError(
-                                f"unknown opcode {op} at {fn.name}+{pc}")
-                        self.instructions = ic
-                        self.cost = cost
-                        try:
-                            pc = handler(pc, ins, regs, stack_objects, cs)
-                        finally:
-                            cost = self.cost
-                elif op <= OP_PHI:
-                    if op == OP_ADDR:
-                        _, dst, base, index, scale, offset = ins
-                        regs[dst] = (int(regs[base])
-                                     + int(regs[index]) * scale + offset)
-                        cost += addr_cost
-                        pc += 6
-                    elif op == OP_JUMP:
-                        pc = ins[1]
-                        cost += branch_cost
-                    elif op == OP_BR:
-                        _, cond, on_true, on_false = ins
-                        pc = on_true if regs[cond] != 0 else on_false
-                        cost += branch_cost
-                    elif op == OP_STORE:
-                        _, val, ptr, ty, is_var = ins
-                        addr = int(regs[ptr])
-                        obj = objs[pc]
-                        off = addr - obj.base
-                        size = sizes[ty]
-                        if off < 0 or off + size > obj.size or obj.freed:
-                            obj, off = resolve(addr, size)
-                            objs[pc] = obj
-                        value = regs[val]
-                        try:
-                            packers[ty](obj.data, off, converts[ty](value))
-                        except struct_error:
-                            packers[ty](obj.data, off, wraps[ty](value))
-                        if is_var:
-                            var_accesses += 1
-                        else:
-                            mem_accesses += 1
-                        cost += store_cost
-                        pc += 5
-                    elif op == OP_LOAD:
-                        _, dst, ptr, ty, is_var = ins
-                        addr = int(regs[ptr])
-                        obj = objs[pc]
-                        off = addr - obj.base
-                        size = sizes[ty]
-                        if off < 0 or off + size > obj.size or obj.freed:
-                            obj, off = resolve(addr, size)
-                            objs[pc] = obj
-                        regs[dst] = unpackers[ty](obj.data, off)[0]
-                        if is_var:
-                            var_accesses += 1
-                        else:
-                            mem_accesses += 1
-                        cost += load_cost
-                        pc += 5
-                    elif op == OP_PHI:
-                        # Per-edge trampoline: read every incoming against
-                        # the predecessor's values, then write all results
-                        # (a block's phis assign atomically), then enter
-                        # the successor body.
-                        k = ins[1]
-                        if k == 1:
-                            regs[ins[4]] = regs[ins[3]]
-                        elif k == 2:
-                            v0 = regs[ins[3]]
-                            v1 = regs[ins[5]]
-                            regs[ins[4]] = v0
-                            regs[ins[6]] = v1
-                        elif k == 3:
-                            v0 = regs[ins[3]]
-                            v1 = regs[ins[5]]
-                            v2 = regs[ins[7]]
-                            regs[ins[4]] = v0
-                            regs[ins[6]] = v1
-                            regs[ins[8]] = v2
-                        else:
-                            values = [regs[src] for src in ins[3::2]]
-                            for dst, value in zip(ins[4::2], values):
-                                regs[dst] = value
-                        ic += k - 1
-                        cost += arith * k
-                        pc = ins[2]
-                    else:
-                        raise VMError(f"unknown opcode {op} at {fn.name}+{pc}")
-                elif op == OP_CALL_BUILTIN:
-                    name, impl, base_cost = linked_builtins[ins[1]]
-                    args = [regs[slot] for slot in ins[6:]]
-                    cost += call_cost
-                    loc_index = ins[4]
-                    self._alloc_loc = (loc_table[loc_index]
-                                       if loc_index >= 0 else None)
-                    memory.clock = ic
-                    self.instructions = ic
-                    if ins[3] and hooks.wants_pin():
-                        self.cost = cost
-                        cost += hooks.on_pin_attach()
-                        self._pin_active = True
-                    self.cost = cost
-                    try:
-                        result = impl(self, args)
-                    finally:
-                        self._pin_active = False
-                        cost = self.cost
-                    cost += base_cost
-                    dst = ins[2]
-                    if dst >= 0:
-                        regs[dst] = result
-                    pc += len(ins)
-                elif op == OP_RET:
-                    memory.clock = ic
-                    value_slot = ins[1]
-                    value = regs[value_slot] if value_slot >= 0 else None
-                    for obj in stack_objects:
-                        memory.release_stack_object(obj)
-                    call_stack.pop()
-                    cost += ret_cost
-                    if frames:
-                        self.instructions = ic
-                        self.cost = cost
-                        cost += hooks.on_call_exit(fn.name)
-                        (fn, regs, pc, dst, stack_objects, cs,
-                         objs) = frames.pop()
-                        code = fn.xcode
-                        if dst >= 0:
-                            regs[dst] = value
-                    else:
-                        self._return_value = value
-                        return
-                elif op == OP_CALL:
-                    callee = linked_fns[ins[1]]
-                    args = [regs[slot] for slot in ins[5:]]
-                    cost += call_cost
-                    if ins[3] and hooks.wants_pin():
-                        # A conservatively-gated call toggles the Pintool
-                        # even though the target turns out to be
-                        # instrumented code (§4.4.6).
-                        self.instructions = ic
-                        self.cost = cost
-                        cost += hooks.on_pin_attach()
-                    if len(frames) + 1 >= max_depth:
-                        raise BudgetExceeded(
-                            f"recursion depth budget exceeded "
-                            f"({max_depth} frames) calling {callee.name!r}"
-                        )
-                    frames.append((fn, regs, pc + len(ins), ins[2],
-                                   stack_objects, cs, objs))
-                    fn = callee
-                    if not fn.xquick:
-                        self._quicken(fn)
-                    code = fn.xcode
-                    objs = access_objs[fn]
-                    regs = fn.proto.copy()
-                    arg_base = fn.arg_base
-                    del args[fn.n_args:]
-                    regs[arg_base:arg_base + len(args)] = args
-                    stack_objects = []
-                    pc = fn.entry_pc
-                    call_stack.append(fn.name)
-                    cs = cs + (fn.name,)
-                    self.instructions = ic
-                    self.cost = cost
-                    cost += hooks.on_call_enter(fn.name, fn.instrumented)
-                elif op == OP_CAST:
-                    _, dst, src, to = ins
-                    value = regs[src]
-                    if to == TY_FLOAT:
-                        try:
-                            regs[dst] = float(value)
-                        except OverflowError:
-                            # Registers hold unbounded ints; the value is
-                            # left out because its decimal form can pass
-                            # Python's int-to-str digit limit.
-                            raise TrapError("integer too large to convert "
-                                            "to a float") from None
-                    elif to == TY_CHAR:
-                        regs[dst] = to_int(value) & 0xFF
-                    else:
-                        regs[dst] = to_int(value)
-                    cost += cast_cost
-                    pc += 4
-                elif op == OP_CALL_IND:
-                    addr = int(regs[ins[1]])
-                    target = addr_targets.get(addr)
-                    if target is None:
-                        raise TrapError(
-                            f"call through bad function pointer {addr:#x}")
-                    args = [regs[slot] for slot in ins[6:]]
-                    cost += call_cost
-                    is_builtin, payload = target
-                    if is_builtin:
-                        name, impl, base_cost = payload
-                        loc_index = ins[4]
-                        self._alloc_loc = (loc_table[loc_index]
-                                           if loc_index >= 0 else None)
-                        memory.clock = ic
-                        self.instructions = ic
-                        if ins[3] and hooks.wants_pin():
-                            self.cost = cost
-                            cost += hooks.on_pin_attach()
-                            self._pin_active = True
-                        self.cost = cost
-                        try:
-                            result = impl(self, args)
-                        finally:
-                            self._pin_active = False
-                            cost = self.cost
-                        cost += base_cost
-                        dst = ins[2]
-                        if dst >= 0:
-                            regs[dst] = result
-                        pc += len(ins)
-                    else:
-                        callee = payload
-                        if ins[3] and hooks.wants_pin():
-                            self.instructions = ic
-                            self.cost = cost
-                            cost += hooks.on_pin_attach()
-                        if len(frames) + 1 >= max_depth:
-                            raise BudgetExceeded(
-                                f"recursion depth budget exceeded "
-                                f"({max_depth} frames) calling "
-                                f"{callee.name!r}"
-                            )
-                        frames.append((fn, regs, pc + len(ins), ins[2],
-                                       stack_objects, cs, objs))
-                        fn = callee
-                        if not fn.xquick:
-                            self._quicken(fn)
-                        code = fn.xcode
-                        objs = access_objs[fn]
-                        regs = fn.proto.copy()
-                        arg_base = fn.arg_base
-                        del args[fn.n_args:]
-                        regs[arg_base:arg_base + len(args)] = args
-                        stack_objects = []
-                        pc = fn.entry_pc
-                        call_stack.append(fn.name)
-                        cs = cs + (fn.name,)
-                        self.instructions = ic
-                        self.cost = cost
-                        cost += hooks.on_call_enter(fn.name, fn.instrumented)
-                elif op == OP_PROBE_ACCESS:
-                    (_, is_write, ptr, size, var_index, count_slot, stride,
-                     loc_index, site_id) = ins
-                    addr = int(regs[ptr])
-                    count = 1 if count_slot < 0 else int(regs[count_slot])
-                    self.instructions = ic
-                    self.cost = cost
-                    cost += hooks.on_probe_access(
-                        kind_objs[is_write], addr, size,
-                        var_table[var_index] if var_index >= 0 else None,
-                        count, stride,
-                        loc_table[loc_index] if loc_index >= 0 else None,
-                        cs, site_id if site_id >= 0 else None,
-                    )
-                    pc += 9
-                else:
-                    handler = cold_table[op] if 0 <= op < n_cold else None
-                    if handler is None:
-                        raise VMError(
-                            f"unknown opcode {op} at {fn.name}+{pc}")
-                    self.instructions = ic
-                    self.cost = cost
-                    try:
-                        pc = handler(pc, ins, regs, stack_objects, cs)
-                    finally:
-                        cost = self.cost
-        finally:
+        state = {
+            "vm": self, "M": memory, "SITES": self._sites,
+            "HK": self._hook_call,
+            "LIM": self.max_instructions,
+            "MAXD": self.max_recursion_depth, "CS": self.call_stack,
+            "F": self._F, "CF": self._handoff, "CI": self._call_indirect,
+            "BP": self._pinned_builtin, "RD": self._depth_exceeded,
+            "X": self._unwind, "TK": self._tick, "AL": self._alloca,
+            "HPC": hooks.on_probe_classify,
+            "HPE": hooks.on_probe_escape, "HRB": hooks.on_roi_begin,
+            "HRE": hooks.on_roi_end, "HRR": hooks.on_roi_reset,
+            "HOR": hooks.on_omp_region, "HOB": hooks.on_omp_barrier,
+            "HCE": hooks.on_call_enter, "HCX": hooks.on_call_exit,
+            "HWP": hooks.wants_pin, "HPT": hooks.on_pin_attach,
+        }
+        return state
+
+    def _instance(self, index: int, kind: str):
+        """This run's closure of one compiled form of function
+        ``index``, compiling the form on the module's first use."""
+        fn = self._fns[index]
+        compiled = fn.compiled.get(kind)
+        if compiled is None or compiled[0] != self.cost_model:
+            compiled = fn.compiled[kind] = _compile(self, fn, index, kind)
+        _, factory, consts = compiled
+        names = factory.__code__.co_varnames[1:factory.__code__.co_argcount]
+        return factory(consts, *[self._R[name] for name in names])
+
+    def _stub(self, index: int, kind: str):
+        """The table entry a function has until its first call."""
+        def enter(*args):
+            f = self._F[index] = self._instance(index, kind)
+            return f(*args)
+        return enter
+
+    def _handoff(self, index: int, resume: int, ic: int, frame: dict):
+        """Continue a fast frame whose next segment would cross the step
+        budget in the counted form of its function, from the segment's
+        start: ``frame`` is the fast frame's ``locals()`` (registers,
+        ``cs``, ``cost``, ``ac``, ``so``)."""
+        f = self._CF[index]
+        if f is None:
+            f = self._CF[index] = self._instance(index, "counted")
+        code = f.__code__
+        args = {name: frame[name]
+                for name in code.co_varnames[:code.co_argcount]
+                if name in frame}
+        args["b"] = resume
+        args["ic"] = ic
+        return f(**args)
+
+    def _call_indirect(self, addr, args, cs, pin, loc):
+        """``call.ind``: ``vm.instructions`` and ``vm.cost`` are exact on
+        entry and on exit, including on a trap."""
+        target = self._addr_targets.get(addr)
+        if target is None:
+            raise TrapError(f"call through bad function pointer {addr:#x}")
+        self.cost += self.cost_model.call
+        is_builtin, payload = target
+        if is_builtin:
+            _, impl, base_cost = payload
+            self._alloc_loc = loc
+            self.memory.clock = self.instructions
+            result = (self._pinned_builtin(impl, args) if pin
+                      else impl(self, args))
+            self.cost += base_cost
+            return result
+        if pin and self.hooks.wants_pin():
+            self.cost += self.hooks.on_pin_attach()
+        return self._F[payload](cs, *args[:self._fns[payload].n_args])
+
+    def _tick(self, ic: int, cost: int, fi: int, pc: int, op: int) -> int:
+        """The counted form's first count of an instruction: the budget
+        check (with the counters left exact on a trip) and the trace."""
+        ic += 1
+        if ic > self.max_instructions:
             self.instructions = ic
             self.cost = cost
-            self.access_counts["var"] += var_accesses
-            self.access_counts["mem"] += mem_accesses
+            raise BudgetExceeded("instruction budget exceeded")
+        if self._trace is not None:
+            self._trace(fi, pc, op, ic, cost)
+        return ic
+
+    # A load or store site tests the object it resolved last, through the
+    # lowest and highest address an access of its size may use in it; any
+    # other access asks ``Memory._resolve``, which raises every fault.  A
+    # site's object belongs to one run: a later run places its globals at
+    # the same addresses.
+
+    def _hook_call(self, ic, cost, hook, *args):
+        """A hook called from compiled code, with the exact counters."""
+        self.instructions = ic
+        self.cost = cost
+        return hook(*args)
+
+    def _sites(self, specs: tuple) -> list:
+        """This run's closures for a function's load, store and probe
+        sites, from their ``(kind, operands...)`` specs."""
+        makers = {"read": self._site_reader, "write": self._site_writer,
+                  "probe": self._site_probe}
+        return [makers[kind](*operands) for kind, *operands in specs]
+
+    def _site_reader(self, size: int, ty: int):
+        resolve, unpack = self.memory._resolve, _UNPACK[ty]
+        lo, hi, obj = _NO_SITE
+
+        def read(addr):
+            nonlocal lo, hi, obj
+            if not lo <= addr <= hi or obj.freed:
+                obj, _ = resolve(addr, size)
+                lo = obj.base
+                hi = lo + obj.size - size
+            return unpack(obj.data, addr - lo)[0]
+        return read
+
+    def _site_writer(self, size: int, ty: int):
+        resolve, pack = self.memory._resolve, _PACK[ty]
+        lo, hi, obj = _NO_SITE
+        if ty == TY_FLOAT:
+            def write(addr, value):
+                nonlocal lo, hi, obj
+                if not lo <= addr <= hi or obj.freed:
+                    obj, _ = resolve(addr, size)
+                    lo = obj.base
+                    hi = lo + obj.size - size
+                pack(obj.data, addr - lo, value)
+            return write
+        mask = _STORE_MASK[ty]
+
+        def write_int(addr, value):
+            nonlocal lo, hi, obj
+            if not lo <= addr <= hi or obj.freed:
+                obj, _ = resolve(addr, size)
+                lo = obj.base
+                hi = lo + obj.size - size
+            pack(obj.data, addr - lo, value & mask)
+        return write_int
+
+    def _site_probe(self, is_write, size, var, stride, loc, site):
+        """A ``probe.access`` site: spills the exact counters it is given,
+        then reports the access."""
+        hook = self.hooks.on_probe_access
+        kind = AccessKind.WRITE if is_write else AccessKind.READ
+
+        def probe(ic, cost, addr, cs, count=1):
+            self.instructions = ic
+            self.cost = cost
+            return hook(kind, addr, size, var, count, stride, loc, cs, site)
+        return probe
+
+    def _alloca(self, size, var, loc, cs, frame_objects, ic, cost):
+        """``alloca``: a stack object for the frame, announced to the
+        hooks when it holds a variable.  The counters are exact on entry
+        (before the alloca's charge) and on exit, including on a trap."""
+        self.instructions = self.memory.clock = ic
+        self.cost = cost
+        obj = self.memory.allocate(size, "stack", var=var, loc=loc,
+                                   callstack=cs)
+        frame_objects.append(obj)
+        self.cost = cost + self.cost_model.alloca
+        if var is not None:
+            self.cost += self.hooks.on_alloc(obj)
+        return obj.base
+
+    def _pinned_builtin(self, impl, args):
+        """A Pin-gated builtin call (§4.4.6): attach the Pintool when the
+        hooks want it and trace the builtin's memory traffic."""
+        hooks = self.hooks
+        if hooks.wants_pin():
+            self.cost += hooks.on_pin_attach()
+            self._pin_active = True
+        try:
+            return impl(self, args)
+        finally:
+            self._pin_active = False
+
+    def _depth_exceeded(self, name: str):
+        raise BudgetExceeded(
+            f"recursion depth budget exceeded "
+            f"({self.max_recursion_depth} frames) calling {name!r}")
+
+    def _unwind(self, error, fix, ic, cost, ac) -> None:
+        """Leave exact counters behind a trap in a generated frame: the
+        trapping line's entry says how much of its segment's pre-added
+        count, cost and accesses had not run yet."""
+        entry = fix[error.__traceback__.tb_lineno]
+        if entry is None:
+            return
+        ahead_ic, ahead_cost, ahead_acc = entry
+        if ahead_ic is not None:
+            self.instructions = ic - ahead_ic
+            self.cost = cost - ahead_cost
+        self._acc += ac - ahead_acc
 
 
 def run_module(
@@ -1667,7 +1747,7 @@ def run_module(
     :class:`~repro.vm.bytecode.BytecodeModule` (e.g. from the session
     artifact cache); otherwise lowering happens on first use and is
     memoized on the module object.  ``trace_stream`` receives one
-    ``trace:`` line per dispatch.
+    ``trace:`` line per instruction.
     """
     if bytecode is None:
         bytecode = getattr(module, "_bytecode", None)

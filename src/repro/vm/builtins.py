@@ -13,7 +13,6 @@ import math
 from typing import Callable, Dict, List
 
 from repro.errors import TrapError
-from repro.lang import types as ct
 
 _INT8 = 8
 

@@ -6,8 +6,8 @@ of integer opcodes with *pre-resolved* operand slots (constants, arguments
 and temps share one flat register file per frame), branch targets resolved
 to absolute code offsets, builtin and call targets pre-bound through small
 index tables, and CARMOT probes / ROI / OMP markers lowered to inline
-opcodes.  Execution then needs no per-step object inspection at all — the
-dispatch loop in :mod:`repro.vm.bcinterp` only indexes arrays.
+opcodes.  :mod:`repro.vm.bcinterp` compiles each function's stream to
+one Python function the first time it runs.
 
 The module is also a cacheable artifact: :func:`serialize_bytecode` emits
 canonical JSON (key-sorted, compact separators, tables in deterministic
@@ -48,9 +48,8 @@ class BytecodeSerializeError(ReproError):
 # ---------------------------------------------------------------------------
 #
 # Every opcode is one int followed by a fixed (per-opcode) operand layout;
-# call opcodes append ``argc`` trailing argument slots.  The interpreter
-# runs each instruction's words as one tuple (:func:`execution_stream`),
-# at the same pc as in the canonical stream.  Operand slots are
+# call opcodes append ``argc`` trailing argument slots (:func:`decode`
+# splits a stream into one tuple per instruction).  Operand slots are
 # indices into the frame's flat register file; ``*_pc`` operands are
 # absolute offsets into the function's code stream; ``var``/``loc``/string
 # operands index the module-level side tables (-1 encodes None).
@@ -116,47 +115,11 @@ OP_LOAD_BIN = 46       # [subop, ldst, ptr, ty, is_var, bdst, lhs, rhs]
 OP_BIN_STORE = 47      # [subop, bdst, lhs, rhs, ptr, ty, is_var]
 OP_PROBE_LOAD = 48     # [probe.access 8 operands..., dst, ptr, ty, is_var]
 OP_PROBE_STORE = 49    # [probe.access 8 operands..., val, ptr, ty, is_var]
+# 56-71 were runtime-only quickened forms and are unassigned; a stream
+# that carries one is refused at link like any unknown opcode.
 
 #: cmp opcode -> fused cmp+branch opcode.
 FUSED_CMP_BR: Dict[int, int] = {}
-
-# -- tier-2 quickened opcodes (runtime-only: NEVER serialized) --------------
-#
-# The interpreter replaces the tuples of quickenable sites in a function's
-# *execution stream* with these on first execution (see
-# ``BytecodeInterpreter``); the canonical ``fn.code`` stream is never
-# touched, and ``dequicken`` rebuilds the tuples from it.  Layouts match
-# the canonical forms word for word, so pcs never move; ``*_QI`` variants
-# carry an immediate operand value where the canonical form carries a
-# const-pool slot.
-
-OP_ADD_QI = 56         # [dst, lhs, imm]
-OP_SUB_QI = 57         # [dst, lhs, imm]
-OP_RSUB_QI = 58        # [dst, imm, rhs]  (sub with constant lhs)
-OP_MUL_QI = 59         # [dst, lhs, imm]
-OP_DIV_QI = 60         # [dst, lhs, imm, loc]  (imm is a nonzero int)
-OP_REM_QI = 61         # [dst, lhs, imm, loc]  (imm is a nonzero int)
-OP_LT_BR_QI = 62       # [dst, lhs, imm, true_pc, false_pc]
-OP_LE_BR_QI = 63
-OP_GT_BR_QI = 64
-OP_GE_BR_QI = 65
-OP_EQ_BR_QI = 66
-OP_NE_BR_QI = 67
-OP_PHI_Q1 = 68         # OP_PHI layout with k == 1
-OP_CALL_IND_QF = 69    # [target_index, dst, pin, alloc_loc, argc, args...]
-OP_CALL_IND_QB = 70    # same, target pre-resolved to a builtin
-OP_JUMP_PHI = 71       # OP_JUMP layout; target is a phi trampoline that is
-                       # executed in the same dispatch (still counted as two
-                       # instructions, budget-checked between them)
-
-#: Offset from a canonical fused cmp+branch opcode to its ``_QI`` twin.
-QUICKEN_CMP_BR_OFFSET = OP_LT_BR_QI - OP_LT_BR
-
-#: Canonical binop opcode -> immediate-quickened opcode.
-QUICKENED_BINOPS: Dict[int, int] = {}
-
-#: Every opcode that only exists in a quickened execution stream.
-QUICKENED_OPCODES = frozenset(range(OP_ADD_QI, OP_JUMP_PHI + 1))
 
 #: IR binop name -> opcode (div/rem carry an extra loc operand for traps).
 BINOP_OPCODES: Dict[str, int] = {
@@ -169,10 +132,6 @@ BINOP_OPCODES: Dict[str, int] = {
 FUSED_CMP_BR.update({
     OP_LT: OP_LT_BR, OP_LE: OP_LE_BR, OP_GT: OP_GT_BR, OP_GE: OP_GE_BR,
     OP_EQ: OP_EQ_BR, OP_NE: OP_NE_BR,
-})
-QUICKENED_BINOPS.update({
-    OP_ADD: OP_ADD_QI, OP_SUB: OP_SUB_QI, OP_MUL: OP_MUL_QI,
-    OP_DIV: OP_DIV_QI, OP_REM: OP_REM_QI,
 })
 
 #: Fused opcode -> stats-bucket name (``fused_sites`` breakdown).
@@ -203,14 +162,6 @@ OPCODE_NAMES: Dict[int, str] = {
     OP_GE_BR: "ge.br", OP_EQ_BR: "eq.br", OP_NE_BR: "ne.br",
     OP_LOAD_BIN: "load.bin", OP_BIN_STORE: "bin.store",
     OP_PROBE_LOAD: "probe.load", OP_PROBE_STORE: "probe.store",
-    OP_ADD_QI: "add.qi", OP_SUB_QI: "sub.qi", OP_RSUB_QI: "rsub.qi",
-    OP_MUL_QI: "mul.qi", OP_DIV_QI: "div.qi", OP_REM_QI: "rem.qi",
-    OP_LT_BR_QI: "lt.br.qi", OP_LE_BR_QI: "le.br.qi",
-    OP_GT_BR_QI: "gt.br.qi", OP_GE_BR_QI: "ge.br.qi",
-    OP_EQ_BR_QI: "eq.br.qi", OP_NE_BR_QI: "ne.br.qi",
-    OP_PHI_Q1: "phi.q1",
-    OP_CALL_IND_QF: "call.ind.qf", OP_CALL_IND_QB: "call.ind.qb",
-    OP_JUMP_PHI: "jump.phi",
 }
 OPCODE_NAMES.update({code: name for name, code in BINOP_OPCODES.items()})
 
@@ -228,24 +179,19 @@ OPCODE_WIDTHS: Dict[int, int] = {
     OP_LT_BR: 5, OP_LE_BR: 5, OP_GT_BR: 5, OP_GE_BR: 5, OP_EQ_BR: 5,
     OP_NE_BR: 5, OP_LOAD_BIN: 8, OP_BIN_STORE: 7, OP_PROBE_LOAD: 12,
     OP_PROBE_STORE: 12,
-    OP_ADD_QI: 3, OP_SUB_QI: 3, OP_RSUB_QI: 3, OP_MUL_QI: 3,
-    OP_DIV_QI: 4, OP_REM_QI: 4, OP_LT_BR_QI: 5, OP_LE_BR_QI: 5,
-    OP_GT_BR_QI: 5, OP_GE_BR_QI: 5, OP_EQ_BR_QI: 5, OP_NE_BR_QI: 5,
-    OP_CALL_IND_QF: 5, OP_CALL_IND_QB: 5, OP_JUMP_PHI: 1,
 }
 
 #: Opcodes whose width is ``OPCODE_WIDTHS[op] + argc`` (argc operand index
 #: relative to the opcode word, used by the disassembler/verifier walk).
 CALL_ARGC_INDEX = {OP_CALL: 4, OP_CALL_BUILTIN: 5, OP_CALL_IND: 5,
-                   OP_CALL_MISSING: 2, OP_CALL_IND_QF: 5,
-                   OP_CALL_IND_QB: 5}
+                   OP_CALL_MISSING: 2}
 #: OP_PHI's width is ``2 + 2*k`` (k = first operand).
 
 
 def instr_width(code, pc: int) -> int:
     """Total width (opcode word included) of the instruction at ``pc``."""
     op = code[pc]
-    if op == OP_PHI or op == OP_PHI_Q1:
+    if op == OP_PHI:
         return 3 + 2 * code[pc + 1]
     width = 1 + OPCODE_WIDTHS[op]
     argc_at = CALL_ARGC_INDEX.get(op)
@@ -254,16 +200,16 @@ def instr_width(code, pc: int) -> int:
     return width
 
 
-def execution_stream(fn: "BytecodeFunction") -> list:
-    """The list the dispatch loop runs for ``fn``: at each instruction's
-    canonical pc the tuple of its words (opcode first, then operands, call
-    arguments included), ``None`` at the pcs in between.
+def decode(fn: "BytecodeFunction") -> List[tuple]:
+    """``(pc, words)`` for every instruction of ``fn``, in stream order:
+    ``words`` is the tuple of the instruction's words, opcode first and
+    call arguments included.
 
     Raises :class:`BytecodeError` on an unknown opcode or an instruction
     that runs past the end of the code."""
     code = fn.code
     n = len(code)
-    stream: list = [None] * n
+    out = []
     pc = 0
     while pc < n:
         try:
@@ -275,9 +221,9 @@ def execution_stream(fn: "BytecodeFunction") -> list:
             width = n + 1
         if pc + width > n:
             raise BytecodeError(f"truncated instruction at {fn.name}+{pc}")
-        stream[pc] = tuple(code[pc:pc + width])
+        out.append((pc, tuple(code[pc:pc + width])))
         pc += width
-    return stream
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +237,11 @@ class BytecodeFunction:
     The frame register file is ``[consts..., args..., temps...]``:
     ``consts`` entries are tagged ``("v", value)`` literals, ``("g", name)``
     global addresses, or ``("f", name)`` function-pointer values, resolved
-    once at link time into a frame *prototype* the interpreter copies per
-    call (one C-level list copy instead of per-operand evaluation).
+    once at link time into ``proto``, the constants compiled code binds.
     """
 
     __slots__ = ("name", "code", "consts", "n_args", "n_regs", "entry_pc",
-                 "instrumented", "arg_base", "proto", "xcode", "xquick",
-                 "quickened", "lines")
+                 "instrumented", "arg_base", "proto", "compiled", "lines")
 
     def __init__(self, name: str, code, consts: List[tuple], n_args: int,
                  n_regs: int, entry_pc: int, instrumented: bool) -> None:
@@ -311,21 +255,12 @@ class BytecodeFunction:
         #: argument of ``ExecutionHooks.on_call_enter``.
         self.instrumented = instrumented
         self.arg_base = len(consts)
-        #: Linked frame prototype (filled by the interpreter's first link).
+        #: The const pool's values (filled by the interpreter's first link).
         self.proto: Optional[list] = None
-        #: Execution stream (:func:`execution_stream`), built at link
-        #: time: one tuple per instruction, indexed by canonical pc.  This
-        #: is what the dispatch loop runs and what quickening rewrites,
-        #: tuple by tuple; ``code`` itself stays canonical forever, so
-        #: serialization and digests can never observe quickened opcodes.
-        #: It is shared by every interpreter over the module and holds
-        #: nothing of one run (the load/store object cache is per run).
-        self.xcode: Optional[list] = None
-        #: True once this function's execution stream has been quickened.
-        self.xquick = False
-        #: pc -> quickened opcode for every rewritten site (None until the
-        #: first quickening pass touches the function).
-        self.quickened: Optional[Dict[int, int]] = None
+        #: Compiled Python forms, by kind (``"fast"``, ``"counted"``),
+        #: each generated on first use by :mod:`repro.vm.bcinterp` and
+        #: shared by every run over the module.  Never serialized.
+        self.compiled: Dict[str, tuple] = {}
         #: Codegen's line table: pc -> the :class:`SourceLoc` of the
         #: instruction there, or a ``(first, second)`` pair for a fused
         #: site whose halves sit on two source lines.  Phi trampolines
@@ -370,9 +305,6 @@ class BytecodeModule:
         #: Link cache (global/function addresses are deterministic, so one
         #: link serves every interpreter over this module).
         self._linked = None
-        #: Pre-resolved indirect-call targets appended by quickening
-        #: (``OP_CALL_IND_QF/QB`` operands index this list).
-        self._quick_targets: List[object] = []
         #: Fusion-kind counts recorded by the codegen peephole (live
         #: lowering only; recount deserialized modules via
         #: :func:`fused_site_counts`).
@@ -380,8 +312,6 @@ class BytecodeModule:
         #: Static adjacent-opcode pair frequencies seen during lowering —
         #: the evidence the fusion catalog is chosen from.
         self.pair_counts: Dict[str, int] = {}
-        #: Total quickened sites restored by :func:`dequicken_module`.
-        self.dequicken_count = 0
 
     def rebind_vars(self, module) -> None:
         """Swap var-table entries for the IR module's own instances.
@@ -412,34 +342,8 @@ class BytecodeModule:
 
 
 # ---------------------------------------------------------------------------
-# Tier-2 introspection: dequickening, stats, disassembly
+# Tier-2 introspection: stats, disassembly
 # ---------------------------------------------------------------------------
-
-
-def dequicken_module(bc: BytecodeModule) -> int:
-    """Restore every quickened execution stream to the canonical tuples.
-
-    Rebuilds each patched site's tuple in ``fn.xcode`` from ``fn.code``
-    (the canonical stream, which quickening never touches) and clears the
-    quickening state so the next run re-quickens from scratch.  Returns
-    the number of sites restored and accumulates it on
-    ``bc.dequicken_count``.
-    """
-    restored = 0
-    for name in bc.function_order:
-        fn = bc.functions[name]
-        sites = fn.quickened
-        if sites:
-            code = fn.code
-            xcode = fn.xcode
-            for pc in sites:
-                xcode[pc] = tuple(code[pc:pc + instr_width(code, pc)])
-            restored += len(sites)
-        fn.quickened = None
-        fn.xquick = False
-    del bc._quick_targets[:]
-    bc.dequicken_count += restored
-    return restored
 
 
 def fused_site_counts(bc: BytecodeModule) -> Dict[str, int]:
@@ -463,22 +367,10 @@ def fused_site_counts(bc: BytecodeModule) -> Dict[str, int]:
     return counts
 
 
-def quickened_op_count(bc: BytecodeModule) -> int:
-    """Number of currently-quickened sites across all functions."""
-    return sum(len(bc.functions[name].quickened or ())
-               for name in bc.function_order)
-
-
-def disassemble(bc: BytecodeModule, quicken_report: bool = False) -> str:
-    """Human-readable listing of every canonical code stream.
-
-    Always renders the *canonical* words (``fn.code``), so the output is
-    byte-identical before and after execution regardless of quickening.
-    Fused superinstruction sites are marked ``; fused``; with
-    ``quicken_report`` each site the interpreter has quickened gains a
-    ``; quickened -> <mnemonic>`` annotation read from the (runtime-only)
-    execution stream.
-    """
+def disassemble(bc: BytecodeModule) -> str:
+    """Human-readable listing of every canonical code stream, with fused
+    superinstruction sites marked ``; fused``.  Running the module never
+    changes it."""
     lines = [f"module {bc.name}"]
     for name in bc.function_order:
         fn = bc.functions[name]
@@ -490,7 +382,6 @@ def disassemble(bc: BytecodeModule, quicken_report: bool = False) -> str:
                              for i, (tag, payload) in enumerate(fn.consts))
             lines.append(f"  consts: {pool}")
         code = fn.code
-        quickened = fn.quickened or {}
         pc = 0
         n = len(code)
         while pc < n:
@@ -502,9 +393,6 @@ def disassemble(bc: BytecodeModule, quicken_report: bool = False) -> str:
                 text += f" {operands}"
             if op in FUSED_KINDS:
                 text += "  ; fused"
-            if quicken_report and pc in quickened:
-                text += (f"  ; quickened -> "
-                         f"{OPCODE_NAMES.get(quickened[pc], '?')}")
             lines.append(text)
             pc += width
     return "\n".join(lines)

@@ -8,8 +8,8 @@ into a :class:`~repro.vm.bytecode.BytecodeModule`:
   function-pointer values are interned into a per-function const pool
   (resolved once at link time into the frame prototype); ``argN`` temps map
   onto the argument slots; every other temp gets a frame slot.  Operands in
-  the code stream are plain slot indices — the dispatch loop never looks at
-  a :class:`~repro.ir.values.Value` again.
+  the code stream are plain slot indices — the VM never looks at a
+  :class:`~repro.ir.values.Value` again.
 - **Pre-bound call targets.**  Direct calls are split at lowering time into
   ``OP_CALL`` (defined function, by function-table index),
   ``OP_CALL_BUILTIN`` (by builtin-table index, with the builtin's

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import bisect
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import BudgetExceeded, MemoryFault, TrapError, VMError

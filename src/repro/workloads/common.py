@@ -20,7 +20,7 @@ A workload builds different source variants per use case:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import WorkloadError

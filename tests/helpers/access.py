@@ -5,9 +5,11 @@ write function per scalar type and opcode form: the plain ``load`` /
 ``store``, the fused ``load.bin`` / ``bin.store`` and the probed
 ``probe.load`` / ``probe.store``.  Each function is one access at an
 address passed as its first argument, so every call of the same function
-goes through the same instruction and its entry in the interpreter's
-access cache.  :class:`AccessVM` runs them on one interpreter, whose
-memory tests allocate into directly.
+goes through the same instruction and its access-cache cell.
+:class:`AccessVM` runs them on one interpreter, whose memory tests
+allocate into directly, and keeps each function's compiled closure from
+its first run, so a site's cache lives across calls as it would within
+one run.
 """
 
 from array import array
@@ -81,13 +83,33 @@ def access_module() -> BytecodeModule:
     return bc
 
 
+def _cell(function, name):
+    """The value of ``function``'s closure variable ``name``."""
+    index = function.__code__.co_freevars.index(name)
+    return function.__closure__[index].cell_contents
+
+
+class _KeptClosures(BytecodeInterpreter):
+    """An interpreter that keeps each function's closure across runs."""
+
+    def __init__(self, bytecode: BytecodeModule) -> None:
+        super().__init__(bytecode)
+        self.closures = {}
+
+    def _instance(self, index, kind):
+        closure = self.closures.get(index)
+        if closure is None:
+            closure = self.closures[index] = super()._instance(index, kind)
+        return closure
+
+
 class AccessVM:
     """One interpreter over a fresh :func:`access_module`, running the
     ``form`` (a :data:`FORMS` key) of each access."""
 
     def __init__(self, form: str) -> None:
         self.form = form
-        self.vm = BytecodeInterpreter(access_module())
+        self.vm = _KeptClosures(access_module())
         self.memory = self.vm.memory
 
     def read(self, name: str, addr: int):
@@ -99,6 +121,12 @@ class AccessVM:
 
     def cached(self, kind: str, name: str):
         """The object the access cache holds for that function's
-        instruction."""
-        fn = self.vm.bytecode.functions[f"{kind}_{name}_{self.form}"]
-        return self.vm._access_objs[fn][0]
+        instruction (its one load or store site)."""
+        index = self.vm.bytecode.function_order.index(
+            f"{kind}_{name}_{self.form}")
+        closure = self.vm.closures[index]
+        sites = [_cell(closure, name) for name in closure.__code__.co_freevars
+                 if name.startswith("m")]
+        (site,) = [site for site in sites
+                   if "obj" in site.__code__.co_freevars]
+        return _cell(site, "obj")

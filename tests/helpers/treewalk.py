@@ -4,8 +4,8 @@
 :class:`~repro.ir.instructions.Instr` at a time, with an explicit frame
 stack and the same cost model and :class:`ExecutionHooks` call sequence
 as :class:`repro.vm.bcinterp.BytecodeInterpreter`.  It shares no code
-with the bytecode path (no codegen, no fusion, no quickening), so a run
-on it and a run on the dispatch loop must agree on results, costs,
+with the bytecode path (no codegen, no fusion, no generated Python), so a run
+on it and a run on the bytecode VM must agree on results, costs,
 instruction counts, hook events, budget trip points and trap messages.
 Its :meth:`Interpreter.enable_line_tracing` is the reference for the
 bytecode VM's per-source-line costs, and :func:`profile_treewalk` for

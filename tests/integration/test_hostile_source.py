@@ -216,7 +216,7 @@ def test_one_level_past_the_bound_is_a_located_syntax_error(tmp_path,
 # -- runaway recursion -----------------------------------------------------------
 
 #: Recursions with no base case: direct, mutual, and through a function
-#: pointer (``call.ind``, quickened on first execution).  With no depth
+#: pointer (``call.ind``).  With no depth
 #: budget each must still trip at the ceiling, not grow memory until the
 #: host kills the process.
 RUNAWAY = {
@@ -310,3 +310,139 @@ def test_depth_budget_above_the_ceiling_is_a_cli_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == (f"error: budget 'depth' must be <= {MAX_CALL_DEPTH} "
                    f"(the VM's call-depth ceiling), got {over}\n")
+
+
+def test_recursion_up_to_the_ceiling_runs_in_a_daemon_worker(tmp_path):
+    """Each MiniC frame is one Python frame: a worker thread must reach
+    the ceiling too, and trip one frame past it."""
+    deep = {"kind": "recommend", "name": "deep",
+            "source": _counting(MAX_CALL_DEPTH - 2),
+            "options": {"no_cache": True}}
+    over = dict(deep, source=_counting(MAX_CALL_DEPTH - 1))
+    with _Daemon(tmp_path) as server:
+        with ServiceClient(server.socket_path) as client:
+            ran = client.call(deep)
+            tripped = client.call(over)
+    assert ran["ok"] and ran["body"]["output"] == [str(MAX_CALL_DEPTH - 2)]
+    assert not tripped["ok"]
+    assert f"({MAX_CALL_DEPTH} frames)" in tripped["error"]["message"]
+
+
+# -- source that would break or inject into generated Python ----------------
+
+#: MiniC names that are Python keywords, builtins or the generator's own
+#: names, and a string that would close a triple-quoted literal and call
+#: ``__import__``.  None of it may reach the generated source text.
+INJECTION = r'''
+int lambda(int None) { int exec = None + 1; return exec; }
+int vm(int K) { return K * 2; }
+int main() {
+    int print = lambda(41);
+    int ic = vm(print);
+    print_str("\"\"\"\n__import__('os')");
+    print_int(print + ic);
+    return 0;
+}
+'''
+
+
+@pytest.mark.parametrize("vm", ENGINES)
+def test_hostile_names_and_strings_run_as_on_the_tree_walk(vm):
+    program = compile_carmot(INJECTION, name="injection")
+    with engine(vm):
+        result, _ = program.run()
+    assert result.output == ['"""\n__import__(\'os\')', "126"]
+
+
+def test_hostile_names_never_reach_the_generated_source():
+    from repro.vm.bcinterp import _Source
+
+    bc = lower_module(compile_carmot(INJECTION, name="injection").module)
+    interp = BytecodeInterpreter(bc)
+    for index, name in enumerate(bc.function_order):
+        for counted in (False, True):
+            text, _ = _Source(interp, bc.functions[name], index,
+                              counted).build()
+            for word in ("lambda", "None +", "exec", "__import__", '"""',
+                         "print_str", "'os'"):
+                assert word not in text, (name, word)
+
+
+# -- one function with thousands of basic blocks ------------------------------
+
+#: 2,500 sequential ``if``s: 5,000 basic blocks in one function, called
+#: from an ROI.  The condition reads an argument, so no pass can fold
+#: the branches away.
+MANY_BLOCKS = ("int count(int x) {\n  int y = 0;\n"
+               + "".join(f"  if (x > {i}) {{ y = y + 1; }}\n"
+                         for i in range(2500))
+               + "  return y;\n}\n"
+               + _roi("x = count(1234);", decls="int x; int c; int a[4];"))
+
+
+@pytest.fixture(scope="module")
+def many_blocks(tmp_path_factory):
+    """The tree-walk's output, CARMOT instruction count, and baseline and
+    CARMOT costs of :data:`MANY_BLOCKS`, and one artifact store for every
+    path (only the first request compiles the frontend)."""
+    from repro.compiler import compile_baseline
+
+    with engine("treewalk"):
+        result, _ = compile_carmot(MANY_BLOCKS, name="blocks").run()
+        baseline, _ = compile_baseline(MANY_BLOCKS, name="blocks").run()
+    assert result.output == ["1234"]
+    return {"output": result.output, "steps": result.instructions,
+            "baseline_cost": baseline.cost, "carmot_cost": result.cost,
+            "cache": str(tmp_path_factory.mktemp("blocks") / "cache")}
+
+
+def _many_blocks_requests(oracle):
+    """(request document, check of its response): the output, and the
+    baseline and CARMOT costs."""
+    base = {"source": MANY_BLOCKS, "name": "blocks"}
+
+    def output(doc):
+        assert doc["ok"] and doc["body"]["output"] == oracle["output"]
+
+    def costs(doc):
+        assert doc["ok"]
+        assert (doc["body"]["baseline_cost"], doc["body"]["carmot_cost"]) \
+            == (oracle["baseline_cost"], oracle["carmot_cost"])
+
+    return [(dict(base, kind="recommend"), output),
+            (dict(base, kind="overhead"), costs)]
+
+
+def test_many_blocks_through_the_service_core(many_blocks):
+    core = ServiceCore(cache_dir=many_blocks["cache"])
+    for request, check in _many_blocks_requests(many_blocks):
+        check(core.execute_doc(request))
+    # The instruction count, as the step budget sees it: the CARMOT run
+    # takes exactly ``steps`` instructions.
+    steps = many_blocks["steps"]
+    request = {"kind": "psec", "source": MANY_BLOCKS, "name": "blocks"}
+    assert core.execute_doc(dict(
+        request, options={"budget": f"steps={steps}"}))["ok"]
+    assert core.execute_doc(dict(
+        request, options={"budget": f"steps={steps - 1}"})) == \
+        error_response("psec", "error", "instruction budget exceeded")
+
+
+def test_many_blocks_through_the_daemon(tmp_path, many_blocks):
+    with _Daemon(tmp_path, cache_dir=many_blocks["cache"]) as server:
+        with ServiceClient(server.socket_path) as client:
+            for request, check in _many_blocks_requests(many_blocks):
+                check(client.call(request))
+
+
+def test_many_blocks_through_the_cli(tmp_path, capsys, many_blocks):
+    path = tmp_path / "blocks.mc"
+    path.write_text(MANY_BLOCKS)
+    cache = ["--cache-dir", many_blocks["cache"]]
+    assert main(["recommend", str(path), "--show-output"] + cache) == 0
+    out = capsys.readouterr().out
+    assert f"program output: {many_blocks['output'][0]}" in out
+    assert main(["overhead", str(path)] + cache) == 0
+    out = capsys.readouterr().out
+    assert f"baseline cost : {many_blocks['baseline_cost']}\n" in out
+    assert f"carmot        : {many_blocks['carmot_cost']}  " in out

@@ -125,3 +125,32 @@ def test_toggled_builds_identical_across_engines(toggle, name):
                 result.cost, result.instructions, result.access_counts)
 
     assert run("bytecode") == run("treewalk")
+
+
+#: The loop opt 2 (aggregation) is for: every iteration of an ROI loop
+#: reads ``data[i]`` and writes ``out[i]``, so one ranged probe per array
+#: could stand for the loop's accesses.
+AGGREGABLE = """
+int data[16];
+int out[16];
+int main() {
+    int r = 3;
+    for (int k = 0; k < 16; k = k + 1) { data[k] = k; }
+    #pragma carmot roi abstraction(parallel_for)
+    for (int i = 0; i < 16; i = i + 1) {
+        out[i] = data[i] + r;
+    }
+    print_int(out[15]);
+    return 0;
+}
+"""
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "opt 2 plans no ranged probe: lowering computes each array base "
+    "inside the loop body, so it is never available at the preheader "
+    "(DESIGN.md §10); a fix must flip this test"))
+def test_aggregation_plans_a_ranged_probe():
+    result, runtime = compile_carmot(AGGREGABLE, name="aggregable").run()
+    assert result.output == ["18"]
+    assert runtime.stats.aggregated_events > 0

@@ -121,15 +121,15 @@ def test_pointer_chase_identical_across_engines(seed, fold_name):
                for key, entry in psec.entries.items())
 
 
-# -- tier-2 re-entry: quickening must stay observationally invisible ----------
+# -- re-entry: compiled code must stay observationally invisible -------------
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_tier2_reentry_identical_across_engines(seed):
     """Every seeded program goes through tier-2 twice in the same
-    process: cold (fusion only — quickening happens as functions are
-    first entered) and re-entered (the whole execution stream is already
-    quickened).  Both runs must match the tree-walk oracle exactly."""
+    process: cold (each function compiles as it is first entered) and
+    re-entered (every function already compiled).  Both runs must match
+    the tree-walk oracle exactly."""
     source = _random_program(seed)
     program = compile_baseline(source, name=f"requick{seed}")
     oracle = _run_state(_run(program, "treewalk")[0])
@@ -151,8 +151,8 @@ def test_tier2_reentry_instrumented_profiles(seed):
         return (serialize_profile(runtime, result), _run_state(result))
 
     oracle = run("treewalk")
-    assert run("bytecode") == oracle  # cold: fused, quickens on entry
-    assert run("bytecode") == oracle  # warm: fully quickened stream
+    assert run("bytecode") == oracle  # cold: compiles on entry
+    assert run("bytecode") == oracle  # warm: already compiled
 
 
 # -- oracles against production ------------------------------------------------

@@ -1,10 +1,10 @@
 """The VM's per-run load/store object cache.
 
-Every load and store instruction tests the object it resolved last
-before asking ``Memory._resolve``.  The cache belongs to one interpreter:
-the execution streams are shared by every interpreter over a module, and
-a second run places its globals at the same addresses, so a cached object
-from an earlier run would pass the bounds check and serve stale bytes.
+Every load and store site tests the object it resolved last before
+asking ``Memory._resolve``.  The cache belongs to one run: the compiled
+code is shared by every run over a module, and a second run places its
+globals at the same addresses, so a cached object from an earlier run
+would pass the bounds check and serve stale bytes.
 Each case here runs on the bytecode VM and on the tree-walk oracle (which
 has no such cache) and must agree with it exactly, faults included.
 """
@@ -13,7 +13,6 @@ from repro.compiler import compile_baseline, compile_carmot
 from repro.errors import MemoryFault
 from repro.parallel.profile import ProfilingHooks
 from repro.vm import BytecodeInterpreter, run_module
-from repro.vm.bytecode import dequicken_module, quickened_op_count
 from repro.vm.codegen import lower_module
 from tests.helpers.streams import psec_digest
 from tests.helpers.treewalk import Interpreter, run_treewalk
@@ -59,11 +58,12 @@ class TestSharedModule:
         bc = lower_module(compile_baseline(SHARED).module)
         one = BytecodeInterpreter(bc)
         two = BytecodeInterpreter(bc)
-        assert one._access_objs is not two._access_objs
         one.run()
-        assert not any(obj.size for objs in two._access_objs.values()
-                       for obj in objs)
+        compiled = bc.functions["main"].compiled["fast"]
         assert two.run().output == ["91", "91"]
+        # One compiled function, two runs, two caches: the second run
+        # reused the code and still resolved its own objects.
+        assert bc.functions["main"].compiled["fast"] is compiled
 
 
 def _both(source):
@@ -219,23 +219,23 @@ int main() {
 
 
 class TestLineTracing:
-    def test_traced_run_after_a_dequicken_sees_canonical_pcs(self):
+    def test_traced_run_after_a_fast_run_sees_canonical_pcs(self):
+        """A line-traced run over a module whose fast form already ran
+        charges exactly the oracle's lines, at instruction starts only,
+        and the fast form still runs correctly after it."""
         program = compile_baseline(SHARED)
         bc = lower_module(program.module)
         run_module(program.module, bytecode=bc)
-        assert quickened_op_count(bc) > 0
         vm = BytecodeInterpreter(bc, ProfilingHooks(program.module))
         costs = vm.enable_line_tracing()
-        assert quickened_op_count(bc) == 0
         vm.run()
         oracle = Interpreter(program.module, ProfilingHooks(program.module))
         oracle.enable_line_tracing()
         oracle.run()
         assert costs == oracle.line_costs
-        for fn, pcs in vm._line_tracer._pc_costs.items():
+        tracer = vm._line_tracer
+        for fn, pcs in zip(tracer._functions, tracer._pc_costs):
             assert pcs and set(pcs) <= set(fn.lines)
-            assert all(fn.xcode[pc][0] == fn.code[pc] for pc in pcs)
-        dequicken_module(bc)
         assert run_module(program.module, bytecode=bc).output == \
             run_treewalk(program.module).output
 

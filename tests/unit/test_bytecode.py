@@ -1,5 +1,5 @@
 """Unit tests for the register-bytecode layer: codegen layout, constant
-interning, artifact round-trips, and the dispatch loop's observable
+interning, artifact round-trips, and the compiled VM's observable
 contract (budgets, traps, tracing, line costs) against the tree-walk
 oracle."""
 
@@ -17,19 +17,15 @@ from repro.resilience.budgets import ExecutionBudgets
 from repro.vm.bytecode import (
     OP_PHI,
     OPCODE_NAMES,
-    QUICKENED_OPCODES,
     BytecodeError,
     BytecodeFunction,
     BytecodeModule,
     BytecodeSerializeError,
     bytecode_digest,
-    dequicken_module,
     deserialize_bytecode,
     disassemble,
-    execution_stream,
     fused_site_counts,
     instr_width,
-    quickened_op_count,
     serialize_bytecode,
 )
 from repro.parallel.profile import ProfilingHooks, profile_execution
@@ -54,6 +50,25 @@ int main() {
     }
     print_int(acc);
     return acc % 100;
+}
+"""
+
+
+#: Calls, a loop with phis, loads, stores and a division, in a ROI.
+BUDGETED = """
+int g[4];
+int sq(int v) { return v * v; }
+int main() {
+    int s = 0;
+    for (int i = 0; i < 6; i = i + 1) {
+        #pragma carmot roi abstraction(parallel_for)
+        {
+            g[i % 4] = g[i % 4] + sq(i);
+            s = s + g[i % 4] / (i + 1);
+        }
+    }
+    print_int(s);
+    return 0;
 }
 """
 
@@ -187,6 +202,35 @@ class TestDispatchContract:
         assert outcomes["treewalk"] is not None
         assert outcomes["treewalk"] == outcomes["bytecode"]
 
+    @pytest.mark.parametrize("compile_", [compile_baseline, compile_carmot])
+    def test_fast_and_counted_forms_trip_at_every_budget(self, compile_):
+        """The fast form counts per segment and hands off to the counted
+        form near the budget; a line-traced run uses the counted form
+        throughout.  At every step budget both leave the same outcome,
+        counters and access counts."""
+        program = compile_(BUDGETED, name="budgeted")
+        bc = lower_module(program.module)
+
+        def outcome(steps, counted):
+            hooks = (None if program.mode is BuildMode.BASELINE
+                     else program.make_runtime()[1])
+            interp = BytecodeInterpreter(bc, hooks, budgets=ExecutionBudgets(
+                max_steps=steps, max_heap_bytes=0, max_recursion_depth=0))
+            if counted:
+                interp.enable_line_tracing()
+            try:
+                result = interp.run().output
+            except BudgetExceeded as error:
+                result = str(error)
+            return (result, interp.instructions, interp.cost,
+                    interp.access_counts)
+
+        unbudgeted = outcome(0, False)
+        assert unbudgeted[0] == run_treewalk(program.module).output == ["10"]
+        total = unbudgeted[1]
+        for steps in range(1, total + 2):
+            assert outcome(steps, False) == outcome(steps, True), steps
+
     def test_trap_messages_match_the_tree_walk(self):
         source = """
         int main() {
@@ -245,7 +289,7 @@ class TestDispatchContract:
         assert any("main:" in line for line in lines)
 
 
-# -- tier 2: superinstruction fusion and opcode quickening --------------------
+# -- tier 2: superinstruction fusion ------------------------------------------
 
 
 class TestTier2:
@@ -268,57 +312,20 @@ class TestTier2:
         bc = lower_module(program.module)
         assert fused_site_counts(bc)["probe_access"] >= 1
 
-    def test_quickening_is_observationally_invisible(self):
-        """Serialized payload and canonical disassembly are byte-identical
-        before and after a run that quickened the execution stream."""
+    def test_running_is_observationally_invisible(self):
+        """Serialized payload and disassembly are byte-identical before
+        and after a run that compiled the functions; the compiled forms
+        never reach a serialized artifact."""
         program = compile_baseline(SCALAR)
         bc = lower_module(program.module)
         payload = serialize_bytecode(bc)
         listing = disassemble(bc)
         run_module(program.module, bytecode=bc)
-        assert quickened_op_count(bc) > 0
+        assert bc.functions["main"].compiled
         assert serialize_bytecode(bc) == payload
         assert disassemble(bc) == listing
-
-    def test_quickened_opcodes_never_reach_the_canonical_stream(self):
-        program = compile_baseline(SCALAR)
-        bc = lower_module(program.module)
-        run_module(program.module, bytecode=bc)
-        for name in bc.function_order:
-            fn = bc.functions[name]
-            pc = 0
-            while pc < len(fn.code):
-                assert fn.code[pc] not in QUICKENED_OPCODES
-                pc += instr_width(fn.code, pc)
-
-    def test_dequicken_restores_canonical_execution_stream(self):
-        program = compile_baseline(SCALAR)
-        bc = lower_module(program.module)
-        run_module(program.module, bytecode=bc)
-        n = quickened_op_count(bc)
-        assert n > 0
-        assert dequicken_module(bc) == n
-        assert bc.dequicken_count == n
-        for name in bc.function_order:
-            fn = bc.functions[name]
-            assert fn.xcode == execution_stream(fn)
-            assert not fn.xquick and fn.quickened is None
-        assert not bc._quick_targets
-        # A fresh run re-quickens from scratch and stays correct.
-        a = run_module(program.module, bytecode=bc)
-        b = run_treewalk(program.module)
-        assert (a.output, a.cost, a.instructions) == \
-            (b.output, b.cost, b.instructions)
-
-    def test_quicken_report_annotates_without_mutating_canonical(self):
-        program = compile_baseline(SCALAR)
-        bc = lower_module(program.module)
-        run_module(program.module, bytecode=bc)
-        report = disassemble(bc, quicken_report=True)
-        assert "; quickened ->" in report
-        stripped = "\n".join(line.split("  ; quickened ->")[0]
-                             for line in report.splitlines())
-        assert stripped == disassemble(bc)
+        restored = deserialize_bytecode(payload)
+        assert not any(fn.compiled for fn in restored.functions.values())
 
 
 # -- per-source-line costs (the Figure 6 profiler) ----------------------------
@@ -377,19 +384,21 @@ class TestLineTracer:
                  for pc, loc in fn.lines.items() if type(loc) is tuple}
         assert split == {"lt.br", "bin.store", "load.bin"}
 
-    def test_traced_run_does_not_quicken_and_untraced_run_does(self):
+    def test_traced_and_untraced_runs_share_one_module(self):
+        """A line-traced run uses the counted form and an untraced run
+        the fast form of the same functions; each matches the oracle
+        whichever ran first."""
         program = compile_baseline(SCALAR)
         bc = lower_module(program.module)
-        run_module(program.module, bytecode=bc)
-        assert quickened_op_count(bc) > 0
-        interp = BytecodeInterpreter(bc, ProfilingHooks(program.module))
-        interp.enable_line_tracing()
-        interp.run()
-        assert quickened_op_count(bc) == 0
-        assert all(fn.xcode == execution_stream(fn)
-                   for fn in bc.functions.values())
-        run_module(program.module, bytecode=bc)
-        assert quickened_op_count(bc) > 0
+        oracle = run_treewalk(program.module)
+        want = (oracle.output, oracle.cost, oracle.instructions)
+        for traced in (False, True, False):
+            interp = BytecodeInterpreter(bc, ProfilingHooks(program.module))
+            if traced:
+                interp.enable_line_tracing()
+            result = interp.run()
+            assert (result.output, result.cost, result.instructions) == want
+        assert set(bc.functions["main"].compiled) == {"fast", "counted"}
 
     def test_profile_execution_totals_match_the_traced_run(self):
         program = compile_baseline(SCALAR)

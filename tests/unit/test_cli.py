@@ -167,6 +167,21 @@ class TestErrors:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [
+        ["dis", "{src}"],
+        ["request", "--socket", "{sock}", "dis", "{src}"],
+    ])
+    def test_quicken_report_is_a_usage_error(self, source_file, tmp_path,
+                                             capsys, command):
+        argv = [word.format(src=source_file, sock=tmp_path / "none.sock")
+                for word in command]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--quicken-report"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --quicken-report" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flags", [
         ["--budget", "heartbeat=25"],
         ["--budget", "worker-deadline=10000"],

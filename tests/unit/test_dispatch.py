@@ -1,141 +1,142 @@
-"""Dispatch coverage of the bytecode engine.
+"""Structure of the compiled form of the bytecode engine.
 
-``BytecodeInterpreter._execute`` runs the hot opcodes in an inline
-``if``/``elif`` chain, ordered hottest first, and sends the rest through
-a dense handler table.  Reordering the chain must never drop an opcode,
-handle one twice, or put one behind a guard it cannot pass, and every
-handler reads its operands from the one instruction tuple the loop head
-fetched.
+Each MiniC function compiles, on first entry, to one Python function.
+Its generator must handle every canonical opcode, keep block dispatch
+shallow however many blocks a function has, and follow the memory rules:
+compile only what runs, keep no source text, register nothing in
+``linecache``, give generated code globals that hold neither the
+interpreter nor the module, and leave nothing of a finished run that
+only the cycle collector could free.
 """
 
 import ast
+import gc
 import inspect
+import linecache
+import math
+import re
 import textwrap
+import weakref
 
-from repro.compiler import compile_carmot
+import pytest
+
+from repro.compiler import compile_baseline, compile_carmot
 from repro.vm import bcinterp, bytecode
-from repro.vm.bcinterp import BytecodeInterpreter
-from repro.vm.bytecode import OPCODE_NAMES
+from repro.vm.bcinterp import BytecodeInterpreter, _Source
+from repro.vm.bytecode import OPCODE_NAMES, BytecodeFunction, BytecodeModule
 from repro.vm.codegen import lower_module
 
-
-def _opcode(node):
-    assert isinstance(node, ast.Name), ast.dump(node)
-    return getattr(bytecode, node.id)
-
-
-def _chain(node):
-    """Walk one ``if``/``elif`` chain: yields ``(test, body)`` pairs and
-    finally ``(None, else_body)``."""
-    while True:
-        yield node.test, node.body
-        if len(node.orelse) == 1 and isinstance(node.orelse[0], ast.If):
-            node = node.orelse[0]
-        else:
-            yield None, node.orelse
-            return
+TWO_FUNCTIONS = """
+int used(int x) { return x + 1; }
+int unused(int x) { return x * 2; }
+int main() { print_int(used(4)); return 0; }
+"""
 
 
-def _is_op_test(test, comparator):
-    return (isinstance(test, ast.Compare)
-            and isinstance(test.left, ast.Name) and test.left.id == "op"
-            and len(test.ops) == 1 and isinstance(test.ops[0], comparator))
+def _if_depth(node, depth=0):
+    """Deepest nesting of ``if`` statements under ``node``."""
+    here = depth + isinstance(node, ast.If)
+    return max([here] + [_if_depth(child, here)
+                         for child in ast.iter_child_nodes(node)])
 
 
-def _execute_tree():
-    source = textwrap.dedent(inspect.getsource(BytecodeInterpreter._execute))
-    return ast.parse(source)
+def _source(program_source, name, counted=False, compile_=compile_baseline):
+    bc = lower_module(compile_(program_source).module)
+    vm = BytecodeInterpreter(bc)
+    index = bc.function_order.index(name)
+    text, consts = _Source(vm, bc.functions[name], index, counted).build()
+    return text, consts
 
 
-def _inline_opcodes():
-    """Map each inline-handled opcode to the range guards it sits under."""
-    tree = _execute_tree()
-    top = next(
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.If) and _is_op_test(node.test, ast.GtE)
-    )
-    handled = []
-    for test, body in _chain(top):
-        if test is None:
-            continue
-        if _is_op_test(test, ast.Eq):
-            handled.append((_opcode(test.comparators[0]), None))
-            continue
-        # A range guard (``op >= OP_ADD`` / ``op <= OP_PHI``) opens a
-        # sub-chain of equality tests.
-        assert _is_op_test(test, (ast.GtE, ast.LtE)), ast.dump(test)
-        guard = (type(test.ops[0]), _opcode(test.comparators[0]))
-        (inner,) = body
-        for sub_test, _ in _chain(inner):
-            if sub_test is not None:
-                assert _is_op_test(sub_test, ast.Eq), ast.dump(sub_test)
-                handled.append((_opcode(sub_test.comparators[0]), guard))
-    return handled
+def test_every_opcode_has_a_generator():
+    """``_Source._op`` names every canonical opcode (the fused
+    compare-branches through their table)."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(bcinterp._Source._op)))
+    named = {getattr(bytecode, node.id) for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id.startswith("OP_")}
+    handled = named | set(bcinterp._CMP_BR) | set(range(
+        bytecode.OP_ADD, bytecode.OP_SHR + 1))
+    assert set(OPCODE_NAMES) <= handled
 
 
-def _cold_handlers():
-    program = compile_carmot("int main() { return 0; }", name="dispatch")
-    vm = BytecodeInterpreter(lower_module(program.module))
-    return [(op, handler) for op, handler in enumerate(vm._cold_table)
-            if handler is not None]
+def test_block_dispatch_nests_logarithmically():
+    blocks = 400
+    body = "".join(f"if (x > {i}) {{ y = y + 1; }}\n" for i in range(blocks))
+    source = ("int count(int x) { int y = 0;\n" + body + "return y; }\n"
+              "int main() { print_int(count(7)); return 0; }")
+    for counted in (False, True):
+        text, _ = _source(source, "count", counted)
+        depth = _if_depth(ast.parse(text))
+        assert depth <= 2 * math.log2(3 * blocks) + 4, depth
 
 
-def _cold_opcodes():
-    return [op for op, _ in _cold_handlers()]
+def test_functions_that_never_run_are_never_compiled():
+    bc = lower_module(compile_baseline(TWO_FUNCTIONS).module)
+    assert BytecodeInterpreter(bc).run().output == ["5"]
+    assert set(bc.functions["used"].compiled) == {"fast"}
+    assert set(bc.functions["main"].compiled) == {"fast"}
+    assert not bc.functions["unused"].compiled
 
 
-def test_every_opcode_is_handled_exactly_once():
-    inline = [op for op, _ in _inline_opcodes()]
-    cold = _cold_opcodes()
-    handled = inline + cold
-    assert len(handled) == len(set(handled)), "an opcode is handled twice"
-    assert set(handled) == set(OPCODE_NAMES)
+def test_no_source_kept_and_nothing_in_linecache():
+    before = set(linecache.cache)
+    bc = lower_module(compile_carmot(TWO_FUNCTIONS).module)
+    BytecodeInterpreter(bc).run()
+    assert set(linecache.cache) == before
+    for fn in bc.functions.values():
+        for _, factory, consts in fn.compiled.values():
+            assert factory.__code__.co_filename == "<bytecode>"
+            assert not any(isinstance(value, str) and "def " in value
+                           for value in consts)
 
 
-def test_every_inline_opcode_passes_its_guard():
-    guards = [guard for _, guard in _inline_opcodes() if guard is not None]
-    ge_bound = next(bound for kind, bound in guards if kind is ast.GtE)
-    le_bound = next(bound for kind, bound in guards if kind is ast.LtE)
-    for op, guard in _inline_opcodes():
-        if guard is None:
-            # Reached only after both range guards failed.
-            assert le_bound < op < ge_bound, OPCODE_NAMES[op]
-        elif guard[0] is ast.GtE:
-            assert op >= guard[1], OPCODE_NAMES[op]
-        else:
-            assert op <= guard[1] and not op >= ge_bound, OPCODE_NAMES[op]
+def test_generated_code_holds_no_interpreter_or_module():
+    bc = lower_module(compile_carmot(TWO_FUNCTIONS).module)
+    BytecodeInterpreter(bc).run()
+    forbidden = (BytecodeInterpreter, BytecodeModule, BytecodeFunction)
+    for fn in bc.functions.values():
+        for _, factory, consts in fn.compiled.values():
+            assert factory.__globals__ is bcinterp._GEN_GLOBALS
+            values = list(factory.__globals__.values()) + list(consts)
+            assert not any(isinstance(value, forbidden) for value in values)
 
 
-def test_hot_chains_lead_with_the_hottest_opcodes():
-    # The order is fixed by two measured dynamic opcode mixes (DESIGN.md
-    # §12): loop induction and control lead the high chain, address
-    # arithmetic the low chain, and the probed load/store sit in the
-    # first half of the high chain, not at its end.
-    inline = _inline_opcodes()
-    high = [op for op, guard in inline
-            if guard is not None and guard[0] is ast.GtE]
-    low = [op for op, guard in inline
-           if guard is not None and guard[0] is ast.LtE]
-    assert high[:4] == [bcinterp.OP_ADD_QI, bcinterp.OP_JUMP_PHI,
-                        bcinterp.OP_MUL_QI, bcinterp.OP_LT_BR_QI]
-    assert high.index(bcinterp.OP_PROBE_STORE) < len(high) // 2
-    assert low[0] == bcinterp.OP_ADDR
+def test_fused_compare_writes_its_result_only_when_read():
+    source = """
+    int main() {
+        int i = 0;
+        int s = 0;
+        while (i < 10) { s = s + i; i = i + 1; }
+        print_int(s);
+        return 0;
+    }
+    """
+    text, _ = _source(source, "main")
+    assert not re.search(r"\br\d+ = [01]$", text, re.M)
 
 
-def test_each_dispatch_decodes_one_instruction_tuple():
-    # The loop head fetches the instruction's tuple once; handlers
-    # unpack operands from it and never read operand words at
-    # ``code[pc + k]``.  The only other read of the stream is
-    # ``jump.phi`` fetching its target trampoline's tuple.
-    tree = _execute_tree()
-    loop = next(node for node in ast.walk(tree)
-                if isinstance(node, ast.While))
-    assert [ast.unparse(stmt) for stmt in loop.body[:2]] == [
-        "ins = code[pc]", "op = ins[0]"]
-    reads = [ast.unparse(node) for node in ast.walk(tree)
-             if isinstance(node, ast.Subscript)
-             and isinstance(node.value, ast.Name) and node.value.id == "code"]
-    assert sorted(set(reads)) == ["code[ins[1]]", "code[pc]"]
-    for op, handler in _cold_handlers():
-        params = list(inspect.signature(handler).parameters)
-        assert params[:2] == ["pc", "ins"], OPCODE_NAMES[op]
+@pytest.mark.parametrize("compile_", [compile_baseline, compile_carmot])
+def test_a_finished_run_is_freed_by_reference_counting(compile_,
+                                                       monkeypatch):
+    program = compile_(TWO_FUNCTIONS)
+    program.bytecode = lower_module(program.module)
+    interpreters = []
+    real_run = BytecodeInterpreter.run
+
+    def run(self, *args, **kwargs):
+        interpreters.append(weakref.ref(self))
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(BytecodeInterpreter, "run", run)
+    module = weakref.ref(program.bytecode)
+    gc.collect()
+    gc.disable()
+    try:
+        outcome = program.run()
+        assert outcome[0].output == ["5"]
+        del outcome
+        program.bytecode = None
+        assert interpreters and interpreters[0]() is None
+        assert module() is None
+    finally:
+        gc.enable()

@@ -134,14 +134,23 @@ class TestTypeChecking:
         with pytest.raises(SemanticError):
             check("int g = 1 + 2;")
 
+    #: Two functions of one type, so that a conditional can pick one
+    #: and call it through the resulting function pointer.
+    POINTER_PAIR = ("int f(int a) { return a + 1; }\n"
+                    "int g(int a) { return a * 2; }\n")
+
     def test_function_pointer_call(self):
-        check(
-            "int inc(int x) { return x + 1; }\n"
-            "int apply(int (*)(int) fp, int v);\n"
-        ) if False else None
-        # MiniC spells function pointers through address-of + variables of
-        # function type are not declarable; calls through expressions of
-        # pointer-to-function type are checked via builtins instead.
+        result = check(self.POINTER_PAIR + "int main() { int c = 1; "
+                       "int x = 3; return (c ? &f : &g)(x); }")
+        call = result.functions["main"].definition.body.stmts[-1].value
+        assert call.ctype == ct.INT
+        assert call.callee.ctype == ct.PointerType(
+            ct.FunctionType(ct.INT, (ct.INT,)))
+
+    def test_function_pointer_call_checks_its_arguments(self):
+        with pytest.raises(SemanticError, match="call expects 1 args, got 2"):
+            check(self.POINTER_PAIR + "int main() { int c = 1; "
+                  "return (c ? &f : &g)(1, 2); }")
 
     def test_expression_ctype_filled(self):
         result = check("int f(int a) { return a + 2; }")

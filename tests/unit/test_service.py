@@ -9,6 +9,7 @@ wire framing (:mod:`repro.service.wire`), and the render layer
 import hashlib
 import io
 import json
+import re
 import socket
 from pathlib import Path
 
@@ -87,6 +88,21 @@ REMOVED_OPTIONS = [
     ({"prescreen": "yes"}, "unknown run option(s): prescreen"),
 ]
 
+#: Request fields off the wire that name removed knobs: the quickening
+#: report of ``dis`` (whatever value it carries).
+REMOVED_FIELDS = [
+    ({"kind": "dis", "quicken_report": True},
+     "unknown request field(s): quicken_report"),
+    ({"kind": "dis", "quicken_report": False},
+     "unknown request field(s): quicken_report"),
+    ({"kind": "dis", "quicken_report": "false"},
+     "unknown request field(s): quicken_report"),
+    ({"kind": "dis", "quicken_report": None},
+     "unknown request field(s): quicken_report"),
+    ({"kind": "psec", "quicken_report": True},
+     "unknown request field(s): quicken_report"),
+]
+
 #: Run options off the wire whose values do not match the option's type
 #: (or, for ``budget``, its syntax): each is a request error, never an
 #: ``internal`` one, and never silently accepted.
@@ -154,7 +170,7 @@ class TestRequestDocs:
             PsecRequest(source="s", name="p",
                         options=RunOptions(no_cache=True)),
             IrRequest(source="s", mode="carmot"),
-            DisRequest(source="s", quicken_report=True),
+            DisRequest(source="s", mode="naive"),
         ]
         for request in requests:
             doc = json.loads(json.dumps(request.to_doc()))
@@ -180,12 +196,15 @@ class TestRequestDocs:
             parse_request_doc({"kind": "dis", "source": "s",
                                "mode": "plain"})
 
-    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
-    def test_quicken_report_must_be_a_boolean(self, value):
+    @pytest.mark.parametrize("doc, message", REMOVED_FIELDS)
+    def test_removed_request_fields_are_unknown(self, doc, message):
+        with pytest.raises(ReproError, match=f"^{re.escape(message)}$"):
+            parse_request_doc({"source": "s", **doc})
+
+    def test_unknown_request_field_rejected(self):
         with pytest.raises(ReproError,
-                           match="'quicken_report' must be a boolean, got"):
-            parse_request_doc({"kind": "dis", "source": "s",
-                               "quicken_report": value})
+                           match=r"^unknown request field\(s\): warp$"):
+            parse_request_doc({"kind": "psec", "source": "s", "warp": 9})
 
 
 class TestServiceCore:
@@ -246,6 +265,14 @@ class TestServiceCore:
                                 "name": "unit", "options": options})
         assert doc == error_response("psec", "error", doc["error"]["message"])
         assert message in doc["error"]["message"]
+
+    @pytest.mark.parametrize("doc, message", REMOVED_FIELDS)
+    def test_removed_fields_get_error_envelope(self, tmp_path, doc,
+                                               message):
+        core = ServiceCore(cache_dir=str(tmp_path / "cache"))
+        response = core.execute_doc({"source": ROI_SOURCE, "name": "unit",
+                                     **doc})
+        assert response == error_response(doc["kind"], "error", message)
 
     def test_namespaced_cores_do_not_share_cache(self, tmp_path):
         cache = str(tmp_path / "cache")
