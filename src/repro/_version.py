@@ -18,10 +18,12 @@ IR_SCHEMA_VERSION = 1
 PROFILE_SCHEMA_VERSION = 1
 
 #: Format version of serialized register bytecode
-#: (:mod:`repro.vm.bytecode`).  v2: tier-2 superinstructions — fused
-#: cmp+branch / load+binop / binop+store / probe+access opcodes appear in
+#: (:mod:`repro.vm.bytecode`).  v2: fused cmp+branch / load+binop /
+#: binop+store / probe+access superinstructions (opcodes 40-49) appear in
 #: canonical code streams, so v1 artifacts must never be decoded as v2.
-BYTECODE_SCHEMA_VERSION = 2
+#: v3: the superinstructions are gone — one opcode per IR instruction,
+#: 40-49 retired — so v2 streams, which carry them, must miss.
+BYTECODE_SCHEMA_VERSION = 3
 
 #: Layout version of the on-disk artifact store
 #: (:mod:`repro.session.store`).

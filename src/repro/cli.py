@@ -10,8 +10,7 @@ Subcommands:
 - ``psec``      — print the raw Sets of every ROI;
 - ``overhead``  — compare baseline/naive/CARMOT cost on the program;
 - ``ir``        — dump the (optionally instrumented) IR;
-- ``dis``       — disassemble the lowered register bytecode (fused sites
-  marked);
+- ``dis``       — disassemble the lowered register bytecode;
 - ``serve``     — long-lived profiling daemon on a Unix socket
   (``--stats``/``--shutdown`` talk to a running daemon);
 - ``request``   — send one request to a running daemon and print the
@@ -250,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--trace", action="store_true",
             help="stream an execution trace to stderr — one line per "
-                 "dispatched opcode; implies --no-cache (the trace only "
-                 "exists on a live run)",
+                 "bytecode instruction; implies --no-cache (the trace "
+                 "only exists on a live run)",
         )
 
     rec = sub.add_parser("recommend", help="print recommendations (default)")

@@ -235,6 +235,16 @@ def simplify_cfg(function: Function) -> int:
     before = len(function.blocks)
     function.remove_unreachable_blocks()
     changes += before - len(function.blocks)
+    # A folded branch or a dropped block leaves φ incomings from blocks
+    # that no longer jump here.
+    preds = function.predecessors()
+    for block in function.blocks:
+        for instr in block.instrs:
+            if isinstance(instr, Phi):
+                for pred in list(instr.incomings):
+                    if pred not in preds[block]:
+                        del instr.incomings[pred]
+                        changes += 1
     return changes
 
 

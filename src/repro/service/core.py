@@ -28,7 +28,6 @@ downstream; only this wire shape is normalized.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 from typing import Dict, List, Optional
 
@@ -120,34 +119,13 @@ def error_response(kind: Optional[str], error_type: str,
     }
 
 
-def _tier2_line(program: CompiledProgram) -> Optional[str]:
-    """Codegen fusion counters, one greppable line."""
-    from repro.vm.bytecode import fused_site_counts
-
-    bc = getattr(program, "bytecode", None) \
-        or getattr(program.module, "_bytecode", None)
-    if bc is None:
-        return None
-    fused = fused_site_counts(bc)
-    return (f"tier2: fused_sites={fused['total']} "
-            f"(cmp_br={fused['cmp_br']} load_bin={fused['load_bin']} "
-            f"bin_store={fused['bin_store']} "
-            f"probe_access={fused['probe_access']})")
-
-
 def _pass_stats_block(options: RunOptions,
                       program: CompiledProgram) -> Optional[str]:
-    """The exact stdout block ``--print-pass-stats`` historically emitted
-    (report, optional tier-2 line, trailing blank line)."""
+    """The stdout block ``--print-pass-stats`` emits: the report and a
+    trailing blank line."""
     if not options.print_pass_stats or program.pass_report is None:
         return None
-    out = io.StringIO()
-    print(program.pass_report.render(), file=out)
-    tier2 = _tier2_line(program)
-    if tier2 is not None:
-        print(tier2, file=out)
-    print(file=out)
-    return out.getvalue()
+    return program.pass_report.render() + "\n\n"
 
 
 class ServiceCore:

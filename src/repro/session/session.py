@@ -11,7 +11,7 @@ stages backed by the content-addressed :class:`ArtifactStore`:
     frontend artifact digest, the parsed pass list, options, and the
     registry fingerprint;
 ``codegen``
-    bytecode lowering → the register bytecode the dispatch-loop VM
+    bytecode lowering → the register bytecode the VM compiles and
     executes, keyed on the post-pipeline IR digest alone;
 ``profile``
     execute + characterize → the full profile (PSECs, ASMT, degradation,

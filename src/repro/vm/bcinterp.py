@@ -76,7 +76,6 @@ from repro.lang import types as ct
 from repro.resilience.budgets import MAX_CALL_DEPTH, ExecutionBudgets
 from repro.vm.builtins import BUILTIN_IMPLS, Xorshift64
 from repro.vm.bytecode import (
-    FUSED_CMP_BR,
     OPCODE_NAMES,
     BytecodeError,
     BytecodeFunction,
@@ -85,7 +84,6 @@ from repro.vm.bytecode import (
     OP_ADDR,
     OP_ALLOCA,
     OP_AND,
-    OP_BIN_STORE,
     OP_BR,
     OP_CALL,
     OP_CALL_BUILTIN,
@@ -99,7 +97,6 @@ from repro.vm.bytecode import (
     OP_JUMP,
     OP_LE,
     OP_LOAD,
-    OP_LOAD_BIN,
     OP_LT,
     OP_MUL,
     OP_NE,
@@ -111,8 +108,6 @@ from repro.vm.bytecode import (
     OP_PROBE_ACCESS,
     OP_PROBE_CLASSIFY,
     OP_PROBE_ESCAPE,
-    OP_PROBE_LOAD,
-    OP_PROBE_STORE,
     OP_REM,
     OP_RET,
     OP_ROI_BEGIN,
@@ -152,18 +147,14 @@ _MEM_ACCESS = 1 << _ACC_SHIFT
 #: highest address and object, matching no address.
 _NO_SITE = (0, -1, MemoryObject(0, 0, 0, "global", bytearray()))
 
-_CMP_BR = {fused: cmp for cmp, fused in FUSED_CMP_BR.items()}
 _CMP_TEXT = {OP_EQ: "==", OP_NE: "!=", OP_LT: "<", OP_LE: "<=",
              OP_GT: ">", OP_GE: ">="}
 _NAME = re.compile(r"[A-Za-z_]\w*")
-_TERMINATORS = frozenset((OP_JUMP, OP_BR, OP_RET, OP_PHI, *_CMP_BR))
+_TERMINATORS = frozenset((OP_JUMP, OP_BR, OP_RET, OP_PHI))
 #: Bounds on inlining blocks at their only predecessor: branch arms
 #: nested into one another, and blocks inlined in a row.
 _INLINE_NEST = 8
 _INLINE_CHAIN = 32
-#: Opcodes that count as two IR instructions.
-_FUSED = frozenset((OP_LOAD_BIN, OP_BIN_STORE, OP_PROBE_LOAD,
-                    OP_PROBE_STORE, *_CMP_BR))
 
 
 def _div_zero(loc):
@@ -209,8 +200,7 @@ def _missing(name):
 _GEN_GLOBALS = {
     "__builtins__": {}, "int": int, "float": float, "abs": abs, "len": len,
     "BaseException": BaseException, "OverflowError": OverflowError,
-    "locals": locals,
-    "BE": BudgetExceeded, "to_int": to_int, "DZ": _div_zero, "MZ": _mod_zero,
+    "locals": locals, "to_int": to_int, "DZ": _div_zero, "MZ": _mod_zero,
     "DIV": _div, "REM": _rem, "FO": _float_overflow, "MISS": _missing,
 }
 
@@ -238,9 +228,7 @@ def _operands(ins: tuple) -> Tuple[tuple, tuple]:
         return (ins[2],), (ins[1],)
     if op == OP_STORE or op == OP_PROBE_ESCAPE:
         return ins[1:3], ()
-    if op == OP_ADDR:
-        return ins[2:4], (ins[1],)
-    if OP_ADD <= op <= OP_SHR or op in _CMP_BR:
+    if op == OP_ADDR or OP_ADD <= op <= OP_SHR:
         return ins[2:4], (ins[1],)
     if op == OP_BR:
         return (ins[1],), ()
@@ -255,18 +243,8 @@ def _operands(ins: tuple) -> Tuple[tuple, tuple]:
         return args, (ins[2],) if ins[2] >= 0 else ()
     if op == OP_RET:
         return (ins[1],) if ins[1] >= 0 else (), ()
-    if op == OP_LOAD_BIN:
-        return (ins[3], ins[7], ins[8]), (ins[2], ins[6])
-    if op == OP_BIN_STORE:
-        return (ins[3], ins[4], ins[2], ins[5]), (ins[2],)
-    if op in (OP_PROBE_ACCESS, OP_PROBE_CLASSIFY, OP_PROBE_LOAD,
-              OP_PROBE_STORE):
-        reads = (ins[2],) if ins[5] < 0 else (ins[2], ins[5])
-        if op == OP_PROBE_LOAD:
-            return reads + (ins[10],), (ins[9],)
-        if op == OP_PROBE_STORE:
-            return reads + ins[9:11], ()
-        return reads, ()
+    if op == OP_PROBE_ACCESS or op == OP_PROBE_CLASSIFY:
+        return (ins[2],) if ins[5] < 0 else (ins[2], ins[5]), ()
     return (), ()
 
 
@@ -291,15 +269,9 @@ class _Slots:
                 self.reads[slot] = self.reads.get(slot, 0) + 1
             for slot in writes:
                 self.writes[slot] = self.writes.get(slot, 0) + 1
-            if op in (OP_LOAD, OP_PROBE_LOAD, OP_LOAD_BIN, OP_CAST):
-                ty = ins[{OP_LOAD: 3, OP_PROBE_LOAD: 11, OP_LOAD_BIN: 4,
-                          OP_CAST: 3}[op]]
-                rules.append((writes[0], "float" if ty == TY_FLOAT
+            if op == OP_LOAD or op == OP_CAST:
+                rules.append((ins[1], "float" if ins[3] == TY_FLOAT
                               else "int", ()))
-                if op == OP_LOAD_BIN:
-                    rules.append((ins[6], _producer(ins[1]), ins[7:9]))
-            elif op == OP_BIN_STORE:
-                rules.append((ins[2], _producer(ins[1]), ins[3:5]))
             elif OP_ADD <= op <= OP_SHR:
                 rules.append((ins[1], _producer(op), ins[2:4]))
             elif op == OP_PHI:
@@ -421,8 +393,6 @@ class _Source:
             targets = (ins[2], ins[3])
         elif op == OP_PHI:
             targets = (ins[2],)
-        elif op in _CMP_BR:
-            targets = (ins[4], ins[5])
         else:
             return ()
         for target in targets:
@@ -550,8 +520,7 @@ class _Source:
             seg, count = start, 0
             for i, (pc, ins) in enumerate(body):
                 op = ins[0]
-                count += (ins[1] if op == OP_PHI else 2 if op in _FUSED
-                          else 1)
+                count += ins[1] if op == OP_PHI else 1
                 if op in (OP_CALL, OP_CALL_IND) and i + 1 < len(body):
                     nxt = body[i + 1][0]
                     counts[seg], succs[seg] = count, [(0, nxt)]
@@ -779,12 +748,9 @@ class _Source:
             pc, ins = body[i]
             op = ins[0]
             nxt = body[i + 1][1] if i + 1 < len(body) else None
-            dst = (ins[1] if op in _CMP_TEXT
-                   else ins[6] if op == OP_LOAD_BIN and ins[1] in _CMP_TEXT
-                   else None)
-            if (dst is not None and not self.counted and nxt is not None
-                    and nxt[0] == OP_BR and nxt[1] == dst
-                    and self.slots.reads.get(dst) == 1):
+            if (op in _CMP_TEXT and not self.counted and nxt is not None
+                    and nxt[0] == OP_BR and nxt[1] == ins[1]
+                    and self.slots.reads.get(ins[1]) == 1):
                 # A compare only its branch reads: one ``if`` on it (the
                 # counted form keeps both, as the line profiler sees them).
                 segment += self._op(pc, ins, body[i + 1])
@@ -843,13 +809,9 @@ class _Source:
         if kind == "n":
             if not self.counted:
                 self.ahead = (ic - 1, cost, acc)
-            elif len(item) > 1:
-                # An instruction's first count: budget check and trace.
+            else:
                 self.line(f"ic = TK(ic, cost, {self.index}, {item[1]}, "
                           f"{item[2]})", "leave")
-            else:
-                self.line('if (ic := ic + 1) > LIM: raise BE("instruction '
-                          'budget exceeded")')
         elif kind == "u":
             if not self.counted:
                 self.ahead = (ic - item[1], cost, acc)
@@ -900,9 +862,10 @@ class _Source:
     def _op(self, pc: int, ins: tuple, branch: Optional[tuple] = None
             ) -> list:
         """The items of one instruction, in the order the IR runs them:
-        ``n`` a budget-checked count, ``u`` unchecked counts, ``c`` a
-        static charge, ``a`` an access count, ``t`` the trace call, ``l``
-        a line, ``if`` a two-armed branch, ``goto`` a block transfer.
+        ``n`` its count (budget-checked and traced in the counted form),
+        ``u`` unchecked counts, ``c`` a static charge, ``a`` an access
+        count, ``l`` a line, ``if`` a two-armed branch, ``goto`` a block
+        transfer.
         ``branch`` is the ``(pc, words)`` of a ``br`` on the compare
         ``ins`` computes, emitted as one ``if`` on the compare."""
         op = ins[0]
@@ -923,23 +886,15 @@ class _Source:
             if offset:
                 expr += f" + {offset}"
             items += [("l", f"{self.reg(dst)} = {expr}"), ("c", cm.addr)]
-        elif branch is not None and op in _CMP_TEXT:
-            items.append(("c", cm.arith))
-            items += self._branch(op, ins[2], ins[3], branch)
+        elif branch is not None:
+            br_pc, br = branch
+            test = f"if {self.reg(ins[2])} {_CMP_TEXT[op]} {self.reg(ins[3])}:"
+            items += [("c", cm.arith), ("n", br_pc, OP_BR), ("c", cm.branch),
+                      ("if", test, ([("goto", br[2])], [("goto", br[3])]))]
         elif OP_ADD <= op <= OP_SHR:
             items += self._binop(op, *ins[1:4], ins[4] if len(ins) > 4
                                  else -1)
             items.append(("c", cm.arith))
-        elif op in _CMP_BR:
-            _, dst, lhs, rhs, on_true, on_false = ins
-            test = (f"if {self.reg(lhs)} {_CMP_TEXT[_CMP_BR[op]]} "
-                    f"{self.reg(rhs)}:")
-            items += [("c", cm.arith), ("n",), ("c", cm.branch)]
-            arms = ([("goto", on_true)], [("goto", on_false)])
-            if self.slots.reads.get(dst):
-                arms[0].insert(0, ("l", f"{self.reg(dst)} = 1"))
-                arms[1].insert(0, ("l", f"{self.reg(dst)} = 0"))
-            items.append(("if", test, arms))
         elif op == OP_BR:
             _, cond, on_true, on_false = ins
             name = self.reg(cond)
@@ -963,26 +918,8 @@ class _Source:
         elif op == OP_CAST:
             items += self._cast(*ins[1:])
             items.append(("c", cm.cast))
-        elif op == OP_LOAD_BIN:
-            _, subop, ldst, ptr, ty, is_var, dst, lhs, rhs = ins
-            items += self._access(False, ldst, ptr, ty, is_var)
-            if branch is not None:
-                items += [("n",), ("c", cm.arith)]
-                items += self._branch(subop, lhs, rhs, branch)
-            else:
-                items += [("n",)] + self._binop(subop, dst, lhs, rhs, -1)
-                items.append(("c", cm.arith))
-        elif op == OP_BIN_STORE:
-            _, subop, dst, lhs, rhs, ptr, ty, is_var = ins
-            items += self._binop(subop, dst, lhs, rhs, -1)
-            items += [("c", cm.arith), ("n",)]
-            items += self._access(True, dst, ptr, ty, is_var)
-        elif op == OP_PROBE_LOAD or op == OP_PROBE_STORE:
-            items += self._probe(ins[1:9])
-            items.append(("n",))
-            items += self._access(op == OP_PROBE_STORE, *ins[9:13])
         elif op == OP_PROBE_ACCESS:
-            items += self._probe(ins[1:9])
+            items += self._probe(*ins[1:])
         elif op == OP_CALL:
             items += self._call(ins)
         elif op == OP_CALL_BUILTIN:
@@ -1040,13 +977,6 @@ class _Source:
             raise VMError(f"unknown opcode {op} at {self.fn.name}+{pc}")
         return items
 
-    def _branch(self, cmp: int, lhs: int, rhs: int, branch: tuple) -> list:
-        """The ``br`` ``branch`` on a compare whose result is not kept."""
-        pc, ins = branch
-        test = f"if {self.reg(lhs)} {_CMP_TEXT[cmp]} {self.reg(rhs)}:"
-        return [("n", pc, OP_BR), ("c", self.cm.branch),
-                ("if", test, ([("goto", ins[2])], [("goto", ins[3])]))]
-
     def _assign(self, dst: int, expr: str) -> str:
         return expr if dst < 0 else f"{self.reg(dst)} = {expr}"
 
@@ -1058,10 +988,10 @@ class _Source:
         args = "".join(f", {arg}" for arg in args)
         return [("l", f"cost += HK({{IC}}, {{COST}}, {hook}{args})")]
 
-    def _probe(self, operands: tuple) -> list:
+    def _probe(self, is_write: int, ptr: int, size: int, var: int,
+               count: int, stride: int, loc: int, site_id: int) -> list:
         """``probe.access``: the site's probe spills the counters and calls
         the hook."""
-        is_write, ptr, size, var, count, stride, loc, site_id = operands
         site = self._site(
             "probe", is_write, size,
             self.bc.var_table[var] if var >= 0 else None, stride,
@@ -1240,12 +1170,9 @@ class _LineTracer:
     previous instruction: an instruction's cost includes the hooks it
     reached and its builtin work.  Costs add up per pc, and :meth:`close`
     folds the pcs into source lines through codegen's ``fn.lines`` table.
-    A fused site whose halves sit on two lines is charged as it runs, and
-    splits statically: one half always costs a fixed amount (the compare,
-    load or binop of the first half; the load or store after a probe).
     """
 
-    def __init__(self, bytecode: BytecodeModule, cost_model: CostModel):
+    def __init__(self, bytecode: BytecodeModule):
         functions = [bytecode.functions[name]
                      for name in bytecode.function_order]
         if any(fn.lines is None for fn in functions):
@@ -1254,43 +1181,17 @@ class _LineTracer:
         self._functions = functions
         #: per function: {pc: cost}; a pc is present once it has executed.
         self._pc_costs: List[Dict[int, int]] = [{} for _ in functions]
-        #: per function: {pc: (first loc, second loc, opcode)} of its
-        #: fused sites on two lines.
-        self._splits = [
-            {pc: (*loc, fn.code[pc]) for pc, loc in fn.lines.items()
-             if type(loc) is tuple}
-            for fn in functions
-        ]
         self._fi = -1
         self._acc: Dict[int, int] = {}
-        self._split: Dict[int, tuple] = {}
         self._pc = 0
         self._cost = 0
-        cm = cost_model
-        #: Fused opcode -> fixed cost of its first half.
-        self._heads = {fused: cm.arith for fused in _CMP_BR}
-        self._heads[OP_LOAD_BIN] = cm.load
-        self._heads[OP_BIN_STORE] = cm.arith
-        #: Fused opcode -> fixed cost of its second half.
-        self._tails = {OP_PROBE_LOAD: cm.load, OP_PROBE_STORE: cm.store}
 
     def __call__(self, fi, pc, op, ic, cost) -> None:
-        prev = self._pc
-        delta = cost - self._cost
-        split = self._split.get(prev)
-        if split is None:
-            acc = self._acc
-            acc[prev] = acc.get(prev, 0) + delta
-        else:
-            first, second, fused = split
-            tail = self._tails.get(fused)
-            head = self._heads[fused] if tail is None else delta - tail
-            self._charge(first, head)
-            self._charge(second, delta - head)
+        acc = self._acc
+        acc[self._pc] = acc.get(self._pc, 0) + cost - self._cost
         if fi != self._fi:
             self._fi = fi
             self._acc = self._pc_costs[fi]
-            self._split = self._splits[fi]
         self._pc = pc
         self._cost = cost
 
@@ -1298,14 +1199,13 @@ class _LineTracer:
         """Charge the last instruction, which ran up to ``cost``, and
         fold the per-pc costs into :attr:`line_costs`."""
         self(self._fi, 0, 0, 0, cost)
+        line_costs = self.line_costs
         for fn, acc in zip(self._functions, self._pc_costs):
             for pc, amount in acc.items():
-                self._charge(fn.lines[pc], amount)
-
-    def _charge(self, loc, amount: int) -> None:
-        if loc is not None:
-            key = (loc.filename, loc.line)
-            self.line_costs[key] = self.line_costs.get(key, 0) + amount
+                loc = fn.lines[pc]
+                if loc is not None:
+                    key = (loc.filename, loc.line)
+                    line_costs[key] = line_costs.get(key, 0) + amount
 
 
 class BytecodeInterpreter:
@@ -1455,7 +1355,7 @@ class BytecodeInterpreter:
         if self._trace is not None:
             raise VMError("line tracing and an execution trace share one "
                           "trace slot")
-        tracer = _LineTracer(self.bytecode, self.cost_model)
+        tracer = _LineTracer(self.bytecode)
         self._trace = self._line_tracer = tracer
         return tracer.line_costs
 

@@ -1,4 +1,4 @@
-"""Flat register bytecode: the compiled form the dispatch VM executes.
+"""Flat register bytecode: the canonical form the VM compiles and runs.
 
 :mod:`repro.vm.codegen` lowers a verified IR module into one
 :class:`BytecodeModule`: per function a single ``array('q')`` code stream
@@ -93,33 +93,9 @@ OP_OR = 35
 OP_XOR = 36
 OP_SHL = 37
 OP_SHR = 38
-# 39 is retired and unassigned: the opcodes after it keep their numbers,
-# and a stream that still carries it is refused at link.
-
-# -- tier-2 superinstructions (canonical: serialized, schema v2) ------------
-#
-# The fusion peephole in :mod:`repro.vm.codegen` collapses the adjacent
-# pairs that dominate lowered streams (see the static pair-frequency
-# count it records) into one fused opcode each.  Fused execution still
-# counts both component instructions and checks the budget between the
-# halves, so trip points and spilled state match the unfused stream
-# exactly.
-
-OP_LT_BR = 40          # [dst, lhs, rhs, true_pc, false_pc]  (cmp+branch)
-OP_LE_BR = 41
-OP_GT_BR = 42
-OP_GE_BR = 43
-OP_EQ_BR = 44
-OP_NE_BR = 45
-OP_LOAD_BIN = 46       # [subop, ldst, ptr, ty, is_var, bdst, lhs, rhs]
-OP_BIN_STORE = 47      # [subop, bdst, lhs, rhs, ptr, ty, is_var]
-OP_PROBE_LOAD = 48     # [probe.access 8 operands..., dst, ptr, ty, is_var]
-OP_PROBE_STORE = 49    # [probe.access 8 operands..., val, ptr, ty, is_var]
-# 56-71 were runtime-only quickened forms and are unassigned; a stream
-# that carries one is refused at link like any unknown opcode.
-
-#: cmp opcode -> fused cmp+branch opcode.
-FUSED_CMP_BR: Dict[int, int] = {}
+# 39, 40-49 (schema v2's fused pairs) and 56-71 are retired and
+# unassigned: the opcodes after them keep their numbers, and a stream
+# that still carries one is refused.
 
 #: IR binop name -> opcode (div/rem carry an extra loc operand for traps).
 BINOP_OPCODES: Dict[str, int] = {
@@ -127,19 +103,6 @@ BINOP_OPCODES: Dict[str, int] = {
     "rem": OP_REM, "eq": OP_EQ, "ne": OP_NE, "lt": OP_LT, "le": OP_LE,
     "gt": OP_GT, "ge": OP_GE, "and": OP_AND, "or": OP_OR, "xor": OP_XOR,
     "shl": OP_SHL, "shr": OP_SHR,
-}
-
-FUSED_CMP_BR.update({
-    OP_LT: OP_LT_BR, OP_LE: OP_LE_BR, OP_GT: OP_GT_BR, OP_GE: OP_GE_BR,
-    OP_EQ: OP_EQ_BR, OP_NE: OP_NE_BR,
-})
-
-#: Fused opcode -> stats-bucket name (``fused_sites`` breakdown).
-FUSED_KINDS: Dict[int, str] = {
-    OP_LT_BR: "cmp_br", OP_LE_BR: "cmp_br", OP_GT_BR: "cmp_br",
-    OP_GE_BR: "cmp_br", OP_EQ_BR: "cmp_br", OP_NE_BR: "cmp_br",
-    OP_LOAD_BIN: "load_bin", OP_BIN_STORE: "bin_store",
-    OP_PROBE_LOAD: "probe_access", OP_PROBE_STORE: "probe_access",
 }
 
 #: Scalar type codes for load/store/cast operands.
@@ -158,10 +121,6 @@ OPCODE_NAMES: Dict[int, str] = {
     OP_PROBE_CLASSIFY: "probe.classify", OP_PROBE_ESCAPE: "probe.escape",
     OP_OMP_BEGIN: "omp.begin", OP_OMP_END: "omp.end",
     OP_OMP_BARRIER: "omp.barrier",
-    OP_LT_BR: "lt.br", OP_LE_BR: "le.br", OP_GT_BR: "gt.br",
-    OP_GE_BR: "ge.br", OP_EQ_BR: "eq.br", OP_NE_BR: "ne.br",
-    OP_LOAD_BIN: "load.bin", OP_BIN_STORE: "bin.store",
-    OP_PROBE_LOAD: "probe.load", OP_PROBE_STORE: "probe.store",
 }
 OPCODE_NAMES.update({code: name for name, code in BINOP_OPCODES.items()})
 
@@ -176,9 +135,6 @@ OPCODE_WIDTHS: Dict[int, int] = {
     OP_ADD: 3, OP_SUB: 3, OP_MUL: 3, OP_DIV: 4, OP_REM: 4, OP_EQ: 3,
     OP_NE: 3, OP_LT: 3, OP_LE: 3, OP_GT: 3, OP_GE: 3, OP_AND: 3,
     OP_OR: 3, OP_XOR: 3, OP_SHL: 3, OP_SHR: 3,
-    OP_LT_BR: 5, OP_LE_BR: 5, OP_GT_BR: 5, OP_GE_BR: 5, OP_EQ_BR: 5,
-    OP_NE_BR: 5, OP_LOAD_BIN: 8, OP_BIN_STORE: 7, OP_PROBE_LOAD: 12,
-    OP_PROBE_STORE: 12,
 }
 
 #: Opcodes whose width is ``OPCODE_WIDTHS[op] + argc`` (argc operand index
@@ -205,8 +161,9 @@ def decode(fn: "BytecodeFunction") -> List[tuple]:
     ``words`` is the tuple of the instruction's words, opcode first and
     call arguments included.
 
-    Raises :class:`BytecodeError` on an unknown opcode or an instruction
-    that runs past the end of the code."""
+    Raises :class:`BytecodeError` on an unknown opcode, a negative
+    argument or phi count, or an instruction that runs past the end of
+    the code."""
     code = fn.code
     n = len(code)
     out = []
@@ -219,6 +176,9 @@ def decode(fn: "BytecodeFunction") -> List[tuple]:
                 f"unknown opcode {code[pc]} at {fn.name}+{pc}") from None
         except IndexError:  # a call or phi cut before its count word
             width = n + 1
+        # Shorter than its fixed words (a phi has two): a negative count.
+        if width <= OPCODE_WIDTHS.get(code[pc], 2):
+            raise BytecodeError(f"negative count at {fn.name}+{pc}")
         if pc + width > n:
             raise BytecodeError(f"truncated instruction at {fn.name}+{pc}")
         out.append((pc, tuple(code[pc:pc + width])))
@@ -262,9 +222,8 @@ class BytecodeFunction:
         #: shared by every run over the module.  Never serialized.
         self.compiled: Dict[str, tuple] = {}
         #: Codegen's line table: pc -> the :class:`SourceLoc` of the
-        #: instruction there, or a ``(first, second)`` pair for a fused
-        #: site whose halves sit on two source lines.  Phi trampolines
-        #: carry their first phi's loc.  Never serialized (``None`` on a
+        #: instruction there.  Phi trampolines carry their first phi's
+        #: loc.  Never serialized (``None`` on a
         #: deserialized module), so bytecode digests do not see it.
         self.lines: Optional[Dict[int, object]] = None
 
@@ -305,13 +264,6 @@ class BytecodeModule:
         #: Link cache (global/function addresses are deterministic, so one
         #: link serves every interpreter over this module).
         self._linked = None
-        #: Fusion-kind counts recorded by the codegen peephole (live
-        #: lowering only; recount deserialized modules via
-        #: :func:`fused_site_counts`).
-        self.fusion_stats: Dict[str, int] = {}
-        #: Static adjacent-opcode pair frequencies seen during lowering —
-        #: the evidence the fusion catalog is chosen from.
-        self.pair_counts: Dict[str, int] = {}
 
     def rebind_vars(self, module) -> None:
         """Swap var-table entries for the IR module's own instances.
@@ -342,35 +294,13 @@ class BytecodeModule:
 
 
 # ---------------------------------------------------------------------------
-# Tier-2 introspection: stats, disassembly
+# Disassembly
 # ---------------------------------------------------------------------------
 
 
-def fused_site_counts(bc: BytecodeModule) -> Dict[str, int]:
-    """Count fused superinstruction sites per kind by walking the
-    canonical code streams (works for live and deserialized modules
-    alike).  Includes a ``"total"`` entry."""
-    counts = {"cmp_br": 0, "load_bin": 0, "bin_store": 0,
-              "probe_access": 0}
-    total = 0
-    for name in bc.function_order:
-        code = bc.functions[name].code
-        pc = 0
-        n = len(code)
-        while pc < n:
-            kind = FUSED_KINDS.get(code[pc])
-            if kind is not None:
-                counts[kind] += 1
-                total += 1
-            pc += instr_width(code, pc)
-    counts["total"] = total
-    return counts
-
-
 def disassemble(bc: BytecodeModule) -> str:
-    """Human-readable listing of every canonical code stream, with fused
-    superinstruction sites marked ``; fused``.  Running the module never
-    changes it."""
+    """Human-readable listing of every canonical code stream.  Running
+    the module never changes it."""
     lines = [f"module {bc.name}"]
     for name in bc.function_order:
         fn = bc.functions[name]
@@ -391,8 +321,6 @@ def disassemble(bc: BytecodeModule) -> str:
             text = f"  {pc:5d}: {OPCODE_NAMES.get(op, f'op{op}')}"
             if operands:
                 text += f" {operands}"
-            if op in FUSED_KINDS:
-                text += "  ; fused"
             lines.append(text)
             pc += width
     return "\n".join(lines)
@@ -469,7 +397,8 @@ def serialize_bytecode(bc: BytecodeModule) -> str:
 
 def deserialize_bytecode(payload: str) -> BytecodeModule:
     """Inverse of :func:`serialize_bytecode`; raises
-    :class:`BytecodeSerializeError` on any malformed or stale payload."""
+    :class:`BytecodeSerializeError` on any malformed or stale payload,
+    a code stream that does not :func:`decode` included."""
     from array import array
 
     from repro.lang import types as ct
@@ -552,14 +481,15 @@ def deserialize_bytecode(payload: str) -> BytecodeModule:
                 entry_pc=fdoc["entry"],
                 instrumented=bool(fdoc["instrumented"]),
             )
+            decode(fn)
             bc.functions[fn.name] = fn
         if bc.function_order != list(bc.functions):
             raise BytecodeSerializeError("function table order mismatch")
         return bc
     except BytecodeSerializeError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) \
-            as error:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError,
+            BytecodeError) as error:
         raise BytecodeSerializeError(f"malformed bytecode payload: {error}")
 
 

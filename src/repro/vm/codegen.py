@@ -65,15 +65,12 @@ from repro.ir.module import Block, Function, Module
 from repro.ir.values import Const, FunctionRef, GlobalRef, Temp, Value
 from repro.vm.bytecode import (
     BINOP_OPCODES,
-    FUSED_CMP_BR,
-    OPCODE_NAMES,
     BytecodeError,
     BytecodeFunction,
     BytecodeModule,
     GlobalInit,
     OP_ADDR,
     OP_ALLOCA,
-    OP_BIN_STORE,
     OP_BR,
     OP_CALL,
     OP_CALL_BUILTIN,
@@ -83,7 +80,6 @@ from repro.vm.bytecode import (
     OP_DIV,
     OP_JUMP,
     OP_LOAD,
-    OP_LOAD_BIN,
     OP_OMP_BARRIER,
     OP_OMP_BEGIN,
     OP_OMP_END,
@@ -91,8 +87,6 @@ from repro.vm.bytecode import (
     OP_PROBE_ACCESS,
     OP_PROBE_CLASSIFY,
     OP_PROBE_ESCAPE,
-    OP_PROBE_LOAD,
-    OP_PROBE_STORE,
     OP_REM,
     OP_RET,
     OP_ROI_BEGIN,
@@ -105,16 +99,6 @@ from repro.vm.bytecode import (
 )
 
 _ARG_NAME = re.compile(r"arg(\d+)\Z")
-
-#: Width-3 binop opcodes (everything but div/rem, whose trap-loc operand
-#: and zero check keep them out of the fusion catalog).
-_SIMPLE_BINOPS = frozenset(
-    op for op in BINOP_OPCODES.values() if op not in (OP_DIV, OP_REM)
-)
-
-
-def _line_of(loc: Optional[SourceLoc]) -> Optional[Tuple[str, int]]:
-    return None if loc is None else (loc.filename, loc.line)
 
 
 def _ty_code(ty: ct.Type) -> int:
@@ -205,9 +189,7 @@ def _operand_values(instr) -> List[Value]:
 
 class _FunctionLowering:
     def __init__(self, function: Function, tables: _SideTables,
-                 module: Module,
-                 fusion_stats: Optional[Dict[str, int]] = None,
-                 pair_counts: Optional[Dict[str, int]] = None) -> None:
+                 module: Module) -> None:
         self.function = function
         self.tables = tables
         self.module = module
@@ -218,15 +200,10 @@ class _FunctionLowering:
         self.code: List[int] = []
         #: pc -> source loc of the instruction there (see
         #: ``BytecodeFunction.lines``).
-        self.lines: Dict[int, object] = {}
+        self.lines: Dict[int, SourceLoc] = {}
         self.block_pc: Dict[int, int] = {}       # id(block) -> body pc
         self.head_phis: Dict[int, List[Phi]] = {}  # id(block) -> leading phis
         self.fixups: List[Tuple[int, Block, Block]] = []
-        #: (start_pc, opcode) of the previous emission in the current
-        #: block — the fusion peephole's one-instruction lookbehind.
-        self._prev: Optional[Tuple[int, int]] = None
-        self.fusion_stats = fusion_stats if fusion_stats is not None else {}
-        self.pair_counts = pair_counts if pair_counts is not None else {}
 
     # -- slot allocation ---------------------------------------------------
 
@@ -285,108 +262,11 @@ class _FunctionLowering:
 
     # -- emission ----------------------------------------------------------
 
-    def _store_ty(self, instr: Store) -> int:
-        ty = instr.ptr.ty.pointee \
-            if isinstance(instr.ptr.ty, ct.PointerType) \
-            else instr.value.ty
-        return _ty_code(ty)
-
-    def _count_pair(self, first: int, second: int) -> None:
-        key = f"{OPCODE_NAMES[first]}+{OPCODE_NAMES[second]}"
-        self.pair_counts[key] = self.pair_counts.get(key, 0) + 1
-
-    def _fuse(self, prev: Tuple[int, int], instr, kind, block: Block) -> bool:
-        """Superinstruction peephole: try to fuse ``instr`` into the
-        previously emitted instruction (same block, emit-time adjacency —
-        so the pair can never be separately branch-targeted).  Rewrites
-        the tail of the code stream in place; safe because no fixup or
-        block start ever points past the previous instruction's start.
-        Returns True when ``instr`` was consumed by a fused opcode."""
-        pstart, pop = prev
-        code = self.code
-        stats = self.fusion_stats
-        if kind is Branch:
-            fused = FUSED_CMP_BR.get(pop)
-            if fused is None or self._slot(instr.cond) != code[pstart + 1]:
-                return False
-            self._count_pair(pop, OP_BR)
-            dst, lhs, rhs = code[pstart + 1:pstart + 4]
-            del code[pstart:]
-            code.extend((fused, dst, lhs, rhs))
-            self.fixups.append((len(code), block, instr.if_true))
-            code.append(0)
-            self.fixups.append((len(code), block, instr.if_false))
-            code.append(0)
-            stats["cmp_br"] = stats.get("cmp_br", 0) + 1
-            return True
-        if kind is BinOp and pop == OP_LOAD:
-            subop = BINOP_OPCODES.get(instr.op)
-            if subop is None or subop not in _SIMPLE_BINOPS:
-                return False
-            ldst = code[pstart + 1]
-            lhs = self._slot(instr.lhs)
-            rhs = self._slot(instr.rhs)
-            if lhs != ldst and rhs != ldst:
-                return False
-            self._count_pair(OP_LOAD, subop)
-            ptr, ty, is_var = code[pstart + 2:pstart + 5]
-            del code[pstart:]
-            code.extend((OP_LOAD_BIN, subop, ldst, ptr, ty, is_var,
-                         self._slot(instr.result), lhs, rhs))
-            stats["load_bin"] = stats.get("load_bin", 0) + 1
-            return True
-        if kind is Store and pop in _SIMPLE_BINOPS \
-                and self._slot(instr.value) == code[pstart + 1]:
-            self._count_pair(pop, OP_STORE)
-            bdst, lhs, rhs = code[pstart + 1:pstart + 4]
-            del code[pstart:]
-            code.extend((OP_BIN_STORE, pop, bdst, lhs, rhs,
-                         self._slot(instr.ptr), self._store_ty(instr),
-                         1 if instr.var is not None else 0))
-            stats["bin_store"] = stats.get("bin_store", 0) + 1
-            return True
-        if pop == OP_PROBE_ACCESS and (kind is Load or kind is Store):
-            probe = code[pstart + 1:pstart + 9]
-            del code[pstart:]
-            if kind is Load:
-                self._count_pair(OP_PROBE_ACCESS, OP_LOAD)
-                code.extend((OP_PROBE_LOAD, *probe,
-                             self._slot(instr.result), self._slot(instr.ptr),
-                             _ty_code(instr.result.ty),
-                             1 if instr.var is not None else 0))
-            else:
-                self._count_pair(OP_PROBE_ACCESS, OP_STORE)
-                code.extend((OP_PROBE_STORE, *probe,
-                             self._slot(instr.value), self._slot(instr.ptr),
-                             self._store_ty(instr),
-                             1 if instr.var is not None else 0))
-            stats["probe_access"] = stats.get("probe_access", 0) + 1
-            return True
-        return False
-
     def _emit_instr(self, instr, block: Block, index: int) -> None:
         code = self.code
-        kind = type(instr)
-        prev = self._prev
-        if prev is not None and self._fuse(prev, instr, kind, block):
-            # Fused opcodes are never fusion sources themselves (greedy
-            # left-to-right pairing, no triple superinstructions).
-            self._prev = None
-            first = self.lines[prev[0]]
-            if _line_of(first) != _line_of(instr.loc):
-                self.lines[prev[0]] = (first, instr.loc)
-            return
-        start = len(code)
-        self._emit_plain(instr, block, index, kind)
-        self.lines[start] = instr.loc
-        op = code[start]
-        if prev is not None:
-            self._count_pair(prev[1], op)
-        self._prev = (start, op)
-
-    def _emit_plain(self, instr, block: Block, index: int, kind) -> None:
-        code = self.code
         tables = self.tables
+        kind = type(instr)
+        self.lines[len(code)] = instr.loc
         if kind is Load:
             code.extend((OP_LOAD, self._slot(instr.result),
                          self._slot(instr.ptr), _ty_code(instr.result.ty),
@@ -520,9 +400,6 @@ class _FunctionLowering:
                 head += 1
             self.head_phis[id(block)] = block.instrs[:head]  # type: ignore
             self.block_pc[id(block)] = len(code)
-            # Fusion never crosses a block boundary: the successor's first
-            # instruction is a branch target (block_pc points at it).
-            self._prev = None
             for index in range(head, len(block.instrs)):
                 self._emit_instr(block.instrs[index], block, index)
         if self.head_phis[id(function.entry)]:
@@ -583,17 +460,12 @@ def lower_module(module: Module) -> BytecodeModule:
         bc.globals.append(GlobalInit(
             gvar.name, gvar.ty.size(), tables.var(gvar.var), kind, init,
         ))
-    fusion_stats = {"cmp_br": 0, "load_bin": 0, "bin_store": 0,
-                    "probe_access": 0}
-    pair_counts: Dict[str, int] = {}
     for name, function in module.functions.items():
-        bc.functions[name] = _FunctionLowering(
-            function, tables, module, fusion_stats, pair_counts).lower()
+        bc.functions[name] = _FunctionLowering(function, tables,
+                                               module).lower()
         bc.function_order.append(name)
     bc.builtin_order = list(BUILTINS)
     bc.var_table = tables.var_list
     bc.loc_table = tables.loc_list
     bc.string_table = tables.string_list
-    bc.fusion_stats = fusion_stats
-    bc.pair_counts = pair_counts
     return bc

@@ -26,8 +26,6 @@ from repro.service import (
     ServiceCore,
     response_digest,
 )
-from repro.vm.bytecode import OPCODE_NAMES
-from repro.vm.codegen import lower_module
 from repro.workloads import ALL_WORKLOADS, figure6_workloads
 from tests.helpers.treewalk import (
     profile_treewalk,
@@ -76,16 +74,3 @@ def test_line_profile_matches_the_oracle(name):
     assert oracle.line_costs
     assert _profile_state(profile_execution(module)) == \
         _profile_state(oracle)
-
-
-def test_xz_keeps_a_fused_site_across_two_lines():
-    """Non-vacuity for the static split of fused sites: at test size the
-    ``xz`` baseline build still fuses a compare and its branch that sit
-    on two source lines."""
-    workload = next(w for w in figure6_workloads() if w.name == "xz")
-    bc = lower_module(compile_baseline(workload.test_source("openmp"),
-                                       workload.name).module)
-    split = [(name, OPCODE_NAMES[fn.code[pc]])
-             for name, fn in bc.functions.items()
-             for pc, loc in fn.lines.items() if type(loc) is tuple]
-    assert split == [("compress_block", "lt.br")]

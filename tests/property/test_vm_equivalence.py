@@ -125,11 +125,11 @@ def test_pointer_chase_identical_across_engines(seed, fold_name):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_tier2_reentry_identical_across_engines(seed):
-    """Every seeded program goes through tier-2 twice in the same
-    process: cold (each function compiles as it is first entered) and
-    re-entered (every function already compiled).  Both runs must match
-    the tree-walk oracle exactly."""
+def test_reentry_identical_across_engines(seed):
+    """Every seeded program runs twice in the same process: cold (each
+    function compiles as it is first entered) and re-entered (every
+    function already compiled).  Both runs must match the tree-walk
+    oracle exactly."""
     source = _random_program(seed)
     program = compile_baseline(source, name=f"requick{seed}")
     oracle = _run_state(_run(program, "treewalk")[0])
@@ -140,8 +140,8 @@ def test_tier2_reentry_identical_across_engines(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_tier2_reentry_instrumented_profiles(seed):
-    """Cold and re-entered tier-2 runs of instrumented ROI programs
+def test_reentry_instrumented_profiles(seed):
+    """Cold and re-entered runs of instrumented ROI programs
     produce the same serialized profile as the tree-walk oracle."""
     source = _random_roi_program(seed)
     program = compile_carmot(source, name=f"requick{seed}")

@@ -24,7 +24,6 @@ from repro.vm.bytecode import (
     bytecode_digest,
     deserialize_bytecode,
     disassemble,
-    fused_site_counts,
     instr_width,
     serialize_bytecode,
 )
@@ -254,6 +253,8 @@ class TestDispatchContract:
 
     @pytest.mark.parametrize("code, message", [
         ([999], "unknown opcode 999 at main+0"),
+        ([40, 0, 0, 0, 0, 0], "unknown opcode 40 at main+0"),  # was lt.br
+        ([12, 0, -3], "negative count at main+0"),  # would be 0 words wide
         ([13], "truncated instruction at main+0"),
         ([13, -1, 9, 0, -1, 0], "truncated instruction at main+2"),
     ])
@@ -289,29 +290,10 @@ class TestDispatchContract:
         assert any("main:" in line for line in lines)
 
 
-# -- tier 2: superinstruction fusion ------------------------------------------
+# -- compiled forms -----------------------------------------------------------
 
 
-class TestTier2:
-    def test_cmp_branch_fuses_in_loop_head(self):
-        """Non-vacuity for the fusion catalog: the compare feeding the
-        while-head branch in SCALAR must fuse into one cmp+branch
-        superinstruction, and the codegen stats must record it."""
-        program = compile_baseline(SCALAR)
-        bc = lower_module(program.module)
-        counts = fused_site_counts(bc)
-        assert counts["cmp_br"] >= 1
-        assert counts["total"] == (counts["cmp_br"] + counts["load_bin"]
-                                   + counts["bin_store"]
-                                   + counts["probe_access"])
-        assert bc.fusion_stats.get("cmp_br", 0) >= 1
-        assert bc.pair_counts, "static pair-frequency evidence missing"
-
-    def test_probe_access_fuses_on_instrumented_build(self):
-        program = compile_carmot(_example("roi_loop"), name="roi_loop")
-        bc = lower_module(program.module)
-        assert fused_site_counts(bc)["probe_access"] >= 1
-
+class TestCompiledForms:
     def test_running_is_observationally_invisible(self):
         """Serialized payload and disassembly are byte-identical before
         and after a run that compiled the functions; the compiled forms
@@ -330,8 +312,8 @@ class TestTier2:
 
 # -- per-source-line costs (the Figure 6 profiler) ----------------------------
 
-#: Every fusion kind with a static split has a site whose halves sit on
-#: two source lines here: lt.br (7/6), bin.store (9/8), load.bin (11/10).
+#: Adjacent instructions on two source lines: a compare and its branch
+#: (7/6), a multiply and its store (9/8), a load and its add (11/10).
 CROSS_LINE = """
 int g[8];
 int main() {
@@ -376,13 +358,6 @@ class TestLineTracer:
         oracle = _line_costs(program, "treewalk")
         assert oracle
         assert _line_costs(program, "bytecode") == oracle
-
-    def test_cross_line_fused_sites_split(self):
-        bc = lower_module(compile_baseline(CROSS_LINE).module)
-        split = {OPCODE_NAMES[fn.code[pc]]
-                 for fn in bc.functions.values()
-                 for pc, loc in fn.lines.items() if type(loc) is tuple}
-        assert split == {"lt.br", "bin.store", "load.bin"}
 
     def test_traced_and_untraced_runs_share_one_module(self):
         """A line-traced run uses the counted form and an untraced run

@@ -54,6 +54,35 @@ class TestPsec:
         assert "10 invocations" in out
 
 
+class TestTrace:
+    LOOP = """
+    int g[4];
+    int main() {
+      int i = 0;
+      int s = 0;
+      while (i < 3) {
+        #pragma carmot roi abstraction(parallel_for)
+        { g[i] = i * 2; s = s + g[i]; }
+        i = i + 1;
+      }
+      print_int(s);
+      return 0;
+    }
+    """
+
+    def test_one_line_per_bytecode_instruction(self, tmp_path, capsys):
+        path = tmp_path / "loop.mc"
+        path.write_text(self.LOOP)
+        assert main(["psec", str(path), "--trace"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        names = {line.split()[-1] for line in lines
+                 if line.startswith("trace: [")}
+        assert {"lt", "br", "load", "store", "mul", "probe.access"} <= names
+        assert not [name for name in names
+                    if name.endswith((".br", ".bin"))
+                    or name in ("probe.load", "probe.store")]
+
+
 class TestOverhead:
     def test_three_rows(self, source_file, capsys):
         assert main(["overhead", source_file]) == 0

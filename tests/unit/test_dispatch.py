@@ -49,13 +49,12 @@ def _source(program_source, name, counted=False, compile_=compile_baseline):
 
 
 def test_every_opcode_has_a_generator():
-    """``_Source._op`` names every canonical opcode (the fused
-    compare-branches through their table)."""
+    """``_Source._op`` names every canonical opcode (the binops through
+    their range)."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(bcinterp._Source._op)))
     named = {getattr(bytecode, node.id) for node in ast.walk(tree)
              if isinstance(node, ast.Name) and node.id.startswith("OP_")}
-    handled = named | set(bcinterp._CMP_BR) | set(range(
-        bytecode.OP_ADD, bytecode.OP_SHR + 1))
+    handled = named | set(range(bytecode.OP_ADD, bytecode.OP_SHR + 1))
     assert set(OPCODE_NAMES) <= handled
 
 
@@ -101,7 +100,7 @@ def test_generated_code_holds_no_interpreter_or_module():
             assert not any(isinstance(value, forbidden) for value in values)
 
 
-def test_fused_compare_writes_its_result_only_when_read():
+def test_a_compare_only_its_branch_reads_writes_no_result():
     source = """
     int main() {
         int i = 0;

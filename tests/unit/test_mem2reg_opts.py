@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.compiler import compile_baseline, compile_carmot
 from repro.compiler.driver import frontend
 from repro.compiler.mem2reg import promotable_allocas, promote_allocas
 from repro.compiler.opts import optimize_module_o3
@@ -13,6 +14,7 @@ from repro.compiler.opts import (
 from repro.ir.instructions import Alloca, Load, Phi, Store
 from repro.ir.verifier import verify_module
 from repro.vm import run_module
+from tests.helpers.treewalk import run_treewalk
 
 
 def both_runs(source, entry="main", args=()):
@@ -212,3 +214,22 @@ class TestScalarOpts:
         fn = module.functions["main"]
         optimize_function(fn)
         assert run_module(module).return_value == 5
+
+    @pytest.mark.parametrize("compile_", [compile_baseline, compile_carmot])
+    def test_folded_branches_leave_no_stale_phi_incomings(self, compile_):
+        """Both ``if``s fold to jumps; the φ at each join must lose the
+        incoming from the arm that no longer reaches it."""
+        program = compile_(
+            "int main() { int x = 7; int y = 0;"
+            " if (x > 7) { y = y + 1; } if (x > 8) { y = y + 1; }"
+            " print_int(y); return 0; }")
+        preds = {name: fn.predecessors()
+                 for name, fn in program.module.functions.items()}
+        for name, fn in program.module.functions.items():
+            for block in fn.blocks:
+                for instr in block.instrs:
+                    if isinstance(instr, Phi):
+                        assert set(instr.incomings) <= set(
+                            preds[name][block])
+        for run in (run_module, run_treewalk):
+            assert run(program.module).output == ["0"]

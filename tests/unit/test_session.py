@@ -1,6 +1,7 @@
 """Unit tests for the session layer: store, cache keys, staged reuse."""
 
 import json
+from array import array
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.session import (
     resolve_cache_dir,
 )
 from repro.session import keys
+from repro.vm.bytecode import OP_CALL_BUILTIN, BytecodeFunction, decode
 
 SOURCE = """
 int main() {
@@ -244,19 +246,20 @@ class TestKeys:
 
     @pytest.mark.parametrize("example, key", [
         ("roi_loop",
-         "d9aed703379490759bfbd0738a5fe4e8754310c352979f1de95dddf09754b6f1"),
+         "10ed47a26464970884b58e18a7b687c22140ff4108013bec638ee576e9980fc3"),
         ("stencil_calls",
-         "0d28fc32e854ae79740462f4af6607665e2adf4782995bc7cce86495bd749abc"),
+         "38faf241b8037a1f0755a1c330dcf3f460b31e1d307d8c97d47f393dd9f625a2"),
         ("anneal_stats",
-         "418a3ae7c91763d72b0940f891598aa2aff5c41364235c391a085f249c423f3a"),
+         "4cf40a7f384195d02e1f419ef61ed4da91fe03d97a38988c4843f7bd7934bba8"),
     ])
     def test_default_psec_profile_key_is_pinned(self, tmp_path, monkeypatch,
                                                 example, key):
         """The profile key a default ``psec`` of an example looks up,
-        pinned to its value from before the engine option and the batch
-        size were removed: neither entered the key document of a default
-        run (Python pinned to 3.11 in the fingerprint so the literal
-        holds on every interpreter version)."""
+        pinned since the engine option and the batch size were removed
+        (neither entered the key document of a default run).  It moved
+        once since, with bytecode schema v3, which is in every key's
+        environment fingerprint.  (Python is pinned to 3.11 in the
+        fingerprint so the literal holds on every interpreter version.)"""
         from pathlib import Path
 
         from repro.service import PsecRequest, ServiceCore
@@ -279,17 +282,18 @@ class TestKeys:
 
     @pytest.mark.parametrize("budget, key", [
         ("events-per-roi=20000",
-         "443162f546b6cdedca9bd10689c48dc937bbe9c979ef7ef0c2076945313606d1"),
+         "e1cc240d185c0e3de3b53d139d6f20fe3dac8b99b7d379e2711cd2226294031b"),
         ("steps=5000000,heap=1048576,depth=256,events-per-roi=20000",
-         "6d342a58d12b8cdd12534ae996c105422740e07ba88cbcbfb5770bc6684d57c2"),
+         "bc12a86d82a7bee91cc5081d15bed050f6ef3b60706c9370fc0df227bb086167"),
     ])
     def test_budget_psec_profile_key_is_pinned(self, tmp_path, monkeypatch,
                                                budget, key):
         """The profile key a ``psec --budget`` of ``examples/roi_loop.mc``
-        looks up, pinned to its value from before ``ResiliencePolicy``
-        lost its retry, degrade and queue fields: the key document goes
-        through ``asdict(ResiliencePolicy)``, so a dropped field that is
-        not retired would re-key every cached ``--budget`` profile."""
+        looks up, pinned since before ``ResiliencePolicy`` lost its
+        retry, degrade and queue fields: the key document goes through
+        ``asdict(ResiliencePolicy)``, so a dropped field that is not
+        retired would re-key every cached ``--budget`` profile.  It moved
+        once since, with bytecode schema v3."""
         from pathlib import Path
 
         from repro.service import PsecRequest, RunOptions, ServiceCore
@@ -420,6 +424,23 @@ def _drop_global_type(doc):
     del doc["globals"][0]["ty"]
 
 
+def _set_code(index, value):
+    """A mutation that sets word ``index`` of ``main``'s code stream."""
+    def mutate(doc):
+        [main] = doc["functions"]
+        main["code"][index] = value
+    return mutate
+
+
+def _negative_argc(doc):
+    [main] = doc["functions"]
+    code = main["code"]
+    pc = next(pc for pc, words in decode(BytecodeFunction(
+        "main", array("q", code), [], 0, 0, 0, False))
+        if words[0] == OP_CALL_BUILTIN)
+    code[pc + 5] = -6  # the width comes out as 0
+
+
 #: (stage, entry kind, mutation of the decoded payload).  Each payload
 #: keeps a valid envelope, format and version, so only its shape is
 #: wrong.
@@ -427,6 +448,11 @@ SHAPE_MALFORMED = {
     "functions_not_a_list": ("frontend", "ir",
                              lambda doc: doc.update(functions=5)),
     "global_without_type": ("frontend", "ir", _drop_global_type),
+    "bytecode_retired_opcode_39": ("codegen", "bytecode", _set_code(0, 39)),
+    "bytecode_retired_lt_br": ("codegen", "bytecode", _set_code(0, 40)),
+    "bytecode_truncated_last_instruction": (
+        "codegen", "bytecode", lambda doc: doc["functions"][0]["code"].pop()),
+    "bytecode_negative_call_argc": ("codegen", "bytecode", _negative_argc),
     "psecs_not_a_list": ("profile", "profile",
                          lambda doc: doc.update(psecs=12345)),
 }
