@@ -9,7 +9,7 @@ regenerated from the registry by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.ir.module import RoiInfo
 from repro.runtime.asmt import Asmt
@@ -64,14 +64,6 @@ def describe_pse(key: PseKey, psec: Psec, asmt: Asmt) -> PseDescriptor:
         str(meta.alloc_loc) if meta.alloc_loc else None,
         meta.alloc_callstack, index,
     )
-
-
-def group_memory_keys_by_object(keys: List[PseKey]) -> Dict[int, List[PseKey]]:
-    grouped: Dict[int, List[PseKey]] = {}
-    for key in keys:
-        if key[0] == "mem":
-            grouped.setdefault(key[1], []).append(key)
-    return grouped
 
 
 @dataclass

@@ -45,10 +45,6 @@ class CycleAdvice:
 class SmartPointerRecommendation(Recommendation):
     cycles: List[CycleAdvice] = field(default_factory=list)
 
-    @property
-    def has_cycles(self) -> bool:
-        return bool(self.cycles)
-
     def render(self) -> str:
         if not self.cycles:
             return (f"ROI {self.roi.name}: no reference cycles detected; "

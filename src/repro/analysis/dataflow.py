@@ -1,4 +1,4 @@
-"""A small generic data-flow framework (forward/backward, union/intersect).
+"""A small generic data-flow framework: forward intersection over blocks.
 
 The PSEC-specific analyses (must-already-accessed of §4.4.1, liveness for
 the Output refinement) instantiate this solver; it is deliberately the
@@ -13,13 +13,6 @@ from repro.ir.module import Block, Function
 
 #: TOP for intersection problems is "the universal set", represented as None.
 SetOrTop = Optional[FrozenSet]
-
-
-def meet_union(values: Iterable[FrozenSet]) -> FrozenSet:
-    result: FrozenSet = frozenset()
-    for value in values:
-        result |= value
-    return result
 
 
 def meet_intersection(values: Iterable[SetOrTop]) -> SetOrTop:
@@ -61,12 +54,9 @@ class ForwardMustProblem:
             block = worklist.pop()
             relevant = [p for p in preds.get(block, ()) if p in self.blocks]
             if block in self.entries:
+                # An entry reached both fresh and around a loop keeps
+                # only what every path guarantees: nothing.
                 new_in: SetOrTop = frozenset()
-                if relevant:
-                    merged = meet_intersection(out_sets[p] for p in relevant)
-                    # An entry reached both fresh and around a loop keeps
-                    # only what every path guarantees: nothing.
-                    new_in = frozenset()
             else:
                 new_in = meet_intersection(out_sets[p] for p in relevant)
             if new_in is None:
@@ -80,30 +70,3 @@ class ForwardMustProblem:
                         worklist.append(succ)
         return in_sets, out_sets
 
-
-class BackwardMayProblem:
-    """Backward union ("may") data-flow over whole functions (liveness)."""
-
-    def __init__(
-        self,
-        function: Function,
-        transfer: Callable[[Block, FrozenSet], FrozenSet],
-    ) -> None:
-        self.function = function
-        self.transfer = transfer
-
-    def solve(self) -> Tuple[Dict[Block, FrozenSet], Dict[Block, FrozenSet]]:
-        blocks = self.function.blocks
-        in_sets: Dict[Block, FrozenSet] = {b: frozenset() for b in blocks}
-        out_sets: Dict[Block, FrozenSet] = {b: frozenset() for b in blocks}
-        preds = self.function.predecessors()
-        worklist = list(blocks)
-        while worklist:
-            block = worklist.pop()
-            new_out = meet_union(in_sets[s] for s in block.successors())
-            new_in = self.transfer(block, new_out)
-            if new_out != out_sets[block] or new_in != in_sets[block]:
-                out_sets[block] = new_out
-                in_sets[block] = new_in
-                worklist.extend(preds.get(block, ()))
-        return in_sets, out_sets

@@ -87,10 +87,6 @@ class DominatorInfo:
     def children(self, block: Block) -> List[Block]:
         return self._children.get(block, [])
 
-    @property
-    def reverse_postorder(self) -> List[Block]:
-        return list(self._rpo)
-
 
 def _reverse_postorder(function: Function) -> List[Block]:
     seen: Set[Block] = set()

@@ -75,7 +75,7 @@ from repro.passes.manager import (
     PipelineContext,
 )
 from repro.passes.registry import register_alias, register_pass
-from repro.runtime.config import InstrumentationPolicy, RuntimeConfig
+from repro.runtime.config import InstrumentationPolicy
 
 
 @dataclass
@@ -626,17 +626,6 @@ class PinReductionPass(Pass):
                                                            instr):
                             plan.pin_cleared.add(id(instr))
         return False
-
-
-def runtime_config_for(
-    policy: InstrumentationPolicy, options: CarmotOptions, **kwargs
-) -> RuntimeConfig:
-    """RuntimeConfig matching a CARMOT build (opt 7 is a runtime knob)."""
-    return RuntimeConfig(
-        policy=policy,
-        callstack_clustering=options.callstack_clustering,
-        **kwargs,
-    )
 
 
 # Pipeline aliases: the three build modes, by name.

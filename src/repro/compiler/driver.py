@@ -141,14 +141,30 @@ def frontend(source: str, name: str = "program") -> Module:
     return module
 
 
-def _resolve_abstraction(module: Module,
-                         abstraction: Optional[str]) -> Optional[str]:
-    if abstraction is not None:
-        return abstraction
-    for roi in module.rois.values():
-        if roi.abstraction is not None:
-            return roi.abstraction
-    return None
+def build_mode(
+    names: Sequence[str],
+    module: Optional[Module] = None,
+    abstraction: Optional[str] = None,
+) -> Tuple[BuildMode, Optional[InstrumentationPolicy]]:
+    """The build a pipeline of pass ``names`` makes, and its policy.
+
+    The instrumenter decides: ``naive-instrument`` → NAIVE,
+    ``instrument`` → CARMOT, neither → BASELINE (no policy).  The policy
+    is that of ``abstraction``, else of the first ROI of ``module`` that
+    names one, else the full policy.
+    """
+    if "naive-instrument" in names:
+        choose = naive_policy_for
+        mode = BuildMode.NAIVE
+    elif "instrument" in names:
+        choose = policy_for
+        mode = BuildMode.CARMOT
+    else:
+        return BuildMode.BASELINE, None
+    if abstraction is None and module is not None:
+        abstraction = next((roi.abstraction for roi in module.rois.values()
+                            if roi.abstraction is not None), None)
+    return mode, choose(abstraction)
 
 
 def compile_pipeline(
@@ -160,24 +176,13 @@ def compile_pipeline(
 ) -> CompiledProgram:
     """Compile with an explicit pass pipeline (text or list of names).
 
-    The build mode follows from the instrumenter in the pipeline:
-    ``naive-instrument`` → NAIVE, ``instrument`` → CARMOT, neither →
-    BASELINE (uninstrumented).  ``options`` only feeds runtime knobs and
+    The build mode follows from the instrumenter in the pipeline
+    (:func:`build_mode`).  ``options`` only feeds runtime knobs and
     build metadata — which passes run is decided by ``pipeline`` alone.
     """
     names = parse_pipeline(pipeline)
     module = frontend(source, name)
-    if "naive-instrument" in names:
-        mode = BuildMode.NAIVE
-        policy: Optional[InstrumentationPolicy] = naive_policy_for(
-            _resolve_abstraction(module, abstraction)
-        )
-    elif "instrument" in names:
-        mode = BuildMode.CARMOT
-        policy = policy_for(_resolve_abstraction(module, abstraction))
-    else:
-        mode = BuildMode.BASELINE
-        policy = None
+    mode, policy = build_mode(names, module, abstraction)
     info: Optional[CarmotBuildInfo] = None
     if mode is BuildMode.CARMOT:
         options = options or CarmotOptions()

@@ -74,7 +74,3 @@ def const_int(value: int) -> Const:
 
 def const_float(value: float) -> Const:
     return Const(float(value), ct.FLOAT)
-
-
-def null_pointer(pointee: ct.Type = ct.CHAR) -> Const:
-    return Const(0, ct.PointerType(pointee))

@@ -139,9 +139,6 @@ class StructType(Type):
                 return ftype
         raise SemanticError(f"struct {self.name} has no field {name!r}")
 
-    def has_field(self, name: str) -> bool:
-        return any(fname == name for fname, _ in self.fields)
-
     def size(self) -> int:
         if self._size is None:
             self._compute_layout()

@@ -15,7 +15,7 @@ container-level summaries, computed lazily and cached per ROI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.passes.manager import AnalysisManager
 
@@ -113,10 +113,3 @@ class Evidence:
             from repro.recommend.roles import summarize_containers
             self._containers = summarize_containers(self)
         return self._containers
-
-    def roles_by_kind(self) -> Dict[str, List[object]]:
-        """role name -> RoleInfo list (only roles that occurred)."""
-        grouped: Dict[str, List[object]] = {}
-        for role in self.roles:
-            grouped.setdefault(role.role, []).append(role)
-        return grouped

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional
 
+from repro.compiler.driver import BuildMode, build_mode
 from repro.errors import ReproError
 from repro.passes.registry import parse_pipeline
 from repro.resilience import parse_budget_spec
@@ -109,8 +110,8 @@ class RunOptions:
         """The pipeline text for recommend/psec: full CARMOT by default,
         the explicit ``passes`` pipeline when given (must instrument)."""
         if self.passes:
-            names = parse_pipeline(self.passes)
-            if "instrument" not in names and "naive-instrument" not in names:
+            mode, _ = build_mode(parse_pipeline(self.passes))
+            if mode is BuildMode.BASELINE:
                 raise ReproError(
                     f"pipeline {self.passes!r} has no instrumenter; append "
                     "'instrument' (or 'naive-instrument') to profile"

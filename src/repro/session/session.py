@@ -45,9 +45,8 @@ from repro.compiler.carmot import (
     CarmotOptions,
     carmot_pass_names,
 )
-from repro.compiler.driver import BuildMode, CompiledProgram
+from repro.compiler.driver import BuildMode, CompiledProgram, build_mode
 from repro.compiler.driver import frontend as live_frontend
-from repro.compiler.driver import _resolve_abstraction
 from repro.errors import ReproError
 from repro.ir.module import Module
 from repro.ir.serialize import (
@@ -60,7 +59,6 @@ from repro.ir.verifier import verify_module
 from repro.passes.manager import PassManager, PipelineContext
 from repro.passes.registry import parse_pipeline
 from repro.resilience.budgets import ExecutionBudgets
-from repro.runtime.config import naive_policy_for, policy_for
 from repro.runtime.psec_json import (
     ProfileSerializeError,
     deserialize_profile,
@@ -179,15 +177,7 @@ class Session:
         else:
             names = parse_pipeline(pipeline)
         module, frontend_digest, frontend_stage = self.frontend(source, name)
-        if "naive-instrument" in names:
-            mode = BuildMode.NAIVE
-            policy = naive_policy_for(_resolve_abstraction(module, abstraction))
-        elif "instrument" in names:
-            mode = BuildMode.CARMOT
-            policy = policy_for(_resolve_abstraction(module, abstraction))
-        else:
-            mode = BuildMode.BASELINE
-            policy = None
+        mode, policy = build_mode(names, module, abstraction)
         if mode is BuildMode.CARMOT:
             options = options or CarmotOptions()
         key = keys.pipeline_key(

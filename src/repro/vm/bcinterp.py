@@ -120,6 +120,7 @@ from repro.vm.bytecode import (
     OP_XOR,
     TY_CHAR,
     TY_FLOAT,
+    branch_targets,
     decode,
 )
 from repro.vm.codegen import lower_module
@@ -385,34 +386,13 @@ class _Source:
 
     # -- analysis ------------------------------------------------------------
 
-    def _targets(self, pc: int, ins: tuple) -> tuple:
-        op = ins[0]
-        if op == OP_JUMP:
-            targets = (ins[1],)
-        elif op == OP_BR:
-            targets = (ins[2], ins[3])
-        elif op == OP_PHI:
-            targets = (ins[2],)
-        else:
-            return ()
-        for target in targets:
-            if target not in self.at:
-                raise BytecodeError(
-                    f"branch to {target}, not an instruction start, at "
-                    f"{self.fn.name}+{pc}")
-        return targets
-
     def _blocks(self) -> None:
         """Split the stream into the blocks reachable from the entry and
         number the leaves of both forms' dispatch trees."""
         fn = self.fn
-        if fn.entry_pc not in self.at:
-            raise BytecodeError(
-                f"entry {fn.entry_pc} is not an instruction start in "
-                f"{fn.name}")
         leaders = {fn.entry_pc}
-        for pc, ins in self.ops:
-            leaders.update(self._targets(pc, ins))
+        for _, ins in self.ops:
+            leaders.update(branch_targets(ins))
         #: start pc -> ops of the block (up to a terminator or a leader).
         self.blocks: Dict[int, list] = {}
         #: start pc -> the leader it falls through to, if any.
@@ -435,7 +415,7 @@ class _Source:
                     break
                 body.append((pc, ins))
                 if ins[0] in _TERMINATORS:
-                    todo.extend(self._targets(pc, ins))
+                    todo.extend(branch_targets(ins))
                     break
                 i += 1
             self.blocks[start] = body
@@ -457,7 +437,7 @@ class _Source:
             if start in self.trampolines:
                 continue
             exits = []
-            for target in (*self._targets(*body[-1]),
+            for target in (*branch_targets(body[-1][1]),
                            *([self.falls[start]] if start in self.falls
                              else [])):
                 if target in self.trampolines:

@@ -101,12 +101,6 @@ def _print_str(vm, args: List) -> None:
     vm.output.append(text)
 
 
-def _guard_div(x: float) -> float:
-    if x == 0:
-        raise TrapError("math domain error: division by zero argument")
-    return x
-
-
 BUILTIN_IMPLS: Dict[str, Callable] = {
     "malloc": _malloc,
     "calloc": _calloc,

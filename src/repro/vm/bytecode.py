@@ -162,8 +162,9 @@ def decode(fn: "BytecodeFunction") -> List[tuple]:
     call arguments included.
 
     Raises :class:`BytecodeError` on an unknown opcode, a negative
-    argument or phi count, or an instruction that runs past the end of
-    the code."""
+    argument or phi count, an instruction that runs past the end of
+    the code, or an entry pc or branch target that is not the start of
+    an instruction."""
     code = fn.code
     n = len(code)
     out = []
@@ -183,7 +184,29 @@ def decode(fn: "BytecodeFunction") -> List[tuple]:
             raise BytecodeError(f"truncated instruction at {fn.name}+{pc}")
         out.append((pc, tuple(code[pc:pc + width])))
         pc += width
+    starts = {pc for pc, _ in out}
+    if fn.entry_pc not in starts:
+        raise BytecodeError(
+            f"entry {fn.entry_pc} is not an instruction start in {fn.name}")
+    for pc, ins in out:
+        for target in branch_targets(ins):
+            if target not in starts:
+                raise BytecodeError(
+                    f"branch to {target}, not an instruction start, at "
+                    f"{fn.name}+{pc}")
     return out
+
+
+def branch_targets(ins: tuple) -> tuple:
+    """The pcs a jump, branch or phi trampoline ``ins`` goes to."""
+    op = ins[0]
+    if op == OP_JUMP:
+        return (ins[1],)
+    if op == OP_BR:
+        return (ins[2], ins[3])
+    if op == OP_PHI:
+        return (ins[2],)
+    return ()
 
 
 # ---------------------------------------------------------------------------

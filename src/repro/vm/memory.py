@@ -235,18 +235,11 @@ class Memory:
                 return obj
         return None
 
-    def live_heap_objects(self) -> List[MemoryObject]:
-        return [o for o in self._objects["heap"] if not o.freed]
-
     @property
     def leaked_bytes(self) -> int:
         return self.heap_bytes_allocated - self.heap_bytes_freed
 
     # -- typed access --------------------------------------------------------------
-
-    @staticmethod
-    def scalar_size(ty: ct.Type) -> int:
-        return 1 if isinstance(ty, ct.CharType) else 8
 
     def read_scalar(self, addr: int, ty: ct.Type):
         size, unpack, _, _, _ = SCALAR_CODECS[_type_code(ty)]

@@ -18,7 +18,12 @@ from repro.session import (
     resolve_cache_dir,
 )
 from repro.session import keys
-from repro.vm.bytecode import OP_CALL_BUILTIN, BytecodeFunction, decode
+from repro.vm.bytecode import (
+    OP_CALL_BUILTIN,
+    OP_JUMP,
+    BytecodeFunction,
+    decode,
+)
 
 SOURCE = """
 int main() {
@@ -432,13 +437,28 @@ def _set_code(index, value):
     return mutate
 
 
+def _first_pc(code, opcode):
+    """The pc of the first ``opcode`` instruction of a code stream."""
+    return next(pc for pc, words in decode(BytecodeFunction(
+        "main", array("q", code), [], 0, 0, 0, False))
+        if words[0] == opcode)
+
+
 def _negative_argc(doc):
     [main] = doc["functions"]
     code = main["code"]
-    pc = next(pc for pc, words in decode(BytecodeFunction(
-        "main", array("q", code), [], 0, 0, 0, False))
-        if words[0] == OP_CALL_BUILTIN)
-    code[pc + 5] = -6  # the width comes out as 0
+    code[_first_pc(code, OP_CALL_BUILTIN) + 5] = -6  # the width comes out as 0
+
+
+def _jump_into_an_instruction(doc):
+    [main] = doc["functions"]
+    code = main["code"]
+    code[_first_pc(code, OP_JUMP) + 1] += 1  # one word past the target
+
+
+def _enter_into_an_instruction(doc):
+    [main] = doc["functions"]
+    main["entry"] += 1
 
 
 #: (stage, entry kind, mutation of the decoded payload).  Each payload
@@ -453,6 +473,10 @@ SHAPE_MALFORMED = {
     "bytecode_truncated_last_instruction": (
         "codegen", "bytecode", lambda doc: doc["functions"][0]["code"].pop()),
     "bytecode_negative_call_argc": ("codegen", "bytecode", _negative_argc),
+    "bytecode_entry_not_an_instruction_start": (
+        "codegen", "bytecode", _enter_into_an_instruction),
+    "bytecode_branch_not_to_an_instruction_start": (
+        "codegen", "bytecode", _jump_into_an_instruction),
     "psecs_not_a_list": ("profile", "profile",
                          lambda doc: doc.update(psecs=12345)),
 }
