@@ -187,7 +187,7 @@ def _gate_call(instr: Call, plan: InstrumentationPlan,
 
 
 # ---------------------------------------------------------------------------
-# Call-site table (compile-time interning for the runtime's probe fold)
+# Call-site table (compile-time site ids, kept in the IR and bytecode)
 # ---------------------------------------------------------------------------
 
 
@@ -197,10 +197,9 @@ class SiteTable:
 
     Computed by the ``site-table`` analysis *after* probe insertion; the
     instrument passes call :meth:`apply` to stamp each probe with its id
-    and publish the decode list on ``module.site_table``.  The runtime
-    seeds its site table from that list, so the hot path carries a
-    precomputed int instead of interning (var, loc) per event, and keys
-    its per-site last-object cache on it.
+    and publish the decode list on ``module.site_table``.  The ids stay
+    in the IR and bytecode formats; the runtime does not read them, as
+    each compiled probe site binds its own operands.
     """
 
     sites: List[Tuple[Optional[object], Optional[object]]] = field(

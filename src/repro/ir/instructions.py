@@ -406,8 +406,8 @@ class ProbeAccess(Instr):
     stride: int = 0
     result: Optional[Temp] = None
     #: Dense call-site id assigned at compile time by the ``site-table``
-    #: analysis; the packed runtime encoding uses it to avoid interning
-    #: (var, loc) per event.  Not part of the IR dump.
+    #: analysis.  Serialized with the IR and the bytecode, but nothing
+    #: reads it at run time.  Not part of the IR dump.
     site_id: Optional[int] = None
 
     def operands(self):

@@ -201,8 +201,9 @@ class Module:
         self._region_counter = itertools.count()
         #: Dense call-site table, (var, loc) per site id, filled by the
         #: ``site-table`` analysis after instrumentation.  Probes carry the
-        #: matching ``site_id``; the runtime seeds its site table from
-        #: this so the hot path never re-interns.
+        #: matching ``site_id``.  Both stay in the serialized IR and
+        #: bytecode; the runtime binds each compiled probe site's own
+        #: operands instead of reading them.
         self.site_table: List[tuple] = []
 
     def new_omp_region(

@@ -4,14 +4,14 @@
 reachability graphs; :class:`CarmotHooks` is the
 :class:`repro.vm.hooks.ExecutionHooks` implementation that instrumented
 modules run with.  Every event folds into the PSECs at its hook, in
-event order: a probed access steps the flat-table FSA inside the bound
-``on_probe_access`` closure, and classify, allocation, escape, free and
-Pin events fold through the runtime as they arrive.  The hooks charge
-main-thread costs (event pushes, callstack captures, Pin tracing) per the
-cost model.  The FSA work is not charged to the program's critical path:
-that is how the cost model represents the batching and shadow workers of
-§4.6, while the fold itself runs on the producing thread, so PSECs are
-bit-identical run to run.
+event order: a probed access steps the flat-table FSA inside the closure
+made for its compile-time probe site, and classify, allocation, escape,
+free and Pin events fold through the runtime as they arrive.  The hooks
+charge main-thread costs (event pushes, callstack captures, Pin tracing)
+per the cost model.  The FSA work is not charged to the program's
+critical path: that is how the cost model represents the batching and
+shadow workers of §4.6, while the fold itself runs on the producing
+thread, so PSECs are bit-identical run to run.
 """
 
 from __future__ import annotations
@@ -36,6 +36,14 @@ from repro.runtime.psec import MemoryBudgetExceeded, Psec, PseKey, PsecEntry
 from repro.vm.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.vm.hooks import ExecutionHooks
 from repro.vm.memory import MemoryObject
+
+#: A probe site before its first access; it matches no address.
+_NO_OBJECT = MemoryObject(0, 0, 0, "global", bytearray())
+
+
+def _use_overflow(psec: Psec, max_use: int) -> None:
+    raise MemoryBudgetExceeded(
+        f"ROI {psec.roi_id}: more than {max_use} use-callstack records")
 
 
 @dataclass
@@ -78,16 +86,13 @@ class CarmotRuntime:
             roi_id: 0 for roi_id in module.rois
         }
         self._budget_tripped: Set[int] = set()
+        #: While exactly one ROI is active and no event budget is set:
+        #: its ``(psec, entries, invocation, epoch)``, which a probe
+        #: site folds into inline; else None.
+        self._solo: List[Optional[tuple]] = [None]
         #: PSE-key interning: one shared tuple instance per key, even
         #: when the key appears in several ROIs' PSECs.
         self._pse_keys: Dict[PseKey, PseKey] = {}
-        self._var_keys: Dict[int, PseKey] = {}
-        #: site id → (var, loc, str(loc)); ids 0..n-1 match the
-        #: compile-time ``module.site_table`` so probes can carry them.
-        self._site_values: List[Tuple] = []
-        self._site_ids: Dict[Tuple[int, int], int] = {}
-        for var, loc in getattr(module, "site_table", ()) or ():
-            self._register_site(var, loc)
 
     # -- ROI lifecycle ------------------------------------------------------
 
@@ -97,6 +102,7 @@ class CarmotRuntime:
             (roi_id, self._invocations[roi_id], self._epochs[roi_id])
         )
         self.psecs[roi_id].invocations += 1
+        self._set_solo()
 
     def roi_reset(self, roi_id: int) -> None:
         """A new epoch: the ROI's loop is being entered afresh (§4.2)."""
@@ -106,7 +112,16 @@ class CarmotRuntime:
         for index in range(len(self._active) - 1, -1, -1):
             if self._active[index][0] == roi_id:
                 del self._active[index]
+                self._set_solo()
                 return
+
+    def _set_solo(self) -> None:
+        solo = None
+        if len(self._active) == 1 and not self._event_budget:
+            roi_id, invocation, epoch = self._active[0]
+            psec = self.psecs[roi_id]
+            solo = (psec, psec.entries, invocation, epoch)
+        self._solo[0] = solo
 
     @property
     def any_roi_active(self) -> bool:
@@ -158,20 +173,6 @@ class CarmotRuntime:
             else:
                 under.append(entry)
         return over, under
-
-    def _register_site(self, var, loc) -> int:
-        site_id = len(self._site_values)
-        self._site_values.append((var, loc, str(loc) if loc else "?"))
-        self._site_ids[(id(var), id(loc))] = site_id
-        return site_id
-
-    def _site_for(self, var, loc) -> int:
-        """Runtime fallback for probes without a compile-time site id
-        (direct ``instrument_module`` use, Pin accesses)."""
-        site_id = self._site_ids.get((id(var), id(loc)))
-        if site_id is None:
-            site_id = self._register_site(var, loc)
-        return site_id
 
     def _keys(self, var, obj_id, offset, size, count, stride):
         """The interned PSE keys one event touches: the variable's slot,
@@ -235,14 +236,18 @@ class CarmotRuntime:
 class CarmotHooks(ExecutionHooks):
     """VM hook adapter: folds events, charges main-thread costs.
 
-    The contract with the VM: before any hook fires, the VM must have
-    spilled its live instruction/cost counters into ``self.vm`` (this
-    adapter reads ``vm.cost``, and helpers read ``vm.memory`` /
-    ``vm.call_stack``), and hooks may mutate ``vm.cost``, which the VM
-    reloads after the call.  Identical hook sequences with identical
-    arguments give byte-for-byte equal profiles.  One adapter serves one
-    run, like its runtime: the probe's per-site cache holds that run's
-    memory objects.
+    The contract with the VM: a ``probe.access`` site calls the closure
+    :meth:`probe_site` made for it with the live instruction count, which
+    is the access time, and the live cost, and spills neither: if the
+    closure raises (the use-record budget), the generated frame's trap
+    handler leaves the counters of the probe's line in ``self.vm``.
+    Every other hook fires with the VM's counters spilled into
+    ``self.vm`` (these hooks read ``vm.instructions`` and ``vm.cost``,
+    and helpers read ``vm.memory`` / ``vm.call_stack``), and may mutate
+    ``vm.cost``, which the VM reloads after the call.  Identical hook
+    sequences with identical arguments give byte-for-byte equal
+    profiles.  One adapter serves one run, like its runtime: each site's
+    closure holds that run's memory objects.
     """
 
     def __init__(
@@ -257,8 +262,12 @@ class CarmotHooks(ExecutionHooks):
         #: function invocation already captured its callstack?
         self._frame_captured: List[bool] = [False]
         self._asmt_entries = runtime.asmt._entries
-        self.on_probe_access = self._bind_probe_access()
-        self._pin_access = self._bind_probe_access(probe=False)
+        self._fold = self._bind_fold()
+        self._site_constants = self._bind_site_constants()
+        #: :meth:`on_probe_access`'s closures, by (kind, size, stride,
+        #: loc, id(var)); each closure holds its var, so the id stays
+        #: unique.
+        self._adapted: Dict[tuple, object] = {}
 
     # -- helpers ---------------------------------------------------------------
 
@@ -300,94 +309,21 @@ class CarmotHooks(ExecutionHooks):
 
     # -- access probes -----------------------------------------------------------
 
-    def _bind_probe_access(self, probe: bool = True):
-        """``on_probe_access`` specialised on this run's config, bound once
-        so a probe pays only for what the run switched on (the myia
-        ``do_emit_events`` pattern).  The returned closure resolves the
-        object, charges the probe, and folds the access into the PSECs.
-
-        ``probe=False`` binds the same fold for Pin accesses, which
-        ``on_pin_access`` counts and charges itself: their probe counters
-        go to a scratch :class:`RuntimeStats`.
-        """
-        runtime, cm, config = self.runtime, self.cm, self.runtime.config
-        stats = runtime.stats if probe else RuntimeStats()
-        active = runtime._active
-        push, aggregate = cm.probe_push, cm.aggregate_probe
-        if not config.policy.track_sets:
-            # Without Sets tracking no address resolves: every probe is a
-            # push.
-            def on_probe_access(kind, addr, size, var, count, stride, loc,
-                                callstack, site_id=None) -> int:
-                if not active:
-                    stats.events_ignored_outside_roi += 1
-                return aggregate if count > 1 else push
-            return on_probe_access
-        track_uses = config.policy.track_use_callstacks
-        use_cost = 0
-        if track_uses:
-            use_cost = (cm.use_callstack_shadow if config.shadow_callstacks
-                        else cm.use_callstack_walk)
-        inline = cm.inline_process if config.inline_processing else 0
-        single = push + use_cost + inline
-        hooks, object_for, write = self, self._object_for, AccessKind.WRITE
-        site_for, site_values = runtime._site_for, runtime._site_values
-        # The last object each compile-time site resolved: a loop body
-        # touching two arrays in alternation evicts ``Memory``'s single
-        # last-hit object on every probe, but not these.
-        site_last = [MemoryObject(0, 0, 0, "global", bytearray())] * len(
-            site_values)
-        psecs, var_keys = runtime.psecs, runtime._var_keys
-        intern_key, keys_for = runtime._pse_keys.setdefault, runtime._keys
+    def _bind_fold(self):
+        """The fold of one access into every active ROI's PSEC, bound
+        once on this run's config: ``fold(is_write, keys, var, use,
+        time)`` steps the FSA of each interned key in each ROI, after
+        counting the event against the ROIs' event budgets.
+        ``use`` is the access's ``(loc, callstack)`` record, None when
+        the run tracks no use-callstacks.  A probe site's single-ROI path
+        is this loop's body for one key and one ROI."""
+        runtime = self.runtime
+        active, psecs = runtime._active, runtime.psecs
         flat, forced_join = fsa.FLAT_TRANSITIONS, fsa.FORCED_JOIN
-        max_use = config.max_use_records
+        max_use = runtime.config.max_use_records
         event_budget, budget_note = runtime._event_budget, runtime._budget_note
-        use = None
 
-        def on_probe_access(kind, addr, size, var, count, stride, loc,
-                            callstack, site_id=None) -> int:
-            if not active:
-                stats.events_ignored_outside_roi += 1
-                return aggregate if count > 1 else push
-            vm = hooks.vm
-            if site_id is None:
-                obj = object_for(addr)
-                if obj is None:
-                    return aggregate if count > 1 else push
-                site_id = site_for(var, loc)
-            else:
-                # ``Memory.try_object_at``'s check, against this site's
-                # last object.
-                obj = site_last[site_id]
-                base = obj.base
-                if not (base <= addr < base + obj.size and not obj.freed):
-                    obj = object_for(addr)
-                    if obj is None:
-                        return aggregate if count > 1 else push
-                    site_last[site_id] = obj
-            stats.access_events += 1
-            if count > 1:
-                stats.aggregated_events += 1
-                cost = aggregate + use_cost + inline * count
-            else:
-                cost = single
-            obj_id = obj.obj_id
-            offset = addr - obj.base
-            var, _, loc_str = site_values[site_id]
-            time = vm.instructions
-            if count == 1:
-                if var is not None:
-                    key = var_keys.get(obj_id)
-                    if key is None:
-                        key = intern_key(("var", obj_id), ("var", obj_id))
-                        var_keys[obj_id] = key
-                else:
-                    key = ("mem", obj_id, offset, size)
-                    key = intern_key(key, key)
-                keys = (key,)
-            else:
-                keys = keys_for(var, obj_id, offset, size, count, stride)
-            is_write = 1 if kind is write else 0
+        def fold(is_write, keys, var, use, time) -> None:
             rois = active
             if event_budget:
                 # Past its event budget an ROI gets conservative letters
@@ -400,16 +336,13 @@ class CarmotHooks(ExecutionHooks):
                         for roi_id, _, _ in over:
                             psecs[roi_id].force_classification(
                                 key, var, letters, time)
-            if track_uses:
-                use = (loc_str, callstack)
             for key in keys:
                 for roi_id, invocation, epoch in rois:
                     psec = psecs[roi_id]
                     entries = psec.entries
                     entry = entries.get(key)
                     if entry is None:
-                        entry = PsecEntry(key, var)
-                        entries[key] = entry
+                        entry = entries[key] = PsecEntry(key, var)
                     elif var is not None and entry.var is None:
                         entry.var = var
                     if epoch != entry.last_epoch:
@@ -439,19 +372,174 @@ class CarmotHooks(ExecutionHooks):
                         entry.first_time = time
                     entry.last_time = time
                     psec.total_accesses += 1
-                    if track_uses and use not in entry.uses:
-                        entry.uses.add(use)
-                        psec.use_records += 1
-                        if max_use and psec.use_records > max_use:
-                            raise MemoryBudgetExceeded(
-                                f"ROI {psec.roi_id}: more than "
-                                f"{max_use} use-callstack records"
-                            )
-            return cost
-        return on_probe_access
+                    # ``last_use`` is always in ``uses``; without use
+                    # tracking both it and ``use`` stay None.
+                    if use is not entry.last_use:
+                        if use not in entry.uses:
+                            entry.uses.add(use)
+                            psec.use_records += 1
+                            if max_use and psec.use_records > max_use:
+                                _use_overflow(psec, max_use)
+                        entry.last_use = use
+        return fold
+
+    def _bind_site_constants(self) -> Optional[tuple]:
+        """What every probe site of this run binds, computed once so
+        that making a site stays cheap; None when the run tracks no
+        Sets.  Nothing here refers back to the hooks: the per-site
+        closures are held by compiled code, so the hooks and their
+        runtime are freed by reference counting when the run ends."""
+        runtime, cm, config = self.runtime, self.cm, self.runtime.config
+        if not config.policy.track_sets:
+            return None
+        track_uses = config.policy.track_use_callstacks
+        use_cost = 0
+        if track_uses:
+            use_cost = (cm.use_callstack_shadow if config.shadow_callstacks
+                        else cm.use_callstack_walk)
+        inline = cm.inline_process if config.inline_processing else 0
+        # The flat transition table's column of each event code.
+        steps = [tuple(fsa.FLAT_TRANSITIONS[code::4]) for code in range(4)]
+        return (runtime._solo, cm.probe_push + use_cost + inline, use_cost,
+                inline, track_uses, runtime._keys,
+                runtime._pse_keys.setdefault, steps, config.max_use_records)
+
+    def probe_site(self, kind, size, var, stride, loc):
+        """The access probe of one compiled ``probe.access`` site (the
+        myia ``do_emit_events`` pattern, taken down to the site).
+
+        Returns ``probe(ic, cost, addr, callstack, count=1)``: it
+        resolves the object, folds the access into the PSECs at time
+        ``ic`` and returns the probe's charge (``cost`` is for hooks
+        that spill it; this fold has no use for it).  The site's
+        operands, its ``str(loc)`` and the last object it resolved are
+        bound in.  An access of one key while one ROI is active, and no
+        event budget is set, folds inline; every other access goes
+        through :meth:`_bind_fold`'s loop.
+        """
+        runtime, cm = self.runtime, self.cm
+        stats, active = runtime.stats, runtime._active
+        push, aggregate = cm.probe_push, cm.aggregate_probe
+        if self._site_constants is None:
+            # Without Sets tracking no address resolves: every probe is a
+            # push.
+            def probe(ic, cost, addr, cs, count=1) -> int:
+                if not active:
+                    stats.events_ignored_outside_roi += 1
+                return aggregate if count > 1 else push
+            return probe
+        (solo, single, use_cost, inline, track_uses, keys_for, intern_key,
+         steps, max_use) = self._site_constants
+        object_for, fold = self._object_for, self._fold
+        forced_join = fsa.FORCED_JOIN
+        is_write = 1 if kind is AccessKind.WRITE else 0
+        # The site's next states after a first access in an invocation
+        # and after a repeat.
+        first, repeat = steps[is_write], steps[is_write + 2]
+        loc_str = str(loc) if loc else "?"
+        # The last object the site resolved, as the address range
+        # ``[lo, hi)`` ``Memory.try_object_at`` tests: a loop body
+        # touching two arrays in alternation evicts ``Memory``'s single
+        # last-hit object on every probe, but not these.
+        obj, oid, lo, hi, var_key = _NO_OBJECT, 0, 0, 0, None
+        # One use record per distinct callstack: a generated frame builds
+        # its ``cs`` once per call, so an identity test on it skips this
+        # table on all but a call's first access.
+        uses: Dict[Tuple[str, ...], Tuple] = {}
+        last_cs = use = None
+
+        def probe(ic, cost, addr, cs, count=1) -> int:
+            nonlocal obj, oid, lo, hi, var_key, last_cs, use
+            if not active:
+                stats.events_ignored_outside_roi += 1
+                return aggregate if count > 1 else push
+            if not lo <= addr < hi or obj.freed:
+                found = object_for(addr)
+                if found is None:
+                    return aggregate if count > 1 else push
+                obj, oid, lo = found, found.obj_id, found.base
+                hi = lo + found.size
+                if var is not None:
+                    var_key = intern_key(("var", oid), ("var", oid))
+            stats.access_events += 1
+            if track_uses and cs is not last_cs:
+                last_cs = cs
+                use = uses.get(cs)
+                if use is None:
+                    use = uses[cs] = (loc_str, cs)
+            one = solo[0]
+            if count != 1 or one is None:
+                if count > 1:
+                    stats.aggregated_events += 1
+                fold(is_write, keys_for(var, oid, addr - lo, size, count,
+                                        stride),
+                     var, use, ic)
+                if count > 1:
+                    return aggregate + use_cost + inline * count
+                return single
+            psec, entries, invocation, epoch = one
+            if var_key is None:
+                key = ("mem", oid, addr - lo, size)
+                entry = entries.get(key)
+                if entry is None:
+                    # Entries are never deleted: intern on a miss only.
+                    key = intern_key(key, key)
+                    entry = entries[key] = PsecEntry(key, var)
+            else:
+                entry = entries.get(var_key)
+                if entry is None:
+                    entry = entries[var_key] = PsecEntry(var_key, var)
+                elif entry.var is None:
+                    entry.var = var
+            if epoch != entry.last_epoch:
+                forced = forced_join[entry.state_code].get(entry.forced)
+                entry.forced = (fsa.join_forced(
+                    entry.state_code, entry.forced)
+                    if forced is None else forced)
+                entry.state_code = 0
+                entry.last_invocation = -1
+                entry.last_epoch = epoch
+            if invocation != entry.last_invocation:
+                state_code = first[entry.state_code]
+            else:
+                state_code = repeat[entry.state_code]
+                if state_code < 0:
+                    fsa.step_code(entry.state_code, is_write + 2)
+            entry.state_code = state_code
+            if is_write:
+                entry.write_seen = True
+            entry.access_count += 1
+            entry.last_invocation = invocation
+            if entry.first_time is None:
+                entry.first_time = ic
+            entry.last_time = ic
+            psec.total_accesses += 1
+            if use is not entry.last_use:
+                if use not in entry.uses:
+                    entry.uses.add(use)
+                    psec.use_records += 1
+                    if max_use and psec.use_records > max_use:
+                        _use_overflow(psec, max_use)
+                entry.last_use = use
+            return single
+        return probe
+
+    def on_probe_access(self, kind, addr, size, var, count, stride, loc,
+                        callstack) -> int:
+        """One access through the per-site closures, for callers with no
+        sites of their own (the tree-walk oracle engine, unit tests):
+        each distinct site operand tuple gets its closure, fed the
+        counters in ``self.vm``."""
+        key = (kind, size, stride, loc, id(var))
+        site = self._adapted.get(key)
+        if site is None:
+            site = self._adapted[key] = self.probe_site(
+                kind, size, var, stride, loc)
+        vm = self.vm
+        return site(vm.instructions, vm.cost, addr, callstack, count)
 
     def on_probe_classify(self, states, addr, size, var, count, stride,
-                          loc, roi_id=None, site_id=None) -> int:
+                          loc, roi_id=None) -> int:
         runtime = self.runtime
         if roi_id is not None:
             active = ((roi_id, 0, 0),)
@@ -463,8 +551,6 @@ class CarmotHooks(ExecutionHooks):
             obj = self._object_for(addr)
             if obj is not None:
                 runtime.stats.classify_events += 1
-                if site_id is not None:
-                    var = runtime._site_values[site_id][0]
                 runtime.classify(
                     states, obj.obj_id, addr - obj.base, size, count,
                     stride, var, active, self.vm.instructions,
@@ -547,12 +633,26 @@ class CarmotHooks(ExecutionHooks):
         runtime = self.runtime
         granules = max(1, math.ceil(size / 8))
         runtime.stats.pin_accesses += granules
-        self._pin_access(kind, addr, min(size, 8), None, granules, 8, None,
-                         tuple(self.vm.call_stack))
+        if runtime.any_roi_active and runtime.config.policy.track_sets:
+            obj = self._object_for(addr)
+            if obj is not None:
+                self._pin_fold(kind, obj, addr - obj.base, min(size, 8),
+                               granules)
         cost = self.cm.pin_per_access * granules
         if runtime.config.inline_processing:
             cost += self.cm.inline_process * granules
         return cost
+
+    def _pin_fold(self, kind, obj, offset, size, count) -> None:
+        """Pin's fold: ``count`` granules of ``size`` bytes, 8 bytes
+        apart, with no site (the use record's loc is ``?``) and no probe
+        counters: :meth:`on_pin_access` counts and charges them."""
+        vm, runtime = self.vm, self.runtime
+        use = (("?", tuple(vm.call_stack))
+               if runtime.config.policy.track_use_callstacks else None)
+        self._fold(kind is AccessKind.WRITE,
+                   runtime._keys(None, obj.obj_id, offset, size, count, 8),
+                   None, use, vm.instructions)
 
     def finish(self) -> None:
         self.runtime.finish()

@@ -40,12 +40,14 @@ class PsecEntry:
     The FSA state is held as a dense integer code (index into
     :data:`fsa.STATES`) so the hot recording path is a flat-table lookup;
     the :attr:`state` property preserves the enum-valued view.
+    ``last_use`` is the use record the fold last found in :attr:`uses`,
+    so that a repeat costs an identity test instead of a hash.
     """
 
     __slots__ = (
         "key", "var", "state_code", "forced", "last_invocation",
         "first_time", "last_time", "uses", "write_seen", "access_count",
-        "last_epoch",
+        "last_epoch", "last_use",
     )
 
     def __init__(
@@ -66,6 +68,7 @@ class PsecEntry:
         self.write_seen = False
         self.access_count = 0
         self.last_epoch = 0
+        self.last_use: Optional[Tuple[str, Tuple[str, ...]]] = None
 
     @property
     def state(self) -> fsa.State:

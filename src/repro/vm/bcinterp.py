@@ -33,7 +33,8 @@ Shape of a generated function (DESIGN.md §12):
 - **Spills.**  Before every hook, builtin and call the exact counters
   are written to ``vm.instructions``/``vm.cost`` (hooks read them as
   event time), and ``vm.cost`` is read back after builtins and calls,
-  which charge it directly.
+  which charge it directly.  A probe site is passed the counters
+  instead.
 - **Traps map back to their op.**  Every line of generated source has an
   entry in a per-function table: how much of the segment's pre-added
   count, cost and accesses is still ahead of that line.  The frame's
@@ -42,8 +43,9 @@ Shape of a generated function (DESIGN.md §12):
   trapping instruction.
 - **Loads, stores and probes** call their site's closure, made once per
   run: a load or store site tests the object it resolved last before
-  ``Memory._resolve``, which raises every fault; a probe site binds the
-  probe's static operands.
+  ``Memory._resolve``, which raises every fault; a probe site's closure
+  comes from the hooks (:meth:`~repro.vm.hooks.ExecutionHooks.probe_site`),
+  with the probe's static operands bound in.
 - **MiniC calls are Python calls**; the call-depth ceiling
   (``MAX_CALL_DEPTH``) trips long before Python's recursion limit, which
   this module raises once at import.
@@ -122,6 +124,7 @@ from repro.vm.bytecode import (
     TY_FLOAT,
     branch_targets,
     decode,
+    operands,
 )
 from repro.vm.codegen import lower_module
 from repro.vm.costmodel import DEFAULT_COST_MODEL, CostModel
@@ -222,33 +225,6 @@ _PACK = (struct.Struct("<Q").pack_into, SCALAR_CODECS[TY_FLOAT][2],
 _STORE_MASK = {0: (1 << 64) - 1, TY_CHAR: 0xFF}
 
 
-def _operands(ins: tuple) -> Tuple[tuple, tuple]:
-    """The register slots an instruction reads, and those it writes."""
-    op = ins[0]
-    if op == OP_LOAD or op == OP_CAST:
-        return (ins[2],), (ins[1],)
-    if op == OP_STORE or op == OP_PROBE_ESCAPE:
-        return ins[1:3], ()
-    if op == OP_ADDR or OP_ADD <= op <= OP_SHR:
-        return ins[2:4], (ins[1],)
-    if op == OP_BR:
-        return (ins[1],), ()
-    if op == OP_PHI:
-        return ins[3::2], ins[4::2]
-    if op == OP_ALLOCA:
-        return (), (ins[1],)
-    if op in (OP_CALL, OP_CALL_BUILTIN, OP_CALL_IND):
-        args = ins[5:] if op == OP_CALL else ins[6:]
-        if op == OP_CALL_IND:
-            args = (ins[1],) + args
-        return args, (ins[2],) if ins[2] >= 0 else ()
-    if op == OP_RET:
-        return (ins[1],) if ins[1] >= 0 else (), ()
-    if op == OP_PROBE_ACCESS or op == OP_PROBE_CLASSIFY:
-        return (ins[2],) if ins[5] < 0 else (ins[2], ins[5]), ()
-    return (), ()
-
-
 class _Slots:
     """What the generator knows of a function's register slots: how
     often each is read and written, which provably hold ints (their
@@ -265,7 +241,7 @@ class _Slots:
         rules = []
         for _, ins in ops:
             op = ins[0]
-            reads, writes = _operands(ins)
+            reads, writes = operands(ins)
             for slot in reads:
                 self.reads[slot] = self.reads.get(slot, 0) + 1
             for slot in writes:
@@ -899,7 +875,7 @@ class _Source:
             items += self._cast(*ins[1:])
             items.append(("c", cm.cast))
         elif op == OP_PROBE_ACCESS:
-            items += self._probe(*ins[1:])
+            items += self._probe(*ins[1:8])  # the site word is unused
         elif op == OP_CALL:
             items += self._call(ins)
         elif op == OP_CALL_BUILTIN:
@@ -936,12 +912,11 @@ class _Source:
             items += self._hook(hook, ins[1])
             items.append(("c", cm.roi_marker))
         elif op == OP_PROBE_CLASSIFY:
-            (_, states, ptr, size, var, count, stride, loc, roi,
-             site) = ins
+            _, states, ptr, size, var, count, stride, loc, roi, _ = ins
             items += self._hook(
                 "HPC", self.string(states), self.as_int(ptr), size,
                 self.var(var), self._count(count), stride, self.loc(loc),
-                roi if roi >= 0 else None, site if site >= 0 else None)
+                roi if roi >= 0 else None)
         elif op == OP_PROBE_ESCAPE:
             _, val, ptr, loc = ins
             items += self._hook("HPE", self.as_int(val), self.as_int(ptr),
@@ -969,14 +944,13 @@ class _Source:
         return [("l", f"cost += HK({{IC}}, {{COST}}, {hook}{args})")]
 
     def _probe(self, is_write: int, ptr: int, size: int, var: int,
-               count: int, stride: int, loc: int, site_id: int) -> list:
-        """``probe.access``: the site's probe spills the counters and calls
-        the hook."""
+               count: int, stride: int, loc: int) -> list:
+        """``probe.access``: the site's closure, given the exact
+        counters."""
         site = self._site(
             "probe", is_write, size,
             self.bc.var_table[var] if var >= 0 else None, stride,
-            self.bc.loc_table[loc] if loc >= 0 else None,
-            site_id if site_id >= 0 else None)
+            self.bc.loc_table[loc] if loc >= 0 else None)
         count = "" if count < 0 else f", {self.as_int(count)}"
         return [("l", f"cost += {site}({{IC}}, {{COST}}, {self.as_int(ptr)}, "
                       f"cs{count})")]
@@ -1553,17 +1527,11 @@ class BytecodeInterpreter:
             pack(obj.data, addr - lo, value & mask)
         return write_int
 
-    def _site_probe(self, is_write, size, var, stride, loc, site):
-        """A ``probe.access`` site: spills the exact counters it is given,
-        then reports the access."""
-        hook = self.hooks.on_probe_access
-        kind = AccessKind.WRITE if is_write else AccessKind.READ
-
-        def probe(ic, cost, addr, cs, count=1):
-            self.instructions = ic
-            self.cost = cost
-            return hook(kind, addr, size, var, count, stride, loc, cs, site)
-        return probe
+    def _site_probe(self, is_write, size, var, stride, loc):
+        """A ``probe.access`` site: the hooks' closure for it."""
+        return self.hooks.probe_site(
+            AccessKind.WRITE if is_write else AccessKind.READ, size, var,
+            stride, loc)
 
     def _alloca(self, size, var, loc, cs, frame_objects, ic, cost):
         """``alloca``: a stack object for the frame, announced to the

@@ -24,7 +24,7 @@ it (stale cache entries then never match — see :mod:`repro.session.keys`).
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro._version import BYTECODE_SCHEMA_VERSION
 from repro.errors import ReproError
@@ -163,10 +163,11 @@ def decode(fn: "BytecodeFunction") -> List[tuple]:
 
     Raises :class:`BytecodeError` on an unknown opcode, a negative
     argument or phi count, an instruction that runs past the end of
-    the code, or an entry pc or branch target that is not the start of
-    an instruction."""
+    the code, a register slot outside the frame, or an entry pc or
+    branch target that is not the start of an instruction."""
     code = fn.code
     n = len(code)
+    n_regs = fn.n_regs
     out = []
     pc = 0
     while pc < n:
@@ -182,7 +183,14 @@ def decode(fn: "BytecodeFunction") -> List[tuple]:
             raise BytecodeError(f"negative count at {fn.name}+{pc}")
         if pc + width > n:
             raise BytecodeError(f"truncated instruction at {fn.name}+{pc}")
-        out.append((pc, tuple(code[pc:pc + width])))
+        ins = tuple(code[pc:pc + width])
+        for slots in operands(ins):
+            for slot in slots:
+                if not 0 <= slot < n_regs:
+                    raise BytecodeError(
+                        f"register slot {slot} out of range ({n_regs} "
+                        f"registers) at {fn.name}+{pc}")
+        out.append((pc, ins))
         pc += width
     starts = {pc for pc, _ in out}
     if fn.entry_pc not in starts:
@@ -195,6 +203,33 @@ def decode(fn: "BytecodeFunction") -> List[tuple]:
                     f"branch to {target}, not an instruction start, at "
                     f"{fn.name}+{pc}")
     return out
+
+
+def operands(ins: tuple) -> Tuple[tuple, tuple]:
+    """The register slots an instruction reads, and those it writes."""
+    op = ins[0]
+    if op == OP_LOAD or op == OP_CAST:
+        return (ins[2],), (ins[1],)
+    if op == OP_STORE or op == OP_PROBE_ESCAPE:
+        return ins[1:3], ()
+    if op == OP_ADDR or OP_ADD <= op <= OP_SHR:
+        return ins[2:4], (ins[1],)
+    if op == OP_BR:
+        return (ins[1],), ()
+    if op == OP_PHI:
+        return ins[3::2], ins[4::2]
+    if op == OP_ALLOCA:
+        return (), (ins[1],)
+    if op in (OP_CALL, OP_CALL_BUILTIN, OP_CALL_IND):
+        args = ins[5:] if op == OP_CALL else ins[6:]
+        if op == OP_CALL_IND:
+            args = (ins[1],) + args
+        return args, (ins[2],) if ins[2] >= 0 else ()
+    if op == OP_RET:
+        return (ins[1],) if ins[1] >= 0 else (), ()
+    if op == OP_PROBE_ACCESS or op == OP_PROBE_CLASSIFY:
+        return (ins[2],) if ins[5] < 0 else (ins[2], ins[5]), ()
+    return (), ()
 
 
 def branch_targets(ins: tuple) -> tuple:

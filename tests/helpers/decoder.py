@@ -21,7 +21,7 @@ from contextlib import contextmanager, nullcontext
 from repro.ir.instructions import AccessKind
 from repro.resilience.degradation import CONSERVATIVE_READ, CONSERVATIVE_WRITE
 from repro.runtime.asmt import AsmtEntry
-from repro.runtime.engine import CarmotHooks, CarmotRuntime, RuntimeStats
+from repro.runtime.engine import CarmotHooks, CarmotRuntime
 
 #: Fold parameter values: ``object`` = this oracle, ``kernel`` = the
 #: production fold.
@@ -85,19 +85,35 @@ def replay(runtime, event):
         runtime.asmt.mark_freed(obj, time)
 
 
-def _recording_probe_access(hooks, probe=True):
-    """The hook adapter's access probe, recording each access instead of
-    folding it; charges and counts exactly as the kernel's closure."""
+#: Accesses the oracle folded inside the current :func:`decoder_fold`:
+#: ``[probes, pin accesses]``.
+FOLDED = [0, 0]
+
+
+def _record_access(hooks, kind, obj, offset, size, count, stride, var, loc,
+                   callstack, time):
+    runtime = hooks.runtime
+    replay(runtime, (
+        "write" if kind is AccessKind.WRITE else "read", obj.obj_id,
+        offset, size, count, stride, var, loc, callstack,
+        tuple(runtime._active), time, None,
+    ))
+
+
+def _recording_probe_site(hooks, kind, size, var, stride, loc):
+    """The hook adapter's per-site factory, with the site recording its
+    accesses instead of folding them; charges and counts exactly as the
+    kernel's closures, and spills the counters before every access as
+    the VM does before a hook."""
     runtime, cm, config = hooks.runtime, hooks.cm, hooks.runtime.config
-    stats = runtime.stats if probe else RuntimeStats()
+    stats = runtime.stats
     use_cost = 0
     if config.policy.track_use_callstacks:
         use_cost = (cm.use_callstack_shadow if config.shadow_callstacks
                     else cm.use_callstack_walk)
     inline = cm.inline_process if config.inline_processing else 0
 
-    def on_probe_access(kind, addr, size, var, count, stride, loc,
-                        callstack, site_id=None):
+    def probe(ic, cost, addr, callstack, count=1):
         miss = cm.aggregate_probe if count > 1 else cm.probe_push
         if not runtime._active:
             stats.events_ignored_outside_roi += 1
@@ -108,18 +124,22 @@ def _recording_probe_access(hooks, probe=True):
         stats.access_events += 1
         if count > 1:
             stats.aggregated_events += 1
-            cost = cm.aggregate_probe + use_cost + inline * count
+            charge = cm.aggregate_probe + use_cost + inline * count
         else:
-            cost = cm.probe_push + use_cost + inline
-        if site_id is not None:
-            var, loc, _ = runtime._site_values[site_id]
-        replay(runtime, (
-            "write" if kind is AccessKind.WRITE else "read", obj.obj_id,
-            addr - obj.base, size, count, stride, var, loc, callstack,
-            tuple(runtime._active), hooks.vm.instructions, None,
-        ))
-        return cost
-    return on_probe_access
+            charge = cm.probe_push + use_cost + inline
+        hooks.vm.instructions = ic
+        hooks.vm.cost = cost
+        FOLDED[0] += 1
+        _record_access(hooks, kind, obj, addr - obj.base, size, count,
+                       stride, var, loc, callstack, ic)
+        return charge
+    return probe
+
+
+def _record_pin_fold(hooks, kind, obj, offset, size, count):
+    FOLDED[1] += 1
+    _record_access(hooks, kind, obj, offset, size, count, 8, None, None,
+                   tuple(hooks.vm.call_stack), hooks.vm.instructions)
 
 
 def _record_classify(runtime, states, obj_id, offset, size, count, stride,
@@ -146,7 +166,8 @@ def _record_free(runtime, obj_id, time):
 
 
 _PATCHES = (
-    (CarmotHooks, "_bind_probe_access", _recording_probe_access),
+    (CarmotHooks, "probe_site", _recording_probe_site),
+    (CarmotHooks, "_pin_fold", _record_pin_fold),
     (CarmotRuntime, "classify", _record_classify),
     (CarmotRuntime, "alloc", _record_alloc),
     (CarmotRuntime, "escape", _record_escape),
@@ -156,15 +177,22 @@ _PATCHES = (
 
 @contextmanager
 def decoder_fold():
-    """Fold every runtime created in the block through the oracle."""
+    """Fold every runtime created in the block through the oracle.
+
+    The block fails unless the oracle folded at least one probe or Pin
+    access: a kernel path that bypasses these patches would otherwise
+    make a differential compare the kernel with itself, and pass."""
     saved = [(cls, name, getattr(cls, name)) for cls, name, _ in _PATCHES]
     for cls, name, oracle in _PATCHES:
         setattr(cls, name, oracle)
+    FOLDED[:] = [0, 0]
     try:
-        yield
+        yield FOLDED
     finally:
         for cls, name, original in saved:
             setattr(cls, name, original)
+    assert any(FOLDED), (
+        "the recording oracle folded no access: the run bypassed it")
 
 
 def fold(name):

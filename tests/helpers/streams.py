@@ -1,10 +1,10 @@
 """Seeded, loop-shaped access streams for the runtime's fold.
 
 :func:`make_stream` builds an op stream the way a profiled loop would
-produce one; :func:`resolve_ops` interns its sites on a runtime the way
-compiled probes would; :func:`stream_hooks` lays the stream's objects
-out in a VM memory and :func:`probe` sends one op through the hook
-adapter's ``on_probe_access``; :func:`replay_stream` replays a whole
+produce one; :func:`stream_hooks` lays the stream's objects out in a VM
+memory; :func:`resolve_ops` binds its ops to per-site closures the way
+compiled probes are bound, and :func:`probe` sends one op through its
+site's closure; :func:`replay_stream` replays a whole
 stream in ROI invocations; :func:`psec_digest` hashes the resulting
 Sets.  The fold differential suite replays these streams through both
 folds, and the pinned-stream test holds the kernel's Sets for fixed
@@ -145,21 +145,6 @@ def stream_runtime() -> CarmotRuntime:
     ))
 
 
-def resolve_ops(ops, vars_by_obj, locs, callstacks, runtime: CarmotRuntime):
-    """Pre-resolve the stream the way compiled probes would (operands in
-    instruction fields, site ids interned at compile time on
-    ``runtime``).  Call it before :func:`stream_hooks`, which sizes the
-    per-site object cache from the runtime's site table."""
-    resolved = []
-    for is_write, obj, offset, count, stride, loc_index, cs_index in ops:
-        var = vars_by_obj[obj]
-        loc = locs[loc_index]
-        site_id = runtime._site_for(var, loc)
-        resolved.append((is_write, obj, offset, count, stride, var,
-                         loc, site_id, callstacks[cs_index]))
-    return resolved
-
-
 def stream_hooks(runtime: CarmotRuntime, n_objects: int):
     """Hooks over a VM memory holding one 512-byte object per stream
     object, stream object ``i`` with id ``1000 + i``; returns the hooks
@@ -168,34 +153,53 @@ def stream_hooks(runtime: CarmotRuntime, n_objects: int):
     memory._obj_counter = 999
     bases = [memory.allocate(512, "heap").base for _ in range(n_objects)]
     hooks = CarmotHooks(runtime)
-    hooks.vm = SimpleNamespace(memory=memory, instructions=0)
+    hooks.vm = SimpleNamespace(memory=memory, instructions=0, cost=0)
     return hooks, bases
 
 
-def probe(hooks: CarmotHooks, bases, op, time: int, is_write=None) -> None:
-    """Send one resolved op through ``on_probe_access`` at ``time``
+def resolve_ops(ops, vars_by_obj, locs, callstacks, hooks: CarmotHooks):
+    """Bind the stream to probe sites the way compiled code would: the
+    ops of one (variable, loc, stride) share a site, whose read and
+    write closures come from the hooks' per-site factory, the one the VM
+    calls.  Each resolved op is ``(is_write, obj, offset, count,
+    callstack, (read_site, write_site))``."""
+    sites = {}
+    resolved = []
+    for is_write, obj, offset, count, stride, loc_index, cs_index in ops:
+        var = vars_by_obj[obj]
+        key = (None if var is None else obj, loc_index, stride)
+        pair = sites.get(key)
+        if pair is None:
+            pair = sites[key] = tuple(
+                hooks.probe_site(kind, 8, var, stride, locs[loc_index])
+                for kind in (AccessKind.READ, AccessKind.WRITE))
+        resolved.append((is_write, obj, offset, count,
+                         callstacks[cs_index], pair))
+    return resolved
+
+
+def probe(bases, op, time: int, is_write=None) -> None:
+    """Send one resolved op through its site's closure at ``time``
     (``is_write`` overrides the op's access kind)."""
-    written, obj, offset, count, stride, var, loc, site_id, cs = op
+    written, obj, offset, count, callstack, sites = op
     if is_write is None:
         is_write = written
-    hooks.vm.instructions = time
-    hooks.on_probe_access(AccessKind.WRITE if is_write else AccessKind.READ,
-                          bases[obj] + offset, 8, var, count, stride, loc,
-                          cs, site_id)
+    sites[is_write](time, 0, bases[obj] + offset, callstack, count)
 
 
-def replay_stream(runtime: CarmotRuntime, resolved, n_objects: int,
-                  invocation_len: int) -> None:
-    """Probe every op of ``resolved``, ``invocation_len`` ops per ROI
-    invocation, then finish the run."""
+def replay_stream(runtime: CarmotRuntime, stream, invocation_len: int) -> None:
+    """Probe every op of ``stream`` (:func:`make_stream`'s result),
+    ``invocation_len`` ops per ROI invocation, then finish the run."""
+    ops, vars_by_obj, locs, callstacks = stream
     roi_id = next(iter(runtime.psecs))
-    hooks, bases = stream_hooks(runtime, n_objects)
+    hooks, bases = stream_hooks(runtime, len(vars_by_obj))
+    resolved = resolve_ops(ops, vars_by_obj, locs, callstacks, hooks)
     runtime.roi_begin(roi_id)
     for index, op in enumerate(resolved):
         if index and index % invocation_len == 0:
             runtime.roi_end(roi_id)
             runtime.roi_begin(roi_id)
-        probe(hooks, bases, op, index)
+        probe(bases, op, index)
     runtime.roi_end(roi_id)
     runtime.finish()
 

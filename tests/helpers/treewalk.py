@@ -311,7 +311,6 @@ class Interpreter:
                 self.cost += self.hooks.on_probe_access(
                     instr.kind, addr, instr.size, instr.var, count,
                     instr.stride, instr.loc, tuple(self.call_stack),
-                    instr.site_id,
                 )
             elif kind is ProbeClassify:
                 addr = int(self._value(frame, instr.ptr))
@@ -320,7 +319,7 @@ class Interpreter:
                 )
                 self.cost += self.hooks.on_probe_classify(
                     instr.states, addr, instr.size, instr.var, count,
-                    instr.stride, instr.loc, instr.roi_id, instr.site_id,
+                    instr.stride, instr.loc, instr.roi_id,
                 )
             elif kind is ProbeEscape:
                 value = int(self._value(frame, instr.value))

@@ -19,7 +19,8 @@ from repro.abstractions import describe_pse
 from repro.compiler import compile_carmot, compile_naive
 from repro.resilience import ResiliencePolicy
 from repro.runtime.psec import MemoryBudgetExceeded
-from repro.vm import run_module
+from repro.vm.bcinterp import BytecodeInterpreter
+from repro.vm.codegen import lower_module
 from tests.helpers.decoder import FOLDS, fold
 from tests.helpers.streams import (
     STREAM_SHAPES,
@@ -96,14 +97,12 @@ def test_golden_examples_identical_across_folds(name):
 def test_random_streams_identical_across_folds(shape, seed):
     """Seeded loop-shaped streams (the scalar_loop shape repeats
     variable PSEs; array_walk reaches a new heap key on most accesses)."""
-    ops, vars_by_obj, locs, callstacks = make_stream(seed, 4000, shape)
+    stream = make_stream(seed, 4000, shape)
     states = []
     for fold_name in FOLDS:
         with fold(fold_name):
             runtime = stream_runtime()
-            resolved = resolve_ops(ops, vars_by_obj, locs, callstacks,
-                                   runtime)
-            replay_stream(runtime, resolved, len(vars_by_obj), 250)
+            replay_stream(runtime, stream, 250)
         states.append((psec_digest(runtime), _entry_state(runtime)))
     assert states[0] == states[1]
 
@@ -121,9 +120,9 @@ def test_epoch_streams_identical_across_folds(seed):
         with fold(fold_name):
             runtime = stream_runtime()
             roi_id = next(iter(runtime.psecs))
-            resolved = resolve_ops(ops, vars_by_obj, locs, callstacks,
-                                   runtime)
             hooks, bases = stream_hooks(runtime, len(vars_by_obj))
+            resolved = resolve_ops(ops, vars_by_obj, locs, callstacks,
+                                   hooks)
             for index, op in enumerate(resolved):
                 if index % 100 == 0:
                     if index:
@@ -132,7 +131,7 @@ def test_epoch_streams_identical_across_folds(seed):
                         runtime.roi_reset(roi_id)
                     runtime.roi_begin(roi_id)
                 read_only_epoch = (index // 500) % 2 == 0
-                probe(hooks, bases, op, index,
+                probe(bases, op, index,
                       is_write=0 if read_only_epoch else op[0])
             runtime.roi_end(roi_id)
             runtime.finish()
@@ -198,14 +197,70 @@ def test_pin_accesses_identical_across_folds(compile_program):
 @pytest.mark.parametrize("name", ["roi_loop", "stencil_calls"])
 def test_use_record_budget_raises_alike_across_folds(name):
     """Both folds raise the use-record budget at the same event (the
-    examples whose abstraction tracks use-callstacks)."""
+    examples whose abstraction tracks use-callstacks), and leave the
+    interpreter's counters at that access: the oracle's probe spills
+    them before each access, the kernel's never does, and the frame's
+    trap handler restores them."""
     def run(fold_name):
         program = compile_carmot(_example_source(name),
                                  name=f"examples/{name}.mc")
         with fold(fold_name):
             runtime, hooks = program.make_runtime(max_use_records=3)
+            vm = BytecodeInterpreter(lower_module(program.module), hooks)
             with pytest.raises(MemoryBudgetExceeded) as info:
-                run_module(program.module, hooks=hooks)
-        return str(info.value), _entry_state(runtime)
+                vm.run()
+        last = max(entry.last_time for psec in runtime.psecs.values()
+                   for entry in psec.entries.values())
+        assert vm.instructions == last
+        return str(info.value), vm.instructions, vm.cost, _entry_state(
+            runtime)
 
     assert run("object") == run("kernel")
+
+
+#: An inner ROI inside an outer one: each access in the inner ROI folds
+#: into both PSECs, through the fold's loop over the active ROIs (every
+#: probe of the paper's ports runs with one ROI active).
+NESTED_ROIS = """
+int a[8];
+int b[8];
+int scale(int x) { return x * 2; }
+int main() {
+  int total = 0;
+  for (int r = 0; r < 3; ++r) {
+    #pragma carmot roi name(outer) abstraction(parallel_for)
+    {
+      for (int i = 0; i < 8; ++i) {
+        a[i] = a[i] + r;
+        #pragma carmot roi name(inner) abstraction(parallel_for)
+        {
+          b[i] = b[i] + scale(a[i]);
+          total = total + b[i];
+        }
+      }
+    }
+  }
+  print_int(total);
+  return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("budget", [0, 40], ids=["unbounded",
+                                               "events-per-roi"])
+def test_nested_rois_identical_across_folds(budget):
+    outputs = []
+    for fold_name in FOLDS:
+        program = compile_carmot(NESTED_ROIS, name="nested_rois")
+        with fold(fold_name):
+            result, runtime = program.run(
+                resilience=ResiliencePolicy(max_events_per_roi=budget))
+        outer, inner = (runtime.psecs[roi_id]
+                        for roi_id in sorted(runtime.psecs))
+        assert outer.entries.keys() & inner.entries.keys()
+        assert runtime.degraded == bool(budget)
+        outputs.append((result.output, result.cost, result.instructions,
+                        runtime.degradation.to_json(),
+                        _entry_state(runtime),
+                        _psec_json(program, runtime)))
+    assert outputs[0] == outputs[1]

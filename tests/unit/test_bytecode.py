@@ -257,6 +257,9 @@ class TestDispatchContract:
         ([12, 0, -3], "negative count at main+0"),  # would be 0 words wide
         ([13], "truncated instruction at main+0"),
         ([13, -1, 9, 0, -1, 0], "truncated instruction at main+2"),
+        ([13, 1], "register slot 1 out of range (1 registers) at main+0"),
+        ([5, -2, 4, 4, 13, -1],
+         "register slot -2 out of range (1 registers) at main+0"),
     ])
     def test_malformed_code_is_refused_at_link(self, code, message):
         bc = BytecodeModule("bad")

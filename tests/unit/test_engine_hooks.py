@@ -198,8 +198,8 @@ def probe_cases():
 
 
 class TestProbeAccessParity:
-    """``on_probe_access`` is bound once per run; whatever config it was
-    bound for, it charges and counts exactly what the cost model says."""
+    """A probe site's closure is bound on its run's config; whatever the
+    config, it charges and counts exactly what the cost model says."""
 
     @pytest.fixture(scope="class")
     def module(self):
@@ -218,7 +218,8 @@ class TestProbeAccessParity:
             shadow_callstacks=shadow,
         ))
         hooks = CarmotHooks(runtime)
-        hooks.vm = types.SimpleNamespace(memory=Memory(), instructions=7)
+        hooks.vm = types.SimpleNamespace(memory=Memory(), instructions=7,
+                                         cost=0)
         obj = hooks.vm.memory.allocate(64, "heap")
         return runtime, hooks, obj
 
@@ -229,8 +230,8 @@ class TestProbeAccessParity:
 
         before = dataclasses.asdict(runtime.stats)
         folded = folds()
-        cost = hooks.on_probe_access(
-            AccessKind.WRITE, addr, 8, None, count, 8, None, ("main",))
+        cost = hooks.probe_site(AccessKind.WRITE, 8, None, 8, None)(
+            7, 0, addr, ("main",), count)
         after = dataclasses.asdict(runtime.stats)
         bumped = {name: after[name] - before[name]
                   for name in after if after[name] != before[name]}

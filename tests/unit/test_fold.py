@@ -1,7 +1,7 @@
 """Units for the fold at the probe: each access folds into the PSECs as
-it arrives, through the hook adapter's ``on_probe_access`` closure, and
-its per-site last-object cache resolves addresses exactly as
-``Memory.try_object_at`` does."""
+it arrives, through the closure the hooks make for its probe site (the
+one the VM calls), and the site's last-object cache resolves addresses
+exactly as ``Memory.try_object_at`` does."""
 
 import types
 
@@ -19,19 +19,19 @@ from repro.vm.codegen import lower_module
 from repro.vm.memory import Memory
 
 LOC = SourceLoc.of(SourcePos("m.mc", 3, 1))
+LOC4 = SourceLoc.of(SourcePos("m.mc", 4, 1))
 VAR = VarInfo(uid=1, name="v", storage="local", ty=ct.IntType())
 CS = ("main",)
 READ, WRITE = AccessKind.READ, AccessKind.WRITE
 
 
-def make_hooks(n_rois=1, sites=(), **config_kwargs):
-    """A runtime over a module with ``n_rois`` ROIs and the compile-time
-    site table ``sites``, and hooks over a fresh VM memory."""
+def make_hooks(n_rois=1, **config_kwargs):
+    """A runtime over a module with ``n_rois`` ROIs, and hooks over a
+    fresh VM memory."""
     module = Module("m")
     for index in range(n_rois):
         module.new_roi(f"r{index}", "parallel_for", "main",
                        SourcePos("m.mc", 1, 1))
-    module.site_table = list(sites)
     runtime = CarmotRuntime(module, RuntimeConfig(
         policy=policy_for("parallel_for"),
         shadow_callstacks=True,
@@ -39,25 +39,26 @@ def make_hooks(n_rois=1, sites=(), **config_kwargs):
         **config_kwargs,
     ))
     hooks = CarmotHooks(runtime)
-    hooks.vm = types.SimpleNamespace(memory=Memory(), instructions=0,
+    hooks.vm = types.SimpleNamespace(memory=Memory(), instructions=0, cost=0,
                                      call_stack=["main"])
     return runtime, hooks
 
 
-def access(hooks, addr, time, kind=READ, var=None, count=1, site_id=None):
-    hooks.vm.instructions = time
-    return hooks.on_probe_access(kind, addr, 8, var, count, 8, LOC, CS,
-                                 site_id)
+def site(hooks, kind=READ, var=None, loc=LOC):
+    """The closure a compiled ``probe.access`` site of 8 bytes calls:
+    ``probe(ic, cost, addr, callstack, count=1)``."""
+    return hooks.probe_site(kind, 8, var, 8, loc)
 
 
 class TestFoldPerEvent:
     def test_identical_accesses_fold_one_at_a_time(self):
         runtime, hooks = make_hooks()
         obj = hooks.vm.memory.allocate(8, "stack", var=VAR)
+        probe = site(hooks, var=VAR)
         runtime.roi_begin(0)
         psec = runtime.psecs[0]
         for time in range(5):
-            access(hooks, obj.base, time, var=VAR)
+            probe(time, 0, obj.base, CS)
             assert psec.total_accesses == time + 1
         runtime.roi_end(0)
         runtime.finish()
@@ -73,8 +74,8 @@ class TestFoldPerEvent:
         runtime, hooks = make_hooks()
         obj = hooks.vm.memory.allocate(64, "heap")
         runtime.roi_begin(0)
-        access(hooks, obj.base + 16, 0)
-        access(hooks, obj.base + 8, 1, kind=WRITE, count=3)
+        site(hooks)(0, 0, obj.base + 16, CS)
+        site(hooks, WRITE)(1, 0, obj.base + 8, CS, 3)
         runtime.roi_end(0)
         runtime.finish()
         single = ("mem", obj.obj_id, 16, 8)
@@ -92,9 +93,10 @@ class TestFoldPerEvent:
         runtime, hooks = make_hooks(
             resilience=ResiliencePolicy(max_events_per_roi=100))
         obj = hooks.vm.memory.allocate(8, "stack", var=VAR)
+        probe = site(hooks, var=VAR)
         runtime.roi_begin(0)
         for time in range(5):
-            access(hooks, obj.base, time, var=VAR)
+            probe(time, 0, obj.base, CS)
         runtime.roi_end(0)
         runtime.finish()
         assert runtime.psecs[0].total_accesses == 5
@@ -109,9 +111,9 @@ class TestFoldPerEvent:
         obj = hooks.vm.memory.allocate(64, "heap")
         runtime.roi_begin(0)
         for time in range(3):
-            access(hooks, obj.base, time)
+            site(hooks)(time, 0, obj.base, CS)
         runtime.roi_begin(1)
-        access(hooks, obj.base + 8, 3, kind=WRITE)
+        site(hooks, WRITE)(3, 0, obj.base + 8, CS)
         runtime.roi_end(1)
         runtime.roi_end(0)
         runtime.finish()
@@ -138,26 +140,69 @@ class TestFoldPerEvent:
         assert sorted(runtime.psecs[0].entries) == [
             ("mem", obj.obj_id, offset, 8) for offset in (0, 8, 16)]
 
+    def test_adapter_folds_as_the_sites_do(self):
+        """``on_probe_access`` feeds the VM's counters to one closure per
+        distinct site operands, and folds as those closures do."""
+        def run(via_adapter):
+            runtime, hooks = make_hooks()
+            obj = hooks.vm.memory.allocate(64, "heap")
+            runtime.roi_begin(0)
+            for time in range(6):
+                kind, var = (WRITE, None) if time % 3 else (READ, VAR)
+                hooks.vm.instructions = time
+                if via_adapter:
+                    hooks.on_probe_access(kind, obj.base + 8 * (time % 2),
+                                          8, var, 1, 8, LOC, CS)
+                else:
+                    site(hooks, kind, var)(time, 0, obj.base + 8 * (time % 2),
+                                           CS)
+            runtime.roi_end(0)
+            runtime.finish()
+            return hooks, {key: (entry.letters, entry.access_count,
+                                 entry.first_time, entry.last_time,
+                                 entry.uses)
+                           for key, entry in runtime.psecs[0].entries.items()}
+
+        hooks, adapted = run(True)
+        assert adapted == run(False)[1]
+        assert len(hooks._adapted) == 2
+
+    def test_use_records_intern_per_site_and_callstack(self):
+        """A generated frame builds a new ``cs`` tuple per call: equal
+        callstacks give one use record per PSE, which a repeat finds by
+        identity (``last_use``); another site's equal record is found by
+        hashing."""
+        runtime, hooks = make_hooks()
+        obj = hooks.vm.memory.allocate(8, "stack", var=VAR)
+        first, second = site(hooks, var=VAR), site(hooks, WRITE, VAR)
+        runtime.roi_begin(0)
+        for time in range(4):
+            first(time, 0, obj.base, tuple(["main"]))
+        entry = runtime.psecs[0].entries[("var", obj.obj_id)]
+        use = entry.last_use
+        assert entry.uses == {use}
+        second(4, 0, obj.base, tuple(["main"]))
+        assert entry.last_use == use and entry.last_use is not use
+        assert entry.uses == {use}
+        assert runtime.psecs[0].use_records == 1
+
 
 class TestSiteCache:
-    """The per-site last-object cache in ``on_probe_access``."""
-
-    @staticmethod
-    def sites():
-        return [(None, LOC), (None, SourceLoc.of(SourcePos("m.mc", 4, 1)))]
+    """The last-object cache of each probe site's closure."""
 
     def test_alternating_sites_hit(self):
-        runtime, hooks = make_hooks(sites=self.sites())
+        runtime, hooks = make_hooks()
         memory = hooks.vm.memory
         a = memory.allocate(64, "heap")
         b = memory.allocate(64, "heap")
+        site_a, site_b = site(hooks), site(hooks, loc=LOC4)
         runtime.roi_begin(0)
         bisects = []
         lookup = memory._bisect
         memory._bisect = lambda addr: bisects.append(addr) or lookup(addr)
         for index in range(4):
-            access(hooks, a.base + 8 * index, 2 * index, site_id=0)
-            access(hooks, b.base + 8 * index, 2 * index + 1, site_id=1)
+            site_a(2 * index, 0, a.base + 8 * index, CS)
+            site_b(2 * index + 1, 0, b.base + 8 * index, CS)
         # Each site bisects once, on its first access.
         assert bisects == [a.base, b.base]
         assert runtime.psecs[0].total_accesses == 8
@@ -198,51 +243,56 @@ int main() {
         assert resolves(4) == resolves(40) > 0
 
     def test_first_resolution_registers_globals_in_the_asmt(self):
-        runtime, hooks = make_hooks(sites=self.sites())
+        runtime, hooks = make_hooks()
         obj = hooks.vm.memory.allocate(8, "global", var=VAR)
+        probe = site(hooks)
         runtime.roi_begin(0)
-        access(hooks, obj.base, 0, site_id=0)
-        access(hooks, obj.base, 1, site_id=0)
+        probe(0, 0, obj.base, CS)
+        probe(1, 0, obj.base, CS)
         assert runtime.asmt.get(obj.obj_id).kind == "global"
         assert len(runtime.asmt) == 1
 
     def test_freed_object_is_not_served(self):
-        runtime, hooks = make_hooks(sites=self.sites())
+        runtime, hooks = make_hooks()
         memory = hooks.vm.memory
         obj = memory.allocate(64, "heap")
+        probe = site(hooks)
         runtime.roi_begin(0)
-        access(hooks, obj.base, 0, site_id=0)
+        probe(0, 0, obj.base, CS)
         memory.free(obj.base)
-        assert access(hooks, obj.base, 1, site_id=0) == hooks.cm.probe_push
+        assert probe(1, 0, obj.base, CS) == hooks.cm.probe_push
         assert runtime.stats.access_events == 1
         assert runtime.psecs[0].total_accesses == 1
 
     def test_reused_stack_frame_resolves_the_new_slot(self):
         """A frame popped and pushed again gets a new slot object; the
         site must not keep folding into the released one."""
-        runtime, hooks = make_hooks(sites=[(VAR, LOC)])
+        runtime, hooks = make_hooks()
         memory = hooks.vm.memory
         first = memory.allocate(8, "stack", var=VAR)
+        read, write = site(hooks, var=VAR), site(hooks, WRITE, VAR)
         runtime.roi_begin(0)
-        access(hooks, first.base, 0, var=VAR, site_id=0)
+        read(0, 0, first.base, CS)
         memory.release_stack_object(first)
         second = memory.allocate(8, "stack", var=VAR)
-        access(hooks, second.base, 1, kind=WRITE, var=VAR, site_id=0)
+        write(1, 0, second.base, CS)
+        read(2, 0, second.base, CS)
         entries = runtime.psecs[0].entries
         assert entries[("var", first.obj_id)].access_count == 1
-        assert entries[("var", second.obj_id)].access_count == 1
+        assert entries[("var", second.obj_id)].access_count == 2
         assert entries[("var", second.obj_id)].write_seen
 
     def test_address_past_the_end_misses(self):
         """One past an object's last byte is its guard byte: no object,
         and the next object at the same site resolves to itself."""
-        runtime, hooks = make_hooks(sites=self.sites())
+        runtime, hooks = make_hooks()
         memory = hooks.vm.memory
         a = memory.allocate(16, "heap")
         b = memory.allocate(16, "heap")
+        probe = site(hooks)
         runtime.roi_begin(0)
-        access(hooks, a.base + 8, 0, site_id=0)
-        assert access(hooks, a.end, 1, site_id=0) == hooks.cm.probe_push
-        access(hooks, b.base, 2, site_id=0)
+        probe(0, 0, a.base + 8, CS)
+        assert probe(1, 0, a.end, CS) == hooks.cm.probe_push
+        probe(2, 0, b.base, CS)
         assert sorted(runtime.psecs[0].entries) == [
             ("mem", a.obj_id, 8, 8), ("mem", b.obj_id, 0, 8)]

@@ -19,6 +19,7 @@ from repro.session import (
 )
 from repro.session import keys
 from repro.vm.bytecode import (
+    OP_ADD,
     OP_CALL_BUILTIN,
     OP_JUMP,
     BytecodeFunction,
@@ -437,23 +438,29 @@ def _set_code(index, value):
     return mutate
 
 
-def _first_pc(code, opcode):
-    """The pc of the first ``opcode`` instruction of a code stream."""
+def _first_pc(main, opcode):
+    """The pc of the first ``opcode`` instruction of a stored function."""
     return next(pc for pc, words in decode(BytecodeFunction(
-        "main", array("q", code), [], 0, 0, 0, False))
+        "main", array("q", main["code"]), [], 0, main["n_regs"], 0, False))
         if words[0] == opcode)
 
 
 def _negative_argc(doc):
     [main] = doc["functions"]
     code = main["code"]
-    code[_first_pc(code, OP_CALL_BUILTIN) + 5] = -6  # the width comes out as 0
+    code[_first_pc(main, OP_CALL_BUILTIN) + 5] = -6  # the width comes out as 0
 
 
 def _jump_into_an_instruction(doc):
     [main] = doc["functions"]
     code = main["code"]
-    code[_first_pc(code, OP_JUMP) + 1] += 1  # one word past the target
+    code[_first_pc(main, OP_JUMP) + 1] += 1  # one word past the target
+
+
+def _register_out_of_range(doc):
+    [main] = doc["functions"]
+    # The first ``add``'s left operand, 50 registers past the frame.
+    main["code"][_first_pc(main, OP_ADD) + 2] = main["n_regs"] + 50
 
 
 def _enter_into_an_instruction(doc):
@@ -477,6 +484,8 @@ SHAPE_MALFORMED = {
         "codegen", "bytecode", _enter_into_an_instruction),
     "bytecode_branch_not_to_an_instruction_start": (
         "codegen", "bytecode", _jump_into_an_instruction),
+    "bytecode_register_slot_out_of_range": (
+        "codegen", "bytecode", _register_out_of_range),
     "psecs_not_a_list": ("profile", "profile",
                          lambda doc: doc.update(psecs=12345)),
 }

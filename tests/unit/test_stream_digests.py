@@ -1,10 +1,10 @@
 """Pinned Sets for the seeded event streams.
 
-Each stream shape at seed 1234 is replayed through the hook adapter's
-access probe, which folds each access as it arrives (20,000 events, ROI
-invocations of 500 events).  The Sets digest must equal the recorded value: a fold
-change that moves any PSE between Sets shows up here even when the
-kernel and the decoder oracle move together.
+Each stream shape at seed 1234 is replayed through the per-site access
+probes the VM calls, which fold each access as it arrives (20,000
+events, ROI invocations of 500 events).  The Sets digest must equal the
+recorded value: a fold change that moves any PSE between Sets shows up
+here even when the kernel and the decoder oracle move together.
 """
 
 import pytest
@@ -14,7 +14,6 @@ from tests.helpers.streams import (
     make_stream,
     psec_digest,
     replay_stream,
-    resolve_ops,
     stream_runtime,
 )
 
@@ -32,9 +31,7 @@ PINNED = {
 
 @pytest.mark.parametrize("shape", sorted(STREAM_SHAPES))
 def test_stream_digest_pinned(shape):
-    ops, vars_by_obj, locs, callstacks = make_stream(1234, 20_000, shape)
     runtime = stream_runtime()
-    replay_stream(runtime,
-                  resolve_ops(ops, vars_by_obj, locs, callstacks, runtime),
-                  len(vars_by_obj), invocation_len=500)
+    replay_stream(runtime, make_stream(1234, 20_000, shape),
+                  invocation_len=500)
     assert psec_digest(runtime) == PINNED[shape]
