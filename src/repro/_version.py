@@ -11,7 +11,9 @@ changes shape, and every cache key derived from it changes with it
 __version__ = "1.4.0"
 
 #: Format version of serialized IR modules (:mod:`repro.ir.serialize`).
-IR_SCHEMA_VERSION = 1
+#: v2: probes no longer carry a compile-time ``site`` id and the module
+#: no longer carries their table, so v1 documents must miss.
+IR_SCHEMA_VERSION = 2
 
 #: Format version of serialized profiles — PSECs, ASMT, degradation
 #: report, and run result (:mod:`repro.runtime.psec_json`).
@@ -23,7 +25,9 @@ PROFILE_SCHEMA_VERSION = 1
 #: canonical code streams, so v1 artifacts must never be decoded as v2.
 #: v3: the superinstructions are gone — one opcode per IR instruction,
 #: 40-49 retired — so v2 streams, which carry them, must miss.
-BYTECODE_SCHEMA_VERSION = 3
+#: v4: ``probe.access`` and ``probe.classify`` drop their trailing
+#: site-id word (widths 8 -> 7 and 9 -> 8), so v3 streams must miss.
+BYTECODE_SCHEMA_VERSION = 4
 
 #: Layout version of the on-disk artifact store
 #: (:mod:`repro.session.store`).

@@ -16,7 +16,7 @@ gates on calls.  What gets inserted is controlled by an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.lang import types as ct
 from repro.ir.instructions import (
@@ -33,7 +33,7 @@ from repro.ir.instructions import (
 from repro.ir.module import Function, Module
 from repro.ir.values import Temp
 from repro.errors import ReproError
-from repro.passes.manager import Pass, register_analysis
+from repro.passes.manager import Pass
 from repro.passes.registry import register_pass
 from repro.runtime.config import InstrumentationPolicy
 
@@ -187,58 +187,6 @@ def _gate_call(instr: Call, plan: InstrumentationPlan,
 
 
 # ---------------------------------------------------------------------------
-# Call-site table (compile-time site ids, kept in the IR and bytecode)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SiteTable:
-    """Dense ids for the distinct (var, loc) pairs probes report.
-
-    Computed by the ``site-table`` analysis *after* probe insertion; the
-    instrument passes call :meth:`apply` to stamp each probe with its id
-    and publish the decode list on ``module.site_table``.  The ids stay
-    in the IR and bytecode formats; the runtime does not read them, as
-    each compiled probe site binds its own operands.
-    """
-
-    sites: List[Tuple[Optional[object], Optional[object]]] = field(
-        default_factory=list
-    )
-    ids_by_probe: Dict[int, int] = field(default_factory=dict)
-
-    def apply(self, module: Module) -> None:
-        for function in module.functions.values():
-            for block in function.blocks:
-                for instr in block.instrs:
-                    if isinstance(instr, (ProbeAccess, ProbeClassify)):
-                        instr.site_id = self.ids_by_probe[id(instr)]
-        module.site_table = list(self.sites)
-
-
-@register_analysis("site-table", "module")
-def _compute_site_table(am, module: Module) -> SiteTable:
-    table = SiteTable()
-    dedup: Dict[Tuple, int] = {}
-    for function in module.functions.values():
-        for block in function.blocks:
-            for instr in block.instrs:
-                if not isinstance(instr, (ProbeAccess, ProbeClassify)):
-                    continue
-                key = (
-                    instr.var.uid if instr.var is not None else None,
-                    instr.loc,
-                )
-                site_id = dedup.get(key)
-                if site_id is None:
-                    site_id = len(table.sites)
-                    dedup[key] = site_id
-                    table.sites.append((instr.var, instr.loc))
-                table.ids_by_probe[id(instr)] = site_id
-    return table
-
-
-# ---------------------------------------------------------------------------
 # Registered passes
 # ---------------------------------------------------------------------------
 
@@ -258,7 +206,6 @@ class InstrumentPass(Pass):
         ctx.instrument_report = report
         if ctx.build_info is not None:
             ctx.build_info.report = report
-        am.get("site-table").apply(module)
         return True
 
 
@@ -279,5 +226,4 @@ class NaiveInstrumentPass(Pass):
         ctx.instrument_report = report
         if ctx.build_info is not None:
             ctx.build_info.report = report
-        am.get("site-table").apply(module)
         return True

@@ -405,10 +405,6 @@ class ProbeAccess(Instr):
     count: Optional[Value] = None
     stride: int = 0
     result: Optional[Temp] = None
-    #: Dense call-site id assigned at compile time by the ``site-table``
-    #: analysis.  Serialized with the IR and the bytecode, but nothing
-    #: reads it at run time.  Not part of the IR dump.
-    site_id: Optional[int] = None
 
     def operands(self):
         ops: Tuple[Value, ...] = (self.ptr,)
@@ -442,8 +438,6 @@ class ProbeClassify(Instr):
     #: ROI's dynamic extent (e.g. in a loop preheader) and must name it.
     roi_id: Optional[int] = None
     result: Optional[Temp] = None
-    #: See :attr:`ProbeAccess.site_id`.
-    site_id: Optional[int] = None
 
     def operands(self):
         ops: Tuple[Value, ...] = (self.ptr,)

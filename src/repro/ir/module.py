@@ -199,12 +199,6 @@ class Module:
         self.omp_loops: List[OmpLoopInfo] = []
         self._roi_counter = itertools.count()
         self._region_counter = itertools.count()
-        #: Dense call-site table, (var, loc) per site id, filled by the
-        #: ``site-table`` analysis after instrumentation.  Probes carry the
-        #: matching ``site_id``.  Both stay in the serialized IR and
-        #: bytecode; the runtime binds each compiled probe site's own
-        #: operands instead of reading them.
-        self.site_table: List[tuple] = []
 
     def new_omp_region(
         self, kind: str, pragma: object, function: str, pos: SourcePos

@@ -351,7 +351,6 @@ class _Encoder:
                 "ptr": self.value(instr.ptr), "size": instr.size,
                 "var": self.var(instr.var), "loc": loc,
                 "count": self.value(instr.count), "stride": instr.stride,
-                "site": instr.site_id,
             }
         if isinstance(instr, ProbeClassify):
             return {
@@ -359,7 +358,7 @@ class _Encoder:
                 "ptr": self.value(instr.ptr), "size": instr.size,
                 "var": self.var(instr.var), "loc": loc,
                 "count": self.value(instr.count), "stride": instr.stride,
-                "roi": instr.roi_id, "site": instr.site_id,
+                "roi": instr.roi_id,
             }
         if isinstance(instr, ProbeEscape):
             return {
@@ -438,9 +437,6 @@ def serialize_module(module: Module) -> str:
         }
         for loop in module.omp_loops
     ]
-    site_table = [
-        [enc.var(var), _enc_loc(loc)] for var, loc in module.site_table
-    ]
     # Shared tables, emitted in content order (uid / name), never walk or
     # hash order — this is what keeps digests process-stable.
     vars_doc = [
@@ -471,7 +467,6 @@ def serialize_module(module: Module) -> str:
         "rois": rois,
         "omp_regions": omp_regions,
         "omp_loops": omp_loops,
-        "site_table": site_table,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -640,14 +635,13 @@ class _Decoder:
                 kind=AccessKind(doc["kind"]), ptr=self.value(doc["ptr"]),
                 size=doc["size"], var=self.var(doc["var"]), loc=loc,
                 count=self.value(doc["count"]), stride=doc["stride"],
-                site_id=doc["site"],
             )
         if op == "probe.classify":
             return ProbeClassify(
                 states=doc["states"], ptr=self.value(doc["ptr"]),
                 size=doc["size"], var=self.var(doc["var"]), loc=loc,
                 count=self.value(doc["count"]), stride=doc["stride"],
-                roi_id=doc["roi"], site_id=doc["site"],
+                roi_id=doc["roi"],
             )
         if op == "probe.escape":
             return ProbeEscape(
@@ -748,9 +742,6 @@ def _decode_module(doc: Dict) -> Module:
             pragma=_dec_pragma(ldoc["pragma"]), function=ldoc["function"],
             loc=_dec_loc(ldoc["loc"]), roi_id=ldoc["roi_id"],
         ))
-    module.site_table = [
-        (dec.var(uid), _dec_loc(loc)) for uid, loc in doc["site_table"]
-    ]
     module._roi_counter = itertools.count(max_roi + 1)
     module._region_counter = itertools.count(max_region + 1)
     return module

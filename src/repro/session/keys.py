@@ -61,9 +61,6 @@ def environment_fingerprint() -> Dict[str, object]:
         "ir_schema": IR_SCHEMA_VERSION,
         "profile_schema": PROFILE_SCHEMA_VERSION,
         "bytecode_schema": BYTECODE_SCHEMA_VERSION,
-        # Schema of the removed static-facts sidecar, frozen at its last
-        # value: every key embeds it, so dropping it would orphan them.
-        "prescreen_schema": 1,
         "recommend_schema": RECOMMEND_SCHEMA_VERSION,
         "store": STORE_VERSION,
     }
@@ -185,26 +182,6 @@ def response_key(
     })
 
 
-#: Fields ``ResiliencePolicy`` had, at these defaults, for the process
-#: drain, the fault-recovery path and the daemon queue it no longer
-#: carries.  They stay in the profile-key document so profiles cached
-#: before their removal keep hitting.
-_RETIRED_RESILIENCE_FIELDS = {
-    "heartbeat_ms": 25, "worker_deadline_ms": 10_000,
-    "max_retries": 0, "retry_backoff": 100, "degrade": False,
-    "max_queue_batches": 0, "queue_policy": "block",
-}
-#: The engine field of the removed ``vm`` option, at the value every
-#: cached profile was keyed with.  It stays in the profile-key document
-#: so those profiles keep hitting.
-_RETIRED_VM = "bytecode"
-#: The build option of the removed hybrid static pre-screen, at the
-#: value every cached CARMOT profile was keyed with (it was off by
-#: default).  It stays in the options of the profile-key document so
-#: those profiles keep hitting.
-_RETIRED_OPTIONS = {"prescreen": "off"}
-
-
 def run_config_doc(
     entry: str,
     args: Sequence[object],
@@ -224,11 +201,6 @@ def run_config_doc(
     config: Dict[str, object] = {}
     for key in sorted(config_kwargs):
         config[key] = _jsonable(config_kwargs[key])
-    if "resilience" in config:
-        config["resilience"].update(_RETIRED_RESILIENCE_FIELDS)
-    options_doc = _jsonable(options)
-    if options_doc is not None:
-        options_doc.update(_RETIRED_OPTIONS)
     return {
         "entry": entry,
         "args": [_jsonable(a) for a in args],
@@ -236,9 +208,8 @@ def run_config_doc(
         "max_instructions": max_instructions,
         "budgets": _jsonable(budgets),
         "abstraction": abstraction,
-        "options": options_doc,
+        "options": _jsonable(options),
         "config": config,
-        "vm": _RETIRED_VM,
     }
 
 

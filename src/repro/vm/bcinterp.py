@@ -330,7 +330,7 @@ class _Source:
         self.index = index
         self.counted = counted
         self.cm = interp.cost_model
-        self.ops = decode(fn)
+        self.ops = decode(fn, self.bc)
         self.at = {pc: i for i, (pc, _) in enumerate(self.ops)}
         self.slots = _Slots(fn, self.ops, self.bc.builtin_order)
         self.nonint = self.slots.nonint
@@ -875,7 +875,7 @@ class _Source:
             items += self._cast(*ins[1:])
             items.append(("c", cm.cast))
         elif op == OP_PROBE_ACCESS:
-            items += self._probe(*ins[1:8])  # the site word is unused
+            items += self._probe(*ins[1:])
         elif op == OP_CALL:
             items += self._call(ins)
         elif op == OP_CALL_BUILTIN:
@@ -912,7 +912,7 @@ class _Source:
             items += self._hook(hook, ins[1])
             items.append(("c", cm.roi_marker))
         elif op == OP_PROBE_CLASSIFY:
-            _, states, ptr, size, var, count, stride, loc, roi, _ = ins
+            _, states, ptr, size, var, count, stride, loc, roi = ins
             items += self._hook(
                 "HPC", self.string(states), self.as_int(ptr), size,
                 self.var(var), self._count(count), stride, self.loc(loc),
@@ -1249,7 +1249,7 @@ class BytecodeInterpreter:
         self._index = {fn.name: i for i, fn in enumerate(self._fns)}
         if bc._linked is None:
             for fn in self._fns:
-                decode(fn)
+                decode(fn, bc)
             func_addrs = {}
             names = list(bc.function_order) + list(bc.builtin_order)
             for index, name in enumerate(names):

@@ -52,7 +52,8 @@ class BytecodeSerializeError(ReproError):
 # splits a stream into one tuple per instruction).  Operand slots are
 # indices into the frame's flat register file; ``*_pc`` operands are
 # absolute offsets into the function's code stream; ``var``/``loc``/string
-# operands index the module-level side tables (-1 encodes None).
+# operands index the module-level side tables (-1 encodes a None var or
+# loc).
 
 OP_LOAD = 1            # [dst, ptr, ty, is_var]
 OP_STORE = 2           # [val, ptr, ty, is_var]
@@ -70,9 +71,8 @@ OP_RET = 13            # [val]
 OP_ROI_BEGIN = 14      # [roi]
 OP_ROI_END = 15        # [roi]
 OP_ROI_RESET = 16      # [roi]
-OP_PROBE_ACCESS = 17   # [is_write, ptr, size, var, count, stride, loc, site]
-OP_PROBE_CLASSIFY = 18  # [states_str, ptr, size, var, count, stride, loc,
-#                          roi, site]
+OP_PROBE_ACCESS = 17   # [is_write, ptr, size, var, count, stride, loc]
+OP_PROBE_CLASSIFY = 18  # [states_str, ptr, size, var, count, stride, loc, roi]
 OP_PROBE_ESCAPE = 19   # [val, ptr, loc]
 OP_OMP_BEGIN = 20      # [kind_str, region]
 OP_OMP_END = 21        # [kind_str, region]
@@ -129,8 +129,8 @@ OPCODE_WIDTHS: Dict[int, int] = {
     OP_LOAD: 4, OP_STORE: 4, OP_ADDR: 5, OP_JUMP: 1, OP_BR: 3,
     OP_CAST: 3, OP_ALLOCA: 4, OP_CALL: 4, OP_CALL_BUILTIN: 5,
     OP_CALL_IND: 5, OP_CALL_MISSING: 2, OP_RET: 1, OP_ROI_BEGIN: 1,
-    OP_ROI_END: 1, OP_ROI_RESET: 1, OP_PROBE_ACCESS: 8,
-    OP_PROBE_CLASSIFY: 9, OP_PROBE_ESCAPE: 3, OP_OMP_BEGIN: 2,
+    OP_ROI_END: 1, OP_ROI_RESET: 1, OP_PROBE_ACCESS: 7,
+    OP_PROBE_CLASSIFY: 8, OP_PROBE_ESCAPE: 3, OP_OMP_BEGIN: 2,
     OP_OMP_END: 2, OP_OMP_BARRIER: 0,
     OP_ADD: 3, OP_SUB: 3, OP_MUL: 3, OP_DIV: 4, OP_REM: 4, OP_EQ: 3,
     OP_NE: 3, OP_LT: 3, OP_LE: 3, OP_GT: 3, OP_GE: 3, OP_AND: 3,
@@ -142,6 +142,23 @@ OPCODE_WIDTHS: Dict[int, int] = {
 CALL_ARGC_INDEX = {OP_CALL: 4, OP_CALL_BUILTIN: 5, OP_CALL_IND: 5,
                    OP_CALL_MISSING: 2}
 #: OP_PHI's width is ``2 + 2*k`` (k = first operand).
+
+#: Opcode -> ``(word index, table)`` of each operand that indexes a
+#: module side table (or ``function_order`` / ``builtin_order``).
+TABLE_OPERANDS: Dict[int, Tuple[Tuple[int, str], ...]] = {
+    OP_ALLOCA: ((3, "var"), (4, "loc")),
+    OP_CALL: ((1, "function"),),
+    OP_CALL_BUILTIN: ((1, "builtin"), (4, "loc")),
+    OP_CALL_IND: ((4, "loc"),),
+    OP_CALL_MISSING: ((1, "string"),),
+    OP_PROBE_ACCESS: ((4, "var"), (7, "loc")),
+    OP_PROBE_CLASSIFY: ((1, "string"), (4, "var"), (7, "loc")),
+    OP_PROBE_ESCAPE: ((3, "loc"),),
+    OP_OMP_BEGIN: ((1, "string"),),
+    OP_OMP_END: ((1, "string"),),
+    OP_DIV: ((4, "loc"),),
+    OP_REM: ((4, "loc"),),
+}
 
 
 def instr_width(code, pc: int) -> int:
@@ -156,18 +173,28 @@ def instr_width(code, pc: int) -> int:
     return width
 
 
-def decode(fn: "BytecodeFunction") -> List[tuple]:
+def decode(fn: "BytecodeFunction", bc: "BytecodeModule") -> List[tuple]:
     """``(pc, words)`` for every instruction of ``fn``, in stream order:
     ``words`` is the tuple of the instruction's words, opcode first and
-    call arguments included.
+    call arguments included.  The first call keeps the list on
+    ``fn.ops``; later calls return it.
 
     Raises :class:`BytecodeError` on an unknown opcode, a negative
     argument or phi count, an instruction that runs past the end of
-    the code, a register slot outside the frame, or an entry pc or
-    branch target that is not the start of an instruction."""
+    the code, a register slot outside the frame, an index outside the
+    var, loc, string, function or builtin table of ``bc``, or an entry
+    pc or branch target that is not the start of an instruction."""
+    if fn.ops is not None:
+        return fn.ops
     code = fn.code
     n = len(code)
     n_regs = fn.n_regs
+    # table -> (lowest, size): -1 encodes None for a var or a loc only.
+    bounds = {"var": (-1, len(bc.var_table)),
+              "loc": (-1, len(bc.loc_table)),
+              "string": (0, len(bc.string_table)),
+              "function": (0, len(bc.function_order)),
+              "builtin": (0, len(bc.builtin_order))}
     out = []
     pc = 0
     while pc < n:
@@ -190,6 +217,12 @@ def decode(fn: "BytecodeFunction") -> List[tuple]:
                     raise BytecodeError(
                         f"register slot {slot} out of range ({n_regs} "
                         f"registers) at {fn.name}+{pc}")
+        for at, table in TABLE_OPERANDS.get(ins[0], ()):
+            lowest, size = bounds[table]
+            if not lowest <= ins[at] < size:
+                raise BytecodeError(
+                    f"{table} index {ins[at]} out of range ({size} "
+                    f"entries) at {fn.name}+{pc}")
         out.append((pc, ins))
         pc += width
     starts = {pc for pc, _ in out}
@@ -202,6 +235,7 @@ def decode(fn: "BytecodeFunction") -> List[tuple]:
                 raise BytecodeError(
                     f"branch to {target}, not an instruction start, at "
                     f"{fn.name}+{pc}")
+    fn.ops = out
     return out
 
 
@@ -259,7 +293,8 @@ class BytecodeFunction:
     """
 
     __slots__ = ("name", "code", "consts", "n_args", "n_regs", "entry_pc",
-                 "instrumented", "arg_base", "proto", "compiled", "lines")
+                 "instrumented", "arg_base", "proto", "compiled", "lines",
+                 "ops")
 
     def __init__(self, name: str, code, consts: List[tuple], n_args: int,
                  n_regs: int, entry_pc: int, instrumented: bool) -> None:
@@ -284,6 +319,9 @@ class BytecodeFunction:
         #: loc.  Never serialized (``None`` on a
         #: deserialized module), so bytecode digests do not see it.
         self.lines: Optional[Dict[int, object]] = None
+        #: The checked ``(pc, words)`` list, kept by the first
+        #: :func:`decode`.  Never serialized.
+        self.ops: Optional[List[tuple]] = None
 
 
 class GlobalInit:
@@ -345,9 +383,6 @@ class BytecodeModule:
                 var = getattr(instr, "var", None)
                 if var is not None:
                     by_uid[var.uid] = var
-        for var, _loc in module.site_table:
-            if var is not None:
-                by_uid[var.uid] = var
         self.var_table = [by_uid.get(var.uid, var) for var in self.var_table]
 
 
@@ -518,6 +553,11 @@ def deserialize_bytecode(payload: str) -> BytecodeModule:
                     raise BytecodeSerializeError(
                         f"unknown global init kind {kind!r}"
                     )
+            if not -1 <= gdoc["var"] < len(bc.var_table):
+                raise BytecodeSerializeError(
+                    f"global {gdoc['name']!r} has var index {gdoc['var']}"
+                    f" out of range ({len(bc.var_table)} entries)"
+                )
             bc.globals.append(GlobalInit(
                 gdoc["name"], gdoc["size"], gdoc["var"], kind, value,
             ))
@@ -539,7 +579,7 @@ def deserialize_bytecode(payload: str) -> BytecodeModule:
                 entry_pc=fdoc["entry"],
                 instrumented=bool(fdoc["instrumented"]),
             )
-            decode(fn)
+            decode(fn, bc)
             bc.functions[fn.name] = fn
         if bc.function_order != list(bc.functions):
             raise BytecodeSerializeError("function table order mismatch")

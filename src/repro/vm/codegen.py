@@ -326,7 +326,6 @@ class _FunctionLowering:
                 self._slot(instr.ptr), instr.size, tables.var(instr.var),
                 -1 if instr.count is None else self._slot(instr.count),
                 instr.stride, tables.loc(instr.loc),
-                -1 if instr.site_id is None else instr.site_id,
             ))
         elif kind is ProbeClassify:
             code.extend((
@@ -335,7 +334,6 @@ class _FunctionLowering:
                 -1 if instr.count is None else self._slot(instr.count),
                 instr.stride, tables.loc(instr.loc),
                 -1 if instr.roi_id is None else instr.roi_id,
-                -1 if instr.site_id is None else instr.site_id,
             ))
         elif kind is ProbeEscape:
             code.extend((OP_PROBE_ESCAPE, self._slot(instr.value),

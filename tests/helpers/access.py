@@ -34,9 +34,9 @@ TYPE_CODES = {"int": TY_INT, "float": TY_FLOAT, "char": TY_CHAR}
 # which keeps -0.0 and every int exact), r1 = address, r2 = value to
 # store, r3/r4 = temps.
 _ONE, _ADDR, _VALUE, _T0, _T1 = 0, 1, 2, 3, 4
-#: probe.access operands: a read or write of 8 bytes at the address, no
-#: var, count 1, no stride, loc or site.
-_PROBE = (_ADDR, 8, -1, -1, 0, -1, -1)
+#: probe.access operands after ``is_write``: 8 bytes at the address, no
+#: var, count 1, no stride, no loc.
+_PROBE = (_ADDR, 8, -1, -1, 0, -1)
 
 
 #: Each form's access: alone, next to a ``mul``, after a probe.

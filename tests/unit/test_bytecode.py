@@ -260,6 +260,22 @@ class TestDispatchContract:
         ([13, 1], "register slot 1 out of range (1 registers) at main+0"),
         ([5, -2, 4, 4, 13, -1],
          "register slot -2 out of range (1 registers) at main+0"),
+        # A probe.access with its seven operands, then one more word: a
+        # bytecode v3 stream's site word, now read as an opcode.
+        ([17, 0, 0, 8, -1, -1, 0, -1, 0], "unknown opcode 0 at main+8"),
+        ([18, 0, 0, 8, -1, -1, 0, -1, -1, 0],
+         "unknown opcode 0 at main+9"),
+        # Table indices: var and loc take -1 for None, nothing lower.
+        ([17, 0, 0, 8, 5, -1, 0, -1],
+         "var index 5 out of range (0 entries) at main+0"),
+        ([8, 0, 8, -2, -1], "var index -2 out of range (0 entries) at main+0"),
+        ([19, 0, 0, 3], "loc index 3 out of range (0 entries) at main+0"),
+        ([12, 1, 0], "string index 1 out of range (1 entries) at main+0"),
+        ([12, -1, 0], "string index -1 out of range (1 entries) at main+0"),
+        ([9, 1, -1, 0, 0],
+         "function index 1 out of range (1 entries) at main+0"),
+        ([10, 0, -1, 0, -1, 0],
+         "builtin index 0 out of range (0 entries) at main+0"),
     ])
     def test_malformed_code_is_refused_at_link(self, code, message):
         bc = BytecodeModule("bad")
@@ -267,6 +283,7 @@ class TestDispatchContract:
             "main", array("q", code), [], n_args=0, n_regs=1, entry_pc=0,
             instrumented=False)
         bc.function_order.append("main")
+        bc.string_table.append("IO")  # the probe.classify's states
         with pytest.raises(BytecodeError, match=f"^{re.escape(message)}$"):
             BytecodeInterpreter(bc)
 

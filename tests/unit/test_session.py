@@ -1,7 +1,6 @@
 """Unit tests for the session layer: store, cache keys, staged reuse."""
 
 import json
-from array import array
 
 import pytest
 
@@ -22,8 +21,9 @@ from repro.vm.bytecode import (
     OP_ADD,
     OP_CALL_BUILTIN,
     OP_JUMP,
-    BytecodeFunction,
-    decode,
+    OP_OMP_BEGIN,
+    OP_PROBE_ACCESS,
+    deserialize_bytecode,
 )
 
 SOURCE = """
@@ -223,49 +223,61 @@ class TestKeys:
         assert profile_key("d" * 64, "naive", doc()) != base
         assert profile_key("e" * 64, "carmot", doc()) != base
 
-    def test_profile_doc_keeps_retired_resilience_fields(self):
-        """Profiles cached while ``ResiliencePolicy`` still had the
-        process drain's supervision fields, the fault-recovery knobs and
-        the daemon queue keep hitting: the key document carries them at
-        their old defaults."""
-        doc = keys.run_config_doc(
-            entry="main", args=(), cost_model=None, max_instructions=1000,
-            budgets=None, abstraction=None, options=None,
-            config_kwargs={
-                "resilience": ResiliencePolicy(max_events_per_roi=2)},
-        )
-        assert doc["config"]["resilience"] == {
-            "degrade": False, "heartbeat_ms": 25, "max_events_per_roi": 2,
-            "max_queue_batches": 0, "max_retries": 0,
-            "queue_policy": "block", "retry_backoff": 100,
-            "worker_deadline_ms": 10_000,
-        }
+    def test_run_config_doc_has_only_live_fields(self, tmp_path,
+                                                 monkeypatch):
+        """The run document a ``psec`` keys its profile on holds the
+        run's live knobs and nothing else, with and without a budget:
+        no field is kept only so that old keys stay put.  Retiring a
+        knob is therefore an edit to this test."""
+        from dataclasses import asdict
+        from pathlib import Path
 
-    def test_profile_doc_keeps_the_retired_engine_field(self):
-        """Profiles cached while runs still chose an engine keep hitting:
-        the key document names the bytecode engine they were keyed on."""
-        doc = keys.run_config_doc(
-            entry="main", args=(), cost_model=None, max_instructions=1000,
-            budgets=None, abstraction=None, options=None, config_kwargs={},
-        )
-        assert doc["vm"] == "bytecode"
+        from repro.service import PsecRequest, RunOptions, ServiceCore
+        from repro.vm.costmodel import DEFAULT_COST_MODEL
+
+        docs = []
+        real_run_config_doc = keys.run_config_doc
+        monkeypatch.setattr(
+            keys, "run_config_doc",
+            lambda *args: docs.append(real_run_config_doc(*args))
+            or docs[-1])
+        name = "examples/roi_loop.mc"
+        source = (Path(__file__).resolve().parents[2] / name).read_text()
+        core = ServiceCore(cache_dir=str(tmp_path / "cache"))
+        for options in (RunOptions(), RunOptions(budget="events-per-roi=8")):
+            doc = core.execute(PsecRequest(source=source, name=name,
+                                           options=options))
+            assert doc["ok"], doc["error"]
+        default = {
+            "entry": "main", "args": [],
+            "cost_model": dict(sorted(asdict(DEFAULT_COST_MODEL).items())),
+            "max_instructions": 2_000_000_000, "budgets": None,
+            "abstraction": None, "options": None, "config": {},
+        }
+        assert docs == [default, {
+            **default,
+            "budgets": {"max_heap_bytes": 0, "max_recursion_depth": 0,
+                        "max_steps": 0},
+            "config": {"resilience": {"max_events_per_roi": 8}},
+        }]
 
     @pytest.mark.parametrize("example, key", [
         ("roi_loop",
-         "10ed47a26464970884b58e18a7b687c22140ff4108013bec638ee576e9980fc3"),
+         "c7f5a8e7257400c9a4a89d9f26d77077b0fc3575300ed5e668d03e814ca0f717"),
         ("stencil_calls",
-         "38faf241b8037a1f0755a1c330dcf3f460b31e1d307d8c97d47f393dd9f625a2"),
+         "0efa9650a5892c0df3751300024d333e8ff8035e49e963ef41219b51ada9cd59"),
         ("anneal_stats",
-         "4cf40a7f384195d02e1f419ef61ed4da91fe03d97a38988c4843f7bd7934bba8"),
+         "6675b3f63852f70eecbe589ec2dfc7eb713319dc953737d2aa6de0c53edbd446"),
     ])
     def test_default_psec_profile_key_is_pinned(self, tmp_path, monkeypatch,
                                                 example, key):
-        """The profile key a default ``psec`` of an example looks up,
-        pinned since the engine option and the batch size were removed
-        (neither entered the key document of a default run).  It moved
-        once since, with bytecode schema v3, which is in every key's
-        environment fingerprint.  (Python is pinned to 3.11 in the
-        fingerprint so the literal holds on every interpreter version.)"""
+        """The profile key a default ``psec`` of an example looks up.
+        It last moved with IR schema v2 and bytecode schema v4, which
+        are in every key's environment fingerprint, and with the removal
+        of the frozen fields that kept older keys put (the pre-screen
+        schema in the fingerprint, the engine field in the run
+        document).  (Python is pinned to 3.11 in the fingerprint so the
+        literal holds on every interpreter version.)"""
         from pathlib import Path
 
         from repro.service import PsecRequest, ServiceCore
@@ -288,18 +300,19 @@ class TestKeys:
 
     @pytest.mark.parametrize("budget, key", [
         ("events-per-roi=20000",
-         "e1cc240d185c0e3de3b53d139d6f20fe3dac8b99b7d379e2711cd2226294031b"),
+         "d23c6180e680722e5869e4855acb7cc7b3677ae84932d49c3ae8e2bd28d7004a"),
         ("steps=5000000,heap=1048576,depth=256,events-per-roi=20000",
-         "bc12a86d82a7bee91cc5081d15bed050f6ef3b60706c9370fc0df227bb086167"),
+         "46de325d1bc05a49f2799ec51ddc1e903bd4d107846a812020e80358bae1f624"),
     ])
     def test_budget_psec_profile_key_is_pinned(self, tmp_path, monkeypatch,
                                                budget, key):
         """The profile key a ``psec --budget`` of ``examples/roi_loop.mc``
-        looks up, pinned since before ``ResiliencePolicy`` lost its
-        retry, degrade and queue fields: the key document goes through
-        ``asdict(ResiliencePolicy)``, so a dropped field that is not
-        retired would re-key every cached ``--budget`` profile.  It moved
-        once since, with bytecode schema v3."""
+        looks up.  The key document goes through
+        ``asdict(ResiliencePolicy)``, so a dropped policy field re-keys
+        every cached ``--budget`` profile.  It last moved with IR schema
+        v2 and bytecode schema v4, and with the removal of the frozen
+        fields that kept older keys put (the retired resilience fields,
+        the engine field and the pre-screen schema)."""
         from pathlib import Path
 
         from repro.service import PsecRequest, RunOptions, ServiceCore
@@ -420,6 +433,8 @@ int main() {
   int i;
   #pragma carmot roi abstraction(parallel_for)
   for (i = 0; i < 8; ++i) { g = g + i; }
+  #pragma omp critical
+  { g = g + 1; }
   print_int(g);
   return 0;
 }
@@ -438,29 +453,37 @@ def _set_code(index, value):
     return mutate
 
 
-def _first_pc(main, opcode):
-    """The pc of the first ``opcode`` instruction of a stored function."""
-    return next(pc for pc, words in decode(BytecodeFunction(
-        "main", array("q", main["code"]), [], 0, main["n_regs"], 0, False))
-        if words[0] == opcode)
+def _first_pc(doc, opcode):
+    """The pc of the first ``opcode`` instruction of the stored ``main``."""
+    [main] = deserialize_bytecode(json.dumps(doc)).functions.values()
+    return next(pc for pc, words in main.ops if words[0] == opcode)
 
 
 def _negative_argc(doc):
     [main] = doc["functions"]
     code = main["code"]
-    code[_first_pc(main, OP_CALL_BUILTIN) + 5] = -6  # the width comes out as 0
+    code[_first_pc(doc, OP_CALL_BUILTIN) + 5] = -6  # the width comes out as 0
 
 
 def _jump_into_an_instruction(doc):
     [main] = doc["functions"]
     code = main["code"]
-    code[_first_pc(main, OP_JUMP) + 1] += 1  # one word past the target
+    code[_first_pc(doc, OP_JUMP) + 1] += 1  # one word past the target
 
 
 def _register_out_of_range(doc):
     [main] = doc["functions"]
     # The first ``add``'s left operand, 50 registers past the frame.
-    main["code"][_first_pc(main, OP_ADD) + 2] = main["n_regs"] + 50
+    main["code"][_first_pc(doc, OP_ADD) + 2] = main["n_regs"] + 50
+
+
+def _table_index_out_of_range(opcode, word):
+    """A mutation that points word ``word`` of ``main``'s first
+    ``opcode`` instruction, a table index, past the end of its table."""
+    def mutate(doc):
+        [main] = doc["functions"]
+        main["code"][_first_pc(doc, opcode) + word] = 9999
+    return mutate
 
 
 def _enter_into_an_instruction(doc):
@@ -486,6 +509,15 @@ SHAPE_MALFORMED = {
         "codegen", "bytecode", _jump_into_an_instruction),
     "bytecode_register_slot_out_of_range": (
         "codegen", "bytecode", _register_out_of_range),
+    "bytecode_var_index_out_of_range": (
+        "codegen", "bytecode", _table_index_out_of_range(OP_PROBE_ACCESS, 4)),
+    "bytecode_loc_index_out_of_range": (
+        "codegen", "bytecode", _table_index_out_of_range(OP_PROBE_ACCESS, 7)),
+    "bytecode_string_index_out_of_range": (
+        "codegen", "bytecode", _table_index_out_of_range(OP_OMP_BEGIN, 1)),
+    "bytecode_global_var_index_out_of_range": (
+        "codegen", "bytecode",
+        lambda doc: doc["globals"][0].update(var=9999)),
     "psecs_not_a_list": ("profile", "profile",
                          lambda doc: doc.update(psecs=12345)),
 }
