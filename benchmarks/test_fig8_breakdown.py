@@ -6,12 +6,7 @@ The paper reports that Pin-instrumentation reduction and the call-graph
 
 import pytest
 
-from repro.harness import (
-    BREAKDOWN_GROUPS,
-    breakdown_pipeline,
-    figure8,
-    render_breakdown,
-)
+from repro.harness import BREAKDOWN_GROUPS, figure8, render_breakdown
 from repro.passes import parse_pipeline
 from repro.workloads import ALL_WORKLOADS, workload
 
@@ -49,16 +44,24 @@ def test_four_groups_reported(rows):
 
 def test_breakdown_configs_are_named_pipelines():
     """Each Figure-8 configuration is a parseable -passes= description
-    that drops exactly the passes behind its disabled toggles."""
-    full = set(parse_pipeline("carmot"))
-    for group, toggles in BREAKDOWN_GROUPS.items():
-        names = parse_pipeline(breakdown_pipeline(toggles))
-        assert names == [n for n in parse_pipeline("carmot") if n in names]
-        missing = full - set(names)
-        if group == "callstack_clustering":  # runtime knob: no pass removed
+    that drops passes of the full pipeline, in its order, plus runtime
+    overrides.  Opt 7 is the runtime's callstack clustering: its group
+    removes no pass and only switches clustering off; every other group
+    removes passes and overrides nothing.  Together the groups remove
+    every optimization pass, each once."""
+    full = parse_pipeline("carmot")
+    removed = []
+    for group, (pipeline, overrides) in BREAKDOWN_GROUPS.items():
+        names = parse_pipeline(pipeline)
+        assert names == [n for n in full if n in names]
+        missing = [n for n in full if n not in names]
+        if group == "callstack_clustering":
             assert not missing
+            assert overrides == {"callstack_clustering": False}
         else:
-            assert missing, group
+            assert missing and not overrides, group
+        removed.extend(missing)
+    assert sorted(removed) == sorted(n for n in full if n != "instrument")
 
 
 def test_pin_and_callgraph_dominate_overall(rows):

@@ -25,7 +25,6 @@ from repro.abstractions import (
 )
 from repro.compiler import (
     BuildMode,
-    CarmotOptions,
     CompiledProgram,
     compile_baseline,
     compile_carmot,
@@ -44,7 +43,6 @@ __all__ = [
     "TaskRecommendation",
     "recommend",
     "BuildMode",
-    "CarmotOptions",
     "CompiledProgram",
     "compile_baseline",
     "compile_carmot",

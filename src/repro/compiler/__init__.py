@@ -6,13 +6,7 @@ planners, the instrumenters, and the conventional ``o3`` / ``mem2reg`` /
 pipeline aliases with :mod:`repro.passes.registry`.
 """
 
-from repro.compiler.carmot import (
-    OPTION_PASSES,
-    CarmotBuildInfo,
-    CarmotOptions,
-    apply_carmot,
-    carmot_pass_names,
-)
+from repro.compiler.carmot import CarmotBuildInfo
 from repro.compiler.driver import (
     BuildMode,
     CompiledProgram,
@@ -38,8 +32,7 @@ from repro.compiler.opts import (
 )
 
 __all__ = [
-    "OPTION_PASSES", "CarmotBuildInfo", "CarmotOptions", "apply_carmot",
-    "carmot_pass_names", "BuildMode", "CompiledProgram", "compile_baseline",
+    "CarmotBuildInfo", "BuildMode", "CompiledProgram", "compile_baseline",
     "compile_carmot", "compile_naive", "compile_pipeline", "frontend",
     "InstrumentationPlan", "InstrumentationReport", "instrument_module",
     "promotable_allocas", "promote_allocas", "optimize_module_o3",

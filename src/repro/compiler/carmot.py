@@ -1,9 +1,9 @@
 """The CARMOT optimizations: PSEC-specific passes 1–7 (§4.4–4.5).
 
 Each optimization is a registered pass over the shared
-:class:`~repro.passes.manager.AnalysisManager`; the default pipeline
-(``carmot_pass_names``, alias ``"carmot"``) runs them in the paper's
-order on a freshly-lowered module:
+:class:`~repro.passes.manager.AnalysisManager`; the ``"carmot"``
+pipeline alias runs them in the paper's order on a freshly-lowered
+module:
 
 1. ``callgraph-o3`` — **opt 5** (call graph): functions that can never be
    on the callstack when an ROI starts get the full conventional ``-O3``
@@ -26,15 +26,15 @@ order on a freshly-lowered module:
 7. ``out-of-roi-suppression`` — the second half of **opt 5**: accesses
    statically outside every ROI that cannot execute in an ROI's dynamic
    extent need no probes at all;
-8. ``instrument`` — materialize the plan; **opt 7** (callstack
-   clustering) is a runtime knob carried in the result.
+8. ``instrument`` — materialize the plan.
 
-Every optimization can be toggled independently — by
-:class:`CarmotOptions` field or by pipeline text
-(``"carmot,-pin-reduction"``) — which is exactly how Figure 8 measures
-the per-optimization contribution.  Passes 3–7 are *planning* passes:
-they only fill the shared :class:`InstrumentationPlan`, leaving the IR
-(and therefore the analysis cache) untouched.
+**Opt 7** (callstack clustering) is no pass: it is the runtime's
+``RuntimeConfig.callstack_clustering``, on in a CARMOT run unless the
+run switches it off.  Every pass is switched off by pipeline text
+(``"carmot,-pin-reduction"``), which is how Figure 8 measures the
+per-optimization contribution.  Passes 3–7 are *planning* passes: they
+only fill the shared :class:`InstrumentationPlan`, leaving the IR (and
+therefore the analysis cache) untouched.
 """
 
 from __future__ import annotations
@@ -70,89 +70,20 @@ from repro.compiler.opts import optimize_o3
 from repro.passes.manager import (
     AnalysisManager,
     Pass,
-    PassManager,
     PassTimingReport,
     PipelineContext,
 )
 from repro.passes.registry import register_alias, register_pass
-from repro.runtime.config import InstrumentationPolicy
-
-
-@dataclass
-class CarmotOptions:
-    """Per-optimization toggles (all on = full CARMOT)."""
-
-    subsequent_accesses: bool = True      # opt 1
-    aggregation: bool = True              # opt 2
-    fixed_classification: bool = True     # opt 3
-    selective_mem2reg: bool = True        # opt 4
-    callgraph_o3: bool = True             # opt 5
-    reduce_pin: bool = True               # opt 6
-    callstack_clustering: bool = True     # opt 7 (runtime knob)
-
-    @classmethod
-    def none(cls) -> "CarmotOptions":
-        return cls(False, False, False, False, False, False, False)
 
 
 @dataclass
 class CarmotBuildInfo:
     """Metadata about one CARMOT compilation, for tests and Figure 8."""
 
-    options: CarmotOptions
     o3_functions: List[str] = field(default_factory=list)
     promoted_locals: int = 0
     report: Optional[InstrumentationReport] = None
     pass_report: Optional[PassTimingReport] = None
-
-
-#: Which pass names each :class:`CarmotOptions` toggle controls (opt 7 is
-#: a runtime knob and maps to no pass).
-OPTION_PASSES: Dict[str, Tuple[str, ...]] = {
-    "subsequent_accesses": ("subsequent-accesses",),
-    "aggregation": ("aggregation",),
-    "fixed_classification": ("fixed-classification",),
-    "selective_mem2reg": ("selective-mem2reg",),
-    "callgraph_o3": ("callgraph-o3", "out-of-roi-suppression"),
-    "reduce_pin": ("pin-reduction",),
-    "callstack_clustering": (),
-}
-
-
-def carmot_pass_names(options: Optional[CarmotOptions] = None) -> List[str]:
-    """The CARMOT pipeline for the given toggles, as registry names."""
-    options = options or CarmotOptions()
-    names: List[str] = []
-    if options.callgraph_o3:
-        names.append("callgraph-o3")
-    if options.selective_mem2reg:
-        names.append("selective-mem2reg")
-    if options.fixed_classification:
-        names.append("fixed-classification")
-    if options.aggregation:
-        names.append("aggregation")
-    if options.subsequent_accesses:
-        names.append("subsequent-accesses")
-    if options.reduce_pin:
-        names.append("pin-reduction")
-    if options.callgraph_o3:
-        names.append("out-of-roi-suppression")
-    names.append("instrument")
-    return names
-
-
-def apply_carmot(
-    module: Module,
-    policy: InstrumentationPolicy,
-    options: Optional[CarmotOptions] = None,
-) -> CarmotBuildInfo:
-    """Run the CARMOT pipeline on a lowered module, in place."""
-    options = options or CarmotOptions()
-    info = CarmotBuildInfo(options=options)
-    ctx = PipelineContext(policy=policy, build_info=info)
-    manager = PassManager(carmot_pass_names(options), ctx)
-    info.pass_report = manager.run(module)
-    return info
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +560,15 @@ class PinReductionPass(Pass):
 
 
 # Pipeline aliases: the three build modes, by name.
-register_alias("carmot", carmot_pass_names(CarmotOptions()))
+register_alias("carmot", [
+    "callgraph-o3",
+    "selective-mem2reg",
+    "fixed-classification",
+    "aggregation",
+    "subsequent-accesses",
+    "pin-reduction",
+    "out-of-roi-suppression",
+    "instrument",
+])
 register_alias("naive", ["naive-instrument"])
 register_alias("baseline", ["o3"])

@@ -7,14 +7,16 @@ Three build modes mirror the evaluation's three measurement subjects:
 - **naive**    — correct PSEC without any PSEC-specific optimization:
   unoptimized IR, a probe on every access, a Pin gate on every call, no
   callstack clustering;
-- **carmot**   — the full pipeline of §4.4/§4.5 (individually toggleable
-  for the Figure 8 breakdown).
+- **carmot**   — the full pipeline of §4.4/§4.5 (each pass switched off
+  by pipeline text for the Figure 8 breakdown).
 
-All three are thin wrappers over :func:`compile_pipeline`: each mode is a
-named pass pipeline run by the :class:`~repro.passes.manager.PassManager`
-(``baseline`` → ``o3``; ``naive`` → ``naive-instrument``; ``carmot`` →
-the seven-optimization sequence).  Custom pipelines — e.g. the CLI's
-``--passes carmot,-pin-reduction`` — go through the same path.
+A build is its pass pipeline: the three modes are the named pipelines
+``baseline`` → ``o3``, ``naive`` → ``naive-instrument`` and ``carmot`` →
+the seven-optimization sequence, and custom pipelines — e.g. the CLI's
+``--passes carmot,-pin-reduction`` — are built the same way.
+:func:`run_pipeline` is the one place a pipeline runs; the build mode it
+infers from the instrumenter sets the runtime's defaults, and opt 7
+(callstack clustering) is the one runtime knob a run may override.
 """
 
 from __future__ import annotations
@@ -29,11 +31,7 @@ from repro.lang.sema import analyze
 from repro.ir.lowering import lower_program
 from repro.ir.module import Module
 from repro.ir.verifier import verify_module
-from repro.compiler.carmot import (
-    CarmotBuildInfo,
-    CarmotOptions,
-    carmot_pass_names,
-)
+from repro.compiler.carmot import CarmotBuildInfo
 from repro.compiler.instrument import InstrumentationReport
 from repro.passes.manager import (
     PassManager,
@@ -66,7 +64,6 @@ class CompiledProgram:
     module: Module
     mode: BuildMode
     policy: Optional[InstrumentationPolicy] = None
-    options: Optional[CarmotOptions] = None
     build_info: Optional[CarmotBuildInfo] = None
     report: Optional[InstrumentationReport] = None
     pass_report: Optional[PassTimingReport] = None
@@ -79,22 +76,20 @@ class CompiledProgram:
         cost_model: CostModel = DEFAULT_COST_MODEL,
         **config_kwargs,
     ) -> Tuple[CarmotRuntime, CarmotHooks]:
-        """A fresh runtime + hooks pair for one profiling run."""
+        """A fresh runtime + hooks pair for one profiling run.
+
+        The build mode picks the runtime: CARMOT's co-designed one with
+        callstack clustering (opt 7), or the naive one without.
+        ``config_kwargs`` may override ``callstack_clustering`` (Figure
+        8 switches it off) and set the other :class:`RuntimeConfig`
+        knobs.
+        """
         if self.mode is BuildMode.BASELINE:
             raise ValueError("baseline builds are not instrumented")
         is_carmot = self.mode is BuildMode.CARMOT
-        clustering = (is_carmot and self.options is not None
-                      and self.options.callstack_clustering)
-        config = RuntimeConfig(
-            policy=self.policy,
-            callstack_clustering=clustering,
-            # The co-designed runtime (shadow callstacks + the §4.6
-            # pipeline) belongs to CARMOT; the naive profiler walks the
-            # stack per use and processes events inline.
-            shadow_callstacks=is_carmot,
-            inline_processing=not is_carmot,
-            **config_kwargs,
-        )
+        config_kwargs.setdefault("callstack_clustering", is_carmot)
+        config = RuntimeConfig(policy=self.policy, codesigned=is_carmot,
+                               **config_kwargs)
         runtime = CarmotRuntime(self.module, config)
         return runtime, CarmotHooks(runtime, cost_model)
 
@@ -167,38 +162,41 @@ def build_mode(
     return mode, choose(abstraction)
 
 
+def run_pipeline(
+    module: Module,
+    names: Sequence[str],
+    abstraction: Optional[str] = None,
+) -> CompiledProgram:
+    """Run the parsed pass pipeline ``names`` over a lowered ``module``,
+    in place.
+
+    The build mode and policy follow from the pipeline
+    (:func:`build_mode`); a CARMOT build also collects its
+    :class:`CarmotBuildInfo`.  The caller verifies the result.
+    """
+    mode, policy = build_mode(names, module, abstraction)
+    info = CarmotBuildInfo() if mode is BuildMode.CARMOT else None
+    ctx = PipelineContext(policy=policy, build_info=info)
+    pass_report = PassManager(names, ctx).run(module)
+    if info is not None:
+        info.pass_report = pass_report
+    return CompiledProgram(
+        module, mode, policy=policy, build_info=info,
+        report=ctx.instrument_report, pass_report=pass_report,
+    )
+
+
 def compile_pipeline(
     source: str,
     pipeline: Union[str, Sequence[str]],
     abstraction: Optional[str] = None,
-    options: Optional[CarmotOptions] = None,
     name: str = "program",
 ) -> CompiledProgram:
-    """Compile with an explicit pass pipeline (text or list of names).
-
-    The build mode follows from the instrumenter in the pipeline
-    (:func:`build_mode`).  ``options`` only feeds runtime knobs and
-    build metadata — which passes run is decided by ``pipeline`` alone.
-    """
+    """Compile with an explicit pass pipeline (text or list of names)."""
     names = parse_pipeline(pipeline)
-    module = frontend(source, name)
-    mode, policy = build_mode(names, module, abstraction)
-    info: Optional[CarmotBuildInfo] = None
-    if mode is BuildMode.CARMOT:
-        options = options or CarmotOptions()
-        info = CarmotBuildInfo(options=options)
-    ctx = PipelineContext(policy=policy, build_info=info)
-    manager = PassManager(names, ctx)
-    pass_report = manager.run(module)
-    if info is not None:
-        info.pass_report = pass_report
-    verify_module(module)
-    return CompiledProgram(
-        module, mode, policy=policy,
-        options=options if mode is BuildMode.CARMOT else None,
-        build_info=info, report=ctx.instrument_report,
-        pass_report=pass_report,
-    )
+    program = run_pipeline(frontend(source, name), names, abstraction)
+    verify_module(program.module)
+    return program
 
 
 def compile_baseline(source: str, name: str = "program") -> CompiledProgram:
@@ -217,14 +215,8 @@ def compile_naive(
 def compile_carmot(
     source: str,
     abstraction: Optional[str] = None,
-    options: Optional[CarmotOptions] = None,
     name: str = "program",
-    pipeline: Optional[Union[str, Sequence[str]]] = None,
 ) -> CompiledProgram:
-    """Compile the full CARMOT build (or a custom ``pipeline`` override;
-    by default the pipeline is derived from ``options``)."""
-    options = options or CarmotOptions()
-    if pipeline is None:
-        pipeline = carmot_pass_names(options)
-    return compile_pipeline(source, pipeline, abstraction=abstraction,
-                            options=options, name=name)
+    """Compile the full CARMOT build (the ``carmot`` pipeline)."""
+    return compile_pipeline(source, "carmot", abstraction=abstraction,
+                            name=name)

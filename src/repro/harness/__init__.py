@@ -7,7 +7,6 @@ from repro.harness.experiments import (
     OverheadRow,
     SpeedupRow,
     access_ratio,
-    breakdown_pipeline,
     figure6,
     figure7,
     figure8,
@@ -23,8 +22,7 @@ from repro.harness.experiments import (
 
 __all__ = [
     "BREAKDOWN_GROUPS", "BreakdownRow", "LeakReport", "OverheadRow",
-    "SpeedupRow", "access_ratio", "breakdown_pipeline", "figure6",
-    "figure7", "figure8",
+    "SpeedupRow", "access_ratio", "figure6", "figure7", "figure8",
     "figure10", "figure11", "measure_overheads", "nab_leak_experiment",
     "render_breakdown", "render_overheads", "render_speedups", "table1",
 ]

@@ -16,11 +16,10 @@ from repro.abstractions import (
     simulated_leak_with_cycles,
 )
 from repro.compiler import (
-    OPTION_PASSES,
-    CarmotOptions,
     compile_baseline,
     compile_carmot,
     compile_naive,
+    compile_pipeline,
     frontend,
 )
 from repro.harness.reporting import render_table
@@ -131,29 +130,18 @@ def render_overheads(title: str, rows: List[OverheadRow]) -> str:
 # Figure 8: per-optimization breakdown
 # ---------------------------------------------------------------------------
 
-#: The four categories of Figure 8.
-BREAKDOWN_GROUPS: Dict[str, Dict[str, bool]] = {
-    "reduce_pin": {"reduce_pin": False},
-    "callstack_clustering": {"callstack_clustering": False},
-    "callgraph_o3": {"callgraph_o3": False},
-    "redundant_instrumentation": {
-        "subsequent_accesses": False,
-        "aggregation": False,
-        "fixed_classification": False,
-        "selective_mem2reg": False,
-    },
+#: The four categories of Figure 8, each a configuration with that
+#: group switched off: (pipeline text, runtime overrides of the run).
+#: Opt 7 is the runtime's callstack clustering, so its group runs the
+#: full pipeline; the others drop the group's passes.
+BREAKDOWN_GROUPS: Dict[str, Tuple[str, Dict[str, bool]]] = {
+    "reduce_pin": ("carmot,-pin-reduction", {}),
+    "callstack_clustering": ("carmot", {"callstack_clustering": False}),
+    "callgraph_o3": ("carmot,-callgraph-o3,-out-of-roi-suppression", {}),
+    "redundant_instrumentation": (
+        "carmot,-subsequent-accesses,-aggregation,-fixed-classification,"
+        "-selective-mem2reg", {}),
 }
-
-
-def breakdown_pipeline(toggles: Dict[str, bool]) -> str:
-    """``-passes=``-style pipeline text for one Figure-8 configuration:
-    full CARMOT minus the passes behind each disabled toggle (runtime-only
-    knobs such as callstack clustering remove no pass)."""
-    parts = ["carmot"]
-    for option, enabled in toggles.items():
-        if not enabled:
-            parts.extend(f"-{name}" for name in OPTION_PASSES[option])
-    return ",".join(parts)
 
 
 @dataclass
@@ -175,14 +163,10 @@ def figure8(workloads: Optional[List[Workload]] = None) -> List[BreakdownRow]:
         full, _ = compile_carmot(source, name=workload.name).run()
         full_overhead = full.cost / baseline.cost
         deltas: Dict[str, float] = {}
-        for group, toggles in BREAKDOWN_GROUPS.items():
-            # Each configuration is a named pipeline (the options only
-            # carry the runtime knobs, e.g. callstack clustering off).
-            options = CarmotOptions(**toggles)
-            result, _ = compile_carmot(
-                source, options=options, name=workload.name,
-                pipeline=breakdown_pipeline(toggles),
-            ).run()
+        for group, (pipeline, overrides) in BREAKDOWN_GROUPS.items():
+            result, _ = compile_pipeline(
+                source, pipeline, name=workload.name,
+            ).run(**overrides)
             deltas[group] = max(0.0, result.cost / baseline.cost
                                 - full_overhead)
         total = sum(deltas.values()) or 1.0

@@ -95,12 +95,11 @@ class RuntimeConfig:
 
     policy: InstrumentationPolicy = FULL_POLICY
     callstack_clustering: bool = True
-    #: CARMOT maintains a shadow callstack at call boundaries so capturing a
-    #: use-callstack is cheap; the naive runtime walks the stack per use.
-    shadow_callstacks: bool = True
-    #: The naive runtime lacks the §4.6 pipeline and processes events inline
-    #: on the main thread.
-    inline_processing: bool = False
+    #: CARMOT's co-designed runtime: it maintains a shadow callstack at
+    #: call boundaries so capturing a use-callstack is cheap, and its §4.6
+    #: pipeline takes event processing off the main thread.  The naive
+    #: runtime (False) walks the stack per use and processes events inline.
+    codesigned: bool = True
     #: Memory guard: the naive configuration can accumulate unboundedly many
     #: use-callstack records; the paper marks such runs with "*" in Figure 7.
     max_use_records: int = 4_000_000

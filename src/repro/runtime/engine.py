@@ -395,9 +395,9 @@ class CarmotHooks(ExecutionHooks):
         track_uses = config.policy.track_use_callstacks
         use_cost = 0
         if track_uses:
-            use_cost = (cm.use_callstack_shadow if config.shadow_callstacks
+            use_cost = (cm.use_callstack_shadow if config.codesigned
                         else cm.use_callstack_walk)
-        inline = cm.inline_process if config.inline_processing else 0
+        inline = 0 if config.codesigned else cm.inline_process
         # The flat transition table's column of each event code.
         steps = [tuple(fsa.FLAT_TRANSITIONS[code::4]) for code in range(4)]
         return (runtime._solo, cm.probe_push + use_cost + inline, use_cost,
@@ -555,7 +555,7 @@ class CarmotHooks(ExecutionHooks):
                     states, obj.obj_id, addr - obj.base, size, count,
                     stride, var, active, self.vm.instructions,
                 )
-                if runtime.config.inline_processing:
+                if not runtime.config.codesigned:
                     return (self.cm.classify_probe
                             + self.cm.inline_process * max(1, count))
         return self.cm.classify_probe
@@ -573,7 +573,7 @@ class CarmotHooks(ExecutionHooks):
                     src.obj_id, dest_addr - src.base, dst.obj_id, loc,
                     self.vm.instructions,
                 )
-                if runtime.config.inline_processing:
+                if not runtime.config.codesigned:
                     return self.cm.escape_event + self.cm.inline_process
         return self.cm.escape_event
 
@@ -594,7 +594,7 @@ class CarmotHooks(ExecutionHooks):
             runtime.stats.callstack_captures += 1
         runtime.stats.alloc_events += 1
         runtime.alloc(obj, self.vm.instructions)
-        if runtime.config.inline_processing:
+        if not runtime.config.codesigned:
             cost += self.cm.inline_process
         return cost
 
@@ -605,7 +605,7 @@ class CarmotHooks(ExecutionHooks):
     def on_call_enter(self, function_name: str, instrumented: bool) -> int:
         self._frame_captured.append(False)
         config = self.runtime.config
-        if (config.shadow_callstacks
+        if (config.codesigned
                 and config.policy.track_use_callstacks
                 and instrumented):
             return self.cm.shadow_stack_maintain
@@ -615,7 +615,7 @@ class CarmotHooks(ExecutionHooks):
         if len(self._frame_captured) > 1:
             self._frame_captured.pop()
         config = self.runtime.config
-        if config.shadow_callstacks and config.policy.track_use_callstacks:
+        if config.codesigned and config.policy.track_use_callstacks:
             return self.cm.shadow_stack_maintain
         return 0
 
@@ -639,7 +639,7 @@ class CarmotHooks(ExecutionHooks):
                 self._pin_fold(kind, obj, addr - obj.base, min(size, 8),
                                granules)
         cost = self.cm.pin_per_access * granules
-        if runtime.config.inline_processing:
+        if not runtime.config.codesigned:
             cost += self.cm.inline_process * granules
         return cost
 

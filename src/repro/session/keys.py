@@ -10,7 +10,7 @@ post-pipeline IR digest — which yields the invalidation matrix for free:
 changed input        frontend  pipeline  profile  recommend  response
 ===================  ========  ========  =======  =========  ========
 source text          miss      miss      miss     miss       miss
-pass pipeline/opts   hit       miss      miss     miss       miss
+pass pipeline        hit       miss      miss     miss       miss
 registry version     hit       miss      miss     miss       miss
 budgets              hit       hit       miss     miss       miss
 entry/args/costs     hit       hit       miss     miss       miss
@@ -81,7 +81,6 @@ def pipeline_key(
     frontend_digest: str,
     pass_names: Sequence[str],
     abstraction: Optional[str],
-    options_doc: Optional[Dict[str, object]],
 ) -> str:
     """Key of the pass-pipeline+instrument stage output.
 
@@ -94,7 +93,6 @@ def pipeline_key(
         "frontend": frontend_digest,
         "passes": list(pass_names),
         "abstraction": abstraction,
-        "options": options_doc,
         "registry": registry_fingerprint(),
     })
 
@@ -189,13 +187,13 @@ def run_config_doc(
     max_instructions: int,
     budgets,
     abstraction: Optional[str],
-    options,
     config_kwargs: Dict[str, object],
 ) -> Dict[str, object]:
     """Canonical, JSON-able view of one ``CompiledProgram.run()`` call.
 
-    ``config_kwargs`` are the ``RuntimeConfig`` overrides the CLI passes
-    (``resilience``); dataclass values are flattened via ``asdict`` so
+    ``config_kwargs`` are the ``RuntimeConfig`` overrides of the run
+    (the CLI's ``resilience``, Figure 8's ``callstack_clustering``);
+    dataclass values are flattened via ``asdict`` so
     two equal policies produce equal documents.
     """
     config: Dict[str, object] = {}
@@ -208,7 +206,6 @@ def run_config_doc(
         "max_instructions": max_instructions,
         "budgets": _jsonable(budgets),
         "abstraction": abstraction,
-        "options": _jsonable(options),
         "config": config,
     }
 

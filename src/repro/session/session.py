@@ -8,8 +8,8 @@ stages backed by the content-addressed :class:`ArtifactStore`:
     serialized IR artifact keyed on the source text;
 ``pipeline``
     pass pipeline + instrumentation → the runnable module, keyed on the
-    frontend artifact digest, the parsed pass list, options, and the
-    registry fingerprint;
+    frontend artifact digest, the parsed pass list, the abstraction, and
+    the registry fingerprint;
 ``codegen``
     bytecode lowering → the register bytecode the VM compiles and
     executes, keyed on the post-pipeline IR digest alone;
@@ -40,12 +40,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from repro.compiler.carmot import (
-    CarmotBuildInfo,
-    CarmotOptions,
-    carmot_pass_names,
+from repro.compiler.driver import (
+    BuildMode,
+    CompiledProgram,
+    build_mode,
+    run_pipeline,
 )
-from repro.compiler.driver import BuildMode, CompiledProgram, build_mode
 from repro.compiler.driver import frontend as live_frontend
 from repro.errors import ReproError
 from repro.ir.module import Module
@@ -56,7 +56,6 @@ from repro.ir.serialize import (
     serialize_module,
 )
 from repro.ir.verifier import verify_module
-from repro.passes.manager import PassManager, PipelineContext
 from repro.passes.registry import parse_pipeline
 from repro.resilience.budgets import ExecutionBudgets
 from repro.runtime.psec_json import (
@@ -165,58 +164,29 @@ class Session:
         source: str,
         pipeline: Union[str, Sequence[str]] = "carmot",
         abstraction: Optional[str] = None,
-        options: Optional[CarmotOptions] = None,
         name: str = "program",
     ) -> CompileResult:
         """The session analogue of ``compile_pipeline``."""
-        if pipeline == "carmot" and options is not None:
-            # The bare alias is frozen at default options; expand it from
-            # the caller's options instead (``compile_carmot`` parity) so
-            # the pipeline follows the per-optimization toggles.
-            names = list(carmot_pass_names(options))
-        else:
-            names = parse_pipeline(pipeline)
+        names = parse_pipeline(pipeline)
         module, frontend_digest, frontend_stage = self.frontend(source, name)
-        mode, policy = build_mode(names, module, abstraction)
-        if mode is BuildMode.CARMOT:
-            options = options or CarmotOptions()
-        key = keys.pipeline_key(
-            frontend_digest, names, abstraction, keys._jsonable(options)
-        )
+        key = keys.pipeline_key(frontend_digest, names, abstraction)
         payload = self.store.get(key) if self.store else None
-        compiled: Optional[Module] = None
-        build_info = None
-        instrument_report = None
-        pass_report = None
         if payload is not None:
             try:
                 compiled = deserialize_module(payload)
-                pipeline_stage = "hit"
             except IRSerializeError:
                 payload = None
-        if compiled is None:
-            build_info = (
-                CarmotBuildInfo(options=options)
-                if mode is BuildMode.CARMOT else None
-            )
-            ctx = PipelineContext(policy=policy, build_info=build_info)
-            manager = PassManager(names, ctx)
-            pass_report = manager.run(module)
-            if build_info is not None:
-                build_info.pass_report = pass_report
+            else:
+                mode, policy = build_mode(names, module, abstraction)
+                program = CompiledProgram(compiled, mode, policy=policy)
+                pipeline_stage = "hit"
+        if payload is None:
+            program = run_pipeline(module, names, abstraction)
             verify_module(module)
-            instrument_report = ctx.instrument_report
             payload = serialize_module(module)
             if self.store is not None:
                 self.store.put(key, payload, "ir")
-            compiled = module
             pipeline_stage = "miss"
-        program = CompiledProgram(
-            compiled, mode, policy=policy,
-            options=options if mode is BuildMode.CARMOT else None,
-            build_info=build_info, report=instrument_report,
-            pass_report=pass_report,
-        )
         return CompileResult(
             program=program,
             ir_digest=payload_digest(payload),
@@ -234,13 +204,15 @@ class Session:
         instances.  A hit rebinds the decoded table against the
         program's IR module — the engine keys access sites by
         ``VarInfo`` identity, so the bytecode must share the module's
-        instances, not deserialized clones.
+        instances, not deserialized clones.  A stored entry that does not
+        decode, or names an ROI the module lacks, is a miss.
         """
         key = keys.codegen_key(ir_digest)
         payload = self.store.get(key) if self.store else None
         if payload is not None:
             try:
                 bytecode = deserialize_bytecode(payload)
+                bytecode.check_rois(program.module)
             except BytecodeSerializeError:
                 payload = None
             else:
@@ -260,7 +232,6 @@ class Session:
         source: str,
         pipeline: Union[str, Sequence[str]] = "carmot",
         abstraction: Optional[str] = None,
-        options: Optional[CarmotOptions] = None,
         name: str = "program",
         entry: str = "main",
         args: Tuple = (),
@@ -276,8 +247,7 @@ class Session:
         degradation report all load from the artifact.
         """
         compile_result = self.compile(
-            source, pipeline, abstraction=abstraction, options=options,
-            name=name,
+            source, pipeline, abstraction=abstraction, name=name,
         )
         program = compile_result.program
         if program.mode is BuildMode.BASELINE:
@@ -288,7 +258,7 @@ class Session:
         stages["codegen"] = self.codegen(program, compile_result.ir_digest)
         run_doc = keys.run_config_doc(
             entry, args, cost_model, max_instructions, budgets,
-            abstraction, options, config_kwargs,
+            abstraction, config_kwargs,
         )
         key = keys.profile_key(
             compile_result.ir_digest, program.mode.value, run_doc

@@ -110,6 +110,10 @@ TY_INT = 0
 TY_FLOAT = 1
 TY_CHAR = 2
 
+#: Opcodes whose word 3 is a scalar type code: load/store ``ty``, cast
+#: ``to``.
+TYPED_OPCODES = frozenset((OP_LOAD, OP_STORE, OP_CAST))
+
 #: Opcode -> mnemonic, for ``--trace`` output and disassembly in tests.
 OPCODE_NAMES: Dict[int, str] = {
     OP_LOAD: "load", OP_STORE: "store", OP_ADDR: "addr", OP_JUMP: "jump",
@@ -183,7 +187,8 @@ def decode(fn: "BytecodeFunction", bc: "BytecodeModule") -> List[tuple]:
     argument or phi count, an instruction that runs past the end of
     the code, a register slot outside the frame, an index outside the
     var, loc, string, function or builtin table of ``bc``, or an entry
-    pc or branch target that is not the start of an instruction."""
+    pc or branch target that is not the start of an instruction, or a
+    load, store or cast type word that is no ``TY_*`` code."""
     if fn.ops is not None:
         return fn.ops
     code = fn.code
@@ -223,6 +228,9 @@ def decode(fn: "BytecodeFunction", bc: "BytecodeModule") -> List[tuple]:
                 raise BytecodeError(
                     f"{table} index {ins[at]} out of range ({size} "
                     f"entries) at {fn.name}+{pc}")
+        if ins[0] in TYPED_OPCODES and not TY_INT <= ins[3] <= TY_CHAR:
+            raise BytecodeError(
+                f"unknown type code {ins[3]} at {fn.name}+{pc}")
         out.append((pc, ins))
         pc += width
     starts = {pc for pc, _ in out}
@@ -384,6 +392,29 @@ class BytecodeModule:
                 if var is not None:
                     by_uid[var.uid] = var
         self.var_table = [by_uid.get(var.uid, var) for var in self.var_table]
+
+    def check_rois(self, module) -> None:
+        """Check every ROI operand against ``module.rois``.
+
+        ``roi.begin``, ``roi.end`` and ``roi.reset`` name an ROI;
+        ``probe.classify`` names one or -1 (none).  :func:`decode` cannot
+        check them, because the ROI table is the IR module's.  Raises
+        :class:`BytecodeSerializeError` on an id the module lacks.
+        """
+        rois = module.rois
+        for fn in self.functions.values():
+            for pc, ins in decode(fn, self):
+                op = ins[0]
+                if op in (OP_ROI_BEGIN, OP_ROI_END, OP_ROI_RESET):
+                    roi = ins[1]
+                elif op == OP_PROBE_CLASSIFY and ins[8] != -1:
+                    roi = ins[8]
+                else:
+                    continue
+                if roi not in rois:
+                    raise BytecodeSerializeError(
+                        f"roi {roi} not in the module ({len(rois)} "
+                        f"ROIs) at {fn.name}+{pc}")
 
 
 # ---------------------------------------------------------------------------

@@ -109,9 +109,9 @@ def _recording_probe_site(hooks, kind, size, var, stride, loc):
     stats = runtime.stats
     use_cost = 0
     if config.policy.track_use_callstacks:
-        use_cost = (cm.use_callstack_shadow if config.shadow_callstacks
+        use_cost = (cm.use_callstack_shadow if config.codesigned
                     else cm.use_callstack_walk)
-    inline = cm.inline_process if config.inline_processing else 0
+    inline = 0 if config.codesigned else cm.inline_process
 
     def probe(ic, cost, addr, callstack, count=1):
         miss = cm.aggregate_probe if count > 1 else cm.probe_push

@@ -140,8 +140,6 @@ def make_stream(
 def stream_runtime() -> CarmotRuntime:
     return CarmotRuntime(_stream_module(), RuntimeConfig(
         policy=policy_for("parallel_for"),
-        shadow_callstacks=True,
-        inline_processing=False,
     ))
 
 

@@ -2,7 +2,7 @@
 compiler byte-for-byte.
 
 The files under ``tests/golden/`` were captured from the pre-pass-manager
-compiler (one monolithic ``apply_carmot``).  Three checks per example
+compiler (one monolithic CARMOT function).  Three checks per example
 program:
 
 1. the instrumented CARMOT IR dump matches the golden dump exactly;

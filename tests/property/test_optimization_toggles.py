@@ -24,12 +24,12 @@ Each toggled build also stays engine-independent: the tree-walk oracle
 and the bytecode VM produce the same serialized profile.
 """
 
-import dataclasses
 from pathlib import Path
 
 import pytest
 
-from repro.compiler import CarmotOptions, compile_carmot
+from repro.compiler import compile_carmot, compile_pipeline
+from repro.passes import parse_pipeline
 from repro.runtime.psec_json import psec_sets_digest, serialize_profile
 from repro.workloads.fuzz import random_roi_program
 from tests.helpers.subjects import ARRAY_ROI_SOURCE, SCALAR_REDUCTION_SOURCE
@@ -47,20 +47,32 @@ SUBJECTS = {
     **{f"rand_roi{seed}": random_roi_program(seed) for seed in range(3)},
 }
 
-TOGGLES = [field.name for field in dataclasses.fields(CarmotOptions)]
+#: Each optimization switched off on its own: (pipeline, runtime
+#: overrides).  Opt 5 is two passes; opt 7 is the runtime's callstack
+#: clustering.
+WITHOUT = {
+    "subsequent_accesses": ("carmot,-subsequent-accesses", {}),
+    "aggregation": ("carmot,-aggregation", {}),
+    "fixed_classification": ("carmot,-fixed-classification", {}),
+    "selective_mem2reg": ("carmot,-selective-mem2reg", {}),
+    "callgraph_o3": ("carmot,-callgraph-o3,-out-of-roi-suppression", {}),
+    "reduce_pin": ("carmot,-pin-reduction", {}),
+    "callstack_clustering": ("carmot", {"callstack_clustering": False}),
+}
+TOGGLES = list(WITHOUT)
 EXACT_TOGGLES = ["subsequent_accesses", "aggregation", "reduce_pin",
                  "callstack_clustering"]
 PROMOTING_TOGGLES = ["selective_mem2reg", "callgraph_o3"]
 
 
-def _profile(name, options=None, vm="bytecode"):
-    program = compile_carmot(SUBJECTS[name], name=name, options=options)
+def _profile(name, toggle=None, vm="bytecode"):
+    if toggle is None:
+        pipeline, overrides = "carmot", {}
+    else:
+        pipeline, overrides = WITHOUT[toggle]
+    program = compile_pipeline(SUBJECTS[name], pipeline, name=name)
     with engine(vm):
-        return program.run()
-
-
-def _without(toggle):
-    return CarmotOptions(**{toggle: False})
+        return program.run(**overrides)
 
 
 def _canonical(runtime):
@@ -71,13 +83,18 @@ def _canonical(runtime):
 def test_toggle_groups_cover_every_option():
     assert sorted(EXACT_TOGGLES + PROMOTING_TOGGLES
                   + ["fixed_classification"]) == sorted(TOGGLES)
+    # Every optimization pass of the alias is switched off by some toggle.
+    removed = {name for pipeline, _ in WITHOUT.values()
+               for name in parse_pipeline("carmot")
+               if name not in parse_pipeline(pipeline)}
+    assert removed == set(parse_pipeline("carmot")) - {"instrument"}
 
 
 @pytest.mark.parametrize("name", list(SUBJECTS))
 @pytest.mark.parametrize("toggle", EXACT_TOGGLES)
 def test_redundancy_toggles_keep_sets_identical(toggle, name):
     full_res, full_rt = _profile(name)
-    off_res, off_rt = _profile(name, _without(toggle))
+    off_res, off_rt = _profile(name, toggle)
     assert off_res.output == full_res.output
     assert psec_sets_digest(off_rt.psecs) == psec_sets_digest(full_rt.psecs)
 
@@ -86,7 +103,7 @@ def test_redundancy_toggles_keep_sets_identical(toggle, name):
 @pytest.mark.parametrize("toggle", PROMOTING_TOGGLES)
 def test_promoting_toggles_only_add_variable_pses(toggle, name):
     full_res, full_rt = _profile(name)
-    off_res, off_rt = _profile(name, _without(toggle))
+    off_res, off_rt = _profile(name, toggle)
     assert off_res.output == full_res.output
     full, off = _canonical(full_rt), _canonical(off_rt)
     assert sorted(off) == sorted(full)
@@ -100,7 +117,7 @@ def test_promoting_toggles_only_add_variable_pses(toggle, name):
 @pytest.mark.parametrize("name", list(SUBJECTS))
 def test_fixed_classification_may_only_drop_cloneable(name):
     full_res, full_rt = _profile(name)
-    off_res, off_rt = _profile(name, _without("fixed_classification"))
+    off_res, off_rt = _profile(name, "fixed_classification")
     assert off_res.output == full_res.output
     full, off = _canonical(full_rt), _canonical(off_rt)
     assert full.keys() == off.keys()
@@ -115,12 +132,12 @@ def test_fixed_classification_may_only_drop_cloneable(name):
 @pytest.mark.parametrize("name", EXAMPLES)
 @pytest.mark.parametrize("toggle", TOGGLES)
 def test_toggled_builds_identical_across_engines(toggle, name):
-    program = compile_carmot(SUBJECTS[name], name=name,
-                             options=_without(toggle))
+    pipeline, overrides = WITHOUT[toggle]
+    program = compile_pipeline(SUBJECTS[name], pipeline, name=name)
 
     def run(vm):
         with engine(vm):
-            result, runtime = program.run()
+            result, runtime = program.run(**overrides)
         return (serialize_profile(runtime, result), result.output,
                 result.cost, result.instructions, result.access_counts)
 

@@ -276,6 +276,11 @@ class TestDispatchContract:
          "function index 1 out of range (1 entries) at main+0"),
         ([10, 0, -1, 0, -1, 0],
          "builtin index 0 out of range (0 entries) at main+0"),
+        # Type words: load/store ``ty`` and cast ``to`` are TY codes.
+        ([1, 0, 0, 77, 0], "unknown type code 77 at main+0"),
+        ([2, 0, 0, 3, 0], "unknown type code 3 at main+0"),
+        ([7, 0, 0, 77], "unknown type code 77 at main+0"),
+        ([7, 0, 0, -1], "unknown type code -1 at main+0"),
     ])
     def test_malformed_code_is_refused_at_link(self, code, message):
         bc = BytecodeModule("bad")
@@ -286,6 +291,37 @@ class TestDispatchContract:
         bc.string_table.append("IO")  # the probe.classify's states
         with pytest.raises(BytecodeError, match=f"^{re.escape(message)}$"):
             BytecodeInterpreter(bc)
+
+    @pytest.mark.parametrize("code, message", [
+        ([14, 1, 13, -1], "roi 1 not in the module (1 ROIs) at main+0"),
+        ([15, 9999, 13, -1], "roi 9999 not in the module (1 ROIs) at main+0"),
+        ([16, -1, 13, -1], "roi -1 not in the module (1 ROIs) at main+0"),
+        ([18, 0, 0, 8, -1, -1, 0, -1, 5, 13, -1],
+         "roi 5 not in the module (1 ROIs) at main+0"),
+        ([14, 0, 18, 0, 0, 8, -1, -1, 0, -1, -1, 13, -1], None),
+    ])
+    def test_roi_operands_are_checked_against_the_module(self, code,
+                                                         message):
+        """ROI ids index the IR module's table, which decode() does not
+        see: the check beside ``rebind_vars`` holds them to it; -1 is a
+        probe.classify's "no ROI"."""
+        from repro.ir.module import Module
+        from repro.lang.tokens import SourcePos
+
+        module = Module("m")
+        module.new_roi("r0", None, "main", SourcePos("m.mc", 1, 1))
+        bc = BytecodeModule("m")
+        bc.functions["main"] = BytecodeFunction(
+            "main", array("q", code), [], n_args=0, n_regs=1, entry_pc=0,
+            instrumented=False)
+        bc.function_order.append("main")
+        bc.string_table.append("IO")  # the probe.classify's states
+        if message is None:
+            bc.check_rois(module)
+            return
+        with pytest.raises(BytecodeSerializeError,
+                           match=f"^{re.escape(message)}$"):
+            bc.check_rois(module)
 
     def test_there_is_no_engine_choice(self):
         program = compile_baseline(SCALAR)

@@ -136,48 +136,33 @@ class TestEventFiltering:
         assert runtime.stats.access_events == 0
         assert runtime.stats.events_ignored_outside_roi > 0
 
-    def test_inline_processing_costs_more(self):
-        r_pipe, _ = run_with_config(LIB_HEAVY, inline_processing=False)
-        r_inline, _ = run_with_config(LIB_HEAVY, inline_processing=True)
-        assert r_inline.cost > r_pipe.cost
-
-    def test_shadow_callstacks_cost_less(self):
-        r_shadow, _ = run_with_config(LIB_HEAVY, shadow_callstacks=True)
-        r_walk, _ = run_with_config(LIB_HEAVY, shadow_callstacks=False)
-        assert r_shadow.cost < r_walk.cost
+    def test_naive_runtime_costs_more(self):
+        """Without the co-designed runtime, each use-callstack is a stack
+        walk and each event is processed inline on the main thread."""
+        r_carmot, _ = run_with_config(LIB_HEAVY, codesigned=True)
+        r_naive, _ = run_with_config(LIB_HEAVY, codesigned=False)
+        assert r_naive.cost > r_carmot.cost
 
 
-#: (policy, inline_processing, shadow_callstacks) → cost of one probe
-#: that records an event at ``count`` 0, 1 and 4, from the default
-#: cost model: probe_push 14 (aggregate_probe 22 when count > 1), plus
-#: a use-callstack capture (shadow 6, walk 450) when the policy records
-#: use callstacks, plus inline_process 90 per covered element without
-#: the pipeline.  Without Sets tracking a probe costs the push alone.
+#: (policy, codesigned) → cost of one probe that records an event at
+#: ``count`` 0, 1 and 4, from the default cost model: probe_push 14
+#: (aggregate_probe 22 when count > 1), plus a use-callstack capture
+#: (CARMOT's shadow stack 6, the naive walk 450) when the policy records
+#: use callstacks, plus inline_process 90 per covered element in the
+#: naive runtime.  Without Sets tracking a probe costs the push alone.
 EXPECTED_COST = {
-    ("parallel_for", False, True): (20, 20, 28),
-    ("parallel_for", False, False): (464, 464, 472),
-    ("parallel_for", True, True): (110, 110, 388),
-    ("parallel_for", True, False): (554, 554, 832),
-    ("full", False, True): (20, 20, 28),
-    ("full", False, False): (464, 464, 472),
-    ("full", True, True): (110, 110, 388),
-    ("full", True, False): (554, 554, 832),
-    ("task", False, True): (14, 14, 22),
-    ("task", False, False): (14, 14, 22),
-    ("task", True, True): (104, 104, 382),
-    ("task", True, False): (104, 104, 382),
-    ("stats", False, True): (14, 14, 22),
-    ("stats", False, False): (14, 14, 22),
-    ("stats", True, True): (104, 104, 382),
-    ("stats", True, False): (104, 104, 382),
-    ("smart_pointers_table1", False, True): (14, 14, 22),
-    ("smart_pointers_table1", False, False): (14, 14, 22),
-    ("smart_pointers_table1", True, True): (104, 104, 382),
-    ("smart_pointers_table1", True, False): (104, 104, 382),
-    ("smart_pointers", False, True): (14, 14, 22),
-    ("smart_pointers", False, False): (14, 14, 22),
-    ("smart_pointers", True, True): (14, 14, 22),
-    ("smart_pointers", True, False): (14, 14, 22),
+    ("parallel_for", True): (20, 20, 28),
+    ("parallel_for", False): (554, 554, 832),
+    ("full", True): (20, 20, 28),
+    ("full", False): (554, 554, 832),
+    ("task", True): (14, 14, 22),
+    ("task", False): (104, 104, 382),
+    ("stats", True): (14, 14, 22),
+    ("stats", False): (104, 104, 382),
+    ("smart_pointers_table1", True): (14, 14, 22),
+    ("smart_pointers_table1", False): (104, 104, 382),
+    ("smart_pointers", True): (14, 14, 22),
+    ("smart_pointers", False): (14, 14, 22),
 }
 COUNTS = (0, 1, 4)
 PROBE_POLICIES = [*NAIVE_POLICIES.values(), FULL_POLICY,
@@ -186,15 +171,17 @@ PROBE_POLICIES = [*NAIVE_POLICIES.values(), FULL_POLICY,
 
 def probe_cases():
     for policy in PROBE_POLICIES:
-        for inline in (False, True):
-            for shadow in (False, True):
-                for index, count in enumerate(COUNTS):
-                    yield pytest.param(
-                        policy, inline, shadow, count,
-                        EXPECTED_COST[policy.name, inline, shadow][index],
-                        id=f"{policy.name}-inline{int(inline)}-"
-                           f"shadow{int(shadow)}-count{count}",
-                    )
+        for codesigned in (True, False):
+            # CARMOT's runtime keeps shadow callstacks and processes no
+            # event inline; the naive runtime does the reverse.
+            inline, shadow = int(not codesigned), int(codesigned)
+            for index, count in enumerate(COUNTS):
+                yield pytest.param(
+                    policy, codesigned, count,
+                    EXPECTED_COST[policy.name, codesigned][index],
+                    id=f"{policy.name}-inline{inline}-shadow{shadow}-"
+                       f"count{count}",
+                )
 
 
 class TestProbeAccessParity:
@@ -212,10 +199,9 @@ class TestProbeAccessParity:
         }
         """, "t")
 
-    def setup_probe(self, module, policy, inline, shadow):
+    def setup_probe(self, module, policy, codesigned):
         runtime = CarmotRuntime(module, RuntimeConfig(
-            policy=policy, inline_processing=inline,
-            shadow_callstacks=shadow,
+            policy=policy, codesigned=codesigned,
         ))
         hooks = CarmotHooks(runtime)
         hooks.vm = types.SimpleNamespace(memory=Memory(), instructions=7,
@@ -237,9 +223,9 @@ class TestProbeAccessParity:
                   for name in after if after[name] != before[name]}
         return cost, bumped, folds() - folded
 
-    @pytest.mark.parametrize("policy,inline,shadow,count,cost", probe_cases())
-    def test_probe_in_roi(self, module, policy, inline, shadow, count, cost):
-        runtime, hooks, obj = self.setup_probe(module, policy, inline, shadow)
+    @pytest.mark.parametrize("policy,codesigned,count,cost", probe_cases())
+    def test_probe_in_roi(self, module, policy, codesigned, count, cost):
+        runtime, hooks, obj = self.setup_probe(module, policy, codesigned)
         runtime.roi_begin(0)
         got = self.probe(runtime, hooks, obj.base + 8, count)
         if policy.track_sets:
@@ -251,18 +237,18 @@ class TestProbeAccessParity:
         else:
             assert got == (cost, {}, 0)
 
-    @pytest.mark.parametrize("policy,inline,shadow,count,cost", probe_cases())
-    def test_probe_outside_roi(self, module, policy, inline, shadow, count,
+    @pytest.mark.parametrize("policy,codesigned,count,cost", probe_cases())
+    def test_probe_outside_roi(self, module, policy, codesigned, count,
                                cost):
-        runtime, hooks, obj = self.setup_probe(module, policy, inline, shadow)
+        runtime, hooks, obj = self.setup_probe(module, policy, codesigned)
         base = 22 if count > 1 else 14
         assert self.probe(runtime, hooks, obj.base, count) == (
             base, {"events_ignored_outside_roi": 1}, 0)
 
-    @pytest.mark.parametrize("policy,inline,shadow,count,cost", probe_cases())
-    def test_probe_at_invalid_address(self, module, policy, inline, shadow,
+    @pytest.mark.parametrize("policy,codesigned,count,cost", probe_cases())
+    def test_probe_at_invalid_address(self, module, policy, codesigned,
                                       count, cost):
-        runtime, hooks, obj = self.setup_probe(module, policy, inline, shadow)
+        runtime, hooks, obj = self.setup_probe(module, policy, codesigned)
         runtime.roi_begin(0)
         base = 22 if count > 1 else 14
         assert self.probe(runtime, hooks, obj.end, count) == (base, {}, 0)

@@ -34,8 +34,6 @@ def make_hooks(n_rois=1, **config_kwargs):
                        SourcePos("m.mc", 1, 1))
     runtime = CarmotRuntime(module, RuntimeConfig(
         policy=policy_for("parallel_for"),
-        shadow_callstacks=True,
-        inline_processing=False,
         **config_kwargs,
     ))
     hooks = CarmotHooks(runtime)

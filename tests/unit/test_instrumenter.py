@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.compiler import CarmotOptions, compile_carmot, compile_naive
+from repro.compiler import compile_carmot, compile_naive, compile_pipeline
 from repro.compiler.driver import frontend
 from repro.compiler.instrument import InstrumentationPlan, instrument_module
 from repro.ir.instructions import Call, ProbeAccess, ProbeClassify, ProbeEscape
@@ -28,6 +28,40 @@ int main() {
   return 0;
 }
 """
+
+
+#: Each optimization switched off on its own: (pipeline, runtime
+#: overrides).  Opt 5 is two passes; opt 7 is the runtime's callstack
+#: clustering.
+WITHOUT = {
+    "subsequent_accesses": ("carmot,-subsequent-accesses", {}),
+    "aggregation": ("carmot,-aggregation", {}),
+    "fixed_classification": ("carmot,-fixed-classification", {}),
+    "selective_mem2reg": ("carmot,-selective-mem2reg", {}),
+    "callgraph_o3": ("carmot,-callgraph-o3,-out-of-roi-suppression", {}),
+    "reduce_pin": ("carmot,-pin-reduction", {}),
+    "callstack_clustering": ("carmot", {"callstack_clustering": False}),
+}
+UNCLUSTERED = {"callstack_clustering": False}
+#: No optimization at all: the instrumenter alone, without clustering.
+NO_OPTS = ("instrument", UNCLUSTERED)
+#: Each optimization switched on on its own.
+ONLY = {
+    "subsequent_accesses": ("subsequent-accesses,instrument", UNCLUSTERED),
+    "aggregation": ("aggregation,instrument", UNCLUSTERED),
+    "fixed_classification": ("fixed-classification,instrument",
+                             UNCLUSTERED),
+    "selective_mem2reg": ("selective-mem2reg,instrument", UNCLUSTERED),
+    "callgraph_o3": ("callgraph-o3,out-of-roi-suppression,instrument",
+                     UNCLUSTERED),
+    "reduce_pin": ("pin-reduction,instrument", UNCLUSTERED),
+    "callstack_clustering": ("instrument", {}),
+}
+
+
+def run_config(config):
+    pipeline, overrides = config
+    return compile_pipeline(SOURCE, pipeline, name="t").run(**overrides)
 
 
 def probes_of(module, kind):
@@ -85,31 +119,20 @@ class TestCarmotPlan:
 
     def test_opts_disabled_means_more_probes(self):
         full = compile_carmot(SOURCE, name="t")
-        none = compile_carmot(SOURCE, options=CarmotOptions.none(), name="t")
+        none = compile_pipeline(SOURCE, NO_OPTS[0], name="t")
         assert none.report.access_probes > full.report.access_probes
 
     def test_each_option_toggle_keeps_semantics(self):
-        import dataclasses
-
         expected, _ = compile_carmot(SOURCE, name="t").run()
-        for field in dataclasses.fields(CarmotOptions):
-            options = CarmotOptions(**{field.name: False})
-            result, _ = compile_carmot(SOURCE, options=options,
-                                       name="t").run()
-            assert result.output == expected.output, field.name
+        for toggle, config in WITHOUT.items():
+            result, _ = run_config(config)
+            assert result.output == expected.output, toggle
 
     def test_each_option_never_increases_cost_when_enabled(self):
-        import dataclasses
-
-        base_cost, _ = compile_carmot(
-            SOURCE, options=CarmotOptions.none(), name="t"
-        ).run()
-        for field in dataclasses.fields(CarmotOptions):
-            options = CarmotOptions.none()
-            options = dataclasses.replace(options, **{field.name: True})
-            result, _ = compile_carmot(SOURCE, options=options,
-                                       name="t").run()
-            assert result.cost <= base_cost.cost * 1.02, field.name
+        base_cost, _ = run_config(NO_OPTS)
+        for toggle, config in ONLY.items():
+            result, _ = run_config(config)
+            assert result.cost <= base_cost.cost * 1.02, toggle
 
 
 class TestClassifyProbes:

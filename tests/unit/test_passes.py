@@ -3,7 +3,6 @@ per-pass observability)."""
 
 import pytest
 
-from repro.compiler import carmot_pass_names, CarmotOptions
 from repro.compiler.driver import frontend
 from repro.passes import (
     AnalysisManager,
@@ -64,8 +63,12 @@ class TestRegistry:
         assert "instrument" in message  # the error teaches the valid names
         assert "carmot" in message      # ... and the aliases
 
-    def test_carmot_alias_matches_default_options(self):
-        assert parse_pipeline("carmot") == carmot_pass_names(CarmotOptions())
+    def test_carmot_alias_is_the_paper_order(self):
+        assert parse_pipeline("carmot") == [
+            "callgraph-o3", "selective-mem2reg", "fixed-classification",
+            "aggregation", "subsequent-accesses", "pin-reduction",
+            "out-of-roi-suppression", "instrument",
+        ]
 
     def test_parse_negation_removes_pass(self):
         names = parse_pipeline("carmot,-pin-reduction")
@@ -83,9 +86,6 @@ class TestRegistry:
 
     def test_parse_accepts_sequences(self):
         assert parse_pipeline(["o3"]) == ["o3"]
-
-    def test_none_options_is_instrument_only(self):
-        assert carmot_pass_names(CarmotOptions.none()) == ["instrument"]
 
 
 # ---------------------------------------------------------------------------

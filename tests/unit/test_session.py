@@ -21,8 +21,12 @@ from repro.vm.bytecode import (
     OP_ADD,
     OP_CALL_BUILTIN,
     OP_JUMP,
+    OP_LOAD,
     OP_OMP_BEGIN,
     OP_PROBE_ACCESS,
+    OP_ROI_BEGIN,
+    OP_ROI_RESET,
+    OP_STORE,
     deserialize_bytecode,
 )
 
@@ -190,21 +194,21 @@ class TestKeys:
 
     def test_pipeline_key_tracks_passes_not_run_config(self):
         base = pipeline_key("d" * 64, ["mem2reg", "instrument"],
-                            "parallel_for", None)
+                            "parallel_for")
         assert pipeline_key("d" * 64, ["mem2reg", "instrument"],
-                            "parallel_for", None) == base
+                            "parallel_for") == base
         assert pipeline_key("d" * 64, ["instrument"],
-                            "parallel_for", None) != base
+                            "parallel_for") != base
         assert pipeline_key("d" * 64, ["mem2reg", "instrument"],
-                            "task", None) != base
+                            "task") != base
         assert pipeline_key("e" * 64, ["mem2reg", "instrument"],
-                            "parallel_for", None) != base
+                            "parallel_for") != base
 
     def test_profile_key_tracks_every_run_knob(self):
         def doc(**overrides):
             kwargs = dict(entry="main", args=(), cost_model=None,
                           max_instructions=1000, budgets=None,
-                          abstraction=None, options=None, config_kwargs={})
+                          abstraction=None, config_kwargs={})
             kwargs.update(overrides)
             return keys.run_config_doc(**kwargs)
 
@@ -216,6 +220,7 @@ class TestKeys:
             doc(max_instructions=999),
             doc(budgets=ExecutionBudgets(5000, 1024, 16)),
             doc(config_kwargs={"max_use_records": 7}),
+            doc(config_kwargs={"callstack_clustering": False}),
             doc(config_kwargs={
                 "resilience": ResiliencePolicy(max_events_per_roi=20)}),
         ):
@@ -252,7 +257,7 @@ class TestKeys:
             "entry": "main", "args": [],
             "cost_model": dict(sorted(asdict(DEFAULT_COST_MODEL).items())),
             "max_instructions": 2_000_000_000, "budgets": None,
-            "abstraction": None, "options": None, "config": {},
+            "abstraction": None, "config": {},
         }
         assert docs == [default, {
             **default,
@@ -263,20 +268,18 @@ class TestKeys:
 
     @pytest.mark.parametrize("example, key", [
         ("roi_loop",
-         "c7f5a8e7257400c9a4a89d9f26d77077b0fc3575300ed5e668d03e814ca0f717"),
+         "2926d174916977616f1953ad946613c579c65ba9df962e0b4e145b357382c590"),
         ("stencil_calls",
-         "0efa9650a5892c0df3751300024d333e8ff8035e49e963ef41219b51ada9cd59"),
+         "597dceb63eef64b0ed76a57b32432a61cf0215b8ab8f46fc41fd56008e381c4b"),
         ("anneal_stats",
-         "6675b3f63852f70eecbe589ec2dfc7eb713319dc953737d2aa6de0c53edbd446"),
+         "bc12c1b6040dac67ecae46cdb9101c24d12a22c11ec934b15fe8eb9b946520e0"),
     ])
     def test_default_psec_profile_key_is_pinned(self, tmp_path, monkeypatch,
                                                 example, key):
         """The profile key a default ``psec`` of an example looks up.
-        It last moved with IR schema v2 and bytecode schema v4, which
-        are in every key's environment fingerprint, and with the removal
-        of the frozen fields that kept older keys put (the pre-screen
-        schema in the fingerprint, the engine field in the run
-        document).  (Python is pinned to 3.11 in the fingerprint so the
+        It last moved when the build options left the run document (a
+        build is its pass pipeline; the service always sent them as
+        null).  (Python is pinned to 3.11 in the fingerprint so the
         literal holds on every interpreter version.)"""
         from pathlib import Path
 
@@ -300,19 +303,17 @@ class TestKeys:
 
     @pytest.mark.parametrize("budget, key", [
         ("events-per-roi=20000",
-         "d23c6180e680722e5869e4855acb7cc7b3677ae84932d49c3ae8e2bd28d7004a"),
+         "58dcdc6a4737adf4e00f4df8b811763b0aac3b5f5cd98f53111771e01cc60947"),
         ("steps=5000000,heap=1048576,depth=256,events-per-roi=20000",
-         "46de325d1bc05a49f2799ec51ddc1e903bd4d107846a812020e80358bae1f624"),
+         "dfbadf32c91e15a3240958c1c33abe24309af7c058b76a7022a12937fe2e4056"),
     ])
     def test_budget_psec_profile_key_is_pinned(self, tmp_path, monkeypatch,
                                                budget, key):
         """The profile key a ``psec --budget`` of ``examples/roi_loop.mc``
         looks up.  The key document goes through
         ``asdict(ResiliencePolicy)``, so a dropped policy field re-keys
-        every cached ``--budget`` profile.  It last moved with IR schema
-        v2 and bytecode schema v4, and with the removal of the frozen
-        fields that kept older keys put (the retired resilience fields,
-        the engine field and the pre-screen schema)."""
+        every cached ``--budget`` profile.  It last moved when the build
+        options left the run document."""
         from pathlib import Path
 
         from repro.service import PsecRequest, RunOptions, ServiceCore
@@ -338,6 +339,40 @@ class TestKeys:
         base = frontend_key("int main() {}", "a")
         monkeypatch.setattr(keys, "IR_SCHEMA_VERSION", 999)
         assert frontend_key("int main() {}", "a") != base
+
+
+# -- one builder -------------------------------------------------------------
+
+@pytest.mark.parametrize("group", [
+    "reduce_pin", "callstack_clustering", "callgraph_o3",
+    "redundant_instrumentation",
+])
+def test_figure8_configs_build_alike_live_and_in_a_session(group):
+    """Each Figure 8 configuration is one (pipeline, runtime overrides)
+    pair, and the two ways to build it agree: the same passes run, the
+    IR serializes to the same bytes, and the run gets the same
+    ``RuntimeConfig``."""
+    from dataclasses import asdict
+
+    from repro.compiler import compile_pipeline
+    from repro.harness import BREAKDOWN_GROUPS
+    from repro.ir.serialize import serialize_module
+
+    pipeline, overrides = BREAKDOWN_GROUPS[group]
+    live = compile_pipeline(SOURCE, pipeline, name="p")
+    staged = Session(enabled=False).compile(SOURCE, pipeline,
+                                            name="p").program
+
+    def passes_run(program):
+        return [run.name for run in program.pass_report.runs]
+
+    assert passes_run(staged) == passes_run(live)
+    assert serialize_module(staged.module) == serialize_module(live.module)
+    configs = [asdict(program.make_runtime(**overrides)[0].config)
+               for program in (live, staged)]
+    assert configs[0] == configs[1]
+    assert configs[0]["callstack_clustering"] == overrides.get(
+        "callstack_clustering", True)
 
 
 # -- staged sessions ---------------------------------------------------------
@@ -477,12 +512,13 @@ def _register_out_of_range(doc):
     main["code"][_first_pc(doc, OP_ADD) + 2] = main["n_regs"] + 50
 
 
-def _table_index_out_of_range(opcode, word):
-    """A mutation that points word ``word`` of ``main``'s first
-    ``opcode`` instruction, a table index, past the end of its table."""
+def _set_operand(opcode, word, value=9999):
+    """A mutation that sets word ``word`` of ``main``'s first ``opcode``
+    instruction to ``value``: by default, a table index or ROI id past
+    the end of its table."""
     def mutate(doc):
         [main] = doc["functions"]
-        main["code"][_first_pc(doc, opcode) + word] = 9999
+        main["code"][_first_pc(doc, opcode) + word] = value
     return mutate
 
 
@@ -510,11 +546,19 @@ SHAPE_MALFORMED = {
     "bytecode_register_slot_out_of_range": (
         "codegen", "bytecode", _register_out_of_range),
     "bytecode_var_index_out_of_range": (
-        "codegen", "bytecode", _table_index_out_of_range(OP_PROBE_ACCESS, 4)),
+        "codegen", "bytecode", _set_operand(OP_PROBE_ACCESS, 4)),
     "bytecode_loc_index_out_of_range": (
-        "codegen", "bytecode", _table_index_out_of_range(OP_PROBE_ACCESS, 7)),
+        "codegen", "bytecode", _set_operand(OP_PROBE_ACCESS, 7)),
     "bytecode_string_index_out_of_range": (
-        "codegen", "bytecode", _table_index_out_of_range(OP_OMP_BEGIN, 1)),
+        "codegen", "bytecode", _set_operand(OP_OMP_BEGIN, 1)),
+    "bytecode_load_type_unknown": (
+        "codegen", "bytecode", _set_operand(OP_LOAD, 3, 77)),
+    "bytecode_store_type_unknown": (
+        "codegen", "bytecode", _set_operand(OP_STORE, 3, 77)),
+    "bytecode_roi_begin_id_not_in_module": (
+        "codegen", "bytecode", _set_operand(OP_ROI_BEGIN, 1)),
+    "bytecode_roi_reset_id_not_in_module": (
+        "codegen", "bytecode", _set_operand(OP_ROI_RESET, 1)),
     "bytecode_global_var_index_out_of_range": (
         "codegen", "bytecode",
         lambda doc: doc["globals"][0].update(var=9999)),
