@@ -170,18 +170,20 @@ PROBE_POLICIES = [*NAIVE_POLICIES.values(), FULL_POLICY,
 
 
 def probe_cases():
+    """Every run config a build can make: the co-designed (CARMOT) or
+    naive runtime, with callstack clustering at its build default or
+    overridden per run (Figure 8 runs CARMOT without it).  Clustering
+    shares allocation captures only, so it never moves a probe's cost."""
     for policy in PROBE_POLICIES:
         for codesigned in (True, False):
-            # CARMOT's runtime keeps shadow callstacks and processes no
-            # event inline; the naive runtime does the reverse.
-            inline, shadow = int(not codesigned), int(codesigned)
-            for index, count in enumerate(COUNTS):
-                yield pytest.param(
-                    policy, codesigned, count,
-                    EXPECTED_COST[policy.name, codesigned][index],
-                    id=f"{policy.name}-inline{inline}-shadow{shadow}-"
-                       f"count{count}",
-                )
+            for clustering in (True, False):
+                for index, count in enumerate(COUNTS):
+                    yield pytest.param(
+                        policy, codesigned, clustering, count,
+                        EXPECTED_COST[policy.name, codesigned][index],
+                        id=f"{policy.name}-codesigned{int(codesigned)}-"
+                           f"clustering{int(clustering)}-count{count}",
+                    )
 
 
 class TestProbeAccessParity:
@@ -199,9 +201,10 @@ class TestProbeAccessParity:
         }
         """, "t")
 
-    def setup_probe(self, module, policy, codesigned):
+    def setup_probe(self, module, policy, codesigned, clustering):
         runtime = CarmotRuntime(module, RuntimeConfig(
             policy=policy, codesigned=codesigned,
+            callstack_clustering=clustering,
         ))
         hooks = CarmotHooks(runtime)
         hooks.vm = types.SimpleNamespace(memory=Memory(), instructions=7,
@@ -223,9 +226,12 @@ class TestProbeAccessParity:
                   for name in after if after[name] != before[name]}
         return cost, bumped, folds() - folded
 
-    @pytest.mark.parametrize("policy,codesigned,count,cost", probe_cases())
-    def test_probe_in_roi(self, module, policy, codesigned, count, cost):
-        runtime, hooks, obj = self.setup_probe(module, policy, codesigned)
+    @pytest.mark.parametrize("policy,codesigned,clustering,count,cost",
+                             probe_cases())
+    def test_probe_in_roi(self, module, policy, codesigned, clustering,
+                          count, cost):
+        runtime, hooks, obj = self.setup_probe(module, policy, codesigned,
+                                               clustering)
         runtime.roi_begin(0)
         got = self.probe(runtime, hooks, obj.base + 8, count)
         if policy.track_sets:
@@ -237,18 +243,22 @@ class TestProbeAccessParity:
         else:
             assert got == (cost, {}, 0)
 
-    @pytest.mark.parametrize("policy,codesigned,count,cost", probe_cases())
-    def test_probe_outside_roi(self, module, policy, codesigned, count,
-                               cost):
-        runtime, hooks, obj = self.setup_probe(module, policy, codesigned)
+    @pytest.mark.parametrize("policy,codesigned,clustering,count,cost",
+                             probe_cases())
+    def test_probe_outside_roi(self, module, policy, codesigned, clustering,
+                               count, cost):
+        runtime, hooks, obj = self.setup_probe(module, policy, codesigned,
+                                               clustering)
         base = 22 if count > 1 else 14
         assert self.probe(runtime, hooks, obj.base, count) == (
             base, {"events_ignored_outside_roi": 1}, 0)
 
-    @pytest.mark.parametrize("policy,codesigned,count,cost", probe_cases())
+    @pytest.mark.parametrize("policy,codesigned,clustering,count,cost",
+                             probe_cases())
     def test_probe_at_invalid_address(self, module, policy, codesigned,
-                                      count, cost):
-        runtime, hooks, obj = self.setup_probe(module, policy, codesigned)
+                                      clustering, count, cost):
+        runtime, hooks, obj = self.setup_probe(module, policy, codesigned,
+                                               clustering)
         runtime.roi_begin(0)
         base = 22 if count > 1 else 14
         assert self.probe(runtime, hooks, obj.end, count) == (base, {}, 0)
