@@ -17,7 +17,11 @@ IR_SCHEMA_VERSION = 2
 
 #: Format version of serialized profiles — PSECs, ASMT, degradation
 #: report, and run result (:mod:`repro.runtime.psec_json`).
-PROFILE_SCHEMA_VERSION = 1
+#: v2: PSEC entries and the ASMT are columnar tables, use-callstack sets
+#: are interned in a per-profile ``uses`` table, and the fold cursors
+#: (``last_invocation``, ``last_epoch``) and the degradation records'
+#: ``batch_seq`` are gone, so v1 documents must miss.
+PROFILE_SCHEMA_VERSION = 2
 
 #: Format version of serialized register bytecode
 #: (:mod:`repro.vm.bytecode`).  v2: fused cmp+branch / load+binop /
@@ -30,8 +34,10 @@ PROFILE_SCHEMA_VERSION = 1
 BYTECODE_SCHEMA_VERSION = 4
 
 #: Layout version of the on-disk artifact store
-#: (:mod:`repro.session.store`).
-STORE_VERSION = 1
+#: (:mod:`repro.session.store`).  v2: an entry is a one-line JSON header
+#: followed by the raw payload text, no longer a JSON string inside the
+#: envelope, so v1 entries must miss.
+STORE_VERSION = 2
 
 #: Format version of service request/response documents — the wire
 #: format of the ``repro serve`` daemon and the envelope returned by

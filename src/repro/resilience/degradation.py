@@ -39,9 +39,6 @@ CONSERVATIVE_WRITE = "OT"
 class DegradationRecord:
     """One fail-soft intervention during a profiling run."""
 
-    #: Batch sequence number the record concerns, or -1 for ROI-scoped
-    #: records (e.g. an event-budget trip).
-    batch_seq: int
     #: What went wrong, e.g. ``event-budget``.
     kind: str
     #: ROIs whose PSECs the intervention touched.
@@ -58,8 +55,8 @@ class DegradationRecord:
     detail: str = ""
 
     def sort_key(self) -> Tuple:
-        return (self.batch_seq, self.kind, self.action, self.rois,
-                self.events, self.detail)
+        return (self.kind, self.action, self.rois, self.events,
+                self.detail)
 
 
 class DegradationReport:

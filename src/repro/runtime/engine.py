@@ -164,8 +164,8 @@ class CarmotRuntime:
                 if roi_id not in self._budget_tripped:
                     self._budget_tripped.add(roi_id)
                     self.degradation.add(DegradationRecord(
-                        batch_seq=-1, kind="event-budget", rois=(roi_id,),
-                        events=0, action=ACTION_CLASSIFY_ONLY,
+                        kind="event-budget", rois=(roi_id,), events=0,
+                        action=ACTION_CLASSIFY_ONLY,
                         sets_complete=False, use_callstacks_complete=False,
                         detail=(f"ROI {roi_id} exceeded {limit} events; "
                                 "switched to conservative classification"),

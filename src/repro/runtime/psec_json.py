@@ -9,13 +9,28 @@ cacheable and diffable run-to-run; :func:`deserialize_profile` rebuilds a
 closely enough that ``recommend()``, ``describe_pse()``, and the CLI's
 PSEC rendering produce byte-identical output from a cached profile.
 
+Layout: the bulk of a profile is its PSEC entries, so they are stored
+*column by column* — each PSEC's ``entries`` is one object of equally
+long arrays (``key``, ``var``, ``state_code``, ``forced``,
+``first_time``, ``uses``, ``access_count``), row ``i`` of every array
+describing the same entry.
+A PSE's use-callstack set is interned into the per-profile ``uses``
+table (a list of sorted ``[loc, callstack]`` lists) and the ``uses``
+column holds indices into it; most PSEs of one array share one set.
+The ASMT is a columnar table of the same kind.  The fold's own state
+(``PsecEntry.last_invocation``, ``last_epoch``, ``last_time``,
+``write_seen``) is not stored: no reader of a finished profile looks at
+it, so a decoded entry carries its initial values.  :func:`deserialize_profile` refuses a column that is
+not a list, a column longer or shorter than its table's first, a column
+the schema does not name, and a ``uses`` index outside the table.
+
 Determinism notes:
 
 - every set (``entry.uses``, ``allocated_in_roi``, reachability edges) is
   emitted sorted;
-- ``Psec.entries`` keeps insertion order (the order the runtime first saw
-  each PSE), so downstream renderings that iterate entries match a live
-  run exactly;
+- entries are emitted in ``(first_time, key)`` order, and ``uses`` table
+  rows in order of first reference, so the text is a function of the
+  entries alone;
 - the document is key-sorted compact JSON, so equal profiles are equal
   byte strings and :func:`profile_digest` is a meaningful identity.
 
@@ -27,7 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 from repro._version import PROFILE_SCHEMA_VERSION
 from repro.errors import ReproError
@@ -113,19 +128,53 @@ class _VarTable:
         ]
 
 
-def _enc_entry(entry: PsecEntry, vars_table: _VarTable) -> Dict:
+class _UsesTable:
+    """Per-profile table of distinct use-callstack sets."""
+
+    def __init__(self) -> None:
+        self.index: Dict[FrozenSet, int] = {}
+        self.rows: List[List] = []
+
+    def ref(self, uses) -> int:
+        frozen = frozenset(uses)
+        row = self.index.get(frozen)
+        if row is None:
+            row = self.index[frozen] = len(self.rows)
+            self.rows.append(sorted([loc, list(stack)] for loc, stack in uses))
+        return row
+
+
+#: Column names of a PSEC's ``entries`` table, in decode order.
+ENTRY_COLUMNS = (
+    "key", "var", "state_code", "forced", "first_time", "uses",
+    "access_count",
+)
+
+#: Column names of the ``asmt`` table, in decode order.
+ASMT_COLUMNS = (
+    "obj_id", "size", "kind", "var", "alloc_loc", "alloc_callstack",
+    "alloc_time", "freed", "free_time",
+)
+
+
+def _enc_entries(psec: Psec, vars_table: _VarTable,
+                 uses_table: _UsesTable) -> Dict[str, List]:
+    # Sorted by (first_time, key), not insertion order, so the artifact
+    # is a function of the entries alone: a fold that builds the same
+    # entries in another order (the tests' recording oracle, for one)
+    # serializes to the same bytes.
+    entries = sorted(psec.entries.values(),
+                     key=lambda e: (e.first_time, e.key[0], e.key[1:]))
+    ref_var = vars_table.ref
+    ref_uses = uses_table.ref
     return {
-        "key": list(entry.key),
-        "var": vars_table.ref(entry.var),
-        "state_code": entry.state_code,
-        "forced": entry.forced,
-        "last_invocation": entry.last_invocation,
-        "first_time": entry.first_time,
-        "last_time": entry.last_time,
-        "uses": sorted([loc, list(stack)] for loc, stack in entry.uses),
-        "write_seen": entry.write_seen,
-        "access_count": entry.access_count,
-        "last_epoch": entry.last_epoch,
+        "key": [list(e.key) for e in entries],
+        "var": [ref_var(e.var) for e in entries],
+        "state_code": [e.state_code for e in entries],
+        "forced": [e.forced for e in entries],
+        "first_time": [e.first_time for e in entries],
+        "uses": [ref_uses(e.uses) for e in entries],
+        "access_count": [e.access_count for e in entries],
     }
 
 
@@ -148,23 +197,14 @@ def _enc_reachability(graph: ReachabilityGraph) -> Dict:
     return {"nodes": nodes, "edges": edges}
 
 
-def _enc_psec(psec: Psec, vars_table: _VarTable) -> Dict:
+def _enc_psec(psec: Psec, vars_table: _VarTable,
+              uses_table: _UsesTable) -> Dict:
     return {
         "roi_id": psec.roi_id,
         "roi_name": psec.roi_name,
         "abstraction": psec.abstraction,
         "invocations": psec.invocations,
-        # Sorted by (first_time, key), not insertion order, so the
-        # artifact is a function of the entries alone: a fold that builds
-        # the same entries in another order (the tests' recording oracle,
-        # for one) serializes to the same bytes.
-        "entries": [
-            _enc_entry(entry, vars_table)
-            for entry in sorted(
-                psec.entries.values(),
-                key=lambda e: (e.first_time, e.key[0], e.key[1:]),
-            )
-        ],
+        "entries": _enc_entries(psec, vars_table, uses_table),
         "reachability": _enc_reachability(psec.reachability),
         "allocated_in_roi": sorted(psec.allocated_in_roi),
         "use_records": psec.use_records,
@@ -176,6 +216,21 @@ def _enc_psec(psec: Psec, vars_table: _VarTable) -> Dict:
     }
 
 
+def _enc_asmt(asmt: Asmt, vars_table: _VarTable) -> Dict[str, List]:
+    entries = [entry for _, entry in sorted(asmt.entries().items())]
+    return {
+        "obj_id": [a.obj_id for a in entries],
+        "size": [a.size for a in entries],
+        "kind": [a.kind for a in entries],
+        "var": [vars_table.ref(a.var) for a in entries],
+        "alloc_loc": [_enc_loc(a.alloc_loc) for a in entries],
+        "alloc_callstack": [list(a.alloc_callstack) for a in entries],
+        "alloc_time": [a.alloc_time for a in entries],
+        "freed": [a.freed for a in entries],
+        "free_time": [a.free_time for a in entries],
+    }
+
+
 def serialize_profile(runtime, result: RunResult) -> str:
     """Canonical JSON for a finished profiling run.
 
@@ -183,29 +238,20 @@ def serialize_profile(runtime, result: RunResult) -> str:
     round-trip is closed).
     """
     vars_table = _VarTable()
-    # One PSEC at a time: a PSEC's entry docs take several times the
+    uses_table = _UsesTable()
+    # One PSEC at a time: a PSEC's entry columns take several times the
     # memory of their text, and encoding all of them at once set the
     # peak memory of a cold request.
     psecs = "[" + ",".join(
-        _dumps(_enc_psec(psec, vars_table))
+        _dumps(_enc_psec(psec, vars_table, uses_table))
         for _, psec in sorted(runtime.psecs.items())
     ) + "]"
-    asmt = [
-        {
-            "obj_id": entry.obj_id, "size": entry.size, "kind": entry.kind,
-            "var": vars_table.ref(entry.var),
-            "alloc_loc": _enc_loc(entry.alloc_loc),
-            "alloc_callstack": list(entry.alloc_callstack),
-            "alloc_time": entry.alloc_time,
-            "freed": entry.freed, "free_time": entry.free_time,
-        }
-        for _, entry in sorted(runtime.asmt.entries().items())
-    ]
+    asmt = _enc_asmt(runtime.asmt, vars_table)
     degradation = [
         {
-            "batch_seq": record.batch_seq, "kind": record.kind,
-            "rois": list(record.rois), "events": record.events,
-            "action": record.action, "sets_complete": record.sets_complete,
+            "kind": record.kind, "rois": list(record.rois),
+            "events": record.events, "action": record.action,
+            "sets_complete": record.sets_complete,
             "use_callstacks_complete": record.use_callstacks_complete,
             "detail": record.detail,
         }
@@ -221,16 +267,18 @@ def serialize_profile(runtime, result: RunResult) -> str:
         "leaked_bytes": result.leaked_bytes,
     }
     # The same bytes as dumping the whole document with sorted keys.
-    fields = {
+    # ``vars`` first: encoding the variables' types collects the structs.
+    fields = {"vars": _dumps(vars_table.doc())}
+    fields.update({
         "format": _dumps(FORMAT_NAME),
         "version": _dumps(PROFILE_SCHEMA_VERSION),
         "structs": _dumps(vars_table.structs_doc()),
-        "vars": _dumps(vars_table.doc()),
         "psecs": psecs,
         "asmt": _dumps(asmt),
         "degradation": _dumps(degradation),
         "result": _dumps(result_doc),
-    }
+        "uses": _dumps(uses_table.rows),
+    })
     return "{" + ",".join(
         f"{_dumps(name)}:{text}" for name, text in sorted(fields.items())
     ) + "}"
@@ -285,8 +333,33 @@ def psec_sets_digest(psecs: Dict[int, Psec],
 # ---------------------------------------------------------------------------
 
 
-def _tuple_key(doc: List):
-    return tuple(doc)
+def _columns(table, names, what: str) -> List[List]:
+    """The columns ``names`` of a columnar ``table``, in that order.
+
+    Every column must be a list as long as the first, and the table may
+    name no other column: zipping the rows would otherwise drop the
+    tail of a longer column without a word.
+    """
+    if not isinstance(table, dict) or set(table) != set(names):
+        raise ProfileSerializeError(
+            f"malformed profile artifact: {what} columns are "
+            f"{sorted(table) if isinstance(table, dict) else table!r}, "
+            f"expected {sorted(names)}"
+        )
+    columns = [table[name] for name in names]
+    for name, column in zip(names, columns):
+        if not isinstance(column, list):
+            raise ProfileSerializeError(
+                f"malformed profile artifact: {what} column {name!r} is "
+                f"not a list"
+            )
+        if len(column) != len(columns[0]):
+            raise ProfileSerializeError(
+                f"malformed profile artifact: {what} column {name!r} has "
+                f"{len(column)} rows, column {names[0]!r} has "
+                f"{len(columns[0])}"
+            )
+    return columns
 
 
 def deserialize_profile(text: str, module=None) -> Profile:
@@ -342,6 +415,10 @@ def _decode_profile(doc: Dict, module) -> Profile:
     def var_of(uid: Optional[int]) -> Optional[VarInfo]:
         return None if uid is None else vars_table[uid]
 
+    use_sets = [
+        frozenset((loc, tuple(stack)) for loc, stack in row)
+        for row in doc["uses"]
+    ]
     psecs: Dict[int, Psec] = {}
     for pdoc in doc["psecs"]:
         psec = Psec(
@@ -349,21 +426,22 @@ def _decode_profile(doc: Dict, module) -> Profile:
             abstraction=pdoc["abstraction"],
         )
         psec.invocations = pdoc["invocations"]
-        for edoc in pdoc["entries"]:
-            entry = PsecEntry(
-                key=_tuple_key(edoc["key"]), var=var_of(edoc["var"]),
+        columns = _columns(pdoc["entries"], ENTRY_COLUMNS, "entries")
+        uses_column = columns[ENTRY_COLUMNS.index("uses")]
+        if uses_column and not (
+                0 <= min(uses_column) and max(uses_column) < len(use_sets)):
+            raise ProfileSerializeError(
+                f"malformed profile artifact: a uses index is outside "
+                f"the table of {len(use_sets)}"
             )
-            entry.state_code = edoc["state_code"]
-            entry.forced = edoc["forced"]
-            entry.last_invocation = edoc["last_invocation"]
-            entry.first_time = edoc["first_time"]
-            entry.last_time = edoc["last_time"]
-            entry.uses = {
-                (loc, tuple(stack)) for loc, stack in edoc["uses"]
-            }
-            entry.write_seen = edoc["write_seen"]
-            entry.access_count = edoc["access_count"]
-            entry.last_epoch = edoc["last_epoch"]
+        for (key, uid, state_code, forced, first_time, uses,
+             access_count) in zip(*columns):
+            entry = PsecEntry(key=tuple(key), var=var_of(uid))
+            entry.state_code = state_code
+            entry.forced = forced
+            entry.first_time = first_time
+            entry.uses = set(use_sets[uses])
+            entry.access_count = access_count
             psec.entries[entry.key] = entry
         rdoc = pdoc["reachability"]
         for ndoc in rdoc["nodes"]:
@@ -382,19 +460,20 @@ def _decode_profile(doc: Dict, module) -> Profile:
         psec.sets_exact = pdoc["sets_exact"]
         psecs[psec.roi_id] = psec
     asmt = Asmt()
-    for adoc in doc["asmt"]:
+    for (obj_id, size, kind, uid, alloc_loc, alloc_callstack, alloc_time,
+         freed, free_time) in zip(*_columns(doc["asmt"], ASMT_COLUMNS,
+                                            "asmt")):
         asmt.register(AsmtEntry(
-            obj_id=adoc["obj_id"], size=adoc["size"], kind=adoc["kind"],
-            var=var_of(adoc["var"]), alloc_loc=_dec_loc(adoc["alloc_loc"]),
-            alloc_callstack=tuple(adoc["alloc_callstack"]),
-            alloc_time=adoc["alloc_time"], freed=adoc["freed"],
-            free_time=adoc["free_time"],
+            obj_id=obj_id, size=size, kind=kind, var=var_of(uid),
+            alloc_loc=_dec_loc(alloc_loc),
+            alloc_callstack=tuple(alloc_callstack), alloc_time=alloc_time,
+            freed=freed, free_time=free_time,
         ))
     degradation = DegradationReport()
     for ddoc in doc["degradation"]:
         degradation.add(DegradationRecord(
-            batch_seq=ddoc["batch_seq"], kind=ddoc["kind"],
-            rois=tuple(ddoc["rois"]), events=ddoc["events"],
+            kind=ddoc["kind"], rois=tuple(ddoc["rois"]),
+            events=ddoc["events"],
             action=ddoc["action"], sets_complete=ddoc["sets_complete"],
             use_callstacks_complete=ddoc["use_callstacks_complete"],
             detail=ddoc["detail"],

@@ -1,14 +1,21 @@
 """On-disk content-addressed artifact store.
 
-Layout (``STORE_VERSION`` 1)::
+Layout (``STORE_VERSION`` 2)::
 
     <root>/objects/<first two key chars>/<key>.json          # default namespace
     <root>/ns/<namespace>/objects/<first two>/<key>.json     # client namespaces
 
-Each entry is a small JSON envelope around the artifact payload::
+Each entry is a one-line key-sorted JSON header, a newline, and the
+artifact payload's UTF-8 bytes as they are (the header is shown folded
+here; on disk it is one line)::
 
-    {"store_version": 1, "key": "<sha256>", "kind": "ir|profile|...",
-     "payload_sha256": "<sha256 of payload>", "payload": "<text>"}
+    {"key": "<sha256>", "kind": "ir|profile|...",
+     "payload_sha256": "<sha256 of the payload bytes>", "store_version": 2}
+    <payload text, to the end of the file>
+
+The payload is not escaped into a JSON string, so an entry costs its
+payload plus about 200 bytes, and a hit hashes and decodes the payload
+bytes once.  ``stats`` reads only the header line of each entry.
 
 Keys are SHA-256 hex digests computed by :mod:`repro.session.keys`; the
 payload is an already-canonical artifact string (serialized IR, profile,
@@ -23,10 +30,13 @@ always walk the *whole* root — default plus every client namespace —
 and report per-namespace breakdowns.
 
 Robustness contract (exercised by the cache tests and the CI cache-smoke
-job): a corrupt entry — truncated file, invalid JSON, bytes that are
-not UTF-8, a payload with a lone surrogate, bad envelope, payload hash
-mismatch, foreign store version — is **evicted and treated as a
-miss**, never raised to the caller.
+job): a corrupt entry — truncated file, no newline after the header, a
+header that is not a JSON object, a header or payload that is not
+UTF-8 (a lone surrogate's bytes, say), payload hash mismatch, a key
+other than the file's, foreign store version — is **evicted and treated
+as a miss**, never raised to the caller.  The hash covers the raw
+payload bytes, so damage anywhere after the header is caught before
+the payload is decoded, and the payload decodes as strict UTF-8.
 Writes are atomic (an ``O_EXCL``-unique tempfile per writer +
 ``os.replace``), so concurrent writers never interleave bytes and a
 crashed writer leaves at worst a stray tmp file, not a half-written
@@ -215,13 +225,13 @@ class ArtifactStore:
         are idempotent (content-addressed payloads are equal by
         construction); last rename wins.
         """
-        envelope = json.dumps(
+        body = payload.encode("utf-8")
+        header = json.dumps(
             {
                 "store_version": STORE_VERSION,
                 "key": key,
                 "kind": kind,
-                "payload_sha256": _sha256(payload),
-                "payload": payload,
+                "payload_sha256": hashlib.sha256(body).hexdigest(),
             },
             sort_keys=True,
         )
@@ -232,8 +242,8 @@ class ArtifactStore:
                 dir=path.parent, prefix=".tmp-", suffix=".json"
             )
             try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(envelope)
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(header.encode("utf-8") + b"\n" + body)
                 os.replace(tmp, path)
             except BaseException:
                 try:
@@ -304,13 +314,16 @@ class ArtifactStore:
             payload_bytes = 0
             for path in self._entry_files(namespace):
                 try:
-                    doc = json.loads(path.read_text())
-                    payload = doc["payload"]
-                    kind = doc.get("kind", "?")
-                except (OSError, ValueError, KeyError, TypeError):
+                    with path.open("rb") as handle:
+                        line = handle.readline()
+                        size = os.fstat(handle.fileno()).st_size
+                    kind = json.loads(line).get("kind", "?")
+                except (OSError, ValueError, AttributeError):
+                    continue
+                if not line.endswith(b"\n") or not isinstance(kind, str):
                     continue
                 entries += 1
-                payload_bytes += len(payload)
+                payload_bytes += size - len(line)
                 stats.by_kind[kind] = stats.by_kind.get(kind, 0) + 1
             stats.entries += entries
             stats.payload_bytes += payload_bytes
@@ -327,31 +340,30 @@ class ArtifactStore:
             setattr(self, counter, getattr(self, counter) + 1)
 
     def _validate(self, raw: bytes, expect_key: str) -> Optional[str]:
+        line, newline, body = raw.partition(b"\n")
+        if not newline:
+            return None
         try:
-            # Bytes, not text: bytes that are not UTF-8 (a bit flip to
-            # 0xff) raise UnicodeDecodeError, a ValueError, so they are
-            # corrupt like any other bad envelope.
-            doc = json.loads(raw)
+            # Bytes, not text: a header that is not UTF-8 (a bit flip to
+            # 0xff) raises UnicodeDecodeError, a ValueError, so it is
+            # corrupt like any other bad header.
+            header = json.loads(line)
         except ValueError:
             return None
-        if not isinstance(doc, dict):
+        if not isinstance(header, dict):
             return None
-        if doc.get("store_version") != STORE_VERSION:
+        if header.get("store_version") != STORE_VERSION:
             return None
-        if doc.get("key") != expect_key:
+        if header.get("key") != expect_key:
             return None
-        payload = doc.get("payload")
-        if not isinstance(payload, str):
+        if header.get("payload_sha256") != hashlib.sha256(body).hexdigest():
             return None
         try:
-            digest = _sha256(payload)
-        except UnicodeEncodeError:
-            # An escaped lone surrogate (``\ud800``) parses as JSON but
-            # has no UTF-8 encoding: no stored payload can look like it.
+            # Strict: bytes no ``put`` could write (a lone surrogate's
+            # ``ED A0 80``) are corrupt even under a matching hash.
+            return body.decode("utf-8")
+        except UnicodeDecodeError:
             return None
-        if doc.get("payload_sha256") != digest:
-            return None
-        return payload
 
     def _evict(self, path: Path) -> None:
         try:
@@ -359,7 +371,3 @@ class ArtifactStore:
         except OSError:
             pass  # a concurrent evictor won the race: same outcome
         self._count("_evicted")
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -10,8 +10,6 @@ digest as the all-live cold request — and the cold request decodes
 nothing.
 """
 
-import json
-
 import pytest
 
 from repro.service.core import ServiceCore, response_digest
@@ -30,6 +28,7 @@ from repro.workloads.fuzz import (
     random_program,
     random_roi_program,
 )
+from tests.helpers.store_entries import read_entry
 
 PROGRAMS = {w.name: w.test_source() for w in ALL_WORKLOADS}
 for _generator in (random_program, random_roi_program,
@@ -61,8 +60,8 @@ def _entries(cache_dir):
     """key → (kind, payload) of every entry in the root partition."""
     entries = {}
     for path in (cache_dir / "objects").rglob("*.json"):
-        doc = json.loads(path.read_text())
-        entries[doc["key"]] = (doc["kind"], doc["payload"])
+        header, payload = read_entry(path)
+        entries[header["key"]] = (header["kind"], payload.decode("utf-8"))
     return entries
 
 

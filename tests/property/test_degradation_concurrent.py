@@ -28,7 +28,6 @@ def _records(seed: int, n: int):
                ACTION_CLASSIFY_ONLY]
     return [
         DegradationRecord(
-            batch_seq=rng.randrange(-1, 40),
             kind=rng.choice(kinds),
             rois=tuple(sorted(rng.sample(range(4), rng.randint(0, 3)))),
             events=rng.randrange(0, 500),
@@ -100,15 +99,14 @@ def test_serialization_is_stable_across_repeats():
 
 def test_records_sorted_by_stable_key():
     report = DegradationReport()
-    late = DegradationRecord(batch_seq=9, kind="drop", rois=(1,), events=5,
-                             action="conservative-fallback",
-                             sets_complete=False,
-                             use_callstacks_complete=False)
-    early = DegradationRecord(batch_seq=2, kind="slow", rois=(0,),
-                              events=0, action="delayed",
-                              sets_complete=True,
-                              use_callstacks_complete=True)
+    late = DegradationRecord(kind="slow", rois=(0,), events=0,
+                             action="delayed", sets_complete=True,
+                             use_callstacks_complete=True)
+    early = DegradationRecord(kind="drop", rois=(1,), events=5,
+                              action="conservative-fallback",
+                              sets_complete=False,
+                              use_callstacks_complete=False)
     report.add(late)
     report.add(early)
-    assert [r.batch_seq for r in report.records()] == [2, 9]
-    assert json.loads(report.to_json())["records"][0]["kind"] == "slow"
+    assert [r.kind for r in report.records()] == ["drop", "slow"]
+    assert json.loads(report.to_json())["records"][0]["kind"] == "drop"

@@ -17,6 +17,7 @@ from repro.service import RecommendRequest, RunOptions, ServiceCore
 from repro.service.core import response_digest
 from repro.session import Session
 from tests.helpers.decoder import FOLDS, fold
+from tests.helpers.store_entries import entry_kind
 from tests.helpers.treewalk import ENGINES, engine
 from repro.workloads import workload
 from repro.workloads.fuzz import (
@@ -125,7 +126,7 @@ def test_service_responses_digest_identical_warm_and_cold(tmp_path, name):
     assert warm["meta"]["stages"] == {"response": "hit"}
     # Without the response artifact the recommend artifact still hits.
     for path in (tmp_path / "store").rglob("*.json"):
-        if json.loads(path.read_text())["kind"] == "response":
+        if entry_kind(path) == "response":
             path.unlink()
     staged = core.execute(request)
     assert staged["meta"]["stages"]["recommend"] == "hit"

@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.compiler import compile_baseline, compile_carmot, compile_naive
 from repro.compiler.driver import frontend
+from repro.resilience.budgets import ResiliencePolicy
 from repro.ir.serialize import (
     deserialize_module,
     module_digest,
@@ -33,6 +34,7 @@ from repro.runtime.psec_json import (
     psec_sets_digest,
     serialize_profile,
 )
+from repro.workloads import ALL_WORKLOADS
 
 REPO = Path(__file__).resolve().parents[2]
 EXAMPLES = ["roi_loop", "stencil_calls", "anneal_stats"]
@@ -130,25 +132,58 @@ def test_module_digest_stable_across_process_hash_seeds(tmp_path):
 
 # -- profile round-trip ------------------------------------------------------
 
+STRUCT_LOCAL = """
+struct P { int x; int y; };
+int main() {
+  struct P p;
+  int i;
+  p.x = 0;
+  #pragma carmot roi abstraction(parallel_for)
+  for (i = 0; i < 4; ++i) { p.x = p.x + i; }
+  print_int(p.x);
+  return 0;
+}
+"""
+
+#: name → (source, run options): the examples and the 15 ports at test
+#: size, plus one run the per-ROI event budget degrades, so degradation
+#: records and inexact Sets go through the round trip too, and a PSE
+#: whose variable has a struct type, so the profile's struct table does.
+PROFILED = {name: (_source(name), {}) for name in EXAMPLES}
+PROFILED.update({w.name: (w.test_source(), {}) for w in ALL_WORKLOADS})
+PROFILED["roi_loop@events-per-roi=20"] = (
+    _source("roi_loop"),
+    {"resilience": ResiliencePolicy(max_events_per_roi=20)},
+)
+PROFILED["struct_local"] = (STRUCT_LOCAL, {})
+
+
 def _profiled(example):
-    program = compile_carmot(_source(example), name=example)
-    result, runtime = program.run()
+    source, options = PROFILED[example]
+    program = compile_carmot(source, name=example)
+    result, runtime = program.run(**options)
     return result, runtime
 
 
-@pytest.mark.parametrize("example", EXAMPLES)
+@pytest.mark.parametrize("example", sorted(PROFILED))
 def test_profile_roundtrip_is_byte_identical(example):
     result, runtime = _profiled(example)
     text = serialize_profile(runtime, result)
     profile = deserialize_profile(text, runtime.module)
     assert serialize_profile(profile, profile.result) == text
+    assert profile.degradation.to_json() == runtime.degradation.to_json()
+    assert {roi: psec.sets_exact for roi, psec in profile.psecs.items()} \
+        == {roi: psec.sets_exact for roi, psec in runtime.psecs.items()}
+    if PROFILED[example][1]:
+        assert profile.degraded
+        assert not all(psec.sets_exact for psec in profile.psecs.values())
     # Encoded piecewise, the text is still the canonical dump of the
     # whole document: sorted keys, compact separators.
     assert text == json.dumps(json.loads(text), sort_keys=True,
                               separators=(",", ":"))
 
 
-@pytest.mark.parametrize("example", EXAMPLES)
+@pytest.mark.parametrize("example", sorted(PROFILED))
 def test_profile_roundtrip_preserves_set_membership(example):
     result, runtime = _profiled(example)
     profile = deserialize_profile(

@@ -30,6 +30,7 @@ from repro.vm.bytecode import (
 from repro.parallel.profile import ProfilingHooks, profile_execution
 from repro.vm import BytecodeInterpreter, run_module
 from repro.vm.codegen import lower_module
+from tests.helpers.store_entries import rewrite_entry
 from tests.helpers.treewalk import Interpreter, run_treewalk
 
 #: (engine name, run_module-shaped runner): the oracle, then the VM.
@@ -476,12 +477,8 @@ class TestBytecodeArtifact:
         compile_result = session.compile(
             _example("roi_loop"), "carmot", name="roi_loop")
         key = codegen_key(compile_result.ir_digest)
-        entry = session.store._entry_path(key)
-        doc = json.loads(entry.read_text())
-        doc["payload"] = "garbage"
-        import hashlib
-        doc["payload_sha256"] = hashlib.sha256(b"garbage").hexdigest()
-        entry.write_text(json.dumps(doc))
+        rewrite_entry(session.store._entry_path(key), "garbage",
+                      rehash=True)
         warm = session.profile(_example("roi_loop"), "carmot",
                                name="roi_loop")
         assert warm.stages["codegen"] == "miss"

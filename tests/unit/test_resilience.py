@@ -158,14 +158,15 @@ class TestEventBudget:
         assert sets_a == sets_b
 
     def test_budget_trip_report_is_pinned(self):
-        """The serialized report of an event-budget trip, pinned to its
-        value from before the fault path was removed: cached profiles
-        carry it, so its fields and their spelling must not move."""
+        """The serialized report of an event-budget trip: cached
+        profiles carry it, so its fields and their spelling must not
+        move.  It last moved when the always -1 ``batch_seq`` left the
+        record."""
         _, runtime = run_roi_loop(
             resilience=ResiliencePolicy(max_events_per_roi=20))
         assert runtime.degradation.to_json() == (
             '{"degraded":true,"records":[{"action":"classify-only",'
-            '"batch_seq":-1,"detail":"ROI 0 exceeded 20 events; switched '
+            '"detail":"ROI 0 exceeded 20 events; switched '
             'to conservative classification","events":0,'
             '"kind":"event-budget","rois":[0],"sets_complete":false,'
             '"use_callstacks_complete":false}],"rois":{"0":{"reasons":'

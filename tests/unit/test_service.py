@@ -6,7 +6,6 @@ wire framing (:mod:`repro.service.wire`), and the render layer
 (:mod:`repro.service.format`).
 """
 
-import hashlib
 import io
 import json
 import re
@@ -40,6 +39,7 @@ from repro.service.wire import (
     write_frame_sync,
 )
 from repro.session.keys import response_key
+from tests.helpers.store_entries import entry_kind, rewrite_entry
 
 ROI_SOURCE = """
 int main() {
@@ -291,7 +291,7 @@ class TestServiceCore:
 def _response_entries(cache):
     """Paths of the stored ``response`` artifacts under ``cache``."""
     return [path for path in cache.rglob("*.json")
-            if json.loads(path.read_text())["kind"] == "response"]
+            if entry_kind(path) == "response"]
 
 
 class TestResponseArtifact:
@@ -332,16 +332,12 @@ class TestResponseArtifact:
         if damage == "truncate":
             path.write_text(path.read_text()[:60])
         else:
-            # A well-formed envelope with a valid SHA over a payload that
+            # A well-formed entry with a valid SHA over a payload that
             # is not a psec response.
-            envelope = json.loads(path.read_text())
-            payload = json.dumps({"format": "repro-response",
-                                  "version": SERVICE_SCHEMA_VERSION,
-                                  "kind": "psec", "body": {"rois": []}})
-            envelope["payload"] = payload
-            envelope["payload_sha256"] = hashlib.sha256(
-                payload.encode("utf-8")).hexdigest()
-            path.write_text(json.dumps(envelope))
+            rewrite_entry(path, json.dumps({
+                "format": "repro-response",
+                "version": SERVICE_SCHEMA_VERSION,
+                "kind": "psec", "body": {"rois": []}}), rehash=True)
         again = core.execute(request)
         assert again["meta"]["stages"]["response"] == "miss"
         assert again["meta"]["stages"]["profile"] == "hit"

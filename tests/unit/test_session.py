@@ -29,6 +29,12 @@ from repro.vm.bytecode import (
     OP_STORE,
     deserialize_bytecode,
 )
+from tests.helpers.store_entries import (
+    entry_kind,
+    flip_payload_byte,
+    read_entry,
+    rewrite_entry,
+)
 
 SOURCE = """
 int main() {
@@ -70,19 +76,16 @@ def _flip_to_0xff(path):
 
 
 def _write_lone_surrogate(path):
-    """An escaped ``\\ud800`` payload: valid JSON, but no UTF-8 form to
-    hash."""
-    doc = json.loads(path.read_text())
-    doc["payload"] = "bad \ud800 payload"
-    path.write_text(json.dumps(doc))
-    assert "\\ud800" in path.read_text()
+    """The bytes a lone ``\\ud800`` would encode to, under a matching
+    hash: only the strict UTF-8 decode of the payload refuses them."""
+    rewrite_entry(path, b"bad \xed\xa0\x80 payload", rehash=True)
 
 
 @pytest.fixture(params=[_flip_to_0xff, _write_lone_surrogate],
                 ids=["byte_0xff", "lone_surrogate"])
 def corrupt(request):
-    """Two ways an entry stops being UTF-8: a raw byte that does not
-    decode, and an escaped surrogate that does not encode."""
+    """Two ways an entry stops being UTF-8: a raw 0xff byte in the
+    header, and surrogate bytes in a payload whose hash matches."""
     return request.param
 
 
@@ -110,19 +113,33 @@ class TestArtifactStore:
         store = ArtifactStore(tmp_path)
         store.put(KEY_A, "payload", "ir")
         path = store._entry_path(KEY_A)
-        doc = json.loads(path.read_text())
-        doc["payload"] = "tampered"
-        path.write_text(json.dumps(doc))
+        rewrite_entry(path, "tampered")
         assert store.get(KEY_A) is None
         assert not path.exists()
+
+    def test_flipped_payload_byte_is_evicted(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.put(KEY_A, "payload", "ir")
+        path = store._entry_path(KEY_A)
+        flip_payload_byte(path)
+        assert store.get(KEY_A) is None
+        assert not path.exists()
+
+    def test_entry_is_a_header_line_and_the_raw_payload(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        payload = '{"text":"quoted \\" and \\\\ and \u00e9"}'
+        store.put(KEY_A, payload, "profile")
+        header, stored = read_entry(store._entry_path(KEY_A))
+        assert sorted(header) == ["key", "kind", "payload_sha256",
+                                  "store_version"]
+        assert stored == payload.encode("utf-8")  # not escaped again
+        assert store.get(KEY_A) == payload
 
     def test_foreign_store_version_is_a_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
         store.put(KEY_A, "payload", "ir")
         path = store._entry_path(KEY_A)
-        doc = json.loads(path.read_text())
-        doc["store_version"] = 999
-        path.write_text(json.dumps(doc))
+        rewrite_entry(path, store_version=999)
         assert store.get(KEY_A) is None
 
     def test_non_utf8_entry_is_evicted_on_get(self, tmp_path, corrupt):
@@ -268,19 +285,19 @@ class TestKeys:
 
     @pytest.mark.parametrize("example, key", [
         ("roi_loop",
-         "2926d174916977616f1953ad946613c579c65ba9df962e0b4e145b357382c590"),
+         "b2b184d0744b6ec6af309108d3fd3b7f0a0538d1b290433ad31732fa8a15cbfe"),
         ("stencil_calls",
-         "597dceb63eef64b0ed76a57b32432a61cf0215b8ab8f46fc41fd56008e381c4b"),
+         "7ad1f63d72e20eaf69d256a26b23be76c2e5f1292481c4dc856ad00a245b2335"),
         ("anneal_stats",
-         "bc12c1b6040dac67ecae46cdb9101c24d12a22c11ec934b15fe8eb9b946520e0"),
+         "8abcb3501db79a20a129690969e7f1d8ab90e1adb925db4d21241de4279d15e7"),
     ])
     def test_default_psec_profile_key_is_pinned(self, tmp_path, monkeypatch,
                                                 example, key):
         """The profile key a default ``psec`` of an example looks up.
-        It last moved when the build options left the run document (a
-        build is its pass pipeline; the service always sent them as
-        null).  (Python is pinned to 3.11 in the fingerprint so the
-        literal holds on every interpreter version.)"""
+        It last moved when the profile schema and the store layout both
+        went to version 2 (columnar profiles, raw-payload entries).
+        (Python is pinned to 3.11 in the fingerprint so the literal
+        holds on every interpreter version.)"""
         from pathlib import Path
 
         from repro.service import PsecRequest, ServiceCore
@@ -303,17 +320,17 @@ class TestKeys:
 
     @pytest.mark.parametrize("budget, key", [
         ("events-per-roi=20000",
-         "58dcdc6a4737adf4e00f4df8b811763b0aac3b5f5cd98f53111771e01cc60947"),
+         "9ddad1c9c46b4aca483a4149881f92d7751e0fac33f7b1221408a36f3ac8da46"),
         ("steps=5000000,heap=1048576,depth=256,events-per-roi=20000",
-         "dfbadf32c91e15a3240958c1c33abe24309af7c058b76a7022a12937fe2e4056"),
+         "fed8a4eed13f4eea231b14e7ad15345b0e6456dcb0f7c9906c46ae517c45d86c"),
     ])
     def test_budget_psec_profile_key_is_pinned(self, tmp_path, monkeypatch,
                                                budget, key):
         """The profile key a ``psec --budget`` of ``examples/roi_loop.mc``
         looks up.  The key document goes through
         ``asdict(ResiliencePolicy)``, so a dropped policy field re-keys
-        every cached ``--budget`` profile.  It last moved when the build
-        options left the run document."""
+        every cached ``--budget`` profile.  It last moved when the profile
+        schema and the store layout both went to version 2."""
         from pathlib import Path
 
         from repro.service import PsecRequest, RunOptions, ServiceCore
@@ -451,10 +468,9 @@ class TestSession:
         session = Session(cache_dir=str(tmp_path))
         cold = session.profile(SOURCE, "carmot")
         for path in (tmp_path / "objects").rglob("*.json"):
-            doc = json.loads(path.read_text())
-            if doc["kind"] == "profile":
-                doc["payload"] = doc["payload"][:10]
-                path.write_text(json.dumps(doc))
+            header, payload = read_entry(path)
+            if header["kind"] == "profile":
+                rewrite_entry(path, payload[:10])
         again = session.profile(SOURCE, "carmot")
         assert again.stages["profile"] == "miss"
         assert again.payload == cold.payload
@@ -527,6 +543,26 @@ def _enter_into_an_instruction(doc):
     main["entry"] += 1
 
 
+def _entry_columns(doc):
+    """The columnar entries table of the profile's first PSEC."""
+    return doc["psecs"][0]["entries"]
+
+
+def _set_uses_index(value):
+    """A mutation that points the first entry's use-set at row
+    ``value(table length)`` of the ``uses`` table."""
+    def mutate(doc):
+        _entry_columns(doc)["uses"][0] = value(len(doc["uses"]))
+    return mutate
+
+
+def _forced_column_a_string(doc):
+    # As long as the key column, so a zip over the columns would read it
+    # one letter per entry.
+    columns = _entry_columns(doc)
+    columns["forced"] = "T" * len(columns["key"])
+
+
 #: (stage, entry kind, mutation of the decoded payload).  Each payload
 #: keeps a valid envelope, format and version, so only its shape is
 #: wrong.
@@ -564,6 +600,20 @@ SHAPE_MALFORMED = {
         lambda doc: doc["globals"][0].update(var=9999)),
     "psecs_not_a_list": ("profile", "profile",
                          lambda doc: doc.update(psecs=12345)),
+    "profile_entry_column_shorter_than_key": (
+        "profile", "profile",
+        lambda doc: _entry_columns(doc)["first_time"].pop()),
+    "profile_entry_column_longer_than_key": (
+        "profile", "profile",
+        lambda doc: _entry_columns(doc)["access_count"].append(1)),
+    "profile_entry_column_not_a_list": (
+        "profile", "profile", _forced_column_a_string),
+    "profile_uses_index_past_the_table": (
+        "profile", "profile", _set_uses_index(lambda n: n)),
+    "profile_uses_index_negative": (
+        "profile", "profile", _set_uses_index(lambda n: -1)),
+    "profile_asmt_column_shorter_than_obj_id": (
+        "profile", "profile", lambda doc: doc["asmt"]["size"].pop()),
 }
 
 
@@ -579,9 +629,9 @@ def test_shape_malformed_artifact_is_a_miss(tmp_path, case):
     if stage == "frontend":
         key = frontend_key(source, "g")
     else:
-        entries = [json.loads(path.read_text())
-                   for path in (tmp_path / "objects").rglob("*.json")]
-        [key] = [entry["key"] for entry in entries if entry["kind"] == kind]
+        [key] = [path.stem
+                 for path in (tmp_path / "objects").rglob("*.json")
+                 if entry_kind(path) == kind]
     doc = json.loads(session.store.get(key))
     mutate(doc)
     session.store.put(key, json.dumps(doc), kind)

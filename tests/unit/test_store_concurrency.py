@@ -8,7 +8,6 @@ scratch path), atomic publication, and eviction races treated as misses
 """
 
 import hashlib
-import json
 import threading
 
 import pytest
@@ -18,6 +17,7 @@ from repro.session.store import (
     NamespaceError,
     validate_namespace,
 )
+from tests.helpers.store_entries import read_entry, rewrite_entry
 
 
 def _key(text: str) -> str:
@@ -182,10 +182,8 @@ class TestConcurrentHammer:
         store.put(_key("good"), "good-payload", "ir")
         store.put(_key("bad"), "bad-payload", "ir")
         for entry in store._entry_files():
-            doc = json.loads(entry.read_text())
-            if doc["payload"] == "bad-payload":
-                doc["payload"] = "tampered"
-                entry.write_text(json.dumps(doc))
+            if read_entry(entry)[1] == b"bad-payload":
+                rewrite_entry(entry, "tampered")
         report = ArtifactStore(root).verify()
         assert report["by_namespace"]["c9"] == {
             "checked": 2, "ok": 1, "evicted": 1,
